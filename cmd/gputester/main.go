@@ -428,6 +428,11 @@ func runExplore(cfg explore.Config, jsonOut bool, exit func(int)) {
 		res.Schedules, res.PrunedPaths, res.PrunedBranches)
 	fmt.Printf("  choice points  %d branching (depth-limited=%v, budget-exhausted=%v)\n",
 		res.ChoicePoints, res.DepthLimited, res.BudgetExhausted)
+	fmt.Printf("  cuts           %d taken (mean %.1f µs), %d restored (mean %.1f µs)\n",
+		res.ChoicePoints, res.NsPerCut/1e3, res.Restores, res.NsPerRestore/1e3)
+	fmt.Printf("  frontier       choice points per DFS depth %v\n", res.FrontierDepths)
+	fmt.Printf("  sleep sets     %d of %d candidates asleep (hit rate %.3f)\n",
+		res.PrunedBranches, res.Candidates, res.SleepHitRate)
 
 	if v := res.Violation; v != nil {
 		fmt.Printf("\nFAIL: violating schedule found after %d schedule(s) (schedule length %d, %d stream violation(s))\n",

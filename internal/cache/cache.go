@@ -85,11 +85,9 @@ type Array struct {
 	sets     [][]Line
 	useClock uint64
 
-	// lines/data/dirty alias the flat slabs the sets are sliced from,
-	// kept so snapshots can copy the whole array in three copies.
+	// lines aliases the flat slab the sets are sliced from, so
+	// snapshots can address a line by one index.
 	lines []Line
-	data  []byte
-	dirty []bool
 
 	// stats
 	lookups uint64
@@ -105,19 +103,28 @@ type Array struct {
 	journal []lineUndo
 }
 
-// ArraySnapshot is a deep copy of an Array's contents at one instant.
-// A snapshot of a clean array (every line invalid with a zeroed LRU
-// stamp — the just-built or just-reset state) retains no line copies
-// at all: clean is set and the slices stay nil, making warm-fork
-// snapshot capture O(1) instead of O(capacity).
+// ArraySnapshot captures an Array's contents at one instant: only the
+// live lines — valid, or carrying an LRU stamp — are stored, header,
+// data and dirty mask in one slab each. Everything else is in the
+// just-built state (invalid, never used; its bytes are never read,
+// Install zeroes a claimed way), so a snapshot costs what the array
+// holds, not what it could hold, and an empty array stores no lines.
 type ArraySnapshot struct {
-	lines    []Line // scalar fields only; Data/Dirty live in data/dirty
-	data     []byte
+	hdrs     []lineHdr
+	data     []byte // len(hdrs) × LineSize
 	dirty    []bool
-	clean    bool
 	useClock uint64
 	lookups  uint64
 	hits     uint64
+}
+
+// lineHdr is one live line's scalar state and its index in the array.
+type lineHdr struct {
+	idx     int32
+	valid   bool
+	state   int
+	tag     mem.Addr
+	lastUse uint64
 }
 
 type lineUndo struct {
@@ -149,7 +156,7 @@ func NewArray(cfg Config) *Array {
 	for s := range a.sets {
 		a.sets[s] = lines[s*cfg.Assoc : (s+1)*cfg.Assoc : (s+1)*cfg.Assoc]
 	}
-	a.lines, a.data, a.dirty = lines, data, dirty
+	a.lines = lines
 	return a
 }
 
@@ -164,7 +171,7 @@ func (a *Array) Config() Config { return a.cfg }
 // is claimed.
 // Reset also disarms any armed snapshot rather than journaling every
 // line; restoring that snapshot later still works via the
-// full-copy-back path.
+// reinstall path.
 func (a *Array) Reset() {
 	for s := range a.sets {
 		for w := range a.sets[s] {
@@ -344,26 +351,29 @@ func (a *Array) journalLine(l *Line) {
 	l.epoch = a.epoch
 }
 
-// Snapshot deep-copies the array (three flat copies plus scalars) and
-// arms undo journaling so Restore of this snapshot replays only the
-// lines touched since. The snapshot shares no mutable storage with
-// the array and stays valid across later snapshots, restores and
-// resets.
-func (a *Array) Snapshot() *ArraySnapshot {
-	s := &ArraySnapshot{
-		useClock: a.useClock,
-		lookups:  a.lookups,
-		hits:     a.hits,
+// Snapshot captures the array's live lines and arms undo journaling
+// so Restore of this snapshot replays only the lines touched since.
+// The snapshot shares no mutable storage with the array and stays
+// valid across later snapshots, restores and resets.
+func (a *Array) Snapshot() *ArraySnapshot { return a.SnapshotInto(nil) }
+
+// SnapshotInto is Snapshot refilling s, a snapshot of this array the
+// caller knows is dead (nil allocates). A dead snapshot may still be
+// the armed one; refilling re-arms it against the new contents.
+func (a *Array) SnapshotInto(s *ArraySnapshot) *ArraySnapshot {
+	if s == nil {
+		s = &ArraySnapshot{}
 	}
-	if a.isClean() {
-		// Nothing worth copying: invalid lines are never read (Install
-		// zeroes a claimed way), so the restore path can reproduce this
-		// state with a Reset-style invalidation scan instead of a copy.
-		s.clean = true
-	} else {
-		s.lines = append([]Line(nil), a.lines...)
-		s.data = append([]byte(nil), a.data...)
-		s.dirty = append([]bool(nil), a.dirty...)
+	s.hdrs, s.data, s.dirty = s.hdrs[:0], s.data[:0], s.dirty[:0]
+	s.useClock, s.lookups, s.hits = a.useClock, a.lookups, a.hits
+	for i := range a.lines {
+		l := &a.lines[i]
+		if !l.Valid && l.lastUse == 0 {
+			continue
+		}
+		s.hdrs = append(s.hdrs, lineHdr{idx: int32(i), valid: l.Valid, state: l.State, tag: l.Tag, lastUse: l.lastUse})
+		s.data = append(s.data, l.Data...)
+		s.dirty = append(s.dirty, l.Dirty...)
 	}
 	a.snap = s
 	a.journal = a.journal[:0]
@@ -371,23 +381,11 @@ func (a *Array) Snapshot() *ArraySnapshot {
 	return s
 }
 
-// isClean reports whether every line is invalid with a zeroed LRU
-// stamp — the just-built / just-reset state a warm-fork snapshot is
-// taken over. The scan touches only line headers, a fraction of the
-// copy it avoids.
-func (a *Array) isClean() bool {
-	for i := range a.lines {
-		if a.lines[i].Valid || a.lines[i].lastUse != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Restore returns the array to the state captured by s. When s is the
 // armed snapshot the undo journal is replayed in reverse — O(lines
-// touched since Snapshot). Otherwise every line is copied back from
-// the snapshot and s becomes the armed snapshot.
+// touched since Snapshot). Otherwise every line is returned to the
+// just-built state, the snapshot's live lines are reinstalled, and s
+// becomes the armed snapshot.
 func (a *Array) Restore(s *ArraySnapshot) {
 	if a.snap == s {
 		for i := len(a.journal) - 1; i >= 0; i-- {
@@ -398,25 +396,21 @@ func (a *Array) Restore(s *ArraySnapshot) {
 			l.Tag, l.Valid, l.State = u.save.Tag, u.save.Valid, u.save.State
 			l.lastUse, l.epoch = u.save.lastUse, u.save.epoch
 		}
-		a.journal = a.journal[:0]
 	} else {
-		if s.clean {
-			for i := range a.lines {
-				l := &a.lines[i]
-				l.Valid, l.lastUse, l.epoch = false, 0, 0
-			}
-		} else {
-			copy(a.data, s.data)
-			copy(a.dirty, s.dirty)
-			for i := range a.lines {
-				l, sl := &a.lines[i], &s.lines[i]
-				l.Tag, l.Valid, l.State, l.lastUse = sl.Tag, sl.Valid, sl.State, sl.lastUse
-				l.epoch = 0
-			}
+		for i := range a.lines {
+			l := &a.lines[i]
+			l.Valid, l.lastUse, l.epoch = false, 0, 0
+		}
+		ls := a.cfg.LineSize
+		for j, h := range s.hdrs {
+			l := &a.lines[h.idx]
+			l.Tag, l.Valid, l.State, l.lastUse = h.tag, h.valid, h.state, h.lastUse
+			copy(l.Data, s.data[j*ls:])
+			copy(l.Dirty, s.dirty[j*ls:])
 		}
 		a.snap = s
-		a.journal = a.journal[:0]
 		a.epoch++
 	}
+	a.journal = a.journal[:0]
 	a.useClock, a.lookups, a.hits = s.useClock, s.lookups, s.hits
 }

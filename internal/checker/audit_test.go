@@ -13,37 +13,39 @@ import (
 // StreamCheck armed.
 func TestStreamFieldAudit(t *testing.T) {
 	audit.Fields(t, Stream{}, map[string]string{
-		"delta":     "state: copied (Reset retunes it from config)",
-		"eps":       "state: rebuilt from the snapshot's epSave records (live known + unknown entries)",
-		"epFree":    "pool: recycled epStates, excluded — dropped records are harvested back on Reset/Restore",
-		"liveQ":     "state: rebuilt from the snapshot's leading nLive epSave records, dead heads included",
-		"liveHead":  "state: normalized to 0 on Restore (only order and dead flags are semantic)",
-		"atomics":   "state: per-sync-var A1 fold via atomicSave (pending multiset deep-copied)",
-		"data":      "state: per-data-var A2/A3 fold via varSave (intervals/writers deep-copied)",
-		"a2unknown": "state: violation bucket, slice-copied",
-		"a2overlap": "state: violation bucket, slice-copied",
-		"a3":        "state: violation bucket, slice-copied",
-		"finished":  "state: copied (a mid-run cut reopens a Finish-sealed stream)",
-		"result":    "state: slice-copied alongside finished",
+		"delta":      "state: copied (Reset retunes it from config)",
+		"eps":        "state: rebuilt from the snapshot's epState records (live known + unknown entries)",
+		"epFree":     "pool: recycled epStates, excluded — dropped records are harvested back on Reset/Restore",
+		"liveQ":      "state: rebuilt from the snapshot's leading nLive epState records, dead heads included",
+		"liveHead":   "state: normalized to 0 on Restore (only order and dead flags are semantic)",
+		"atomics":    "state: per-sync-var A1 fold via atomicSave (pending multiset deep-copied)",
+		"data":       "state: per-data-var A2/A3 fold via varSave (intervals/writers deep-copied)",
+		"atomicFree": "pool: atomicStates a Restore displaced, refilled by the next Restore; excluded from cuts",
+		"varFree":    "pool: varStates a Restore displaced, refilled by the next Restore; excluded from cuts",
+		"a2unknown":  "state: violation bucket, slice-copied",
+		"a2overlap":  "state: violation bucket, slice-copied",
+		"a3":         "state: violation bucket, slice-copied",
+		"finished":   "state: copied (a mid-run cut reopens a Finish-sealed stream)",
+		"result":     "state: slice-copied alongside finished",
 	})
 	audit.Fields(t, epState{}, map[string]string{
-		"id":        "state: via epSave",
-		"createSeq": "state: via epSave",
-		"known":     "state: via epSave (unknown records live only in the eps map)",
-		"dead":      "state: via epSave (dead records live only in the liveQ)",
-		"ownWrites": "state: deep slice copy via epSave",
-		"touched":   "state: deep slice copy via epSave",
+		"id":        "state: via copyEp",
+		"createSeq": "state: via copyEp",
+		"known":     "state: via copyEp (unknown records live only in the eps map)",
+		"dead":      "state: via copyEp (dead records live only in the liveQ)",
+		"ownWrites": "state: deep slice copy via copyEp, into the destination's own backing array",
+		"touched":   "state: deep slice copy via copyEp, into the destination's own backing array",
 	})
 	audit.Fields(t, varState{}, map[string]string{
-		"intervals": "state: deep slice copy via varSave",
-		"prev":      "state: value copy via varSave",
-		"hasPrev":   "state: value copy via varSave",
-		"writers":   "state: deep slice copy via varSave",
+		"intervals": "state: deep slice copy via copyVar",
+		"prev":      "state: value copy via copyVar",
+		"hasPrev":   "state: value copy via copyVar",
+		"writers":   "state: deep slice copy via copyVar",
 	})
 	audit.Fields(t, atomicState{}, map[string]string{
-		"contig":  "state: value copy via atomicSave",
-		"pending": "state: deep map copy via atomicSave",
-		"npend":   "state: value copy via atomicSave",
+		"contig":  "state: value copy via copyAtomic",
+		"pending": "state: deep map copy via copyAtomic, into the destination's own map",
+		"npend":   "state: value copy via copyAtomic",
 	})
 }
 

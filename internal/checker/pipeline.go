@@ -250,9 +250,12 @@ func (p *Pipeline) Reset(atomicDelta uint32) {
 // Snapshot quiesces the pipeline and captures the checker state. The
 // ring itself is never part of a snapshot: Flush empties it first, so
 // the Stream alone is the cut.
-func (p *Pipeline) Snapshot() *StreamSnapshot {
+func (p *Pipeline) Snapshot() *StreamSnapshot { return p.SnapshotInto(nil) }
+
+// SnapshotInto is Snapshot refilling s (see Stream.SnapshotInto).
+func (p *Pipeline) SnapshotInto(s *StreamSnapshot) *StreamSnapshot {
 	p.Flush()
-	return p.stream.Snapshot()
+	return p.stream.SnapshotInto(s)
 }
 
 // Restore quiesces the pipeline and reinstates a captured checker

@@ -1,5 +1,7 @@
 package checker
 
+import "drftest/internal/reuse"
+
 // This file gives the online Stream checker the same rewind/rearm
 // surface the rest of the stack has: Reset (campaign reuse),
 // Snapshot/Restore (checkpointed replay). The fold state is small by
@@ -14,32 +16,18 @@ package checker
 // Restore materializes each saved episode exactly once and links it
 // into both structures.
 
-// epSave captures one epState. The first nLive entries of a
-// snapshot's eps slice are the live queue in order (including dead
-// heads not yet popped, which are no longer in the eps map); entries
-// after that are unknown-episode records, which are only in the map.
-type epSave struct {
-	id        uint64
-	createSeq uint64
-	known     bool
-	dead      bool
-	ownWrites []ownWrite
-	touched   []int
-}
-
-// varSave captures one data variable's A2/A3 fold.
+// varSave and atomicSave are one variable's fold with its id. Saving
+// and restoring a fold is the same copy in opposite directions
+// (copyEp, copyVar, copyAtomic), always refilling the destination's
+// own slices and maps.
 type varSave struct {
-	intervals []ival
-	prev      ival
-	hasPrev   bool
-	writers   []writerRec
+	id int
+	varState
 }
 
-// atomicSave captures one sync variable's A1 fold.
 type atomicSave struct {
-	contig  int
-	pending map[uint32]int
-	npend   int
+	id int
+	atomicState
 }
 
 // StreamSnapshot is a Stream cut; obtain via Stream.Snapshot (or
@@ -48,11 +36,15 @@ type atomicSave struct {
 type StreamSnapshot struct {
 	delta uint32
 
-	eps   []epSave
+	// The first nLive entries of eps are the live queue in order
+	// (including dead heads not yet popped, which are no longer in the
+	// eps map); entries after that are unknown-episode records, which
+	// are only in the map.
+	eps   []epState
 	nLive int
 
-	atomics map[int]atomicSave
-	data    map[int]varSave
+	atomics []atomicSave
+	data    []varSave
 
 	a2unknown []Violation
 	a2overlap []overlapViol
@@ -96,80 +88,83 @@ func (s *Stream) harvest() {
 	}
 }
 
-func saveEp(es *epState) epSave {
-	return epSave{
-		id:        es.id,
-		createSeq: es.createSeq,
-		known:     es.known,
-		dead:      es.dead,
-		ownWrites: append([]ownWrite(nil), es.ownWrites...),
-		touched:   append([]int(nil), es.touched...),
-	}
+func copyEp(dst, src *epState) {
+	own, touched := dst.ownWrites, dst.touched
+	*dst = *src
+	dst.ownWrites = append(own[:0], src.ownWrites...)
+	dst.touched = append(touched[:0], src.touched...)
+}
+
+func copyVar(dst, src *varState) {
+	ivals, writers := dst.intervals, dst.writers
+	*dst = *src
+	dst.intervals = append(ivals[:0], src.intervals...)
+	dst.writers = append(writers[:0], src.writers...)
+}
+
+func copyAtomic(dst, src *atomicState) {
+	pending := dst.pending
+	*dst = *src
+	dst.pending = reuse.Map(pending, src.pending)
 }
 
 // Snapshot deep-captures the fold state. The caller must hold the
 // stream quiescent (no concurrent folding) — Pipeline.Snapshot
 // arranges this by flushing the ring first.
-func (s *Stream) Snapshot() *StreamSnapshot {
-	snap := &StreamSnapshot{
-		delta:     s.delta,
-		atomics:   make(map[int]atomicSave, len(s.atomics)),
-		data:      make(map[int]varSave, len(s.data)),
-		a2unknown: append([]Violation(nil), s.a2unknown...),
-		a2overlap: append([]overlapViol(nil), s.a2overlap...),
-		a3:        append([]Violation(nil), s.a3...),
-		finished:  s.finished,
-		result:    append([]Violation(nil), s.result...),
+func (s *Stream) Snapshot() *StreamSnapshot { return s.SnapshotInto(nil) }
+
+// SnapshotInto is Snapshot refilling snap, a snapshot of this stream
+// the caller knows is dead (nil allocates).
+func (s *Stream) SnapshotInto(snap *StreamSnapshot) *StreamSnapshot {
+	if snap == nil {
+		snap = &StreamSnapshot{}
 	}
+	snap.delta = s.delta
+	snap.a2unknown = append(snap.a2unknown[:0], s.a2unknown...)
+	snap.a2overlap = append(snap.a2overlap[:0], s.a2overlap...)
+	snap.a3 = append(snap.a3[:0], s.a3...)
+	snap.finished = s.finished
+	snap.result = append(snap.result[:0], s.result...)
+
 	live := s.liveQ[s.liveHead:]
 	snap.nLive = len(live)
-	snap.eps = make([]epSave, 0, len(live)+len(s.eps))
+	snap.eps = snap.eps[:0]
 	for _, es := range live {
-		snap.eps = append(snap.eps, saveEp(es))
+		copyEp(reuse.Grow(&snap.eps), es)
 	}
 	for _, es := range s.eps {
 		if !es.known {
-			snap.eps = append(snap.eps, saveEp(es))
+			copyEp(reuse.Grow(&snap.eps), es)
 		}
 	}
+	snap.atomics = snap.atomics[:0]
 	for v, a := range s.atomics {
-		as := atomicSave{contig: a.contig, npend: a.npend}
-		if a.pending != nil {
-			as.pending = make(map[uint32]int, len(a.pending))
-			for k, n := range a.pending {
-				as.pending[k] = n
-			}
-		}
-		snap.atomics[v] = as
+		as := reuse.Grow(&snap.atomics)
+		as.id = v
+		copyAtomic(&as.atomicState, a)
 	}
+	snap.data = snap.data[:0]
 	for v, vs := range s.data {
-		snap.data[v] = varSave{
-			intervals: append([]ival(nil), vs.intervals...),
-			prev:      vs.prev,
-			hasPrev:   vs.hasPrev,
-			writers:   append([]writerRec(nil), vs.writers...),
-		}
+		ds := reuse.Grow(&snap.data)
+		ds.id = v
+		copyVar(&ds.varState, vs)
 	}
 	return snap
 }
 
-// Restore reinstates a cut captured by Snapshot. Current episode
-// records are harvested for reuse; every saved episode is rebuilt
-// once and linked into the eps map and/or the live queue exactly as
-// the save recorded (dead queue heads stay out of the map, unknown
-// records stay out of the queue).
+// Restore reinstates a cut captured by Snapshot. Current episode and
+// variable records are harvested for reuse; every saved episode is
+// rebuilt once and linked into the eps map and/or the live queue
+// exactly as the save recorded (dead queue heads stay out of the map,
+// unknown records stay out of the queue).
 func (s *Stream) Restore(snap *StreamSnapshot) {
 	s.delta = snap.delta
 	s.harvest()
 	clear(s.eps)
 	s.liveQ, s.liveHead = s.liveQ[:0], 0
 	for i := range snap.eps {
-		sv := &snap.eps[i]
 		es := s.newEpState()
-		es.id, es.createSeq = sv.id, sv.createSeq
-		es.known, es.dead = sv.known, sv.dead
-		es.ownWrites = append(es.ownWrites, sv.ownWrites...)
-		es.touched = append(es.touched, sv.touched...)
+		copyEp(es, &snap.eps[i])
 		if i < snap.nLive {
 			s.liveQ = append(s.liveQ, es)
 		}
@@ -177,25 +172,23 @@ func (s *Stream) Restore(snap *StreamSnapshot) {
 			s.eps[es.id] = es
 		}
 	}
+	for _, a := range s.atomics {
+		s.atomicFree = append(s.atomicFree, a)
+	}
 	clear(s.atomics)
-	for v, as := range snap.atomics {
-		a := &atomicState{contig: as.contig, npend: as.npend}
-		if as.pending != nil {
-			a.pending = make(map[uint32]int, len(as.pending))
-			for k, n := range as.pending {
-				a.pending[k] = n
-			}
-		}
-		s.atomics[v] = a
+	for i := range snap.atomics {
+		a := reuse.Pop(&s.atomicFree)
+		copyAtomic(a, &snap.atomics[i].atomicState)
+		s.atomics[snap.atomics[i].id] = a
+	}
+	for _, vs := range s.data {
+		s.varFree = append(s.varFree, vs)
 	}
 	clear(s.data)
-	for v, vs := range snap.data {
-		s.data[v] = &varState{
-			intervals: append([]ival(nil), vs.intervals...),
-			prev:      vs.prev,
-			hasPrev:   vs.hasPrev,
-			writers:   append([]writerRec(nil), vs.writers...),
-		}
+	for i := range snap.data {
+		vs := reuse.Pop(&s.varFree)
+		copyVar(vs, &snap.data[i].varState)
+		s.data[snap.data[i].id] = vs
 	}
 	s.a2unknown = append(s.a2unknown[:0], snap.a2unknown...)
 	s.a2overlap = append(s.a2overlap[:0], snap.a2overlap...)

@@ -44,6 +44,10 @@ type Stream struct {
 
 	atomics map[int]*atomicState
 	data    map[int]*varState
+	// atomicFree and varFree hold the fold records a Restore displaced,
+	// for the next Restore to refill.
+	atomicFree []*atomicState
+	varFree    []*varState
 
 	// Violation buckets, assembled in reference order by Finish: A1
 	// (per sync var ascending), A2 unknown-episode (op order), A2

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"drftest/internal/mem"
+	"drftest/internal/trace"
 )
 
 // LogKind distinguishes request issue records from response records.
@@ -51,57 +52,28 @@ func (e LogEntry) String() string {
 		e.Tick, e.Kind.String(), e.Op, sem, uint64(e.Addr), e.Value, e.ThreadID, e.WFID, e.EpisodeID)
 }
 
-// EventLog is a fixed-capacity ring of recent transactions.
+// EventLog is the tester's rolling log of recent transactions, the
+// same chunked rolling log as the kernel's trace ring: Append, Reset
+// and Total are the log's own.
 type EventLog struct {
-	entries []LogEntry
-	next    int
-	full    bool
-	total   uint64
+	trace.Log[LogEntry]
 }
 
 // NewEventLog creates a log holding the last capacity entries.
 func NewEventLog(capacity int) *EventLog {
-	return &EventLog{entries: make([]LogEntry, capacity)}
+	l := &EventLog{}
+	l.Init(capacity)
+	return l
 }
-
-// Append records one transaction.
-func (l *EventLog) Append(e LogEntry) {
-	l.entries[l.next] = e
-	l.next++
-	l.total++
-	if l.next == len(l.entries) {
-		l.next = 0
-		l.full = true
-	}
-}
-
-// Reset empties the log without reallocating its ring. Stale entries
-// past the write cursor are unreachable (snapshot reads [:next] until
-// the ring wraps again), so they need no clearing.
-func (l *EventLog) Reset() {
-	l.next = 0
-	l.full = false
-	l.total = 0
-}
-
-// Total returns the number of transactions ever recorded.
-func (l *EventLog) Total() uint64 { return l.total }
 
 // Recent returns up to n most-recent entries, oldest first.
-func (l *EventLog) Recent(n int) []LogEntry {
-	all := l.snapshot()
-	if n < len(all) {
-		all = all[len(all)-n:]
-	}
-	return all
-}
+func (l *EventLog) Recent(n int) []LogEntry { return l.Last(n) }
 
 // ForAddr returns up to n most-recent entries touching addr, oldest
 // first — the "zoom into the window" view a protocol designer uses.
 func (l *EventLog) ForAddr(addr mem.Addr, n int) []LogEntry {
-	all := l.snapshot()
 	var out []LogEntry
-	for _, e := range all {
+	for _, e := range l.Last(l.Len()) {
 		if e.Addr == addr {
 			out = append(out, e)
 		}
@@ -109,16 +81,6 @@ func (l *EventLog) ForAddr(addr mem.Addr, n int) []LogEntry {
 	if n < len(out) {
 		out = out[len(out)-n:]
 	}
-	return out
-}
-
-func (l *EventLog) snapshot() []LogEntry {
-	if !l.full {
-		return append([]LogEntry(nil), l.entries[:l.next]...)
-	}
-	out := make([]LogEntry, 0, len(l.entries))
-	out = append(out, l.entries[l.next:]...)
-	out = append(out, l.entries[:l.next]...)
 	return out
 }
 

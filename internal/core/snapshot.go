@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"drftest/internal/checker"
 	"drftest/internal/mem"
+	"drftest/internal/reuse"
 	"drftest/internal/rng"
+	"drftest/internal/trace"
 	"drftest/internal/viper"
 )
 
@@ -24,7 +27,13 @@ import (
 // their contents change. Pointers into the variable slab stay valid
 // for the same reason. Live episodes are the exception — nothing
 // pre-binds them (issue/retire reach them via thr.ep), so Restore
-// installs fresh structs.
+// retires the current ones to the free list and refills recycled
+// structs from it.
+//
+// Every save below refills the storage of the snapshot it is handed
+// (SnapshotInto), and saving and restoring a variable or an episode is
+// the same copy in opposite directions, so a recycled cut allocates
+// only for state that outgrew what it held last time.
 
 // spaceSave captures the address space: every slab variable (claims,
 // reference values, atomic bookkeeping) plus the random address
@@ -35,22 +44,12 @@ type spaceSave struct {
 	lastWriters []AccessRecord
 }
 
-// episodeSave captures one live episode. Variable pointers are
-// retained by identity — they index the retained slab.
-type episodeSave struct {
-	id         uint64
-	sync       *variable
-	ops        []genOp
-	next       int
-	createSeq  uint64
-	traceSeq   int
-	writes     map[int]uint32
-	claims     map[int]*variable
-	claimOrder []*variable
-}
-
+// threadSave captures one lane; ep is meaningful only while live.
+// Variable pointers inside it are retained by identity — they index
+// the retained slab.
 type threadSave struct {
-	ep           *episodeSave
+	ep           episode
+	live         bool
 	episodesDone int
 	curOp        genOp
 }
@@ -58,13 +57,6 @@ type threadSave struct {
 type wfSave struct {
 	outstanding int
 	finished    bool
-}
-
-type logSave struct {
-	entries []LogEntry
-	next    int
-	full    bool
-	total   uint64
 }
 
 // TesterSnapshot captures a tester's complete mid-run state; obtain
@@ -75,7 +67,7 @@ type TesterSnapshot struct {
 	space   spaceSave
 	threads []threadSave
 	wfs     []wfSave
-	log     logSave
+	log     *trace.LogSnapshot[LogEntry]
 
 	failures     []*Failure
 	deadlockSeen bool
@@ -96,7 +88,6 @@ type TesterSnapshot struct {
 	// within a run, and a restored replay re-issues the identical
 	// requests into the identical slots.
 	reqSlab []mem.Request
-	epFree  []*episode
 
 	opsIssued, opsCompleted, episodesRetired uint64
 }
@@ -124,152 +115,88 @@ func (t *Tester) CanCheckpoint() error {
 	return nil
 }
 
-func saveVar(v *variable) variable {
-	s := *v
-	if v.readers != nil {
-		s.readers = make(map[uint64]struct{}, len(v.readers))
-		for r := range v.readers {
-			s.readers[r] = struct{}{}
-		}
-	}
-	if v.seenOld != nil {
-		s.seenOld = make(map[uint32]AccessRecord, len(v.seenOld))
-		for k, rec := range v.seenOld {
-			s.seenOld[k] = rec
-		}
-	}
-	return s
+// copyVar copies src into dst, refilling dst's own claim and
+// old-value maps rather than sharing src's.
+func copyVar(dst, src *variable) {
+	readers, seenOld := dst.readers, dst.seenOld
+	*dst = *src
+	dst.readers = reuse.Map(readers, src.readers)
+	dst.seenOld = reuse.Map(seenOld, src.seenOld)
 }
 
-func restoreVar(v *variable, s *variable) {
-	readers, seenOld := v.readers, v.seenOld
-	*v = *s
-	v.readers, v.seenOld = readers, seenOld
-	if s.readers != nil {
-		if v.readers == nil {
-			v.readers = make(map[uint64]struct{}, len(s.readers))
-		} else {
-			clear(v.readers)
-		}
-		for r := range s.readers {
-			v.readers[r] = struct{}{}
-		}
-	} else if v.readers != nil {
-		clear(v.readers)
-	}
-	if s.seenOld != nil {
-		if v.seenOld == nil {
-			v.seenOld = make(map[uint32]AccessRecord, len(s.seenOld))
-		} else {
-			clear(v.seenOld)
-		}
-		for k, rec := range s.seenOld {
-			v.seenOld[k] = rec
-		}
-	} else if v.seenOld != nil {
-		clear(v.seenOld)
-	}
-}
-
-func saveEpisode(ep *episode) *episodeSave {
-	s := &episodeSave{
-		id:         ep.id,
-		sync:       ep.sync,
-		ops:        append([]genOp(nil), ep.ops...),
-		next:       ep.next,
-		createSeq:  ep.createSeq,
-		traceSeq:   ep.traceSeq,
-		writes:     make(map[int]uint32, len(ep.writes)),
-		claims:     make(map[int]*variable, len(ep.claims)),
-		claimOrder: append([]*variable(nil), ep.claimOrder...),
-	}
-	for k, v := range ep.writes {
-		s.writes[k] = v
-	}
-	for k, v := range ep.claims {
-		s.claims[k] = v
-	}
-	return s
-}
-
-func restoreEpisode(s *episodeSave) *episode {
-	ep := &episode{
-		id:         s.id,
-		sync:       s.sync,
-		ops:        append([]genOp(nil), s.ops...),
-		next:       s.next,
-		createSeq:  s.createSeq,
-		traceSeq:   s.traceSeq,
-		writes:     make(map[int]uint32, len(s.writes)),
-		claims:     make(map[int]*variable, len(s.claims)),
-		claimOrder: append([]*variable(nil), s.claimOrder...),
-	}
-	for k, v := range s.writes {
-		ep.writes[k] = v
-	}
-	for k, v := range s.claims {
-		ep.claims[k] = v
-	}
-	return ep
+// copyEpisode copies src into dst, refilling dst's maps and slices.
+func copyEpisode(dst, src *episode) {
+	ops, order, writes, claims := dst.ops, dst.claimOrder, dst.writes, dst.claims
+	*dst = *src
+	dst.ops = append(ops[:0], src.ops...)
+	dst.claimOrder = append(order[:0], src.claimOrder...)
+	dst.writes = reuse.Map(writes, src.writes)
+	dst.claims = reuse.Map(claims, src.claims)
 }
 
 // Snapshot captures the tester's complete state. Pair with kernel and
 // system snapshots taken at the same instant for a consistent cut.
 // Panics if the tester cannot checkpoint (CanCheckpoint).
-func (t *Tester) Snapshot() *TesterSnapshot {
+func (t *Tester) Snapshot() *TesterSnapshot { return t.SnapshotInto(nil) }
+
+// SnapshotInto is Snapshot refilling s, a snapshot of this tester the
+// caller knows is dead (nil allocates).
+func (t *Tester) SnapshotInto(s *TesterSnapshot) *TesterSnapshot {
 	if err := t.CanCheckpoint(); err != nil {
 		panic(err.Error())
 	}
-	s := &TesterSnapshot{
-		cfg: t.cfg,
-		rnd: *t.rnd,
-		space: spaceSave{
-			slab:        make([]variable, len(t.space.slab)),
-			addrs:       append([]mem.Addr(nil), t.space.addrs...),
-			lastWriters: append([]AccessRecord(nil), t.space.lastWriters...),
-		},
-		threads:       make([]threadSave, len(t.threads)),
-		wfs:           make([]wfSave, len(t.wfs)),
-		log:           logSave{entries: append([]LogEntry(nil), t.log.entries...), next: t.log.next, full: t.log.full, total: t.log.total},
-		failures:      append([]*Failure(nil), t.failures...),
-		deadlockSeen:  t.deadlockSeen,
-		lastWorkTick:  t.lastWorkTick,
-		genSeq:        t.genSeq,
-		nextReqID:     t.nextReqID,
-		nextEpisodeID: t.nextEpisodeID,
-		storeValue:    t.storeValue,
-		finishedWFs:   t.finishedWFs,
-		done:          t.done,
-		reqSlab:       t.reqSlab,
-		epFree:        append([]*episode(nil), t.epFree...),
-
-		opsIssued:       t.opsIssued,
-		opsCompleted:    t.opsCompleted,
-		episodesRetired: t.episodesRetired,
+	if s == nil {
+		s = &TesterSnapshot{}
 	}
+	s.cfg, s.rnd = t.cfg, *t.rnd
+	s.space.slab = slices.Grow(s.space.slab[:0], len(t.space.slab))[:len(t.space.slab)]
 	for i := range t.space.slab {
-		s.space.slab[i] = saveVar(&t.space.slab[i])
+		copyVar(&s.space.slab[i], &t.space.slab[i])
 	}
+	s.space.addrs = append(s.space.addrs[:0], t.space.addrs...)
+	s.space.lastWriters = append(s.space.lastWriters[:0], t.space.lastWriters...)
+	s.threads = slices.Grow(s.threads[:0], len(t.threads))[:len(t.threads)]
 	for i, thr := range t.threads {
-		ts := threadSave{episodesDone: thr.episodesDone, curOp: thr.curOp}
-		if thr.ep != nil {
-			ts.ep = saveEpisode(thr.ep)
+		ts := &s.threads[i]
+		ts.episodesDone, ts.curOp = thr.episodesDone, thr.curOp
+		if ts.live = thr.ep != nil; ts.live {
+			copyEpisode(&ts.ep, thr.ep)
 		}
-		s.threads[i] = ts
 	}
-	for i, wf := range t.wfs {
-		s.wfs[i] = wfSave{outstanding: wf.outstanding, finished: wf.finished}
+	s.wfs = s.wfs[:0]
+	for _, wf := range t.wfs {
+		s.wfs = append(s.wfs, wfSave{outstanding: wf.outstanding, finished: wf.finished})
 	}
+	s.log = t.log.SnapshotInto(s.log)
+	s.failures = append(s.failures[:0], t.failures...)
+	s.deadlockSeen = t.deadlockSeen
+	s.lastWorkTick = t.lastWorkTick
+	s.genSeq = t.genSeq
+	s.traceOps = s.traceOps[:0]
+	clear(s.epMeta)
 	if t.trace != nil {
-		s.traceOps = append([]checker.Op(nil), t.trace.Ops...)
-		s.epMeta = make(map[uint64]checker.EpisodeMeta, len(t.epMeta))
+		s.traceOps = append(s.traceOps, t.trace.Ops...)
+		if s.epMeta == nil {
+			s.epMeta = make(map[uint64]checker.EpisodeMeta, len(t.epMeta))
+		}
 		for id, m := range t.epMeta {
 			s.epMeta[id] = *m
 		}
 	}
 	if t.stream != nil {
-		s.stream = t.stream.Snapshot()
+		s.stream = t.stream.SnapshotInto(s.stream)
+	} else {
+		s.stream = nil
 	}
+	s.nextReqID = t.nextReqID
+	s.nextEpisodeID = t.nextEpisodeID
+	s.storeValue = t.storeValue
+	s.finishedWFs = t.finishedWFs
+	s.done = t.done
+	s.reqSlab = t.reqSlab
+	s.opsIssued = t.opsIssued
+	s.opsCompleted = t.opsCompleted
+	s.episodesRetired = t.episodesRetired
 	return s
 }
 
@@ -281,9 +208,6 @@ func (t *Tester) Restore(s *TesterSnapshot) {
 	if len(t.threads) != len(s.threads) || len(t.wfs) != len(s.wfs) {
 		panic("core: Restore with mismatched wavefront/thread shape")
 	}
-	if len(t.log.entries) != len(s.log.entries) {
-		panic("core: Restore with mismatched log capacity")
-	}
 	if len(t.space.slab) != len(s.space.slab) {
 		panic("core: Restore with mismatched address-space shape")
 	}
@@ -293,26 +217,34 @@ func (t *Tester) Restore(s *TesterSnapshot) {
 	t.cfg = s.cfg
 	*t.rnd = s.rnd
 	for i := range s.space.slab {
-		restoreVar(&t.space.slab[i], &s.space.slab[i])
+		copyVar(&t.space.slab[i], &s.space.slab[i])
 	}
 	t.space.addrs = append(t.space.addrs[:0], s.space.addrs...)
 	t.space.lastWriters = append(t.space.lastWriters[:0], s.space.lastWriters...)
-	for i, ts := range s.threads {
-		thr := t.threads[i]
+	// Abandoned episodes go to the free list first, so the restored
+	// ones below are refills of them rather than fresh structs. The
+	// free list itself is not part of a cut: its episodes are
+	// interchangeable and fully reinitialized on reuse.
+	for _, thr := range t.threads {
+		if thr.ep != nil {
+			t.epFree = append(t.epFree, thr.ep)
+			thr.ep = nil
+		}
+	}
+	for i := range s.threads {
+		ts, thr := &s.threads[i], t.threads[i]
 		thr.episodesDone = ts.episodesDone
 		thr.curOp = ts.curOp
-		if ts.ep != nil {
-			thr.ep = restoreEpisode(ts.ep)
-		} else {
-			thr.ep = nil
+		if ts.live {
+			thr.ep = t.freeEpisode()
+			copyEpisode(thr.ep, &ts.ep)
 		}
 	}
 	for i, ws := range s.wfs {
 		t.wfs[i].outstanding = ws.outstanding
 		t.wfs[i].finished = ws.finished
 	}
-	copy(t.log.entries, s.log.entries)
-	t.log.next, t.log.full, t.log.total = s.log.next, s.log.full, s.log.total
+	t.log.Restore(s.log) // panics on a log-capacity mismatch
 	t.failures = append(t.failures[:0], s.failures...)
 	t.deadlockSeen = s.deadlockSeen
 	t.lastWorkTick = s.lastWorkTick
@@ -334,7 +266,6 @@ func (t *Tester) Restore(s *TesterSnapshot) {
 	t.finishedWFs = s.finishedWFs
 	t.done = s.done
 	t.reqSlab = s.reqSlab
-	t.epFree = append(t.epFree[:0], s.epFree...)
 	t.opsIssued = s.opsIssued
 	t.opsCompleted = s.opsCompleted
 	t.episodesRetired = s.episodesRetired

@@ -413,27 +413,32 @@ func (t *Tester) issueOp(wf *wavefront, thr *thread, op genOp) {
 	t.seqs[wf.cu].Issue(req)
 }
 
+// freeEpisode pops a recycled episode, its contents stale, or builds
+// an empty one.
+func (t *Tester) freeEpisode() *episode {
+	if n := len(t.epFree); n > 0 {
+		ep := t.epFree[n-1]
+		t.epFree = t.epFree[:n-1]
+		return ep
+	}
+	return &episode{
+		writes: make(map[int]uint32),
+		claims: make(map[int]*variable),
+	}
+}
+
 // newEpisode generates a fresh episode obeying the §III.A race-freedom
 // rules against every live episode.
 func (t *Tester) newEpisode() *episode {
 	t.nextEpisodeID++
-	var ep *episode
-	if n := len(t.epFree); n > 0 {
-		ep = t.epFree[n-1]
-		t.epFree = t.epFree[:n-1]
-		clear(ep.writes)
-		clear(ep.claims)
-		*ep = episode{
-			writes:     ep.writes,
-			claims:     ep.claims,
-			ops:        ep.ops[:0],
-			claimOrder: ep.claimOrder[:0],
-		}
-	} else {
-		ep = &episode{
-			writes: make(map[int]uint32),
-			claims: make(map[int]*variable),
-		}
+	ep := t.freeEpisode()
+	clear(ep.writes)
+	clear(ep.claims)
+	*ep = episode{
+		writes:     ep.writes,
+		claims:     ep.claims,
+		ops:        ep.ops[:0],
+		claimOrder: ep.claimOrder[:0],
 	}
 	ep.id = t.nextEpisodeID
 	ep.sync = t.space.syncVars[t.rnd.Intn(len(t.space.syncVars))]

@@ -335,21 +335,26 @@ func (c *Collector) Reset() {
 // Matrix returns the named machine's matrix, or nil.
 func (c *Collector) Matrix(machine string) *Matrix { return c.matrices[machine] }
 
-// CollectorSnapshot captures every registered matrix's hit counts.
+// CollectorSnapshot captures every registered matrix's hit counts,
+// row after row in registration order.
 type CollectorSnapshot struct {
-	hits map[string][][]uint64
+	hits []uint64
 }
 
 // Snapshot deep-copies every matrix's hit counts.
-func (c *Collector) Snapshot() *CollectorSnapshot {
-	s := &CollectorSnapshot{hits: make(map[string][][]uint64, len(c.order))}
+func (c *Collector) Snapshot() *CollectorSnapshot { return c.SnapshotInto(nil) }
+
+// SnapshotInto is Snapshot refilling s, a snapshot the caller knows is
+// dead (nil allocates).
+func (c *Collector) SnapshotInto(s *CollectorSnapshot) *CollectorSnapshot {
+	if s == nil {
+		s = &CollectorSnapshot{}
+	}
+	s.hits = s.hits[:0]
 	for _, name := range c.order {
-		m := c.matrices[name]
-		rows := make([][]uint64, len(m.Hits))
-		for i := range m.Hits {
-			rows[i] = append([]uint64(nil), m.Hits[i]...)
+		for _, row := range c.matrices[name].Hits {
+			s.hits = append(s.hits, row...)
 		}
-		s.hits[name] = rows
 	}
 	return s
 }
@@ -357,17 +362,20 @@ func (c *Collector) Snapshot() *CollectorSnapshot {
 // Restore writes a snapshot's counts back into the existing Hits
 // tables in place — like Reset, never reallocating, so machines
 // holding direct counter references (protocol.CounterSource) keep
-// recording into the same tables afterwards.
+// recording into the same tables afterwards. The snapshot must come
+// from a collector with the same registered machines.
 func (c *Collector) Restore(s *CollectorSnapshot) {
+	rest := s.hits
 	for _, name := range c.order {
-		m := c.matrices[name]
-		rows, ok := s.hits[name]
-		if !ok {
-			panic(fmt.Sprintf("coverage: restore snapshot missing machine %q", name))
+		for _, row := range c.matrices[name].Hits {
+			if len(rest) < len(row) {
+				panic(fmt.Sprintf("coverage: restore snapshot ends inside machine %q", name))
+			}
+			rest = rest[copy(row, rest):]
 		}
-		for i := range m.Hits {
-			copy(m.Hits[i], rows[i])
-		}
+	}
+	if len(rest) != 0 {
+		panic("coverage: restore snapshot holds more cells than the collector")
 	}
 }
 

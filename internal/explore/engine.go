@@ -1,7 +1,10 @@
 package explore
 
 import (
+	"time"
+
 	"drftest/internal/harness"
+	"drftest/internal/reuse"
 	"drftest/internal/sim"
 	"drftest/internal/viper"
 )
@@ -55,12 +58,15 @@ func (e *engine) dependent(aTag, bTag uint64) bool {
 	return e.geom.conflict(la, lb)
 }
 
-// node is one open branching decision point on the DFS stack.
+// node is one branching decision point on the DFS stack. The engine
+// keeps one node per depth for the whole exploration: a node whose
+// candidates are exhausted is dead, and the next decision at its depth
+// refills its cut, candidate slice and sleep map.
 type node struct {
 	// cut is the full run-context snapshot taken from inside Choose,
 	// before the decision fired: restoring it re-presents the identical
 	// candidate set.
-	cut *cut
+	cut cut
 	// cands are the viable (not-asleep) candidates; next indexes the
 	// one the resumed Choose call takes.
 	cands []sim.Enabled
@@ -79,18 +85,29 @@ type engine struct {
 	run  *run
 	geom depGeom
 
-	stack  []*node
+	// nodes[:depth] is the DFS stack; nodes past depth are dead and
+	// kept for their storage.
+	nodes  []*node
+	depth  int
 	script []uint64
 	// live is the current path's sleep set: events that an
 	// already-explored sibling branch fired first and nothing dependent
 	// has executed since, seq → tag.
 	live map[uint64]uint64
+	// viable is Choose's scratch for the not-asleep candidates.
+	viable []sim.Enabled
 	// resume marks that the next Choose call re-presents the stack
 	// top's decision (the cut was just restored) and must take its next
 	// candidate.
 	resume  bool
 	aborted bool
-	res     Result
+	// cutTime and restoreTime total the host time spent in cuts and
+	// restores, for the per-cut means in the result.
+	cutTime, restoreTime time.Duration
+	res                  Result
+	// beforeReuse, when set, is handed each dead node just before the
+	// next decision at its depth refills it (the poison test's hook).
+	beforeReuse func(*node)
 }
 
 // Choose implements sim.Chooser: it is called once per fired event and
@@ -100,14 +117,16 @@ func (e *engine) Choose(now sim.Tick, cands []sim.Enabled) int {
 		return e.resumeChoose(cands)
 	}
 
+	e.res.Candidates += uint64(len(cands))
 	viable := cands
 	if e.cfg.Prune && len(e.live) > 0 {
-		viable = viable[:0:0]
+		viable = e.viable[:0]
 		for _, c := range cands {
 			if _, asleep := e.live[c.Seq]; !asleep {
 				viable = append(viable, c)
 			}
 		}
+		e.viable = viable
 		if len(viable) == 0 {
 			// Every candidate is asleep: any continuation is a
 			// commuting reordering of an explored schedule. Abandon the
@@ -120,15 +139,24 @@ func (e *engine) Choose(now sim.Tick, cands []sim.Enabled) int {
 		e.res.PrunedBranches += uint64(len(cands) - len(viable))
 	}
 
-	if len(viable) > 1 && len(e.stack) < e.cfg.Depth {
-		n := &node{
-			cands:     append([]sim.Enabled(nil), viable...),
-			next:      1,
-			sleep:     cloneSleep(e.live),
-			scriptLen: len(e.script),
+	if len(viable) > 1 && e.depth < e.cfg.Depth {
+		if e.depth == len(e.nodes) {
+			e.nodes = append(e.nodes, &node{})
+			e.res.FrontierDepths = append(e.res.FrontierDepths, 0)
 		}
-		n.cut = e.run.snapshot()
-		e.stack = append(e.stack, n)
+		n := e.nodes[e.depth]
+		if e.beforeReuse != nil {
+			e.beforeReuse(n)
+		}
+		n.cands = append(n.cands[:0], viable...)
+		n.next = 1
+		n.sleep = reuse.Map(n.sleep, e.live)
+		n.scriptLen = len(e.script)
+		start := time.Now()
+		e.run.snapshotInto(&n.cut)
+		e.cutTime += time.Since(start)
+		e.res.FrontierDepths[e.depth]++
+		e.depth++
 		e.res.ChoicePoints++
 	} else if len(viable) > 1 {
 		e.res.DepthLimited = true
@@ -143,14 +171,11 @@ func (e *engine) Choose(now sim.Tick, cands []sim.Enabled) int {
 // {s ∈ Z ∪ {cands[0..i-1]} : s independent of cands[i]}.
 func (e *engine) resumeChoose(cands []sim.Enabled) int {
 	e.resume = false
-	n := e.stack[len(e.stack)-1]
+	n := e.nodes[e.depth-1]
 	chosen := n.cands[n.next]
 	n.next++
 
-	e.live = make(map[uint64]uint64, len(n.sleep)+n.next)
-	for seq, tag := range n.sleep {
-		e.live[seq] = tag
-	}
+	e.live = reuse.Map(e.live, n.sleep)
 	for i := 0; i < n.next-1; i++ {
 		e.live[n.cands[i].Seq] = n.cands[i].Tag
 	}
@@ -174,14 +199,6 @@ func (e *engine) pick(cands []sim.Enabled, chosen sim.Enabled) int {
 		}
 	}
 	panic("explore: chosen candidate vanished from the candidate set")
-}
-
-func cloneSleep(m map[uint64]uint64) map[uint64]uint64 {
-	out := make(map[uint64]uint64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // scheduleDone accounts for the schedule that just ended (completed or
@@ -228,16 +245,32 @@ func (e *engine) scheduleDone() (stop bool, err error) {
 // candidate and arms the resumed Choose. It returns false when the
 // stack is exhausted (the bounded space is fully enumerated).
 func (e *engine) backtrack() bool {
-	for len(e.stack) > 0 {
-		n := e.stack[len(e.stack)-1]
+	for ; e.depth > 0; e.depth-- {
+		n := e.nodes[e.depth-1]
 		if n.next < len(n.cands) {
-			e.run.restore(n.cut)
+			start := time.Now()
+			e.run.restore(&n.cut)
+			e.restoreTime += time.Since(start)
+			e.res.Restores++
 			e.script = e.script[:n.scriptLen]
 			e.resume = true
 			return true
 		}
-		e.stack[len(e.stack)-1] = nil
-		e.stack = e.stack[:len(e.stack)-1]
 	}
 	return false
+}
+
+// finish derives the result's cost figures once enumeration ends.
+func (e *engine) finish() *Result {
+	r := &e.res
+	if r.ChoicePoints > 0 {
+		r.NsPerCut = float64(e.cutTime.Nanoseconds()) / float64(r.ChoicePoints)
+	}
+	if r.Restores > 0 {
+		r.NsPerRestore = float64(e.restoreTime.Nanoseconds()) / float64(r.Restores)
+	}
+	if r.Candidates > 0 {
+		r.SleepHitRate = float64(r.PrunedBranches) / float64(r.Candidates)
+	}
+	return r
 }

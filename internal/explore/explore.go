@@ -108,8 +108,22 @@ type Result struct {
 	Schedules      uint64 `json:"schedules"`
 	PrunedPaths    uint64 `json:"prunedPaths"`
 	PrunedBranches uint64 `json:"prunedBranches"`
-	// ChoicePoints counts branching decision points snapshotted.
+	// ChoicePoints counts branching decision points snapshotted — one
+	// full cut each; Restores counts the rewinds to one of them.
 	ChoicePoints uint64 `json:"choicePoints"`
+	Restores     uint64 `json:"restores"`
+	// NsPerCut and NsPerRestore are the mean host time of one cut and
+	// one restore (wall clock, so not reproducible run to run).
+	NsPerCut     float64 `json:"nsPerCut"`
+	NsPerRestore float64 `json:"nsPerRestore"`
+	// FrontierDepths[d] counts the choice points opened at DFS depth d
+	// (d open decisions above them): the frontier histogram.
+	FrontierDepths []uint64 `json:"frontierDepths"`
+	// Candidates counts every candidate the kernel presented at a fresh
+	// decision; SleepHitRate is PrunedBranches ÷ Candidates, the share
+	// the sleep sets skipped.
+	Candidates   uint64  `json:"candidates"`
+	SleepHitRate float64 `json:"sleepHitRate"`
 	// Depth and Budget echo the effective bounds.
 	Depth  int    `json:"depth"`
 	Budget uint64 `json:"budget"`
@@ -146,7 +160,9 @@ type cut struct {
 
 // run owns the system under exploration. testCfg is the effective
 // tester config (StreamCheck forced on) — violation artifacts embed it
-// so replay rebuilds the identical tester.
+// so replay rebuilds the identical tester. The run's own tester also
+// folds the stream inline: every cut flushes the checker pipeline, so a
+// second thread would only ever be handed work and waited for.
 type run struct {
 	build   *harness.GPUBuild
 	ring    *trace.Ring
@@ -165,6 +181,7 @@ func newRun(cfg *Config) (*run, error) {
 	tc := cfg.TestCfg
 	tc.StreamCheck = true
 	r.testCfg = tc
+	tc.StreamInline = true
 	r.tester = core.New(r.build.K, r.build.Sys, tc)
 	if err := r.tester.CanCheckpoint(); err != nil {
 		return nil, err
@@ -172,14 +189,14 @@ func newRun(cfg *Config) (*run, error) {
 	return r, nil
 }
 
-func (r *run) snapshot() *cut {
-	return &cut{
-		kernel: r.build.K.Snapshot(),
-		sys:    r.build.Sys.Snapshot(),
-		tester: r.tester.Snapshot(),
-		col:    r.build.Col.Snapshot(),
-		ring:   r.ring.Snapshot(),
-	}
+// snapshotInto captures the run into c, refilling whatever storage the
+// cut's previous use left in it (a zero cut allocates).
+func (r *run) snapshotInto(c *cut) {
+	c.kernel = r.build.K.SnapshotInto(c.kernel)
+	c.sys = r.build.Sys.SnapshotInto(c.sys)
+	c.tester = r.tester.SnapshotInto(c.tester)
+	c.col = r.build.Col.SnapshotInto(c.col)
+	c.ring = r.ring.SnapshotInto(c.ring)
 }
 
 func (r *run) restore(c *cut) {
@@ -193,7 +210,10 @@ func (r *run) restore(c *cut) {
 // Run explores the configured run's schedule space depth-first and
 // returns the exploration report. It stops at the first violating
 // schedule.
-func Run(cfg Config) (*Result, error) {
+func Run(cfg Config) (*Result, error) { return explore(cfg, nil) }
+
+// explore is Run with the engine's beforeReuse hook exposed.
+func explore(cfg Config, beforeReuse func(*node)) (*Result, error) {
 	if cfg.Depth <= 0 {
 		cfg.Depth = DefaultDepth
 	}
@@ -210,6 +230,8 @@ func Run(cfg Config) (*Result, error) {
 		geom: newDepGeom(cfg.SysCfg),
 		live: make(map[uint64]uint64),
 		res:  Result{Depth: cfg.Depth, Budget: cfg.Budget},
+
+		beforeReuse: beforeReuse,
 	}
 	r.build.K.SetChooser(e)
 
@@ -225,9 +247,5 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	r.build.K.SetChooser(nil)
-	// Quiesce the stream pipeline's worker goroutine (Report finishes
-	// the stream, which joins it) so explorations don't leak. Finish is
-	// idempotent, so this is a no-op after a completed final schedule.
-	_ = r.tester.Report()
-	return &e.res, nil
+	return e.finish(), nil
 }

@@ -1,6 +1,10 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+
+	"drftest/internal/reuse"
+)
 
 // Line is a refcounted cache-line payload handle: the unit of data
 // movement through the simulated memory system. Instead of copying a
@@ -223,26 +227,30 @@ type LinePoolSnapshot struct {
 }
 
 // Snapshot captures the registered lines. Only valid with tracking on.
-func (p *LinePool) Snapshot() *LinePoolSnapshot {
+func (p *LinePool) Snapshot() *LinePoolSnapshot { return p.SnapshotInto(nil) }
+
+// SnapshotInto is Snapshot refilling s, a snapshot the caller knows is
+// dead (nil allocates): saved lines keep their data and mask buffers.
+func (p *LinePool) SnapshotInto(s *LinePoolSnapshot) *LinePoolSnapshot {
 	if !p.track {
 		panic("mem: LinePool.Snapshot without EnableTracking")
 	}
-	s := &LinePoolSnapshot{lines: make([]lineSave, len(p.all))}
-	for i, l := range p.all {
-		sv := lineSave{
-			data:   append([]byte(nil), l.Data...),
-			masked: l.masked,
-			refs:   l.refs,
-			epoch:  l.epoch,
-		}
-		if l.masked {
-			sv.mask = append([]bool(nil), l.mask...)
-		}
-		s.lines[i] = sv
+	if s == nil {
+		s = &LinePoolSnapshot{}
 	}
-	s.free = make([]int32, len(p.free))
-	for i, l := range p.free {
-		s.free[i] = int32(l.idx)
+	s.lines = s.lines[:0]
+	for _, l := range p.all {
+		sv := reuse.Grow(&s.lines)
+		sv.data = append(sv.data[:0], l.Data...)
+		sv.masked, sv.refs, sv.epoch = l.masked, l.refs, l.epoch
+		sv.mask = sv.mask[:0]
+		if l.masked {
+			sv.mask = append(sv.mask, l.mask...)
+		}
+	}
+	s.free = s.free[:0]
+	for _, l := range p.free {
+		s.free = append(s.free, int32(l.idx))
 	}
 	return s
 }

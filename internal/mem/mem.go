@@ -490,11 +490,16 @@ type storeUndo struct {
 // indefinitely (across later snapshots, restores, and resets); only
 // the most recently armed snapshot gets the cheap journal-undo
 // Restore path.
-func (s *Store) Snapshot() *StoreSnapshot {
-	snap := &StoreSnapshot{
-		entries: make([]storeSave, 0, len(s.pages)),
-		touched: s.touched,
+func (s *Store) Snapshot() *StoreSnapshot { return s.SnapshotInto(nil) }
+
+// SnapshotInto is Snapshot refilling snap, a snapshot of this store
+// the caller knows is dead (nil allocates). A dead snapshot may still
+// be the armed one; refilling re-arms it against the new contents.
+func (s *Store) SnapshotInto(snap *StoreSnapshot) *StoreSnapshot {
+	if snap == nil {
+		snap = &StoreSnapshot{entries: make([]storeSave, 0, len(s.pages))}
 	}
+	snap.entries, snap.journal, snap.touched = snap.entries[:0], snap.journal[:0], s.touched
 	for _, e := range s.pages {
 		snap.entries = append(snap.entries, storeSave{e: e, data: e.data})
 	}

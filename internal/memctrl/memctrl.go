@@ -116,16 +116,13 @@ func (q *ring) reset() {
 	q.head, q.tail = 0, 0
 }
 
-// save returns the live window in FIFO order (nil when empty).
-func (q *ring) save() []request {
-	if q.len() == 0 {
-		return nil
-	}
-	out := make([]request, 0, q.len())
+// save refills dst with the live window in FIFO order.
+func (q *ring) save(dst []request) []request {
+	dst = dst[:0]
 	for h := q.head; h != q.tail; h++ {
-		out = append(out, q.slots[h&uint64(len(q.slots)-1)])
+		dst = append(dst, q.slots[h&uint64(len(q.slots)-1)])
 	}
-	return out
+	return dst
 }
 
 // load replaces the ring's contents with the given FIFO window.
@@ -326,17 +323,20 @@ type Snapshot struct {
 }
 
 // Snapshot captures the controller and its backing store.
-func (c *Controller) Snapshot() *Snapshot {
-	return &Snapshot{
-		queue:     c.queue.save(),
-		inflight:  c.inflight.save(),
-		busy:      c.busy,
-		reads:     c.reads,
-		writes:    c.writes,
-		atomics:   c.atomics,
-		peakQueue: c.peakQueue,
-		store:     c.store.Snapshot(),
+func (c *Controller) Snapshot() *Snapshot { return c.SnapshotInto(nil) }
+
+// SnapshotInto is Snapshot refilling s, a snapshot of this controller
+// the caller knows is dead (nil allocates).
+func (c *Controller) SnapshotInto(s *Snapshot) *Snapshot {
+	if s == nil {
+		s = &Snapshot{}
 	}
+	s.queue = c.queue.save(s.queue)
+	s.inflight = c.inflight.save(s.inflight)
+	s.busy = c.busy
+	s.reads, s.writes, s.atomics, s.peakQueue = c.reads, c.writes, c.atomics, c.peakQueue
+	s.store = c.store.SnapshotInto(s.store)
+	return s
 }
 
 // Restore returns the controller and its backing store to the captured

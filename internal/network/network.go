@@ -161,11 +161,16 @@ type LinkSnapshot struct {
 
 // Snapshot captures the link's state. The snapshot shares no mutable
 // storage with the link.
-func (l *Link) Snapshot() *LinkSnapshot {
-	s := &LinkSnapshot{sent: l.sent}
-	if len(l.msgQ) > l.msgHead {
-		s.msgs = append([]pendingMsg(nil), l.msgQ[l.msgHead:]...)
+func (l *Link) Snapshot() *LinkSnapshot { return l.SnapshotInto(nil) }
+
+// SnapshotInto is Snapshot refilling s, a snapshot the caller knows is
+// dead (nil allocates).
+func (l *Link) SnapshotInto(s *LinkSnapshot) *LinkSnapshot {
+	if s == nil {
+		s = &LinkSnapshot{}
 	}
+	s.msgs = append(s.msgs[:0], l.msgQ[l.msgHead:]...)
+	s.sent = l.sent
 	return s
 }
 
@@ -231,14 +236,20 @@ func (c *Crossbar) Reset() {
 
 // CrossbarSnapshot captures every port of a crossbar.
 type CrossbarSnapshot struct {
-	links []*LinkSnapshot
+	links []LinkSnapshot
 }
 
 // Snapshot captures every port's state.
-func (c *Crossbar) Snapshot() *CrossbarSnapshot {
-	s := &CrossbarSnapshot{links: make([]*LinkSnapshot, len(c.links))}
+func (c *Crossbar) Snapshot() *CrossbarSnapshot { return c.SnapshotInto(nil) }
+
+// SnapshotInto is Snapshot refilling s, a snapshot of this crossbar
+// the caller knows is dead (nil allocates).
+func (c *Crossbar) SnapshotInto(s *CrossbarSnapshot) *CrossbarSnapshot {
+	if s == nil {
+		s = &CrossbarSnapshot{links: make([]LinkSnapshot, len(c.links))}
+	}
 	for i, l := range c.links {
-		s.links[i] = l.Snapshot()
+		l.SnapshotInto(&s.links[i])
 	}
 	return s
 }
@@ -246,7 +257,7 @@ func (c *Crossbar) Snapshot() *CrossbarSnapshot {
 // Restore returns every port to the captured state.
 func (c *Crossbar) Restore(s *CrossbarSnapshot) {
 	for i, l := range c.links {
-		l.Restore(s.links[i])
+		l.Restore(&s.links[i])
 	}
 }
 

@@ -428,16 +428,12 @@ type KernelSnapshot struct {
 	pollNext   Tick
 }
 
-// snapshotFIFO copies f's events oldest-first into a fresh slice.
-func snapshotFIFO(f *eventFIFO) []event {
-	if f.n == 0 {
-		return nil
-	}
-	out := make([]event, f.n)
+// appendTo appends f's events to dst, oldest first.
+func (f *eventFIFO) appendTo(dst []event) []event {
 	for i := 0; i < f.n; i++ {
-		out[i] = f.buf[(f.head+i)&(len(f.buf)-1)]
+		dst = append(dst, f.buf[(f.head+i)&(len(f.buf)-1)])
 	}
-	return out
+	return dst
 }
 
 // restoreFIFO replaces f's contents with the snapshot's events,
@@ -452,19 +448,23 @@ func (f *eventFIFO) restoreFrom(events []event) {
 // Snapshot captures the full scheduling state. The returned snapshot
 // shares no mutable storage with the kernel: Restore may be called any
 // number of times, before or after further simulation.
-func (k *Kernel) Snapshot() *KernelSnapshot {
-	return &KernelSnapshot{
-		curr:     snapshotFIFO(&k.curr),
-		next:     snapshotFIFO(&k.next),
-		far:      append([]event(nil), k.far...),
-		enabled:  append([]event(nil), k.enabled...),
-		now:      k.now,
-		seq:      k.seq,
-		executed: k.executed,
-		stopped:  k.stopped,
-		pollers:  append([]poller(nil), k.pollers...),
-		pollNext: k.pollNext,
+func (k *Kernel) Snapshot() *KernelSnapshot { return k.SnapshotInto(nil) }
+
+// SnapshotInto is Snapshot refilling s, a snapshot the caller knows is
+// dead (nil allocates).
+func (k *Kernel) SnapshotInto(s *KernelSnapshot) *KernelSnapshot {
+	if s == nil {
+		s = &KernelSnapshot{}
 	}
+	s.curr = k.curr.appendTo(s.curr[:0])
+	s.next = k.next.appendTo(s.next[:0])
+	s.far = append(s.far[:0], k.far...)
+	s.enabled = append(s.enabled[:0], k.enabled...)
+	s.now, s.seq, s.executed = k.now, k.seq, k.executed
+	s.stopped = k.stopped
+	s.pollers = append(s.pollers[:0], k.pollers...)
+	s.pollNext = k.pollNext
+	return s
 }
 
 // Restore rewinds the kernel to the snapshot's state. The attached

@@ -200,50 +200,32 @@ func (s *LatencySet) All() []*Histogram {
 	return []*Histogram{s.Load, s.Store, s.Atomic, s.Acquire, s.Release}
 }
 
-// HistogramSnapshot is a deep copy of a histogram's samples (the name
-// is configuration and is not captured).
-type HistogramSnapshot struct {
-	buckets [65]uint64
-	count   uint64
-	sum     uint64
-	min     uint64
-	max     uint64
-}
-
-// Snapshot captures the histogram's samples.
-func (h *Histogram) Snapshot() *HistogramSnapshot {
-	return &HistogramSnapshot{
-		buckets: h.buckets,
-		count:   h.count,
-		sum:     h.sum,
-		min:     h.min,
-		max:     h.max,
-	}
-}
-
-// Restore returns the histogram to the captured samples.
-func (h *Histogram) Restore(s *HistogramSnapshot) {
-	h.buckets = s.buckets
-	h.count, h.sum, h.min, h.max = s.count, s.sum, s.min, s.max
-}
-
-// LatencySetSnapshot captures all five histograms of a LatencySet.
+// LatencySetSnapshot captures the samples of all five histograms of a
+// LatencySet (names are configuration and are not restored).
 type LatencySetSnapshot struct {
-	hists [5]*HistogramSnapshot
+	hists [5]Histogram
 }
 
 // Snapshot captures every histogram in the set.
-func (s *LatencySet) Snapshot() *LatencySetSnapshot {
-	var out LatencySetSnapshot
-	for i, h := range s.All() {
-		out.hists[i] = h.Snapshot()
+func (s *LatencySet) Snapshot() *LatencySetSnapshot { return s.SnapshotInto(nil) }
+
+// SnapshotInto is Snapshot refilling snap, a snapshot the caller knows
+// is dead (nil allocates).
+func (s *LatencySet) SnapshotInto(snap *LatencySetSnapshot) *LatencySetSnapshot {
+	if snap == nil {
+		snap = &LatencySetSnapshot{}
 	}
-	return &out
+	for i, h := range s.All() {
+		snap.hists[i] = *h
+	}
+	return snap
 }
 
-// Restore returns every histogram in the set to the captured state.
+// Restore returns every histogram in the set to the captured samples.
 func (s *LatencySet) Restore(snap *LatencySetSnapshot) {
 	for i, h := range s.All() {
-		h.Restore(snap.hists[i])
+		name := h.Name
+		*h = snap.hists[i]
+		h.Name = name
 	}
 }

@@ -8,12 +8,29 @@ import (
 	"drftest/internal/audit"
 )
 
-// TestSnapshotFieldAudit pins the Ring's field set so a new field
-// cannot silently escape Snapshot/Restore/Reset (see package audit).
+// TestSnapshotFieldAudit pins the field sets of the Ring, the rolling
+// log under it (and under core.EventLog) and the log's snapshot, so a
+// new field cannot silently escape Snapshot/Restore/Reset (see package
+// audit).
 func TestSnapshotFieldAudit(t *testing.T) {
 	audit.Fields(t, Ring{}, map[string]string{
-		"buf":   "state: fixed-capacity entry storage; Reset clears, Snapshot/Restore copy",
-		"total": "state: lifetime append count (write cursor); Reset zeroes, Snapshot/Restore copy",
+		"log": "state: the rolling log; Reset empties, Snapshot/Restore cut",
+	})
+	audit.Fields(t, Log[Entry]{}, map[string]string{
+		"capacity": "config: retained-window size, checked by Restore",
+		"total":    "state: lifetime append count; Reset zeroes, Snapshot/Restore copy",
+		"chunks":   "state: slot table; Snapshot shares the window's sealed chunks, Restore adopts a snapshot's",
+		"cur":      "cursor: the partly filled chunk number total/chunkLen, always private; set by Append at a chunk boundary and by Restore, unused while total is on a boundary",
+	})
+	audit.Fields(t, chunk[Entry]{}, map[string]string{
+		"e":      "state: the entries; written only while the chunk is private",
+		"shared": "ownership: set for good by the first snapshot that references the chunk",
+	})
+	audit.Fields(t, RingSnapshot{}, map[string]string{
+		"capacity": "cut: the source log's capacity, for Restore's mismatch check",
+		"total":    "cut: append count",
+		"sealed":   "cut: the retained window's full chunks, shared by pointer, never written again",
+		"open":     "cut: private copy of the open chunk's filled prefix (< chunkLen entries)",
 	})
 }
 

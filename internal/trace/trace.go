@@ -33,29 +33,26 @@ type Entry struct {
 // Ring is a bounded event trace. A nil Ring and a Ring with capacity
 // zero are both valid, permanently disabled traces: Append is a no-op.
 type Ring struct {
-	buf   []Entry
-	total uint64
+	log Log[Entry]
 }
 
 // NewRing returns a trace holding the last capacity entries.
 // Capacity <= 0 returns a disabled ring.
 func NewRing(capacity int) *Ring {
 	r := &Ring{}
-	if capacity > 0 {
-		r.buf = make([]Entry, capacity)
-	}
+	r.log.Init(capacity)
 	return r
 }
 
 // Enabled reports whether Append records anything.
-func (r *Ring) Enabled() bool { return r != nil && len(r.buf) > 0 }
+func (r *Ring) Enabled() bool { return r != nil && r.log.Cap() > 0 }
 
 // Cap returns the ring's capacity.
 func (r *Ring) Cap() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.buf)
+	return r.log.Cap()
 }
 
 // Total returns how many entries were ever appended, including those
@@ -64,7 +61,7 @@ func (r *Ring) Total() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.total
+	return r.log.Total()
 }
 
 // Len returns how many entries the ring currently holds.
@@ -72,10 +69,7 @@ func (r *Ring) Len() int {
 	if r == nil {
 		return 0
 	}
-	if r.total < uint64(len(r.buf)) {
-		return int(r.total)
-	}
-	return len(r.buf)
+	return r.log.Len()
 }
 
 // Reset discards every recorded entry and restarts sequence numbering
@@ -86,10 +80,9 @@ func (r *Ring) Len() int {
 // trace a fresh single-seed run of the same configuration records,
 // which is what lets replay compare tails entry-for-entry.
 func (r *Ring) Reset() {
-	if r == nil {
-		return
+	if r.Enabled() {
+		r.log.Reset()
 	}
-	r.total = 0
 }
 
 // Append records one entry, assigning it the next sequence number.
@@ -97,28 +90,18 @@ func (r *Ring) Append(tick uint64, component, label string, addr uint64) {
 	if !r.Enabled() {
 		return
 	}
-	r.total++
-	r.buf[int((r.total-1)%uint64(len(r.buf)))] = Entry{
-		Tick: tick, Seq: r.total, Component: component, Label: label, Addr: addr,
-	}
+	r.log.Append(Entry{
+		Tick: tick, Seq: r.log.Total() + 1, Component: component, Label: label, Addr: addr,
+	})
 }
 
 // Last returns the most recent n entries, oldest first. It returns
 // fewer when the ring holds fewer.
 func (r *Ring) Last(n int) []Entry {
-	held := r.Len()
-	if n > held {
-		n = held
-	}
-	if n <= 0 {
+	if !r.Enabled() {
 		return nil
 	}
-	out := make([]Entry, 0, n)
-	c := uint64(len(r.buf))
-	for i := r.total - uint64(n); i < r.total; i++ {
-		out = append(out, r.buf[int(i%c)])
-	}
-	return out
+	return r.log.Last(n)
 }
 
 // Entries returns every held entry, oldest first.
@@ -126,20 +109,21 @@ func (r *Ring) Entries() []Entry { return r.Last(r.Len()) }
 
 // RingSnapshot captures a ring's contents and sequence state; obtain
 // via Snapshot, reinstate via Restore.
-type RingSnapshot struct {
-	buf   []Entry
-	total uint64
-}
+type RingSnapshot = LogSnapshot[Entry]
 
-// Snapshot captures the ring's full state (buffer and total), so a
+// Snapshot captures the ring's state (retained window and total), so a
 // later Restore resumes recording exactly where the snapshot left off
 // — same sequence numbers, same retained window. Nil for nil/disabled
 // rings.
-func (r *Ring) Snapshot() *RingSnapshot {
+func (r *Ring) Snapshot() *RingSnapshot { return r.SnapshotInto(nil) }
+
+// SnapshotInto is Snapshot refilling s, a snapshot of this ring the
+// caller knows is dead (nil allocates).
+func (r *Ring) SnapshotInto(s *RingSnapshot) *RingSnapshot {
 	if !r.Enabled() {
 		return nil
 	}
-	return &RingSnapshot{buf: append([]Entry(nil), r.buf...), total: r.total}
+	return r.log.SnapshotInto(s)
 }
 
 // Restore reinstates a state captured by Snapshot on this ring. The
@@ -147,14 +131,8 @@ func (r *Ring) Snapshot() *RingSnapshot {
 // disabled ring's empty state, i.e. it is a no-op).
 func (r *Ring) Restore(s *RingSnapshot) {
 	if s == nil {
-		if r.Enabled() {
-			r.total = 0
-		}
+		r.Reset()
 		return
 	}
-	if len(s.buf) != len(r.buf) {
-		panic("trace: Restore with mismatched ring capacity")
-	}
-	copy(r.buf, s.buf)
-	r.total = s.total
+	r.log.Restore(s)
 }

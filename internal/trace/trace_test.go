@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"drftest/internal/logtest"
 	"drftest/internal/protocol"
 )
 
@@ -113,16 +115,85 @@ func TestRingProperty(t *testing.T) {
 	}
 }
 
-// FuzzRing drives the same invariants from fuzzed (capacity, count)
-// pairs, including the wraparound boundary cases.
+// ringLog adapts a Ring to the shared rolling-log driver: the id is
+// carried in Tick and Addr, and the sequence numbers must stay
+// consecutive up to the total through every snapshot and restore.
+type ringLog struct {
+	t testing.TB
+	r *Ring
+}
+
+func newRingLog(t testing.TB) func(int) logtest.Log {
+	return func(capacity int) logtest.Log { return ringLog{t, NewRing(capacity)} }
+}
+
+func (l ringLog) Append(id uint64) { l.r.Append(id, "c", "l", id) }
+func (l ringLog) Total() uint64    { return l.r.Total() }
+func (l ringLog) Reset()           { l.r.Reset() }
+func (l ringLog) Restore(s any)    { l.r.Restore(s.(*RingSnapshot)) }
+
+func (l ringLog) Snapshot(dead any) any {
+	d, _ := dead.(*RingSnapshot)
+	return l.r.SnapshotInto(d)
+}
+
+func (l ringLog) IDs() []uint64 {
+	var ids []uint64
+	first := l.r.Total() - uint64(l.r.Len()) + 1
+	for i, e := range l.r.Entries() {
+		if e.Seq != first+uint64(i) || e.Tick != e.Addr {
+			l.t.Fatalf("entry %d = %+v, want seq %d", i, e, first+uint64(i))
+		}
+		ids = append(ids, e.Addr)
+	}
+	return ids
+}
+
+// logCapacities straddle the chunk size: single-chunk logs, exact
+// multiples, one over, and several chunks.
+var logCapacities = []int{1, 3, chunkLen - 1, chunkLen, chunkLen + 1, 2*chunkLen + 2, 200}
+
+// TestRingSnapshotModel is the rolling log's property test: random
+// programs of appends, resets and interleaved snapshots and restores —
+// non-LIFO, across two rings, into recycled snapshots, wrapping several
+// times past shared chunks — must match a plain-slice model at every
+// step (see logtest.Run for the program encoding).
+func TestRingSnapshotModel(t *testing.T) {
+	rnd := rand.New(rand.NewSource(12))
+	for _, capacity := range logCapacities {
+		for i := 0; i < 40; i++ {
+			prog := make([]byte, 150)
+			rnd.Read(prog)
+			logtest.Run(t, capacity, newRingLog(t), prog)
+		}
+	}
+}
+
+// TestRingAppendZeroAlloc pins the recording path: appending never
+// allocates, wrapped or not, as long as no snapshot shares the chunks.
+func TestRingAppendZeroAlloc(t *testing.T) {
+	r := NewRing(100)
+	if n := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 1000; i++ {
+			r.Append(uint64(i), "c", "l", 0)
+		}
+	}); n != 0 {
+		t.Fatalf("Ring.Append allocated %v objects per 1000 appends, want 0", n)
+	}
+}
+
+// FuzzRing drives the fill invariants from fuzzed (capacity, count)
+// pairs, including the wraparound boundary cases, then runs prog as a
+// snapshot/restore program against the plain-slice model.
 func FuzzRing(f *testing.F) {
-	f.Add(0, 10)
-	f.Add(1, 1)
-	f.Add(4, 4)
-	f.Add(4, 5)
-	f.Add(16, 1000)
-	f.Fuzz(func(t *testing.T, capacity, n int) {
-		if capacity > 1<<12 || n > 1<<14 || n < 0 {
+	f.Add(0, 10, []byte{})
+	f.Add(1, 1, []byte{0x03, 0x00, 0x05})
+	f.Add(4, 4, []byte{0x12, 0x03, 0x1a, 0x0d, 0x14, 0x05})
+	f.Add(4, 5, []byte{0x07, 0x03, 0x05})
+	f.Add(16, 1000, []byte{0xf2, 0x03, 0xf2, 0x13, 0x1d, 0x02, 0x05, 0x24, 0x0e})
+	f.Add(130, 70, []byte{0x32, 0x03, 0x3a, 0x13, 0x0d, 0x15, 0x22, 0x04, 0x0d, 0x07, 0x15})
+	f.Fuzz(func(t *testing.T, capacity, n int, prog []byte) {
+		if capacity > 1<<12 || n > 1<<14 || n < 0 || len(prog) > 256 {
 			t.Skip()
 		}
 		r := NewRing(capacity)
@@ -146,6 +217,9 @@ func FuzzRing(f *testing.F) {
 		}
 		if len(got) > 0 && got[len(got)-1].Seq != uint64(n) {
 			t.Fatalf("newest seq %d, want %d", got[len(got)-1].Seq, n)
+		}
+		if capacity <= 4*chunkLen {
+			logtest.Run(t, capacity, newRingLog(t), prog)
 		}
 	})
 }

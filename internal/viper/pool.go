@@ -125,22 +125,24 @@ type poolSnapshot struct {
 	lines       *mem.LinePoolSnapshot
 }
 
-// snapshot captures every registered object's contents. Only valid
-// with tracking enabled — without it the live set is unknown.
-func (p *msgPool) snapshot() *poolSnapshot {
-	s := &poolSnapshot{
-		tcpContents: make([]tcpMsg, len(p.allTCP)),
-		tccContents: make([]tccMsg, len(p.allTCC)),
-		freeTCP:     append([]*tcpMsg(nil), p.tcpMsgs...),
-		freeTCC:     append([]*tccMsg(nil), p.tccMsgs...),
-		lines:       p.lines.Snapshot(),
+// snapshotInto captures every registered object's contents, refilling
+// s (nil allocates). Only valid with tracking enabled — without it the
+// live set is unknown.
+func (p *msgPool) snapshotInto(s *poolSnapshot) *poolSnapshot {
+	if s == nil {
+		s = &poolSnapshot{}
 	}
-	for i, m := range p.allTCP {
-		s.tcpContents[i] = *m
+	s.tcpContents = s.tcpContents[:0]
+	for _, m := range p.allTCP {
+		s.tcpContents = append(s.tcpContents, *m)
 	}
-	for i, m := range p.allTCC {
-		s.tccContents[i] = *m
+	s.tccContents = s.tccContents[:0]
+	for _, m := range p.allTCC {
+		s.tccContents = append(s.tccContents, *m)
 	}
+	s.freeTCP = append(s.freeTCP[:0], p.tcpMsgs...)
+	s.freeTCC = append(s.freeTCC[:0], p.tccMsgs...)
+	s.lines = p.lines.SnapshotInto(s.lines)
 	return s
 }
 

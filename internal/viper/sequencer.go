@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"drftest/internal/mem"
+	"drftest/internal/reuse"
 	"drftest/internal/sim"
 	"drftest/internal/stats"
 )
@@ -227,7 +228,7 @@ func (s *Sequencer) Latencies() *stats.LatencySet { return s.lat }
 // tester's request slab, whose slots are write-once within a run.
 type seqSnapshot struct {
 	pendingWT    map[int]int
-	heldReleases map[int][]*mem.Request
+	heldReleases []listSave[int, *mem.Request]
 	outstanding  map[uint64]*mem.Request
 	respQ        []pendingResp
 	lat          *stats.LatencySetSnapshot
@@ -235,43 +236,19 @@ type seqSnapshot struct {
 	completed    uint64
 }
 
-func (s *Sequencer) snapshot() *seqSnapshot {
-	snap := &seqSnapshot{
-		pendingWT:    make(map[int]int, len(s.pendingWT)),
-		heldReleases: make(map[int][]*mem.Request, len(s.heldReleases)),
-		outstanding:  make(map[uint64]*mem.Request, len(s.outstanding)),
-		lat:          s.lat.Snapshot(),
-		issued:       s.issued,
-		completed:    s.completed,
-	}
-	for k, v := range s.pendingWT {
-		snap.pendingWT[k] = v
-	}
-	for k, v := range s.heldReleases {
-		snap.heldReleases[k] = append([]*mem.Request(nil), v...)
-	}
-	for k, v := range s.outstanding {
-		snap.outstanding[k] = v
-	}
-	if len(s.respQ) > s.respHead {
-		snap.respQ = append([]pendingResp(nil), s.respQ[s.respHead:]...)
-	}
-	return snap
+func (s *Sequencer) snapshotInto(snap *seqSnapshot) {
+	snap.pendingWT = reuse.Map(snap.pendingWT, s.pendingWT)
+	snap.heldReleases = saveLists(snap.heldReleases, s.heldReleases)
+	snap.outstanding = reuse.Map(snap.outstanding, s.outstanding)
+	snap.respQ = append(snap.respQ[:0], s.respQ[s.respHead:]...)
+	snap.lat = s.lat.SnapshotInto(snap.lat)
+	snap.issued, snap.completed = s.issued, s.completed
 }
 
 func (s *Sequencer) restore(snap *seqSnapshot) {
-	clear(s.pendingWT)
-	for k, v := range snap.pendingWT {
-		s.pendingWT[k] = v
-	}
-	clear(s.heldReleases)
-	for k, v := range snap.heldReleases {
-		s.heldReleases[k] = append([]*mem.Request(nil), v...)
-	}
-	clear(s.outstanding)
-	for k, v := range snap.outstanding {
-		s.outstanding[k] = v
-	}
+	s.pendingWT = reuse.Map(s.pendingWT, snap.pendingWT)
+	loadLists(s.heldReleases, snap.heldReleases)
+	s.outstanding = reuse.Map(s.outstanding, snap.outstanding)
 	clear(s.respQ)
 	s.respQ = append(s.respQ[:0], snap.respQ...)
 	s.respHead = 0

@@ -199,7 +199,7 @@ type l2ctrl interface {
 	reset()
 	// snapshot/restore capture and reinstate the slice's full state
 	// (see System.Snapshot for the contract).
-	snapshot() any
+	snapshotInto(dst any) any
 	restore(snap any)
 }
 
@@ -390,8 +390,8 @@ type SystemSnapshot struct {
 	jrnd   rng.PCG
 	faults []*protocol.FaultError
 	pool   *poolSnapshot
-	seqs   []*seqSnapshot
-	tcps   []*tcpSnapshot
+	seqs   []seqSnapshot
+	tcps   []tcpSnapshot
 	l2s    []any
 	mem    *memctrl.Snapshot
 }
@@ -413,28 +413,38 @@ func (s *System) EnableCheckpointing() { s.pool.enableTracking() }
 // no live messages means pooled contents need no capture. Note the
 // kernel's own event state is snapshotted separately (Kernel.Snapshot);
 // pairing the two captures a consistent cut.
-func (s *System) Snapshot() *SystemSnapshot {
+func (s *System) Snapshot() *SystemSnapshot { return s.SnapshotInto(nil) }
+
+// SnapshotInto is Snapshot refilling snap, a snapshot of this system
+// the caller knows is dead (nil allocates): every controller's save
+// reuses the storage its last save into snap left behind.
+func (s *System) SnapshotInto(snap *SystemSnapshot) *SystemSnapshot {
 	if !s.pool.track && s.Kernel.Pending() > 0 {
 		panic("viper: System.Snapshot mid-run without EnableCheckpointing")
 	}
-	snap := &SystemSnapshot{
-		jrnd:   *s.jrnd,
-		faults: append([]*protocol.FaultError(nil), s.faults...),
+	if snap == nil {
+		snap = &SystemSnapshot{
+			seqs: make([]seqSnapshot, len(s.Seqs)),
+			tcps: make([]tcpSnapshot, len(s.TCPs)),
+			l2s:  make([]any, len(s.l2s)),
+		}
 	}
+	snap.jrnd = *s.jrnd
+	snap.faults = append(snap.faults[:0], s.faults...)
 	if s.pool.track {
-		snap.pool = s.pool.snapshot()
+		snap.pool = s.pool.snapshotInto(snap.pool)
 	}
-	for _, seq := range s.Seqs {
-		snap.seqs = append(snap.seqs, seq.snapshot())
+	for i, seq := range s.Seqs {
+		seq.snapshotInto(&snap.seqs[i])
 	}
-	for _, tcp := range s.TCPs {
-		snap.tcps = append(snap.tcps, tcp.snapshot())
+	for i, tcp := range s.TCPs {
+		tcp.snapshotInto(&snap.tcps[i])
 	}
-	for _, l2 := range s.l2s {
-		snap.l2s = append(snap.l2s, l2.snapshot())
+	for i, l2 := range s.l2s {
+		snap.l2s[i] = l2.snapshotInto(snap.l2s[i])
 	}
 	if s.Mem != nil {
-		snap.mem = s.Mem.Snapshot()
+		snap.mem = s.Mem.SnapshotInto(snap.mem)
 	}
 	return snap
 }
@@ -458,10 +468,10 @@ func (s *System) Restore(snap *SystemSnapshot) {
 		s.pool.reset()
 	}
 	for i, seq := range s.Seqs {
-		seq.restore(snap.seqs[i])
+		seq.restore(&snap.seqs[i])
 	}
 	for i, tcp := range s.TCPs {
-		tcp.restore(snap.tcps[i])
+		tcp.restore(&snap.tcps[i])
 	}
 	for i, l2 := range s.l2s {
 		l2.restore(snap.l2s[i])

@@ -8,6 +8,7 @@ import (
 	"drftest/internal/mem"
 	"drftest/internal/network"
 	"drftest/internal/protocol"
+	"drftest/internal/reuse"
 	"drftest/internal/sim"
 )
 
@@ -559,8 +560,8 @@ type tccSnapshot struct {
 	tbeContents   []tccTBESave
 	tbes          map[mem.Addr]*tccTBE
 	tbeFree       []*tccTBE
-	stalled       map[mem.Addr][]*tcpMsg
-	stalledProbes map[mem.Addr][]func()
+	stalled       []listSave[mem.Addr, *tcpMsg]
+	stalledProbes []listSave[mem.Addr, func()]
 	wbs           map[mem.Addr]int
 
 	rdBlks, wrVicBlks, atomicsSeen, fills, stalls uint64
@@ -569,35 +570,25 @@ type tccSnapshot struct {
 	xbar *network.CrossbarSnapshot
 }
 
-func (c *TCC) snapshot() any {
-	s := &tccSnapshot{
-		array:         c.array.Snapshot(),
-		tbeContents:   make([]tccTBESave, len(c.allTBEs)),
-		tbes:          make(map[mem.Addr]*tccTBE, len(c.tbes)),
-		tbeFree:       append([]*tccTBE(nil), c.tbeFree...),
-		stalled:       make(map[mem.Addr][]*tcpMsg, len(c.stalled)),
-		stalledProbes: make(map[mem.Addr][]func(), len(c.stalledProbes)),
-		wbs:           make(map[mem.Addr]int, len(c.wbs)),
-		rdBlks:        c.rdBlks, wrVicBlks: c.wrVicBlks, atomicsSeen: c.atomicsSeen,
-		fills: c.fills, stalls: c.stalls, wbAcks: c.wbAcks,
-		droppedMerges: c.droppedMerges, droppedAcks: c.droppedAcks,
-		xbar: c.toTCP.Snapshot(),
+func (c *TCC) snapshotInto(dst any) any {
+	s, _ := dst.(*tccSnapshot)
+	if s == nil {
+		s = &tccSnapshot{}
 	}
-	for i, t := range c.allTBEs {
-		s.tbeContents[i] = tccTBESave{kind: t.kind, line: t.line, cu: t.cu, req: t.req, probed: t.probed}
+	s.array = c.array.SnapshotInto(s.array)
+	s.tbeContents = s.tbeContents[:0]
+	for _, t := range c.allTBEs {
+		s.tbeContents = append(s.tbeContents, tccTBESave{kind: t.kind, line: t.line, cu: t.cu, req: t.req, probed: t.probed})
 	}
-	for line, t := range c.tbes {
-		s.tbes[line] = t
-	}
-	for line, q := range c.stalled {
-		s.stalled[line] = append([]*tcpMsg(nil), q...)
-	}
-	for line, q := range c.stalledProbes {
-		s.stalledProbes[line] = append(([]func())(nil), q...)
-	}
-	for line, n := range c.wbs {
-		s.wbs[line] = n
-	}
+	s.tbes = reuse.Map(s.tbes, c.tbes)
+	s.tbeFree = append(s.tbeFree[:0], c.tbeFree...)
+	s.stalled = saveLists(s.stalled, c.stalled)
+	s.stalledProbes = saveLists(s.stalledProbes, c.stalledProbes)
+	s.wbs = reuse.Map(s.wbs, c.wbs)
+	s.rdBlks, s.wrVicBlks, s.atomicsSeen = c.rdBlks, c.wrVicBlks, c.atomicsSeen
+	s.fills, s.stalls, s.wbAcks = c.fills, c.stalls, c.wbAcks
+	s.droppedMerges, s.droppedAcks = c.droppedMerges, c.droppedAcks
+	s.xbar = c.toTCP.SnapshotInto(s.xbar)
 	return s
 }
 
@@ -614,23 +605,11 @@ func (c *TCC) restore(snap any) {
 	}
 	c.tbeFree = append(c.tbeFree[:0], s.tbeFree...)
 	c.tbeFree = append(c.tbeFree, c.allTBEs[len(s.tbeContents):]...)
-	clear(c.tbes)
-	for line, t := range s.tbes {
-		c.tbes[line] = t
-	}
-	clear(c.stalled)
-	for line, q := range s.stalled {
-		c.stalled[line] = append([]*tcpMsg(nil), q...)
-	}
+	c.tbes = reuse.Map(c.tbes, s.tbes)
+	loadLists(c.stalled, s.stalled)
 	c.stalledFree = c.stalledFree[:0]
-	clear(c.stalledProbes)
-	for line, q := range s.stalledProbes {
-		c.stalledProbes[line] = append(([]func())(nil), q...)
-	}
-	clear(c.wbs)
-	for line, n := range s.wbs {
-		c.wbs[line] = n
-	}
+	loadLists(c.stalledProbes, s.stalledProbes)
+	c.wbs = reuse.Map(c.wbs, s.wbs)
 	c.rdBlks, c.wrVicBlks, c.atomicsSeen = s.rdBlks, s.wrVicBlks, s.atomicsSeen
 	c.fills, c.stalls, c.wbAcks = s.fills, s.stalls, s.wbAcks
 	c.droppedMerges, c.droppedAcks = s.droppedMerges, s.droppedAcks

@@ -8,6 +8,7 @@ import (
 	"drftest/internal/mem"
 	"drftest/internal/network"
 	"drftest/internal/protocol"
+	"drftest/internal/reuse"
 	"drftest/internal/sim"
 )
 
@@ -368,7 +369,7 @@ func (c *TCCWB) send(cu int, msg *tccMsg) {
 type wbSnapshot struct {
 	array   *cache.ArraySnapshot
 	tbes    map[mem.Addr]wbTBE
-	stalled map[mem.Addr][]*tcpMsg
+	stalled []listSave[mem.Addr, *tcpMsg]
 	vicWBs  map[mem.Addr]int
 
 	rdBlks, wrVicBlks, atomicsSeen, fills, stalls, evictWBs uint64
@@ -376,25 +377,21 @@ type wbSnapshot struct {
 	xbar *network.CrossbarSnapshot
 }
 
-func (c *TCCWB) snapshot() any {
-	s := &wbSnapshot{
-		array:   c.array.Snapshot(),
-		tbes:    make(map[mem.Addr]wbTBE, len(c.tbes)),
-		stalled: make(map[mem.Addr][]*tcpMsg, len(c.stalled)),
-		vicWBs:  make(map[mem.Addr]int, len(c.vicWBs)),
-		rdBlks:  c.rdBlks, wrVicBlks: c.wrVicBlks, atomicsSeen: c.atomicsSeen,
-		fills: c.fills, stalls: c.stalls, evictWBs: c.evictWBs,
-		xbar: c.toTCP.Snapshot(),
+func (c *TCCWB) snapshotInto(dst any) any {
+	s, _ := dst.(*wbSnapshot)
+	if s == nil {
+		s = &wbSnapshot{tbes: make(map[mem.Addr]wbTBE, len(c.tbes))}
 	}
+	s.array = c.array.SnapshotInto(s.array)
+	clear(s.tbes)
 	for line, tbe := range c.tbes {
 		s.tbes[line] = *tbe
 	}
-	for line, q := range c.stalled {
-		s.stalled[line] = append([]*tcpMsg(nil), q...)
-	}
-	for line, n := range c.vicWBs {
-		s.vicWBs[line] = n
-	}
+	s.stalled = saveLists(s.stalled, c.stalled)
+	s.vicWBs = reuse.Map(s.vicWBs, c.vicWBs)
+	s.rdBlks, s.wrVicBlks, s.atomicsSeen = c.rdBlks, c.wrVicBlks, c.atomicsSeen
+	s.fills, s.stalls, s.evictWBs = c.fills, c.stalls, c.evictWBs
+	s.xbar = c.toTCP.SnapshotInto(s.xbar)
 	return s
 }
 
@@ -406,14 +403,8 @@ func (c *TCCWB) restore(snap any) {
 		tbe := save
 		c.tbes[line] = &tbe
 	}
-	clear(c.stalled)
-	for line, q := range s.stalled {
-		c.stalled[line] = append([]*tcpMsg(nil), q...)
-	}
-	clear(c.vicWBs)
-	for line, n := range s.vicWBs {
-		c.vicWBs[line] = n
-	}
+	loadLists(c.stalled, s.stalled)
+	c.vicWBs = reuse.Map(c.vicWBs, s.vicWBs)
 	c.rdBlks, c.wrVicBlks, c.atomicsSeen = s.rdBlks, s.wrVicBlks, s.atomicsSeen
 	c.fills, c.stalls, c.evictWBs = s.fills, s.stalls, s.evictWBs
 	c.toTCP.Restore(s.xbar)

@@ -8,6 +8,7 @@ import (
 	"drftest/internal/mem"
 	"drftest/internal/network"
 	"drftest/internal/protocol"
+	"drftest/internal/reuse"
 	"drftest/internal/sim"
 )
 
@@ -443,40 +444,39 @@ func (t *TCP) Stats() (loads, loadHits, stores, atomics, stalls uint64) {
 // tester's slab.
 type tcpSnapshot struct {
 	array   *cache.ArraySnapshot
-	tbes    map[mem.Addr]tcpTBE
-	stalled map[mem.Addr][]*mem.Request
+	tbes    []tcpTBE
+	stalled []listSave[mem.Addr, *mem.Request]
 	wt      map[mem.Addr]wtBuf
 
 	loads, loadHits, stores, atomics, stalls uint64
 
-	links []*network.LinkSnapshot
+	links []network.LinkSnapshot
 }
 
-func (t *TCP) snapshot() *tcpSnapshot {
-	s := &tcpSnapshot{
-		array:   t.array.Snapshot(),
-		tbes:    make(map[mem.Addr]tcpTBE, len(t.tbes)),
-		stalled: make(map[mem.Addr][]*mem.Request, len(t.stalled)),
-		wt:      make(map[mem.Addr]wtBuf, len(t.wt)),
-		loads:   t.loads, loadHits: t.loadHits, stores: t.stores,
-		atomics: t.atomics, stalls: t.stalls,
-		links: make([]*network.LinkSnapshot, len(t.toTCC)),
+func (t *TCP) snapshotInto(s *tcpSnapshot) {
+	s.array = t.array.SnapshotInto(s.array)
+	s.tbes = s.tbes[:0]
+	for _, tbe := range t.tbes {
+		save := reuse.Grow(&s.tbes)
+		loads := save.loads
+		*save = *tbe
+		save.loads = append(loads[:0], tbe.loads...)
 	}
-	for line, tbe := range t.tbes {
-		save := *tbe
-		save.loads = append([]*mem.Request(nil), tbe.loads...)
-		s.tbes[line] = save
+	s.stalled = saveLists(s.stalled, t.stalled)
+	if s.wt == nil {
+		s.wt = make(map[mem.Addr]wtBuf, len(t.wt))
 	}
-	for line, q := range t.stalled {
-		s.stalled[line] = append([]*mem.Request(nil), q...)
-	}
+	clear(s.wt)
 	for line, buf := range t.wt {
 		s.wt[line] = *buf
 	}
-	for i, l := range t.toTCC {
-		s.links[i] = l.Snapshot()
+	s.loads, s.loadHits, s.stores, s.atomics, s.stalls = t.loads, t.loadHits, t.stores, t.atomics, t.stalls
+	if s.links == nil {
+		s.links = make([]network.LinkSnapshot, len(t.toTCC))
 	}
-	return s
+	for i, l := range t.toTCC {
+		l.SnapshotInto(&s.links[i])
+	}
 }
 
 func (t *TCP) restore(s *tcpSnapshot) {
@@ -487,15 +487,13 @@ func (t *TCP) restore(s *tcpSnapshot) {
 		t.tbeFree = append(t.tbeFree, tbe)
 		delete(t.tbes, line)
 	}
-	for line, save := range s.tbes {
-		tbe := t.tbe(line)
+	for i := range s.tbes {
+		save := &s.tbes[i]
+		tbe := t.tbe(save.line)
 		tbe.loads = append(tbe.loads[:0], save.loads...)
 		tbe.atomic, tbe.entry = save.atomic, save.entry
 	}
-	clear(t.stalled)
-	for line, q := range s.stalled {
-		t.stalled[line] = append([]*mem.Request(nil), q...)
-	}
+	loadLists(t.stalled, s.stalled)
 	for line, buf := range t.wt {
 		buf.line = nil
 		t.wtFree = append(t.wtFree, buf)
@@ -508,6 +506,6 @@ func (t *TCP) restore(s *tcpSnapshot) {
 	}
 	t.loads, t.loadHits, t.stores, t.atomics, t.stalls = s.loads, s.loadHits, s.stores, s.atomics, s.stalls
 	for i, l := range t.toTCC {
-		l.Restore(s.links[i])
+		l.Restore(&s.links[i])
 	}
 }
