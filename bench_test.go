@@ -7,6 +7,8 @@ package drftest_test
 
 import (
 	"io"
+	"runtime"
+	"sync"
 	"testing"
 
 	"drftest"
@@ -422,7 +424,8 @@ func BenchmarkProtocolPerf_WTvsWB(b *testing.B) {
 
 // BenchmarkCampaignReuse / BenchmarkCampaignRebuild measure the
 // campaign engine's seed throughput with reusable run contexts (reset
-// per seed) against the rebuild baseline (fresh system per seed). The
+// per seed) against the rebuild baseline (the same seeds, each on a
+// fresh harness.NewRunContext, so a fresh system per seed). The
 // configuration is paper-scale on the address-space axis — tens of
 // thousands of variables, as in Table III — which is exactly where
 // per-seed reconstruction hurts: the variable slab, reference memory
@@ -441,14 +444,18 @@ func benchCampaign(b *testing.B, rebuild bool) {
 	seeds := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := harness.RunGPUCampaign(harness.CampaignConfig{
+		cfg := harness.CampaignConfig{
 			SysCfg:    viper.SmallCacheConfig(),
 			TestCfg:   testCfg,
 			BaseSeed:  uint64(i)*1000 + 1,
 			BatchSize: 8,
 			MaxSeeds:  32,
-			Rebuild:   rebuild,
-		})
+		}
+		run := harness.RunGPUCampaign
+		if rebuild {
+			run = rebuildCampaign
+		}
+		res := run(cfg)
 		if len(res.Failures) != 0 {
 			b.Fatalf("campaign failed: seed %d: %v", res.Failures[0].Seed, res.Failures[0].Failures[0])
 		}
@@ -456,6 +463,32 @@ func benchCampaign(b *testing.B, rebuild bool) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(seeds)/b.Elapsed().Seconds(), "seeds/sec")
+}
+
+// rebuildCampaign is RunGPUCampaign with nothing reused: the same
+// Plan/Apply state machine and the same GOMAXPROCS-wide parallelism,
+// but every seed runs on a fresh run context.
+func rebuildCampaign(cfg harness.CampaignConfig) *harness.CampaignResult {
+	st := harness.NewCampaignState(cfg)
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for plan, ok := st.Plan(); ok; plan, ok = st.Plan() {
+		deltas := make([]harness.BatchDelta, plan.Count)
+		var wg sync.WaitGroup
+		for i := range deltas {
+			wg.Add(1)
+			slots <- struct{}{}
+			go func() {
+				defer wg.Done()
+				w := harness.NewRunContext(cfg)
+				w.RunSeed(plan.First+uint64(i), plan.Corner)
+				deltas[i] = w.Delta()
+				<-slots
+			}()
+		}
+		wg.Wait()
+		st.Apply(deltas)
+	}
+	return st.Result()
 }
 
 // BenchmarkCampaignModeUniform / Swarm / Directed compare the three

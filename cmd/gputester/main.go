@@ -11,14 +11,13 @@
 //	          [-heatmap] [-grid] [-v]
 //	          [-campaign] [-campaign-mode uniform|swarm|directed]
 //	          [-saturate-k 3] [-max-seeds 1024]
-//	          [-batch 16] [-workers 0] [-campaign-rebuild]
-//	          [-campaign-fork]
+//	          [-batch 16] [-workers 0] [-campaign-fork]
 //	gputester -serve ADDR [-serve-workers N] [-store DIR]
 //	          [-report-dir DIR] [-lease-timeout 60s] [-drain-timeout 30s]
 //	gputester -worker URL [-worker-slots N]
 //	gputester -daemon URL [campaign flags] [-lease-seeds N]
 //	gputester -explore [-explore-depth D] [-explore-budget N]
-//	          [-explore-naive] [workload flags] [-artifact-dir DIR]
+//	          [workload flags] [-artifact-dir DIR]
 //
 // With -artifact-dir set the run records a bounded execution trace
 // and, on any checker failure, serializes a replay artifact (JSON)
@@ -42,14 +41,13 @@
 // With -explore the tester runs bounded exhaustive schedule
 // exploration (internal/explore) instead of a single random schedule:
 // every interleaving of co-enabled coherence events is enumerated up to
-// -explore-depth branching choice points per schedule (DPOR-style
-// sleep-set pruning on by default; -explore-naive disables it), and the
-// streaming axiomatic checker asserts every schedule. Exploration is
-// only tractable for small configs — think 2-4 wavefronts and a handful
-// of variables. A violating schedule is serialized into the replay
-// artifact's `schedule` field, which `replay` re-executes
-// bit-identically. -explore is mutually exclusive with the campaign and
-// daemon modes.
+// -explore-depth branching choice points per schedule, with DPOR-style
+// sleep-set pruning, and the streaming axiomatic checker asserts every
+// schedule. Exploration is only tractable for small configs — think 2-4
+// wavefronts and a handful of variables. A violating schedule is
+// serialized into the replay artifact's `schedule` field, which `replay`
+// re-executes bit-identically. -explore is mutually exclusive with the
+// campaign and daemon modes.
 //
 // The three daemon modes distribute campaigns across processes
 // (internal/campaignd): -serve runs the control-plane daemon (HTTP
@@ -86,16 +84,14 @@ import (
 	"drftest/internal/coverage"
 	"drftest/internal/explore"
 	"drftest/internal/harness"
-	"drftest/internal/trace"
 	"drftest/internal/viper"
 )
 
 // validateFlags rejects contradictory flag combinations up front with
 // a one-line error, before any configuration or run state is built.
 // The run modes (-explore, -campaign, -serve, -worker, -daemon) are
-// pairwise mutually exclusive, as are the campaign context strategies
-// -campaign-fork and -campaign-rebuild.
-func validateFlags(exploreMode, campaign bool, serve, workerURL, daemonURL string, campaignFork, campaignRebuild bool) error {
+// pairwise mutually exclusive.
+func validateFlags(exploreMode, campaign bool, serve, workerURL, daemonURL string) error {
 	var modes []string
 	if exploreMode {
 		modes = append(modes, "-explore")
@@ -114,9 +110,6 @@ func validateFlags(exploreMode, campaign bool, serve, workerURL, daemonURL strin
 	}
 	if len(modes) > 1 {
 		return fmt.Errorf("%s are mutually exclusive run modes; pick one", strings.Join(modes, " and "))
-	}
-	if campaignFork && campaignRebuild {
-		return fmt.Errorf("-campaign-fork and -campaign-rebuild are mutually exclusive")
 	}
 	return nil
 }
@@ -149,7 +142,6 @@ func main() {
 	maxSeeds := flag.Int("max-seeds", harness.DefaultCampaignMaxSeeds, "campaign: hard cap on seeds run")
 	batch := flag.Int("batch", 16, "campaign: seeds per batch between coverage merges")
 	workers := flag.Int("workers", 0, "campaign: worker pool size (0 = GOMAXPROCS); does not affect the outcome")
-	campaignRebuild := flag.Bool("campaign-rebuild", false, "campaign: rebuild the system for every seed instead of reusing run contexts (baseline mode)")
 	campaignFork := flag.Bool("campaign-fork", false, "campaign: fork seeds from a warm system snapshot instead of Reset-scanning reused contexts (fast path)")
 	serve := flag.String("serve", "", "run the campaign control-plane daemon on this address (e.g. 127.0.0.1:7077)")
 	serveWorkers := flag.Int("serve-workers", 0, "daemon: local worker pool size (0 = GOMAXPROCS, negative = remote workers only)")
@@ -164,10 +156,9 @@ func main() {
 	exploreMode := flag.Bool("explore", false, "bounded exhaustive schedule exploration of one seed (small configs only)")
 	exploreDepth := flag.Int("explore-depth", explore.DefaultDepth, "explore: max branching choice points per schedule")
 	exploreBudget := flag.Uint64("explore-budget", explore.DefaultBudget, "explore: max schedules (completed + pruned) before stopping")
-	exploreNaive := flag.Bool("explore-naive", false, "explore: disable DPOR sleep-set pruning (naive enumeration baseline)")
 	flag.Parse()
 
-	if err := validateFlags(*exploreMode, *campaign, *serve, *workerURL, *daemonURL, *campaignFork, *campaignRebuild); err != nil {
+	if err := validateFlags(*exploreMode, *campaign, *serve, *workerURL, *daemonURL); err != nil {
 		fmt.Fprintf(os.Stderr, "gputester: %v\n", err)
 		os.Exit(2)
 	}
@@ -251,7 +242,6 @@ func main() {
 			SaturateK:  *saturateK,
 			MaxSeeds:   *maxSeeds,
 			Fork:       *campaignFork,
-			Rebuild:    *campaignRebuild,
 			TraceDepth: *traceDepth,
 			LeaseSeeds: *leaseSeeds,
 		}, *jsonOut))
@@ -263,7 +253,7 @@ func main() {
 			TestCfg:     cfg,
 			Depth:       *exploreDepth,
 			Budget:      *exploreBudget,
-			Prune:       !*exploreNaive,
+			Prune:       true,
 			TraceDepth:  *traceDepth,
 			ArtifactDir: *artifactDir,
 		}, *jsonOut, exit)
@@ -284,7 +274,6 @@ func main() {
 			BatchSize:   *batch,
 			SaturateK:   *saturateK,
 			MaxSeeds:    *maxSeeds,
-			Rebuild:     *campaignRebuild,
 			Fork:        *campaignFork,
 			Mode:        mode,
 			ArtifactDir: *artifactDir,
@@ -293,18 +282,12 @@ func main() {
 		return
 	}
 
-	b := harness.BuildGPU(sysCfg)
-	k, sys, col := b.K, b.Sys, b.Col
-	var ring *trace.Ring
-	if *artifactDir != "" {
-		ring = harness.EnableTrace(k, *traceDepth)
-	}
-	tester := core.New(k, sys, cfg)
-	rep := tester.Run()
+	r := harness.NewGPURun(sysCfg, cfg, *artifactDir != "", *traceDepth)
+	rep := r.Tester.Run()
 
 	artifactPath := ""
 	if *artifactDir != "" && !rep.Passed() {
-		art := harness.NewGPUArtifact(sysCfg, cfg, tester, rep, ring)
+		art := harness.NewGPUArtifact(sysCfg, cfg, r.Tester, rep, r.Ring)
 		path, err := art.Write(*artifactDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "writing replay artifact: %v\n", err)
@@ -314,7 +297,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		emitJSON(sysCfg, cfg, rep, col, artifactPath)
+		emitJSON(sysCfg, cfg, rep, r.Col, artifactPath)
 		if !rep.Passed() {
 			exit(1)
 		}
@@ -328,14 +311,9 @@ func main() {
 	fmt.Printf("  sim ticks      %d (kernel events %d)\n", rep.SimTicks, rep.EventsExecuted)
 	fmt.Printf("  wall time      %s\n", rep.WallTime)
 
-	impsb := harness.TCCImpossibleGPUOnly()
-	l2Name := "GPU-L2"
-	if sysCfg.WriteBackL2 {
-		l2Name = "GPU-L2WB"
-		impsb = harness.TCCWBImpossible()
-	}
-	l1 := col.Matrix("GPU-L1")
-	l2 := col.Matrix(l2Name)
+	_, l2Name, impsb := harness.CampaignSpecs(sysCfg)
+	l1 := r.Col.Matrix("GPU-L1")
+	l2 := r.Col.Matrix(l2Name)
 	fmt.Printf("  %s\n  %s\n", l1.Summarize(nil), l2.Summarize(impsb))
 	if in := l1.InactiveCells(nil); len(in) > 0 {
 		fmt.Printf("  L1 inactive: %v\n", in)
@@ -354,11 +332,11 @@ func main() {
 	}
 	if *verbose {
 		fmt.Println("request latencies (ticks):")
-		for _, h := range sys.Latencies().All() {
+		for _, h := range r.Sys.Latencies().All() {
 			fmt.Printf("  %s\n", h)
 		}
 		fmt.Println("last transactions:")
-		fmt.Print(core.Dump(tester.Log().Recent(32)))
+		fmt.Print(core.Dump(r.Tester.Log().Recent(32)))
 	}
 
 	axiomViolations := 0
@@ -474,9 +452,7 @@ func runCampaign(cc harness.CampaignConfig, protocolName, caches string, jsonOut
 	}
 
 	ctxMode := "reuse"
-	if cc.Rebuild {
-		ctxMode = "rebuild"
-	} else if cc.Fork {
+	if cc.Fork {
 		ctxMode = "fork"
 	}
 	fmt.Printf("gputester campaign: mode=%s baseSeed=%d protocol=%s caches=%s batch=%d saturateK=%d maxSeeds=%d contexts=%s\n",
@@ -507,12 +483,7 @@ func runCampaign(cc harness.CampaignConfig, protocolName, caches string, jsonOut
 	}
 	fmt.Printf("  ops issued     %d (kernel events %d)\n", res.TotalOps, res.TotalEvents)
 
-	var impsb coverage.CellSet
-	if cc.SysCfg.WriteBackL2 {
-		impsb = harness.TCCWBImpossible()
-	} else {
-		impsb = harness.TCCImpossibleGPUOnly()
-	}
+	_, _, impsb := harness.CampaignSpecs(cc.SysCfg)
 	fmt.Printf("  %s\n  %s\n", res.UnionL1.Summarize(nil), res.UnionL2.Summarize(impsb))
 	if heatmap {
 		res.UnionL1.RenderHeatmap(os.Stdout, nil)
@@ -666,10 +637,7 @@ func runDaemonSubmit(url string, spec campaignd.Spec, jsonOut bool) int {
 
 // emitJSON writes a machine-readable run report for CI consumption.
 func emitJSON(sysCfg viper.Config, cfg core.Config, rep *core.Report, col *coverage.Collector, artifactPath string) {
-	l2Name := "GPU-L2"
-	if sysCfg.WriteBackL2 {
-		l2Name = "GPU-L2WB"
-	}
+	_, l2Name, _ := harness.CampaignSpecs(sysCfg)
 	failures := make([]map[string]any, 0, len(rep.Failures))
 	for _, f := range rep.Failures {
 		failures = append(failures, map[string]any{

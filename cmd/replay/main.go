@@ -27,7 +27,11 @@
 // reproducing suffix from that tick on. The minimized artifact is
 // itself re-replayed and verified before replay reports success.
 // -bisect-every overrides the checkpoint cadence in ticks (default:
-// adaptive, about 64 checkpoints across the run).
+// adaptive, about 64 checkpoints across the run). An artifact
+// checkpointed replay cannot drive — a CPU artifact, or one that pins
+// an explored schedule (a checkpoint does not capture the script's
+// position) — is replayed and checked only, and the output says
+// bisection was skipped and why.
 //
 // Exit status:
 //
@@ -45,6 +49,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -72,6 +77,8 @@ type result struct {
 	MinimizedPath       string                `json:"minimizedPath,omitempty"`
 	MinimizedHash       string                `json:"minimizedHash,omitempty"`
 	MinimizedReproduced bool                  `json:"minimizedReproduced,omitempty"`
+	// BisectSkipped says why -bisect only replayed this artifact.
+	BisectSkipped string `json:"bisectSkipped,omitempty"`
 }
 
 func main() {
@@ -180,12 +187,19 @@ func replayOne(path, hash string, store *campaignd.Store, showTrace, bisect bool
 		}
 	}
 
+	var bi *harness.BisectResult
 	if bisect {
-		bi, err := harness.BisectArtifact(art, every)
-		if err != nil {
+		if bi, err = harness.BisectArtifact(art, every); errors.Is(err, harness.ErrBisectUnsupported) {
+			// Nothing was replayed, so this is no verdict on the artifact:
+			// it gets the plain reproduction check below.
+			res.BisectSkipped = err.Error()
+			logf("  bisection skipped: %s\n", err)
+		} else if err != nil {
 			res.Error = err.Error()
 			return res, nil
 		}
+	}
+	if bi != nil {
 		res.Reproduced = true
 		res.Bisect = bi
 		logf("  REPRODUCED: %s at tick %d, %d ops, %d kernel events — bit-identical\n",

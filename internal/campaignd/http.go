@@ -47,8 +47,14 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(v); err != nil {
+// decodeBody decodes the request body into v (strict: a field v does
+// not declare is an error), answering 400 on failure.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, strict bool) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
+	if strict {
+		dec.DisallowUnknownFields()
+	}
+	if err := dec.Decode(v); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return false
 	}
@@ -56,8 +62,10 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	// Specs are written by hand and by scripts, so a misspelt or retired
+	// field is refused by name; WireSchema versions the worker bodies.
 	var spec Spec
-	if !decodeBody(w, r, &spec) {
+	if !decodeBody(w, r, &spec, true) {
 		return
 	}
 	id, err := s.Submit(spec)
@@ -149,7 +157,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req, false) {
 		return
 	}
 	if req.Schema != WireSchema {
@@ -167,7 +175,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	var res LeaseResult
-	if !decodeBody(w, r, &res) {
+	if !decodeBody(w, r, &res, false) {
 		return
 	}
 	if err := s.submitResult(&res); err != nil {

@@ -11,6 +11,7 @@ import (
 
 	"drftest/internal/harness"
 	"drftest/internal/protocol"
+	"drftest/internal/viper"
 )
 
 // Options configures a control-plane Server.
@@ -176,7 +177,7 @@ func (s *Server) Submit(spec Spec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	l1Spec, l2Spec, _ := harness.CampaignSpecs(cfg.SysCfg)
+	l2Spec, _, _ := harness.CampaignSpecs(cfg.SysCfg)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -188,7 +189,7 @@ func (s *Server) Submit(spec Spec) (string, error) {
 		id:           fmt.Sprintf("c%03d", s.nextID),
 		spec:         spec,
 		state:        harness.NewCampaignState(cfg),
-		l1Spec:       l1Spec,
+		l1Spec:       viper.NewTCPSpec(),
 		l2Spec:       l2Spec,
 		leaseTimeout: spec.leaseTimeout(s.opts.LeaseTimeout),
 		done:         make(chan struct{}),

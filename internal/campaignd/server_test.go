@@ -1,12 +1,15 @@
 package campaignd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -429,4 +432,52 @@ func TestMetricsAndHTTPSurface(t *testing.T) {
 	}
 
 	srv.Drain(ctx)
+}
+
+// TestSubmitDecodesStrictly pins the spec decoder at the wire: a body
+// with a key Spec does not declare — the retired "rebuild", a misspelt
+// field — is refused with a 400 that names it instead of admitted with
+// the key ignored, while a Spec with every field set still round-trips.
+func TestSubmitDecodesStrictly(t *testing.T) {
+	srv := NewServer(Options{Logf: t.Logf}) // no workers: admitted specs never run
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	post := func(body []byte) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/campaigns", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+
+	full := testSpec("swarm")
+	full.Fork, full.Artifacts = true, true
+	full.TraceDepth, full.LeaseTimeoutMs = 512, 30_000
+	for v, i := reflect.ValueOf(full), 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("Spec.%s is unset: the round-trip must cover every field", v.Type().Field(i).Name)
+		}
+	}
+	body, err := json.Marshal(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, msg := post(body); code != http.StatusAccepted {
+		t.Fatalf("full spec: status %d, want 202: %s", code, msg)
+	}
+
+	for _, key := range []string{"rebuild", "batchSzie"} {
+		var m map[string]any
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatal(err)
+		}
+		m[key] = true
+		bad, _ := json.Marshal(m)
+		if code, msg := post(bad); code != http.StatusBadRequest || !strings.Contains(msg, key) {
+			t.Errorf("spec with unknown key %q: status %d, body %q; want 400 naming the key", key, code, msg)
+		}
+	}
 }

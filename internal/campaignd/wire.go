@@ -59,9 +59,9 @@ type Spec struct {
 	BatchSize int `json:"batchSize,omitempty"`
 	SaturateK int `json:"saturateK,omitempty"`
 	MaxSeeds  int `json:"maxSeeds,omitempty"`
-	// Fork/Rebuild select the worker-side run-context strategy.
-	Fork    bool `json:"fork,omitempty"`
-	Rebuild bool `json:"rebuild,omitempty"`
+	// Fork makes workers fork seeds from a warm system snapshot
+	// (harness.CampaignConfig.Fork).
+	Fork bool `json:"fork,omitempty"`
 	// TraceDepth sizes the execution-trace ring behind failure
 	// artifacts (≤0 → harness.DefaultTraceCapacity).
 	TraceDepth int `json:"traceDepth,omitempty"`
@@ -89,10 +89,7 @@ func (s Spec) withDefaults() Spec {
 		s.MaxSeeds = harness.DefaultCampaignMaxSeeds
 	}
 	if s.LeaseSeeds <= 0 {
-		s.LeaseSeeds = s.BatchSize / 4
-		if s.LeaseSeeds < 1 {
-			s.LeaseSeeds = 1
-		}
+		s.LeaseSeeds = max(1, s.BatchSize/4)
 	}
 	return s
 }
@@ -104,9 +101,6 @@ func (s Spec) CampaignConfig() (harness.CampaignConfig, error) {
 	if err != nil {
 		return harness.CampaignConfig{}, err
 	}
-	if s.Fork && s.Rebuild {
-		return harness.CampaignConfig{}, fmt.Errorf("campaignd: spec sets both fork and rebuild")
-	}
 	return harness.CampaignConfig{
 		SysCfg:           s.SysCfg,
 		TestCfg:          s.TestCfg,
@@ -115,7 +109,6 @@ func (s Spec) CampaignConfig() (harness.CampaignConfig, error) {
 		BatchSize:        s.BatchSize,
 		SaturateK:        s.SaturateK,
 		MaxSeeds:         s.MaxSeeds,
-		Rebuild:          s.Rebuild,
 		Fork:             s.Fork,
 		Mode:             mode,
 		TraceDepth:       s.TraceDepth,
@@ -246,19 +239,16 @@ func AddSparse(dst *coverage.Matrix, cells []SparseCell) error {
 // over freshly allocated matrices shaped by the campaign's specs.
 func resultToDelta(res *LeaseResult, l1Spec, l2Spec *protocol.Spec) (harness.BatchDelta, error) {
 	d := harness.BatchDelta{
+		L1:       coverage.NewMatrix(l1Spec),
+		L2:       coverage.NewMatrix(l2Spec),
 		Failures: res.Failures,
 		Seeds:    res.Seeds,
 		Ops:      res.Ops,
 		Events:   res.Events,
 		Wall:     time.Duration(res.WallNs),
 	}
-	d.L1 = coverage.NewMatrix(l1Spec)
-	d.L2 = coverage.NewMatrix(l2Spec)
 	if err := AddSparse(d.L1, res.L1); err != nil {
 		return d, err
 	}
-	if err := AddSparse(d.L2, res.L2); err != nil {
-		return d, err
-	}
-	return d, nil
+	return d, AddSparse(d.L2, res.L2)
 }

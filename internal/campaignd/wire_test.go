@@ -66,9 +66,6 @@ func TestSpecDefaults(t *testing.T) {
 		t.Errorf("explicit LeaseSeeds overridden: %d", s.LeaseSeeds)
 	}
 
-	if _, err := (Spec{Fork: true, Rebuild: true}).CampaignConfig(); err == nil {
-		t.Error("fork+rebuild spec accepted")
-	}
 	if _, err := (Spec{Mode: "bogus"}).CampaignConfig(); err == nil {
 		t.Error("bogus mode accepted")
 	}

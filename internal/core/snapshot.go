@@ -104,17 +104,6 @@ func (t *Tester) Report() *Report { return t.report() }
 // FailureCount returns the number of failures detected so far.
 func (t *Tester) FailureCount() int { return len(t.failures) }
 
-// CanCheckpoint reports whether this tester supports mid-run
-// Snapshot/Restore. Every component now does: the online stream
-// checker — historically the one holdout, because its verification
-// frontier only moved forward — gained Snapshot/Restore of its own
-// (checker.StreamSnapshot), so online checking composes with
-// checkpointed replay and campaign forking. The method is retained as
-// the callers' seam for any future non-checkpointable component.
-func (t *Tester) CanCheckpoint() error {
-	return nil
-}
-
 // copyVar copies src into dst, refilling dst's own claim and
 // old-value maps rather than sharing src's.
 func copyVar(dst, src *variable) {
@@ -136,15 +125,11 @@ func copyEpisode(dst, src *episode) {
 
 // Snapshot captures the tester's complete state. Pair with kernel and
 // system snapshots taken at the same instant for a consistent cut.
-// Panics if the tester cannot checkpoint (CanCheckpoint).
 func (t *Tester) Snapshot() *TesterSnapshot { return t.SnapshotInto(nil) }
 
 // SnapshotInto is Snapshot refilling s, a snapshot of this tester the
 // caller knows is dead (nil allocates).
 func (t *Tester) SnapshotInto(s *TesterSnapshot) *TesterSnapshot {
-	if err := t.CanCheckpoint(); err != nil {
-		panic(err.Error())
-	}
 	if s == nil {
 		s = &TesterSnapshot{}
 	}

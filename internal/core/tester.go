@@ -169,23 +169,30 @@ func NewMulti(k *sim.Kernel, systems []*viper.System, cfg Config) *Tester {
 		t.stream = checker.NewPipeline(cfg.AtomicDelta, cfg.StreamInline)
 	}
 
-	numCUs := len(t.seqs)
-	for w := 0; w < cfg.NumWavefronts; w++ {
-		wf := &wavefront{id: w, cu: w % numCUs}
+	t.buildWavefronts()
+	t.heartbeatFn = t.heartbeat
+	for _, seq := range t.seqs {
+		seq.SetClient(t)
+	}
+	return t
+}
+
+// buildWavefronts (re)builds the wavefront and thread arrays for the
+// current config's shape, round-robin over the CUs.
+func (t *Tester) buildWavefronts() {
+	t.threads = t.threads[:0]
+	t.wfs = t.wfs[:0]
+	for w := 0; w < t.cfg.NumWavefronts; w++ {
+		wf := &wavefront{id: w, cu: w % len(t.seqs)}
 		wf.issueFn = func() { t.issueRound(wf) }
 		wf.issueTag = sim.MakeUnitTag(sim.CompTester, t.k.NewUnit())
-		for l := 0; l < cfg.ThreadsPerWF; l++ {
+		for l := 0; l < t.cfg.ThreadsPerWF; l++ {
 			thr := &thread{id: len(t.threads), wf: w, lane: l}
 			t.threads = append(t.threads, thr)
 			wf.threads = append(wf.threads, thr)
 		}
 		t.wfs = append(t.wfs, wf)
 	}
-	t.heartbeatFn = t.heartbeat
-	for _, seq := range t.seqs {
-		seq.SetClient(t)
-	}
-	return t
 }
 
 // Reset rearms the tester for a fresh run from seed over the same
@@ -255,20 +262,7 @@ func (t *Tester) ResetWithConfig(seed uint64, cfg Config) {
 	old := t.cfg
 	t.cfg = cfg
 	if cfg.NumWavefronts != old.NumWavefronts || cfg.ThreadsPerWF != old.ThreadsPerWF {
-		t.threads = t.threads[:0]
-		t.wfs = t.wfs[:0]
-		numCUs := len(t.seqs)
-		for w := 0; w < cfg.NumWavefronts; w++ {
-			wf := &wavefront{id: w, cu: w % numCUs}
-			wf.issueFn = func() { t.issueRound(wf) }
-			wf.issueTag = sim.MakeUnitTag(sim.CompTester, t.k.NewUnit())
-			for l := 0; l < cfg.ThreadsPerWF; l++ {
-				thr := &thread{id: len(t.threads), wf: w, lane: l}
-				t.threads = append(t.threads, thr)
-				wf.threads = append(wf.threads, thr)
-			}
-			t.wfs = append(t.wfs, wf)
-		}
+		t.buildWavefronts()
 	}
 	if cfg.LogCapacity != old.LogCapacity {
 		t.log = NewEventLog(cfg.LogCapacity)

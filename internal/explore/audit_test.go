@@ -7,18 +7,11 @@ import (
 )
 
 // TestStateFieldAudits pins the explorer's state structs: a new field
-// on the DFS engine, its stack nodes, or the full-cut snapshot must
-// declare how backtracking treats it — restored by the cut, rebuilt per
-// branch, or accumulated across the whole exploration — before it can
-// land.
+// on the DFS engine or its stack nodes must declare how backtracking
+// treats it — restored by the cut (a harness.Checkpoint, audited
+// there), rebuilt per branch, or accumulated across the whole
+// exploration — before it can land.
 func TestStateFieldAudits(t *testing.T) {
-	audit.Fields(t, cut{}, map[string]string{
-		"kernel": "cut: kernel event-queue snapshot, restored verbatim on backtrack",
-		"sys":    "cut: full coherence-stack snapshot, restored verbatim on backtrack",
-		"tester": "cut: tester + stream-checker snapshot, restored verbatim on backtrack",
-		"col":    "cut: coverage-collector snapshot, restored verbatim on backtrack",
-		"ring":   "cut: trace-ring snapshot, restored verbatim on backtrack",
-	})
 	audit.Fields(t, node{}, map[string]string{
 		"cut":       "branch: snapshot taken inside Choose before the decision fired; restored to re-present the identical candidate set. Held by value: the depth's next decision refills its storage",
 		"cands":     "branch: viable candidates at the decision, fixed once taken (backing array reused per depth)",
@@ -43,9 +36,7 @@ func TestStateFieldAudits(t *testing.T) {
 		"beforeReuse": "test hook: nil outside the poison test",
 	})
 	audit.Fields(t, run{}, map[string]string{
-		"build":   "config: kernel + system + collector under exploration",
-		"ring":    "config: replay trace ring (snapshotted via cuts)",
-		"tester":  "config: tester under exploration (snapshotted via cuts)",
+		"GPURun":  "config: system, tester and trace ring under exploration (snapshotted via cuts)",
 		"testCfg": "config: effective tester config (StreamCheck forced on, the caller's StreamInline), embedded in violation artifacts; the run's own tester additionally folds inline",
 	})
 }

@@ -66,7 +66,7 @@ type node struct {
 	// cut is the full run-context snapshot taken from inside Choose,
 	// before the decision fired: restoring it re-presents the identical
 	// candidate set.
-	cut cut
+	cut harness.Checkpoint
 	// cands are the viable (not-asleep) candidates; next indexes the
 	// one the resumed Choose call takes.
 	cands []sim.Enabled
@@ -133,7 +133,7 @@ func (e *engine) Choose(now sim.Tick, cands []sim.Enabled) int {
 			// path.
 			e.aborted = true
 			e.res.PrunedPaths++
-			e.run.build.K.Stop()
+			e.run.K.Stop()
 			return 0
 		}
 		e.res.PrunedBranches += uint64(len(cands) - len(viable))
@@ -153,7 +153,7 @@ func (e *engine) Choose(now sim.Tick, cands []sim.Enabled) int {
 		n.sleep = reuse.Map(n.sleep, e.live)
 		n.scriptLen = len(e.script)
 		start := time.Now()
-		e.run.snapshotInto(&n.cut)
+		e.run.CheckpointInto(&n.cut)
 		e.cutTime += time.Since(start)
 		e.res.FrontierDepths[e.depth]++
 		e.depth++
@@ -210,15 +210,15 @@ func (e *engine) scheduleDone() (stop bool, err error) {
 		e.aborted = false
 	} else {
 		e.res.Schedules++
-		e.run.tester.Finish()
-		rep := e.run.tester.Report()
+		e.run.Tester.Finish()
+		rep := e.run.Tester.Report()
 		if len(rep.Failures) > 0 || len(rep.StreamViolations) > 0 {
 			v := &Violation{
 				Schedule:         append([]uint64(nil), e.script...),
 				StreamViolations: len(rep.StreamViolations),
 			}
 			if len(rep.Failures) > 0 {
-				art := harness.NewGPUArtifact(e.cfg.SysCfg, e.run.testCfg, e.run.tester, rep, e.run.ring)
+				art := harness.NewGPUArtifact(e.cfg.SysCfg, e.run.testCfg, e.run.Tester, rep, e.run.Ring)
 				art.Schedule = v.Schedule
 				v.Failure = art.FirstFailure()
 				e.res.Artifact = art
@@ -249,7 +249,7 @@ func (e *engine) backtrack() bool {
 		n := e.nodes[e.depth-1]
 		if n.next < len(n.cands) {
 			start := time.Now()
-			e.run.restore(&n.cut)
+			e.run.Restore(&n.cut)
 			e.restoreTime += time.Since(start)
 			e.res.Restores++
 			e.script = e.script[:n.scriptLen]

@@ -5,9 +5,9 @@
 // seed, the explorer systematically enumerates the schedules a single
 // seed can take. It drives the kernel's schedule choice point
 // (sim.Chooser): whenever more than one event is co-enabled at a tick,
-// the explorer snapshots the complete run context — kernel, system,
-// tester, coverage, trace ring, the same full cut checkpointed replay
-// uses — runs one candidate, and later rewinds the cut to run the
+// the explorer snapshots the complete run context (a
+// harness.Checkpoint, the same full cut checkpointed replay uses),
+// runs one candidate, and later rewinds the cut to run the
 // others, depth-first. Every completed schedule is asserted by the
 // streaming axiomatic checker (checker.Stream via core's StreamCheck)
 // plus the tester's own autonomous checks, so the result upgrades "no
@@ -42,10 +42,7 @@ package explore
 
 import (
 	"drftest/internal/core"
-	"drftest/internal/coverage"
 	"drftest/internal/harness"
-	"drftest/internal/sim"
-	"drftest/internal/trace"
 	"drftest/internal/viper"
 )
 
@@ -148,63 +145,24 @@ func (r *Result) Complete() bool {
 	return !r.BudgetExhausted && r.Violation == nil
 }
 
-// cut is one full run-context snapshot — the same composition
-// checkpointed replay bisection uses (harness.gpuCheckpoint).
-type cut struct {
-	kernel *sim.KernelSnapshot
-	sys    *viper.SystemSnapshot
-	tester *core.TesterSnapshot
-	col    *coverage.CollectorSnapshot
-	ring   *trace.RingSnapshot
-}
-
 // run owns the system under exploration. testCfg is the effective
 // tester config (StreamCheck forced on) — violation artifacts embed it
 // so replay rebuilds the identical tester. The run's own tester also
 // folds the stream inline: every cut flushes the checker pipeline, so a
 // second thread would only ever be handed work and waited for.
 type run struct {
-	build   *harness.GPUBuild
-	ring    *trace.Ring
-	tester  *core.Tester
+	*harness.GPURun
 	testCfg core.Config
 }
 
-func newRun(cfg *Config) (*run, error) {
-	depth := cfg.TraceDepth
-	if depth <= 0 {
-		depth = harness.DefaultTraceCapacity
-	}
-	r := &run{build: harness.BuildGPU(cfg.SysCfg)}
-	r.build.Sys.EnableCheckpointing()
-	r.ring = harness.EnableTrace(r.build.K, depth)
+func newRun(cfg *Config) *run {
 	tc := cfg.TestCfg
 	tc.StreamCheck = true
-	r.testCfg = tc
-	tc.StreamInline = true
-	r.tester = core.New(r.build.K, r.build.Sys, tc)
-	if err := r.tester.CanCheckpoint(); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// snapshotInto captures the run into c, refilling whatever storage the
-// cut's previous use left in it (a zero cut allocates).
-func (r *run) snapshotInto(c *cut) {
-	c.kernel = r.build.K.SnapshotInto(c.kernel)
-	c.sys = r.build.Sys.SnapshotInto(c.sys)
-	c.tester = r.tester.SnapshotInto(c.tester)
-	c.col = r.build.Col.SnapshotInto(c.col)
-	c.ring = r.ring.SnapshotInto(c.ring)
-}
-
-func (r *run) restore(c *cut) {
-	r.build.K.Restore(c.kernel)
-	r.build.Sys.Restore(c.sys)
-	r.tester.Restore(c.tester)
-	r.build.Col.Restore(c.col)
-	r.ring.Restore(c.ring)
+	inline := tc
+	inline.StreamInline = true
+	r := &run{GPURun: harness.NewGPURun(cfg.SysCfg, inline, true, cfg.TraceDepth), testCfg: tc}
+	r.Sys.EnableCheckpointing()
+	return r
 }
 
 // Run explores the configured run's schedule space depth-first and
@@ -220,10 +178,7 @@ func explore(cfg Config, beforeReuse func(*node)) (*Result, error) {
 	if cfg.Budget == 0 {
 		cfg.Budget = DefaultBudget
 	}
-	r, err := newRun(&cfg)
-	if err != nil {
-		return nil, err
-	}
+	r := newRun(&cfg)
 	e := &engine{
 		cfg:  &cfg,
 		run:  r,
@@ -233,11 +188,11 @@ func explore(cfg Config, beforeReuse func(*node)) (*Result, error) {
 
 		beforeReuse: beforeReuse,
 	}
-	r.build.K.SetChooser(e)
+	r.K.SetChooser(e)
 
-	r.tester.Start()
+	r.Tester.Start()
 	for {
-		r.build.K.RunUntilIdle()
+		r.K.RunUntilIdle()
 		stop, err := e.scheduleDone()
 		if err != nil {
 			return nil, err
@@ -246,6 +201,6 @@ func explore(cfg Config, beforeReuse func(*node)) (*Result, error) {
 			break
 		}
 	}
-	r.build.K.SetChooser(nil)
+	r.K.SetChooser(nil)
 	return e.finish(), nil
 }

@@ -10,15 +10,16 @@ import (
 	"unsafe"
 
 	"drftest/internal/core"
+	"drftest/internal/harness"
 	"drftest/internal/sim"
 	"drftest/internal/viper"
 )
 
 // snapshot takes a cut into fresh storage, as the explorer did before
 // cuts were recycled per depth; the snapshot property tests use it.
-func (r *run) snapshot() *cut {
-	c := &cut{}
-	r.snapshotInto(c)
+func (r *run) snapshot() *harness.Checkpoint {
+	c := &harness.Checkpoint{}
+	r.CheckpointInto(c)
 	return c
 }
 
@@ -208,7 +209,7 @@ func TestExploreRecycledCutsBitIdentical(t *testing.T) {
 // call number at, counting the objects that allocates.
 type cutAt struct {
 	r       *run
-	c       *cut
+	c       *harness.Checkpoint
 	calls   int
 	at      int
 	mallocs uint64
@@ -217,7 +218,7 @@ type cutAt struct {
 func (c *cutAt) Choose(now sim.Tick, cands []sim.Enabled) int {
 	if c.calls++; c.calls == c.at {
 		before := mallocs()
-		c.r.snapshotInto(c.c)
+		c.r.CheckpointInto(c.c)
 		c.mallocs = mallocs() - before
 	}
 	return 0
@@ -237,23 +238,20 @@ func mallocs() uint64 {
 func TestCutSteadyStateAllocs(t *testing.T) {
 	const at = 120
 	cfg := Config{SysCfg: exploreBigSetsSys(), TestCfg: exploreWideCfg(13)}
-	r, err := newRun(&cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := &cutAt{r: r, c: &cut{}, at: at}
-	r.build.K.SetChooser(ch)
-	r.tester.Start()
-	r.build.K.RunUntilIdle() // the warm descent: the cut's first fill
+	r := newRun(&cfg)
+	ch := &cutAt{r: r, c: &harness.Checkpoint{}, at: at}
+	r.K.SetChooser(ch)
+	r.Tester.Start()
+	r.K.RunUntilIdle() // the warm descent: the cut's first fill
 	if ch.calls < at {
 		t.Fatalf("run too short: %d Choose calls, need %d", ch.calls, at)
 	}
 	for round := 0; round < 4; round++ {
 		before := mallocs()
-		r.restore(ch.c)
+		r.Restore(ch.c)
 		restore := mallocs() - before
 		ch.calls = at - 1 // the restored kernel re-presents decision at
-		r.build.K.RunUntilIdle()
+		r.K.RunUntilIdle()
 		t.Logf("round %d: restore %d + refill %d objects", round, restore, ch.mallocs)
 		if round > 0 && restore+ch.mallocs > 32 {
 			t.Fatalf("round %d: restore + recycled cut allocated %d + %d objects, want ≤ 32", round, restore, ch.mallocs)

@@ -17,7 +17,7 @@ import (
 type snapChooser struct {
 	r     *run
 	calls int
-	at    map[int]*cut
+	at    map[int]*harness.Checkpoint
 }
 
 func (c *snapChooser) Choose(now sim.Tick, cands []sim.Enabled) int {
@@ -35,10 +35,10 @@ func (c *snapChooser) Choose(now sim.Tick, cands []sim.Enabled) int {
 // the complete trace tail — as the bit-identity witness.
 func fingerprint(t *testing.T, sys viper.Config, r *run) []byte {
 	t.Helper()
-	r.build.K.RunUntilIdle()
-	r.tester.Finish()
-	rep := r.tester.Report()
-	art := harness.NewGPUArtifact(sys, r.testCfg, r.tester, rep, r.ring)
+	r.K.RunUntilIdle()
+	r.Tester.Finish()
+	rep := r.Tester.Report()
+	art := harness.NewGPUArtifact(sys, r.testCfg, r.Tester, rep, r.Ring)
 	data, err := art.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -56,14 +56,11 @@ func TestSnapshotForkRewindRefork(t *testing.T) {
 	const outer, inner = 40, 90
 
 	cfg := Config{SysCfg: exploreBigSetsSys(), TestCfg: exploreWideCfg(7)}
-	r, err := newRun(&cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := &snapChooser{r: r, at: map[int]*cut{outer: nil, inner: nil}}
-	r.build.K.SetChooser(ch)
+	r := newRun(&cfg)
+	ch := &snapChooser{r: r, at: map[int]*harness.Checkpoint{outer: nil, inner: nil}}
+	r.K.SetChooser(ch)
 
-	r.tester.Start()
+	r.Tester.Start()
 	want := fingerprint(t, cfg.SysCfg, r)
 	cutOuter, cutInner := ch.at[outer], ch.at[inner]
 	if cutOuter == nil || cutInner == nil {
@@ -72,7 +69,7 @@ func TestSnapshotForkRewindRefork(t *testing.T) {
 	ch.at = nil
 
 	// Rewind to the inner point and re-run: bit-identical.
-	r.restore(cutInner)
+	r.Restore(cutInner)
 	if got := fingerprint(t, cfg.SysCfg, r); !bytes.Equal(got, want) {
 		t.Fatal("restore(inner) diverged from original run")
 	}
@@ -81,9 +78,9 @@ func TestSnapshotForkRewindRefork(t *testing.T) {
 	// en route (refork), finish, then rewind to the re-taken inner cut
 	// and finish again — every completion must match the original.
 	for round := 0; round < 3; round++ {
-		r.restore(cutOuter)
+		r.Restore(cutOuter)
 		ch.calls = outer
-		ch.at = map[int]*cut{inner: nil}
+		ch.at = map[int]*harness.Checkpoint{inner: nil}
 		if got := fingerprint(t, cfg.SysCfg, r); !bytes.Equal(got, want) {
 			t.Fatalf("round %d: restore(outer) diverged from original run", round)
 		}
@@ -93,7 +90,7 @@ func TestSnapshotForkRewindRefork(t *testing.T) {
 		}
 		ch.at = nil
 
-		r.restore(refork)
+		r.Restore(refork)
 		if got := fingerprint(t, cfg.SysCfg, r); !bytes.Equal(got, want) {
 			t.Fatalf("round %d: restore(reforked inner) diverged from original run", round)
 		}

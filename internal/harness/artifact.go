@@ -273,22 +273,16 @@ func decodeArtifact(path string, data []byte) (*Artifact, error) {
 // configuration and returns a freshly captured artifact of the re-run,
 // traced at the original's depth.
 func Replay(a *Artifact) (*Artifact, error) {
-	depth := a.TraceCapacity
-	if depth <= 0 {
-		depth = DefaultTraceCapacity
-	}
 	switch a.Kind {
 	case ArtifactGPU:
-		b := BuildGPU(a.GPU.SysCfg)
-		ring := EnableTrace(b.K, depth)
-		tester := core.New(b.K, b.Sys, a.GPU.TestCfg)
+		r := NewGPURun(a.GPU.SysCfg, a.GPU.TestCfg, true, a.TraceCapacity)
 		var sc *sim.ScriptChooser
 		if len(a.Schedule) > 0 {
 			sc = sim.NewScriptChooser(a.Schedule)
-			b.K.SetChooser(sc)
+			r.K.SetChooser(sc)
 		}
-		rep := tester.Run()
-		replayed := NewGPUArtifact(a.GPU.SysCfg, a.GPU.TestCfg, tester, rep, ring)
+		rep := r.Tester.Run()
+		replayed := NewGPUArtifact(a.GPU.SysCfg, a.GPU.TestCfg, r.Tester, rep, r.Ring)
 		if sc != nil {
 			replayed.Schedule = a.Schedule
 			if err := sc.Err(); err != nil {
@@ -301,7 +295,7 @@ func Replay(a *Artifact) (*Artifact, error) {
 		return replayed, nil
 	case ArtifactCPU:
 		b := BuildCPU(a.CPU.NumCPUs, a.CPU.CacheCfg)
-		ring := EnableTrace(b.K, depth)
+		ring := EnableTrace(b.K, a.TraceCapacity)
 		tester := cputester.New(b.K, b.Caches, a.CPU.TestCfg)
 		rep := tester.Run()
 		return NewCPUArtifact(*a.CPU, tester, rep, b.K.Executed(), ring), nil

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -130,6 +131,10 @@ func TestCPUArtifactReplayReproduces(t *testing.T) {
 	}
 	if err := CheckReproduced(loaded, replayed); err != nil {
 		t.Fatalf("CPU replay did not reproduce the failure: %v", err)
+	}
+	// Bisection is GPU-only, and says so in a way callers can fall back on.
+	if _, err := BisectArtifact(loaded, 0); !errors.Is(err, ErrBisectUnsupported) {
+		t.Fatalf("BisectArtifact on a CPU artifact: %v, want ErrBisectUnsupported", err)
 	}
 }
 

@@ -7,10 +7,9 @@
 // file narrows a failing replay down to its first failing tick without
 // re-simulating the prefix over and over:
 //
-//  1. One checkpointed replay pass re-executes the run, capturing a
-//     full run-context snapshot (kernel, system, tester, coverage,
-//     trace ring) every K ticks alongside the failure and progress
-//     counters at that point.
+//  1. One checkpointed replay pass re-executes the run, taking a
+//     Checkpoint of the whole run context every K ticks alongside the
+//     failure and progress counters at that point.
 //  2. The coarse phase binary-searches the recorded counters — pure
 //     array work, no simulation — for the pair of checkpoints
 //     bracketing the first tick where the failure predicate flips.
@@ -28,33 +27,27 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
 	"strings"
 
 	"drftest/internal/core"
-	"drftest/internal/coverage"
 	"drftest/internal/sim"
-	"drftest/internal/trace"
-	"drftest/internal/viper"
 )
 
 // DefaultBisectCheckpoints is the checkpoint-count target the adaptive
 // cadence aims for when no explicit interval is given.
 const DefaultBisectCheckpoints = 64
 
-// gpuCheckpoint is one full run-context snapshot plus the counters the
+// gpuCheckpoint is one full run-context cut plus the counters the
 // coarse search needs.
 type gpuCheckpoint struct {
-	tick   uint64
-	kernel *sim.KernelSnapshot
-	sys    *viper.SystemSnapshot
-	tester *core.TesterSnapshot
-	col    *coverage.CollectorSnapshot
-	ring   *trace.RingSnapshot
-	fails  int
-	ops    uint64
+	Checkpoint
+	tick  uint64
+	fails int
+	ops   uint64
 }
 
 // BisectResult reports a completed replay bisection.
@@ -83,16 +76,15 @@ type BisectResult struct {
 	Replayed *Artifact `json:"-"`
 }
 
-// bisectRun is a checkpointable GPU replay context.
-type bisectRun struct {
-	b      *GPUBuild
-	ring   *trace.Ring
-	tester *core.Tester
-}
+// ErrBisectUnsupported marks an artifact checkpointed replay cannot
+// drive at all — a reason to fall back to plain Replay, unlike a
+// bisection that ran and diverged.
+var ErrBisectUnsupported = errors.New("bisect: unsupported artifact")
 
-func newBisectRun(a *Artifact) (*bisectRun, error) {
+// newBisectRun builds the checkpointable replay context for a.
+func newBisectRun(a *Artifact) (*GPURun, error) {
 	if a.Kind != ArtifactGPU {
-		return nil, fmt.Errorf("bisect: %s artifacts are not supported (checkpointed replay is GPU-only)", a.Kind)
+		return nil, fmt.Errorf("%w: checkpointed replay is GPU-only, this is a %s artifact", ErrBisectUnsupported, a.Kind)
 	}
 	if len(a.Schedule) > 0 {
 		// A scheduled artifact replays through a ScriptChooser whose
@@ -100,41 +92,21 @@ func newBisectRun(a *Artifact) (*bisectRun, error) {
 		// checkpoints do not capture it, so restoring a mid-run cut
 		// would desynchronize the script. Bisect the underlying config
 		// under default order instead, or extend the cut first.
-		return nil, fmt.Errorf("bisect: artifacts with a pinned schedule are not supported")
+		return nil, fmt.Errorf("%w: a checkpoint cannot rewind a pinned schedule", ErrBisectUnsupported)
 	}
-	depth := a.TraceCapacity
-	if depth <= 0 {
-		depth = DefaultTraceCapacity
-	}
-	r := &bisectRun{b: BuildGPU(a.GPU.SysCfg)}
-	r.b.Sys.EnableCheckpointing()
-	r.ring = EnableTrace(r.b.K, depth)
-	r.tester = core.New(r.b.K, r.b.Sys, a.GPU.TestCfg)
-	if err := r.tester.CanCheckpoint(); err != nil {
-		return nil, err
-	}
+	r := NewGPURun(a.GPU.SysCfg, a.GPU.TestCfg, true, a.TraceCapacity)
+	r.Sys.EnableCheckpointing()
 	return r, nil
 }
 
-func (r *bisectRun) checkpoint() *gpuCheckpoint {
-	return &gpuCheckpoint{
-		tick:   uint64(r.b.K.Now()),
-		kernel: r.b.K.Snapshot(),
-		sys:    r.b.Sys.Snapshot(),
-		tester: r.tester.Snapshot(),
-		col:    r.b.Col.Snapshot(),
-		ring:   r.ring.Snapshot(),
-		fails:  r.tester.FailureCount(),
-		ops:    r.tester.OpsCompleted(),
+func checkpoint(r *GPURun) *gpuCheckpoint {
+	cp := &gpuCheckpoint{
+		tick:  uint64(r.K.Now()),
+		fails: r.Tester.FailureCount(),
+		ops:   r.Tester.OpsCompleted(),
 	}
-}
-
-func (r *bisectRun) restore(cp *gpuCheckpoint) {
-	r.b.K.Restore(cp.kernel)
-	r.b.Sys.Restore(cp.sys)
-	r.tester.Restore(cp.tester)
-	r.b.Col.Restore(cp.col)
-	r.ring.Restore(cp.ring)
+	r.CheckpointInto(&cp.Checkpoint)
+	return cp
 }
 
 // BisectPass holds the product of the checkpointed replay pass: the
@@ -142,7 +114,7 @@ func (r *bisectRun) restore(cp *gpuCheckpoint) {
 // re-captured artifact. Probe (the coarse + fine search) can be run
 // from it any number of times without re-paying the replay.
 type BisectPass struct {
-	r        *bisectRun
+	r        *GPURun
 	reported ArtifactFailure
 	every    sim.Tick
 	cps      []*gpuCheckpoint
@@ -197,17 +169,17 @@ func NewBisectPass(a *Artifact, every sim.Tick) (*BisectPass, error) {
 	// Now()+every: Kernel.Run leaves Now untouched when no event falls
 	// inside the slice, so a Now-relative target would re-run the same
 	// empty slice forever across any event gap wider than the cadence.
-	r.tester.Start()
-	cps := []*gpuCheckpoint{r.checkpoint()}
-	for next := r.b.K.Now() + every; !r.b.K.Stopped() && r.b.K.Pending() > 0 && uint64(r.b.K.Now()) < reported.Tick; next += every {
-		if uint64(r.b.K.Run(next)) > cps[len(cps)-1].tick {
-			cps = append(cps, r.checkpoint())
+	r.Tester.Start()
+	cps := []*gpuCheckpoint{checkpoint(r)}
+	for next := r.K.Now() + every; !r.K.Stopped() && r.K.Pending() > 0 && uint64(r.K.Now()) < reported.Tick; next += every {
+		if uint64(r.K.Run(next)) > cps[len(cps)-1].tick {
+			cps = append(cps, checkpoint(r))
 		}
 	}
-	r.b.K.RunUntilIdle()
-	r.tester.Finish()
-	rep := r.tester.Report()
-	replayed := NewGPUArtifact(a.GPU.SysCfg, a.GPU.TestCfg, r.tester, rep, r.ring)
+	r.K.RunUntilIdle()
+	r.Tester.Finish()
+	rep := r.Tester.Report()
+	replayed := NewGPUArtifact(a.GPU.SysCfg, a.GPU.TestCfg, r.Tester, rep, r.Ring)
 	if err := CheckReproduced(a, replayed); err != nil {
 		return nil, fmt.Errorf("bisect: checkpointed replay did not reproduce the artifact: %w", err)
 	}
@@ -218,7 +190,7 @@ func NewBisectPass(a *Artifact, every sim.Tick) (*BisectPass, error) {
 		every:    every,
 		cps:      cps,
 		deadlock: reported.Kind == core.FailDeadlock.String(),
-		finalOps: r.tester.OpsCompleted(),
+		finalOps: r.Tester.OpsCompleted(),
 		replayed: replayed,
 	}, nil
 }
@@ -272,16 +244,16 @@ func (p *BisectPass) Probe() (*BisectResult, error) {
 	// the pass-1 slice target: an empty tick leaves Now in place, and
 	// probing Now()+1 again would never cross the gap.
 	lo := cps[hi-1]
-	r.restore(lo)
+	r.Restore(&lo.Checkpoint)
 	res.CoarseTick = lo.tick
-	for next := r.b.K.Now() + 1; !pred(r.tester.FailureCount(), r.tester.OpsCompleted()); next++ {
-		if r.b.K.Stopped() || r.b.K.Pending() == 0 {
-			return nil, fmt.Errorf("bisect: fine scan ran dry at tick %d before the predicate flipped", r.b.K.Now())
+	for next := r.K.Now() + 1; !pred(r.Tester.FailureCount(), r.Tester.OpsCompleted()); next++ {
+		if r.K.Stopped() || r.K.Pending() == 0 {
+			return nil, fmt.Errorf("bisect: fine scan ran dry at tick %d before the predicate flipped", r.K.Now())
 		}
-		r.b.K.Run(next)
+		r.K.Run(next)
 		res.FineSteps++
 	}
-	res.FirstFailingTick = uint64(r.b.K.Now())
+	res.FirstFailingTick = uint64(r.K.Now())
 	return res, nil
 }
 
@@ -318,9 +290,5 @@ func WriteMinimized(origPath string, min *Artifact) (string, error) {
 	if dir == "" {
 		dir = "."
 	}
-	path, err := writeArtifactAs(min, dir, base)
-	if err != nil {
-		return "", err
-	}
-	return path, nil
+	return writeArtifactAs(min, dir, base)
 }

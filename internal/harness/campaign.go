@@ -55,7 +55,6 @@ import (
 	"drftest/internal/core"
 	"drftest/internal/coverage"
 	"drftest/internal/protocol"
-	"drftest/internal/trace"
 	"drftest/internal/viper"
 )
 
@@ -84,10 +83,6 @@ type CampaignConfig struct {
 	// MaxSeeds is the hard cap on seeds run (≤0 →
 	// DefaultCampaignMaxSeeds).
 	MaxSeeds int `json:"maxSeeds,omitempty"`
-	// Rebuild disables run-context reuse: every seed constructs a
-	// fresh system. This is the pre-campaign baseline mode, kept for
-	// benchmarking the reset path against (BenchmarkCampaign).
-	Rebuild bool `json:"rebuild,omitempty"`
 	// Fork makes each worker fork per-seed run contexts from a warm
 	// system snapshot (core.Tester.Fork) instead of Reset-scanning the
 	// system: the snapshot arms copy-on-write journals over the caches
@@ -273,7 +268,7 @@ type CampaignState struct {
 // (defaults applied as in RunGPUCampaign).
 func NewCampaignState(cfg CampaignConfig) *CampaignState {
 	cfg = cfg.withDefaults()
-	l2Spec, l2Name, impossible := campaignSpecs(cfg.SysCfg)
+	l2Spec, l2Name, impossible := CampaignSpecs(cfg.SysCfg)
 	return &CampaignState{
 		cfg:    cfg,
 		policy: newCornerPolicy(cfg),
@@ -442,8 +437,9 @@ func (s *CampaignState) Result() *CampaignResult {
 	return s.out
 }
 
-// RunContext owns one long-lived reusable run context: a built system,
-// its tester, and the worker-local coverage/failure accumulators. All
+// RunContext owns one long-lived reusable run context: a GPURun built
+// on the first seed and rearmed for every later one, and the
+// worker-local coverage/failure accumulators. All
 // fields are touched only by the goroutine running seeds during a
 // batch, and only by the merger between batches. It is the execution
 // half the lease layer hands seeds to — the in-process pool below and
@@ -452,12 +448,10 @@ type RunContext struct {
 	cfg    CampaignConfig
 	l2Name string
 
-	b      *GPUBuild
-	tester *core.Tester
-	// ring is the execution trace attached when artifacts are
-	// requested; it is reset per seed so a failing run's trace is
-	// bit-identical to the trace a fresh single-seed replay records.
-	ring *trace.Ring
+	// run is traced when artifacts are requested; its ring is reset per
+	// seed so a failing run's trace is bit-identical to the trace a
+	// fresh single-seed replay records.
+	run *GPURun
 	// corner is the interned corner the reusable context is currently
 	// configured for; a pointer mismatch with the batch's corner routes
 	// the reset through ResetWithConfig/SetRespJitter.
@@ -470,7 +464,7 @@ type RunContext struct {
 
 	// dL1/dL2 accumulate the context's coverage since its last delta
 	// handoff; failures, seeds, ops, events and wall likewise. The
-	// collector inside b is reset before every run, so its matrices
+	// run's collector is reset before every seed, so its matrices
 	// hold exactly one run's hits, merged here on completion.
 	dL1, dL2 *coverage.Matrix
 	failures []SeedFailure
@@ -484,7 +478,7 @@ type RunContext struct {
 // built lazily on the first RunSeed, so creating a pool is cheap.
 func NewRunContext(cfg CampaignConfig) *RunContext {
 	cfg = cfg.withDefaults()
-	l2Spec, l2Name, _ := campaignSpecs(cfg.SysCfg)
+	l2Spec, l2Name, _ := CampaignSpecs(cfg.SysCfg)
 	return &RunContext{
 		cfg:    cfg,
 		l2Name: l2Name,
@@ -509,10 +503,10 @@ func (w *RunContext) forkEligible(c *Corner) bool {
 // mode — and a corner change replaces it, so swarm batches fork
 // within their own corner.
 func (w *RunContext) takeForkSnapshot(c *Corner) {
-	if !w.cfg.Fork || w.cfg.Rebuild || c.JitterPerSeed || (w.snap != nil && w.snapCorner == c) {
+	if !w.cfg.Fork || c.JitterPerSeed || (w.snap != nil && w.snapCorner == c) {
 		return
 	}
-	w.snap = w.b.Sys.Snapshot()
+	w.snap = w.run.Sys.Snapshot()
 	w.snapCorner = c
 }
 
@@ -532,61 +526,62 @@ func (w *RunContext) wantArtifacts() bool {
 	return w.cfg.ArtifactDir != "" || w.cfg.CaptureArtifacts
 }
 
+// rearm readies the built context for seed under corner c. The
+// collector and trace ring reset in place either way; the system comes
+// back by journal-undo from the warm snapshot when the seed is fork
+// eligible (inside Tester.Fork, skipping System.Reset's full
+// cache-invalidation scans) and by the reset path otherwise.
+func (w *RunContext) rearm(seed uint64, c *Corner) {
+	r := w.run
+	r.Col.Reset()
+	r.Ring.Reset()
+	if w.forkEligible(c) {
+		r.Tester.Fork(seed, []*viper.SystemSnapshot{w.snap})
+		return
+	}
+	// Reset order matters: the kernel first (drops pending events,
+	// essential after a bug-stopped run), then the system (recycles
+	// controller state those events referenced), then the tester. A
+	// corner change retunes the response jitter between the kernel and
+	// system resets (System.Reset reseeds the jitter stream from the
+	// config this writes) and routes the tester through the
+	// reconfiguring reset.
+	r.K.Reset()
+	if w.corner != c || c.JitterPerSeed {
+		sc := w.cornerSysCfg(c, seed)
+		r.Sys.SetRespJitter(sc.RespJitter, sc.JitterSeed)
+	}
+	r.Sys.Reset()
+	if w.corner != c {
+		r.Tester.ResetWithConfig(seed, c.TestCfg)
+		w.corner = c
+	} else {
+		r.Tester.Reset(seed)
+	}
+}
+
 // RunSeed executes one seed under corner c, accumulating its coverage,
 // failures and counters into the context's pending delta.
 func (w *RunContext) RunSeed(seed uint64, c *Corner) {
-	if w.b == nil || w.cfg.Rebuild {
-		w.b = BuildGPU(w.cornerSysCfg(c, seed))
-		if w.wantArtifacts() {
-			w.ring = EnableTrace(w.b.K, w.cfg.TraceDepth)
-		}
+	if w.run == nil {
 		tc := c.TestCfg
 		tc.Seed = seed
-		w.tester = core.New(w.b.K, w.b.Sys, tc)
+		w.run = NewGPURun(w.cornerSysCfg(c, seed), tc, w.wantArtifacts(), w.cfg.TraceDepth)
 		w.corner = c
-		w.takeForkSnapshot(c)
-	} else if w.forkEligible(c) {
-		// Fork fast path: the collector and trace ring reset as usual
-		// (their reset is already O(1)/in-place), but the system rearms
-		// by journal-undo from the warm snapshot inside Tester.Fork,
-		// skipping System.Reset's full cache-invalidation scans.
-		w.b.Col.Reset()
-		w.ring.Reset()
-		w.tester.Fork(seed, []*viper.SystemSnapshot{w.snap})
 	} else {
-		// Reset order matters: the kernel first (drops pending events,
-		// essential after a bug-stopped run), then the system (recycles
-		// controller state those events referenced), then the collector
-		// (zeroes the hit tables in place), the trace ring, and the
-		// tester. A corner change retunes the response jitter between
-		// the kernel and system resets (System.Reset reseeds the jitter
-		// stream from the config this writes) and routes the tester
-		// through the reconfiguring reset.
-		w.b.K.Reset()
-		if w.corner != c || c.JitterPerSeed {
-			sc := w.cornerSysCfg(c, seed)
-			w.b.Sys.SetRespJitter(sc.RespJitter, sc.JitterSeed)
-		}
-		w.b.Sys.Reset()
-		w.b.Col.Reset()
-		w.ring.Reset()
-		if w.corner != c {
-			w.tester.ResetWithConfig(seed, c.TestCfg)
-			w.corner = c
-		} else {
-			w.tester.Reset(seed)
-		}
-		w.takeForkSnapshot(c)
+		w.rearm(seed, c)
 	}
-	rep := w.tester.Run()
-	w.dL1.Merge(w.b.Col.Matrix("GPU-L1"))
-	w.dL2.Merge(w.b.Col.Matrix(w.l2Name))
+	w.takeForkSnapshot(c)
+	r := w.run
+	rep := r.Tester.Run()
+	w.dL1.Merge(r.Col.Matrix("GPU-L1"))
+	w.dL2.Merge(r.Col.Matrix(w.l2Name))
 	if len(rep.Failures) > 0 {
 		sf := SeedFailure{Seed: seed, Failures: rep.Failures}
 		if w.wantArtifacts() {
 			tc := c.TestCfg
 			tc.Seed = seed
-			art := NewGPUArtifact(w.b.Sys.Cfg, tc, w.tester, rep, w.ring)
+			art := NewGPUArtifact(r.Sys.Cfg, tc, r.Tester, rep, r.Ring)
 			if w.cfg.CaptureArtifacts {
 				if data, err := art.Encode(); err != nil {
 					sf.ArtifactErr = err.Error()
@@ -634,22 +629,16 @@ func (w *RunContext) ClearDelta() {
 	w.ops, w.events, w.wall = 0, 0, 0
 }
 
-// campaignSpecs resolves the L2 spec, collector matrix name and
-// impossible-cell mask for the configured protocol variant.
-func campaignSpecs(sysCfg viper.Config) (l2Spec *protocol.Spec, l2Name string, impossible coverage.CellSet) {
+// CampaignSpecs resolves the L2 spec, collector matrix name and
+// impossible-cell mask for the configured protocol variant (the L1
+// side is always viper.NewTCPSpec, "GPU-L1" and TCPImpossible) — what
+// a campaign over sysCfg records L2 coverage against, and the shape a
+// distributed executor needs to decode sparse coverage deltas.
+func CampaignSpecs(sysCfg viper.Config) (l2Spec *protocol.Spec, l2Name string, impossible coverage.CellSet) {
 	if sysCfg.WriteBackL2 {
 		return viper.NewTCCWBSpec(), "GPU-L2WB", TCCWBImpossible()
 	}
 	return viper.NewTCCSpec(), "GPU-L2", TCCImpossibleGPUOnly()
-}
-
-// CampaignSpecs resolves the protocol specs and collector matrix name
-// a campaign over sysCfg records coverage against — the shape a
-// distributed executor needs to decode sparse coverage deltas into
-// mergeable matrices.
-func CampaignSpecs(sysCfg viper.Config) (l1Spec, l2Spec *protocol.Spec, l2Name string) {
-	l2, name, _ := campaignSpecs(sysCfg)
-	return viper.NewTCPSpec(), l2, name
 }
 
 // RunGPUCampaign runs a coverage-saturation campaign over GPU-only

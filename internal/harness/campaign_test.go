@@ -93,7 +93,7 @@ func TestResetRunBitIdentical(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sysCfg := tc.sysCfg()
-			_, l2Name, _ := campaignSpecs(sysCfg)
+			_, l2Name, _ := CampaignSpecs(sysCfg)
 			testCfg := campaignTestCfg()
 			tc.test(&testCfg)
 
@@ -170,7 +170,6 @@ func TestCampaignMatchesSerial(t *testing.T) {
 	// Worker-count independence: more workers, identical outcome.
 	par := base
 	par.Workers = 3
-	par.Rebuild = true // also crosses the rebuild/reuse mode boundary
 	got := RunGPUCampaign(par)
 	if got.SeedsRun != ref.SeedsRun || got.Batches != ref.Batches || got.Saturated != ref.Saturated {
 		t.Fatalf("workers=3: seeds/batches/saturated = %d/%d/%v, want %d/%d/%v",

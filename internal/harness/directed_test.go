@@ -204,7 +204,7 @@ func TestResetWithConfigBitIdentical(t *testing.T) {
 			if c.JitterPerSeed {
 				cornerSys.JitterSeed = seed
 			}
-			_, l2Name, _ := campaignSpecs(cornerSys)
+			_, l2Name, _ := CampaignSpecs(cornerSys)
 
 			// Fresh build directly at the corner.
 			fb := BuildGPU(cornerSys)

@@ -7,8 +7,6 @@ import (
 	"drftest/internal/core"
 	"drftest/internal/coverage"
 	"drftest/internal/cputester"
-	"drftest/internal/directory"
-	"drftest/internal/moesi"
 	"drftest/internal/sim"
 	"drftest/internal/viper"
 )
@@ -58,25 +56,7 @@ type GPUSweepResult struct {
 }
 
 // RunGPUSweep executes the full tester sweep and accumulates unions.
-func RunGPUSweep(cfgs []GPUTestConfig) *GPUSweepResult {
-	out := &GPUSweepResult{
-		UnionL1: coverage.NewMatrix(viper.NewTCPSpec()),
-		UnionL2: coverage.NewMatrix(viper.NewTCCSpec()),
-	}
-	for _, cfg := range cfgs {
-		r := RunGPUTest(cfg)
-		out.Runs = append(out.Runs, r)
-		out.UnionL1.Merge(r.L1)
-		out.UnionL2.Merge(r.L2)
-		out.TotalEvents += r.Report.EventsExecuted
-		out.TotalWall += r.Report.WallTime
-		out.TotalOps += r.Report.OpsIssued
-		out.Failures += len(r.Report.Failures)
-	}
-	out.UnionL1Sum = out.UnionL1.Summarize(nil)
-	out.UnionL2Sum = out.UnionL2.Summarize(TCCImpossibleGPUOnly())
-	return out
-}
+func RunGPUSweep(cfgs []GPUTestConfig) *GPUSweepResult { return RunGPUSweepParallel(cfgs, 1) }
 
 // AppRunResult is one application run with its coverage.
 type AppRunResult struct {
@@ -137,9 +117,7 @@ func (o AppSuiteOptions) withDefaults() AppSuiteOptions {
 }
 
 // scaleProfile shortens a profile's per-lane op count by the suite's
-// Scale factor, clamped to a useful minimum. It is the single scaling
-// rule shared by the serial and parallel suite runners, so the two
-// cannot drift apart.
+// Scale factor, clamped to a useful minimum.
 func scaleProfile(p apps.Profile, scale float64) apps.Profile {
 	p.MemOpsPerLane = int(float64(p.MemOpsPerLane) * scale)
 	if p.MemOpsPerLane < 10 {
@@ -151,28 +129,7 @@ func scaleProfile(p apps.Profile, scale float64) apps.Profile {
 // RunAppSuite executes the application suite on the heterogeneous
 // system (GPU over the shared directory, host CPU traffic, DMA staging
 // — the paper's application-based testing setup).
-func RunAppSuite(opts AppSuiteOptions) *AppSuiteResult {
-	opts = opts.withDefaults()
-	out := &AppSuiteResult{
-		UnionL1:  coverage.NewMatrix(viper.NewTCPSpec()),
-		UnionL2:  coverage.NewMatrix(viper.NewTCCSpec()),
-		UnionDir: coverage.NewMatrix(directory.NewSpec()),
-	}
-	for i, prof := range opts.Profiles {
-		r := runOneApp(scaleProfile(prof, opts.Scale), opts, opts.Seed+uint64(i))
-		out.Runs = append(out.Runs, r)
-		out.UnionL1.Merge(r.L1)
-		out.UnionL2.Merge(r.L2)
-		out.UnionDir.Merge(r.Dir)
-		out.TotalEvents += r.Res.Events
-		out.TotalWall += r.Res.WallTime
-		out.Faults += r.Res.Faults
-	}
-	out.UnionL1Sum = out.UnionL1.Summarize(nil)
-	out.UnionL2Sum = out.UnionL2.Summarize(TCCImpossibleHetero())
-	out.UnionDirSum = out.UnionDir.Summarize(nil)
-	return out
-}
+func RunAppSuite(opts AppSuiteOptions) *AppSuiteResult { return RunAppSuiteParallel(opts, 1) }
 
 func runOneApp(prof apps.Profile, opts AppSuiteOptions, seed uint64) *AppRunResult {
 	gpuCfg := viper.DefaultConfig() // Table III application configuration
@@ -226,31 +183,7 @@ type CPUSweepResult struct {
 }
 
 // RunCPUSweep executes the Table III CPU tester sweep.
-func RunCPUSweep(cfgs []CPUTestConfig) *CPUSweepResult {
-	out := &CPUSweepResult{
-		UnionDir: coverage.NewMatrix(directory.NewSpec()),
-		UnionCPU: coverage.NewMatrix(moesi.NewCPUSpec()),
-	}
-	for _, cfg := range cfgs {
-		b := BuildCPU(cfg.NumCPUs, cfg.CacheCfg)
-		tester := cputester.New(b.K, b.Caches, cfg.TestCfg)
-		rep := tester.Run()
-		r := &CPURunResult{
-			Name:   cfg.Name,
-			Report: rep,
-			Dir:    b.Col.Matrix("Directory"),
-		}
-		r.CPUSum = b.Col.Matrix("CPU-L1").Summarize(nil)
-		r.DirSum = r.Dir.Summarize(nil)
-		out.Runs = append(out.Runs, r)
-		out.UnionDir.Merge(r.Dir)
-		out.UnionCPU.Merge(b.Col.Matrix("CPU-L1"))
-		out.TotalWall += rep.WallTime
-		out.Failures += len(rep.Failures)
-	}
-	out.UnionDirSum = out.UnionDir.Summarize(nil)
-	return out
-}
+func RunCPUSweep(cfgs []CPUTestConfig) *CPUSweepResult { return RunCPUSweepParallel(cfgs, 1) }
 
 // RunGPUTesterOnDirectory runs the GPU tester over the heterogeneous
 // directory (no CPUs attached) to collect its directory coverage for

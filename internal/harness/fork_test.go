@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"drftest/internal/audit"
 	"drftest/internal/core"
 	"drftest/internal/sim"
 	"drftest/internal/viper"
@@ -65,7 +66,7 @@ func TestForkRunBitIdentical(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sysCfg := tc.sysCfg()
-			_, l2Name, _ := campaignSpecs(sysCfg)
+			_, l2Name, _ := CampaignSpecs(sysCfg)
 			testCfg := campaignTestCfg()
 			tc.test(&testCfg)
 
@@ -146,50 +147,60 @@ func TestForkCampaignMatchesReset(t *testing.T) {
 // simulation). Coverage must round-trip the same way.
 func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	ref := failingGPURun(t) // uncheckpointed fresh-run reference
-	_, l2Name, _ := campaignSpecs(ref.GPU.SysCfg)
+	_, l2Name, _ := CampaignSpecs(ref.GPU.SysCfg)
 
-	b := BuildGPU(ref.GPU.SysCfg)
-	b.Sys.EnableCheckpointing()
-	ring := EnableTrace(b.K, ref.TraceCapacity)
-	tester := core.New(b.K, b.Sys, ref.GPU.TestCfg)
-	if err := tester.CanCheckpoint(); err != nil {
-		t.Fatal(err)
-	}
+	r := NewGPURun(ref.GPU.SysCfg, ref.GPU.TestCfg, true, ref.TraceCapacity)
+	r.Sys.EnableCheckpointing()
 
 	// Run the first half, freeze a full cut of every layer.
-	tester.Start()
-	mid := sim.Tick(ref.FirstFailure().Tick / 2)
-	b.K.Run(mid)
-	kSnap := b.K.Snapshot()
-	sysSnap := b.Sys.Snapshot()
-	tSnap := tester.Snapshot()
-	colSnap := b.Col.Snapshot()
-	ringSnap := ring.Snapshot()
+	r.Tester.Start()
+	r.K.Run(sim.Tick(ref.FirstFailure().Tick / 2))
+	var cut Checkpoint
+	r.CheckpointInto(&cut)
 
 	// First completion.
-	b.K.RunUntilIdle()
-	tester.Finish()
-	first := NewGPUArtifact(ref.GPU.SysCfg, ref.GPU.TestCfg, tester, tester.Report(), ring)
-	firstL1 := b.Col.Matrix("GPU-L1").Clone()
-	firstL2 := b.Col.Matrix(l2Name).Clone()
+	r.K.RunUntilIdle()
+	r.Tester.Finish()
+	first := NewGPUArtifact(ref.GPU.SysCfg, ref.GPU.TestCfg, r.Tester, r.Tester.Report(), r.Ring)
+	firstL1 := r.Col.Matrix("GPU-L1").Clone()
+	firstL2 := r.Col.Matrix(l2Name).Clone()
 	if got, want := artifactJSON(t, first), artifactJSON(t, ref); got != want {
 		t.Fatalf("checkpointed run diverged from uncheckpointed fresh run\nfresh:        %s\ncheckpointed: %s", want, got)
 	}
 
 	// Rewind to the cut, complete again.
-	b.K.Restore(kSnap)
-	b.Sys.Restore(sysSnap)
-	tester.Restore(tSnap)
-	b.Col.Restore(colSnap)
-	ring.Restore(ringSnap)
-	b.K.RunUntilIdle()
-	tester.Finish()
-	second := NewGPUArtifact(ref.GPU.SysCfg, ref.GPU.TestCfg, tester, tester.Report(), ring)
+	r.Restore(&cut)
+	r.K.RunUntilIdle()
+	r.Tester.Finish()
+	second := NewGPUArtifact(ref.GPU.SysCfg, ref.GPU.TestCfg, r.Tester, r.Tester.Report(), r.Ring)
 	if got, want := artifactJSON(t, second), artifactJSON(t, first); got != want {
 		t.Fatalf("restored run diverged from its own first completion\nfirst:    %s\nrestored: %s", want, got)
 	}
-	requireMatrixEqual(t, "GPU-L1 (restored)", firstL1, b.Col.Matrix("GPU-L1"))
-	requireMatrixEqual(t, l2Name+" (restored)", firstL2, b.Col.Matrix(l2Name))
+	requireMatrixEqual(t, "GPU-L1 (restored)", firstL1, r.Col.Matrix("GPU-L1"))
+	requireMatrixEqual(t, l2Name+" (restored)", firstL2, r.Col.Matrix(l2Name))
+}
+
+// TestRunFieldAudits pins the run context and its cut: a layer added
+// to GPURun must be classified here and, if it carries run state, join
+// Checkpoint, CheckpointInto and Restore together.
+func TestRunFieldAudits(t *testing.T) {
+	audit.Fields(t, GPURun{}, map[string]string{
+		"GPUBuild": "kernel, system and collector: each snapshotted into every Checkpoint",
+		"Tester":   "snapshotted into every Checkpoint",
+		"Ring":     "snapshotted into every Checkpoint; nil on an untraced run (nil snapshot, restore resets)",
+	})
+	audit.Fields(t, GPUBuild{}, map[string]string{
+		"K":   "Checkpoint.kernel",
+		"Sys": "Checkpoint.sys",
+		"Col": "Checkpoint.col",
+	})
+	audit.Fields(t, Checkpoint{}, map[string]string{
+		"kernel": "kernel event-queue snapshot; restored first",
+		"sys":    "full coherence-stack snapshot; restored second, before the tester",
+		"tester": "tester + stream-checker snapshot; needs kernel and system already at the cut",
+		"col":    "coverage-collector snapshot",
+		"ring":   "trace-ring snapshot; nil for an untraced run",
+	})
 }
 
 // TestBisectMinimizeCampaignArtifact is the end-to-end loop the PR

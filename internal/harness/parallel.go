@@ -9,26 +9,19 @@ import (
 	"drftest/internal/cputester"
 	"drftest/internal/directory"
 	"drftest/internal/moesi"
-	"drftest/internal/protocol"
 	"drftest/internal/viper"
 )
 
-func newDirSpecFn() *protocol.Spec { return directory.NewSpec() }
-func newCPUSpecFn() *protocol.Spec { return moesi.NewCPUSpec() }
-
-func newCPUTester(b *CPUBuild, cfg CPUTestConfig) *cputester.Tester {
-	return cputester.New(b.K, b.Caches, cfg.TestCfg)
-}
-
 // Every run in a sweep owns an isolated kernel, RNG and coverage
 // collector, so sweeps are embarrassingly parallel: results are
-// bit-identical to the serial versions (per-run determinism is
+// bit-identical at every worker count (per-run determinism is
 // per-run), only wall clock changes. Wall-time totals still sum the
 // per-run times, so reported testing cost is unaffected by the worker
-// count.
+// count. The serial entry points (RunGPUSweep, RunAppSuite,
+// RunCPUSweep) are these at one worker.
 
-// RunGPUSweepParallel is RunGPUSweep over a worker pool
-// (workers ≤ 0 → GOMAXPROCS).
+// RunGPUSweepParallel executes the tester sweep over a worker pool
+// (workers ≤ 0 → GOMAXPROCS) and accumulates unions.
 func RunGPUSweepParallel(cfgs []GPUTestConfig, workers int) *GPUSweepResult {
 	results := make([]*GPURunResult, len(cfgs))
 	parallelDo(len(cfgs), workers, func(i int) {
@@ -53,7 +46,7 @@ func RunGPUSweepParallel(cfgs []GPUTestConfig, workers int) *GPUSweepResult {
 	return out
 }
 
-// RunAppSuiteParallel is RunAppSuite over a worker pool.
+// RunAppSuiteParallel executes the application suite over a worker pool.
 func RunAppSuiteParallel(opts AppSuiteOptions, workers int) *AppSuiteResult {
 	opts = opts.withDefaults()
 	results := make([]*AppRunResult, len(opts.Profiles))
@@ -64,7 +57,7 @@ func RunAppSuiteParallel(opts AppSuiteOptions, workers int) *AppSuiteResult {
 	out := &AppSuiteResult{
 		UnionL1:  coverage.NewMatrix(viper.NewTCPSpec()),
 		UnionL2:  coverage.NewMatrix(viper.NewTCCSpec()),
-		UnionDir: coverage.NewMatrix(newDirSpecFn()),
+		UnionDir: coverage.NewMatrix(directory.NewSpec()),
 	}
 	for _, r := range results {
 		out.Runs = append(out.Runs, r)
@@ -81,7 +74,7 @@ func RunAppSuiteParallel(opts AppSuiteOptions, workers int) *AppSuiteResult {
 	return out
 }
 
-// RunCPUSweepParallel is RunCPUSweep over a worker pool.
+// RunCPUSweepParallel executes the CPU tester sweep over a worker pool.
 func RunCPUSweepParallel(cfgs []CPUTestConfig, workers int) *CPUSweepResult {
 	type cpuOut struct {
 		r   *CPURunResult
@@ -90,8 +83,7 @@ func RunCPUSweepParallel(cfgs []CPUTestConfig, workers int) *CPUSweepResult {
 	results := make([]cpuOut, len(cfgs))
 	parallelDo(len(cfgs), workers, func(i int) {
 		b := BuildCPU(cfgs[i].NumCPUs, cfgs[i].CacheCfg)
-		tester := newCPUTester(b, cfgs[i])
-		rep := tester.Run()
+		rep := cputester.New(b.K, b.Caches, cfgs[i].TestCfg).Run()
 		// Materialize the CPU-L1 matrix once: it serves both the run's
 		// summary and the sweep's union merge below.
 		cpu := b.Col.Matrix("CPU-L1")
@@ -102,8 +94,8 @@ func RunCPUSweepParallel(cfgs []CPUTestConfig, workers int) *CPUSweepResult {
 	})
 
 	out := &CPUSweepResult{
-		UnionDir: coverage.NewMatrix(newDirSpecFn()),
-		UnionCPU: coverage.NewMatrix(newCPUSpecFn()),
+		UnionDir: coverage.NewMatrix(directory.NewSpec()),
+		UnionCPU: coverage.NewMatrix(moesi.NewCPUSpec()),
 	}
 	for _, res := range results {
 		out.Runs = append(out.Runs, res.r)

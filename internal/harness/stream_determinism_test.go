@@ -133,12 +133,11 @@ func TestStreamCheckCampaignForkAndWorkers(t *testing.T) {
 	}
 }
 
-// TestCheckpointRestoreWithStreamCheck is the guard on the lifted
-// CanCheckpoint gate: a mid-run freeze/rewind with online checking
-// armed must complete byte-identically both times — stream violations
-// included — and match an uncheckpointed fresh run. This is the
-// composition replay bisection needed and could not have before the
-// checker's state became snapshottable.
+// TestCheckpointRestoreWithStreamCheck pins that online checking
+// composes with checkpointing: a mid-run freeze/rewind with the stream
+// checker armed — on an untraced run, so through a nil ring — must
+// complete byte-identically both times, stream violations included, and
+// match an uncheckpointed fresh run.
 func TestCheckpointRestoreWithStreamCheck(t *testing.T) {
 	sysCfg := viper.SmallCacheConfig()
 	sysCfg.Bugs = viper.BugSet{LostWriteRace: true}
@@ -158,33 +157,25 @@ func TestCheckpointRestoreWithStreamCheck(t *testing.T) {
 		t.Fatal("injected lostwrite bug not detected within 16 seeds")
 	}
 
-	b := BuildGPU(sysCfg)
-	b.Sys.EnableCheckpointing()
-	tester := core.New(b.K, b.Sys, cfg)
-	if err := tester.CanCheckpoint(); err != nil {
-		t.Fatalf("StreamCheck still blocks checkpointing: %v", err)
-	}
+	r := NewGPURun(sysCfg, cfg, false, 0)
+	r.Sys.EnableCheckpointing()
 
-	tester.Start()
-	mid := sim.Tick(fresh.Failures[0].Tick / 2)
-	b.K.Run(mid)
-	kSnap := b.K.Snapshot()
-	sysSnap := b.Sys.Snapshot()
-	tSnap := tester.Snapshot()
+	r.Tester.Start()
+	r.K.Run(sim.Tick(fresh.Failures[0].Tick / 2))
+	var cut Checkpoint
+	r.CheckpointInto(&cut)
 
-	b.K.RunUntilIdle()
-	tester.Finish()
-	first := tester.Report()
+	r.K.RunUntilIdle()
+	r.Tester.Finish()
+	first := r.Tester.Report()
 	if got, want := reportJSON(t, first), reportJSON(t, fresh); got != want {
 		t.Fatalf("checkpointed run diverged from uncheckpointed fresh run\nfresh:        %s\ncheckpointed: %s", want, got)
 	}
 
-	b.K.Restore(kSnap)
-	b.Sys.Restore(sysSnap)
-	tester.Restore(tSnap)
-	b.K.RunUntilIdle()
-	tester.Finish()
-	second := tester.Report()
+	r.Restore(&cut)
+	r.K.RunUntilIdle()
+	r.Tester.Finish()
+	second := r.Tester.Report()
 	if got, want := reportJSON(t, second), reportJSON(t, first); got != want {
 		t.Fatalf("restored run diverged from its first completion\nfirst:    %s\nrestored: %s", want, got)
 	}
