@@ -562,12 +562,13 @@ func BenchmarkAxiomaticChecker(b *testing.B) {
 }
 
 // BenchmarkCampaignForkLargeCache / ResetLargeCache measure the
-// warm-fork fast path against the per-seed reset path in the regime
-// forking exists for: large cache arrays (the paper's 256KB/1MB
-// "large" configuration) under short runs, where System.Reset's
-// O(capacity) invalidation scans dwarf the touched-state journal a
-// fork unwinds. The fork/reset seeds-per-second ratio is a CI floor
-// (>= 1.3x) recorded in BENCH_PR7.json.
+// warm-fork path against the per-seed reset path on large cache arrays
+// (the paper's 256KB/1MB "large" configuration) under short runs.
+// Reset no longer scans capacity — the arrays index their valid lines —
+// so what separates the two is a fork's journal undo against a reset's
+// clearing of the lines the seed installed: the ratio sits near 1.1x.
+// CI requires the median fork rate to be at least 0.9x the median
+// reset rate (never slower), from five reads of each.
 func BenchmarkCampaignForkLargeCache(b *testing.B)  { benchForkCampaign(b, true) }
 func BenchmarkCampaignResetLargeCache(b *testing.B) { benchForkCampaign(b, false) }
 

@@ -35,8 +35,9 @@
 // sampling toward corners whose recent batches activated cold
 // coverage cells. All three modes are independent of -workers.
 // -campaign-fork runs each seed by restoring the system from a warm
-// snapshot (copy-on-write journals) instead of Reset-scanning it —
-// same outcomes, higher seeds/sec on large cache configurations.
+// snapshot (copy-on-write journals) instead of resetting it — same
+// outcomes, about the same seeds/sec now that Reset costs what the
+// caches hold (DESIGN.md §13.2).
 //
 // With -explore the tester runs bounded exhaustive schedule
 // exploration (internal/explore) instead of a single random schedule:
@@ -142,7 +143,7 @@ func main() {
 	maxSeeds := flag.Int("max-seeds", harness.DefaultCampaignMaxSeeds, "campaign: hard cap on seeds run")
 	batch := flag.Int("batch", 16, "campaign: seeds per batch between coverage merges")
 	workers := flag.Int("workers", 0, "campaign: worker pool size (0 = GOMAXPROCS); does not affect the outcome")
-	campaignFork := flag.Bool("campaign-fork", false, "campaign: fork seeds from a warm system snapshot instead of Reset-scanning reused contexts (fast path)")
+	campaignFork := flag.Bool("campaign-fork", false, "campaign: fork seeds from a warm system snapshot instead of resetting reused contexts")
 	serve := flag.String("serve", "", "run the campaign control-plane daemon on this address (e.g. 127.0.0.1:7077)")
 	serveWorkers := flag.Int("serve-workers", 0, "daemon: local worker pool size (0 = GOMAXPROCS, negative = remote workers only)")
 	storeDir := flag.String("store", "", "daemon: content-addressed failure-artifact store directory")

@@ -13,18 +13,20 @@ import (
 func TestSnapshotFieldAudit(t *testing.T) {
 	audit.Fields(t, Line{}, map[string]string{
 		"Tag":     "state: via lineHdr (live lines) and the undo journal",
-		"Valid":   "state: via lineHdr / journal; Restore invalidates every line not in the snapshot",
+		"valid":   "state: set by Install, cleared by InvalidateLine; stored lines are valid by construction, the journal saves it; Reset/Restore clear every line not in the snapshot",
+		"idx":     "structural: index in Array.lines, set once in NewArray, never copied back",
 		"State":   "state: via lineHdr / journal",
 		"Data":    "state: slab-aliased bytes, live lines copied via the snapshot's data slab / journal copies",
 		"Dirty":   "state: slab-aliased flags, live lines copied via the snapshot's dirty slab / journal copies",
-		"lastUse": "state: via lineHdr / journal; Restore zeroes every line not in the snapshot",
-		"epoch":   "snapshot bookkeeping: journaled-this-epoch marker, reset on re-arm",
+		"lastUse": "state: via lineHdr / journal; zero on every invalid line",
+		"epoch":   "snapshot bookkeeping: journaled-this-epoch marker, stale once the array's epoch advances on re-arm",
 	})
 	audit.Fields(t, Array{}, map[string]string{
 		"cfg":      "config: fixed at construction",
 		"sets":     "config: views into the slabs, survive Reset/Restore",
 		"useClock": "state: Reset zeroes, Snapshot/Restore copy",
-		"lines":    "state slab: Snapshot copies the live lines, Restore reinstalls them; journal copies per line",
+		"lines":    "state slab: Snapshot copies the valid lines, Restore reinstalls them; journal copies per line",
+		"live":     "valid-line index: cut via the stored lines, cleared by Reset, rebuilt by Restore from them or bit by bit from the undo records",
 		"lookups":  "stats: ResetStats zeroes, Snapshot/Restore copy",
 		"hits":     "stats: ResetStats zeroes, Snapshot/Restore copy",
 		"snap":     "snapshot bookkeeping: armed snapshot, Reset disarms",
@@ -32,16 +34,15 @@ func TestSnapshotFieldAudit(t *testing.T) {
 		"journal":  "snapshot bookkeeping: undo log since arming",
 	})
 	audit.Fields(t, ArraySnapshot{}, map[string]string{
-		"hdrs":     "cut: one lineHdr per live line (valid or LRU-stamped), refilled in place",
-		"data":     "cut: the live lines' bytes, LineSize each, parallel to hdrs",
-		"dirty":    "cut: the live lines' dirty masks, parallel to hdrs",
+		"hdrs":     "cut: one lineHdr per valid line, refilled in place",
+		"data":     "cut: the valid lines' bytes, LineSize each, parallel to hdrs",
+		"dirty":    "cut: the valid lines' dirty masks, parallel to hdrs",
 		"useClock": "cut: copied",
 		"lookups":  "cut: copied",
 		"hits":     "cut: copied",
 	})
 	audit.Fields(t, lineHdr{}, map[string]string{
 		"idx":     "cut: the line's index in Array.lines",
-		"valid":   "cut: Line.Valid",
 		"state":   "cut: Line.State",
 		"tag":     "cut: Line.Tag",
 		"lastUse": "cut: Line.lastUse",

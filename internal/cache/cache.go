@@ -8,10 +8,17 @@
 // write-through protocol that merges partial-line writes, and because
 // false sharing — distinct variables in one line — is the bug surface
 // the tester deliberately provokes.
+//
+// The array owns validity: lines become valid through Install and
+// invalid through InvalidateLine only, which keeps a one-bit-per-way
+// index exact, so every whole-array operation (flash-invalidate, the
+// valid-line walks, Reset, Snapshot, Restore) costs what the array
+// holds, not what it could hold.
 package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"drftest/internal/mem"
 )
@@ -27,7 +34,8 @@ type Config struct {
 // Sets returns the number of sets implied by the configuration.
 func (c Config) Sets() int { return c.SizeBytes / (c.LineSize * c.Assoc) }
 
-func (c Config) validate() error {
+// Validate reports why c cannot size an array, or nil.
+func (c Config) Validate() error {
 	if c.SizeBytes <= 0 || c.LineSize <= 0 || c.Assoc <= 0 {
 		return fmt.Errorf("cache: non-positive config %+v", c)
 	}
@@ -43,11 +51,13 @@ func (c Config) validate() error {
 }
 
 // Line is one cache line. State is protocol-defined; Valid merely says
-// the tag is meaningful (a line whose protocol state is the protocol's
-// invalid state has Valid=false after Invalidate).
+// the tag is meaningful. Only the owning Array changes validity
+// (Install, InvalidateLine), and an invalid line is always in the
+// just-built state: no LRU stamp, contents never read.
 type Line struct {
 	Tag   mem.Addr // line-aligned address
-	Valid bool
+	valid bool
+	idx   int32 // index in Array.lines, set once by NewArray
 	State int
 	Data  []byte
 	Dirty []bool
@@ -59,6 +69,9 @@ type Line struct {
 	// out for mutation saves an undo record the first time per epoch.
 	epoch uint64
 }
+
+// Valid reports whether the line holds a tag.
+func (l *Line) Valid() bool { return l.valid }
 
 // ClearDirty resets the line's per-byte dirty mask.
 func (l *Line) ClearDirty() {
@@ -86,8 +99,10 @@ type Array struct {
 	useClock uint64
 
 	// lines aliases the flat slab the sets are sliced from, so
-	// snapshots can address a line by one index.
+	// snapshots can address a line by one index; live has bit i set
+	// exactly when lines[i] is valid.
 	lines []Line
+	live  []uint64
 
 	// stats
 	lookups uint64
@@ -96,19 +111,18 @@ type Array struct {
 	// Snapshot support: snap is the armed snapshot (nil when
 	// journaling is off), epoch the current arming generation, and
 	// journal the undo log of lines touched since arming. Restoring
-	// the armed snapshot replays the journal — O(lines touched) — so
-	// campaign forks skip the O(sets×ways) Reset scan.
+	// the armed snapshot replays the journal — O(lines touched).
 	snap    *ArraySnapshot
 	epoch   uint64
 	journal []lineUndo
 }
 
 // ArraySnapshot captures an Array's contents at one instant: only the
-// live lines — valid, or carrying an LRU stamp — are stored, header,
-// data and dirty mask in one slab each. Everything else is in the
-// just-built state (invalid, never used; its bytes are never read,
-// Install zeroes a claimed way), so a snapshot costs what the array
-// holds, not what it could hold, and an empty array stores no lines.
+// valid lines are stored, header, data and dirty mask in one slab
+// each. Everything else is in the just-built state (its bytes are
+// never read, Install zeroes a claimed way), so a snapshot costs what
+// the array holds and an empty or flash-invalidated one stores no
+// lines.
 type ArraySnapshot struct {
 	hdrs     []lineHdr
 	data     []byte // len(hdrs) × LineSize
@@ -118,10 +132,9 @@ type ArraySnapshot struct {
 	hits     uint64
 }
 
-// lineHdr is one live line's scalar state and its index in the array.
+// lineHdr is one valid line's scalar state and its index in the array.
 type lineHdr struct {
 	idx     int32
-	valid   bool
 	state   int
 	tag     mem.Addr
 	lastUse uint64
@@ -135,7 +148,7 @@ type lineUndo struct {
 // NewArray builds an array for cfg; it panics on an invalid config
 // because sizing errors are programming mistakes, not runtime input.
 func NewArray(cfg Config) *Array {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	// One flat allocation each for the lines, data bytes and dirty
@@ -150,35 +163,64 @@ func NewArray(cfg Config) *Array {
 	data := make([]byte, total*ls)
 	dirty := make([]bool, total*ls)
 	for i := range lines {
+		lines[i].idx = int32(i)
 		lines[i].Data = data[i*ls : (i+1)*ls : (i+1)*ls]
 		lines[i].Dirty = dirty[i*ls : (i+1)*ls : (i+1)*ls]
 	}
 	for s := range a.sets {
 		a.sets[s] = lines[s*cfg.Assoc : (s+1)*cfg.Assoc : (s+1)*cfg.Assoc]
 	}
-	a.lines = lines
+	a.lines, a.live = lines, make([]uint64, (total+63)/64)
 	return a
 }
 
 // Config returns the array's configuration.
 func (a *Array) Config() Config { return a.cfg }
 
-// Reset invalidates every line and zeroes the LRU clock and stats,
-// returning the array to its just-built state without reallocating.
-// Stale line data and dirty masks need not be cleared: invalid lines
-// are never read (Valid gates every lookup, and Victim prefers an
-// invalid way regardless of tag), and Install zeroes both when a way
-// is claimed.
+// forValid calls f on every valid line in ascending line index — the
+// slab's set-major, way-minor order — journaling each first when asked
+// and a snapshot is armed. f may invalidate the line it is handed and
+// must leave the validity of every other line alone.
+func (a *Array) forValid(journal bool, f func(*Line)) {
+	journal = journal && a.snap != nil
+	for w := range a.live {
+		for word := a.live[w]; word != 0; word &= word - 1 {
+			l := &a.lines[w<<6|bits.TrailingZeros64(word)]
+			if journal && l.epoch != a.epoch {
+				a.journalLine(l)
+			}
+			f(l)
+		}
+	}
+}
+
+// mark makes the index agree with l.valid.
+func (a *Array) mark(l *Line) {
+	if w, bit := l.idx>>6, uint64(1)<<(l.idx&63); l.valid {
+		a.live[w] |= bit
+	} else {
+		a.live[w] &^= bit
+	}
+}
+
+// clear returns every valid line to the just-built state, unjournaled.
+func (a *Array) clear() {
+	a.forValid(false, func(l *Line) { l.valid, l.lastUse = false, 0 })
+	clear(a.live)
+}
+
+// Reset invalidates every valid line and zeroes the LRU clock and
+// stats, returning the array to its just-built state without
+// reallocating, at a cost proportional to the lines it holds. Stale
+// line data and dirty masks need not be cleared: invalid lines are
+// never read (Valid gates every lookup, and Victim prefers an invalid
+// way regardless of tag), and Install zeroes both when a way is
+// claimed.
 // Reset also disarms any armed snapshot rather than journaling every
 // line; restoring that snapshot later still works via the
 // reinstall path.
 func (a *Array) Reset() {
-	for s := range a.sets {
-		for w := range a.sets[s] {
-			a.sets[s][w].Valid = false
-			a.sets[s][w].lastUse = 0
-		}
-	}
+	a.clear()
 	a.useClock = 0
 	a.lookups, a.hits = 0, 0
 	a.snap = nil
@@ -196,7 +238,7 @@ func (a *Array) Lookup(addr mem.Addr) *Line {
 	set := a.sets[a.setIndex(line)]
 	a.lookups++
 	for w := range set {
-		if set[w].Valid && set[w].Tag == line {
+		if set[w].valid && set[w].Tag == line {
 			if a.snap != nil && set[w].epoch != a.epoch {
 				a.journalLine(&set[w])
 			}
@@ -216,7 +258,7 @@ func (a *Array) Peek(addr mem.Addr) *Line {
 	line := mem.LineAddr(addr, a.cfg.LineSize)
 	set := a.sets[a.setIndex(line)]
 	for w := range set {
-		if set[w].Valid && set[w].Tag == line {
+		if set[w].valid && set[w].Tag == line {
 			if a.snap != nil && set[w].epoch != a.epoch {
 				a.journalLine(&set[w])
 			}
@@ -236,7 +278,7 @@ func (a *Array) Victim(addr mem.Addr, mayEvict func(*Line) bool) *Line {
 	var victim *Line
 	for w := range set {
 		l := &set[w]
-		if !l.Valid {
+		if !l.valid {
 			victim = l
 			break
 		}
@@ -261,7 +303,8 @@ func (a *Array) Install(way *Line, addr mem.Addr, state int) *Line {
 		a.journalLine(way)
 	}
 	way.Tag = mem.LineAddr(addr, a.cfg.LineSize)
-	way.Valid = true
+	way.valid = true
+	a.mark(way)
 	way.State = state
 	for i := range way.Data {
 		way.Data[i] = 0
@@ -272,10 +315,21 @@ func (a *Array) Install(way *Line, addr mem.Addr, state int) *Line {
 	return way
 }
 
+// InvalidateLine returns l, a line of this array, to the just-built
+// state (invalid, no LRU stamp), journaling it like any other mutation.
+// It is the only way a line becomes invalid; an invalid l is a no-op.
+func (a *Array) InvalidateLine(l *Line) {
+	if a.snap != nil && l.epoch != a.epoch {
+		a.journalLine(l)
+	}
+	l.valid, l.lastUse = false, 0
+	a.mark(l)
+}
+
 // Invalidate drops addr's line if present.
 func (a *Array) Invalidate(addr mem.Addr) {
 	if l := a.Peek(addr); l != nil {
-		l.Valid = false
+		a.InvalidateLine(l)
 	}
 }
 
@@ -284,44 +338,26 @@ func (a *Array) Invalidate(addr mem.Addr) {
 // this to preserve lines with in-flight transactions.
 func (a *Array) FlashInvalidate(visit func(*Line) bool) int {
 	n := 0
-	for s := range a.sets {
-		for w := range a.sets[s] {
-			l := &a.sets[s][w]
-			if !l.Valid {
-				continue
-			}
-			if a.snap != nil && l.epoch != a.epoch {
-				a.journalLine(l)
-			}
-			if visit == nil || visit(l) {
-				l.Valid = false
-				n++
-			}
+	a.forValid(true, func(l *Line) {
+		if visit == nil || visit(l) {
+			a.InvalidateLine(l)
+			n++
 		}
-	}
+	})
 	return n
 }
 
 // ForEachValid visits every valid line. Visitors may mutate the line
 // (controllers use this for write-back flushes), so each visited line
 // is journaled while a snapshot is armed.
-func (a *Array) ForEachValid(visit func(*Line)) {
-	for s := range a.sets {
-		for w := range a.sets[s] {
-			if a.sets[s][w].Valid {
-				if a.snap != nil && a.sets[s][w].epoch != a.epoch {
-					a.journalLine(&a.sets[s][w])
-				}
-				visit(&a.sets[s][w])
-			}
-		}
-	}
-}
+func (a *Array) ForEachValid(visit func(*Line)) { a.forValid(true, visit) }
 
 // CountValid returns the number of valid lines.
 func (a *Array) CountValid() int {
 	n := 0
-	a.ForEachValid(func(*Line) { n++ })
+	for _, word := range a.live {
+		n += bits.OnesCount64(word)
+	}
 	return n
 }
 
@@ -351,7 +387,7 @@ func (a *Array) journalLine(l *Line) {
 	l.epoch = a.epoch
 }
 
-// Snapshot captures the array's live lines and arms undo journaling
+// Snapshot captures the array's valid lines and arms undo journaling
 // so Restore of this snapshot replays only the lines touched since.
 // The snapshot shares no mutable storage with the array and stays
 // valid across later snapshots, restores and resets.
@@ -366,15 +402,11 @@ func (a *Array) SnapshotInto(s *ArraySnapshot) *ArraySnapshot {
 	}
 	s.hdrs, s.data, s.dirty = s.hdrs[:0], s.data[:0], s.dirty[:0]
 	s.useClock, s.lookups, s.hits = a.useClock, a.lookups, a.hits
-	for i := range a.lines {
-		l := &a.lines[i]
-		if !l.Valid && l.lastUse == 0 {
-			continue
-		}
-		s.hdrs = append(s.hdrs, lineHdr{idx: int32(i), valid: l.Valid, state: l.State, tag: l.Tag, lastUse: l.lastUse})
+	a.forValid(false, func(l *Line) {
+		s.hdrs = append(s.hdrs, lineHdr{idx: l.idx, state: l.State, tag: l.Tag, lastUse: l.lastUse})
 		s.data = append(s.data, l.Data...)
 		s.dirty = append(s.dirty, l.Dirty...)
-	}
+	})
 	a.snap = s
 	a.journal = a.journal[:0]
 	a.epoch++
@@ -383,9 +415,10 @@ func (a *Array) SnapshotInto(s *ArraySnapshot) *ArraySnapshot {
 
 // Restore returns the array to the state captured by s. When s is the
 // armed snapshot the undo journal is replayed in reverse — O(lines
-// touched since Snapshot). Otherwise every line is returned to the
-// just-built state, the snapshot's live lines are reinstalled, and s
-// becomes the armed snapshot.
+// touched since Snapshot), each undo record repairing its line's index
+// bit. Otherwise the valid lines are returned to the just-built state,
+// the snapshot's lines are reinstalled — O(lines held before + after) —
+// and s becomes the armed snapshot.
 func (a *Array) Restore(s *ArraySnapshot) {
 	if a.snap == s {
 		for i := len(a.journal) - 1; i >= 0; i-- {
@@ -393,18 +426,17 @@ func (a *Array) Restore(s *ArraySnapshot) {
 			l := u.l
 			copy(l.Data, u.save.Data)
 			copy(l.Dirty, u.save.Dirty)
-			l.Tag, l.Valid, l.State = u.save.Tag, u.save.Valid, u.save.State
+			l.Tag, l.valid, l.State = u.save.Tag, u.save.valid, u.save.State
 			l.lastUse, l.epoch = u.save.lastUse, u.save.epoch
+			a.mark(l)
 		}
 	} else {
-		for i := range a.lines {
-			l := &a.lines[i]
-			l.Valid, l.lastUse, l.epoch = false, 0, 0
-		}
+		a.clear()
 		ls := a.cfg.LineSize
 		for j, h := range s.hdrs {
 			l := &a.lines[h.idx]
-			l.Tag, l.Valid, l.State, l.lastUse = h.tag, h.valid, h.state, h.lastUse
+			l.Tag, l.valid, l.State, l.lastUse = h.tag, true, h.state, h.lastUse
+			a.mark(l)
 			copy(l.Data, s.data[j*ls:])
 			copy(l.Dirty, s.dirty[j*ls:])
 		}

@@ -66,8 +66,8 @@ func TestLRUEvictsLeastRecent(t *testing.T) {
 	a.Install(a.Victim(addrs[1], nil), addrs[1], 1)
 	a.Lookup(addrs[0]) // make addrs[1] the LRU
 	v := a.Victim(addrs[2], nil)
-	if !v.Valid || v.Tag != addrs[1] {
-		t.Fatalf("victim is %#x (valid=%v), want %#x", uint64(v.Tag), v.Valid, uint64(addrs[1]))
+	if !v.Valid() || v.Tag != addrs[1] {
+		t.Fatalf("victim is %#x (valid=%v), want %#x", uint64(v.Tag), v.Valid(), uint64(addrs[1]))
 	}
 }
 
@@ -161,7 +161,7 @@ func TestNoAliasing(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		addr := mem.Addr(i * 64)
 		v := a.Victim(addr, nil)
-		if v.Valid {
+		if v.Valid() {
 			delete(installed, v.Tag)
 		}
 		a.Install(v, addr, 7)

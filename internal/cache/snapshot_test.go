@@ -37,10 +37,10 @@ func (c *fullCopy) diff(a *Array) string {
 	}
 	for i := range c.lines {
 		got, want := &a.lines[i], &c.lines[i]
-		if got.Valid != want.Valid || got.lastUse != want.lastUse {
-			return fmt.Sprintf("line %d: valid/lastUse = %v/%d, want %v/%d", i, got.Valid, got.lastUse, want.Valid, want.lastUse)
+		if got.valid != want.valid || got.lastUse != want.lastUse {
+			return fmt.Sprintf("line %d: valid/lastUse = %v/%d, want %v/%d", i, got.valid, got.lastUse, want.valid, want.lastUse)
 		}
-		if want.Valid && (got.Tag != want.Tag || got.State != want.State ||
+		if want.valid && (got.Tag != want.Tag || got.State != want.State ||
 			!bytes.Equal(got.Data, want.Data) || !slices.Equal(got.Dirty, want.Dirty)) {
 			return fmt.Sprintf("line %d: contents differ: %+v, want %+v", i, *got, *want)
 		}
@@ -52,7 +52,8 @@ func (c *fullCopy) diff(a *Array) string {
 // FlashInvalidate / Reset / Snapshot / Restore sequences and checks
 // every Restore — of the armed snapshot (journal undo) and of an older
 // one (reinstall), into fresh and recycled snapshots, from the empty
-// array to the completely full one — against the full-copy oracle.
+// array to the completely full one, and of a flash-invalidated array's
+// empty cut — against the full-copy oracle.
 func TestArraySnapshotOracle(t *testing.T) {
 	cfg := Config{SizeBytes: 512, LineSize: 16, Assoc: 2} // 16 sets × 2 ways
 	const slots = 3
@@ -134,6 +135,28 @@ func TestArraySnapshotOracle(t *testing.T) {
 			a.Restore(s.snap)
 			if d := s.want.diff(a); d != "" {
 				t.Fatalf("seed %d: final restore of slot %d: %s", seed, k, d)
+			}
+		}
+		// Flash, then snapshot: flash-invalidated lines are in the
+		// just-built state, so the cut of a flashed array stores no
+		// lines however full it was, and restoring it — armed, then
+		// not — empties the array again.
+		a.FlashInvalidate(nil)
+		want, flashed := copyArray(a), a.Snapshot()
+		if n := len(flashed.hdrs) + len(flashed.data) + len(flashed.dirty); n != 0 {
+			t.Fatalf("seed %d: snapshot of a flashed array stores %d headers+bytes, want 0", seed, n)
+		}
+		for _, rearm := range []bool{false, true} {
+			for i := 0; i < 8; i++ {
+				addr := mem.Addr(rnd.Intn(addrs))
+				a.Install(a.Victim(addr, nil), addr, 1)
+			}
+			if rearm {
+				a.Snapshot()
+			}
+			a.Restore(flashed)
+			if d := want.diff(a); d != "" || a.CountValid() != 0 {
+				t.Fatalf("seed %d: restore of the flashed cut (rearmed %v): %d valid, %s", seed, rearm, a.CountValid(), d)
 			}
 		}
 	}

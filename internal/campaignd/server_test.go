@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"drftest/internal/cache"
 	"drftest/internal/core"
 	"drftest/internal/harness"
 	"drftest/internal/viper"
@@ -432,6 +433,56 @@ func TestMetricsAndHTTPSurface(t *testing.T) {
 	}
 
 	srv.Drain(ctx)
+}
+
+// TestSubmitRejectsInvalidSysCfg: a spec whose sysCfg no system can be
+// built from — absent, or with a cache geometry cache.NewArray would
+// panic on — is refused at admission with a 400 naming the field, by
+// Submit and by POST /campaigns alike, instead of admitted to panic a
+// worker inside viper.NewSystem.
+func TestSubmitRejectsInvalidSysCfg(t *testing.T) {
+	srv := NewServer(Options{Logf: t.Logf})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	mutate := func(f func(*Spec)) []byte {
+		s := testSpec("uniform")
+		f(&s)
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name, want string
+		body       []byte
+	}{
+		{"empty sysCfg", "NumCUs", []byte(`{"baseSeed":1}`)},
+		{"zero L1", "L1", mutate(func(s *Spec) { s.SysCfg.L1 = cache.Config{} })},
+		{"non-power-of-two L2", "L2", mutate(func(s *Spec) { s.SysCfg.L2.Assoc = 3 })},
+		{"L2 smaller than a set", "L2", mutate(func(s *Spec) { s.SysCfg.L2.SizeBytes = 64 })},
+		{"line size mismatch", "line size", mutate(func(s *Spec) { s.SysCfg.L2.LineSize = 128 })},
+	} {
+		var spec Spec
+		if err := json.Unmarshal(tc.body, &spec); err != nil {
+			t.Fatal(err)
+		}
+		if id, err := srv.Submit(spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Submit = %q, %v; want an error naming %q", tc.name, id, err, tc.want)
+		}
+		resp, err := http.Post(ts.URL+"/campaigns", "application/json", bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), tc.want) {
+			t.Errorf("%s: POST status %d, body %q; want 400 naming %q", tc.name, resp.StatusCode, msg, tc.want)
+		}
+	}
+	if n := srv.metrics.CampaignsSubmitted.Load(); n != 0 {
+		t.Errorf("%d campaigns admitted, want none", n)
+	}
 }
 
 // TestSubmitDecodesStrictly pins the spec decoder at the wire: a body

@@ -95,11 +95,16 @@ func (s Spec) withDefaults() Spec {
 }
 
 // CampaignConfig lowers the spec to the harness campaign config a
-// CampaignState or worker run context is built from.
+// CampaignState or worker run context is built from. A sysCfg no
+// system can be built from is an error naming the field: admission
+// refuses it, where building it would panic a worker.
 func (s Spec) CampaignConfig() (harness.CampaignConfig, error) {
 	mode, err := harness.ParseCampaignMode(s.Mode)
 	if err != nil {
 		return harness.CampaignConfig{}, err
+	}
+	if err := s.SysCfg.Validate(); err != nil {
+		return harness.CampaignConfig{}, fmt.Errorf("campaignd: sysCfg: %w", err)
 	}
 	return harness.CampaignConfig{
 		SysCfg:           s.SysCfg,

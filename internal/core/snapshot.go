@@ -15,8 +15,8 @@ import (
 // This file implements the tester half of the checkpoint/fork design:
 //
 //   - Fork rearms the tester for a new seed by restoring its systems
-//     from a warm snapshot instead of Reset-scanning them — the
-//     campaign fast path.
+//     from a warm snapshot instead of resetting them — the campaign
+//     fork path.
 //   - Snapshot/Restore deep-capture the tester's own run state so a
 //     checkpointed replay (cmd/replay -bisect) can rewind a run to an
 //     earlier tick and re-execute it bit-identically.
@@ -257,10 +257,10 @@ func (t *Tester) Restore(s *TesterSnapshot) {
 }
 
 // Fork rearms the tester and its systems for a fresh run from seed by
-// restoring the systems from a warm snapshot instead of Reset-scanning
+// restoring the systems from a warm snapshot instead of resetting
 // them: a snapshot armed over a quiescent system makes each per-seed
-// restore O(state touched since the snapshot) where System.Reset pays
-// O(cache capacity) invalidation scans every time. snaps must hold one
+// restore an undo of the state touched since the snapshot, where
+// System.Reset clears what the run left valid. snaps must hold one
 // snapshot per system, taken at a clean (just-built or just-reset)
 // quiescent point of the SAME configuration. After Fork the subsequent
 // Run is bit-identical to one on a freshly built tester with this

@@ -84,11 +84,11 @@ type CampaignConfig struct {
 	// DefaultCampaignMaxSeeds).
 	MaxSeeds int `json:"maxSeeds,omitempty"`
 	// Fork makes each worker fork per-seed run contexts from a warm
-	// system snapshot (core.Tester.Fork) instead of Reset-scanning the
+	// system snapshot (core.Tester.Fork) instead of resetting the
 	// system: the snapshot arms copy-on-write journals over the caches
-	// and reference memory, so rearming for the next seed costs
-	// O(state the previous run touched) where System.Reset pays
-	// O(cache capacity) every time. Fork-ineligible seeds (a corner
+	// and reference memory, so rearming for the next seed undoes what
+	// the previous run touched where System.Reset clears what it left
+	// valid and rebuilds the rest. Fork-ineligible seeds (a corner
 	// whose snapshot is not yet taken, or per-seed jitter reseeding)
 	// transparently fall back to the reset path. The campaign outcome
 	// is unchanged — a forked run is bit-identical to a reset run
@@ -458,7 +458,7 @@ type RunContext struct {
 	corner *Corner
 	// snap is the worker's warm system snapshot (Fork mode), taken at
 	// the first clean quiescent point under snapCorner; seeds running
-	// the same corner fork from it instead of Reset-scanning.
+	// the same corner fork from it instead of resetting.
 	snap       *viper.SystemSnapshot
 	snapCorner *Corner
 

@@ -206,12 +206,11 @@ func (c *Cache) install(line mem.Addr, state int, data []byte) *cache.Line {
 	if victim == nil {
 		panic(fmt.Sprintf("moesi: cache %d set for %#x fully pinned by in-flight transactions", c.id, uint64(line)))
 	}
-	if victim.Valid {
+	if victim.Valid() {
 		c.machine.Fire(victim.State, EvRepl)
 		if victim.State == StateM || victim.State == StateO {
 			c.writeBack(victim)
 		}
-		victim.Valid = false
 	}
 	e := c.array.Install(victim, line, state)
 	copy(e.Data, data)

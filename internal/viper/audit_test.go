@@ -10,7 +10,10 @@ import (
 // new subsystem cannot silently escape Snapshot/Restore/Reset (see
 // package audit). The per-controller structs are deep and evolve
 // faster; their snapshot completeness is pinned behaviorally by the
-// harness bit-identity tests instead.
+// harness bit-identity tests instead. One controller field is outside
+// every copy path on purpose: TCC/TCCWB.auditBuf is scratch — written
+// and read within one AuditAgainstStore call, dead between calls
+// (TestAuditL2Allocs pins what it buys).
 func TestSnapshotFieldAudit(t *testing.T) {
 	audit.Fields(t, System{}, map[string]string{
 		"Kernel":    "config: owning kernel, snapshotted separately",

@@ -53,6 +53,24 @@ type Config struct {
 	WriteBackL2 bool
 }
 
+// Validate reports, naming the field, why a system cannot be built
+// from c; nil means NewSystem will not panic on its sizing.
+func (c Config) Validate() error {
+	if c.NumCUs <= 0 {
+		return fmt.Errorf("viper: NumCUs must be positive, got %d", c.NumCUs)
+	}
+	if err := c.L1.Validate(); err != nil {
+		return fmt.Errorf("viper: L1: %w", err)
+	}
+	if err := c.L2.Validate(); err != nil {
+		return fmt.Errorf("viper: L2: %w", err)
+	}
+	if c.L1.LineSize != c.L2.LineSize {
+		return fmt.Errorf("viper: L1/L2 line size mismatch (%d vs %d)", c.L1.LineSize, c.L2.LineSize)
+	}
+	return nil
+}
+
 // DefaultConfig returns the paper's application-run GPU configuration:
 // 8 CUs, 16KB L1s, 256KB shared L2, 64B lines.
 func DefaultConfig() Config {
@@ -298,11 +316,8 @@ func NewSystemWithBackend(k *sim.Kernel, cfg Config, rec protocol.Recorder, back
 }
 
 func newSystem(k *sim.Kernel, cfg Config, rec protocol.Recorder, backend Backend, lines *mem.LinePool) *System {
-	if cfg.NumCUs <= 0 {
-		panic("viper: NumCUs must be positive")
-	}
-	if cfg.L1.LineSize != cfg.L2.LineSize {
-		panic(fmt.Sprintf("viper: L1/L2 line size mismatch (%d vs %d)", cfg.L1.LineSize, cfg.L2.LineSize))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	if cfg.WriteBackL2 {
 		if _, direct := backend.(MemBackend); !direct {

@@ -75,6 +75,7 @@ type TCC struct {
 	toTCP      *network.Crossbar
 	bugs       BugSet
 	pool       *msgPool
+	auditBuf   []byte // one line of scratch for AuditAgainstStore
 
 	// retryDelay spaces out atomic retries after an AtomicND.
 	retryDelay sim.Tick
@@ -120,6 +121,7 @@ func newTCC(k *sim.Kernel, spec *protocol.Spec, rec protocol.Recorder, onFault f
 		toTCP:         toTCP,
 		bugs:          bugs,
 		pool:          pool,
+		auditBuf:      make([]byte, l2.LineSize),
 		retryDelay:    20,
 		tbes:          make(map[mem.Addr]*tccTBE),
 		stalled:       make(map[mem.Addr][]*tcpMsg),
@@ -358,9 +360,8 @@ func (c *TCC) onData(tbe *tccTBE, data *mem.Line) {
 		// tbe.probed: the line was probed away mid-fill — serve the
 		// data, cache nothing.
 		victim := c.array.Victim(line, nil)
-		if victim != nil && victim.Valid {
+		if victim != nil && victim.Valid() {
 			c.machine.Fire(TCCStateV, TCCL2Repl)
-			victim.Valid = false
 		}
 		e := c.array.Install(victim, line, TCCStateV)
 		copy(e.Data, data.Data)
@@ -513,14 +514,22 @@ func (c *TCC) send(cu int, msg *tccMsg) {
 // write-throughs drained, a correct TCC is byte-identical to memory;
 // a stale line is exactly what the LostWriteRace bug leaves behind.
 func (c *TCC) AuditAgainstStore(st *mem.Store) []string {
+	return auditLines(c.array, st, c.auditBuf, "L2 line", -1)
+}
+
+// auditLines describes each valid line of arr, bar those in state
+// dirty, whose bytes differ from the store's, read through buf.
+func auditLines(arr *cache.Array, st *mem.Store, buf []byte, what string, dirty int) []string {
 	var out []string
-	buf := make([]byte, c.lineSize())
-	c.array.ForEachValid(func(l *cache.Line) {
+	arr.ForEachValid(func(l *cache.Line) {
+		if l.State == dirty {
+			return
+		}
 		st.ReadBytes(l.Tag, buf)
 		for i := range buf {
 			if l.Data[i] != buf[i] {
-				out = append(out, fmt.Sprintf("L2 line %#x byte %d holds %d, memory holds %d",
-					uint64(l.Tag), i, l.Data[i], buf[i]))
+				out = append(out, fmt.Sprintf("%s %#x byte %d holds %d, memory holds %d",
+					what, uint64(l.Tag), i, l.Data[i], buf[i]))
 				return
 			}
 		}

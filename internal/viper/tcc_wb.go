@@ -41,6 +41,7 @@ type TCCWB struct {
 	toTCP      *network.Crossbar
 	bugs       BugSet
 	pool       *msgPool
+	auditBuf   []byte // one line of scratch for AuditAgainstStore
 
 	tbes    map[mem.Addr]*wbTBE
 	stalled map[mem.Addr][]*tcpMsg
@@ -65,16 +66,17 @@ func newTCCWB(k *sim.Kernel, spec *protocol.Spec, rec protocol.Recorder, onFault
 	m := protocol.NewMachine(spec, rec)
 	m.OnFault = onFault
 	c := &TCCWB{
-		k:       k,
-		machine: m,
-		array:   cache.NewArray(l2),
-		backend: backend,
-		toTCP:   toTCP,
-		bugs:    bugs,
-		pool:    pool,
-		tbes:    make(map[mem.Addr]*wbTBE),
-		stalled: make(map[mem.Addr][]*tcpMsg),
-		vicWBs:  make(map[mem.Addr]int),
+		k:        k,
+		machine:  m,
+		array:    cache.NewArray(l2),
+		backend:  backend,
+		toTCP:    toTCP,
+		bugs:     bugs,
+		pool:     pool,
+		auditBuf: make([]byte, l2.LineSize),
+		tbes:     make(map[mem.Addr]*wbTBE),
+		stalled:  make(map[mem.Addr][]*tcpMsg),
+		vicWBs:   make(map[mem.Addr]int),
 	}
 	c.fetchDoneFn = func(data *mem.Line, ctx any) { c.onData(ctx.(mem.Addr), data) }
 	c.vicWBAckFn = func(ctx any) {
@@ -262,7 +264,7 @@ func (c *TCCWB) onData(line mem.Addr, data *mem.Line) {
 // install claims a way for line, writing dirty victims back to memory.
 func (c *TCCWB) install(line mem.Addr) *cache.Line {
 	victim := c.array.Victim(line, nil)
-	if victim != nil && victim.Valid {
+	if victim != nil && victim.Valid() {
 		c.machine.Fire(victim.State, TCCL2Repl)
 		if victim.State == TCCWBStateD {
 			c.evictWBs++
@@ -272,7 +274,6 @@ func (c *TCCWB) install(line mem.Addr) *cache.Line {
 			c.vicWBs[vicLine]++
 			c.backend.WriteLine(vicLine, wl, c.vicWBAckFn, vicLine)
 		}
-		victim.Valid = false
 	}
 	return c.array.Install(victim, line, TCCWBStateV)
 }
@@ -297,22 +298,7 @@ func (c *TCCWB) Flush(st *mem.Store) {
 // AuditAgainstStore compares clean lines against memory (dirty lines
 // are legitimately newer; Flush first for a full audit).
 func (c *TCCWB) AuditAgainstStore(st *mem.Store) []string {
-	var out []string
-	buf := make([]byte, c.lineSize())
-	c.array.ForEachValid(func(l *cache.Line) {
-		if l.State != TCCWBStateV {
-			return
-		}
-		st.ReadBytes(l.Tag, buf)
-		for i := range buf {
-			if l.Data[i] != buf[i] {
-				out = append(out, fmt.Sprintf("L2WB clean line %#x byte %d holds %d, memory holds %d",
-					uint64(l.Tag), i, l.Data[i], buf[i]))
-				return
-			}
-		}
-	})
-	return out
+	return auditLines(c.array, st, c.auditBuf, "L2WB clean line", TCCWBStateD)
 }
 
 func (c *TCCWB) wake(line mem.Addr) {

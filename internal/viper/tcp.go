@@ -256,36 +256,29 @@ func (t *TCP) CoreRequest(req *mem.Request) {
 		}
 		tbe := t.tbe(line)
 		tbe.atomic = req
-		tbe.entry = t.installReservation(line)
+		tbe.entry = t.install(line, TCPStateA)
 		m := t.pool.getTCPMsg()
 		m.kind, m.cu, m.line, m.req = msgAtomic, t.id, line, req
 		t.send(m)
 	}
 }
 
-// installReservation claims a cache entry in state A for an in-flight
-// atomic, firing Repl on whichever valid line it displaces.
-func (t *TCP) installReservation(line mem.Addr) *cache.Line {
+// install claims a cache entry for line in state (V for a fill, A for
+// an in-flight atomic's reservation), firing Repl on whichever valid
+// line it displaces.
+func (t *TCP) install(line mem.Addr, state int) *cache.Line {
 	victim := t.array.Victim(line, nil)
-	t.evictVictim(victim)
-	return t.array.Install(victim, line, TCPStateA)
-}
-
-// evictVictim fires the Repl event for a victim that currently holds a
-// valid line.
-func (t *TCP) evictVictim(victim *cache.Line) {
-	if victim == nil || !victim.Valid {
-		return
-	}
-	t.machine.Fire(victim.State, TCPRepl)
-	if victim.State == TCPStateA {
-		// The displaced line's atomic stays in flight; the TBE simply
-		// loses its reservation entry.
-		if tbe, ok := t.tbes[victim.Tag]; ok {
-			tbe.entry = nil
+	if victim.Valid() {
+		t.machine.Fire(victim.State, TCPRepl)
+		if victim.State == TCPStateA {
+			// The displaced line's atomic stays in flight; the TBE
+			// simply loses its reservation entry.
+			if tbe, ok := t.tbes[victim.Tag]; ok {
+				tbe.entry = nil
+			}
 		}
 	}
-	victim.Valid = false
+	return t.array.Install(victim, line, state)
 }
 
 // FromTCC processes one response message from the L2.
@@ -302,10 +295,8 @@ func (t *TCP) FromTCC(msg *tccMsg) {
 		if tbe == nil || len(tbe.loads) == 0 {
 			panic(fmt.Sprintf("viper: TCP%d fill for %#x without waiting loads", t.id, uint64(line)))
 		}
-		victim := t.array.Victim(line, nil)
-		t.evictVictim(victim)
 		msg.checkPayload()
-		e := t.array.Install(victim, line, TCPStateV)
+		e := t.install(line, TCPStateV)
 		copy(e.Data, msg.payload.Data)
 		if buf, ok := t.wt[line]; ok {
 			e.WriteMasked(buf.line.Data, buf.line.Mask())
@@ -332,7 +323,7 @@ func (t *TCP) FromTCC(msg *tccMsg) {
 		req := tbe.atomic
 		tbe.atomic = nil
 		if tbe.entry != nil {
-			tbe.entry.Valid = false // A → I: atomics do not cache data
+			t.array.InvalidateLine(tbe.entry) // A → I: atomics do not cache data
 			tbe.entry = nil
 		}
 		t.dropTBE(tbe)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"drftest/internal/cache"
 	"drftest/internal/coverage"
 	"drftest/internal/mem"
 	"drftest/internal/protocol"
@@ -287,6 +288,50 @@ func TestL2AuditCleanAfterDrain(t *testing.T) {
 	r.run()
 	if m := r.sys.TCC.AuditAgainstStore(r.sys.Mem.Store()); len(m) != 0 {
 		t.Fatalf("L2 diverged from memory: %v", m)
+	}
+}
+
+// TestAuditL2Allocs: the end-of-run audit runs once per campaign seed,
+// so a clean one allocates nothing — both L2 variants read memory
+// through a line of scratch the controller keeps (auditBuf: contents
+// dead between calls, so outside Snapshot/Restore/Reset).
+func TestAuditL2Allocs(t *testing.T) {
+	for _, cfg := range []Config{smallCfg(), wbCfg()} {
+		r := newRig(t, cfg)
+		for i := 0; i < 8; i++ {
+			r.issue(i%2, mem.OpStore, mem.Addr(0x1000+i*64), uint32(i), i%4)
+		}
+		r.run()
+		st := r.sys.Mem.Store()
+		if m := r.sys.AuditL2(st); len(m) != 0 {
+			t.Fatalf("L2 diverged from memory: %v", m)
+		}
+		if n := testing.AllocsPerRun(10, func() { r.sys.AuditL2(st) }); n != 0 {
+			t.Errorf("WriteBackL2=%v: a clean AuditL2 allocated %v objects, want 0", cfg.WriteBackL2, n)
+		}
+	}
+}
+
+// TestConfigValidate: the stock configurations validate, and each way
+// a config can fail to size a system is reported by field, not
+// panicked on.
+func TestConfigValidate(t *testing.T) {
+	for _, cfg := range []Config{DefaultConfig(), SmallCacheConfig(), LargeCacheConfig(), MixedCacheConfig()} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("stock config rejected: %v", err)
+		}
+	}
+	for want, mutate := range map[string]func(*Config){
+		"NumCUs":    func(c *Config) { c.NumCUs = 0 },
+		"L1":        func(c *Config) { c.L1.Assoc = 3 },
+		"L2":        func(c *Config) { c.L2 = cache.Config{} },
+		"line size": func(c *Config) { c.L1.LineSize = 32 },
+	} {
+		cfg := DefaultConfig()
+		mutate(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Validate = %v, want an error naming %q", err, want)
+		}
 	}
 }
 

@@ -11,7 +11,8 @@
 # microbenchmarks (internal/sim), the end-to-end memops/s benchmarks
 # (repo root), the hot-path microbenchmarks for the reference
 # memory (internal/mem) and the verification engine
-# (internal/checker), the campaign fork / replay-bisection
+# (internal/checker), the sparse whole-array cache operations
+# (internal/cache, report only), the campaign fork / replay-bisection
 # benchmarks (repo root), and the schedule-exploration benchmarks
 # (internal/explore). Everything go test prints still goes to
 # stderr, so the JSON on -o (or stdout) stays machine-readable.
@@ -74,7 +75,7 @@ fi
 
 out=""
 benchtime="0.5s"
-pattern='EventLoop|Speed_|StoreAccess|Checker|Campaign|Replay|Explore'
+pattern='EventLoop|Speed_|StoreAccess|Checker|Campaign|Replay|Explore|ArrayWholeOpsSparse'
 while getopts "o:t:b:" opt; do
   case "$opt" in
     o) out="$OPTARG" ;;
@@ -86,7 +87,7 @@ done
 
 cd "$(dirname "$0")/.."
 
-raw=$(go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -benchmem ./ ./internal/sim/ ./internal/mem/ ./internal/checker/ ./internal/campaignd/ ./internal/explore/)
+raw=$(go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -benchmem ./ ./internal/sim/ ./internal/mem/ ./internal/cache/ ./internal/checker/ ./internal/campaignd/ ./internal/explore/)
 echo "$raw" >&2
 
 # Record the core count: the campaignd worker-scaling gate only applies
