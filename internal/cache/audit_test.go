@@ -17,7 +17,6 @@ func TestSnapshotFieldAudit(t *testing.T) {
 		"idx":     "structural: index in Array.lines, set once in NewArray, never copied back",
 		"State":   "state: via lineHdr / journal",
 		"Data":    "state: slab-aliased bytes, live lines copied via the snapshot's data slab / journal copies",
-		"Dirty":   "state: slab-aliased flags, live lines copied via the snapshot's dirty slab / journal copies",
 		"lastUse": "state: via lineHdr / journal; zero on every invalid line",
 		"epoch":   "snapshot bookkeeping: journaled-this-epoch marker, stale once the array's epoch advances on re-arm",
 	})
@@ -36,7 +35,6 @@ func TestSnapshotFieldAudit(t *testing.T) {
 	audit.Fields(t, ArraySnapshot{}, map[string]string{
 		"hdrs":     "cut: one lineHdr per valid line, refilled in place",
 		"data":     "cut: the valid lines' bytes, LineSize each, parallel to hdrs",
-		"dirty":    "cut: the valid lines' dirty masks, parallel to hdrs",
 		"useClock": "cut: copied",
 		"lookups":  "cut: copied",
 		"hits":     "cut: copied",

@@ -1,13 +1,14 @@
 // Package cache implements the storage half of a Ruby-style cache
 // controller: a set-associative tag/data array with LRU replacement and
-// per-byte dirty masks.
+// masked partial-line writes.
 //
 // Protocol state machines (package protocol and the controllers built
 // on it) own the line *state*; this package only stores it, finds
-// victims, and moves bytes. Per-byte masks exist because VIPER is a
-// write-through protocol that merges partial-line writes, and because
-// false sharing — distinct variables in one line — is the bug surface
-// the tester deliberately provokes.
+// victims, and moves bytes. Writes merge under a per-byte mask because
+// VIPER is a write-through protocol that merges partial-line writes,
+// and because false sharing — distinct variables in one line — is the
+// bug surface the tester deliberately provokes. Dirtiness itself is a
+// protocol state (a whole line is written back), not a per-byte mask.
 //
 // The array owns validity: lines become valid through Install and
 // invalid through InvalidateLine only, which keeps a one-bit-per-way
@@ -60,7 +61,6 @@ type Line struct {
 	idx   int32 // index in Array.lines, set once by NewArray
 	State int
 	Data  []byte
-	Dirty []bool
 
 	lastUse uint64
 
@@ -73,22 +73,13 @@ type Line struct {
 // Valid reports whether the line holds a tag.
 func (l *Line) Valid() bool { return l.valid }
 
-// ClearDirty resets the line's per-byte dirty mask.
-func (l *Line) ClearDirty() {
-	for i := range l.Dirty {
-		l.Dirty[i] = false
-	}
-}
-
-// WriteMasked merges src into the line under mask (nil = all bytes) and
-// marks the written bytes dirty.
+// WriteMasked merges src into the line under mask (nil = all bytes).
 func (l *Line) WriteMasked(src []byte, mask []bool) {
 	for i := range src {
 		if mask != nil && !mask[i] {
 			continue
 		}
 		l.Data[i] = src[i]
-		l.Dirty[i] = true
 	}
 }
 
@@ -118,15 +109,13 @@ type Array struct {
 }
 
 // ArraySnapshot captures an Array's contents at one instant: only the
-// valid lines are stored, header, data and dirty mask in one slab
-// each. Everything else is in the just-built state (its bytes are
+// valid lines are stored, header and data in one slab each. Everything else is in the just-built state (its bytes are
 // never read, Install zeroes a claimed way), so a snapshot costs what
 // the array holds and an empty or flash-invalidated one stores no
 // lines.
 type ArraySnapshot struct {
 	hdrs     []lineHdr
 	data     []byte // len(hdrs) × LineSize
-	dirty    []bool
 	useClock uint64
 	lookups  uint64
 	hits     uint64
@@ -142,7 +131,7 @@ type lineHdr struct {
 
 type lineUndo struct {
 	l    *Line
-	save Line // value copy; save.Data/save.Dirty are private buffers
+	save Line // value copy; save.Data is a private buffer
 }
 
 // NewArray builds an array for cfg; it panics on an invalid config
@@ -151,21 +140,18 @@ func NewArray(cfg Config) *Array {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	// One flat allocation each for the lines, data bytes and dirty
-	// masks, sliced per line: building an array costs five allocations
-	// regardless of size, instead of two per line. Full slice
-	// expressions pin each line's capacity so no write can spill into a
-	// neighbour.
+	// One flat allocation each for the lines and the data bytes, sliced
+	// per line: building an array costs five allocations regardless of
+	// size, instead of one per line. Full slice expressions pin each
+	// line's capacity so no write can spill into a neighbour.
 	a := &Array{cfg: cfg, sets: make([][]Line, cfg.Sets())}
 	total := cfg.Sets() * cfg.Assoc
 	ls := cfg.LineSize
 	lines := make([]Line, total)
 	data := make([]byte, total*ls)
-	dirty := make([]bool, total*ls)
 	for i := range lines {
 		lines[i].idx = int32(i)
 		lines[i].Data = data[i*ls : (i+1)*ls : (i+1)*ls]
-		lines[i].Dirty = dirty[i*ls : (i+1)*ls : (i+1)*ls]
 	}
 	for s := range a.sets {
 		a.sets[s] = lines[s*cfg.Assoc : (s+1)*cfg.Assoc : (s+1)*cfg.Assoc]
@@ -212,10 +198,9 @@ func (a *Array) clear() {
 // Reset invalidates every valid line and zeroes the LRU clock and
 // stats, returning the array to its just-built state without
 // reallocating, at a cost proportional to the lines it holds. Stale
-// line data and dirty masks need not be cleared: invalid lines are
-// never read (Valid gates every lookup, and Victim prefers an invalid
-// way regardless of tag), and Install zeroes both when a way is
-// claimed.
+// line data need not be cleared: invalid lines are never read (Valid
+// gates every lookup, and Victim prefers an invalid way regardless of
+// tag), and Install zeroes it when a way is claimed.
 // Reset also disarms any armed snapshot rather than journaling every
 // line; restoring that snapshot later still works via the
 // reinstall path.
@@ -296,8 +281,8 @@ func (a *Array) Victim(addr mem.Addr, mayEvict func(*Line) bool) *Line {
 }
 
 // Install claims way for addr's line: sets the tag, validates it,
-// zeroes the data and dirty mask, and refreshes LRU. The way must come
-// from Victim (or be otherwise known free).
+// zeroes the data, and refreshes LRU. The way must come from Victim (or
+// be otherwise known free).
 func (a *Array) Install(way *Line, addr mem.Addr, state int) *Line {
 	if a.snap != nil && way.epoch != a.epoch {
 		a.journalLine(way)
@@ -306,10 +291,7 @@ func (a *Array) Install(way *Line, addr mem.Addr, state int) *Line {
 	way.valid = true
 	a.mark(way)
 	way.State = state
-	for i := range way.Data {
-		way.Data[i] = 0
-		way.Dirty[i] = false
-	}
+	clear(way.Data)
 	a.useClock++
 	way.lastUse = a.useClock
 	return way
@@ -373,15 +355,13 @@ func (a *Array) journalLine(l *Line) {
 	if n < cap(a.journal) {
 		a.journal = a.journal[:n+1]
 		u := &a.journal[n]
-		d, m := u.save.Data, u.save.Dirty
+		d := u.save.Data
 		u.l = l
 		u.save = *l
 		u.save.Data = append(d[:0], l.Data...)
-		u.save.Dirty = append(m[:0], l.Dirty...)
 	} else {
 		u := lineUndo{l: l, save: *l}
 		u.save.Data = append([]byte(nil), l.Data...)
-		u.save.Dirty = append([]bool(nil), l.Dirty...)
 		a.journal = append(a.journal, u)
 	}
 	l.epoch = a.epoch
@@ -400,12 +380,11 @@ func (a *Array) SnapshotInto(s *ArraySnapshot) *ArraySnapshot {
 	if s == nil {
 		s = &ArraySnapshot{}
 	}
-	s.hdrs, s.data, s.dirty = s.hdrs[:0], s.data[:0], s.dirty[:0]
+	s.hdrs, s.data = s.hdrs[:0], s.data[:0]
 	s.useClock, s.lookups, s.hits = a.useClock, a.lookups, a.hits
 	a.forValid(false, func(l *Line) {
 		s.hdrs = append(s.hdrs, lineHdr{idx: l.idx, state: l.State, tag: l.Tag, lastUse: l.lastUse})
 		s.data = append(s.data, l.Data...)
-		s.dirty = append(s.dirty, l.Dirty...)
 	})
 	a.snap = s
 	a.journal = a.journal[:0]
@@ -425,7 +404,6 @@ func (a *Array) Restore(s *ArraySnapshot) {
 			u := &a.journal[i]
 			l := u.l
 			copy(l.Data, u.save.Data)
-			copy(l.Dirty, u.save.Dirty)
 			l.Tag, l.valid, l.State = u.save.Tag, u.save.valid, u.save.State
 			l.lastUse, l.epoch = u.save.lastUse, u.save.epoch
 			a.mark(l)
@@ -438,7 +416,6 @@ func (a *Array) Restore(s *ArraySnapshot) {
 			l.Tag, l.valid, l.State, l.lastUse = h.tag, true, h.state, h.lastUse
 			a.mark(l)
 			copy(l.Data, s.data[j*ls:])
-			copy(l.Dirty, s.dirty[j*ls:])
 		}
 		a.snap = s
 		a.epoch++

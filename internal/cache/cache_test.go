@@ -91,13 +91,13 @@ func TestInstallZeroesData(t *testing.T) {
 	v := a.Victim(0, nil)
 	e := a.Install(v, 0, 1)
 	e.WriteMasked([]byte{1, 2, 3}, nil)
-	if !e.Dirty[0] {
-		t.Fatal("WriteMasked did not mark dirty")
+	if e.Data[0] != 1 {
+		t.Fatal("unmasked WriteMasked did not write")
 	}
 	a.Install(e, 512, 1)
-	for i, b := range e.Data[:4] {
-		if b != 0 || e.Dirty[i] {
-			t.Fatal("Install did not reset data/dirty")
+	for _, b := range e.Data {
+		if b != 0 {
+			t.Fatal("Install did not zero the data")
 		}
 	}
 }
@@ -111,13 +111,6 @@ func TestWriteMasked(t *testing.T) {
 	e.WriteMasked(src, mask)
 	if e.Data[5] != 0xAB || e.Data[4] != 0 {
 		t.Fatal("masked write wrong bytes")
-	}
-	if !e.Dirty[5] || e.Dirty[4] {
-		t.Fatal("dirty mask wrong")
-	}
-	e.ClearDirty()
-	if e.Dirty[5] {
-		t.Fatal("ClearDirty failed")
 	}
 }
 

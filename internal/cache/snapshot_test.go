@@ -21,15 +21,14 @@ func copyArray(a *Array) *fullCopy {
 	c := &fullCopy{lines: slices.Clone(a.lines), useClock: a.useClock, lookups: a.lookups, hits: a.hits}
 	for i := range c.lines {
 		c.lines[i].Data = bytes.Clone(c.lines[i].Data)
-		c.lines[i].Dirty = slices.Clone(c.lines[i].Dirty)
 	}
 	return c
 }
 
 // diff reports how a differs from the copy in any way the array's
 // users can observe: every line's validity and LRU stamp, a valid
-// line's tag, state, bytes and dirty mask (an invalid line's are never
-// read — Install rewrites all four), the clock and the stats.
+// line's tag, state and bytes (an invalid line's are never read —
+// Install rewrites all three), the clock and the stats.
 func (c *fullCopy) diff(a *Array) string {
 	if a.useClock != c.useClock || a.lookups != c.lookups || a.hits != c.hits {
 		return fmt.Sprintf("clock/lookups/hits = %d/%d/%d, want %d/%d/%d",
@@ -41,7 +40,7 @@ func (c *fullCopy) diff(a *Array) string {
 			return fmt.Sprintf("line %d: valid/lastUse = %v/%d, want %v/%d", i, got.valid, got.lastUse, want.valid, want.lastUse)
 		}
 		if want.valid && (got.Tag != want.Tag || got.State != want.State ||
-			!bytes.Equal(got.Data, want.Data) || !slices.Equal(got.Dirty, want.Dirty)) {
+			!bytes.Equal(got.Data, want.Data)) {
 			return fmt.Sprintf("line %d: contents differ: %+v, want %+v", i, *got, *want)
 		}
 	}
@@ -143,7 +142,7 @@ func TestArraySnapshotOracle(t *testing.T) {
 		// not — empties the array again.
 		a.FlashInvalidate(nil)
 		want, flashed := copyArray(a), a.Snapshot()
-		if n := len(flashed.hdrs) + len(flashed.data) + len(flashed.dirty); n != 0 {
+		if n := len(flashed.hdrs) + len(flashed.data); n != 0 {
 			t.Fatalf("seed %d: snapshot of a flashed array stores %d headers+bytes, want 0", seed, n)
 		}
 		for _, rearm := range []bool{false, true} {

@@ -437,9 +437,14 @@ func TestMetricsAndHTTPSurface(t *testing.T) {
 
 // TestSubmitRejectsInvalidSysCfg: a spec whose sysCfg no system can be
 // built from — absent, or with a cache geometry cache.NewArray would
-// panic on — is refused at admission with a 400 naming the field, by
-// Submit and by POST /campaigns alike, instead of admitted to panic a
-// worker inside viper.NewSystem.
+// panic on — or whose testCfg no tester can be built from — an address
+// range too small for its variables, a negative count — is refused at
+// admission with a 400 naming the field, by Submit and by POST
+// /campaigns alike, instead of admitted to panic a worker inside
+// viper.NewSystem or core.New; a worker handed such a spec refuses it
+// the same way. The same range is fine for a uniform campaign and for
+// a swarm one refused only because a corner with more variables
+// outgrows it.
 func TestSubmitRejectsInvalidSysCfg(t *testing.T) {
 	srv := NewServer(Options{Logf: t.Logf})
 	ts := httptest.NewServer(srv.Handler())
@@ -462,6 +467,18 @@ func TestSubmitRejectsInvalidSysCfg(t *testing.T) {
 		{"non-power-of-two L2", "L2", mutate(func(s *Spec) { s.SysCfg.L2.Assoc = 3 })},
 		{"L2 smaller than a set", "L2", mutate(func(s *Spec) { s.SysCfg.L2.SizeBytes = 64 })},
 		{"line size mismatch", "line size", mutate(func(s *Spec) { s.SysCfg.L2.LineSize = 128 })},
+		{"address range too small", "AddressRangeBytes", mutate(func(s *Spec) {
+			s.TestCfg.NumDataVars, s.TestCfg.AddressRangeBytes = 64, 16
+		})},
+		{"address range too small for the default counts", "AddressRangeBytes", mutate(func(s *Spec) {
+			s.TestCfg.NumSyncVars, s.TestCfg.NumDataVars, s.TestCfg.AddressRangeBytes = 0, 0, 4096
+		})},
+		{"address range too small for a corner", "atomics=spread", mutate(func(s *Spec) {
+			s.Mode = "swarm"
+			s.TestCfg.NumSyncVars, s.TestCfg.NumDataVars, s.TestCfg.AddressRangeBytes = 4, 64, 68*4
+		})},
+		{"negative variable count", "NumDataVars", mutate(func(s *Spec) { s.TestCfg.NumDataVars = -1 })},
+		{"negative wavefront count", "NumWavefronts", mutate(func(s *Spec) { s.TestCfg.NumWavefronts = -2 })},
 	} {
 		var spec Spec
 		if err := json.Unmarshal(tc.body, &spec); err != nil {
@@ -469,6 +486,10 @@ func TestSubmitRejectsInvalidSysCfg(t *testing.T) {
 		}
 		if id, err := srv.Submit(spec); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Submit = %q, %v; want an error naming %q", tc.name, id, err, tc.want)
+		}
+		// A worker handed the spec by a daemon that did admit it.
+		if _, err := newRunnerSet().run(&Lease{Campaign: "c001", Count: 1}, &spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: worker run = %v; want an error naming %q", tc.name, err, tc.want)
 		}
 		resp, err := http.Post(ts.URL+"/campaigns", "application/json", bytes.NewReader(tc.body))
 		if err != nil {
@@ -482,6 +503,11 @@ func TestSubmitRejectsInvalidSysCfg(t *testing.T) {
 	}
 	if n := srv.metrics.CampaignsSubmitted.Load(); n != 0 {
 		t.Errorf("%d campaigns admitted, want none", n)
+	}
+	fits := testSpec("uniform")
+	fits.TestCfg.NumSyncVars, fits.TestCfg.NumDataVars, fits.TestCfg.AddressRangeBytes = 4, 64, 68*4
+	if _, err := fits.CampaignConfig(); err != nil {
+		t.Errorf("a range that exactly fits a uniform campaign's variables was refused: %v", err)
 	}
 }
 

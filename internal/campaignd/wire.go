@@ -96,8 +96,9 @@ func (s Spec) withDefaults() Spec {
 
 // CampaignConfig lowers the spec to the harness campaign config a
 // CampaignState or worker run context is built from. A sysCfg no
-// system can be built from is an error naming the field: admission
-// refuses it, where building it would panic a worker.
+// system, or a testCfg no tester, can be built from is an error naming
+// the field: admission refuses it, where building it would panic a
+// worker.
 func (s Spec) CampaignConfig() (harness.CampaignConfig, error) {
 	mode, err := harness.ParseCampaignMode(s.Mode)
 	if err != nil {
@@ -105,6 +106,14 @@ func (s Spec) CampaignConfig() (harness.CampaignConfig, error) {
 	}
 	if err := s.SysCfg.Validate(); err != nil {
 		return harness.CampaignConfig{}, fmt.Errorf("campaignd: sysCfg: %w", err)
+	}
+	if err := s.TestCfg.Validate(); err != nil {
+		return harness.CampaignConfig{}, fmt.Errorf("campaignd: testCfg: %w", err)
+	}
+	if mode != harness.CampaignUniform {
+		if err := harness.ValidateCorners(s.TestCfg, s.SysCfg); err != nil {
+			return harness.CampaignConfig{}, fmt.Errorf("campaignd: testCfg: %w", err)
+		}
 	}
 	return harness.CampaignConfig{
 		SysCfg:           s.SysCfg,

@@ -15,7 +15,12 @@
 // (monotonicity/uniqueness), and forward progress.
 package core
 
-import "drftest/internal/sim"
+import (
+	"fmt"
+
+	"drftest/internal/mem"
+	"drftest/internal/sim"
+)
 
 // Config parameterizes one GPU tester run (the knobs of Table III).
 type Config struct {
@@ -156,6 +161,31 @@ func (c Config) withDefaults() Config {
 		c.AddressRangeBytes = 2 * uint64(c.NumSyncVars+c.NumDataVars) * 4
 	}
 	return c
+}
+
+// Validate reports, naming the field, why a tester cannot be built from
+// c; nil means New will not panic on it. A zero count means "default";
+// a negative one is a mistake, and so is an explicit address range with
+// fewer word slots than there are variables to map into it.
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		n    int
+	}{
+		{"NumWavefronts", c.NumWavefronts}, {"ThreadsPerWF", c.ThreadsPerWF},
+		{"EpisodesPerWF", c.EpisodesPerThread}, {"ActionsPerEpisode", c.ActionsPerEpisode},
+		{"NumSyncVars", c.NumSyncVars}, {"NumDataVars", c.NumDataVars},
+	} {
+		if f.n < 0 {
+			return fmt.Errorf("core: %s must not be negative, got %d", f.name, f.n)
+		}
+	}
+	d := c.withDefaults()
+	if vars := uint64(d.NumSyncVars + d.NumDataVars); d.AddressRangeBytes/mem.WordSize < vars {
+		return fmt.Errorf("core: AddressRangeBytes %d too small for %d variables of %d bytes",
+			d.AddressRangeBytes, vars, mem.WordSize)
+	}
+	return nil
 }
 
 // TotalThreads returns the number of tester threads.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -89,6 +90,30 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+// TestConfigValidate: Validate accepts what New builds (the zero
+// config, the default, an exactly-fitting range) and names the field of
+// what New would panic on or silently reinterpret.
+func TestConfigValidate(t *testing.T) {
+	fits := Config{NumSyncVars: 4, NumDataVars: 64, AddressRangeBytes: 68 * 4}
+	for _, ok := range []Config{{}, DefaultConfig(), fits} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", ok, err)
+		}
+	}
+	tight := fits
+	tight.AddressRangeBytes--
+	for want, bad := range map[string]Config{
+		"AddressRangeBytes 16":  {NumDataVars: 64, AddressRangeBytes: 16},
+		"AddressRangeBytes 271": tight,
+		"NumSyncVars":           {NumSyncVars: -1},
+		"EpisodesPerWF":         {EpisodesPerThread: -3},
+	} {
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Validate(%+v) = %v, want an error naming %q", bad, err, want)
+		}
+	}
+}
+
 func TestAddressSpaceProperties(t *testing.T) {
 	err := quick.Check(func(seed uint64, nSyncRaw, nDataRaw uint8) bool {
 		nSync := int(nSyncRaw%8) + 1
@@ -124,7 +149,10 @@ func TestAddressSpaceTooSmallPanics(t *testing.T) {
 // TestEpisodeGenerationIsRaceFree is the §III.A invariant as a
 // property test: across any interleaving of episode creation and
 // retirement, no variable ever has two live writers, or a live writer
-// alongside a foreign live reader.
+// alongside a foreign live reader. The claims are read back from the
+// live episodes themselves, and every variable's writer, reader count
+// and reader-ID sum must say exactly what they say — a stale claim
+// left by a retired episode shows as a disagreement.
 func TestEpisodeGenerationIsRaceFree(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		cfg := DefaultConfig()
@@ -147,25 +175,38 @@ func TestEpisodeGenerationIsRaceFree(t *testing.T) {
 				ep := live[idx]
 				// Retire claims without the memory-system round trip.
 				for _, v := range ep.claimOrder {
-					v.release(ep.id)
+					tester.space.release(v, ep.id, ep.claims[v.id])
 				}
 				live = append(live[:idx], live[idx+1:]...)
 			}
 			// Invariant check over every variable.
-			liveIDs := map[uint64]bool{}
-			for _, ep := range live {
-				liveIDs[ep.id] = true
-			}
 			for _, v := range tester.space.dataVars {
-				if v.writer != 0 {
-					if !liveIDs[v.writer] {
-						return false // stale claim
+				var writers, readers []uint64
+				var sum uint64
+				for _, ep := range live {
+					if ep.claims[v.id]&claimWrite != 0 {
+						writers = append(writers, ep.id)
 					}
-					for r := range v.readers {
-						if r != v.writer && liveIDs[r] {
+					if ep.claims[v.id]&claimRead != 0 {
+						readers = append(readers, ep.id)
+						sum += ep.id
+					}
+				}
+				if len(writers) > 1 {
+					return false // two live writers
+				}
+				if len(writers) == 1 {
+					for _, r := range readers {
+						if r != writers[0] {
 							return false // concurrent reader + writer
 						}
 					}
+				}
+				if (len(writers) == 0) != (v.writer == 0) || (len(writers) == 1 && v.writer != writers[0]) {
+					return false // stale or missing write claim
+				}
+				if int(v.readers) != len(readers) || v.readerSum != sum {
+					return false // stale or missing read claim
 				}
 			}
 		}
@@ -205,7 +246,7 @@ func TestEpisodeShape(t *testing.T) {
 			}
 		}
 		for _, v := range ep.claimOrder {
-			v.release(ep.id)
+			tester.space.release(v, ep.id, ep.claims[v.id])
 		}
 	}
 }

@@ -36,12 +36,13 @@ import (
 // only for state that outgrew what it held last time.
 
 // spaceSave captures the address space: every slab variable (claims,
-// reference values, atomic bookkeeping) plus the random address
-// mapping.
+// reference values, atomic bookkeeping), the claim counters and the
+// random address mapping.
 type spaceSave struct {
-	slab        []variable
-	addrs       []mem.Addr
-	lastWriters []AccessRecord
+	slab            []variable
+	addrs           []mem.Addr
+	lastWriters     []AccessRecord
+	free, unwritten int
 }
 
 // threadSave captures one lane; ep is meaningful only while live.
@@ -104,12 +105,11 @@ func (t *Tester) Report() *Report { return t.report() }
 // FailureCount returns the number of failures detected so far.
 func (t *Tester) FailureCount() int { return len(t.failures) }
 
-// copyVar copies src into dst, refilling dst's own claim and
-// old-value maps rather than sharing src's.
+// copyVar copies src into dst, refilling dst's own old-value map
+// rather than sharing src's.
 func copyVar(dst, src *variable) {
-	readers, seenOld := dst.readers, dst.seenOld
+	seenOld := dst.seenOld
 	*dst = *src
-	dst.readers = reuse.Map(readers, src.readers)
 	dst.seenOld = reuse.Map(seenOld, src.seenOld)
 }
 
@@ -140,6 +140,7 @@ func (t *Tester) SnapshotInto(s *TesterSnapshot) *TesterSnapshot {
 	}
 	s.space.addrs = append(s.space.addrs[:0], t.space.addrs...)
 	s.space.lastWriters = append(s.space.lastWriters[:0], t.space.lastWriters...)
+	s.space.free, s.space.unwritten = t.space.free, t.space.unwritten
 	s.threads = slices.Grow(s.threads[:0], len(t.threads))[:len(t.threads)]
 	for i, thr := range t.threads {
 		ts := &s.threads[i]
@@ -206,6 +207,7 @@ func (t *Tester) Restore(s *TesterSnapshot) {
 	}
 	t.space.addrs = append(t.space.addrs[:0], s.space.addrs...)
 	t.space.lastWriters = append(t.space.lastWriters[:0], s.space.lastWriters...)
+	t.space.free, t.space.unwritten = s.space.free, s.space.unwritten
 	// Abandoned episodes go to the free list first, so the restored
 	// ones below are refills of them rather than fresh structs. The
 	// free list itself is not part of a cut: its episodes are

@@ -64,9 +64,9 @@ type episode struct {
 	createSeq uint64
 	traceSeq  int
 	writes    map[int]uint32 // var id → this episode's latest written value
-	claims    map[int]*variable
-	// claimOrder lists claimed variables in claim order; fallback
-	// generation iterates it instead of the map to stay deterministic.
+	claims    map[int]claimKind
+	// claimOrder lists claimed variables in claim order: retirement and
+	// the generator's candidate test walk it instead of the map.
 	claimOrder []*variable
 }
 
@@ -417,7 +417,7 @@ func (t *Tester) freeEpisode() *episode {
 	}
 	return &episode{
 		writes: make(map[int]uint32),
-		claims: make(map[int]*variable),
+		claims: make(map[int]claimKind),
 	}
 }
 
@@ -458,7 +458,7 @@ func (t *Tester) newEpisode() *episode {
 
 func (t *Tester) genDataOp(ep *episode) genOp {
 	wantStore := t.rnd.Bool(t.cfg.StoreFraction)
-	if v := t.pickData(ep.id, wantStore); v != nil {
+	if v := t.pickData(ep, wantStore); v != nil {
 		return t.claimOp(ep, v, wantStore)
 	}
 	// Contention fallbacks: the opposite kind by sampling, then a
@@ -466,27 +466,35 @@ func (t *Tester) genDataOp(ep *episode) genOp {
 	// literally every data variable is claimed by a live foreign
 	// episode — an always-legal plain atomic on the episode's own sync
 	// variable. The episode keeps its configured length either way.
-	if v := t.pickData(ep.id, !wantStore); v != nil {
+	if v := t.pickData(ep, !wantStore); v != nil {
 		return t.claimOp(ep, v, !wantStore)
 	}
-	for _, v := range t.space.dataVars {
-		if v.canLoad(ep.id) {
-			return t.claimOp(ep, v, false)
+	if t.space.admitsAny(ep, false) {
+		for _, v := range t.space.dataVars {
+			if v.canLoad(ep.id) {
+				return t.claimOp(ep, v, false)
+			}
 		}
 	}
 	return genOp{kind: opExtra, v: ep.sync}
 }
 
-// pickData rejection-samples a data variable that episode eps may
-// access with the requested kind.
-func (t *Tester) pickData(eps uint64, store bool) *variable {
+// sampleTries bounds pickData's rejection sampling.
+const sampleTries = 64
+
+// pickData rejection-samples a data variable that episode ep may
+// access with the requested kind. When no variable admits the access
+// every try would be drawn and rejected, so the tries are skipped: the
+// stream advances by what they would have drawn (one Intn each, two
+// steps) and every later draw of the run is the one it always was.
+func (t *Tester) pickData(ep *episode, store bool) *variable {
+	if !t.space.admitsAny(ep, store) {
+		t.rnd.Skip(2 * sampleTries)
+		return nil
+	}
 	vars := t.space.dataVars
-	for try := 0; try < 64; try++ {
-		v := vars[t.rnd.Intn(len(vars))]
-		if store && v.canStore(eps) {
-			return v
-		}
-		if !store && v.canLoad(eps) {
+	for try := 0; try < sampleTries; try++ {
+		if v := vars[t.rnd.Intn(len(vars))]; v.admits(ep.id, store) {
 			return v
 		}
 	}
@@ -494,16 +502,21 @@ func (t *Tester) pickData(eps uint64, store bool) *variable {
 }
 
 func (t *Tester) claimOp(ep *episode, v *variable, store bool) genOp {
-	if _, seen := ep.claims[v.id]; !seen {
-		ep.claims[v.id] = v
+	want, held := claimRead, ep.claims[v.id]
+	if store {
+		want = claimWrite
+	}
+	if held == 0 {
 		ep.claimOrder = append(ep.claimOrder, v)
 	}
+	if held&want == 0 {
+		ep.claims[v.id] = held | want
+		t.space.claim(v, ep.id, want)
+	}
 	if store {
-		v.claimWrite(ep.id)
 		t.storeValue++
 		return genOp{kind: opStore, v: v, storeVal: t.storeValue}
 	}
-	v.claimRead(ep.id)
 	return genOp{kind: opLoad, v: v}
 }
 
@@ -664,10 +677,10 @@ func (t *Tester) retire(thr *thread, ep *episode) {
 		t.stream.RetireEpisode(ep.id, t.genSeq)
 	}
 	for id, val := range ep.writes {
-		ep.claims[id].value = val
+		t.space.slab[id].value = val
 	}
 	for _, v := range ep.claimOrder {
-		v.release(ep.id)
+		t.space.release(v, ep.id, ep.claims[v.id])
 	}
 	t.episodesRetired++
 	// Nothing references a retired episode (its last op has completed

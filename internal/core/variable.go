@@ -25,27 +25,42 @@ func (a AccessRecord) String() string {
 		a.ThreadID, a.WFID, a.EpisodeID, uint64(a.Addr), a.Cycle, a.Value)
 }
 
+// claimKind is the set of claims one episode holds on one variable.
+type claimKind uint8
+
+const (
+	claimRead claimKind = 1 << iota
+	claimWrite
+)
+
 // variable is one tester location. Sync variables are accessed only by
 // atomics; data variables only by loads and stores — the DRF class
-// separation of §III.A.
+// separation of §III.A. The narrow fields share words: a large space is
+// one slab of these, and it is rebuilt per seed.
 type variable struct {
 	id   int
-	sync bool
 	addr mem.Addr
 
 	// Claims by live episodes enforcing the two §III.A race-freedom
-	// rules. writer==0 means unclaimed (episode IDs start at 1).
-	readers map[uint64]struct{}
-	writer  uint64
-
-	// value is the retired reference value (data variables): what any
-	// load outside the writing episode must observe.
-	value uint32
+	// rules. writer==0 means unclaimed (episode IDs start at 1). Readers
+	// are a count and the wrapping sum of their episode IDs, which is the
+	// one reader's ID exactly when the count is 1 — all canStore asks.
+	// Each episode claims a variable at most once per kind (its own
+	// claims map says which), so count and sum stay exact.
+	writer    uint64
+	readerSum uint64
 
 	// Atomic bookkeeping (sync variables): returned old values must be
 	// unique multiples of the delta; completed counts the responses.
 	seenOld   map[uint32]AccessRecord
 	completed uint64
+
+	readers uint32
+	sync    bool
+
+	// value is the retired reference value (data variables): what any
+	// load outside the writing episode must observe.
+	value uint32
 
 	// lastWIdx indexes the address space's lastWriters side slice, -1
 	// when the variable was never stored. Keeping the 48-byte record
@@ -60,38 +75,18 @@ func (v *variable) canLoad(eps uint64) bool {
 	return v.writer == 0 || v.writer == eps
 }
 
-// ensureReaders lazily allocates the reader-claim map. Most data
-// variables in a large address space are never claimed, so the map is
-// built on first claim instead of at address-space construction.
-func (v *variable) ensureReaders() map[uint64]struct{} {
-	if v.readers == nil {
-		v.readers = make(map[uint64]struct{})
-	}
-	return v.readers
-}
-
 // canStore reports whether episode eps may generate a store of v: no
 // other live episode may be loading or storing it.
 func (v *variable) canStore(eps uint64) bool {
-	if v.writer != 0 && v.writer != eps {
-		return false
-	}
-	for r := range v.readers {
-		if r != eps {
-			return false
-		}
-	}
-	return true
+	return v.canLoad(eps) && (v.readers == 0 || v.readers == 1 && v.readerSum == eps)
 }
 
-func (v *variable) claimRead(eps uint64)  { v.ensureReaders()[eps] = struct{}{} }
-func (v *variable) claimWrite(eps uint64) { v.writer = eps }
-
-func (v *variable) release(eps uint64) {
-	delete(v.readers, eps)
-	if v.writer == eps {
-		v.writer = 0
+// admits is canStore or canLoad by the kind of access asked for.
+func (v *variable) admits(eps uint64, store bool) bool {
+	if store {
+		return v.canStore(eps)
 	}
+	return v.canLoad(eps)
 }
 
 // addressSpace maps variables to random word-aligned addresses in a
@@ -114,6 +109,55 @@ type addressSpace struct {
 	// variable, indexed by variable.lastWIdx. Dense in touched
 	// variables rather than all variables.
 	lastWriters []AccessRecord
+
+	// free counts the data variables no live episode claims, unwritten
+	// those no live episode stores; claim and release keep both exact.
+	free, unwritten int
+}
+
+// claim records episode eps's first claim of kind on v.
+func (sp *addressSpace) claim(v *variable, eps uint64, kind claimKind) {
+	if v.writer == 0 && v.readers == 0 {
+		sp.free--
+	}
+	if kind == claimWrite {
+		v.writer = eps // was 0: canStore held and eps had no write claim
+		sp.unwritten--
+	} else {
+		v.readers++
+		v.readerSum += eps
+	}
+}
+
+// release drops every claim (held) a retiring episode eps has on v.
+func (sp *addressSpace) release(v *variable, eps uint64, held claimKind) {
+	if held&claimWrite != 0 {
+		v.writer = 0
+		sp.unwritten++
+	}
+	if held&claimRead != 0 {
+		v.readers--
+		v.readerSum -= eps
+	}
+	if v.writer == 0 && v.readers == 0 {
+		sp.free++
+	}
+}
+
+// admitsAny reports whether any data variable admits an access of the
+// asked kind by ep. The counters answer for the variables nobody holds
+// against it; any other admissible variable has ep as its writer or its
+// only reader, so it is among ep's own claims.
+func (sp *addressSpace) admitsAny(ep *episode, store bool) bool {
+	if store && sp.free > 0 || !store && sp.unwritten > 0 {
+		return true
+	}
+	for _, v := range ep.claimOrder {
+		if v.admits(ep.id, store) {
+			return true
+		}
+	}
+	return false
 }
 
 // setLastWriter records the most recent store to v.
@@ -142,12 +186,11 @@ func buildAddressSpace(rnd *rng.PCG, numSync, numData int, rangeBytes uint64) *a
 
 // rebuild regenerates the random variable→address mapping in place with
 // fresh randomness, reusing the variable slab, the sampling bitset, and
-// the per-variable maps from a previous build when the shape allows. A
-// rebuilt space is semantically indistinguishable from a fresh one:
-// every scalar field is reassigned, and retained maps are cleared —
-// sound because nothing in the tester depends on map bucket layout or
-// iteration order (claims are membership predicates, seenOld is
-// lookup-only).
+// the sync variables' old-value maps from a previous build when the
+// shape allows. A rebuilt space is semantically indistinguishable from
+// a fresh one: every scalar field is reassigned, and retained maps are
+// cleared — sound because nothing in the tester depends on map bucket
+// layout or iteration order (seenOld is lookup-only).
 func (sp *addressSpace) rebuild(rnd *rng.PCG, numSync, numData int, rangeBytes uint64) {
 	total := numSync + numData
 	slots := int(rangeBytes / mem.WordSize)
@@ -183,8 +226,7 @@ func (sp *addressSpace) rebuild(rnd *rng.PCG, numSync, numData int, rangeBytes u
 	// The first numSync sampled slots become sync variables; sampling
 	// order is random, so sync variables scatter across the range.
 	// Variables live in one slab: a 100k-variable space costs one
-	// allocation, not 100k, and reader-claim maps are built lazily on
-	// first claim (ensureReaders).
+	// allocation, not 100k.
 	if len(sp.slab) != total {
 		sp.slab = make([]variable, total)
 		sp.syncVars = make([]*variable, 0, numSync)
@@ -193,13 +235,11 @@ func (sp *addressSpace) rebuild(rnd *rng.PCG, numSync, numData int, rangeBytes u
 	sp.syncVars = sp.syncVars[:0]
 	sp.dataVars = sp.dataVars[:0]
 	sp.lastWriters = sp.lastWriters[:0]
+	sp.free, sp.unwritten = numData, numData
 	for i, a := range sp.addrs {
 		v := &sp.slab[i]
-		readers, seenOld := v.readers, v.seenOld
-		if readers != nil {
-			clear(readers)
-		}
-		*v = variable{id: i, sync: i < numSync, addr: a, readers: readers, lastWIdx: -1}
+		seenOld := v.seenOld
+		*v = variable{id: i, sync: i < numSync, addr: a, lastWIdx: -1}
 		if v.sync {
 			if seenOld == nil {
 				seenOld = make(map[uint32]AccessRecord)

@@ -203,6 +203,28 @@ func makeCorner(testCfg core.Config, sysCfg viper.Config, levels [numAxes]int) *
 	return c
 }
 
+// ValidateCorners reports the first corner of the lattice whose tester
+// config no tester can be built from, or nil: an explicit address range
+// that fits the base can be too small for a corner with more variables.
+func ValidateCorners(testCfg core.Config, sysCfg viper.Config) error {
+	var levels [numAxes]int
+	for {
+		c := makeCorner(testCfg, sysCfg, levels)
+		if err := c.TestCfg.Validate(); err != nil {
+			return fmt.Errorf("corner %s: %w", c.Name(), err)
+		}
+		// Next corner: count up in base levelsPerAxis, done on wrap.
+		a := 0
+		for ; a < numAxes && levels[a] == levelsPerAxis-1; a++ {
+			levels[a] = 0
+		}
+		if a == numAxes {
+			return nil
+		}
+		levels[a]++
+	}
+}
+
 // cornerStream is the PCG stream selector of corner sampling: batch b
 // draws its corner from a generator seeded with BaseSeed advanced by b
 // golden-ratio steps (the Weyl-sequence trick, so nearby batches are

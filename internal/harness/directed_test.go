@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"drftest/internal/core"
@@ -234,5 +235,27 @@ func TestResetWithConfigBitIdentical(t *testing.T) {
 			requireMatrixEqual(t, "GPU-L1", freshL1, rb.Col.Matrix("GPU-L1"))
 			requireMatrixEqual(t, l2Name, freshL2, rb.Col.Matrix(l2Name))
 		})
+	}
+}
+
+// TestValidateCorners: a base that defers its address range to the
+// defaults passes at every corner; one whose explicit range exactly
+// fits its own variables is refused, naming the first corner that
+// outgrows it (spread atomics quadruples the sync variables and base
+// locality keeps the range).
+func TestValidateCorners(t *testing.T) {
+	sysCfg := viper.SmallCacheConfig()
+	if err := ValidateCorners(campaignTestCfg(), sysCfg); err != nil {
+		t.Fatalf("default-range base refused: %v", err)
+	}
+	tc := campaignTestCfg()
+	tc.NumSyncVars, tc.NumDataVars, tc.AddressRangeBytes = 4, 64, 68*4
+	err := ValidateCorners(tc, sysCfg)
+	if err == nil || !strings.Contains(err.Error(), "atomics=spread,locality=base,scale=base,jitter=base") {
+		t.Fatalf("ValidateCorners = %v, want the first spread-atomics corner named", err)
+	}
+	tc.AddressRangeBytes = (16 + 64) * 4 // room for the spread corner's 16 sync variables
+	if err := ValidateCorners(tc, sysCfg); err != nil {
+		t.Fatalf("a range that fits the largest base-locality corner was refused: %v", err)
 	}
 }

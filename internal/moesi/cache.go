@@ -306,12 +306,7 @@ func (c *Cache) readWordFrom(e *cache.Line, a mem.Addr) uint32 {
 
 func (c *Cache) writeWord(e *cache.Line, a mem.Addr, v uint32) {
 	off := mem.LineOffset(a, c.lineSize())
-	var b [mem.WordSize]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	for i := range b {
-		e.Data[off+i] = b[i]
-		e.Dirty[off+i] = true
-	}
+	binary.LittleEndian.PutUint32(e.Data[off:off+mem.WordSize], v)
 }
 
 // ForEachOutstanding visits the cache's in-flight core requests.

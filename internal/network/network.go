@@ -16,10 +16,12 @@ import (
 )
 
 // pendingMsg is one queued typed delivery: a prebound handler plus its
-// argument — the allocation-free alternative to a per-message closure.
+// argument — the allocation-free alternative to a per-message closure —
+// and the tick it is due.
 type pendingMsg struct {
 	fn  func(any)
 	arg any
+	at  sim.Tick
 }
 
 // Link is a one-way channel between two components.
@@ -30,9 +32,12 @@ type Link struct {
 	jitter  sim.Tick
 	rnd     *rng.PCG
 
-	// SendMsg state: an ordered link delivers strictly FIFO (constant
-	// latency, stable kernel ordering), so one prebound drain closure
-	// and a reusable queue serve every typed message.
+	// SendMsg state: the kernel fires a link's delivery events by tick
+	// and then in send order, so one prebound drain closure and a
+	// reusable queue kept in that same order serve every typed message.
+	// On an ordered link (constant latency) that order is send order and
+	// the queue a plain FIFO; jitter makes a send slot in ahead of the
+	// few queued messages due after it.
 	msgQ      []pendingMsg
 	msgHead   int
 	deliverFn func()
@@ -40,7 +45,7 @@ type Link struct {
 	// unit is the link's schedule-exploration ordering domain: every
 	// delivery event carries it, so a schedule chooser can interleave
 	// different links' traffic but never reorder one link against
-	// itself — the FIFO queue/event pairing above depends on that.
+	// itself — the queue/event pairing above depends on that.
 	unit uint32
 
 	sent uint64
@@ -48,9 +53,7 @@ type Link struct {
 
 // NewLink creates an ordered link with fixed latency.
 func NewLink(k *sim.Kernel, name string, latency sim.Tick) *Link {
-	l := &Link{k: k, name: name, latency: latency, unit: k.NewUnit()}
-	l.deliverFn = l.deliverNext
-	return l
+	return NewJitterLink(k, name, latency, 0, nil)
 }
 
 // NewJitterLink creates a link whose per-message latency is uniform in
@@ -64,11 +67,9 @@ func NewJitterLink(k *sim.Kernel, name string, latency, jitter sim.Tick, rnd *rn
 // Name returns the link's name.
 func (l *Link) Name() string { return l.name }
 
-// SetJitter changes the link's jitter window. Only valid while nothing
-// is queued or in flight (e.g. between reset runs of a reused system):
-// the ordered path's FIFO matching assumes the window is fixed for the
-// life of every queued message. A link built without a random stream
-// cannot become jittered.
+// SetJitter changes the jitter window of the messages sent from now on
+// (a reused system retunes it between reset runs). A link built without
+// a random stream cannot become jittered.
 func (l *Link) SetJitter(jitter sim.Tick) {
 	if jitter > 0 && l.rnd == nil {
 		panic("network: SetJitter on a link built without a jitter stream")
@@ -95,10 +96,8 @@ func (l *Link) Send(deliver func()) {
 }
 
 // SendMsg delivers fn(arg) at the far end after the link's latency.
-// fn should be a prebound per-destination handler: on an ordered link
-// the message then rides the reusable FIFO and nothing is allocated
-// per send. A jittered link may reorder deliveries, which a FIFO
-// cannot express, so it falls back to a per-message closure.
+// fn should be a prebound per-destination handler: the message then
+// rides the link's reusable queue and nothing is allocated per send.
 func (l *Link) SendMsg(fn func(any), arg any) {
 	l.sendMsgTagged(sim.MakeUnitTag(sim.CompLink, l.unit), fn, arg)
 }
@@ -114,21 +113,33 @@ func (l *Link) SendMsgLine(fn func(any), arg any, lineAddr uint64) {
 
 func (l *Link) sendMsgTagged(tag uint64, fn func(any), arg any) {
 	l.sent++
+	d := l.latency
 	if l.jitter > 0 {
-		d := l.latency + sim.Tick(l.rnd.Intn(int(l.jitter)+1))
-		l.k.ScheduleTagged(d, tag, func() { fn(arg) })
-		return
+		d += sim.Tick(l.rnd.Intn(int(l.jitter) + 1))
 	}
-	l.msgQ = append(l.msgQ, pendingMsg{fn: fn, arg: arg})
-	l.k.ScheduleTagged(l.latency, tag, l.deliverFn)
+	// Queue the message behind everything due no later than it is:
+	// only messages sent within the last jitter window can be due
+	// later, so the walk is short, and none is on an ordered link.
+	at := l.k.Now() + d
+	i := len(l.msgQ)
+	l.msgQ = append(l.msgQ, pendingMsg{})
+	for ; i > l.msgHead && l.msgQ[i-1].at > at; i-- {
+		l.msgQ[i] = l.msgQ[i-1]
+	}
+	l.msgQ[i] = pendingMsg{fn: fn, arg: arg, at: at}
+	l.k.ScheduleTagged(d, tag, l.deliverFn)
 }
 
-// deliverNext completes the oldest queued typed message. FIFO matching
-// is sound for the ordered path only: every SendMsg schedules
-// deliverFn exactly latency ticks out and the kernel is stable, so
-// deliveries fire in queue order.
+// deliverNext completes the queued typed message that is due first.
+// Every SendMsg schedules one deliverFn event at its message's tick
+// and the kernel fires a link's events by tick, then in send order —
+// the queue's order — so the firing event and the head of the queue
+// always belong to the same send.
 func (l *Link) deliverNext() {
 	p := l.msgQ[l.msgHead]
+	if p.at != l.k.Now() {
+		panic("network: link " + l.name + "'s queue and delivery events desynchronized")
+	}
 	l.msgQ[l.msgHead] = pendingMsg{}
 	l.msgHead++
 	if l.msgHead == len(l.msgQ) {

@@ -93,7 +93,7 @@ func TestSendMsgFIFOAndInterleaving(t *testing.T) {
 	}
 }
 
-func TestSendMsgJitterFallback(t *testing.T) {
+func TestSendMsgJitterBounds(t *testing.T) {
 	k := sim.NewKernel()
 	l := NewJitterLink(k, "jit", 10, 5, rng.New(2, 3))
 	var arrivals []sim.Tick

@@ -49,12 +49,35 @@ func (p *PCG) Uint32() uint32 {
 	return xorshifted>>rot | xorshifted<<((-rot)&31)
 }
 
+// Skip advances the generator by n Uint32 steps without producing
+// their outputs, in O(log n): n applications of the LCG step
+// state = state*mult + inc compose into one affine map, built by
+// repeated squaring (Brown's jump-ahead, as in the reference PCG
+// advance). A caller that knows a run of draws cannot affect its
+// result skips them and leaves the stream exactly where drawing them
+// would have.
+func (p *PCG) Skip(n uint64) {
+	mult, plus := uint64(pcgMult), p.inc
+	accMult, accPlus := uint64(1), uint64(0)
+	for ; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			accMult *= mult
+			accPlus = accPlus*mult + plus
+		}
+		plus *= mult + 1
+		mult *= mult
+	}
+	p.state = accMult*p.state + accPlus
+}
+
 // Uint64 returns the next 64 random bits.
 func (p *PCG) Uint64() uint64 {
 	return uint64(p.Uint32())<<32 | uint64(p.Uint32())
 }
 
-// Intn returns a uniform int in [0, n). It panics if n <= 0.
+// Intn returns a uniform int in [0, n). It panics if n <= 0. It draws
+// one Uint64 — two steps — whatever n is, which callers that Skip in
+// place of Intn calls rely on.
 func (p *PCG) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: Intn with non-positive n")

@@ -166,3 +166,53 @@ func TestBoolProbability(t *testing.T) {
 		t.Fatalf("Bool(0.25) fired %.3f of the time", frac)
 	}
 }
+
+// skipMatchesSteps reports whether Skip(n) leaves a generator seeded
+// (seed, seq) exactly where n Uint32 draws do.
+func skipMatchesSteps(seed, seq, n uint64) bool {
+	stepped, skipped := New(seed, seq), New(seed, seq)
+	for i := uint64(0); i < n; i++ {
+		stepped.Uint32()
+	}
+	skipped.Skip(n)
+	return *stepped == *skipped && stepped.Uint64() == skipped.Uint64()
+}
+
+// TestSkipEqualsSteps pins the jump-ahead the episode generator relies
+// on: skipping n steps is indistinguishable from drawing them, at the
+// bit boundaries of the square-and-multiply loop and at a length no
+// test would draw by accident.
+func TestSkipEqualsSteps(t *testing.T) {
+	seeds := New(0x5149, 1)
+	for _, n := range []uint64{0, 1, 2, 3, 127, 128, 129, 1_000_000} {
+		for i := 0; i < 8; i++ {
+			if seed, seq := seeds.Uint64(), seeds.Uint64(); !skipMatchesSteps(seed, seq, n) {
+				t.Fatalf("Skip(%d) from New(%#x, %#x) differs from %d Uint32 steps", n, seed, seq, n)
+			}
+		}
+	}
+}
+
+// TestIntnConsumesTwoSteps pins the stride the generator's skip is
+// computed from: one Intn is one Uint64 is two steps, for any n.
+func TestIntnConsumesTwoSteps(t *testing.T) {
+	for _, n := range []int{1, 2, 63, 64, 4096, math.MaxInt} {
+		drawn, skipped := New(7, uint64(n)), New(7, uint64(n))
+		drawn.Intn(n)
+		skipped.Skip(2)
+		if *drawn != *skipped {
+			t.Fatalf("Intn(%d) did not advance the stream by exactly two steps", n)
+		}
+	}
+}
+
+func FuzzSkip(f *testing.F) {
+	f.Add(uint64(1), uint64(0xD2F), uint16(128))
+	f.Add(uint64(0), uint64(0), uint16(0))
+	f.Add(^uint64(0), ^uint64(0), ^uint16(0))
+	f.Fuzz(func(t *testing.T, seed, seq uint64, n uint16) {
+		if !skipMatchesSteps(seed, seq, uint64(n)) {
+			t.Fatalf("Skip(%d) from New(%#x, %#x) differs from %d Uint32 steps", n, seed, seq, n)
+		}
+	})
+}

@@ -29,7 +29,7 @@ type Sequencer struct {
 	bugs        BugSet
 
 	pendingWT    map[int]int
-	heldReleases map[int][]*mem.Request
+	heldReleases waitList[int, *mem.Request]
 	outstanding  map[uint64]*mem.Request
 
 	// Completed requests awaiting delivery, drained FIFO by deliverFn.
@@ -53,16 +53,15 @@ type Sequencer struct {
 
 func newSequencer(k *sim.Kernel, cu int, tcp *TCP, respLatency sim.Tick, bugs BugSet) *Sequencer {
 	s := &Sequencer{
-		k:            k,
-		cu:           cu,
-		tcp:          tcp,
-		respLatency:  respLatency,
-		bugs:         bugs,
-		pendingWT:    make(map[int]int),
-		heldReleases: make(map[int][]*mem.Request),
-		outstanding:  make(map[uint64]*mem.Request),
-		lat:          stats.NewLatencySet(fmt.Sprintf("cu%d", cu)),
-		unit:         k.NewUnit(),
+		k:           k,
+		cu:          cu,
+		tcp:         tcp,
+		respLatency: respLatency,
+		bugs:        bugs,
+		pendingWT:   make(map[int]int),
+		outstanding: make(map[uint64]*mem.Request),
+		lat:         stats.NewLatencySet(fmt.Sprintf("cu%d", cu)),
+		unit:        k.NewUnit(),
 	}
 	s.deliverFn = s.deliverNext
 	tcp.seq = s
@@ -77,7 +76,7 @@ func newSequencer(k *sim.Kernel, cu int, tcp *TCP, respLatency sim.Tick, bugs Bu
 // are gone.
 func (s *Sequencer) reset() {
 	clear(s.pendingWT)
-	clear(s.heldReleases)
+	s.heldReleases.drop(nil)
 	clear(s.outstanding)
 	clear(s.respQ)
 	s.respQ = s.respQ[:0]
@@ -115,7 +114,7 @@ func (s *Sequencer) Issue(req *mem.Request) {
 	s.issued++
 
 	if req.Release && s.pendingWT[req.ThreadID] > 0 {
-		s.heldReleases[req.ThreadID] = append(s.heldReleases[req.ThreadID], req)
+		s.heldReleases.push(req.ThreadID, req)
 		return
 	}
 	s.tcp.CoreRequest(req)
@@ -181,14 +180,11 @@ func (s *Sequencer) writeCompleted(req *mem.Request) {
 		return
 	}
 	delete(s.pendingWT, tid)
-	held := s.heldReleases[tid]
-	if len(held) == 0 {
-		return
-	}
-	delete(s.heldReleases, tid)
+	held := s.heldReleases.take(tid)
 	for _, r := range held {
 		s.tcp.CoreRequest(r)
 	}
+	s.heldReleases.recycle(held)
 }
 
 // ForEachOutstanding visits every request that has been issued but not
@@ -238,7 +234,7 @@ type seqSnapshot struct {
 
 func (s *Sequencer) snapshotInto(snap *seqSnapshot) {
 	snap.pendingWT = reuse.Map(snap.pendingWT, s.pendingWT)
-	snap.heldReleases = saveLists(snap.heldReleases, s.heldReleases)
+	snap.heldReleases = s.heldReleases.save(snap.heldReleases)
 	snap.outstanding = reuse.Map(snap.outstanding, s.outstanding)
 	snap.respQ = append(snap.respQ[:0], s.respQ[s.respHead:]...)
 	snap.lat = s.lat.SnapshotInto(snap.lat)
@@ -247,7 +243,7 @@ func (s *Sequencer) snapshotInto(snap *seqSnapshot) {
 
 func (s *Sequencer) restore(snap *seqSnapshot) {
 	s.pendingWT = reuse.Map(s.pendingWT, snap.pendingWT)
-	loadLists(s.heldReleases, snap.heldReleases)
+	s.heldReleases.load(snap.heldReleases)
 	s.outstanding = reuse.Map(s.outstanding, snap.outstanding)
 	clear(s.respQ)
 	s.respQ = append(s.respQ[:0], snap.respQ...)

@@ -86,12 +86,9 @@ type TCC struct {
 	// number of concurrent transactions — TBEs are recycled). Needed
 	// by snapshots: the backend continuations capture the TBE pointer,
 	// so a restore must write contents back into the same objects.
-	allTBEs []*tccTBE
-	stalled map[mem.Addr][]*tcpMsg
-	// stalledFree recycles drained stall queues so repeated contention
-	// on hot lines does not allocate a fresh slice per episode.
-	stalledFree   [][]*tcpMsg
-	stalledProbes map[mem.Addr][]func()
+	allTBEs       []*tccTBE
+	stalled       waitList[mem.Addr, *tcpMsg]
+	stalledProbes waitList[mem.Addr, func()]
 	// sendFns holds one prebound response handler per CU for the
 	// allocation-free Link.SendMsg path, built on first use.
 	sendFns []func(any)
@@ -114,19 +111,17 @@ func newTCC(k *sim.Kernel, spec *protocol.Spec, rec protocol.Recorder, onFault f
 	m := protocol.NewMachine(spec, rec)
 	m.OnFault = onFault
 	c := &TCC{
-		k:             k,
-		machine:       m,
-		array:         cache.NewArray(l2),
-		backend:       backend,
-		toTCP:         toTCP,
-		bugs:          bugs,
-		pool:          pool,
-		auditBuf:      make([]byte, l2.LineSize),
-		retryDelay:    20,
-		tbes:          make(map[mem.Addr]*tccTBE),
-		stalled:       make(map[mem.Addr][]*tcpMsg),
-		stalledProbes: make(map[mem.Addr][]func()),
-		wbs:           make(map[mem.Addr]int),
+		k:          k,
+		machine:    m,
+		array:      cache.NewArray(l2),
+		backend:    backend,
+		toTCP:      toTCP,
+		bugs:       bugs,
+		pool:       pool,
+		auditBuf:   make([]byte, l2.LineSize),
+		retryDelay: 20,
+		tbes:       make(map[mem.Addr]*tccTBE),
+		wbs:        make(map[mem.Addr]int),
 	}
 	c.fetchDoneFn = func(data *mem.Line, ctx any) { c.onData(ctx.(*tccTBE), data) }
 	c.atomicDoneFn = func(old uint32, nack bool, ctx any) {
@@ -179,15 +174,8 @@ func (c *TCC) reset() {
 		delete(c.tbes, line)
 		c.putTBE(tbe)
 	}
-	for line, msgs := range c.stalled {
-		for _, m := range msgs {
-			c.pool.putTCPMsg(m)
-		}
-		clear(msgs)
-		c.stalledFree = append(c.stalledFree, msgs[:0])
-		delete(c.stalled, line)
-	}
-	clear(c.stalledProbes)
+	c.stalled.drop(c.pool.putTCPMsg)
+	c.stalledProbes.drop(nil)
 	clear(c.wbs)
 	c.rdBlks, c.wrVicBlks, c.atomicsSeen, c.fills, c.stalls = 0, 0, 0, 0, 0
 	c.wbAcks, c.droppedMerges, c.droppedAcks = 0, 0, 0
@@ -249,14 +237,7 @@ func (c *TCC) FromTCP(msg *tcpMsg) {
 	switch cell.Kind {
 	case protocol.Stall:
 		c.stalls++
-		q, ok := c.stalled[line]
-		if !ok {
-			if n := len(c.stalledFree); n > 0 {
-				q = c.stalledFree[n-1]
-				c.stalledFree = c.stalledFree[:n-1]
-			}
-		}
-		c.stalled[line] = append(q, msg)
+		c.stalled.push(line, msg)
 		return
 	case protocol.Undefined:
 		c.pool.putTCPMsg(msg)
@@ -405,7 +386,7 @@ func (c *TCC) ProbeInv(line mem.Addr, done func()) {
 	switch cell.Kind {
 	case protocol.Stall:
 		c.stalls++
-		c.stalledProbes[line] = append(c.stalledProbes[line], func() { c.ProbeInv(line, done) })
+		c.stalledProbes.push(line, func() { c.ProbeInv(line, done) })
 		return
 	case protocol.Undefined:
 		return
@@ -445,25 +426,16 @@ func (c *TCC) buggyLocalAtomic(msg *tcpMsg) {
 // wake retries messages (and probes) stalled on line after its
 // transaction completes.
 func (c *TCC) wake(line mem.Addr) {
-	queue := c.stalled[line]
-	if len(queue) > 0 {
-		delete(c.stalled, line)
-		for _, m := range queue {
-			c.FromTCP(m)
-		}
-		// The re-dispatch above may have re-stalled onto a pool slice,
-		// never onto this one (the map entry was deleted first), so the
-		// drained queue can go back to the pool.
-		clear(queue)
-		c.stalledFree = append(c.stalledFree, queue[:0])
+	queue := c.stalled.take(line)
+	for _, m := range queue {
+		c.FromTCP(m)
 	}
-	probes := c.stalledProbes[line]
-	if len(probes) > 0 {
-		delete(c.stalledProbes, line)
-		for _, p := range probes {
-			p()
-		}
+	c.stalled.recycle(queue)
+	probes := c.stalledProbes.take(line)
+	for _, p := range probes {
+		p()
 	}
+	c.stalledProbes.recycle(probes)
 }
 
 // sendFillLine sends an ackFill carrying l: the caller's reference
@@ -591,8 +563,8 @@ func (c *TCC) snapshotInto(dst any) any {
 	}
 	s.tbes = reuse.Map(s.tbes, c.tbes)
 	s.tbeFree = append(s.tbeFree[:0], c.tbeFree...)
-	s.stalled = saveLists(s.stalled, c.stalled)
-	s.stalledProbes = saveLists(s.stalledProbes, c.stalledProbes)
+	s.stalled = c.stalled.save(s.stalled)
+	s.stalledProbes = c.stalledProbes.save(s.stalledProbes)
 	s.wbs = reuse.Map(s.wbs, c.wbs)
 	s.rdBlks, s.wrVicBlks, s.atomicsSeen = c.rdBlks, c.wrVicBlks, c.atomicsSeen
 	s.fills, s.stalls, s.wbAcks = c.fills, c.stalls, c.wbAcks
@@ -615,9 +587,8 @@ func (c *TCC) restore(snap any) {
 	c.tbeFree = append(c.tbeFree[:0], s.tbeFree...)
 	c.tbeFree = append(c.tbeFree, c.allTBEs[len(s.tbeContents):]...)
 	c.tbes = reuse.Map(c.tbes, s.tbes)
-	loadLists(c.stalled, s.stalled)
-	c.stalledFree = c.stalledFree[:0]
-	loadLists(c.stalledProbes, s.stalledProbes)
+	c.stalled.load(s.stalled)
+	c.stalledProbes.load(s.stalledProbes)
 	c.wbs = reuse.Map(c.wbs, s.wbs)
 	c.rdBlks, c.wrVicBlks, c.atomicsSeen = s.rdBlks, s.wrVicBlks, s.atomicsSeen
 	c.fills, c.stalls, c.wbAcks = s.fills, s.stalls, s.wbAcks

@@ -44,7 +44,7 @@ type TCCWB struct {
 	auditBuf   []byte // one line of scratch for AuditAgainstStore
 
 	tbes    map[mem.Addr]*wbTBE
-	stalled map[mem.Addr][]*tcpMsg
+	stalled waitList[mem.Addr, *tcpMsg]
 	// vicWBs counts in-flight eviction write-backs per line (probes do
 	// not exist in this GPU-only variant, so no data needs retention).
 	vicWBs map[mem.Addr]int
@@ -75,7 +75,6 @@ func newTCCWB(k *sim.Kernel, spec *protocol.Spec, rec protocol.Recorder, onFault
 		pool:     pool,
 		auditBuf: make([]byte, l2.LineSize),
 		tbes:     make(map[mem.Addr]*wbTBE),
-		stalled:  make(map[mem.Addr][]*tcpMsg),
 		vicWBs:   make(map[mem.Addr]int),
 	}
 	c.fetchDoneFn = func(data *mem.Line, ctx any) { c.onData(ctx.(mem.Addr), data) }
@@ -98,12 +97,7 @@ func newTCCWB(k *sim.Kernel, spec *protocol.Spec, rec protocol.Recorder, onFault
 func (c *TCCWB) reset() {
 	c.array.Reset()
 	clear(c.tbes)
-	for line, msgs := range c.stalled {
-		for _, m := range msgs {
-			c.pool.putTCPMsg(m)
-		}
-		delete(c.stalled, line)
-	}
+	c.stalled.drop(c.pool.putTCPMsg)
 	clear(c.vicWBs)
 	c.rdBlks, c.wrVicBlks, c.atomicsSeen, c.fills, c.stalls, c.evictWBs = 0, 0, 0, 0, 0, 0
 	c.toTCP.Reset()
@@ -147,7 +141,7 @@ func (c *TCCWB) FromTCP(msg *tcpMsg) {
 	switch cell.Kind {
 	case protocol.Stall:
 		c.stalls++
-		c.stalled[line] = append(c.stalled[line], msg)
+		c.stalled.push(line, msg)
 		return
 	case protocol.Undefined:
 		c.pool.putTCPMsg(msg)
@@ -215,12 +209,7 @@ func (c *TCCWB) performAtomic(line mem.Addr, e *cache.Line, req *mem.Request, cu
 	c.sendAtomicAck(cu, line, req, old)
 	write := func() {
 		if cur := c.array.Peek(line); cur != nil && cur == e {
-			var b [mem.WordSize]byte
-			binary.LittleEndian.PutUint32(b[:], old+req.Operand)
-			for i := range b {
-				e.Data[off+i] = b[i]
-				e.Dirty[off+i] = true
-			}
+			binary.LittleEndian.PutUint32(e.Data[off:off+mem.WordSize], old+req.Operand)
 			e.State = TCCWBStateD
 		}
 	}
@@ -290,7 +279,6 @@ func (c *TCCWB) Flush(st *mem.Store) {
 		if l.State == TCCWBStateD {
 			st.WriteBytes(l.Tag, l.Data, nil)
 			l.State = TCCWBStateV
-			l.ClearDirty()
 		}
 	})
 }
@@ -302,14 +290,11 @@ func (c *TCCWB) AuditAgainstStore(st *mem.Store) []string {
 }
 
 func (c *TCCWB) wake(line mem.Addr) {
-	queue := c.stalled[line]
-	if len(queue) == 0 {
-		return
-	}
-	delete(c.stalled, line)
+	queue := c.stalled.take(line)
 	for _, m := range queue {
 		c.FromTCP(m)
 	}
+	c.stalled.recycle(queue)
 }
 
 // sendFill copies the cache array's bytes into a pooled line (array
@@ -373,7 +358,7 @@ func (c *TCCWB) snapshotInto(dst any) any {
 	for line, tbe := range c.tbes {
 		s.tbes[line] = *tbe
 	}
-	s.stalled = saveLists(s.stalled, c.stalled)
+	s.stalled = c.stalled.save(s.stalled)
 	s.vicWBs = reuse.Map(s.vicWBs, c.vicWBs)
 	s.rdBlks, s.wrVicBlks, s.atomicsSeen = c.rdBlks, c.wrVicBlks, c.atomicsSeen
 	s.fills, s.stalls, s.evictWBs = c.fills, c.stalls, c.evictWBs
@@ -389,7 +374,7 @@ func (c *TCCWB) restore(snap any) {
 		tbe := save
 		c.tbes[line] = &tbe
 	}
-	loadLists(c.stalled, s.stalled)
+	c.stalled.load(s.stalled)
 	c.vicWBs = reuse.Map(c.vicWBs, s.vicWBs)
 	c.rdBlks, c.wrVicBlks, c.atomicsSeen = s.rdBlks, s.wrVicBlks, s.atomicsSeen
 	c.fills, c.stalls, c.evictWBs = s.fills, s.stalls, s.evictWBs

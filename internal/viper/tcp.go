@@ -44,7 +44,7 @@ type TCP struct {
 	// stalled holds core requests whose (state, event) cell is Stall or
 	// that hit the load-TBE/atomic resource hazard; they are retried in
 	// arrival order when the line's transaction completes.
-	stalled map[mem.Addr][]*mem.Request
+	stalled waitList[mem.Addr, *mem.Request]
 	// wt accumulates the bytes of this CU's in-flight write-throughs
 	// per line. A fill merges them over the returned data so a thread
 	// always observes its own (and its CU's) program-order-earlier
@@ -71,7 +71,6 @@ func newTCP(k *sim.Kernel, id int, spec *protocol.Spec, rec protocol.Recorder, o
 		sliceOf: sliceOf,
 		pool:    pool,
 		tbes:    make(map[mem.Addr]*tcpTBE),
-		stalled: make(map[mem.Addr][]*mem.Request),
 		wt:      make(map[mem.Addr]*wtBuf),
 	}
 }
@@ -89,7 +88,7 @@ func (t *TCP) reset() {
 		t.tbeFree = append(t.tbeFree, tbe)
 		delete(t.tbes, line)
 	}
-	clear(t.stalled)
+	t.stalled.drop(nil)
 	for line, buf := range t.wt {
 		// Drop the line reference without releasing: the owning pool's
 		// Reset force-reclaims every line, so a release here would
@@ -357,19 +356,16 @@ func (t *TCP) FlashInvalidate() {
 
 func (t *TCP) stall(line mem.Addr, req *mem.Request) {
 	t.stalls++
-	t.stalled[line] = append(t.stalled[line], req)
+	t.stalled.push(line, req)
 }
 
 // wake retries requests stalled on line, in arrival order.
 func (t *TCP) wake(line mem.Addr) {
-	queue := t.stalled[line]
-	if len(queue) == 0 {
-		return
-	}
-	delete(t.stalled, line)
+	queue := t.stalled.take(line)
 	for _, req := range queue {
 		t.CoreRequest(req)
 	}
+	t.stalled.recycle(queue)
 }
 
 // dropTBE retires a TBE once its transaction fully completes. Safe to
@@ -453,7 +449,7 @@ func (t *TCP) snapshotInto(s *tcpSnapshot) {
 		*save = *tbe
 		save.loads = append(loads[:0], tbe.loads...)
 	}
-	s.stalled = saveLists(s.stalled, t.stalled)
+	s.stalled = t.stalled.save(s.stalled)
 	if s.wt == nil {
 		s.wt = make(map[mem.Addr]wtBuf, len(t.wt))
 	}
@@ -484,7 +480,7 @@ func (t *TCP) restore(s *tcpSnapshot) {
 		tbe.loads = append(tbe.loads[:0], save.loads...)
 		tbe.atomic, tbe.entry = save.atomic, save.entry
 	}
-	loadLists(t.stalled, s.stalled)
+	t.stalled.load(s.stalled)
 	for line, buf := range t.wt {
 		buf.line = nil
 		t.wtFree = append(t.wtFree, buf)
