@@ -3,6 +3,7 @@ package apps
 import (
 	"testing"
 
+	"drftest/internal/audit"
 	"drftest/internal/coverage"
 	"drftest/internal/mem"
 	"drftest/internal/sim"
@@ -139,4 +140,10 @@ func TestLocalityTrackerSteadyStateAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(20, round); n != 0 {
 		t.Fatalf("steady-state tracker access allocates %.1f objects, want 0", n)
 	}
+}
+
+// TestNoMaps pins that the locality tracker, which sees every access
+// of an application run, holds no Go map (see audit.NoMaps).
+func TestNoMaps(t *testing.T) {
+	audit.NoMaps(t, LocalityTracker{})
 }

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"drftest/internal/mem"
+	"drftest/internal/table"
 )
 
 // LocalityClass is Koo et al.'s cache-line reuse classification used
@@ -39,14 +40,15 @@ func (c LocalityClass) String() string {
 // needs: the total, which wavefronts touched it, and which touched it
 // more than once. Wavefront sets are bitmasks (apps run tens of
 // wavefronts, not thousands), so the tracker stores plain values — no
-// per-line pointer or per-line map — and the record stays classifiable
-// without replaying counts. Wavefronts beyond the mask width spill
-// into a map allocated only if such a wavefront ever appears.
+// per-line pointer or per-line table — and the record stays
+// classifiable without replaying counts. Wavefronts beyond the mask
+// width spill into a table of counts allocated only if such a wavefront
+// ever appears.
 type lineUse struct {
 	total  int32
 	seen   [2]uint64 // wavefronts 0..127 that touched the line
 	repeat [2]uint64 // of those, the ones that touched it more than once
-	spill  map[int]int32
+	spill  *table.Table[int, int32]
 }
 
 func (u *lineUse) record(wf int) {
@@ -60,28 +62,25 @@ func (u *lineUse) record(wf int) {
 		return
 	}
 	if u.spill == nil {
-		u.spill = make(map[int]int32)
+		u.spill = new(table.Table[int, int32])
 	}
-	u.spill[wf]++
+	*u.spill.Slot(wf)++
 }
 
 // LocalityTracker profiles cache-line usage across wavefronts.
 type LocalityTracker struct {
 	lineSize int
-	lines    map[mem.Addr]lineUse
+	lines    table.Table[mem.Addr, lineUse]
 }
 
 // NewLocalityTracker creates a tracker for the given line size.
 func NewLocalityTracker(lineSize int) *LocalityTracker {
-	return &LocalityTracker{lineSize: lineSize, lines: make(map[mem.Addr]lineUse)}
+	return &LocalityTracker{lineSize: lineSize}
 }
 
 // Access records that wavefront wf touched addr.
 func (t *LocalityTracker) Access(wf int, addr mem.Addr) {
-	line := mem.LineAddr(addr, t.lineSize)
-	u := t.lines[line]
-	u.record(wf)
-	t.lines[line] = u
+	t.lines.Slot(mem.LineAddr(addr, t.lineSize)).record(wf)
 }
 
 // classify buckets one line.
@@ -89,34 +88,36 @@ func (u *lineUse) classify() LocalityClass {
 	if u.total == 1 {
 		return ClassStreaming
 	}
-	distinct := bits.OnesCount64(u.seen[0]) + bits.OnesCount64(u.seen[1]) + len(u.spill)
+	distinct := bits.OnesCount64(u.seen[0]) + bits.OnesCount64(u.seen[1])
+	class := ClassInterWF
+	if u.repeat[0] != 0 || u.repeat[1] != 0 {
+		class = ClassMixWF
+	}
+	if u.spill != nil {
+		distinct += u.spill.Len()
+		u.spill.Each(func(_ int, n *int32) {
+			if *n > 1 {
+				class = ClassMixWF
+			}
+		})
+	}
 	if distinct == 1 {
 		return ClassIntraWF
 	}
-	if u.repeat[0] != 0 || u.repeat[1] != 0 {
-		return ClassMixWF
-	}
-	for _, n := range u.spill {
-		if n > 1 {
-			return ClassMixWF
-		}
-	}
-	return ClassInterWF
+	return class
 }
 
 // Breakdown returns the fraction of lines in each class, indexed by
 // LocalityClass (Fig. 6's stacked bars).
 func (t *LocalityTracker) Breakdown() [4]float64 {
 	var counts [4]int
-	for _, u := range t.lines {
-		counts[u.classify()]++
-	}
+	t.lines.Each(func(_ mem.Addr, u *lineUse) { counts[u.classify()]++ })
 	var out [4]float64
-	if len(t.lines) == 0 {
+	if t.lines.Len() == 0 {
 		return out
 	}
 	for i, n := range counts {
-		out[i] = float64(n) / float64(len(t.lines))
+		out[i] = float64(n) / float64(t.lines.Len())
 	}
 	return out
 }
@@ -129,10 +130,10 @@ func (t *LocalityTracker) Breakdown() [4]float64 {
 func (t *LocalityTracker) BreakdownByAccess() [4]float64 {
 	var counts [4]int
 	total := 0
-	for _, u := range t.lines {
+	t.lines.Each(func(_ mem.Addr, u *lineUse) {
 		counts[u.classify()] += int(u.total)
 		total += int(u.total)
-	}
+	})
 	var out [4]float64
 	if total == 0 {
 		return out
@@ -144,4 +145,4 @@ func (t *LocalityTracker) BreakdownByAccess() [4]float64 {
 }
 
 // Lines returns the number of distinct lines touched.
-func (t *LocalityTracker) Lines() int { return len(t.lines) }
+func (t *LocalityTracker) Lines() int { return t.lines.Len() }

@@ -5,10 +5,16 @@
 // fails that test until the field is (a) handled by — or deliberately
 // excluded from — Snapshot, Restore, and Reset, and (b) classified in
 // the test's field list with a note saying which.
+//
+// NoMaps is the same kind of guard for one property of those structs:
+// simulated state and its snapshots hold no Go map, so lookups do not
+// hash, cuts do not iterate and re-insert, and nothing near simulated
+// state can come to depend on a randomised iteration order.
 package audit
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -42,6 +48,36 @@ func Fields(t *testing.T, v any, known map[string]string) {
 	for _, name := range names {
 		if !have[name] {
 			t.Errorf("%v audit lists field %q which no longer exists: update the audit (and check the copy paths for the rename)", tp, name)
+		}
+	}
+}
+
+// NoMaps fails the test for every Go map reachable from v's type
+// through pointers, slices, arrays and struct fields, naming the path to
+// it. Interfaces and funcs hide what is behind them and end the walk:
+// audit the concrete types they carry separately. Fields listed in
+// except, as "Type.field", are not entered.
+func NoMaps(t *testing.T, v any, except ...string) {
+	t.Helper()
+	noMaps(t, reflect.TypeOf(v), reflect.TypeOf(v).String(), except, map[reflect.Type]bool{})
+}
+
+func noMaps(t *testing.T, tp reflect.Type, path string, except []string, seen map[reflect.Type]bool) {
+	t.Helper()
+	switch tp.Kind() {
+	case reflect.Map:
+		t.Errorf("%s is a Go map (%v): keep keyed simulated state in a table.Table or a slice, or name the field an exception", path, tp)
+	case reflect.Pointer, reflect.Slice, reflect.Array:
+		noMaps(t, tp.Elem(), path, except, seen)
+	case reflect.Struct:
+		if seen[tp] {
+			return
+		}
+		seen[tp] = true
+		for i := 0; i < tp.NumField(); i++ {
+			if f := tp.Field(i); !slices.Contains(except, tp.Name()+"."+f.Name) {
+				noMaps(t, f.Type, path+"."+f.Name, except, seen)
+			}
 		}
 	}
 }

@@ -444,7 +444,9 @@ func TestMetricsAndHTTPSurface(t *testing.T) {
 // viper.NewSystem or core.New; a worker handed such a spec refuses it
 // the same way. The same range is fine for a uniform campaign and for
 // a swarm one refused only because a corner with more variables
-// outgrows it.
+// outgrows it. So is a count no worker could allocate — one past each
+// admission limit, at the base or only in a corner that multiplies it —
+// while a spec sitting on every limit at once is admitted.
 func TestSubmitRejectsInvalidSysCfg(t *testing.T) {
 	srv := NewServer(Options{Logf: t.Logf})
 	ts := httptest.NewServer(srv.Handler())
@@ -479,6 +481,28 @@ func TestSubmitRejectsInvalidSysCfg(t *testing.T) {
 		})},
 		{"negative variable count", "NumDataVars", mutate(func(s *Spec) { s.TestCfg.NumDataVars = -1 })},
 		{"negative wavefront count", "NumWavefronts", mutate(func(s *Spec) { s.TestCfg.NumWavefronts = -2 })},
+		{"too many data variables", "NumDataVars 1099511627776", mutate(func(s *Spec) { s.TestCfg.NumDataVars = 1 << 40 })},
+		{"too many sync variables", "NumSyncVars", mutate(func(s *Spec) { s.TestCfg.NumSyncVars = maxVariables + 1 })},
+		{"too many variables in all", "NumSyncVars + NumDataVars", mutate(func(s *Spec) {
+			s.TestCfg.NumSyncVars, s.TestCfg.NumDataVars = 1, maxVariables
+		})},
+		{"address range too large", "AddressRangeBytes", mutate(func(s *Spec) { s.TestCfg.AddressRangeBytes = maxRangeBytes + 1 })},
+		{"too many wavefronts", "NumWavefronts", mutate(func(s *Spec) { s.TestCfg.NumWavefronts = maxThreads + 1 })},
+		{"too many lanes", "ThreadsPerWF", mutate(func(s *Spec) { s.TestCfg.ThreadsPerWF = maxThreads + 1 })},
+		{"too many threads in all", "NumWavefronts × ThreadsPerWF", mutate(func(s *Spec) {
+			s.TestCfg.NumWavefronts, s.TestCfg.ThreadsPerWF = maxThreads, 2
+		})},
+		{"too many threads in a corner", "scale=wide", mutate(func(s *Spec) {
+			s.Mode = "swarm"
+			s.TestCfg.NumWavefronts, s.TestCfg.ThreadsPerWF = maxThreads/64, 64
+		})},
+		{"episodes too long", "ActionsPerEpisode", mutate(func(s *Spec) { s.TestCfg.ActionsPerEpisode = maxActions + 1 })},
+		{"log too large", "LogCapacity", mutate(func(s *Spec) { s.TestCfg.LogCapacity = maxLogEntries + 1 })},
+		{"trace ring too large", "traceDepth", mutate(func(s *Spec) { s.TraceDepth = maxLogEntries + 1 })},
+		{"too many CUs", "NumCUs", mutate(func(s *Spec) { s.SysCfg.NumCUs = maxUnits + 1 })},
+		{"too many L2 slices", "NumL2Slices", mutate(func(s *Spec) { s.SysCfg.NumL2Slices = maxUnits + 1 })},
+		{"L1 too large", "L1.SizeBytes", mutate(func(s *Spec) { s.SysCfg.L1.SizeBytes = 2 * maxCacheBytes })},
+		{"L2 too large", "L2.SizeBytes", mutate(func(s *Spec) { s.SysCfg.L2.SizeBytes = 2 * maxCacheBytes })},
 	} {
 		var spec Spec
 		if err := json.Unmarshal(tc.body, &spec); err != nil {
@@ -508,6 +532,18 @@ func TestSubmitRejectsInvalidSysCfg(t *testing.T) {
 	fits.TestCfg.NumSyncVars, fits.TestCfg.NumDataVars, fits.TestCfg.AddressRangeBytes = 4, 64, 68*4
 	if _, err := fits.CampaignConfig(); err != nil {
 		t.Errorf("a range that exactly fits a uniform campaign's variables was refused: %v", err)
+	}
+	// Every limit at once. Admission only: nothing here may build it.
+	atLimit := testSpec("uniform")
+	atLimit.SysCfg.NumCUs, atLimit.SysCfg.NumL2Slices = maxUnits, maxUnits
+	atLimit.SysCfg.L1.SizeBytes, atLimit.SysCfg.L2.SizeBytes = maxCacheBytes, maxCacheBytes
+	atLimit.TestCfg.NumSyncVars, atLimit.TestCfg.NumDataVars = 1, maxVariables-1
+	atLimit.TestCfg.AddressRangeBytes = maxRangeBytes
+	atLimit.TestCfg.NumWavefronts, atLimit.TestCfg.ThreadsPerWF = maxThreads/64, 64
+	atLimit.TestCfg.ActionsPerEpisode, atLimit.TestCfg.LogCapacity = maxActions, maxLogEntries
+	atLimit.TraceDepth = maxLogEntries
+	if _, err := atLimit.CampaignConfig(); err != nil {
+		t.Errorf("a spec on every admission limit, past none, was refused: %v", err)
 	}
 }
 

@@ -94,11 +94,64 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
+// Admission limits: the largest shapes a spec may ask a worker to
+// build. A spec comes from outside the process, and past these a worker
+// does not run a slow test — it dies sizing a slice. Each is far above
+// anything the tester is run at (the paper's largest: 1M variables,
+// 1 MB caches, 8 CUs).
+const (
+	maxVariables  = 1 << 24 // sync + data variables: a 1 GiB slab
+	maxRangeBytes = 1 << 32 // the range they map into: a 128 MiB occupancy bitset
+	maxThreads    = 1 << 16 // wavefronts × lanes
+	maxActions    = 1 << 20 // per episode, generated up front
+	maxLogEntries = 1 << 24 // LogCapacity and TraceDepth, allocated up front
+	maxCacheBytes = 1 << 30 // each of L1 and L2
+	// maxUnits bounds CUs and L2 slices: event tags carry a 16-bit unit
+	// ID, a CU owns several units, and sim.MakeUnitTag truncates
+	// silently past that.
+	maxUnits = 1024
+)
+
+// limit is one bounded quantity of a spec; sums and products come after
+// their terms, so they cannot overflow.
+type limit struct {
+	field  string
+	n, max uint64
+}
+
+func within(limits ...limit) error {
+	for _, l := range limits {
+		if l.n > l.max {
+			return fmt.Errorf("%s %d exceeds the admission limit of %d", l.field, l.n, l.max)
+		}
+	}
+	return nil
+}
+
+// validTest is core.Config.Validate plus the admission limits; it runs
+// on the base tester config and, past uniform mode, on every corner's.
+func validTest(c core.Config) error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	sync, data := uint64(c.NumSyncVars), uint64(c.NumDataVars)
+	wfs, lanes := uint64(c.NumWavefronts), uint64(c.ThreadsPerWF)
+	return within(
+		limit{"NumSyncVars", sync, maxVariables}, limit{"NumDataVars", data, maxVariables},
+		limit{"NumSyncVars + NumDataVars", sync + data, maxVariables},
+		limit{"AddressRangeBytes", c.AddressRangeBytes, maxRangeBytes},
+		limit{"NumWavefronts", wfs, maxThreads}, limit{"ThreadsPerWF", lanes, maxThreads},
+		limit{"NumWavefronts × ThreadsPerWF", wfs * lanes, maxThreads},
+		limit{"ActionsPerEpisode", uint64(c.ActionsPerEpisode), maxActions},
+		limit{"LogCapacity", uint64(max(c.LogCapacity, 0)), maxLogEntries},
+	)
+}
+
 // CampaignConfig lowers the spec to the harness campaign config a
 // CampaignState or worker run context is built from. A sysCfg no
-// system, or a testCfg no tester, can be built from is an error naming
-// the field: admission refuses it, where building it would panic a
-// worker.
+// system, or a testCfg no tester, can be built from — or one past the
+// admission limits — is an error naming the field: admission refuses
+// it, where building it would kill a worker.
 func (s Spec) CampaignConfig() (harness.CampaignConfig, error) {
 	mode, err := harness.ParseCampaignMode(s.Mode)
 	if err != nil {
@@ -107,11 +160,22 @@ func (s Spec) CampaignConfig() (harness.CampaignConfig, error) {
 	if err := s.SysCfg.Validate(); err != nil {
 		return harness.CampaignConfig{}, fmt.Errorf("campaignd: sysCfg: %w", err)
 	}
-	if err := s.TestCfg.Validate(); err != nil {
+	if err := within(
+		limit{"NumCUs", uint64(s.SysCfg.NumCUs), maxUnits},
+		limit{"NumL2Slices", uint64(max(s.SysCfg.NumL2Slices, 0)), maxUnits},
+		limit{"L1.SizeBytes", uint64(s.SysCfg.L1.SizeBytes), maxCacheBytes},
+		limit{"L2.SizeBytes", uint64(s.SysCfg.L2.SizeBytes), maxCacheBytes},
+	); err != nil {
+		return harness.CampaignConfig{}, fmt.Errorf("campaignd: sysCfg: %w", err)
+	}
+	if err := within(limit{"traceDepth", uint64(max(s.TraceDepth, 0)), maxLogEntries}); err != nil {
+		return harness.CampaignConfig{}, fmt.Errorf("campaignd: %w", err)
+	}
+	if err := validTest(s.TestCfg); err != nil {
 		return harness.CampaignConfig{}, fmt.Errorf("campaignd: testCfg: %w", err)
 	}
 	if mode != harness.CampaignUniform {
-		if err := harness.ValidateCorners(s.TestCfg, s.SysCfg); err != nil {
+		if err := harness.ValidateCorners(s.TestCfg, s.SysCfg, validTest); err != nil {
 			return harness.CampaignConfig{}, fmt.Errorf("campaignd: testCfg: %w", err)
 		}
 	}

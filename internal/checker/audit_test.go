@@ -31,7 +31,7 @@ func TestStreamFieldAudit(t *testing.T) {
 	audit.Fields(t, epState{}, map[string]string{
 		"id":        "state: via copyEp",
 		"createSeq": "state: via copyEp",
-		"known":     "state: via copyEp (unknown records live only in the eps map)",
+		"known":     "state: via copyEp (unknown records live only in the eps table)",
 		"dead":      "state: via copyEp (dead records live only in the liveQ)",
 		"ownWrites": "state: deep slice copy via copyEp, into the destination's own backing array",
 		"touched":   "state: deep slice copy via copyEp, into the destination's own backing array",
@@ -44,7 +44,7 @@ func TestStreamFieldAudit(t *testing.T) {
 	})
 	audit.Fields(t, atomicState{}, map[string]string{
 		"contig":  "state: value copy via copyAtomic",
-		"pending": "state: deep map copy via copyAtomic, into the destination's own map",
+		"pending": "state: table CopyFrom via copyAtomic, into the destination's own table",
 		"npend":   "state: value copy via copyAtomic",
 	})
 }
@@ -69,4 +69,13 @@ func TestPipelineFieldAudit(t *testing.T) {
 		"done":     "worker lifecycle channel, remade by each start()",
 		"running":  "worker lifecycle flag; Finish/Reset retire the worker, push revives it",
 	})
+}
+
+// TestNoMaps pins that the online checker's fold state and its cut hold
+// no Go map (see audit.NoMaps); the post-hoc checker's maps are locals
+// of one call, not state.
+func TestNoMaps(t *testing.T) {
+	audit.NoMaps(t, Stream{})
+	audit.NoMaps(t, StreamSnapshot{})
+	audit.NoMaps(t, Pipeline{})
 }

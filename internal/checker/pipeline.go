@@ -238,7 +238,7 @@ func (p *Pipeline) Close() { p.join() }
 
 // Reset rearms the pipeline for a fresh run: the worker is drained
 // and retired, the ring rewound, and the stream reset in place — the
-// ring and the stream's fold maps are retained, so a campaign's
+// ring and the stream's fold tables are retained, so a campaign's
 // reset-per-seed loop does not rebuild them.
 func (p *Pipeline) Reset(atomicDelta uint32) {
 	p.join()

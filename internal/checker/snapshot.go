@@ -11,7 +11,7 @@ import "drftest/internal/reuse"
 // Identity doctrine: nothing outside the Stream holds epState or
 // varState pointers, so Restore is free to rebuild them. The one
 // identity constraint is internal — a live episode's epState is
-// reachable from both the eps map and the liveQ, and RetireEpisode
+// reachable from both the eps table and the liveQ, and RetireEpisode
 // communicates death to minLiveCreate through that shared object — so
 // Restore materializes each saved episode exactly once and links it
 // into both structures.
@@ -19,7 +19,7 @@ import "drftest/internal/reuse"
 // varSave and atomicSave are one variable's fold with its id. Saving
 // and restoring a fold is the same copy in opposite directions
 // (copyEp, copyVar, copyAtomic), always refilling the destination's
-// own slices and maps.
+// own slices and table.
 type varSave struct {
 	id int
 	varState
@@ -38,8 +38,8 @@ type StreamSnapshot struct {
 
 	// The first nLive entries of eps are the live queue in order
 	// (including dead heads not yet popped, which are no longer in the
-	// eps map); entries after that are unknown-episode records, which
-	// are only in the map.
+	// eps table); entries after that are unknown-episode records, which
+	// are only in the table.
 	eps   []epState
 	nLive int
 
@@ -54,7 +54,7 @@ type StreamSnapshot struct {
 	result   []Violation
 }
 
-// Reset rearms the stream for a fresh run, keeping its maps and the
+// Reset rearms the stream for a fresh run, keeping its tables and the
 // episode free list so a campaign's per-seed loop does not rebuild
 // them. Dropped episode records are harvested into the free list.
 func (s *Stream) Reset(atomicDelta uint32) {
@@ -63,10 +63,10 @@ func (s *Stream) Reset(atomicDelta uint32) {
 	}
 	s.delta = atomicDelta
 	s.harvest()
-	clear(s.eps)
+	s.eps.Clear()
 	s.liveQ, s.liveHead = s.liveQ[:0], 0
-	clear(s.atomics)
-	clear(s.data)
+	s.atomics.Clear()
+	s.data.Clear()
 	s.a2unknown = s.a2unknown[:0]
 	s.a2overlap = s.a2overlap[:0]
 	s.a3 = s.a3[:0]
@@ -75,17 +75,15 @@ func (s *Stream) Reset(atomicDelta uint32) {
 
 // harvest moves every reachable epState onto the free list: the live
 // queue tail (live episodes plus dead not-yet-popped heads) and the
-// map's unknown-episode records. Live known episodes appear in both
+// table's unknown-episode records. Live known episodes appear in both
 // structures but are harvested once, from the queue.
 func (s *Stream) harvest() {
-	for _, es := range s.liveQ[s.liveHead:] {
-		s.epFree = append(s.epFree, es)
-	}
-	for _, es := range s.eps {
-		if !es.known {
-			s.epFree = append(s.epFree, es)
+	s.epFree = append(s.epFree, s.liveQ[s.liveHead:]...)
+	s.eps.Each(func(_ uint64, es **epState) {
+		if !(*es).known {
+			s.epFree = append(s.epFree, *es)
 		}
-	}
+	})
 }
 
 func copyEp(dst, src *epState) {
@@ -105,7 +103,8 @@ func copyVar(dst, src *varState) {
 func copyAtomic(dst, src *atomicState) {
 	pending := dst.pending
 	*dst = *src
-	dst.pending = reuse.Map(pending, src.pending)
+	pending.CopyFrom(&src.pending)
+	dst.pending = pending
 }
 
 // Snapshot deep-captures the fold state. The caller must hold the
@@ -132,35 +131,35 @@ func (s *Stream) SnapshotInto(snap *StreamSnapshot) *StreamSnapshot {
 	for _, es := range live {
 		copyEp(reuse.Grow(&snap.eps), es)
 	}
-	for _, es := range s.eps {
-		if !es.known {
-			copyEp(reuse.Grow(&snap.eps), es)
+	s.eps.Each(func(_ uint64, es **epState) {
+		if !(*es).known {
+			copyEp(reuse.Grow(&snap.eps), *es)
 		}
-	}
+	})
 	snap.atomics = snap.atomics[:0]
-	for v, a := range s.atomics {
+	s.atomics.Each(func(v int, a **atomicState) {
 		as := reuse.Grow(&snap.atomics)
 		as.id = v
-		copyAtomic(&as.atomicState, a)
-	}
+		copyAtomic(&as.atomicState, *a)
+	})
 	snap.data = snap.data[:0]
-	for v, vs := range s.data {
+	s.data.Each(func(v int, vs **varState) {
 		ds := reuse.Grow(&snap.data)
 		ds.id = v
-		copyVar(&ds.varState, vs)
-	}
+		copyVar(&ds.varState, *vs)
+	})
 	return snap
 }
 
 // Restore reinstates a cut captured by Snapshot. Current episode and
 // variable records are harvested for reuse; every saved episode is
-// rebuilt once and linked into the eps map and/or the live queue
-// exactly as the save recorded (dead queue heads stay out of the map,
+// rebuilt once and linked into the eps table and/or the live queue
+// exactly as the save recorded (dead queue heads stay out of the table,
 // unknown records stay out of the queue).
 func (s *Stream) Restore(snap *StreamSnapshot) {
 	s.delta = snap.delta
 	s.harvest()
-	clear(s.eps)
+	s.eps.Clear()
 	s.liveQ, s.liveHead = s.liveQ[:0], 0
 	for i := range snap.eps {
 		es := s.newEpState()
@@ -169,26 +168,22 @@ func (s *Stream) Restore(snap *StreamSnapshot) {
 			s.liveQ = append(s.liveQ, es)
 		}
 		if !es.dead {
-			s.eps[es.id] = es
+			s.eps.Put(es.id, es)
 		}
 	}
-	for _, a := range s.atomics {
-		s.atomicFree = append(s.atomicFree, a)
-	}
-	clear(s.atomics)
+	s.atomics.Each(func(_ int, a **atomicState) { s.atomicFree = append(s.atomicFree, *a) })
+	s.atomics.Clear()
 	for i := range snap.atomics {
 		a := reuse.Pop(&s.atomicFree)
 		copyAtomic(a, &snap.atomics[i].atomicState)
-		s.atomics[snap.atomics[i].id] = a
+		s.atomics.Put(snap.atomics[i].id, a)
 	}
-	for _, vs := range s.data {
-		s.varFree = append(s.varFree, vs)
-	}
-	clear(s.data)
+	s.data.Each(func(_ int, vs **varState) { s.varFree = append(s.varFree, *vs) })
+	s.data.Clear()
 	for i := range snap.data {
 		vs := reuse.Pop(&s.varFree)
 		copyVar(vs, &snap.data[i].varState)
-		s.data[snap.data[i].id] = vs
+		s.data.Put(snap.data[i].id, vs)
 	}
 	s.a2unknown = append(s.a2unknown[:0], snap.a2unknown...)
 	s.a2overlap = append(s.a2overlap[:0], snap.a2overlap...)

@@ -3,6 +3,8 @@ package checker
 import (
 	"fmt"
 	"sort"
+
+	"drftest/internal/table"
 )
 
 // Stream is the online form of the axiomatic checker: instead of
@@ -34,7 +36,7 @@ import (
 type Stream struct {
 	delta uint32
 
-	eps    map[uint64]*epState
+	eps    table.Table[uint64, *epState]
 	epFree []*epState
 	// liveQ lists live episodes in creation order; liveHead is the
 	// first possibly-live entry, so the minimum live CreateSeq is
@@ -42,8 +44,8 @@ type Stream struct {
 	liveQ    []*epState
 	liveHead int
 
-	atomics map[int]*atomicState
-	data    map[int]*varState
+	atomics table.Table[int, *atomicState]
+	data    table.Table[int, *varState]
 	// atomicFree and varFree hold the fold records a Restore displaced,
 	// for the next Restore to refill.
 	atomicFree []*atomicState
@@ -68,12 +70,7 @@ func NewStream(atomicDelta uint32) *Stream {
 	if atomicDelta == 0 {
 		atomicDelta = 1
 	}
-	return &Stream{
-		delta:   atomicDelta,
-		eps:     make(map[uint64]*epState),
-		atomics: make(map[int]*atomicState),
-		data:    make(map[int]*varState),
-	}
+	return &Stream{delta: atomicDelta}
 }
 
 // ownWrite is one episode's latest stored value for a variable.
@@ -147,7 +144,7 @@ type varState struct {
 // everything else waits in pending until the prefix reaches it.
 type atomicState struct {
 	contig  int
-	pending map[uint32]int
+	pending table.Table[uint32, int]
 	npend   int
 }
 
@@ -163,7 +160,7 @@ type overlapViol struct {
 func (s *Stream) BeginEpisode(id, createSeq uint64) {
 	es := s.newEpState()
 	es.id, es.createSeq, es.known = id, createSeq, true
-	s.eps[id] = es
+	s.eps.Put(id, es)
 	if s.liveHead == len(s.liveQ) {
 		s.liveQ, s.liveHead = s.liveQ[:0], 0
 	}
@@ -184,13 +181,12 @@ func (s *Stream) newEpState() *epState {
 // record on first reference so own-write tracking works even for
 // dangling IDs (matching the post-hoc checker).
 func (s *Stream) epState(id uint64) *epState {
-	es := s.eps[id]
-	if es == nil {
-		es = s.newEpState()
-		es.id = id
-		s.eps[id] = es
+	es := s.eps.Slot(id)
+	if *es == nil {
+		*es = s.newEpState()
+		(*es).id = id
 	}
-	return es
+	return *es
 }
 
 // minLiveCreate pops dead episodes off the queue head (recycling
@@ -214,12 +210,11 @@ func (s *Stream) minLiveCreate() uint64 {
 }
 
 func (s *Stream) varState(v int) *varState {
-	vs := s.data[v]
-	if vs == nil {
-		vs = &varState{}
-		s.data[v] = vs
+	vs := s.data.Slot(v)
+	if *vs == nil {
+		*vs = &varState{}
 	}
-	return vs
+	return *vs
 }
 
 // Observe folds one completed operation. Operations must arrive in
@@ -236,33 +231,28 @@ func (s *Stream) Observe(op Op) {
 
 // observeAtomic: axiom A1 fold.
 func (s *Stream) observeAtomic(op Op) {
-	a := s.atomics[op.Var]
-	if a == nil {
-		a = &atomicState{}
-		s.atomics[op.Var] = a
+	slot := s.atomics.Slot(op.Var)
+	if *slot == nil {
+		*slot = &atomicState{}
 	}
+	a := *slot
 	if op.Value == uint32(a.contig)*s.delta {
 		a.contig++
 		for a.npend > 0 {
 			next := uint32(a.contig) * s.delta
-			n := a.pending[next]
-			if n == 0 {
+			n := a.pending.Ptr(next)
+			if n == nil {
 				break
 			}
-			if n == 1 {
-				delete(a.pending, next)
-			} else {
-				a.pending[next] = n - 1
+			if *n--; *n == 0 {
+				a.pending.Delete(next)
 			}
 			a.npend--
 			a.contig++
 		}
 		return
 	}
-	if a.pending == nil {
-		a.pending = make(map[uint32]int)
-	}
-	a.pending[op.Value]++
+	*a.pending.Slot(op.Value)++
 	a.npend++
 }
 
@@ -317,7 +307,7 @@ func (s *Stream) observeValue(op Op) {
 			return // already reported by A2
 		}
 		var want uint32 // zero-initialized memory
-		if v := s.data[op.Var]; v != nil {
+		if v, _ := s.data.Get(op.Var); v != nil {
 			ws := v.writers
 			i := sort.Search(len(ws), func(i int) bool { return ws[i].retireSeq >= es.createSeq })
 			if i > 0 {
@@ -341,14 +331,14 @@ func (s *Stream) observeValue(op Op) {
 // arrive in increasing retireSeq order, after all of the episode's
 // operations have been observed.
 func (s *Stream) RetireEpisode(id, retireSeq uint64) {
-	es := s.eps[id]
+	es, _ := s.eps.Get(id)
 	if es == nil || !es.known || es.dead {
 		return
 	}
 	es.dead = true
-	delete(s.eps, id)
+	s.eps.Delete(id)
 	for _, varID := range es.touched {
-		v := s.data[varID]
+		v, _ := s.data.Get(varID)
 		for i := len(v.intervals) - 1; i >= 0; i-- {
 			if v.intervals[i].ep == id {
 				v.intervals[i].hi = retireSeq
@@ -365,10 +355,12 @@ func (s *Stream) RetireEpisode(id, retireSeq uint64) {
 	// until the next BeginEpisode, so reading them below is safe.
 	minLive := s.minLiveCreate()
 	for _, varID := range es.touched {
-		s.advanceSeal(varID, s.data[varID], minLive)
+		v, _ := s.data.Get(varID)
+		s.advanceSeal(varID, v, minLive)
 	}
 	for _, w := range es.ownWrites {
-		s.pruneWriters(s.data[w.v], minLive)
+		v, _ := s.data.Get(w.v)
+		s.pruneWriters(v, minLive)
 	}
 }
 
@@ -436,13 +428,12 @@ func (s *Stream) Finish() []Violation {
 	var out []Violation
 
 	// A1, per sync variable ascending.
-	avars := make([]int, 0, len(s.atomics))
-	for v := range s.atomics {
-		avars = append(avars, v)
-	}
+	avars := make([]int, 0, s.atomics.Len())
+	s.atomics.Each(func(v int, _ **atomicState) { avars = append(avars, v) })
 	sort.Ints(avars)
 	for _, vid := range avars {
-		if viol, bad := s.atomics[vid].firstBreak(vid, s.delta); bad {
+		a, _ := s.atomics.Get(vid)
+		if viol, bad := a.firstBreak(vid, s.delta); bad {
 			out = append(out, viol)
 		}
 	}
@@ -450,8 +441,9 @@ func (s *Stream) Finish() []Violation {
 	// A2: episodes that never retired get an unbounded lifetime, then
 	// the remaining unsealed suffixes run the final adjacent-pair
 	// sweep. Emission order across variables is restored by the sort
-	// below, so map iteration order here is harmless.
-	for vid, v := range s.data {
+	// below, so the table's iteration order here is harmless.
+	s.data.Each(func(vid int, vs **varState) {
+		v := *vs
 		for i := range v.intervals {
 			if !v.intervals[i].retired {
 				v.intervals[i].hi = ^uint64(0)
@@ -459,7 +451,7 @@ func (s *Stream) Finish() []Violation {
 			}
 		}
 		s.advanceSeal(vid, v, ^uint64(0))
-	}
+	})
 	out = append(out, s.a2unknown...)
 	sort.Slice(s.a2overlap, func(i, j int) bool {
 		if s.a2overlap[i].v != s.a2overlap[j].v {
@@ -485,11 +477,11 @@ func (a *atomicState) firstBreak(varID int, delta uint32) (Violation, bool) {
 		return Violation{}, false
 	}
 	pend := make([]uint32, 0, a.npend)
-	for val, n := range a.pending {
-		for i := 0; i < n; i++ {
+	a.pending.Each(func(val uint32, n *int) {
+		for i := 0; i < *n; i++ {
 			pend = append(pend, val)
 		}
-	}
+	})
 	sort.Slice(pend, func(i, j int) bool { return pend[i] < pend[j] })
 	ci, pi := 0, 0
 	for i := 0; ci < a.contig || pi < len(pend); i++ {

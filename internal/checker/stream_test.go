@@ -264,13 +264,9 @@ func TestExclusivityDedupTyped(t *testing.T) {
 // streamFootprint sums the retained state sizes that must stay
 // bounded regardless of how many episodes have passed through.
 func (s *Stream) streamFootprint() int {
-	n := len(s.eps) + (len(s.liveQ) - s.liveHead)
-	for _, v := range s.data {
-		n += len(v.intervals) + len(v.writers)
-	}
-	for _, a := range s.atomics {
-		n += a.npend
-	}
+	n := s.eps.Len() + (len(s.liveQ) - s.liveHead)
+	s.data.Each(func(_ int, v **varState) { n += len((*v).intervals) + len((*v).writers) })
+	s.atomics.Each(func(_ int, a **atomicState) { n += (*a).npend + (*a).pending.Len() })
 	return n
 }
 

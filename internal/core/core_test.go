@@ -119,7 +119,7 @@ func TestAddressSpaceProperties(t *testing.T) {
 		nSync := int(nSyncRaw%8) + 1
 		nData := int(nDataRaw%64) + 1
 		rangeBytes := 4 * uint64(nSync+nData) * mem.WordSize
-		sp := buildAddressSpace(rng.New(seed, 1), nSync, nData, rangeBytes)
+		sp := buildAddressSpace(rng.New(seed, 1), nSync, nData, rangeBytes, 64)
 		if len(sp.syncVars) != nSync || len(sp.dataVars) != nData {
 			return false
 		}
@@ -143,7 +143,7 @@ func TestAddressSpaceTooSmallPanics(t *testing.T) {
 			t.Fatal("oversubscribed range accepted")
 		}
 	}()
-	buildAddressSpace(rng.New(1, 1), 10, 10, 16)
+	buildAddressSpace(rng.New(1, 1), 10, 10, 16, 64)
 }
 
 // TestEpisodeGenerationIsRaceFree is the §III.A invariant as a
@@ -175,7 +175,7 @@ func TestEpisodeGenerationIsRaceFree(t *testing.T) {
 				ep := live[idx]
 				// Retire claims without the memory-system round trip.
 				for _, v := range ep.claimOrder {
-					tester.space.release(v, ep.id, ep.claims[v.id])
+					tester.space.release(v, ep.id, held(ep, v))
 				}
 				live = append(live[:idx], live[idx+1:]...)
 			}
@@ -184,10 +184,10 @@ func TestEpisodeGenerationIsRaceFree(t *testing.T) {
 				var writers, readers []uint64
 				var sum uint64
 				for _, ep := range live {
-					if ep.claims[v.id]&claimWrite != 0 {
+					if held(ep, v)&claimWrite != 0 {
 						writers = append(writers, ep.id)
 					}
-					if ep.claims[v.id]&claimRead != 0 {
+					if held(ep, v)&claimRead != 0 {
 						readers = append(readers, ep.id)
 						sum += ep.id
 					}
@@ -215,6 +215,12 @@ func TestEpisodeGenerationIsRaceFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// held reads the claim kinds ep holds on v out of its claim table.
+func held(ep *episode, v *variable) claimKind {
+	c, _ := ep.claims.Get(v.id)
+	return c.kind
 }
 
 // TestEpisodeShape: every generated episode is acquire…actions…release
@@ -246,7 +252,7 @@ func TestEpisodeShape(t *testing.T) {
 			}
 		}
 		for _, v := range ep.claimOrder {
-			tester.space.release(v, ep.id, ep.claims[v.id])
+			tester.space.release(v, ep.id, held(ep, v))
 		}
 	}
 }
@@ -300,6 +306,26 @@ func TestFailureKindStrings(t *testing.T) {
 			t.Fatalf("bad kind string %q", s)
 		}
 		seen[s] = true
+		if failLabels[k] != "fail "+s {
+			t.Errorf("trace label of %s is %q", s, failLabels[k])
+		}
+	}
+	if FailureKind(len(failNames)).String() != "FailureKind(6)" {
+		t.Error("failure-kind names out of step with the kinds")
+	}
+}
+
+// TestTraceLabels: the constant trace labels are the strings a traced
+// run used to build per op — ring entries and artifacts stay
+// byte-identical — and every op kind has all three.
+func TestTraceLabels(t *testing.T) {
+	if len(opNames) != int(opExtra)+1 {
+		t.Fatal("op names out of step with the op kinds")
+	}
+	for k, name := range opNames {
+		if name == "" || issueLabels[k] != "issue "+name || respLabels[k] != "resp "+name {
+			t.Errorf("op kind %d: name %q, labels %q / %q", k, name, issueLabels[k], respLabels[k])
+		}
 	}
 }
 

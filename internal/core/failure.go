@@ -30,20 +30,19 @@ const (
 	FailFinalAudit
 )
 
+// Failure-kind names, and the trace labels built from them.
+var (
+	failNames = [...]string{
+		FailValueMismatch: "value-mismatch", FailDuplicateAtomic: "duplicate-atomic",
+		FailBadAtomicValue: "bad-atomic-value", FailDeadlock: "deadlock",
+		FailProtocolFault: "protocol-fault", FailFinalAudit: "final-audit",
+	}
+	failLabels = prefixed("fail ", failNames[:])
+)
+
 func (k FailureKind) String() string {
-	switch k {
-	case FailValueMismatch:
-		return "value-mismatch"
-	case FailDuplicateAtomic:
-		return "duplicate-atomic"
-	case FailBadAtomicValue:
-		return "bad-atomic-value"
-	case FailDeadlock:
-		return "deadlock"
-	case FailProtocolFault:
-		return "protocol-fault"
-	case FailFinalAudit:
-		return "final-audit"
+	if int(k) < len(failNames) {
+		return failNames[k]
 	}
 	return fmt.Sprintf("FailureKind(%d)", uint8(k))
 }

@@ -197,7 +197,7 @@ func TestGeneratorMatchesPlainSampler(t *testing.T) {
 						}
 						if gotVar != wantVar || op.kind != wantKind {
 							t.Fatalf("vars=%d seed=%d step %d: generated %s of data variable %d, plain sampler %s of %d",
-								numData, seed, step, opName(op.kind), gotVar, opName(wantKind), wantVar)
+								numData, seed, step, opNames[op.kind], gotVar, opNames[wantKind], wantVar)
 						}
 						if *tester.rnd != oracle {
 							t.Fatalf("vars=%d seed=%d step %d: RNG state differs after genDataOp", numData, seed, step)

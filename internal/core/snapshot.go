@@ -6,8 +6,8 @@ import (
 
 	"drftest/internal/checker"
 	"drftest/internal/mem"
-	"drftest/internal/reuse"
 	"drftest/internal/rng"
+	"drftest/internal/table"
 	"drftest/internal/trace"
 	"drftest/internal/viper"
 )
@@ -43,6 +43,7 @@ type spaceSave struct {
 	addrs           []mem.Addr
 	lastWriters     []AccessRecord
 	free, unwritten int
+	falseShared     int
 }
 
 // threadSave captures one lane; ep is meaningful only while live.
@@ -71,12 +72,11 @@ type TesterSnapshot struct {
 	log     *trace.LogSnapshot[LogEntry]
 
 	failures     []*Failure
-	deadlockSeen bool
 	lastWorkTick uint64
 	genSeq       uint64
 
 	traceOps []checker.Op
-	epMeta   map[uint64]checker.EpisodeMeta
+	epMeta   []checker.EpisodeMeta
 	stream   *checker.StreamSnapshot
 
 	nextReqID     uint64
@@ -105,22 +105,28 @@ func (t *Tester) Report() *Report { return t.report() }
 // FailureCount returns the number of failures detected so far.
 func (t *Tester) FailureCount() int { return len(t.failures) }
 
-// copyVar copies src into dst, refilling dst's own old-value map
+// copyVar copies src into dst, refilling dst's own old-value table
 // rather than sharing src's.
 func copyVar(dst, src *variable) {
 	seenOld := dst.seenOld
 	*dst = *src
-	dst.seenOld = reuse.Map(seenOld, src.seenOld)
+	if src.seenOld != nil {
+		if seenOld == nil {
+			seenOld = new(table.Table[uint32, AccessRecord])
+		}
+		seenOld.CopyFrom(src.seenOld)
+		dst.seenOld = seenOld
+	}
 }
 
-// copyEpisode copies src into dst, refilling dst's maps and slices.
+// copyEpisode copies src into dst, refilling dst's table and slices.
 func copyEpisode(dst, src *episode) {
-	ops, order, writes, claims := dst.ops, dst.claimOrder, dst.writes, dst.claims
+	ops, order, claims := dst.ops, dst.claimOrder, dst.claims
 	*dst = *src
 	dst.ops = append(ops[:0], src.ops...)
 	dst.claimOrder = append(order[:0], src.claimOrder...)
-	dst.writes = reuse.Map(writes, src.writes)
-	dst.claims = reuse.Map(claims, src.claims)
+	claims.CopyFrom(&src.claims)
+	dst.claims = claims
 }
 
 // Snapshot captures the tester's complete state. Pair with kernel and
@@ -140,7 +146,7 @@ func (t *Tester) SnapshotInto(s *TesterSnapshot) *TesterSnapshot {
 	}
 	s.space.addrs = append(s.space.addrs[:0], t.space.addrs...)
 	s.space.lastWriters = append(s.space.lastWriters[:0], t.space.lastWriters...)
-	s.space.free, s.space.unwritten = t.space.free, t.space.unwritten
+	s.space.free, s.space.unwritten, s.space.falseShared = t.space.free, t.space.unwritten, t.space.falseShared
 	s.threads = slices.Grow(s.threads[:0], len(t.threads))[:len(t.threads)]
 	for i, thr := range t.threads {
 		ts := &s.threads[i]
@@ -155,20 +161,13 @@ func (t *Tester) SnapshotInto(s *TesterSnapshot) *TesterSnapshot {
 	}
 	s.log = t.log.SnapshotInto(s.log)
 	s.failures = append(s.failures[:0], t.failures...)
-	s.deadlockSeen = t.deadlockSeen
 	s.lastWorkTick = t.lastWorkTick
 	s.genSeq = t.genSeq
 	s.traceOps = s.traceOps[:0]
-	clear(s.epMeta)
 	if t.trace != nil {
 		s.traceOps = append(s.traceOps, t.trace.Ops...)
-		if s.epMeta == nil {
-			s.epMeta = make(map[uint64]checker.EpisodeMeta, len(t.epMeta))
-		}
-		for id, m := range t.epMeta {
-			s.epMeta[id] = *m
-		}
 	}
+	s.epMeta = append(s.epMeta[:0], t.epMeta...)
 	if t.stream != nil {
 		s.stream = t.stream.SnapshotInto(s.stream)
 	} else {
@@ -207,7 +206,7 @@ func (t *Tester) Restore(s *TesterSnapshot) {
 	}
 	t.space.addrs = append(t.space.addrs[:0], s.space.addrs...)
 	t.space.lastWriters = append(t.space.lastWriters[:0], s.space.lastWriters...)
-	t.space.free, t.space.unwritten = s.space.free, s.space.unwritten
+	t.space.free, t.space.unwritten, t.space.falseShared = s.space.free, s.space.unwritten, s.space.falseShared
 	// Abandoned episodes go to the free list first, so the restored
 	// ones below are refills of them rather than fresh structs. The
 	// free list itself is not part of a cut: its episodes are
@@ -233,16 +232,11 @@ func (t *Tester) Restore(s *TesterSnapshot) {
 	}
 	t.log.Restore(s.log) // panics on a log-capacity mismatch
 	t.failures = append(t.failures[:0], s.failures...)
-	t.deadlockSeen = s.deadlockSeen
 	t.lastWorkTick = s.lastWorkTick
 	t.genSeq = s.genSeq
 	if t.trace != nil {
 		t.trace.Ops = append(t.trace.Ops[:0], s.traceOps...)
-		clear(t.epMeta)
-		for id, m := range s.epMeta {
-			mc := m
-			t.epMeta[id] = &mc
-		}
+		t.epMeta = append(t.epMeta[:0], s.epMeta...)
 	}
 	if t.stream != nil {
 		t.stream.Restore(s.stream)

@@ -8,6 +8,7 @@ import (
 	"drftest/internal/mem"
 	"drftest/internal/rng"
 	"drftest/internal/sim"
+	"drftest/internal/table"
 	"drftest/internal/viper"
 )
 
@@ -32,20 +33,21 @@ const traceComponent = "gpu-tester"
 // (arbitrary, fixed: Reset must reproduce the construction-time stream).
 const testerStream = 0xD2F
 
-func opName(k opKind) string {
-	switch k {
-	case opAcquire:
-		return "acquire"
-	case opLoad:
-		return "load"
-	case opStore:
-		return "store"
-	case opRelease:
-		return "release"
-	case opExtra:
-		return "extra-atomic"
+// Op names and the trace labels built from them once, not per op: a
+// traced run labels every issue and every response.
+var (
+	opNames     = [...]string{opAcquire: "acquire", opLoad: "load", opStore: "store", opRelease: "release", opExtra: "extra-atomic"}
+	issueLabels = prefixed("issue ", opNames[:])
+	respLabels  = prefixed("resp ", opNames[:])
+)
+
+// prefixed returns names with prefix put before each.
+func prefixed(prefix string, names []string) []string {
+	out := make([]string, len(names))
+	for i, n := range names {
+		out[i] = prefix + n
 	}
-	return "?"
+	return out
 }
 
 // genOp is one pre-generated episode action.
@@ -63,11 +65,19 @@ type episode struct {
 	next      int
 	createSeq uint64
 	traceSeq  int
-	writes    map[int]uint32 // var id → this episode's latest written value
-	claims    map[int]claimKind
+	claims    table.Table[int, claim] // by variable ID
 	// claimOrder lists claimed variables in claim order: retirement and
-	// the generator's candidate test walk it instead of the map.
+	// the generator's candidate test walk it instead of the table.
 	claimOrder []*variable
+}
+
+// claim is what one episode holds on one variable: the kinds of access
+// it claimed at generation and, once a store of its own has issued, the
+// latest value it wrote.
+type claim struct {
+	value uint32
+	kind  claimKind
+	wrote bool
 }
 
 // thread is one tester lane.
@@ -110,12 +120,11 @@ type Tester struct {
 	log     *EventLog
 
 	failures      []*Failure
-	deadlockSeen  bool
 	lastWorkTick  uint64
 	genSeq        uint64
 	trace         *checker.Trace
 	stream        *checker.Pipeline
-	epMeta        map[uint64]*checker.EpisodeMeta
+	epMeta        []checker.EpisodeMeta // by episode ID - 1, when recording
 	nextReqID     uint64
 	nextEpisodeID uint64
 	storeValue    uint32
@@ -125,7 +134,7 @@ type Tester struct {
 	// reqSlab hands out requests in chunks so the issue path pays one
 	// allocation per reqSlabSize ops instead of one per op; heartbeatFn
 	// is the pre-bound poller closure; epFree recycles retired episodes
-	// (their maps and op slices) for the next generation.
+	// (their claim tables and op slices) for the next generation.
 	reqSlab     []mem.Request
 	heartbeatFn func()
 	epFree      []*episode
@@ -160,10 +169,9 @@ func NewMulti(k *sim.Kernel, systems []*viper.System, cfg Config) *Tester {
 		}
 		t.seqs = append(t.seqs, sys.Seqs...)
 	}
-	t.space = buildAddressSpace(t.rnd.Split(), cfg.NumSyncVars, cfg.NumDataVars, cfg.AddressRangeBytes)
+	t.space = buildAddressSpace(t.rnd.Split(), cfg.NumSyncVars, cfg.NumDataVars, cfg.AddressRangeBytes, lineSize)
 	if cfg.RecordTrace {
 		t.trace = &checker.Trace{AtomicDelta: cfg.AtomicDelta}
-		t.epMeta = make(map[uint64]*checker.EpisodeMeta)
 	}
 	if cfg.StreamCheck {
 		t.stream = checker.NewPipeline(cfg.AtomicDelta, cfg.StreamInline)
@@ -210,7 +218,7 @@ func (t *Tester) Reset(seed uint64) {
 	t.cfg.Seed = seed
 	*t.rnd = *rng.New(seed, testerStream)
 	t.log.Reset()
-	t.space.rebuild(t.rnd.Split(), t.cfg.NumSyncVars, t.cfg.NumDataVars, t.cfg.AddressRangeBytes)
+	t.space.rebuild(t.rnd.Split(), t.cfg.NumSyncVars, t.cfg.NumDataVars, t.cfg.AddressRangeBytes, t.space.lineSize)
 	for _, thr := range t.threads {
 		thr.ep = nil
 		thr.episodesDone = 0
@@ -221,15 +229,14 @@ func (t *Tester) Reset(seed uint64) {
 		wf.finished = false
 	}
 	t.failures = nil
-	t.deadlockSeen = false
 	t.lastWorkTick = 0
 	t.genSeq = 0
 	if t.cfg.RecordTrace {
 		t.trace = &checker.Trace{AtomicDelta: t.cfg.AtomicDelta}
-		t.epMeta = make(map[uint64]*checker.EpisodeMeta)
+		t.epMeta = t.epMeta[:0]
 	}
 	if t.cfg.StreamCheck {
-		// Reuse the pipeline (its ring and the stream's fold maps)
+		// Reuse the pipeline (its ring and the stream's fold tables)
 		// across runs; rebuild only when the inline knob changed.
 		if t.stream != nil && t.stream.ForcedInline() == t.cfg.StreamInline {
 			t.stream.Reset(t.cfg.AtomicDelta)
@@ -285,9 +292,7 @@ func (t *Tester) ResetWithConfig(seed uint64, cfg Config) {
 
 // FalseSharingLines reports how many cache lines mix sync and data
 // variables under the run's random mapping.
-func (t *Tester) FalseSharingLines() int {
-	return t.space.falseSharingPairs(t.systems[0].Cfg.L1.LineSize)
-}
+func (t *Tester) FalseSharingLines() int { return t.space.falseShared }
 
 // Log exposes the rolling transaction log.
 func (t *Tester) Log() *EventLog { return t.log }
@@ -392,12 +397,13 @@ func (t *Tester) issueOp(wf *wavefront, thr *thread, op genOp) {
 		req.Data = op.storeVal
 		// The thread's own later loads must observe this value from
 		// issue onward (program order).
-		thr.ep.writes[op.v.id] = op.storeVal
+		c := thr.ep.claims.Ptr(op.v.id)
+		c.value, c.wrote = op.storeVal, true
 	}
 	wf.outstanding++
 	t.opsIssued++
 	if t.k.Tracing() {
-		t.k.Trace(traceComponent, "issue "+opName(op.kind), uint64(req.Addr))
+		t.k.Trace(traceComponent, issueLabels[op.kind], uint64(req.Addr))
 	}
 	t.log.Append(LogEntry{
 		Tick: uint64(t.k.Now()), Kind: LogIssue, Op: req.Op, Addr: req.Addr,
@@ -415,10 +421,7 @@ func (t *Tester) freeEpisode() *episode {
 		t.epFree = t.epFree[:n-1]
 		return ep
 	}
-	return &episode{
-		writes: make(map[int]uint32),
-		claims: make(map[int]claimKind),
-	}
+	return &episode{}
 }
 
 // newEpisode generates a fresh episode obeying the §III.A race-freedom
@@ -426,10 +429,8 @@ func (t *Tester) freeEpisode() *episode {
 func (t *Tester) newEpisode() *episode {
 	t.nextEpisodeID++
 	ep := t.freeEpisode()
-	clear(ep.writes)
-	clear(ep.claims)
+	ep.claims.Clear()
 	*ep = episode{
-		writes:     ep.writes,
 		claims:     ep.claims,
 		ops:        ep.ops[:0],
 		claimOrder: ep.claimOrder[:0],
@@ -439,7 +440,7 @@ func (t *Tester) newEpisode() *episode {
 	t.genSeq++
 	ep.createSeq = t.genSeq
 	if t.trace != nil {
-		t.epMeta[ep.id] = &checker.EpisodeMeta{ID: ep.id, CreateSeq: ep.createSeq}
+		t.epMeta = append(t.epMeta, checker.EpisodeMeta{ID: ep.id, CreateSeq: ep.createSeq})
 	}
 	if t.stream != nil {
 		t.stream.BeginEpisode(ep.id, ep.createSeq)
@@ -502,15 +503,15 @@ func (t *Tester) pickData(ep *episode, store bool) *variable {
 }
 
 func (t *Tester) claimOp(ep *episode, v *variable, store bool) genOp {
-	want, held := claimRead, ep.claims[v.id]
+	want, held := claimRead, ep.claims.Slot(v.id)
 	if store {
 		want = claimWrite
 	}
-	if held == 0 {
+	if held.kind == 0 {
 		ep.claimOrder = append(ep.claimOrder, v)
 	}
-	if held&want == 0 {
-		ep.claims[v.id] = held | want
+	if held.kind&want == 0 {
+		held.kind |= want
 		t.space.claim(v, ep.id, want)
 	}
 	if store {
@@ -531,7 +532,7 @@ func (t *Tester) HandleResponse(resp *mem.Response) {
 	t.opsCompleted++
 	t.lastWorkTick = resp.Tick
 	if t.k.Tracing() {
-		t.k.Trace(traceComponent, "resp "+opName(op.kind), uint64(req.Addr))
+		t.k.Trace(traceComponent, respLabels[op.kind], uint64(req.Addr))
 	}
 
 	t.log.Append(LogEntry{
@@ -578,9 +579,9 @@ func (t *Tester) HandleResponse(resp *mem.Response) {
 // checkLoad enforces the DRF value rule: a load sees the episode's own
 // latest store to the variable, or the globally retired value.
 func (t *Tester) checkLoad(ep *episode, v *variable, rec AccessRecord, resp *mem.Response) {
-	expected, own := ep.writes[v.id]
-	if !own {
-		expected = v.value
+	expected, own := v.value, false
+	if c := ep.claims.Ptr(v.id); c.wrote {
+		expected, own = c.value, true
 	}
 	if resp.Data == expected {
 		return
@@ -620,7 +621,7 @@ func (t *Tester) checkAtomic(v *variable, rec AccessRecord) {
 			LastReader: &r,
 			Window:     t.log.ForAddr(v.addr, 16),
 		})
-	} else if prev, dup := v.seenOld[old]; dup {
+	} else if prev, dup := v.seenOld.Get(old); dup {
 		p, r := prev, rec
 		t.fail(&Failure{
 			Kind: FailDuplicateAtomic, Tick: rec.Cycle, Addr: v.addr,
@@ -632,7 +633,7 @@ func (t *Tester) checkAtomic(v *variable, rec AccessRecord) {
 			Window:     t.log.ForAddr(v.addr, 16),
 		})
 	}
-	v.seenOld[old] = rec
+	v.seenOld.Put(old, rec)
 	v.completed++
 }
 
@@ -668,24 +669,23 @@ func (t *Tester) buildTraceOp(thr *thread, ep *episode, op genOp, req *mem.Reque
 func (t *Tester) retire(thr *thread, ep *episode) {
 	t.genSeq++
 	if t.trace != nil {
-		if m := t.epMeta[ep.id]; m != nil {
-			m.Thread = thr.id
-			m.RetireSeq = t.genSeq
-		}
+		m := &t.epMeta[ep.id-1]
+		m.Thread, m.RetireSeq = thr.id, t.genSeq
 	}
 	if t.stream != nil {
 		t.stream.RetireEpisode(ep.id, t.genSeq)
 	}
-	for id, val := range ep.writes {
-		t.space.slab[id].value = val
-	}
 	for _, v := range ep.claimOrder {
-		t.space.release(v, ep.id, ep.claims[v.id])
+		c := ep.claims.Ptr(v.id)
+		if c.wrote {
+			v.value = c.value
+		}
+		t.space.release(v, ep.id, c.kind)
 	}
 	t.episodesRetired++
 	// Nothing references a retired episode (its last op has completed
-	// and thr.ep is cleared below), so its maps and slices go back to
-	// the free list for the next generation.
+	// and thr.ep is cleared below), so its storage goes back to the
+	// free list for the next generation.
 	t.epFree = append(t.epFree, ep)
 	thr.ep = nil
 	thr.episodesDone++
@@ -698,9 +698,9 @@ func (t *Tester) heartbeat() {
 		return
 	}
 	now := uint64(t.k.Now())
-	// Report the oldest over-threshold request (ties broken by ID):
-	// outstanding sets are maps, so reporting the first one encountered
-	// would vary with iteration order and break run determinism.
+	// Report the oldest over-threshold request (ties broken by ID): the
+	// order outstanding sets are visited in depends on their tables'
+	// history, which a reset context and a fresh one do not share.
 	var stuck *mem.Request
 	t.forEachOutstanding(func(r *mem.Request) {
 		if now-r.IssueTick <= t.cfg.DeadlockThreshold {
@@ -715,9 +715,8 @@ func (t *Tester) heartbeat() {
 		t.k.Schedule(t.cfg.CheckPeriod, t.heartbeatFn)
 		return
 	}
-	t.deadlockSeen = true
 	if t.k.Tracing() {
-		t.k.Trace(traceComponent, "fail "+FailDeadlock.String(), uint64(stuck.Addr))
+		t.k.Trace(traceComponent, failLabels[FailDeadlock], uint64(stuck.Addr))
 	}
 	t.failures = append(t.failures, &Failure{
 		Kind: FailDeadlock, Tick: now, Addr: stuck.Addr,
@@ -744,7 +743,7 @@ func (t *Tester) outstandingCount() int {
 
 func (t *Tester) fail(f *Failure) {
 	if t.k.Tracing() {
-		t.k.Trace(traceComponent, "fail "+f.Kind.String(), uint64(f.Addr))
+		t.k.Trace(traceComponent, failLabels[f.Kind], uint64(f.Addr))
 	}
 	t.failures = append(t.failures, f)
 	if !t.cfg.KeepGoing {
@@ -773,18 +772,19 @@ func (t *Tester) Finish() {
 	}
 
 	if n := t.outstandingCount(); n > 0 && !t.done {
-		now := uint64(t.k.Now())
+		// Report the first issued (lowest ID), whatever order the
+		// outstanding sets are visited in.
+		var first *mem.Request
 		t.forEachOutstanding(func(r *mem.Request) {
-			if t.deadlockSeen {
-				return
+			if first == nil || r.ID < first.ID {
+				first = r
 			}
-			t.deadlockSeen = true
-			t.failures = append(t.failures, &Failure{
-				Kind: FailDeadlock, Tick: now, Addr: r.Addr,
-				Message: fmt.Sprintf("simulation idle with %d requests outstanding; first: %s (issued at %d)",
-					n, r, r.IssueTick),
-				Window: t.log.ForAddr(r.Addr, 16),
-			})
+		})
+		t.failures = append(t.failures, &Failure{
+			Kind: FailDeadlock, Tick: uint64(t.k.Now()), Addr: first.Addr,
+			Message: fmt.Sprintf("simulation idle with %d requests outstanding; first: %s (issued at %d)",
+				n, first, first.IssueTick),
+			Window: t.log.ForAddr(first.Addr, 16),
 		})
 		return
 	}
@@ -855,25 +855,9 @@ type Report struct {
 // Passed reports whether the run found no bugs.
 func (r *Report) Passed() bool { return len(r.Failures) == 0 }
 
-func sortUint64s(s []uint64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 func (t *Tester) report() *Report {
 	if t.trace != nil {
-		ids := make([]uint64, 0, len(t.epMeta))
-		for id := range t.epMeta {
-			ids = append(ids, id)
-		}
-		sortUint64s(ids)
-		t.trace.Episodes = t.trace.Episodes[:0]
-		for _, id := range ids {
-			t.trace.Episodes = append(t.trace.Episodes, *t.epMeta[id])
-		}
+		t.trace.Episodes = append(t.trace.Episodes[:0], t.epMeta...)
 	}
 	var streamViols []checker.Violation
 	if t.stream != nil {
@@ -889,6 +873,6 @@ func (t *Tester) report() *Report {
 		OpsCompleted:     t.opsCompleted,
 		EpisodesRetired:  t.episodesRetired,
 		Transactions:     t.log.Total(),
-		FalseSharedLines: t.FalseSharingLines(),
+		FalseSharedLines: t.space.falseShared,
 	}
 }

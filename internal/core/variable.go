@@ -5,6 +5,7 @@ import (
 
 	"drftest/internal/mem"
 	"drftest/internal/rng"
+	"drftest/internal/table"
 )
 
 // AccessRecord identifies one access to a variable, the unit of the
@@ -46,13 +47,14 @@ type variable struct {
 	// are a count and the wrapping sum of their episode IDs, which is the
 	// one reader's ID exactly when the count is 1 — all canStore asks.
 	// Each episode claims a variable at most once per kind (its own
-	// claims map says which), so count and sum stay exact.
+	// claims table says which), so count and sum stay exact.
 	writer    uint64
 	readerSum uint64
 
-	// Atomic bookkeeping (sync variables): returned old values must be
-	// unique multiples of the delta; completed counts the responses.
-	seenOld   map[uint32]AccessRecord
+	// Atomic bookkeeping (sync variables; seenOld is nil on the rest):
+	// returned old values must be unique multiples of the delta;
+	// completed counts the responses.
+	seenOld   *table.Table[uint32, AccessRecord]
 	completed uint64
 
 	readers uint32
@@ -98,11 +100,14 @@ type addressSpace struct {
 	syncVars []*variable
 	dataVars []*variable
 
-	// slab/chosen/addrs are the backing storage, retained so rebuild
-	// (campaign reset path) can regenerate the mapping without
-	// reallocating a 100k-variable space per seed.
+	// slab/chosen/roles/addrs are the backing storage, retained so
+	// rebuild (campaign reset path) can regenerate the mapping without
+	// reallocating a 100k-variable space per seed. roles is rebuild's
+	// scratch: per cache line, bit 0 for a sync variable in it and bit 1
+	// for a data variable.
 	slab   []variable
 	chosen []uint64
+	roles  []uint8
 	addrs  []mem.Addr
 
 	// lastWriters holds the most recent store record per stored-to
@@ -113,6 +118,12 @@ type addressSpace struct {
 	// free counts the data variables no live episode claims, unwritten
 	// those no live episode stores; claim and release keep both exact.
 	free, unwritten int
+
+	// lineSize is fixed at construction; falseShared, the number of
+	// cache lines holding both a sync and a data variable — a measure of
+	// how much cross-class false sharing the mapping created — is a
+	// function of the mapping and set by rebuild.
+	lineSize, falseShared int
 }
 
 // claim records episode eps's first claim of kind on v.
@@ -178,20 +189,19 @@ func (sp *addressSpace) lastWriter(v *variable) (AccessRecord, bool) {
 	return sp.lastWriters[v.lastWIdx], true
 }
 
-func buildAddressSpace(rnd *rng.PCG, numSync, numData int, rangeBytes uint64) *addressSpace {
+func buildAddressSpace(rnd *rng.PCG, numSync, numData int, rangeBytes uint64, lineSize int) *addressSpace {
 	sp := &addressSpace{}
-	sp.rebuild(rnd, numSync, numData, rangeBytes)
+	sp.rebuild(rnd, numSync, numData, rangeBytes, lineSize)
 	return sp
 }
 
 // rebuild regenerates the random variable→address mapping in place with
 // fresh randomness, reusing the variable slab, the sampling bitset, and
-// the sync variables' old-value maps from a previous build when the
+// the sync variables' old-value tables from a previous build when the
 // shape allows. A rebuilt space is semantically indistinguishable from
-// a fresh one: every scalar field is reassigned, and retained maps are
-// cleared — sound because nothing in the tester depends on map bucket
-// layout or iteration order (seenOld is lookup-only).
-func (sp *addressSpace) rebuild(rnd *rng.PCG, numSync, numData int, rangeBytes uint64) {
+// a fresh one: every scalar field is reassigned, and retained tables
+// are cleared (seenOld is lookup-only).
+func (sp *addressSpace) rebuild(rnd *rng.PCG, numSync, numData int, rangeBytes uint64, lineSize int) {
 	total := numSync + numData
 	slots := int(rangeBytes / mem.WordSize)
 	if slots < total {
@@ -236,53 +246,27 @@ func (sp *addressSpace) rebuild(rnd *rng.PCG, numSync, numData int, rangeBytes u
 	sp.dataVars = sp.dataVars[:0]
 	sp.lastWriters = sp.lastWriters[:0]
 	sp.free, sp.unwritten = numData, numData
+	sp.lineSize, sp.falseShared = lineSize, 0
+	sp.roles = append(sp.roles[:0], make([]uint8, rangeBytes/uint64(lineSize)+1)...)
 	for i, a := range sp.addrs {
 		v := &sp.slab[i]
 		seenOld := v.seenOld
 		*v = variable{id: i, sync: i < numSync, addr: a, lastWIdx: -1}
+		role := &sp.roles[a/mem.Addr(lineSize)]
 		if v.sync {
+			*role |= 1
 			if seenOld == nil {
-				seenOld = make(map[uint32]AccessRecord)
-			} else {
-				clear(seenOld)
+				seenOld = new(table.Table[uint32, AccessRecord])
 			}
+			seenOld.Clear()
 			v.seenOld = seenOld
 			sp.syncVars = append(sp.syncVars, v)
 		} else {
 			sp.dataVars = append(sp.dataVars, v)
+			if *role == 1 {
+				sp.falseShared++ // sync variables come first: the line's first data variable
+			}
+			*role |= 2
 		}
 	}
-}
-
-// falseSharingPairs counts cache lines containing both a sync and a
-// data variable — a measure of how much cross-class false sharing the
-// mapping created.
-func (sp *addressSpace) falseSharingPairs(lineSize int) int {
-	// Variables live in a dense range, so a flat per-line table beats a
-	// map: index by line number, two role bits per line.
-	maxLine := mem.Addr(0)
-	for _, v := range sp.syncVars {
-		if l := mem.LineAddr(v.addr, lineSize); l > maxLine {
-			maxLine = l
-		}
-	}
-	for _, v := range sp.dataVars {
-		if l := mem.LineAddr(v.addr, lineSize); l > maxLine {
-			maxLine = l
-		}
-	}
-	kind := make([]uint8, maxLine/mem.Addr(lineSize)+1)
-	for _, v := range sp.syncVars {
-		kind[mem.LineAddr(v.addr, lineSize)/mem.Addr(lineSize)] |= 1
-	}
-	for _, v := range sp.dataVars {
-		kind[mem.LineAddr(v.addr, lineSize)/mem.Addr(lineSize)] |= 2
-	}
-	n := 0
-	for _, k := range kind {
-		if k == 3 {
-			n++
-		}
-	}
-	return n
 }

@@ -273,7 +273,7 @@ func (m *Matrix) InactiveCells(impossible CellSet) []string {
 // into one matrix, matching how the paper reports per-level coverage.
 type Collector struct {
 	matrices map[string]*Matrix
-	order    []string
+	order    []*Matrix // registration order; what reset and cuts walk
 }
 
 // NewCollector registers the given specs ahead of time so empty
@@ -292,7 +292,7 @@ func (c *Collector) register(spec *protocol.Spec) *Matrix {
 	}
 	m := NewMatrix(spec)
 	c.matrices[spec.Name] = m
-	c.order = append(c.order, spec.Name)
+	c.order = append(c.order, m)
 	return m
 }
 
@@ -327,8 +327,8 @@ func (c *Collector) Counters(spec *protocol.Spec) ([][]uint64, protocol.Recorder
 // coverage-delta primitive: reset before a run, and the matrices hold
 // exactly that run's hits.
 func (c *Collector) Reset() {
-	for _, name := range c.order {
-		c.matrices[name].Zero()
+	for _, m := range c.order {
+		m.Zero()
 	}
 }
 
@@ -351,8 +351,8 @@ func (c *Collector) SnapshotInto(s *CollectorSnapshot) *CollectorSnapshot {
 		s = &CollectorSnapshot{}
 	}
 	s.hits = s.hits[:0]
-	for _, name := range c.order {
-		for _, row := range c.matrices[name].Hits {
+	for _, m := range c.order {
+		for _, row := range m.Hits {
 			s.hits = append(s.hits, row...)
 		}
 	}
@@ -366,10 +366,10 @@ func (c *Collector) SnapshotInto(s *CollectorSnapshot) *CollectorSnapshot {
 // from a collector with the same registered machines.
 func (c *Collector) Restore(s *CollectorSnapshot) {
 	rest := s.hits
-	for _, name := range c.order {
-		for _, row := range c.matrices[name].Hits {
+	for _, m := range c.order {
+		for _, row := range m.Hits {
 			if len(rest) < len(row) {
-				panic(fmt.Sprintf("coverage: restore snapshot ends inside machine %q", name))
+				panic(fmt.Sprintf("coverage: restore snapshot ends inside machine %q", m.Spec.Name))
 			}
 			rest = rest[copy(row, rest):]
 		}
@@ -380,7 +380,13 @@ func (c *Collector) Restore(s *CollectorSnapshot) {
 }
 
 // Machines lists registered machines in registration order.
-func (c *Collector) Machines() []string { return append([]string(nil), c.order...) }
+func (c *Collector) Machines() []string {
+	names := make([]string, len(c.order))
+	for i, m := range c.order {
+		names[i] = m.Spec.Name
+	}
+	return names
+}
 
 // heatShades maps log-scaled frequency to glyphs, darkest last.
 var heatShades = []rune{'.', ':', '-', '=', '+', '*', '#', '%', '@'}

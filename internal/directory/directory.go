@@ -8,6 +8,7 @@ import (
 	"drftest/internal/memctrl"
 	"drftest/internal/protocol"
 	"drftest/internal/sim"
+	"drftest/internal/table"
 )
 
 // CPUPort is a CPU cache as the directory sees it.
@@ -144,12 +145,13 @@ type Directory struct {
 	// gpuHolders is the bitmask of GPU L2s that may hold each line;
 	// multi-GPU systems probe the *other* L2s on writes and atomics
 	// (Table II's "invalidation request from other L2"). sharers is
-	// the same for CPU caches.
-	gpuHolders map[mem.Addr]uint64
-	sharers    map[mem.Addr]uint64
-	owner      map[mem.Addr]int
-	tbes       map[mem.Addr]*tbe
-	stalled    map[mem.Addr][]stalledReq
+	// the same for CPU caches. A line with no holder, sharer or owner
+	// has no entry.
+	gpuHolders table.Table[mem.Addr, uint64]
+	sharers    table.Table[mem.Addr, uint64]
+	owner      table.Table[mem.Addr, int]
+	tbes       table.Table[mem.Addr, *tbe]
+	stalled    table.Table[mem.Addr, []stalledReq]
 
 	// Free lists: retired TBEs and drained stall queues (their backing
 	// arrays) cycle back through these instead of the heap.
@@ -184,11 +186,6 @@ func New(k *sim.Kernel, rec protocol.Recorder, onFault func(*protocol.FaultError
 		lines:        mem.NewLinePool(lineSize),
 		probeLatency: 8,
 		respLatency:  8,
-		gpuHolders:   make(map[mem.Addr]uint64),
-		sharers:      make(map[mem.Addr]uint64),
-		owner:        make(map[mem.Addr]int),
-		tbes:         make(map[mem.Addr]*tbe),
-		stalled:      make(map[mem.Addr][]stalledReq),
 	}
 	d.respFn = d.deliverResp
 	d.onGPUFill = func(data *mem.Line, ctx any) {
@@ -294,23 +291,21 @@ func (d *Directory) Stats() (nacks, probes, staleVics uint64) {
 }
 
 func (d *Directory) state(line mem.Addr) int {
-	if _, busy := d.tbes[line]; busy {
+	switch {
+	case d.tbes.Ptr(line) != nil:
 		return StateB
-	}
-	if d.gpuHolders[line] != 0 {
+	case d.gpuHolders.Ptr(line) != nil:
 		return StateG
-	}
-	if d.ownerOf(line) >= 0 {
+	case d.owner.Ptr(line) != nil:
 		return StateCM
-	}
-	if d.sharers[line] != 0 {
+	case d.sharers.Ptr(line) != nil:
 		return StateCS
 	}
 	return StateU
 }
 
 func (d *Directory) ownerOf(line mem.Addr) int {
-	if o, ok := d.owner[line]; ok {
+	if o, ok := d.owner.Get(line); ok {
 		return o
 	}
 	return -1
@@ -370,12 +365,12 @@ func (d *Directory) request(line mem.Addr, ev int, t *tbe) {
 	cell := d.machine.Fire(st, ev)
 	switch cell.Kind {
 	case protocol.Stall:
-		q, ok := d.stalled[line]
-		if !ok && len(d.stallFree) > 0 {
-			q = d.stallFree[len(d.stallFree)-1]
+		q := d.stalled.Slot(line)
+		if *q == nil && len(d.stallFree) > 0 {
+			*q = d.stallFree[len(d.stallFree)-1]
 			d.stallFree = d.stallFree[:len(d.stallFree)-1]
 		}
-		d.stalled[line] = append(q, stalledReq{ev: ev, t: t})
+		*q = append(*q, stalledReq{ev: ev, t: t})
 	case protocol.Defined:
 		d.start(t, st)
 	}
@@ -388,7 +383,8 @@ func (d *Directory) start(t *tbe, st int) {
 	case opCPURdX:
 		// Upgrade validity is judged now: sharer lists go stale while a
 		// request waits, and probes can invalidate the requester's copy.
-		t.upgrade = t.have && d.sharers[t.line]&(1<<uint(t.cpu)) != 0
+		ss, _ := d.sharers.Get(t.line)
+		t.upgrade = t.have && ss&(1<<uint(t.cpu)) != 0
 	case opCPUVic:
 		// Write-backs that lost a race with a probe (the directory no
 		// longer believes t.cpu owns the line) are acknowledged without
@@ -517,7 +513,7 @@ func (d *Directory) DMAWrite(line mem.Addr, data []byte, done func()) {
 // --- transaction engine ---
 
 func (d *Directory) begin(t *tbe, st int) {
-	d.tbes[t.line] = t
+	d.tbes.Put(t.line, t)
 	switch st {
 	case StateG:
 		switch {
@@ -553,7 +549,7 @@ func (d *Directory) begin(t *tbe, st int) {
 // (-1 probes all). Bitmask iteration walks holders in ascending ID
 // order.
 func (d *Directory) probeGPUs(t *tbe, except int) {
-	hs := d.gpuHolders[t.line]
+	hs, _ := d.gpuHolders.Get(t.line)
 	if except >= 0 {
 		hs &^= 1 << uint(except)
 	}
@@ -565,7 +561,7 @@ func (d *Directory) probeGPUs(t *tbe, except int) {
 		d.k.Schedule(d.probeLatency, func() {
 			d.gpus[id].ProbeInv(line, func() {
 				d.k.Schedule(d.probeLatency, func() {
-					d.clearHolder(line, id)
+					clearBit(&d.gpuHolders, line, id)
 					d.probeAck(t, nil, false, -1, true)
 				})
 			})
@@ -573,24 +569,18 @@ func (d *Directory) probeGPUs(t *tbe, except int) {
 	}
 }
 
-func (d *Directory) clearHolder(line mem.Addr, id int) {
-	if hs := d.gpuHolders[line] &^ (1 << uint(id)); hs == 0 {
-		delete(d.gpuHolders, line)
-	} else {
-		d.gpuHolders[line] = hs
-	}
-}
-
-func (d *Directory) clearSharer(line mem.Addr, cpu int) {
-	if ss := d.sharers[line] &^ (1 << uint(cpu)); ss == 0 {
-		delete(d.sharers, line)
-	} else {
-		d.sharers[line] = ss
+// clearBit drops port id from line's mask, and the entry with its last
+// bit.
+func clearBit(masks *table.Table[mem.Addr, uint64], line mem.Addr, id int) {
+	if m := masks.Ptr(line); m != nil {
+		if *m &^= 1 << uint(id); *m == 0 {
+			masks.Delete(line)
+		}
 	}
 }
 
 func (d *Directory) probeAllCPUs(t *tbe, except int) {
-	ids := d.sharers[t.line]
+	ids, _ := d.sharers.Get(t.line)
 	if o := d.ownerOf(t.line); o >= 0 {
 		ids |= 1 << uint(o)
 	}
@@ -610,18 +600,18 @@ func (d *Directory) probeCPU(t *tbe, cpu int, inv bool) {
 		d.cpus[cpu].Probe(line, inv, func(dirty []byte, fromVic bool) {
 			d.k.Schedule(d.probeLatency, func() {
 				if inv {
-					d.clearSharer(line, cpu)
+					clearBit(&d.sharers, line, cpu)
 					if d.ownerOf(line) == cpu {
-						delete(d.owner, line)
+						d.owner.Delete(line)
 					}
 				} else {
 					// Downgrade probe: a clean or vic'd answer means no
 					// dirty owner remains.
 					if dirty == nil || fromVic {
-						delete(d.owner, line)
+						d.owner.Delete(line)
 					}
 					if fromVic {
-						d.clearSharer(line, cpu)
+						clearBit(&d.sharers, line, cpu)
 					}
 				}
 				d.probeAck(t, dirty, fromVic, cpu, inv)
@@ -710,15 +700,15 @@ func (d *Directory) memPhase(t *tbe) {
 // data handle transfers to the requesting L2 without a copy.
 func (d *Directory) completeGPUFill(t *tbe, data *mem.Line) {
 	line := t.line
-	delete(d.tbes, line)
-	d.gpuHolders[line] |= 1 << uint(t.gpu)
+	d.tbes.Delete(line)
+	*d.gpuHolders.Slot(line) |= 1 << uint(t.gpu)
 	d.pushResp(pendingResp{kind: respGPUFill, fn: t.doneGPUData, line: data, gctx: t.gctx})
 	d.putTBE(t)
 	d.wake(line)
 }
 
 func (d *Directory) complete(t *tbe, data []byte) {
-	delete(d.tbes, t.line)
+	d.tbes.Delete(t.line)
 	line := t.line
 	switch t.op {
 	case opGPUWr:
@@ -729,19 +719,20 @@ func (d *Directory) complete(t *tbe, data []byte) {
 		d.respondData(t, data)
 	case opCPURd:
 		kind := FillS
-		if d.sharers[line] == 0 && d.ownerOf(line) < 0 {
+		ss := d.sharers.Slot(line)
+		if *ss == 0 && d.ownerOf(line) < 0 {
 			kind = FillE
-			d.owner[line] = t.cpu
+			d.owner.Put(line, t.cpu)
 		}
-		d.sharers[line] |= 1 << uint(t.cpu)
+		*ss |= 1 << uint(t.cpu)
 		d.respondCPU(t, data, kind)
 	case opCPURdX:
-		d.sharers[line] = 1 << uint(t.cpu)
-		d.owner[line] = t.cpu
+		d.sharers.Put(line, 1<<uint(t.cpu))
+		d.owner.Put(line, t.cpu)
 		d.respondCPU(t, data, FillM)
 	case opCPUVic:
-		delete(d.owner, line)
-		d.clearSharer(line, t.cpu)
+		d.owner.Delete(line)
+		clearBit(&d.sharers, line, t.cpu)
 		d.pushResp(pendingResp{kind: respPlain, fn: t.done})
 	case opGPUAt, opGPUClean:
 		// opGPUAt responds from its memory-phase callback (it needs the
@@ -767,11 +758,11 @@ func (d *Directory) respondCPU(t *tbe, data []byte, kind FillKind) {
 }
 
 func (d *Directory) wake(line mem.Addr) {
-	queue, ok := d.stalled[line]
+	queue, ok := d.stalled.Get(line)
 	if !ok {
 		return
 	}
-	delete(d.stalled, line)
+	d.stalled.Delete(line)
 	for i, r := range queue {
 		queue[i] = stalledReq{}
 		d.request(line, r.ev, r.t)
@@ -782,16 +773,15 @@ func (d *Directory) wake(line mem.Addr) {
 // DebugDump renders the directory's live state for diagnosing hangs.
 func (d *Directory) DebugDump() string {
 	out := ""
-	for line, t := range d.tbes {
+	d.tbes.Each(func(line mem.Addr, tp **tbe) {
+		t := *tp
 		out += fmt.Sprintf("TBE line=%#x op=%d gpu=%d cpu=%d probesOut=%d\n", uint64(line), t.op, t.gpu, t.cpu, t.probesOut)
-	}
-	for line, q := range d.stalled {
-		out += fmt.Sprintf("stalled line=%#x count=%d\n", uint64(line), len(q))
-	}
-	for line, hs := range d.gpuHolders {
-		if hs != 0 {
-			out += fmt.Sprintf("holders line=%#x mask=%#x\n", uint64(line), hs)
-		}
-	}
+	})
+	d.stalled.Each(func(line mem.Addr, q *[]stalledReq) {
+		out += fmt.Sprintf("stalled line=%#x count=%d\n", uint64(line), len(*q))
+	})
+	d.gpuHolders.Each(func(line mem.Addr, hs *uint64) {
+		out += fmt.Sprintf("holders line=%#x mask=%#x\n", uint64(line), *hs)
+	})
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"drftest/internal/audit"
 	"drftest/internal/coverage"
 	"drftest/internal/mem"
 	"drftest/internal/memctrl"
@@ -264,4 +265,10 @@ func TestDirectorySteadyStateAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(50, round); n != 0 {
 		t.Fatalf("steady-state directory round allocates %.1f objects, want 0", n)
 	}
+}
+
+// TestNoMaps pins that the directory's state holds no Go map (see
+// audit.NoMaps), bar the backing store's far-page map.
+func TestNoMaps(t *testing.T) {
+	audit.NoMaps(t, Directory{}, "Store.far")
 }

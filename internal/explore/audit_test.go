@@ -16,7 +16,7 @@ func TestStateFieldAudits(t *testing.T) {
 		"cut":       "branch: snapshot taken inside Choose before the decision fired; restored to re-present the identical candidate set. Held by value: the depth's next decision refills its storage",
 		"cands":     "branch: viable candidates at the decision, fixed once taken (backing array reused per depth)",
 		"next":      "branch: next sibling index, advanced by resumeChoose",
-		"sleep":     "branch: sleep set as it stood at the decision (Godefroid's Z), copied into each sibling (map reused per depth)",
+		"sleep":     "branch: sleep set as it stood at the decision (Godefroid's Z), copied into each sibling (backing array reused per depth)",
 		"scriptLen": "branch: script length at the decision, truncation point on backtrack",
 	})
 	audit.Fields(t, engine{}, map[string]string{
@@ -39,4 +39,12 @@ func TestStateFieldAudits(t *testing.T) {
 		"GPURun":  "config: system, tester and trace ring under exploration (snapshotted via cuts)",
 		"testCfg": "config: effective tester config (StreamCheck forced on, the caller's StreamInline), embedded in violation artifacts; the run's own tester additionally folds inline",
 	})
+}
+
+// TestNoMaps pins that the DFS state holds no Go map (see
+// audit.NoMaps): sleep sets are slices, and a node's cut is a
+// harness.Checkpoint, audited there.
+func TestNoMaps(t *testing.T) {
+	audit.NoMaps(t, engine{}, "Store.far", "Collector.matrices")
+	audit.NoMaps(t, node{})
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"drftest/internal/harness"
-	"drftest/internal/reuse"
 	"drftest/internal/sim"
 	"drftest/internal/viper"
 )
@@ -61,7 +60,7 @@ func (e *engine) dependent(aTag, bTag uint64) bool {
 // node is one branching decision point on the DFS stack. The engine
 // keeps one node per depth for the whole exploration: a node whose
 // candidates are exhausted is dead, and the next decision at its depth
-// refills its cut, candidate slice and sleep map.
+// refills its cut, candidate slice and sleep set.
 type node struct {
 	// cut is the full run-context snapshot taken from inside Choose,
 	// before the decision fired: restoring it re-presents the identical
@@ -72,11 +71,25 @@ type node struct {
 	cands []sim.Enabled
 	next  int
 	// sleep is the live sleep set as it stood at this decision (the Z
-	// of Godefroid's algorithm), seq → tag.
-	sleep map[uint64]uint64
+	// of Godefroid's algorithm).
+	sleep []sleeper
 	// scriptLen is the schedule script's length at this decision, for
 	// truncation on backtrack.
 	scriptLen int
+}
+
+// sleeper is one sleeping event: its kernel sequence number and tag. A
+// sleep set holds a handful of them, so it is a slice and membership is
+// a scan.
+type sleeper struct{ seq, tag uint64 }
+
+func asleep(set []sleeper, seq uint64) bool {
+	for _, s := range set {
+		if s.seq == seq {
+			return true
+		}
+	}
+	return false
 }
 
 // engine is the DFS explorer; it implements sim.Chooser.
@@ -92,8 +105,8 @@ type engine struct {
 	script []uint64
 	// live is the current path's sleep set: events that an
 	// already-explored sibling branch fired first and nothing dependent
-	// has executed since, seq → tag.
-	live map[uint64]uint64
+	// has executed since.
+	live []sleeper
 	// viable is Choose's scratch for the not-asleep candidates.
 	viable []sim.Enabled
 	// resume marks that the next Choose call re-presents the stack
@@ -122,7 +135,7 @@ func (e *engine) Choose(now sim.Tick, cands []sim.Enabled) int {
 	if e.cfg.Prune && len(e.live) > 0 {
 		viable = e.viable[:0]
 		for _, c := range cands {
-			if _, asleep := e.live[c.Seq]; !asleep {
+			if !asleep(e.live, c.Seq) {
 				viable = append(viable, c)
 			}
 		}
@@ -150,7 +163,7 @@ func (e *engine) Choose(now sim.Tick, cands []sim.Enabled) int {
 		}
 		n.cands = append(n.cands[:0], viable...)
 		n.next = 1
-		n.sleep = reuse.Map(n.sleep, e.live)
+		n.sleep = append(n.sleep[:0], e.live...)
 		n.scriptLen = len(e.script)
 		start := time.Now()
 		e.run.CheckpointInto(&n.cut)
@@ -175,9 +188,12 @@ func (e *engine) resumeChoose(cands []sim.Enabled) int {
 	chosen := n.cands[n.next]
 	n.next++
 
-	e.live = reuse.Map(e.live, n.sleep)
-	for i := 0; i < n.next-1; i++ {
-		e.live[n.cands[i].Seq] = n.cands[i].Tag
+	if e.cfg.Prune {
+		// The candidates were viable, so none of them is in n.sleep.
+		e.live = append(e.live[:0], n.sleep...)
+		for _, c := range n.cands[:n.next-1] {
+			e.live = append(e.live, sleeper{c.Seq, c.Tag})
+		}
 	}
 	return e.pick(cands, chosen)
 }
@@ -185,11 +201,13 @@ func (e *engine) resumeChoose(cands []sim.Enabled) int {
 // pick records and returns the chosen candidate's index, waking every
 // sleeping event that depends on it.
 func (e *engine) pick(cands []sim.Enabled, chosen sim.Enabled) int {
-	for seq, tag := range e.live {
-		if seq == chosen.Seq || e.dependent(tag, chosen.Tag) {
-			delete(e.live, seq)
+	kept := e.live[:0]
+	for _, s := range e.live {
+		if s.seq != chosen.Seq && !e.dependent(s.tag, chosen.Tag) {
+			kept = append(kept, s)
 		}
 	}
+	e.live = kept
 	if len(cands) > 1 {
 		e.script = append(e.script, chosen.Seq)
 	}

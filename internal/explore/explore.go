@@ -183,7 +183,6 @@ func explore(cfg Config, beforeReuse func(*node)) (*Result, error) {
 		cfg:  &cfg,
 		run:  r,
 		geom: newDepGeom(cfg.SysCfg),
-		live: make(map[uint64]uint64),
 		res:  Result{Depth: cfg.Depth, Budget: cfg.Budget},
 
 		beforeReuse: beforeReuse,

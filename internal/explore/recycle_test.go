@@ -43,7 +43,7 @@ func isSnapshot(t reflect.Type) bool {
 // references still point into the running system.
 func owned(t reflect.Type) bool {
 	switch t.Name() {
-	case "episode", "variable", "epState", "tcpTBE":
+	case "episode", "variable", "epState":
 		return true
 	}
 	return t.Kind() != reflect.Struct || strings.HasSuffix(t.Name(), "Save") || isSnapshot(t)
@@ -233,8 +233,10 @@ func mallocs() uint64 {
 // TestCutSteadyStateAllocs pins what a choice point costs the
 // allocator once its depth's storage is warm: refilling the recycled
 // cut and restoring it — the reference explore_dpor program, a cut
-// mid-run with episodes, stalls and messages in flight — allocates at
-// most 32 objects (a fresh full-copy cut took 297).
+// mid-run with episodes, stalls and messages in flight — allocates
+// nothing. The first restore still warms the live side's free lists;
+// every table, wait-list and slice of the cut is a refill from the
+// second on (a fresh full-copy cut took 297 objects).
 func TestCutSteadyStateAllocs(t *testing.T) {
 	const at = 120
 	cfg := Config{SysCfg: exploreBigSetsSys(), TestCfg: exploreWideCfg(13)}
@@ -253,8 +255,8 @@ func TestCutSteadyStateAllocs(t *testing.T) {
 		ch.calls = at - 1 // the restored kernel re-presents decision at
 		r.K.RunUntilIdle()
 		t.Logf("round %d: restore %d + refill %d objects", round, restore, ch.mallocs)
-		if round > 0 && restore+ch.mallocs > 32 {
-			t.Fatalf("round %d: restore + recycled cut allocated %d + %d objects, want ≤ 32", round, restore, ch.mallocs)
+		if round > 1 && restore+ch.mallocs > 0 {
+			t.Fatalf("round %d: restore + recycled cut allocated %d + %d objects, want none", round, restore, ch.mallocs)
 		}
 	}
 }

@@ -204,13 +204,14 @@ func makeCorner(testCfg core.Config, sysCfg viper.Config, levels [numAxes]int) *
 }
 
 // ValidateCorners reports the first corner of the lattice whose tester
-// config no tester can be built from, or nil: an explicit address range
-// that fits the base can be too small for a corner with more variables.
-func ValidateCorners(testCfg core.Config, sysCfg viper.Config) error {
+// config valid refuses, or nil: an explicit address range that fits the
+// base can be too small for a corner with more variables, and a count
+// within bounds at the base can be out of them at four times that.
+func ValidateCorners(testCfg core.Config, sysCfg viper.Config, valid func(core.Config) error) error {
 	var levels [numAxes]int
 	for {
 		c := makeCorner(testCfg, sysCfg, levels)
-		if err := c.TestCfg.Validate(); err != nil {
+		if err := valid(c.TestCfg); err != nil {
 			return fmt.Errorf("corner %s: %w", c.Name(), err)
 		}
 		// Next corner: count up in base levelsPerAxis, done on wrap.

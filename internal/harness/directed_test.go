@@ -245,17 +245,17 @@ func TestResetWithConfigBitIdentical(t *testing.T) {
 // locality keeps the range).
 func TestValidateCorners(t *testing.T) {
 	sysCfg := viper.SmallCacheConfig()
-	if err := ValidateCorners(campaignTestCfg(), sysCfg); err != nil {
+	if err := ValidateCorners(campaignTestCfg(), sysCfg, core.Config.Validate); err != nil {
 		t.Fatalf("default-range base refused: %v", err)
 	}
 	tc := campaignTestCfg()
 	tc.NumSyncVars, tc.NumDataVars, tc.AddressRangeBytes = 4, 64, 68*4
-	err := ValidateCorners(tc, sysCfg)
+	err := ValidateCorners(tc, sysCfg, core.Config.Validate)
 	if err == nil || !strings.Contains(err.Error(), "atomics=spread,locality=base,scale=base,jitter=base") {
 		t.Fatalf("ValidateCorners = %v, want the first spread-atomics corner named", err)
 	}
 	tc.AddressRangeBytes = (16 + 64) * 4 // room for the spread corner's 16 sync variables
-	if err := ValidateCorners(tc, sysCfg); err != nil {
+	if err := ValidateCorners(tc, sysCfg, core.Config.Validate); err != nil {
 		t.Fatalf("a range that fits the largest base-locality corner was refused: %v", err)
 	}
 }

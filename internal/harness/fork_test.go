@@ -269,3 +269,11 @@ func TestBisectMinimizeCampaignArtifact(t *testing.T) {
 		t.Fatalf("minimized artifact did not reproduce: %v", err)
 	}
 }
+
+// TestNoMaps pins that a run's consistent cut holds no Go map (see
+// audit.NoMaps): every layer's snapshot copies keyed state as a table's
+// slot array or a slice. The L2 snapshots sit behind an interface and
+// are audited in internal/viper.
+func TestNoMaps(t *testing.T) {
+	audit.NoMaps(t, Checkpoint{})
+}

@@ -9,21 +9,8 @@ import (
 	"drftest/internal/mem"
 	"drftest/internal/protocol"
 	"drftest/internal/sim"
+	"drftest/internal/table"
 )
-
-// cpuTBE tracks one line's in-flight fill or upgrade.
-type cpuTBE struct {
-	line mem.Addr
-	req  *mem.Request
-}
-
-// vicTBE holds a dirty victim's data until the directory acknowledges
-// the write-back; probes that race with the victim are answered from
-// here (fromVic).
-type vicTBE struct {
-	line mem.Addr
-	data []byte
-}
 
 // Bugs selects injected CPU-protocol bugs for the Wood-style tester's
 // case studies (zero value = correct).
@@ -50,10 +37,14 @@ type Cache struct {
 	// Bugs injects protocol-implementation bugs; set before traffic.
 	Bugs Bugs
 
-	tbes        map[mem.Addr]*cpuTBE
-	vics        map[mem.Addr]*vicTBE
-	stalled     map[mem.Addr][]*mem.Request
-	outstanding map[uint64]*mem.Request
+	// tbes holds the request behind each line's in-flight fill or
+	// upgrade. vics holds each dirty victim's data until the directory
+	// acknowledges the write-back; probes that race with the victim are
+	// answered from there (fromVic).
+	tbes        table.Table[mem.Addr, *mem.Request]
+	vics        table.Table[mem.Addr, []byte]
+	stalled     table.Table[mem.Addr, []*mem.Request]
+	outstanding table.Table[uint64, *mem.Request]
 
 	loads, loadHits, stores, storeHits, writebacks uint64
 }
@@ -69,10 +60,6 @@ func NewCache(k *sim.Kernel, spec *protocol.Spec, rec protocol.Recorder, onFault
 		dir:         dir,
 		reqLatency:  4,
 		respLatency: 1,
-		tbes:        make(map[mem.Addr]*cpuTBE),
-		vics:        make(map[mem.Addr]*vicTBE),
-		stalled:     make(map[mem.Addr][]*mem.Request),
-		outstanding: make(map[uint64]*mem.Request),
 	}
 	c.id = dir.AttachCPU(c)
 	return c
@@ -98,20 +85,22 @@ func (c *Cache) Issue(req *mem.Request) {
 	if c.client == nil {
 		panic("moesi: Issue before SetClient")
 	}
-	if _, dup := c.outstanding[req.ID]; dup {
+	slot := c.outstanding.Slot(req.ID)
+	if *slot != nil {
 		panic(fmt.Sprintf("moesi: duplicate request ID %d", req.ID))
 	}
 	req.IssueTick = uint64(c.k.Now())
 	req.CUID = c.id
-	c.outstanding[req.ID] = req
+	*slot = req
 	c.process(req)
 }
 
 func (c *Cache) process(req *mem.Request) {
 	line := mem.LineAddr(req.Addr, c.lineSize())
 	// Resource hazard: one in-flight transaction per line.
-	if _, busy := c.tbes[line]; busy {
-		c.stalled[line] = append(c.stalled[line], req)
+	if c.tbes.Ptr(line) != nil {
+		q := c.stalled.Slot(line)
+		*q = append(*q, req)
 		return
 	}
 	st := c.state(line)
@@ -124,7 +113,7 @@ func (c *Cache) process(req *mem.Request) {
 			c.respond(req, c.readWord(line, req.Addr))
 			return
 		}
-		c.tbes[line] = &cpuTBE{line: line, req: req}
+		c.tbes.Put(line, req)
 		c.k.Schedule(c.reqLatency, func() {
 			c.dir.CPURead(c.id, line, func(data []byte, kind directory.FillKind) {
 				c.onFill(line, data, kind)
@@ -142,7 +131,7 @@ func (c *Cache) process(req *mem.Request) {
 			c.writeWord(e, req.Addr, req.Data)
 			c.respond(req, req.Data)
 		default: // I, S, O: need write permission from the directory
-			c.tbes[line] = &cpuTBE{line: line, req: req}
+			c.tbes.Put(line, req)
 			c.k.Schedule(c.reqLatency, func() {
 				have := c.state(line) != StateI
 				c.dir.CPUReadX(c.id, line, have, func(data []byte, kind directory.FillKind) {
@@ -179,12 +168,11 @@ func (c *Cache) onFill(line mem.Addr, data []byte, kind directory.FillKind) {
 			e = c.install(line, StateM, data)
 		}
 	}
-	tbe := c.tbes[line]
-	if tbe == nil {
+	req, ok := c.tbes.Get(line)
+	if !ok {
 		panic(fmt.Sprintf("moesi: fill for %#x without TBE", uint64(line)))
 	}
-	delete(c.tbes, line)
-	req := tbe.req
+	c.tbes.Delete(line)
 	if req.Op == mem.OpStore {
 		e.State = StateM
 		c.writeWord(e, req.Addr, req.Data)
@@ -200,8 +188,7 @@ func (c *Cache) onFill(line mem.Addr, data []byte, kind directory.FillKind) {
 // mid-upgrade would invalidate the copy its pending fill assumes.
 func (c *Cache) install(line mem.Addr, state int, data []byte) *cache.Line {
 	victim := c.array.Victim(line, func(l *cache.Line) bool {
-		_, busy := c.tbes[l.Tag]
-		return !busy
+		return c.tbes.Ptr(l.Tag) == nil
 	})
 	if victim == nil {
 		panic(fmt.Sprintf("moesi: cache %d set for %#x fully pinned by in-flight transactions", c.id, uint64(line)))
@@ -222,18 +209,18 @@ func (c *Cache) writeBack(victim *cache.Line) {
 	line := victim.Tag
 	buf := make([]byte, len(victim.Data))
 	copy(buf, victim.Data)
-	c.vics[line] = &vicTBE{line: line, data: buf}
+	c.vics.Put(line, buf)
 	c.k.Schedule(c.reqLatency, func() {
 		c.dir.CPUWriteBack(c.id, line, buf, func() {
 			c.machine.Fire(c.state(line), EvWBAck)
-			delete(c.vics, line)
+			c.vics.Delete(line)
 		})
 	})
 }
 
 // Probe implements directory.CPUPort.
 func (c *Cache) Probe(line mem.Addr, inv bool, ack func(dirty []byte, fromVic bool)) {
-	if vic, pending := c.vics[line]; pending {
+	if vic, pending := c.vics.Get(line); pending {
 		// The line's dirty data is travelling in a write-back; answer
 		// the probe from the victim buffer so it is not lost.
 		if inv {
@@ -241,7 +228,7 @@ func (c *Cache) Probe(line mem.Addr, inv bool, ack func(dirty []byte, fromVic bo
 		} else {
 			c.machine.Fire(StateI, EvPrbShr)
 		}
-		ack(vic.data, true)
+		ack(vic, true)
 		return
 	}
 	st := c.state(line)
@@ -279,17 +266,17 @@ func (c *Cache) Probe(line mem.Addr, inv bool, ack func(dirty []byte, fromVic bo
 
 func (c *Cache) respond(req *mem.Request, data uint32) {
 	c.k.Schedule(c.respLatency, func() {
-		delete(c.outstanding, req.ID)
+		c.outstanding.Delete(req.ID)
 		c.client.HandleResponse(&mem.Response{Req: req, Data: data, Tick: uint64(c.k.Now())})
 	})
 }
 
 func (c *Cache) wake(line mem.Addr) {
-	queue := c.stalled[line]
-	if len(queue) == 0 {
+	queue, ok := c.stalled.Get(line)
+	if !ok {
 		return
 	}
-	delete(c.stalled, line)
+	c.stalled.Delete(line)
 	for _, req := range queue {
 		c.process(req)
 	}
@@ -311,13 +298,11 @@ func (c *Cache) writeWord(e *cache.Line, a mem.Addr, v uint32) {
 
 // ForEachOutstanding visits the cache's in-flight core requests.
 func (c *Cache) ForEachOutstanding(visit func(*mem.Request)) {
-	for _, r := range c.outstanding {
-		visit(r)
-	}
+	c.outstanding.Each(func(_ uint64, r **mem.Request) { visit(*r) })
 }
 
 // OutstandingCount returns the number of in-flight core requests.
-func (c *Cache) OutstandingCount() int { return len(c.outstanding) }
+func (c *Cache) OutstandingCount() int { return c.outstanding.Len() }
 
 // Stats returns load/store hit counters and write-backs.
 func (c *Cache) Stats() (loads, loadHits, stores, storeHits, writebacks uint64) {
@@ -334,39 +319,33 @@ func (c *Cache) Stats() (loads, loadHits, stores, storeHits, writebacks uint64) 
 // identically while the original travels in the scheduled event.
 type CacheSnapshot struct {
 	array       *cache.ArraySnapshot
-	tbes        map[mem.Addr]cpuTBE
-	vics        map[mem.Addr][]byte
-	stalled     map[mem.Addr][]*mem.Request
-	outstanding map[uint64]*mem.Request
+	tbes        table.Table[mem.Addr, *mem.Request]
+	vics        table.Table[mem.Addr, []byte]
+	stalled     table.Table[mem.Addr, []*mem.Request]
+	outstanding table.Table[uint64, *mem.Request]
 
 	loads, loadHits, stores, storeHits, writebacks uint64
+}
+
+// copyLists makes dst a copy of src that shares no list with it.
+func copyLists[V any](dst, src *table.Table[mem.Addr, []V]) {
+	dst.CopyFrom(src)
+	dst.Each(func(_ mem.Addr, q *[]V) { *q = append([]V(nil), *q...) })
 }
 
 // Snapshot captures the cache's complete state. Pair with a kernel
 // snapshot taken at the same instant for a consistent cut.
 func (c *Cache) Snapshot() *CacheSnapshot {
 	s := &CacheSnapshot{
-		array:       c.array.Snapshot(),
-		tbes:        make(map[mem.Addr]cpuTBE, len(c.tbes)),
-		vics:        make(map[mem.Addr][]byte, len(c.vics)),
-		stalled:     make(map[mem.Addr][]*mem.Request, len(c.stalled)),
-		outstanding: make(map[uint64]*mem.Request, len(c.outstanding)),
-		loads:       c.loads, loadHits: c.loadHits,
+		array: c.array.Snapshot(),
+		loads: c.loads, loadHits: c.loadHits,
 		stores: c.stores, storeHits: c.storeHits,
 		writebacks: c.writebacks,
 	}
-	for line, t := range c.tbes {
-		s.tbes[line] = *t
-	}
-	for line, v := range c.vics {
-		s.vics[line] = append([]byte(nil), v.data...)
-	}
-	for line, q := range c.stalled {
-		s.stalled[line] = append([]*mem.Request(nil), q...)
-	}
-	for id, r := range c.outstanding {
-		s.outstanding[id] = r
-	}
+	s.tbes.CopyFrom(&c.tbes)
+	copyLists(&s.vics, &c.vics)
+	copyLists(&s.stalled, &c.stalled)
+	s.outstanding.CopyFrom(&c.outstanding)
 	return s
 }
 
@@ -374,23 +353,10 @@ func (c *Cache) Snapshot() *CacheSnapshot {
 // kernel must be restored to the matching cut first.
 func (c *Cache) Restore(s *CacheSnapshot) {
 	c.array.Restore(s.array)
-	clear(c.tbes)
-	for line, t := range s.tbes {
-		tbe := t
-		c.tbes[line] = &tbe
-	}
-	clear(c.vics)
-	for line, data := range s.vics {
-		c.vics[line] = &vicTBE{line: line, data: append([]byte(nil), data...)}
-	}
-	clear(c.stalled)
-	for line, q := range s.stalled {
-		c.stalled[line] = append([]*mem.Request(nil), q...)
-	}
-	clear(c.outstanding)
-	for id, r := range s.outstanding {
-		c.outstanding[id] = r
-	}
+	c.tbes.CopyFrom(&s.tbes)
+	copyLists(&c.vics, &s.vics)
+	copyLists(&c.stalled, &s.stalled)
+	c.outstanding.CopyFrom(&s.outstanding)
 	c.loads, c.loadHits = s.loads, s.loadHits
 	c.stores, c.storeHits = s.stores, s.storeHits
 	c.writebacks = s.writebacks

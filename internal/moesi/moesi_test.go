@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"drftest/internal/audit"
 	"drftest/internal/cache"
 	"drftest/internal/coverage"
 	"drftest/internal/directory"
@@ -236,4 +237,11 @@ func TestCPUSpecTextRoundTrip(t *testing.T) {
 	if !orig.Equal(re) {
 		t.Fatalf("round trip changed the table: %v", orig.Diff(re))
 	}
+}
+
+// TestNoMaps pins that a CPU cache's state and its snapshot hold no Go
+// map (see audit.NoMaps), bar the backing store's far-page map.
+func TestNoMaps(t *testing.T) {
+	audit.NoMaps(t, Cache{}, "Store.far")
+	audit.NoMaps(t, CacheSnapshot{})
 }

@@ -6,7 +6,7 @@ package reuse
 
 // Grow extends *s by one element and returns that element. When
 // capacity allows, the element already sitting past len is kept as it
-// is — stale, but with whatever slices and maps it owns ready to be
+// is — stale, but with whatever slices and tables it owns ready to be
 // refilled.
 func Grow[T any](s *[]T) *T {
 	if len(*s) < cap(*s) {
@@ -16,22 +16,6 @@ func Grow[T any](s *[]T) *T {
 		*s = append(*s, zero)
 	}
 	return &(*s)[len(*s)-1]
-}
-
-// Map refills dst with src's entries and returns it, allocating only
-// when dst is nil and src is not.
-func Map[K comparable, V any](dst, src map[K]V) map[K]V {
-	if dst == nil {
-		if src == nil {
-			return nil
-		}
-		dst = make(map[K]V, len(src))
-	}
-	clear(dst)
-	for k, v := range src {
-		dst[k] = v
-	}
-	return dst
 }
 
 // Pop takes a recycled record off a free list, or builds an empty one.

@@ -51,14 +51,13 @@ func (r *Recorder) Record(machine string, state, event int, kind protocol.Kind) 
 	if r.next != nil {
 		r.next.Record(machine, state, event, kind)
 	}
-	r.trace(machine, state, event)
+	r.trace(machine, r.labels[machine], state, event)
 }
 
-func (r *Recorder) trace(machine string, state, event int) {
-	if !r.sink.Tracing() {
-		return
-	}
-	if tbl, ok := r.labels[machine]; ok {
+// trace appends a transition's entry while the sink is tracing; tbl is
+// the machine's label table, nil when its spec was not listed.
+func (r *Recorder) trace(machine string, tbl [][]string, state, event int) {
+	if tbl != nil && r.sink.Tracing() {
 		r.sink.Trace(machine, tbl[state][event], 0)
 	}
 }
@@ -79,19 +78,22 @@ func (r *Recorder) Counters(spec *protocol.Spec) ([][]uint64, protocol.Recorder)
 	if hits == nil {
 		return nil, nil
 	}
-	return hits, &traceTee{rec: r, inner: inner}
+	return hits, &traceTee{rec: r, inner: inner, labels: r.labels[spec.Name]}
 }
 
 // traceTee is the Counters tee: counting is already done by the
-// machine, so Record here only runs the inner tee and the trace.
+// machine, so Record here only runs the inner tee and the trace. It is
+// one machine's, so it holds that machine's labels and a traced
+// transition looks nothing up by name.
 type traceTee struct {
-	rec   *Recorder
-	inner protocol.Recorder
+	rec    *Recorder
+	inner  protocol.Recorder
+	labels [][]string
 }
 
 func (t *traceTee) Record(machine string, state, event int, kind protocol.Kind) {
 	if t.inner != nil {
 		t.inner.Record(machine, state, event, kind)
 	}
-	t.rec.trace(machine, state, event)
+	t.rec.trace(machine, t.labels, state, event)
 }

@@ -20,27 +20,23 @@ func TestSnapshotFieldAudit(t *testing.T) {
 		stat      = "stats: reset zeroes, snapshot/restore copy"
 		prebound  = "config: prebound closure(s), built once, survive reset/restore"
 		recycling = "pool: recycled records, interchangeable and reinitialized on reuse; not part of a cut"
-		waiting   = "state: wait-list — reset drops it, snapshot/restore go through its save/load"
+		waiting   = "state: wait-list — reset drops it, snapshot/restore are its copyFrom into and out of a twin"
+		keyed     = "state: table — reset clears, snapshot/restore are CopyFrom into and out of a twin"
 	)
 	audit.Fields(t, waitList[int, int]{}, map[string]string{
-		"lists": "state: the waiting values per key — drop empties, save copies every list, load rebuilds them",
-		"free":  "pool: drained lists' storage, kept across drop and load; not part of a cut",
-	})
-	audit.Fields(t, listSave[int, int]{}, map[string]string{
-		"key":  "save: the list's key",
-		"vals": "save: a private copy of the list, refilled in place",
+		"lists": "state: the waiting values per key — drop empties, copyFrom copies the table and then every list",
+		"free":  "pool: drained lists' storage, kept across drop and copyFrom; not part of a cut",
 	})
 	audit.Fields(t, TCP{}, map[string]string{
 		"k": config, "id": config, "machine": config, "sliceOf": config, "seq": config, "pool": config,
-		"array":   "state: cache.Array reset/snapshot/restore",
-		"toTCC":   "state: per-link reset/snapshot/restore",
-		"tbes":    "state: reset recycles, snapshot saves by value, restore rebuilds",
-		"tbeFree": recycling,
-		"sendFns": prebound,
-		"stalled": waiting,
-		"wt":      "state: reset recycles the headers, snapshot saves by value, restore rebuilds",
-		"wtFree":  recycling,
-		"loads":   stat, "loadHits": stat, "stores": stat, "atomics": stat, "stalls": stat,
+		"array":      "state: cache.Array reset/snapshot/restore",
+		"toTCC":      "state: per-link reset/snapshot/restore",
+		"atomicTBEs": keyed,
+		"loadTBEs":   waiting,
+		"sendFns":    prebound,
+		"stalled":    waiting,
+		"wt":         keyed + "; the line handles keep their identity",
+		"loads":      stat, "loadHits": stat, "stores": stat, "atomics": stat, "stalls": stat,
 	})
 	audit.Fields(t, TCC{}, map[string]string{
 		"k": config, "sliceIndex": config, "machine": config, "backend": config, "tcps": config,
@@ -48,13 +44,13 @@ func TestSnapshotFieldAudit(t *testing.T) {
 		"array":         "state: cache.Array reset/snapshot/restore",
 		"toTCP":         "state: crossbar reset/snapshot/restore",
 		"auditBuf":      "scratch: dead between AuditAgainstStore calls",
-		"tbes":          "state: reset recycles, snapshot/restore copy the map (TBE contents via allTBEs)",
+		"tbes":          keyed + "; reset recycles the TBEs, whose contents a cut carries via allTBEs",
 		"tbeFree":       "state: the free order is part of a cut (TBE identity is captured by backend continuations)",
 		"allTBEs":       "registry: every TBE built; snapshot saves their contents in this order, restore writes them back",
 		"stalled":       waiting + "; reset returns the messages to the pool",
 		"stalledProbes": waiting,
 		"sendFns":       prebound,
-		"wbs":           "state: reset clears, snapshot/restore copy",
+		"wbs":           keyed,
 		"fetchDoneFn":   prebound, "atomicDoneFn": prebound, "wbAckFn": prebound, "noopWBFn": prebound,
 		"rdBlks": stat, "wrVicBlks": stat, "atomicsSeen": stat, "fills": stat, "stalls": stat,
 		"wbAcks": stat, "droppedMerges": stat, "droppedAcks": stat,
@@ -65,18 +61,18 @@ func TestSnapshotFieldAudit(t *testing.T) {
 		"array":       "state: cache.Array reset/snapshot/restore",
 		"toTCP":       "state: crossbar reset/snapshot/restore",
 		"auditBuf":    "scratch: dead between AuditAgainstStore calls",
-		"tbes":        "state: reset clears, snapshot saves by value, restore rebuilds",
+		"tbes":        keyed,
 		"stalled":     waiting + "; reset returns the messages to the pool",
-		"vicWBs":      "state: reset clears, snapshot/restore copy",
+		"vicWBs":      keyed,
 		"sendFns":     prebound,
 		"fetchDoneFn": prebound, "vicWBAckFn": prebound,
 		"rdBlks": stat, "wrVicBlks": stat, "atomicsSeen": stat, "fills": stat, "stalls": stat, "evictWBs": stat,
 	})
 	audit.Fields(t, Sequencer{}, map[string]string{
 		"k": config, "cu": config, "tcp": config, "client": config, "respLatency": config, "bugs": config, "unit": config,
-		"pendingWT":    "state: reset clears, snapshot/restore copy",
+		"pendingWT":    keyed,
 		"heldReleases": waiting,
-		"outstanding":  "state: reset clears, snapshot/restore copy",
+		"outstanding":  keyed,
 		"respQ":        "state: reset clears, snapshot/restore copy from the head",
 		"respHead":     "state: reset/restore zero it (queue normalized)",
 		"deliverFn":    prebound,
@@ -98,4 +94,14 @@ func TestSnapshotFieldAudit(t *testing.T) {
 		"respXBars": "state: captured within the per-controller link snapshots",
 		"pool":      "pool: registries captured only when tracking (EnableCheckpointing)",
 	})
+}
+
+// TestNoMaps pins that the memory system's run state and its snapshots
+// hold no Go map (see audit.NoMaps). The L2 snapshots travel behind an
+// interface, so they are named here; the backing store's page map
+// beyond the page directory's reach is the one exception.
+func TestNoMaps(t *testing.T) {
+	for _, v := range []any{TCP{}, TCC{}, TCCWB{}, Sequencer{}, msgPool{}, System{}, SystemSnapshot{}, tccSnapshot{}, wbSnapshot{}} {
+		audit.NoMaps(t, v, "Store.far")
+	}
 }

@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"drftest/internal/mem"
-	"drftest/internal/reuse"
 	"drftest/internal/sim"
 	"drftest/internal/stats"
+	"drftest/internal/table"
 )
 
 // Sequencer is the per-CU port between a core (the tester or a GPU
@@ -28,9 +28,9 @@ type Sequencer struct {
 	respLatency sim.Tick
 	bugs        BugSet
 
-	pendingWT    map[int]int
+	pendingWT    table.Table[int, int] // thread → in-flight write-throughs
 	heldReleases waitList[int, *mem.Request]
-	outstanding  map[uint64]*mem.Request
+	outstanding  table.Table[uint64, *mem.Request]
 
 	// Completed requests awaiting delivery, drained FIFO by deliverFn.
 	// The response latency is a constant, so delivery order equals
@@ -58,8 +58,6 @@ func newSequencer(k *sim.Kernel, cu int, tcp *TCP, respLatency sim.Tick, bugs Bu
 		tcp:         tcp,
 		respLatency: respLatency,
 		bugs:        bugs,
-		pendingWT:   make(map[int]int),
-		outstanding: make(map[uint64]*mem.Request),
 		lat:         stats.NewLatencySet(fmt.Sprintf("cu%d", cu)),
 		unit:        k.NewUnit(),
 	}
@@ -75,9 +73,9 @@ func newSequencer(k *sim.Kernel, cu int, tcp *TCP, respLatency sim.Tick, bugs Bu
 // response queue is only sound once the deliverFn events referencing it
 // are gone.
 func (s *Sequencer) reset() {
-	clear(s.pendingWT)
+	s.pendingWT.Clear()
 	s.heldReleases.drop(nil)
-	clear(s.outstanding)
+	s.outstanding.Clear()
 	clear(s.respQ)
 	s.respQ = s.respQ[:0]
 	s.respHead = 0
@@ -105,15 +103,16 @@ func (s *Sequencer) Issue(req *mem.Request) {
 	if s.client == nil {
 		panic("viper: Issue before SetClient")
 	}
-	if _, dup := s.outstanding[req.ID]; dup {
+	slot := s.outstanding.Slot(req.ID)
+	if *slot != nil {
 		panic(fmt.Sprintf("viper: duplicate request ID %d", req.ID))
 	}
 	req.CUID = s.cu
 	req.IssueTick = uint64(s.k.Now())
-	s.outstanding[req.ID] = req
+	*slot = req
 	s.issued++
 
-	if req.Release && s.pendingWT[req.ThreadID] > 0 {
+	if req.Release && s.pendingWT.Ptr(req.ThreadID) != nil {
 		s.heldReleases.push(req.ThreadID, req)
 		return
 	}
@@ -155,7 +154,7 @@ func (s *Sequencer) deliverNext() {
 	if req.Acquire && !s.bugs.StaleAcquire {
 		s.tcp.FlashInvalidate()
 	}
-	delete(s.outstanding, req.ID)
+	s.outstanding.Delete(req.ID)
 	s.completed++
 	s.recordLatency(req, uint64(s.k.Now())-req.IssueTick)
 	s.scratch = mem.Response{Req: req, Data: p.data, Tick: uint64(s.k.Now())}
@@ -165,21 +164,21 @@ func (s *Sequencer) deliverNext() {
 // noteWriteThrough records that req's thread gained one in-flight
 // write-through.
 func (s *Sequencer) noteWriteThrough(req *mem.Request) {
-	s.pendingWT[req.ThreadID]++
+	*s.pendingWT.Slot(req.ThreadID)++
 }
 
 // writeCompleted records a write-through acknowledgement and, when the
 // thread fully drains, launches any held store-release.
 func (s *Sequencer) writeCompleted(req *mem.Request) {
 	tid := req.ThreadID
-	if s.pendingWT[tid] <= 0 {
+	n := s.pendingWT.Ptr(tid)
+	if n == nil {
 		panic(fmt.Sprintf("viper: write completion underflow for thread %d", tid))
 	}
-	s.pendingWT[tid]--
-	if s.pendingWT[tid] > 0 {
+	if *n--; *n > 0 {
 		return
 	}
-	delete(s.pendingWT, tid)
+	s.pendingWT.Delete(tid)
 	held := s.heldReleases.take(tid)
 	for _, r := range held {
 		s.tcp.CoreRequest(r)
@@ -190,13 +189,11 @@ func (s *Sequencer) writeCompleted(req *mem.Request) {
 // ForEachOutstanding visits every request that has been issued but not
 // yet answered (including held releases and protocol-stalled requests).
 func (s *Sequencer) ForEachOutstanding(visit func(*mem.Request)) {
-	for _, r := range s.outstanding {
-		visit(r)
-	}
+	s.outstanding.Each(func(_ uint64, r **mem.Request) { visit(*r) })
 }
 
 // OutstandingCount returns the number of in-flight requests.
-func (s *Sequencer) OutstandingCount() int { return len(s.outstanding) }
+func (s *Sequencer) OutstandingCount() int { return s.outstanding.Len() }
 
 // Stats returns (issued, completed) request counts.
 func (s *Sequencer) Stats() (issued, completed uint64) { return s.issued, s.completed }
@@ -223,9 +220,9 @@ func (s *Sequencer) Latencies() *stats.LatencySet { return s.lat }
 // Request pointers are retained by identity: they reference the
 // tester's request slab, whose slots are write-once within a run.
 type seqSnapshot struct {
-	pendingWT    map[int]int
-	heldReleases []listSave[int, *mem.Request]
-	outstanding  map[uint64]*mem.Request
+	pendingWT    table.Table[int, int]
+	heldReleases waitList[int, *mem.Request]
+	outstanding  table.Table[uint64, *mem.Request]
 	respQ        []pendingResp
 	lat          *stats.LatencySetSnapshot
 	issued       uint64
@@ -233,18 +230,18 @@ type seqSnapshot struct {
 }
 
 func (s *Sequencer) snapshotInto(snap *seqSnapshot) {
-	snap.pendingWT = reuse.Map(snap.pendingWT, s.pendingWT)
-	snap.heldReleases = s.heldReleases.save(snap.heldReleases)
-	snap.outstanding = reuse.Map(snap.outstanding, s.outstanding)
+	snap.pendingWT.CopyFrom(&s.pendingWT)
+	snap.heldReleases.copyFrom(&s.heldReleases)
+	snap.outstanding.CopyFrom(&s.outstanding)
 	snap.respQ = append(snap.respQ[:0], s.respQ[s.respHead:]...)
 	snap.lat = s.lat.SnapshotInto(snap.lat)
 	snap.issued, snap.completed = s.issued, s.completed
 }
 
 func (s *Sequencer) restore(snap *seqSnapshot) {
-	s.pendingWT = reuse.Map(s.pendingWT, snap.pendingWT)
-	s.heldReleases.load(snap.heldReleases)
-	s.outstanding = reuse.Map(s.outstanding, snap.outstanding)
+	s.pendingWT.CopyFrom(&snap.pendingWT)
+	s.heldReleases.copyFrom(&snap.heldReleases)
+	s.outstanding.CopyFrom(&snap.outstanding)
 	clear(s.respQ)
 	s.respQ = append(s.respQ[:0], snap.respQ...)
 	s.respHead = 0

@@ -1,38 +1,45 @@
 package viper
 
-import "drftest/internal/reuse"
+import "drftest/internal/table"
 
 // waitList holds what waits on a key — requests and messages stalled on
-// a line, probes stalled on a line, releases held for a thread — in
-// arrival order per key. A drained list's storage is recycled, so
-// repeated contention on hot keys allocates nothing once warm. The zero
-// value is ready to use.
-type waitList[K comparable, V any] struct {
-	lists map[K][]V
+// a line, load misses awaiting a line's fill, probes stalled on a line,
+// releases held for a thread — in arrival order per key. A drained
+// list's storage is recycled, so repeated contention on hot keys
+// allocates nothing once warm. The zero value is ready to use.
+type waitList[K table.Key, V any] struct {
+	lists table.Table[K, []V]
 	free  [][]V
 }
 
-// push appends v to k's list.
-func (w *waitList[K, V]) push(k K, v V) {
-	q, ok := w.lists[k]
-	if !ok {
-		if w.lists == nil {
-			w.lists = make(map[K][]V)
-		}
-		if n := len(w.free); n > 0 {
-			q, w.free = w.free[n-1], w.free[:n-1]
-		}
+// spare pops a recycled list's storage, nil when there is none.
+func (w *waitList[K, V]) spare() (q []V) {
+	if n := len(w.free); n > 0 {
+		q, w.free = w.free[n-1], w.free[:n-1]
 	}
-	w.lists[k] = append(q, v)
+	return q
 }
+
+// push appends v to k's list and returns the list's new length.
+func (w *waitList[K, V]) push(k K, v V) int {
+	q := w.lists.Slot(k)
+	if *q == nil {
+		*q = w.spare()
+	}
+	*q = append(*q, v)
+	return len(*q)
+}
+
+// has reports whether anything waits on k.
+func (w *waitList[K, V]) has(k K) bool { return w.lists.Ptr(k) != nil }
 
 // take removes and returns k's list. The caller retries its entries —
 // which may push onto k again, starting a new list, never this one —
 // and then hands the list back through recycle.
 func (w *waitList[K, V]) take(k K) []V {
-	q, ok := w.lists[k]
+	q, ok := w.lists.Get(k)
 	if ok {
-		delete(w.lists, k)
+		w.lists.Delete(k)
 	}
 	return q
 }
@@ -48,40 +55,23 @@ func (w *waitList[K, V]) recycle(q []V) {
 // drop empties the wait-list, handing every waiting value to release
 // (nil: none needed) on its way out.
 func (w *waitList[K, V]) drop(release func(V)) {
-	for k, q := range w.lists {
-		for _, v := range q {
+	w.lists.Each(func(_ K, q *[]V) {
+		for _, v := range *q {
 			if release != nil {
 				release(v)
 			}
 		}
-		delete(w.lists, k)
-		w.recycle(q)
-	}
+		w.recycle(*q)
+	})
+	w.lists.Clear()
 }
 
-// listSave is one saved list of a waitList, with a backing slice of its
-// own so a recycled snapshot refills it.
-type listSave[K comparable, V any] struct {
-	key  K
-	vals []V
-}
-
-// save refills dst with a copy of every list.
-func (w *waitList[K, V]) save(dst []listSave[K, V]) []listSave[K, V] {
-	dst = dst[:0]
-	for k, v := range w.lists {
-		e := reuse.Grow(&dst)
-		e.key, e.vals = k, append(e.vals[:0], v...)
-	}
-	return dst
-}
-
-// load replaces the contents with private copies of the saved lists.
-func (w *waitList[K, V]) load(src []listSave[K, V]) {
+// copyFrom makes w hold private copies of src's lists — saving a cut
+// and restoring one are this same copy. The table is copied slot for
+// slot, then every list it shares with src is replaced by a copy in
+// recycled storage.
+func (w *waitList[K, V]) copyFrom(src *waitList[K, V]) {
 	w.drop(nil)
-	for i := range src {
-		for _, v := range src[i].vals {
-			w.push(src[i].key, v)
-		}
-	}
+	w.lists.CopyFrom(&src.lists)
+	w.lists.Each(func(_ K, q *[]V) { *q = append(w.spare(), *q...) })
 }

@@ -8,8 +8,8 @@ import (
 	"drftest/internal/mem"
 	"drftest/internal/network"
 	"drftest/internal/protocol"
-	"drftest/internal/reuse"
 	"drftest/internal/sim"
+	"drftest/internal/table"
 )
 
 // Backend is what the TCC sits on: either the memory controller
@@ -80,7 +80,7 @@ type TCC struct {
 	// retryDelay spaces out atomic retries after an AtomicND.
 	retryDelay sim.Tick
 
-	tbes    map[mem.Addr]*tccTBE
+	tbes    table.Table[mem.Addr, *tccTBE]
 	tbeFree []*tccTBE
 	// allTBEs registers every TBE ever built (bounded by the peak
 	// number of concurrent transactions — TBEs are recycled). Needed
@@ -92,7 +92,7 @@ type TCC struct {
 	// sendFns holds one prebound response handler per CU for the
 	// allocation-free Link.SendMsg path, built on first use.
 	sendFns []func(any)
-	wbs     map[mem.Addr]int // in-flight memory writes per line
+	wbs     table.Table[mem.Addr, int] // in-flight memory writes per line
 
 	// Shared backend continuations, bound once at construction; the
 	// per-operation state rides in ctx (the TBE, or the WrVicBlk
@@ -120,8 +120,6 @@ func newTCC(k *sim.Kernel, spec *protocol.Spec, rec protocol.Recorder, onFault f
 		pool:       pool,
 		auditBuf:   make([]byte, l2.LineSize),
 		retryDelay: 20,
-		tbes:       make(map[mem.Addr]*tccTBE),
-		wbs:        make(map[mem.Addr]int),
 	}
 	c.fetchDoneFn = func(data *mem.Line, ctx any) { c.onData(ctx.(*tccTBE), data) }
 	c.atomicDoneFn = func(old uint32, nack bool, ctx any) {
@@ -170,13 +168,11 @@ func (c *TCC) putTBE(t *tccTBE) {
 // them can still fire.
 func (c *TCC) reset() {
 	c.array.Reset()
-	for line, tbe := range c.tbes {
-		delete(c.tbes, line)
-		c.putTBE(tbe)
-	}
+	c.tbes.Each(func(_ mem.Addr, tbe **tccTBE) { c.putTBE(*tbe) })
+	c.tbes.Clear()
 	c.stalled.drop(c.pool.putTCPMsg)
 	c.stalledProbes.drop(nil)
-	clear(c.wbs)
+	c.wbs.Clear()
 	c.rdBlks, c.wrVicBlks, c.atomicsSeen, c.fills, c.stalls = 0, 0, 0, 0, 0
 	c.wbAcks, c.droppedMerges, c.droppedAcks = 0, 0, 0
 	c.toTCP.Reset()
@@ -196,7 +192,7 @@ func (c *TCC) Flush(*mem.Store) {}
 // state derives the protocol state of a line from the TBE table and
 // the cache array.
 func (c *TCC) state(line mem.Addr) int {
-	if tbe, ok := c.tbes[line]; ok {
+	if tbe, ok := c.tbes.Get(line); ok {
 		if tbe.kind == tbeAtomic {
 			return TCCStateA
 		}
@@ -260,7 +256,7 @@ func (c *TCC) FromTCP(msg *tcpMsg) {
 		}
 		tbe := c.getTBE()
 		tbe.kind, tbe.line, tbe.cu, tbe.req = tbeFill, line, msg.cu, msg.req
-		c.tbes[line] = tbe
+		c.tbes.Put(line, tbe)
 		c.backend.FetchLine(line, c.lineSize(), c.fetchDoneFn, tbe)
 		c.pool.putTCPMsg(msg)
 
@@ -268,7 +264,7 @@ func (c *TCC) FromTCP(msg *tcpMsg) {
 		c.wrVicBlks++
 		msg.checkPayload()
 		if st == TCCStateV {
-			if c.bugs.LostWriteRace && c.wbs[line] > 0 {
+			if c.bugs.LostWriteRace && c.wbs.Ptr(line) != nil {
 				// BUG: the racing write-through skips the merge into
 				// the cached copy, leaving the L2 line stale.
 				c.droppedMerges++
@@ -276,7 +272,7 @@ func (c *TCC) FromTCP(msg *tcpMsg) {
 				c.array.Lookup(line).WriteMasked(msg.payload.Data, msg.payload.Mask())
 			}
 		}
-		c.wbs[line]++
+		*c.wbs.Slot(line)++
 		// The message's payload reference transfers to the backend
 		// write; the message itself rides along as ctx so onWBAck can
 		// route the completion.
@@ -292,7 +288,7 @@ func (c *TCC) FromTCP(msg *tcpMsg) {
 		}
 		tbe := c.getTBE()
 		tbe.kind, tbe.line, tbe.cu, tbe.req = tbeAtomic, line, msg.cu, msg.req
-		c.tbes[line] = tbe
+		c.tbes.Put(line, tbe)
 		c.issueAtomic(tbe)
 		c.pool.putTCPMsg(msg)
 	}
@@ -307,7 +303,7 @@ func (c *TCC) onAtomicD(tbe *tccTBE, old uint32) {
 	if cell := c.machine.Fire(st, TCCAtomicD); cell.Kind != protocol.Defined {
 		return
 	}
-	delete(c.tbes, tbe.line)
+	c.tbes.Delete(tbe.line)
 	c.sendAtomicAck(tbe.cu, tbe.line, tbe.req, old)
 	c.wake(tbe.line)
 	c.putTBE(tbe)
@@ -332,10 +328,10 @@ func (c *TCC) onData(tbe *tccTBE, data *mem.Line) {
 		data.Release()
 		return
 	}
-	if c.tbes[line] != tbe || tbe.kind != tbeFill {
+	if cur, _ := c.tbes.Get(line); cur != tbe || tbe.kind != tbeFill {
 		panic(fmt.Sprintf("viper: TCC data for %#x without fill TBE", uint64(line)))
 	}
-	delete(c.tbes, line)
+	c.tbes.Delete(line)
 	c.fills++
 	if !tbe.probed {
 		// tbe.probed: the line was probed away mid-fill — serve the
@@ -356,12 +352,12 @@ func (c *TCC) onWBAck(msg *tcpMsg) {
 	line := msg.line
 	st := c.state(line)
 	c.machine.Fire(st, TCCWBAck)
-	if c.wbs[line] <= 0 {
+	n := c.wbs.Ptr(line)
+	if n == nil {
 		panic(fmt.Sprintf("viper: WBAck underflow for %#x", uint64(line)))
 	}
-	c.wbs[line]--
-	if c.wbs[line] == 0 {
-		delete(c.wbs, line)
+	if *n--; *n == 0 {
+		c.wbs.Delete(line)
 	}
 	c.wbAcks++
 	if c.bugs.DropWBAckEvery != 0 && c.wbAcks%c.bugs.DropWBAckEvery == 0 {
@@ -395,7 +391,7 @@ func (c *TCC) ProbeInv(line mem.Addr, done func()) {
 	case TCCStateV:
 		c.array.Invalidate(line)
 	case TCCStateIV:
-		c.tbes[line].probed = true
+		(*c.tbes.Ptr(line)).probed = true
 	}
 	done()
 }
@@ -539,11 +535,11 @@ type tccSnapshot struct {
 	// tbeContents is parallel to allTBEs at snapshot time; TBEs built
 	// later are recycled onto the free list at restore.
 	tbeContents   []tccTBESave
-	tbes          map[mem.Addr]*tccTBE
+	tbes          table.Table[mem.Addr, *tccTBE]
 	tbeFree       []*tccTBE
-	stalled       []listSave[mem.Addr, *tcpMsg]
-	stalledProbes []listSave[mem.Addr, func()]
-	wbs           map[mem.Addr]int
+	stalled       waitList[mem.Addr, *tcpMsg]
+	stalledProbes waitList[mem.Addr, func()]
+	wbs           table.Table[mem.Addr, int]
 
 	rdBlks, wrVicBlks, atomicsSeen, fills, stalls uint64
 	wbAcks, droppedMerges, droppedAcks            uint64
@@ -561,11 +557,11 @@ func (c *TCC) snapshotInto(dst any) any {
 	for _, t := range c.allTBEs {
 		s.tbeContents = append(s.tbeContents, tccTBESave{kind: t.kind, line: t.line, cu: t.cu, req: t.req, probed: t.probed})
 	}
-	s.tbes = reuse.Map(s.tbes, c.tbes)
+	s.tbes.CopyFrom(&c.tbes)
 	s.tbeFree = append(s.tbeFree[:0], c.tbeFree...)
-	s.stalled = c.stalled.save(s.stalled)
-	s.stalledProbes = c.stalledProbes.save(s.stalledProbes)
-	s.wbs = reuse.Map(s.wbs, c.wbs)
+	s.stalled.copyFrom(&c.stalled)
+	s.stalledProbes.copyFrom(&c.stalledProbes)
+	s.wbs.CopyFrom(&c.wbs)
 	s.rdBlks, s.wrVicBlks, s.atomicsSeen = c.rdBlks, c.wrVicBlks, c.atomicsSeen
 	s.fills, s.stalls, s.wbAcks = c.fills, c.stalls, c.wbAcks
 	s.droppedMerges, s.droppedAcks = c.droppedMerges, c.droppedAcks
@@ -586,10 +582,10 @@ func (c *TCC) restore(snap any) {
 	}
 	c.tbeFree = append(c.tbeFree[:0], s.tbeFree...)
 	c.tbeFree = append(c.tbeFree, c.allTBEs[len(s.tbeContents):]...)
-	c.tbes = reuse.Map(c.tbes, s.tbes)
-	c.stalled.load(s.stalled)
-	c.stalledProbes.load(s.stalledProbes)
-	c.wbs = reuse.Map(c.wbs, s.wbs)
+	c.tbes.CopyFrom(&s.tbes)
+	c.stalled.copyFrom(&s.stalled)
+	c.stalledProbes.copyFrom(&s.stalledProbes)
+	c.wbs.CopyFrom(&s.wbs)
 	c.rdBlks, c.wrVicBlks, c.atomicsSeen = s.rdBlks, s.wrVicBlks, s.atomicsSeen
 	c.fills, c.stalls, c.wbAcks = s.fills, s.stalls, s.wbAcks
 	c.droppedMerges, c.droppedAcks = s.droppedMerges, s.droppedAcks

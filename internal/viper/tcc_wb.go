@@ -8,13 +8,12 @@ import (
 	"drftest/internal/mem"
 	"drftest/internal/network"
 	"drftest/internal/protocol"
-	"drftest/internal/reuse"
 	"drftest/internal/sim"
+	"drftest/internal/table"
 )
 
 // wbTBE tracks one line's in-flight fill at the write-back L2.
 type wbTBE struct {
-	line mem.Addr
 	// reader is the CU awaiting a fill response, or -1 when the fill
 	// was started by a write-allocate.
 	reader int
@@ -43,19 +42,18 @@ type TCCWB struct {
 	pool       *msgPool
 	auditBuf   []byte // one line of scratch for AuditAgainstStore
 
-	tbes    map[mem.Addr]*wbTBE
+	tbes    table.Table[mem.Addr, wbTBE]
 	stalled waitList[mem.Addr, *tcpMsg]
 	// vicWBs counts in-flight eviction write-backs per line (probes do
 	// not exist in this GPU-only variant, so no data needs retention).
-	vicWBs map[mem.Addr]int
+	vicWBs table.Table[mem.Addr, int]
 
 	// sendFns holds one prebound response handler per CU for the
 	// allocation-free Link.SendMsg path, built on first use.
 	sendFns []func(any)
 
-	// Shared backend continuations; ctx is the boxed line address (not
-	// the TBE), so completions re-look-up state by line and snapshots
-	// stay free to rebuild TBE structs.
+	// Shared backend continuations; ctx is the boxed line address:
+	// completions look the TBE up by line.
 	fetchDoneFn func(data *mem.Line, ctx any)
 	vicWBAckFn  func(ctx any)
 
@@ -74,31 +72,27 @@ func newTCCWB(k *sim.Kernel, spec *protocol.Spec, rec protocol.Recorder, onFault
 		bugs:     bugs,
 		pool:     pool,
 		auditBuf: make([]byte, l2.LineSize),
-		tbes:     make(map[mem.Addr]*wbTBE),
-		vicWBs:   make(map[mem.Addr]int),
 	}
 	c.fetchDoneFn = func(data *mem.Line, ctx any) { c.onData(ctx.(mem.Addr), data) }
 	c.vicWBAckFn = func(ctx any) {
 		vic := ctx.(mem.Addr)
 		c.machine.Fire(c.state(vic), TCCWBAck)
-		c.vicWBs[vic]--
-		if c.vicWBs[vic] == 0 {
-			delete(c.vicWBs, vic)
+		n := c.vicWBs.Ptr(vic)
+		if *n--; *n == 0 {
+			c.vicWBs.Delete(vic)
 		}
 	}
 	return c
 }
 
-// reset returns the controller to its just-built state. The WB variant
-// allocates TBEs per transaction (no pooling), so dropping the map
-// releases them to GC; their pending lines are force-reclaimed by the
-// system's pool reset. The kernel reset has already dropped the events
-// that referenced them.
+// reset returns the controller to its just-built state. The TBEs'
+// pending lines are force-reclaimed by the system's pool reset; the
+// kernel reset has already dropped the events that referenced them.
 func (c *TCCWB) reset() {
 	c.array.Reset()
-	clear(c.tbes)
+	c.tbes.Clear()
 	c.stalled.drop(c.pool.putTCPMsg)
-	clear(c.vicWBs)
+	c.vicWBs.Clear()
 	c.rdBlks, c.wrVicBlks, c.atomicsSeen, c.fills, c.stalls, c.evictWBs = 0, 0, 0, 0, 0, 0
 	c.toTCP.Reset()
 }
@@ -110,7 +104,7 @@ func (c *TCCWB) slice() int { return c.sliceIndex }
 func (c *TCCWB) attachTCP(t *TCP) { c.tcps = append(c.tcps, t) }
 
 func (c *TCCWB) state(line mem.Addr) int {
-	if tbe, ok := c.tbes[line]; ok {
+	if tbe := c.tbes.Ptr(line); tbe != nil {
 		if tbe.atomic != nil {
 			return TCCWBStateA
 		}
@@ -156,7 +150,7 @@ func (c *TCCWB) FromTCP(msg *tcpMsg) {
 			c.pool.putTCPMsg(msg)
 			return
 		}
-		c.tbes[line] = &wbTBE{line: line, reader: msg.cu}
+		c.tbes.Put(line, wbTBE{reader: msg.cu})
 		c.fetch(line)
 		c.pool.putTCPMsg(msg)
 
@@ -169,10 +163,9 @@ func (c *TCCWB) FromTCP(msg *tcpMsg) {
 			e.WriteMasked(msg.payload.Data, msg.payload.Mask())
 			e.State = TCCWBStateD
 		default: // I: write-allocate — buffer bytes, fetch the line
-			tbe := &wbTBE{line: line, reader: -1,
-				pending: c.pool.lines.GetMasked(c.lineSize())}
-			mergeMasked(tbe.pending.Data, tbe.pending.Mask(), msg.payload.Data, msg.payload.Mask())
-			c.tbes[line] = tbe
+			pending := c.pool.lines.GetMasked(c.lineSize())
+			mergeMasked(pending.Data, pending.Mask(), msg.payload.Data, msg.payload.Mask())
+			c.tbes.Put(line, wbTBE{reader: -1, pending: pending})
 			c.fetch(line)
 		}
 		// The L2 is the visibility point: the write is globally
@@ -190,7 +183,7 @@ func (c *TCCWB) FromTCP(msg *tcpMsg) {
 			c.pool.putTCPMsg(msg)
 			return
 		}
-		c.tbes[line] = &wbTBE{line: line, reader: -1, atomic: msg.req, atomicCU: msg.cu}
+		c.tbes.Put(line, wbTBE{reader: -1, atomic: msg.req, atomicCU: msg.cu})
 		c.fetch(line)
 		c.pool.putTCPMsg(msg)
 	}
@@ -226,8 +219,8 @@ func (c *TCCWB) onData(line mem.Addr, data *mem.Line) {
 		data.Release()
 		return
 	}
-	tbe := c.tbes[line]
-	if tbe == nil {
+	tbe, ok := c.tbes.Get(line)
+	if !ok {
 		panic(fmt.Sprintf("viper: TCCWB data for %#x without TBE", uint64(line)))
 	}
 	e := c.install(line)
@@ -237,10 +230,9 @@ func (c *TCCWB) onData(line mem.Addr, data *mem.Line) {
 	if tbe.pending != nil {
 		e.WriteMasked(tbe.pending.Data, tbe.pending.Mask())
 		tbe.pending.Release()
-		tbe.pending = nil
 		e.State = TCCWBStateD
 	}
-	delete(c.tbes, line)
+	c.tbes.Delete(line)
 	c.fills++
 	if tbe.atomic != nil {
 		c.performAtomic(line, e, tbe.atomic, tbe.atomicCU)
@@ -260,7 +252,7 @@ func (c *TCCWB) install(line mem.Addr) *cache.Line {
 			vicLine := victim.Tag
 			wl := c.pool.lines.Get(len(victim.Data))
 			copy(wl.Data, victim.Data)
-			c.vicWBs[vicLine]++
+			*c.vicWBs.Slot(vicLine)++
 			c.backend.WriteLine(vicLine, wl, c.vicWBAckFn, vicLine)
 		}
 	}
@@ -332,16 +324,13 @@ func (c *TCCWB) send(cu int, msg *tccMsg) {
 	c.toTCP.To(cu).SendMsgLine(fn, msg, uint64(msg.line))
 }
 
-// wbSnapshot captures one write-back L2 slice. wbTBEs are never
-// captured by reference across events (completions look them up by
-// line — backend ctx is the boxed address), so they are saved by value
-// and rebuilt as fresh structs; pending lines keep their handle
-// identity, contents restored by the line-pool snapshot.
+// wbSnapshot captures one write-back L2 slice. Pending lines keep their
+// handle identity, contents restored by the line-pool snapshot.
 type wbSnapshot struct {
 	array   *cache.ArraySnapshot
-	tbes    map[mem.Addr]wbTBE
-	stalled []listSave[mem.Addr, *tcpMsg]
-	vicWBs  map[mem.Addr]int
+	tbes    table.Table[mem.Addr, wbTBE]
+	stalled waitList[mem.Addr, *tcpMsg]
+	vicWBs  table.Table[mem.Addr, int]
 
 	rdBlks, wrVicBlks, atomicsSeen, fills, stalls, evictWBs uint64
 
@@ -351,15 +340,12 @@ type wbSnapshot struct {
 func (c *TCCWB) snapshotInto(dst any) any {
 	s, _ := dst.(*wbSnapshot)
 	if s == nil {
-		s = &wbSnapshot{tbes: make(map[mem.Addr]wbTBE, len(c.tbes))}
+		s = &wbSnapshot{}
 	}
 	s.array = c.array.SnapshotInto(s.array)
-	clear(s.tbes)
-	for line, tbe := range c.tbes {
-		s.tbes[line] = *tbe
-	}
-	s.stalled = c.stalled.save(s.stalled)
-	s.vicWBs = reuse.Map(s.vicWBs, c.vicWBs)
+	s.tbes.CopyFrom(&c.tbes)
+	s.stalled.copyFrom(&c.stalled)
+	s.vicWBs.CopyFrom(&c.vicWBs)
 	s.rdBlks, s.wrVicBlks, s.atomicsSeen = c.rdBlks, c.wrVicBlks, c.atomicsSeen
 	s.fills, s.stalls, s.evictWBs = c.fills, c.stalls, c.evictWBs
 	s.xbar = c.toTCP.SnapshotInto(s.xbar)
@@ -369,13 +355,9 @@ func (c *TCCWB) snapshotInto(dst any) any {
 func (c *TCCWB) restore(snap any) {
 	s := snap.(*wbSnapshot)
 	c.array.Restore(s.array)
-	clear(c.tbes)
-	for line, save := range s.tbes {
-		tbe := save
-		c.tbes[line] = &tbe
-	}
-	c.stalled.load(s.stalled)
-	c.vicWBs = reuse.Map(c.vicWBs, s.vicWBs)
+	c.tbes.CopyFrom(&s.tbes)
+	c.stalled.copyFrom(&s.stalled)
+	c.vicWBs.CopyFrom(&s.vicWBs)
 	c.rdBlks, c.wrVicBlks, c.atomicsSeen = s.rdBlks, s.wrVicBlks, s.atomicsSeen
 	c.fills, c.stalls, c.evictWBs = s.fills, s.stalls, s.evictWBs
 	c.toTCP.Restore(s.xbar)

@@ -8,16 +8,14 @@ import (
 	"drftest/internal/mem"
 	"drftest/internal/network"
 	"drftest/internal/protocol"
-	"drftest/internal/reuse"
 	"drftest/internal/sim"
+	"drftest/internal/table"
 )
 
-// tcpTBE tracks one line's in-flight transaction at an L1.
-type tcpTBE struct {
-	line   mem.Addr
-	loads  []*mem.Request // coalesced load misses awaiting fill
-	atomic *mem.Request   // outstanding atomic, nil if none
-	entry  *cache.Line    // reservation entry for the atomic; nil after Repl
+// tcpAtomic is one line's in-flight atomic at an L1.
+type tcpAtomic struct {
+	req   *mem.Request
+	entry *cache.Line // reservation entry; nil after Repl
 }
 
 // TCP is one compute unit's L1 data cache controller (VIPER's "TCP").
@@ -33,10 +31,11 @@ type TCP struct {
 	seq     *Sequencer
 	pool    *msgPool
 
-	tbes map[mem.Addr]*tcpTBE
-	// tbeFree recycles completed TBEs (and their coalesced-load
-	// slices), so the steady-state miss path allocates nothing.
-	tbeFree []*tcpTBE
+	// A line's transaction is either an atomic or a fill its coalesced
+	// load misses await, never both: an atomic stalls behind waiting
+	// loads, and loads stall in state A.
+	atomicTBEs table.Table[mem.Addr, tcpAtomic]
+	loadTBEs   waitList[mem.Addr, *mem.Request]
 	// sendFns holds one prebound delivery handler per L2 slice for the
 	// allocation-free Link.SendMsg path, built on first use (the
 	// slice→L2 mapping is fixed for the system's lifetime).
@@ -50,10 +49,7 @@ type TCP struct {
 	// always observes its own (and its CU's) program-order-earlier
 	// stores even when the fill was read from memory before the
 	// write-through landed — the per-byte-mask behaviour of real VIPER.
-	wt map[mem.Addr]*wtBuf
-	// wtFree recycles wtBuf headers (the line payloads they reference
-	// recycle through the line pool independently).
-	wtFree []*wtBuf
+	wt table.Table[mem.Addr, wtBuf]
 
 	// stats
 	loads, loadHits, stores, atomics, stalls uint64
@@ -70,8 +66,6 @@ func newTCP(k *sim.Kernel, id int, spec *protocol.Spec, rec protocol.Recorder, o
 		toTCC:   toTCC,
 		sliceOf: sliceOf,
 		pool:    pool,
-		tbes:    make(map[mem.Addr]*tcpTBE),
-		wt:      make(map[mem.Addr]*wtBuf),
 	}
 }
 
@@ -82,21 +76,13 @@ func newTCP(k *sim.Kernel, id int, spec *protocol.Spec, rec protocol.Recorder, o
 // already dropped the events that would have completed them.
 func (t *TCP) reset() {
 	t.array.Reset()
-	for line, tbe := range t.tbes {
-		tbe.loads = tbe.loads[:0]
-		tbe.atomic, tbe.entry = nil, nil
-		t.tbeFree = append(t.tbeFree, tbe)
-		delete(t.tbes, line)
-	}
+	t.atomicTBEs.Clear()
+	t.loadTBEs.drop(nil)
 	t.stalled.drop(nil)
-	for line, buf := range t.wt {
-		// Drop the line reference without releasing: the owning pool's
-		// Reset force-reclaims every line, so a release here would
-		// double-park lines the in-flight messages also referenced.
-		buf.line = nil
-		t.wtFree = append(t.wtFree, buf)
-		delete(t.wt, line)
-	}
+	// The buffers' line references are dropped without releasing: the
+	// owning pool's Reset force-reclaims every line, so a release here
+	// would double-park lines the in-flight messages also referenced.
+	t.wt.Clear()
 	t.loads, t.loadHits, t.stores, t.atomics, t.stalls = 0, 0, 0, 0, 0
 	for _, l := range t.toTCC {
 		l.Reset()
@@ -113,16 +99,6 @@ type wtBuf struct {
 	count int
 }
 
-func (t *TCP) getWTBuf() *wtBuf {
-	if n := len(t.wtFree); n > 0 {
-		b := t.wtFree[n-1]
-		t.wtFree[n-1] = nil
-		t.wtFree = t.wtFree[:n-1]
-		return b
-	}
-	return &wtBuf{}
-}
-
 func (t *TCP) lineSize() int { return t.array.Config().LineSize }
 
 func (t *TCP) lineOf(a mem.Addr) mem.Addr { return mem.LineAddr(a, t.lineSize()) }
@@ -131,28 +107,13 @@ func (t *TCP) lineOf(a mem.Addr) mem.Addr { return mem.LineAddr(a, t.lineSize())
 // flight (whether or not its reservation entry survived replacement),
 // V when a valid copy is cached, I otherwise.
 func (t *TCP) state(line mem.Addr) int {
-	if tbe, ok := t.tbes[line]; ok && tbe.atomic != nil {
+	if t.atomicTBEs.Ptr(line) != nil {
 		return TCPStateA
 	}
 	if e := t.array.Peek(line); e != nil && e.State == TCPStateV {
 		return TCPStateV
 	}
 	return TCPStateI
-}
-
-func (t *TCP) tbe(line mem.Addr) *tcpTBE {
-	tbe, ok := t.tbes[line]
-	if !ok {
-		if n := len(t.tbeFree); n > 0 {
-			tbe = t.tbeFree[n-1]
-			t.tbeFree = t.tbeFree[:n-1]
-			*tbe = tcpTBE{line: line, loads: tbe.loads[:0]}
-		} else {
-			tbe = &tcpTBE{line: line}
-		}
-		t.tbes[line] = tbe
-	}
-	return tbe
 }
 
 // CoreRequest processes one request from the sequencer.
@@ -163,11 +124,9 @@ func (t *TCP) CoreRequest(req *mem.Request) {
 	// while the line has coalesced load misses in flight, because the
 	// fill response would then arrive in state A and be misread as the
 	// atomic's completion. Ruby handles this by recycling the message.
-	if req.Op == mem.OpAtomic {
-		if tbe, ok := t.tbes[line]; ok && len(tbe.loads) > 0 {
-			t.stall(line, req)
-			return
-		}
+	if req.Op == mem.OpAtomic && t.loadTBEs.has(line) {
+		t.stall(line, req)
+		return
 	}
 
 	st := t.state(line)
@@ -201,9 +160,7 @@ func (t *TCP) CoreRequest(req *mem.Request) {
 			t.seq.respond(req, t.readWord(e, req.Addr))
 			return
 		}
-		tbe := t.tbe(line)
-		tbe.loads = append(tbe.loads, req)
-		if len(tbe.loads) == 1 {
+		if t.loadTBEs.push(line, req) == 1 {
 			m := t.pool.getTCPMsg()
 			m.kind, m.cu, m.line, m.req = msgRdBlk, t.id, line, req
 			t.send(m)
@@ -215,12 +172,10 @@ func (t *TCP) CoreRequest(req *mem.Request) {
 		if st == TCPStateV {
 			t.array.Lookup(req.Addr).WriteMasked(wl.Data, wl.Mask())
 		}
-		if buf, ok := t.wt[line]; !ok {
+		if buf := t.wt.Slot(line); buf.count == 0 {
 			// First in-flight store to this line: the accumulation
 			// buffer IS the message payload (shared, two references).
-			buf = t.getWTBuf()
 			buf.line, buf.count = wl.Retain(), 1
-			t.wt[line] = buf
 		} else {
 			// Merge the store into the accumulated bytes. Writable
 			// copies only if an earlier message still shares the line —
@@ -253,9 +208,7 @@ func (t *TCP) CoreRequest(req *mem.Request) {
 			// local copy would go stale.
 			t.array.Invalidate(line)
 		}
-		tbe := t.tbe(line)
-		tbe.atomic = req
-		tbe.entry = t.install(line, TCPStateA)
+		t.atomicTBEs.Put(line, tcpAtomic{req: req, entry: t.install(line, TCPStateA)})
 		m := t.pool.getTCPMsg()
 		m.kind, m.cu, m.line, m.req = msgAtomic, t.id, line, req
 		t.send(m)
@@ -270,10 +223,10 @@ func (t *TCP) install(line mem.Addr, state int) *cache.Line {
 	if victim.Valid() {
 		t.machine.Fire(victim.State, TCPRepl)
 		if victim.State == TCPStateA {
-			// The displaced line's atomic stays in flight; the TBE
-			// simply loses its reservation entry.
-			if tbe, ok := t.tbes[victim.Tag]; ok {
-				tbe.entry = nil
+			// The displaced line's atomic stays in flight; it simply
+			// loses its reservation entry.
+			if a := t.atomicTBEs.Ptr(victim.Tag); a != nil {
+				a.entry = nil
 			}
 		}
 	}
@@ -290,24 +243,20 @@ func (t *TCP) FromTCC(msg *tccMsg) {
 		if cell.Kind != protocol.Defined {
 			return
 		}
-		tbe := t.tbes[line]
-		if tbe == nil || len(tbe.loads) == 0 {
+		loads := t.loadTBEs.take(line)
+		if len(loads) == 0 {
 			panic(fmt.Sprintf("viper: TCP%d fill for %#x without waiting loads", t.id, uint64(line)))
 		}
 		msg.checkPayload()
 		e := t.install(line, TCPStateV)
 		copy(e.Data, msg.payload.Data)
-		if buf, ok := t.wt[line]; ok {
+		if buf := t.wt.Ptr(line); buf != nil {
 			e.WriteMasked(buf.line.Data, buf.line.Mask())
 		}
-		// Keep the backing array with the TBE (responses are queued, not
-		// delivered inline, so nothing appends to it before the loop ends).
-		loads := tbe.loads
-		tbe.loads = tbe.loads[:0]
-		t.dropTBE(tbe)
 		for _, ld := range loads {
 			t.seq.respond(ld, t.readWord(e, ld.Addr))
 		}
+		t.loadTBEs.recycle(loads)
 		t.wake(line)
 
 	case ackAtomic:
@@ -315,29 +264,24 @@ func (t *TCP) FromTCC(msg *tccMsg) {
 		if cell.Kind != protocol.Defined {
 			return
 		}
-		tbe := t.tbes[line]
-		if tbe == nil || tbe.atomic == nil {
-			panic(fmt.Sprintf("viper: TCP%d atomic ack for %#x without TBE", t.id, uint64(line)))
+		a, ok := t.atomicTBEs.Get(line)
+		if !ok {
+			panic(fmt.Sprintf("viper: TCP%d atomic ack for %#x without an atomic in flight", t.id, uint64(line)))
 		}
-		req := tbe.atomic
-		tbe.atomic = nil
-		if tbe.entry != nil {
-			t.array.InvalidateLine(tbe.entry) // A → I: atomics do not cache data
-			tbe.entry = nil
+		if a.entry != nil {
+			t.array.InvalidateLine(a.entry) // A → I: atomics do not cache data
 		}
-		t.dropTBE(tbe)
-		t.seq.respond(req, msg.old)
+		t.atomicTBEs.Delete(line)
+		t.seq.respond(a.req, msg.old)
 		t.wake(line)
 
 	case ackWB:
 		t.machine.Fire(st, TCPTCCAckWB)
-		if buf, ok := t.wt[line]; ok {
+		if buf := t.wt.Ptr(line); buf != nil {
 			buf.count--
 			if buf.count == 0 {
 				buf.line.Release()
-				buf.line = nil
-				delete(t.wt, line)
-				t.wtFree = append(t.wtFree, buf)
+				t.wt.Delete(line)
 			}
 		}
 		t.seq.writeCompleted(msg.req)
@@ -366,17 +310,6 @@ func (t *TCP) wake(line mem.Addr) {
 		t.CoreRequest(req)
 	}
 	t.stalled.recycle(queue)
-}
-
-// dropTBE retires a TBE once its transaction fully completes. Safe to
-// recycle immediately: responses are delivered through the sequencer's
-// scheduled queue, so no caller holds the pointer past this dispatch.
-func (t *TCP) dropTBE(tbe *tcpTBE) {
-	if tbe.atomic == nil && len(tbe.loads) == 0 {
-		delete(t.tbes, tbe.line)
-		tbe.entry = nil
-		t.tbeFree = append(t.tbeFree, tbe)
-	}
 }
 
 func (t *TCP) send(msg *tcpMsg) {
@@ -423,17 +356,15 @@ func (t *TCP) Stats() (loads, loadHits, stores, atomics, stalls uint64) {
 	return t.loads, t.loadHits, t.stores, t.atomics, t.stalls
 }
 
-// tcpSnapshot captures one L1 controller. TBEs are saved by value and
-// rebuilt as fresh structs on restore — nothing captures a tcpTBE
-// pointer across events, so identity is free to change. Write-through
-// buffers keep their line-handle identities (contents and refcounts
-// restored by the line-pool snapshot); stalled requests reference the
-// tester's slab.
+// tcpSnapshot captures one L1 controller, its keyed state in twins of
+// the live containers. Write-through buffers keep their line-handle
+// identities (contents and refcounts restored by the line-pool
+// snapshot); waiting and stalled requests reference the tester's slab.
 type tcpSnapshot struct {
-	array   *cache.ArraySnapshot
-	tbes    []tcpTBE
-	stalled []listSave[mem.Addr, *mem.Request]
-	wt      map[mem.Addr]wtBuf
+	array             *cache.ArraySnapshot
+	atomicTBEs        table.Table[mem.Addr, tcpAtomic]
+	loadTBEs, stalled waitList[mem.Addr, *mem.Request]
+	wt                table.Table[mem.Addr, wtBuf]
 
 	loads, loadHits, stores, atomics, stalls uint64
 
@@ -442,21 +373,10 @@ type tcpSnapshot struct {
 
 func (t *TCP) snapshotInto(s *tcpSnapshot) {
 	s.array = t.array.SnapshotInto(s.array)
-	s.tbes = s.tbes[:0]
-	for _, tbe := range t.tbes {
-		save := reuse.Grow(&s.tbes)
-		loads := save.loads
-		*save = *tbe
-		save.loads = append(loads[:0], tbe.loads...)
-	}
-	s.stalled = t.stalled.save(s.stalled)
-	if s.wt == nil {
-		s.wt = make(map[mem.Addr]wtBuf, len(t.wt))
-	}
-	clear(s.wt)
-	for line, buf := range t.wt {
-		s.wt[line] = *buf
-	}
+	s.atomicTBEs.CopyFrom(&t.atomicTBEs)
+	s.loadTBEs.copyFrom(&t.loadTBEs)
+	s.stalled.copyFrom(&t.stalled)
+	s.wt.CopyFrom(&t.wt)
 	s.loads, s.loadHits, s.stores, s.atomics, s.stalls = t.loads, t.loadHits, t.stores, t.atomics, t.stalls
 	if s.links == nil {
 		s.links = make([]network.LinkSnapshot, len(t.toTCC))
@@ -468,29 +388,10 @@ func (t *TCP) snapshotInto(s *tcpSnapshot) {
 
 func (t *TCP) restore(s *tcpSnapshot) {
 	t.array.Restore(s.array)
-	for line, tbe := range t.tbes {
-		tbe.loads = tbe.loads[:0]
-		tbe.atomic, tbe.entry = nil, nil
-		t.tbeFree = append(t.tbeFree, tbe)
-		delete(t.tbes, line)
-	}
-	for i := range s.tbes {
-		save := &s.tbes[i]
-		tbe := t.tbe(save.line)
-		tbe.loads = append(tbe.loads[:0], save.loads...)
-		tbe.atomic, tbe.entry = save.atomic, save.entry
-	}
-	t.stalled.load(s.stalled)
-	for line, buf := range t.wt {
-		buf.line = nil
-		t.wtFree = append(t.wtFree, buf)
-		delete(t.wt, line)
-	}
-	for line, save := range s.wt {
-		buf := t.getWTBuf()
-		*buf = save
-		t.wt[line] = buf
-	}
+	t.atomicTBEs.CopyFrom(&s.atomicTBEs)
+	t.loadTBEs.copyFrom(&s.loadTBEs)
+	t.stalled.copyFrom(&s.stalled)
+	t.wt.CopyFrom(&s.wt)
 	t.loads, t.loadHits, t.stores, t.atomics, t.stalls = s.loads, s.loadHits, s.stores, s.atomics, s.stalls
 	for i, l := range t.toTCC {
 		l.Restore(&s.links[i])

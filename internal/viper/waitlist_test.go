@@ -1,8 +1,11 @@
 package viper
 
 import (
+	"maps"
 	"slices"
 	"testing"
+
+	"drftest/internal/table"
 )
 
 // TestWaitList walks the wait-list through what the controllers do
@@ -38,47 +41,57 @@ func TestWaitList(t *testing.T) {
 		t.Fatalf("re-stalling during the drain disturbed it: walked %v", seen)
 	}
 	w.recycle(drained)
-	if got := w.lists[1]; !slices.Equal(got, []string{"b", "b2"}) {
-		t.Fatalf("after the drain key 1 holds %v, want [b b2]", got)
+	if got := lists(&w); !maps.EqualFunc(got, map[int][]string{1: {"b", "b2"}, 2: {"x"}}, slices.Equal) {
+		t.Fatalf("after the drain the lists are %v, want 1:[b b2] 2:[x]", got)
 	}
 	if len(w.free) != 1 || len(w.free[0]) != 0 || cap(w.free[0]) < 3 || w.free[0][:1][0] != "" {
 		t.Fatalf("drained list not recycled empty and zeroed: %q", w.free)
 	}
 
 	// Cut, diverge, restore; the save owns its storage.
-	save := w.save(nil)
+	var save waitList[int, string]
+	save.copyFrom(&w)
 	w.take(2)
 	w.push(1, "late")
 	w.push(9, "other")
-	w.load(save)
-	if len(w.lists) != 2 || !slices.Equal(w.lists[1], []string{"b", "b2"}) || !slices.Equal(w.lists[2], []string{"x"}) {
-		t.Fatalf("load restored %v, want 1:[b b2] 2:[x]", w.lists)
+	w.copyFrom(&save)
+	if got := lists(&w); !maps.EqualFunc(got, map[int][]string{1: {"b", "b2"}, 2: {"x"}}, slices.Equal) {
+		t.Fatalf("the restore left %v, want 1:[b b2] 2:[x]", got)
 	}
 	w.push(2, "y")
-	if again := w.save(save); len(again) != 2 {
-		t.Fatalf("refilled save holds %d lists, want 2", len(again))
+	if got := lists(&save); !slices.Equal(got[2], []string{"x"}) {
+		t.Fatalf("a push after the restore reached the save: %v", got)
+	}
+	if save.copyFrom(&w); save.lists.Len() != 2 || !slices.Equal(lists(&save)[2], []string{"x", "y"}) {
+		t.Fatalf("refilled save holds %v, want 1:[b b2] 2:[x y]", lists(&save))
 	}
 
 	var released []string
 	w.drop(func(v string) { released = append(released, v) })
 	slices.Sort(released)
-	if len(w.lists) != 0 || !slices.Equal(released, []string{"b", "b2", "x", "y"}) {
-		t.Fatalf("drop left %v and released %v", w.lists, released)
+	if w.lists.Len() != 0 || !slices.Equal(released, []string{"b", "b2", "x", "y"}) {
+		t.Fatalf("drop left %v and released %v", lists(&w), released)
 	}
+}
+
+// lists reads a wait-list out into a plain map.
+func lists[K table.Key, V any](w *waitList[K, V]) map[K][]V {
+	m := map[K][]V{}
+	w.lists.Each(func(k K, q *[]V) { m[k] = *q })
+	return m
 }
 
 // TestWaitListSteadyStateAllocs: contention that comes back — stall on
 // a few hot keys, drain with a re-stall, cut and restore — allocates
 // nothing once the lists and the save have been through it once.
 func TestWaitListSteadyStateAllocs(t *testing.T) {
-	var w waitList[uint64, *int]
-	var save []listSave[uint64, *int]
+	var w, save waitList[uint64, *int]
 	v := new(int)
 	round := func() {
 		for i := 0; i < 24; i++ {
 			w.push(uint64(i%3)*64, v)
 		}
-		save = w.save(save)
+		save.copyFrom(&w)
 		for k := uint64(0); k < 3; k++ {
 			q := w.take(k * 64)
 			for i := range q {
@@ -88,7 +101,7 @@ func TestWaitListSteadyStateAllocs(t *testing.T) {
 			}
 			w.recycle(q)
 		}
-		w.load(save)
+		w.copyFrom(&save)
 		w.drop(nil)
 	}
 	round()
