@@ -446,7 +446,10 @@ func TestMetricsAndHTTPSurface(t *testing.T) {
 // a swarm one refused only because a corner with more variables
 // outgrows it. So is a count no worker could allocate — one past each
 // admission limit, at the base or only in a corner that multiplies it —
-// while a spec sitting on every limit at once is admitted.
+// and a latency so long that tick arithmetic wraps (the jitter window
+// killed the daemon in rng.Intn, the request latency made every seed a
+// false "no forward progress"), while a spec sitting on every limit at
+// once is admitted.
 func TestSubmitRejectsInvalidSysCfg(t *testing.T) {
 	srv := NewServer(Options{Logf: t.Logf})
 	ts := httptest.NewServer(srv.Handler())
@@ -503,6 +506,12 @@ func TestSubmitRejectsInvalidSysCfg(t *testing.T) {
 		{"too many L2 slices", "NumL2Slices", mutate(func(s *Spec) { s.SysCfg.NumL2Slices = maxUnits + 1 })},
 		{"L1 too large", "L1.SizeBytes", mutate(func(s *Spec) { s.SysCfg.L1.SizeBytes = 2 * maxCacheBytes })},
 		{"L2 too large", "L2.SizeBytes", mutate(func(s *Spec) { s.SysCfg.L2.SizeBytes = 2 * maxCacheBytes })},
+		{"request latency too long", "ReqLatency 18446744073709551615", mutate(func(s *Spec) { s.SysCfg.ReqLatency = 1<<64 - 1 })},
+		{"response latency too long", "RespLatency", mutate(func(s *Spec) { s.SysCfg.RespLatency = maxLatency + 1 })},
+		{"jitter window too wide", "RespJitter 9223372036854775807", mutate(func(s *Spec) { s.SysCfg.RespJitter = 1<<63 - 1 })},
+		{"L1 response latency too long", "L1RespLatency", mutate(func(s *Spec) { s.SysCfg.L1RespLatency = maxLatency + 1 })},
+		{"memory latency too long", "Mem.AccessLatency", mutate(func(s *Spec) { s.SysCfg.Mem.AccessLatency = maxLatency + 1 })},
+		{"memory service period too long", "Mem.ServicePeriod", mutate(func(s *Spec) { s.SysCfg.Mem.ServicePeriod = maxLatency + 1 })},
 	} {
 		var spec Spec
 		if err := json.Unmarshal(tc.body, &spec); err != nil {
@@ -542,6 +551,8 @@ func TestSubmitRejectsInvalidSysCfg(t *testing.T) {
 	atLimit.TestCfg.NumWavefronts, atLimit.TestCfg.ThreadsPerWF = maxThreads/64, 64
 	atLimit.TestCfg.ActionsPerEpisode, atLimit.TestCfg.LogCapacity = maxActions, maxLogEntries
 	atLimit.TraceDepth = maxLogEntries
+	atLimit.SysCfg.ReqLatency, atLimit.SysCfg.RespLatency, atLimit.SysCfg.RespJitter = maxLatency, maxLatency, maxLatency
+	atLimit.SysCfg.L1RespLatency, atLimit.SysCfg.Mem.AccessLatency, atLimit.SysCfg.Mem.ServicePeriod = maxLatency, maxLatency, maxLatency
 	if _, err := atLimit.CampaignConfig(); err != nil {
 		t.Errorf("a spec on every admission limit, past none, was refused: %v", err)
 	}

@@ -110,6 +110,11 @@ const (
 	// ID, a CU owns several units, and sim.MakeUnitTag truncates
 	// silently past that.
 	maxUnits = 1024
+	// maxLatency bounds every link and memory latency, in ticks: far
+	// above any real one (DRAM is 100), far below where now + latency or
+	// jitter + 1 wraps and a worker dies in rng.Intn or reports a
+	// deadlock that is an event scheduled into the past.
+	maxLatency = 1 << 20
 )
 
 // limit is one bounded quantity of a spec; sums and products come after
@@ -165,6 +170,12 @@ func (s Spec) CampaignConfig() (harness.CampaignConfig, error) {
 		limit{"NumL2Slices", uint64(max(s.SysCfg.NumL2Slices, 0)), maxUnits},
 		limit{"L1.SizeBytes", uint64(s.SysCfg.L1.SizeBytes), maxCacheBytes},
 		limit{"L2.SizeBytes", uint64(s.SysCfg.L2.SizeBytes), maxCacheBytes},
+		limit{"ReqLatency", uint64(s.SysCfg.ReqLatency), maxLatency},
+		limit{"RespLatency", uint64(s.SysCfg.RespLatency), maxLatency},
+		limit{"RespJitter", uint64(s.SysCfg.RespJitter), maxLatency},
+		limit{"L1RespLatency", uint64(s.SysCfg.L1RespLatency), maxLatency},
+		limit{"Mem.AccessLatency", uint64(s.SysCfg.Mem.AccessLatency), maxLatency},
+		limit{"Mem.ServicePeriod", uint64(s.SysCfg.Mem.ServicePeriod), maxLatency},
 	); err != nil {
 		return harness.CampaignConfig{}, fmt.Errorf("campaignd: sysCfg: %w", err)
 	}

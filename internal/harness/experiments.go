@@ -134,10 +134,24 @@ func RunAppSuite(opts AppSuiteOptions) *AppSuiteResult { return RunAppSuiteParal
 func runOneApp(prof apps.Profile, opts AppSuiteOptions, seed uint64) *AppRunResult {
 	gpuCfg := viper.DefaultConfig() // Table III application configuration
 	b := BuildHetero(gpuCfg, opts.NumCPUs, DefaultCPUCache)
+	res := runAppPhases(b, prof, opts, seed)
 
-	// Application phases, as on real systems: DMA stages the input
-	// while the system is quiescent, the kernel runs with the host
-	// polling, then DMA copies the result out.
+	l1 := b.Col.Matrix("GPU-L1")
+	l2 := b.Col.Matrix("GPU-L2")
+	return &AppRunResult{
+		Res:   res,
+		L1:    l1,
+		L2:    l2,
+		Dir:   b.Col.Matrix("Directory"),
+		L1Sum: l1.Summarize(nil),
+		L2Sum: l2.Summarize(TCCImpossibleHetero()),
+	}
+}
+
+// runAppPhases runs one application on b in phases, as on real
+// systems: DMA stages the input while the system is quiescent, the
+// kernel runs with the host polling, then DMA copies the result out.
+func runAppPhases(b *HeteroBuild, prof apps.Profile, opts AppSuiteOptions, seed uint64) *apps.RunResult {
 	host := newHostDriver(b, seed^0x505, 400, prof.MemOpsPerLane/2)
 	b.DMA.CopyIn(apps.SharedRegionBase, 32, 50, nil)
 	b.K.RunUntilIdle()
@@ -150,17 +164,7 @@ func runOneApp(prof apps.Profile, opts AppSuiteOptions, seed uint64) *AppRunResu
 	// Results are copied out of the kernel's streamed output buffer.
 	b.DMA.CopyOut(apps.StreamRegionBase, 32, 50, nil)
 	b.K.RunUntilIdle()
-
-	l1 := b.Col.Matrix("GPU-L1")
-	l2 := b.Col.Matrix("GPU-L2")
-	return &AppRunResult{
-		Res:   res,
-		L1:    l1,
-		L2:    l2,
-		Dir:   b.Col.Matrix("Directory"),
-		L1Sum: l1.Summarize(nil),
-		L2Sum: l2.Summarize(TCCImpossibleHetero()),
-	}
+	return res
 }
 
 // CPURunResult is one CPU tester run.

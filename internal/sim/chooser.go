@@ -3,8 +3,9 @@
 //
 // The default event loop fires same-tick events in scheduling order — a
 // single, deterministic interleaving. With a Chooser attached, the
-// kernel instead drains every event that is co-enabled at the current
-// tick into an enabled set and asks the Chooser which one fires next.
+// kernel instead treats the current tick's bucket — every event that is
+// co-enabled now — as an enabled set and asks the Chooser which one
+// fires next.
 // The only ordering the kernel still enforces is per *unit*: events
 // tagged with the same unit (one link's deliveries, one sequencer's
 // responses) fire in scheduling order, because those components pair a
@@ -169,79 +170,43 @@ func (s *ScriptChooser) Err() error { return s.err }
 // faithful replay consumes the whole script.
 func (s *ScriptChooser) Consumed() int { return s.pos }
 
-// runChoose is the choice-point event loop: Run dispatches here when a
-// chooser is attached. Instead of firing the head event directly, it
-// drains everything enabled at the current tick into k.enabled (kept
-// sorted by seq), builds the per-unit head candidates, and lets the
-// chooser pick. All loop state lives in kernel fields so a Snapshot
-// taken from inside Choose captures a resumable cut.
-func (k *Kernel) runChoose(until Tick) Tick {
-	for !k.stopped {
-		if len(k.enabled) == 0 {
-			src, head := k.peekNext()
-			if src == srcNone || head.when > until {
-				break
-			}
-			if head.when > k.now {
-				k.advanceTo(head.when)
-			}
-			k.firePollers()
-			k.drainTick()
-		}
-		k.buildCandidates()
-		i := k.chooser.Choose(k.now, k.candBuf)
-		if k.stopped {
-			break
-		}
-		if i < 0 || i >= len(k.candBuf) {
-			panic(fmt.Sprintf("sim: Choose returned %d of %d candidates", i, len(k.candBuf)))
-		}
-		pos := k.candPos[i]
-		e := k.enabled[pos]
-		copy(k.enabled[pos:], k.enabled[pos+1:])
-		k.enabled[len(k.enabled)-1].fn = nil
-		k.enabled = k.enabled[:len(k.enabled)-1]
-		k.executed++
-		e.fn()
-		// Delay-0 schedules from the fired event join the enabled set;
-		// they carry higher seqs, so appending keeps it sorted.
-		for k.curr.n > 0 {
-			k.enabled = append(k.enabled, k.curr.pop())
-		}
+// choose offers the chooser the current tick's candidates and returns
+// the slot that precedes its pick in the bucket (0: the pick heads it).
+// Delay-0 schedules from a fired event join the bucket at its tail on
+// their own — they carry higher seqs — so the bucket is always the
+// complete enabled set.
+func (k *Kernel) choose() (prev int32) {
+	k.buildCandidates()
+	i := k.chooser.Choose(k.now, k.candBuf)
+	if k.stopped {
+		return 0
 	}
-	return k.now
+	if i < 0 || i >= len(k.candBuf) {
+		panic(fmt.Sprintf("sim: Choose returned %d of %d candidates", i, len(k.candBuf)))
+	}
+	return k.candPrev[i]
 }
 
-// drainTick moves every event pending at the current tick (the curr
-// FIFO plus any far-heap events that have come due) into the enabled
-// set, merged in seq order.
-func (k *Kernel) drainTick() {
-	for k.curr.n > 0 || (len(k.far) > 0 && k.far[0].when == k.now) {
-		if k.curr.n > 0 && (len(k.far) == 0 || k.far[0].when != k.now || k.curr.peek().seq < k.far[0].seq) {
-			k.enabled = append(k.enabled, k.curr.pop())
-		} else {
-			k.enabled = append(k.enabled, k.far.popMin())
-		}
-	}
-}
-
-// buildCandidates scans the enabled set (seq-sorted) and collects the
-// first event of each unit: per-unit FIFO order is the one constraint
-// choosers cannot override. candidates[0] is the global seq head.
+// buildCandidates walks the current bucket (seq order) and collects the
+// first event of each unit, with the slot before it: per-unit FIFO
+// order is the one constraint choosers cannot override. candidates[0]
+// is the global seq head.
 func (k *Kernel) buildCandidates() {
 	k.candBuf = k.candBuf[:0]
-	k.candPos = k.candPos[:0]
+	k.candPrev = k.candPrev[:0]
 	k.unitSeen = k.unitSeen[:0]
+	prev := int32(0)
 scan:
-	for i := range k.enabled {
-		u := TagUnit(k.enabled[i].tag)
+	for i := k.wheel[k.now&wheelMask].head; i != 0; prev, i = i, k.slab[i].next {
+		e := &k.slab[i]
+		u := TagUnit(e.tag)
 		for _, seen := range k.unitSeen {
 			if seen == u {
 				continue scan
 			}
 		}
 		k.unitSeen = append(k.unitSeen, u)
-		k.candBuf = append(k.candBuf, Enabled{Seq: k.enabled[i].seq, Tag: k.enabled[i].tag})
-		k.candPos = append(k.candPos, i)
+		k.candBuf = append(k.candBuf, Enabled{Seq: e.seq, Tag: e.tag})
+		k.candPrev = append(k.candPrev, prev)
 	}
 }

@@ -7,19 +7,20 @@
 // tie-break), which is what makes whole simulations bit-reproducible
 // from a seed.
 //
-// The pending-event structure is built for the workload's shape: the
-// vast majority of schedules in tester runs are delay-0/1
-// self-reschedules (pipeline stages, lockstep rounds, link hops), so
-// those bypass the priority queue entirely through two FIFO lanes
-// anchored at the current and the next tick. Everything further out
-// lands in a hand-rolled value-typed 4-ary min-heap — no
-// container/heap, no interface boxing, no per-event pointer — so the
-// steady-state event loop allocates nothing (guarded by
-// TestEventLoopZeroAllocs).
+// Pending events live in one structure built for the model's latencies
+// (DESIGN §9): a slab of events threaded into a calendar wheel of
+// wheelSize per-tick lists. Every latency the model schedules in volume
+// is far below the wheel's horizon, so a schedule is take-a-slot and
+// link-at-the-tail, a pop is unlink-the-head, and a bucket is in
+// scheduling order by construction. The rare event beyond the horizon
+// waits in a 4-ary min-heap of (tick, slot) pairs and moves into its
+// bucket when time comes within wheelSize ticks of it. Nothing on the
+// steady-state path allocates (TestEventLoopZeroAllocs).
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"drftest/internal/trace"
 )
@@ -32,139 +33,46 @@ type Tick uint64
 // horizon for Run.
 const MaxTick = Tick(^uint64(0))
 
-// event is one scheduled closure. Events are held by value everywhere
-// in the kernel: moving them costs a 4-word copy, never an allocation.
-// tag is the event's schedule-exploration identity (unit + line
-// footprint, see chooser.go); it is zero for events scheduled through
-// plain Schedule and never affects the default event loop.
+// wheelSize is the wheel's horizon in ticks, a power of two: the
+// smallest above the model's longest common latency. Counted over every
+// schedule of every benchmark workload the delays are 0, 1, 3, 4, 8,
+// 9–16 (a jittered link), 50 and 100 (DRAM) — 20 is the model's other
+// constant — and only the tester's 5 000-tick heartbeat and the host
+// driver's 400-tick poll lie beyond: 0.00–0.56 % of a workload's
+// schedules (DESIGN §9 has the table; TestHorizonCoversModelLatencies
+// holds each shipped shape to 1 %).
+const (
+	wheelSize = 128
+	wheelMask = wheelSize - 1
+)
+
+// event is one scheduled closure, held by value in the kernel's slab
+// and named by its slot index everywhere else: 32 bytes, two to a cache
+// line. Its tick is the bucket it hangs in (or its farEvent's). tag is
+// the event's schedule-exploration identity (unit + line footprint, see
+// chooser.go); it is zero for events scheduled through plain Schedule
+// and never affects the default event loop.
 type event struct {
-	when Tick
 	seq  uint64 // stable tie-break for same-tick events
 	tag  uint64
 	fn   func()
+	next int32 // next slot of this event's bucket, or of the free list
+}
+
+// farEvent is an overflow-heap entry: a slot and the tick it is due.
+type farEvent struct {
+	when Tick
+	slot int32
 }
 
 // before is the kernel's total order: tick, then schedule order.
-func (e *event) before(o *event) bool {
-	return e.when < o.when || (e.when == o.when && e.seq < o.seq)
+func (k *Kernel) before(a, b farEvent) bool {
+	return a.when < b.when || (a.when == b.when && k.slab[a.slot].seq < k.slab[b.slot].seq)
 }
 
-// eventFIFO is a growable ring buffer of events, the fast lane for
-// near-tick schedules. Capacity is a power of two and persists across
-// pops, so a warmed-up FIFO never allocates.
-type eventFIFO struct {
-	buf  []event
-	head int
-	n    int
-}
-
-func (f *eventFIFO) push(e event) {
-	if f.n == len(f.buf) {
-		f.grow()
-	}
-	f.buf[(f.head+f.n)&(len(f.buf)-1)] = e
-	f.n++
-}
-
-// peek returns the oldest event; it must not be called on an empty
-// FIFO. FIFO entries share one tick, so oldest == lowest seq.
-func (f *eventFIFO) peek() *event { return &f.buf[f.head] }
-
-func (f *eventFIFO) pop() event {
-	slot := &f.buf[f.head]
-	e := *slot
-	slot.fn = nil // release the closure for GC
-	f.head = (f.head + 1) & (len(f.buf) - 1)
-	f.n--
-	return e
-}
-
-// reset drops every queued event, releasing the closures for GC while
-// keeping the warmed-up ring capacity.
-func (f *eventFIFO) reset() {
-	for i := 0; i < f.n; i++ {
-		f.buf[(f.head+i)&(len(f.buf)-1)].fn = nil
-	}
-	f.head, f.n = 0, 0
-}
-
-func (f *eventFIFO) grow() {
-	cap2 := len(f.buf) * 2
-	if cap2 == 0 {
-		cap2 = 16
-	}
-	buf := make([]event, cap2)
-	for i := 0; i < f.n; i++ {
-		buf[i] = f.buf[(f.head+i)&(len(f.buf)-1)]
-	}
-	f.buf = buf
-	f.head = 0
-}
-
-// eventHeap4 is a value-typed 4-ary min-heap ordered by (when, seq).
-// A 4-ary layout halves the tree depth of a binary heap, trading a few
-// extra comparisons per level for far fewer cache-missing moves — the
-// classic d-ary heap trade-off, which wins for the sift-down-heavy
-// pop/push mix of an event queue.
-type eventHeap4 []event
-
-func (h eventHeap4) siftUp(i int) {
-	e := h[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !e.before(&h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = e
-}
-
-func (h eventHeap4) siftDown(i int) {
-	n := len(h)
-	e := h[i]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if h[c].before(&h[min]) {
-				min = c
-			}
-		}
-		if !h[min].before(&e) {
-			break
-		}
-		h[i] = h[min]
-		i = min
-	}
-	h[i] = e
-}
-
-func (h *eventHeap4) push(e event) {
-	*h = append(*h, e)
-	h.siftUp(len(*h) - 1)
-}
-
-func (h *eventHeap4) popMin() event {
-	old := *h
-	e := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	old[n].fn = nil // release the closure for GC
-	*h = old[:n]
-	if n > 0 {
-		(*h).siftDown(0)
-	}
-	return e
-}
+// bucket is one tick's pending events: a list through event.next, in
+// scheduling order. Slot 0 is the nil link, so head == 0 means empty.
+type bucket struct{ head, tail int32 }
 
 // poller is one periodic service with its own cadence.
 type poller struct {
@@ -173,25 +81,21 @@ type poller struct {
 	fn     func()
 }
 
-// event sources, in tie-break-free priority order (see popNext).
-const (
-	srcNone = iota
-	srcCurr
-	srcNext
-	srcFar
-)
-
-// Kernel is a single-threaded discrete-event scheduler. The zero value
-// is ready to use.
+// state is everything a cut copies: Snapshot, Restore and Reset move
+// or clear exactly this struct.
 //
-// Invariants: every event in curr is at tick now, every event in next
-// is at tick now+1, and far's minimum is at tick >= now. The three
-// sources together hold the pending set; popNext merges them by
-// (when, seq).
-type Kernel struct {
-	curr eventFIFO  // events at the current tick
-	next eventFIFO  // events at the next tick
-	far  eventHeap4 // events scheduled two or more ticks out
+// Invariant: for now ≤ t < now+wheelSize, bucket t&wheelMask lists
+// exactly the events due at t, lowest seq first, and its occ bit is set
+// iff it is non-empty; far holds the events due at now+wheelSize or
+// later. advanceTo keeps it as time moves.
+type state struct {
+	slab    []event                // every event slot; slot 0 is never used
+	free    int32                  // LIFO list of released slots
+	wheel   [wheelSize]bucket      // one list per tick of the horizon
+	occ     [wheelSize / 64]uint64 // bit s: wheel[s] is non-empty (nextTick scans two words)
+	far     []farEvent             // 4-ary min-heap by (when, seq) of the events beyond the horizon
+	pending int
+	beyond  uint64 // schedules that went to far
 
 	now      Tick
 	seq      uint64
@@ -199,17 +103,52 @@ type Kernel struct {
 	stopped  bool
 	pollers  []poller
 	pollNext Tick // min over pollers' next-due ticks
-	tracer   *trace.Ring
+}
 
-	// Schedule choice-point state (chooser.go). enabled holds the
-	// current tick's drained, seq-sorted event set while a chooser is
-	// attached; it is always empty in the default loop. candBuf,
-	// candPos, and unitSeen are its per-call scratch.
+// copyFrom makes d a copy of s that shares no storage with it, reusing
+// d's arrays. Of the wheel it moves only the buckets s occupies and
+// zeroes the ones only d does — which is also all it reads of s's — so
+// a cut costs what is pending, and a recycled snapshot whose occ no
+// longer describes its wheel still restores exactly. Closures d held in
+// slots past s's are released for GC.
+func (d *state) copyFrom(s *state) {
+	if len(d.slab) > len(s.slab) {
+		clear(d.slab[len(s.slab):])
+	}
+	d.slab = append(d.slab[:0], s.slab...)
+	d.far = append(d.far[:0], s.far...)
+	d.pollers = append(d.pollers[:0], s.pollers...)
+	for w, live := range s.occ {
+		for m := live | d.occ[w]; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			if live>>b&1 != 0 {
+				d.wheel[w<<6+b] = s.wheel[w<<6+b]
+			} else {
+				d.wheel[w<<6+b] = bucket{}
+			}
+		}
+	}
+	d.occ = s.occ
+	d.free, d.pending, d.beyond = s.free, s.pending, s.beyond
+	d.now, d.seq, d.executed = s.now, s.seq, s.executed
+	d.stopped, d.pollNext = s.stopped, s.pollNext
+}
+
+// idle is the state of a just-constructed kernel.
+var idle state
+
+// Kernel is a single-threaded discrete-event scheduler. The zero value
+// is ready to use.
+type Kernel struct {
+	state
+	tracer *trace.Ring
+
+	// Schedule choice points (chooser.go). candBuf, candPrev and
+	// unitSeen are buildCandidates' per-call scratch.
 	chooser  Chooser
-	enabled  []event
 	unitSeq  uint32
 	candBuf  []Enabled
-	candPos  []int
+	candPrev []int32
 	unitSeen []uint64
 }
 
@@ -221,27 +160,12 @@ func (k *Kernel) Now() Tick { return k.now }
 
 // Reset returns the kernel to its just-constructed state — tick zero,
 // no pending events, no pollers, stop flag cleared — while keeping the
-// warmed-up queue capacities and any attached tracer. Pending events
-// are dropped (their closures released for GC): a campaign reusing one
-// system across runs must not let a previous run's in-flight events
-// fire into the next one, so components holding state referenced by
-// those events (controllers, testers) must be reset alongside.
-func (k *Kernel) Reset() {
-	k.curr.reset()
-	k.next.reset()
-	for i := range k.far {
-		k.far[i].fn = nil
-	}
-	k.far = k.far[:0]
-	for i := range k.enabled {
-		k.enabled[i].fn = nil
-	}
-	k.enabled = k.enabled[:0]
-	k.now, k.seq, k.executed = 0, 0, 0
-	k.stopped = false
-	k.pollers = k.pollers[:0]
-	k.pollNext = 0
-}
+// warmed-up slab and any attached tracer. Pending events are dropped
+// (their closures released for GC): a campaign reusing one system
+// across runs must not let a previous run's in-flight events fire into
+// the next one, so components holding state referenced by those events
+// (controllers, testers) must be reset alongside.
+func (k *Kernel) Reset() { k.copyFrom(&idle) }
 
 // Executed returns the number of events executed so far. It is the
 // kernel-level measure of simulation work and backs the paper's
@@ -249,7 +173,11 @@ func (k *Kernel) Reset() {
 func (k *Kernel) Executed() uint64 { return k.executed }
 
 // Pending returns the number of scheduled, not-yet-fired events.
-func (k *Kernel) Pending() int { return k.curr.n + k.next.n + len(k.far) + len(k.enabled) }
+func (k *Kernel) Pending() int { return k.pending }
+
+// BeyondHorizon returns how many schedules so far were wheelSize or
+// more ticks out and paid for the overflow heap.
+func (k *Kernel) BeyondHorizon() uint64 { return k.beyond }
 
 // Schedule runs fn delay ticks from now. A zero delay runs fn later in
 // the current tick, after all previously scheduled same-tick events.
@@ -265,16 +193,104 @@ func (k *Kernel) ScheduleTagged(delay Tick, tag uint64, fn func()) {
 	if fn == nil {
 		panic("sim: Schedule with nil fn")
 	}
-	k.seq++
-	e := event{when: k.now + delay, seq: k.seq, tag: tag, fn: fn}
-	switch delay {
-	case 0:
-		k.curr.push(e)
-	case 1:
-		k.next.push(e)
-	default:
-		k.far.push(e)
+	when := k.now + delay
+	if when < k.now {
+		panic(fmt.Sprintf("sim: Schedule past the end of time (now=%d delay=%d)", k.now, delay))
 	}
+	i := k.free
+	if i != 0 {
+		k.free = k.slab[i].next
+	} else {
+		if cap(k.slab) == 0 {
+			k.slab = make([]event, 0, 64) // a tester run's steady depth is 30–50
+		}
+		i = int32(max(len(k.slab), 1)) // slot 0 is the nil link
+		k.slab = append(k.slab[:i], event{})
+	}
+	k.seq++
+	k.slab[i] = event{seq: k.seq, tag: tag, fn: fn}
+	k.pending++
+	if delay < wheelSize {
+		k.link(i, when)
+		return
+	}
+	k.beyond++
+	k.far = append(k.far, farEvent{when, i})
+	k.farUp(len(k.far) - 1)
+}
+
+// link appends slot i to the bucket of tick when, which must be within
+// the horizon.
+func (k *Kernel) link(i int32, when Tick) {
+	s := when & wheelMask
+	b := &k.wheel[s]
+	if b.tail == 0 {
+		b.head = i
+		k.occ[s>>6] |= 1 << (s & 63)
+	} else {
+		k.slab[b.tail].next = i
+	}
+	b.tail = i
+}
+
+// unlink removes the current tick's event that follows slot prev (0:
+// the bucket's head), releases its slot and returns its closure.
+func (k *Kernel) unlink(prev int32) func() {
+	s := k.now & wheelMask
+	b := &k.wheel[s]
+	at := &b.head
+	if prev != 0 {
+		at = &k.slab[prev].next
+	}
+	i := *at
+	e := &k.slab[i]
+	*at = e.next
+	if e.next == 0 {
+		b.tail = prev
+		if prev == 0 {
+			k.occ[s>>6] &^= 1 << (s & 63)
+		}
+	}
+	fn := e.fn
+	e.fn = nil // release the closure for GC
+	e.next, k.free = k.free, i
+	k.pending--
+	return fn
+}
+
+// farUp and farDown restore the overflow heap's order around index i.
+func (k *Kernel) farUp(i int) {
+	h, x := k.far, k.far[i]
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !k.before(x, h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = x
+}
+
+func (k *Kernel) farDown(i int) {
+	h, x := k.far, k.far[i]
+	for {
+		min := 4*i + 1
+		if min >= len(h) {
+			break
+		}
+		for c := min + 1; c < len(h) && c < 4*i+5; c++ {
+			if k.before(h[c], h[min]) {
+				min = c
+			}
+		}
+		if !k.before(h[min], x) {
+			break
+		}
+		h[i] = h[min]
+		i = min
+	}
+	h[i] = x
 }
 
 // ScheduleAt runs fn at absolute tick when, which must not be in the
@@ -316,71 +332,82 @@ func (k *Kernel) Stopped() bool { return k.stopped }
 // ClearStop re-arms a stopped kernel so a subsequent Run proceeds.
 func (k *Kernel) ClearStop() { k.stopped = false }
 
-// peekNext locates the earliest pending event across the three sources
-// without removing it. It returns srcNone when nothing is pending.
-func (k *Kernel) peekNext() (src int, e *event) {
-	if k.curr.n > 0 {
-		// curr entries are at tick now; only far can hold an
-		// earlier-scheduled (lower-seq) event at the same tick.
-		src, e = srcCurr, k.curr.peek()
-	} else if k.next.n > 0 {
-		src, e = srcNext, k.next.peek()
+// nextTick returns the earliest tick after now with a pending event:
+// the first occupied bucket in wheel order from now, else the overflow
+// heap's minimum. The current bucket must be empty.
+func (k *Kernel) nextTick() (t Tick, ok bool) {
+	if k.wheel[(k.now+1)&wheelMask].head != 0 {
+		return k.now + 1, true
 	}
-	if len(k.far) > 0 && (e == nil || k.far[0].before(e)) {
-		src, e = srcFar, &k.far[0]
+	s := uint(k.now) & wheelMask
+	w, b := s>>6, s&63
+	if m := k.occ[w] >> b; m != 0 {
+		return k.now + Tick(bits.TrailingZeros64(m)), true
 	}
-	return src, e
+	if m := k.occ[w^1]; m != 0 {
+		return k.now + Tick(64-b+uint(bits.TrailingZeros64(m))), true
+	}
+	if m := k.occ[w]; m != 0 { // what is left of it is below bit b
+		return k.now + Tick(wheelSize-b+uint(bits.TrailingZeros64(m))), true
+	}
+	if len(k.far) > 0 {
+		return k.far[0].when, true
+	}
+	return 0, false
 }
 
-// popNext removes and returns the event peekNext chose.
-func (k *Kernel) popNext(src int) event {
-	switch src {
-	case srcCurr:
-		return k.curr.pop()
-	case srcNext:
-		return k.next.pop()
-	default:
-		return k.far.popMin()
-	}
-}
-
-// advanceTo moves simulated time forward to t, re-anchoring the FIFO
-// lanes. Both lanes are empty whenever time jumps by two or more ticks
-// (their events would otherwise have fired first), so only the
-// one-tick step has lane state to rotate.
+// advanceTo moves simulated time forward to t and pulls every overflow
+// event that t's horizon now covers into its bucket. Such an event was
+// scheduled at least wheelSize ticks before it is due — before
+// anything its bucket can still receive — and the heap yields a tick's
+// events lowest seq first, so appending keeps the bucket in scheduling
+// order and a pop never has to merge.
 func (k *Kernel) advanceTo(t Tick) {
-	if t == k.now+1 {
-		// curr is empty (its events fire before any later tick), so the
-		// next-tick lane becomes the current lane and curr's spare
-		// buffer is recycled as the new next-tick lane.
-		k.curr, k.next = k.next, k.curr
-	}
 	k.now = t
+	for len(k.far) > 0 && k.far[0].when-t < wheelSize {
+		e, n := k.far[0], len(k.far)-1
+		k.far[0] = k.far[n]
+		k.far = k.far[:n]
+		if n > 0 {
+			k.farDown(0)
+		}
+		k.link(e.slot, e.when)
+	}
 }
 
 // Run executes events in order until the queue drains, the horizon is
 // passed, or Stop is called. It returns the tick at which it stopped.
 // A pre-set stop flag (a Stop issued outside any Run, e.g. by a
 // checker during drain or setup) makes Run return immediately.
+//
+// With a Chooser attached (chooser.go) the current bucket is the
+// enabled set and the chooser picks which of its per-unit heads fires;
+// everything else is the same loop. All loop state lives in kernel
+// fields, so a Snapshot taken from inside Choose is a resumable cut.
 func (k *Kernel) Run(until Tick) Tick {
-	if k.chooser != nil {
-		return k.runChoose(until)
-	}
-	if len(k.enabled) > 0 {
-		panic("sim: Run with a drained enabled set but no chooser (choose-mode snapshot restored into a chooser-less kernel)")
+	if until < k.now {
+		return k.now
 	}
 	for !k.stopped {
-		src, head := k.peekNext()
-		if src == srcNone || head.when > until {
-			break
+		if k.wheel[k.now&wheelMask].head == 0 {
+			t, ok := k.nextTick()
+			if !ok || t > until {
+				break
+			}
+			k.advanceTo(t)
 		}
-		e := k.popNext(src)
-		if e.when > k.now {
-			k.advanceTo(e.when)
+		if len(k.pollers) != 0 && k.now >= k.pollNext {
+			k.firePollers()
 		}
-		k.firePollers()
+		prev := int32(0)
+		if k.chooser != nil {
+			if prev = k.choose(); k.stopped {
+				break
+			}
+		}
+		fn := k.unlink(prev)
 		k.executed++
-		e.fn()
+		fn()
 	}
 	return k.now
 }
@@ -388,10 +415,9 @@ func (k *Kernel) Run(until Tick) Tick {
 // RunUntilIdle executes events until no work remains or Stop is called.
 func (k *Kernel) RunUntilIdle() Tick { return k.Run(MaxTick) }
 
+// firePollers runs the pollers that are due; Run calls it once the
+// earliest of them is.
 func (k *Kernel) firePollers() {
-	if len(k.pollers) == 0 || k.now < k.pollNext {
-		return
-	}
 	next := MaxTick
 	for i := range k.pollers {
 		p := &k.pollers[i]
@@ -406,44 +432,17 @@ func (k *Kernel) firePollers() {
 	k.pollNext = next
 }
 
-// Snapshot captures the kernel's complete scheduling state — pending
-// events (including their closures), current tick, sequence counter,
-// executed count, stop flag, and pollers — so a later Restore resumes
-// the simulation from exactly this point.
+// KernelSnapshot captures the kernel's complete scheduling state —
+// pending events (including their closures), current tick, sequence
+// counter, executed count, stop flag, and pollers — so a later Restore
+// resumes the simulation from exactly this point.
 //
 // Closures are captured by reference: an event's fn still points at
 // whatever component state it closed over. Restoring into the *same*
 // object graph is therefore only sound when those components are
 // restored alongside (see the harness checkpoint machinery); the
 // kernel itself only promises to replay the identical event sequence.
-type KernelSnapshot struct {
-	curr, next []event // normalized oldest-first
-	far        []event // heap-ordered, as stored
-	enabled    []event // drained choice-point set, seq order (chooser.go)
-	now        Tick
-	seq        uint64
-	executed   uint64
-	stopped    bool
-	pollers    []poller
-	pollNext   Tick
-}
-
-// appendTo appends f's events to dst, oldest first.
-func (f *eventFIFO) appendTo(dst []event) []event {
-	for i := 0; i < f.n; i++ {
-		dst = append(dst, f.buf[(f.head+i)&(len(f.buf)-1)])
-	}
-	return dst
-}
-
-// restoreFIFO replaces f's contents with the snapshot's events,
-// keeping f's warmed-up ring capacity.
-func (f *eventFIFO) restoreFrom(events []event) {
-	f.reset()
-	for _, e := range events {
-		f.push(e)
-	}
-}
+type KernelSnapshot struct{ state }
 
 // Snapshot captures the full scheduling state. The returned snapshot
 // shares no mutable storage with the kernel: Restore may be called any
@@ -456,38 +455,15 @@ func (k *Kernel) SnapshotInto(s *KernelSnapshot) *KernelSnapshot {
 	if s == nil {
 		s = &KernelSnapshot{}
 	}
-	s.curr = k.curr.appendTo(s.curr[:0])
-	s.next = k.next.appendTo(s.next[:0])
-	s.far = append(s.far[:0], k.far...)
-	s.enabled = append(s.enabled[:0], k.enabled...)
-	s.now, s.seq, s.executed = k.now, k.seq, k.executed
-	s.stopped = k.stopped
-	s.pollers = append(s.pollers[:0], k.pollers...)
-	s.pollNext = k.pollNext
+	s.copyFrom(&k.state)
 	return s
 }
 
 // Restore rewinds the kernel to the snapshot's state. The attached
-// tracer is deliberately not part of the snapshot — the trace ring has
-// its own Snapshot/Restore and is owned by the harness.
-func (k *Kernel) Restore(s *KernelSnapshot) {
-	k.curr.restoreFrom(s.curr)
-	k.next.restoreFrom(s.next)
-	for i := range k.far {
-		k.far[i].fn = nil
-	}
-	// The saved slice is already heap-ordered, so copying it back
-	// verbatim re-establishes the heap invariant.
-	k.far = append(k.far[:0], s.far...)
-	for i := range k.enabled {
-		k.enabled[i].fn = nil
-	}
-	k.enabled = append(k.enabled[:0], s.enabled...)
-	k.now, k.seq, k.executed = s.now, s.seq, s.executed
-	k.stopped = s.stopped
-	k.pollers = append(k.pollers[:0], s.pollers...)
-	k.pollNext = s.pollNext
-}
+// tracer and chooser are deliberately not part of the snapshot — the
+// trace ring has its own Snapshot/Restore and is owned by the harness —
+// and a cut taken under a chooser resumes under any other, or none.
+func (k *Kernel) Restore(s *KernelSnapshot) { k.copyFrom(&s.state) }
 
 // SetTracer attaches ring as the kernel's execution trace (nil, or a
 // zero-capacity ring, disables tracing). The kernel stamps entries

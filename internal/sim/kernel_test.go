@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"drftest/internal/trace"
 )
@@ -244,20 +245,31 @@ func TestOrderProperty(t *testing.T) {
 	}
 }
 
-// refKernel is an executable model of the scheduler's original
-// semantics: one flat pending list, fired in (tick, then schedule
-// order) — exactly what container/heap with a seq tie-break did. The
-// lane/heap kernel must be observationally identical to it.
+// refKernel is an executable model of the scheduler's semantics: one
+// flat pending list, fired in (tick, then schedule order) — exactly
+// what container/heap with a seq tie-break did. The wheel kernel must
+// be observationally identical to it. The fields past pending are the
+// rest of a kernel's state, for the model test (model_test.go).
 type refKernel struct {
 	now     Tick
 	seq     uint64
 	pending []refEvent
+
+	executed, beyond uint64
+	stopped          bool
+	pollers          []refPoller
+	nextID           int
 }
 
 type refEvent struct {
 	when Tick
 	seq  uint64
 	id   int
+	tag  uint64
+}
+
+func (e refEvent) before(o refEvent) bool {
+	return e.when < o.when || (e.when == o.when && e.seq < o.seq)
 }
 
 func (r *refKernel) schedule(delay Tick, id int) {
@@ -269,8 +281,7 @@ func (r *refKernel) run(fire func(id int)) {
 	for len(r.pending) > 0 {
 		min := 0
 		for i := 1; i < len(r.pending); i++ {
-			e, m := r.pending[i], r.pending[min]
-			if e.when < m.when || (e.when == m.when && e.seq < m.seq) {
+			if r.pending[i].before(r.pending[min]) {
 				min = i
 			}
 		}
@@ -286,8 +297,9 @@ func (r *refKernel) run(fire func(id int)) {
 // reference model with an identical randomized script — same-tick
 // bursts, delay-0 chains, far-future jumps, events scheduling more
 // events (via Schedule and ScheduleAt) as they fire — and requires the
-// exact same fire sequence. This is the ordering contract the FIFO
-// lanes + 4-ary heap must preserve bit-for-bit.
+// exact same fire sequence. This is the ordering contract the wheel
+// and its overflow heap must preserve bit-for-bit; the delay pool
+// straddles the horizon and makes two live ticks share a bucket.
 func TestOrderMatchesReferenceSemantics(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
 		rnd := rand.New(rand.NewSource(int64(seed)))
@@ -299,7 +311,7 @@ func TestOrderMatchesReferenceSemantics(t *testing.T) {
 			delay Tick
 			useAt bool
 		}
-		delayPool := []Tick{0, 0, 0, 1, 1, 1, 2, 3, 5, 7, 40, 1000}
+		delayPool := []Tick{0, 0, 0, 1, 1, 1, 2, 3, 5, 7, 40, 126, 127, 128, 129, 256, 1000}
 		const maxEvents = 600
 		initial := make([]Tick, 30)
 		for i := range initial {
@@ -381,8 +393,9 @@ func TestOrderMatchesReferenceSemantics(t *testing.T) {
 }
 
 // TestEventLoopZeroAllocs pins the steady-state event loop — delay-0/1
-// self-reschedules with a registered poller, plus a warmed far-heap
-// path — at zero allocations per event.
+// self-reschedules with a registered poller, the model's mid-range
+// delays, one bucket shared by two live ticks, and one event beyond the
+// horizon per round through the overflow heap — at zero allocations.
 func TestEventLoopZeroAllocs(t *testing.T) {
 	k := NewKernel()
 	k.AddPoller(1000, func() {})
@@ -393,23 +406,91 @@ func TestEventLoopZeroAllocs(t *testing.T) {
 		switch n % 16 {
 		case 0:
 			k.Schedule(0, step)
+		case 3, 7:
+			k.Schedule(8, step)
 		case 5:
-			k.Schedule(40, step) // exercise the far heap too
+			k.Schedule(40, step)
+		case 9:
+			k.Schedule(100, step)
+		case 11:
+			k.Schedule(wheelSize-1, step)
+		case 13:
+			k.Schedule(5000, step) // beyond the horizon
 		default:
 			k.Schedule(1, step)
 		}
 	}
-	// Warm the lane rings and the heap's backing array.
-	k.Schedule(1, step)
-	k.Run(k.Now() + 2000)
-	if k.Stopped() || n == 0 {
+	// Warm the slab and the overflow heap's backing array.
+	for i := 0; i < 40; i++ {
+		k.Schedule(Tick(i%3), step)
+	}
+	k.Run(k.Now() + 20_000)
+	if k.Stopped() || n == 0 || k.BeyondHorizon() == 0 {
 		t.Fatal("warm-up did not run")
 	}
 
+	beyond := k.BeyondHorizon()
 	avg := testing.AllocsPerRun(20, func() {
-		k.Run(k.Now() + 500)
+		k.Run(k.Now() + 5000)
 	})
 	if avg != 0 {
-		t.Fatalf("steady-state event loop allocates %.2f times per 500-tick run, want 0", avg)
+		t.Fatalf("steady-state event loop allocates %.2f times per 5000-tick run, want 0", avg)
+	}
+	if k.BeyondHorizon() < beyond+20 {
+		t.Fatalf("%d schedules beyond the horizon in 21 rounds, want one a round", k.BeyondHorizon()-beyond)
+	}
+}
+
+// TestKernelCutSteadyStateAllocs pins the explorer's per-choice-point
+// kernel cost at zero allocations: a cut into a recycled snapshot and a
+// restore from it, the kernel having run on in between.
+func TestKernelCutSteadyStateAllocs(t *testing.T) {
+	k := NewKernel()
+	k.AddPoller(10, func() {})
+	var step func()
+	step = func() { k.Schedule(Tick(1+k.Now()%7), step) }
+	for i := 0; i < 16; i++ {
+		k.Schedule(Tick(i), step)
+	}
+	k.Schedule(300, step)
+	k.Run(50)
+	s := k.Snapshot()
+	if avg := testing.AllocsPerRun(100, func() {
+		k.SnapshotInto(s)
+		k.Run(k.Now() + 20)
+		k.Restore(s)
+	}); avg != 0 {
+		t.Fatalf("warm cut + restore allocates %.2f times, want 0", avg)
+	}
+}
+
+// TestEventSize pins the slab's slot: four words and the list link. A
+// cut copies the whole slab, so a field added here is paid per pending
+// event per choice point.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 32 {
+		t.Fatalf("event is %d bytes, want 32", got)
+	}
+}
+
+// TestScheduleOverflowPanics: a delay that wraps the tick counter would
+// be filed into the past — under the wheel, run time backwards — so it
+// panics like ScheduleAt into the past does.
+func TestScheduleOverflowPanics(t *testing.T) {
+	k := NewKernel()
+	k.Schedule(10, func() {})
+	k.RunUntilIdle()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Schedule past MaxTick did not panic")
+			}
+		}()
+		k.Schedule(MaxTick-9, func() {})
+	}()
+	// The last tick itself is schedulable and runs.
+	k.Schedule(MaxTick-10, func() { k.Schedule(0, func() {}) })
+	if k.RunUntilIdle() != MaxTick || k.Executed() != 3 || k.Pending() != 0 {
+		t.Fatalf("run to MaxTick: now=%d executed=%d pending=%d", k.Now(), k.Executed(), k.Pending())
 	}
 }
