@@ -21,16 +21,19 @@ func TestSnapshotFieldAudit(t *testing.T) {
 		"epoch":   "snapshot bookkeeping: journaled-this-epoch marker, stale once the array's epoch advances on re-arm",
 	})
 	audit.Fields(t, Array{}, map[string]string{
-		"cfg":      "config: fixed at construction",
-		"sets":     "config: views into the slabs, survive Reset/Restore",
-		"useClock": "state: Reset zeroes, Snapshot/Restore copy",
-		"lines":    "state slab: Snapshot copies the valid lines, Restore reinstalls them; journal copies per line",
-		"live":     "valid-line index: cut via the stored lines, cleared by Reset, rebuilt by Restore from them or bit by bit from the undo records",
-		"lookups":  "stats: ResetStats zeroes, Snapshot/Restore copy",
-		"hits":     "stats: ResetStats zeroes, Snapshot/Restore copy",
-		"snap":     "snapshot bookkeeping: armed snapshot, Reset disarms",
-		"epoch":    "snapshot bookkeeping: arming generation",
-		"journal":  "snapshot bookkeeping: undo log since arming",
+		"cfg":       "config: fixed at construction",
+		"lineShift": "config: log2(LineSize), fixed at construction",
+		"setMask":   "config: Sets()-1, fixed at construction",
+		"useClock":  "state: Reset zeroes, Snapshot/Restore copy",
+		"lines":     "state slab: Snapshot copies the valid lines, Restore reinstalls them; journal copies per line",
+		"live":      "valid-line index: cut via the stored lines, cleared by Reset, rebuilt by Restore from them or bit by bit from the undo records",
+		"tags":      "probe row: Tag|1 of each valid line, 0 otherwise; derived from the headers by mark (Install, InvalidateLine, both Restore paths) and clear (Reset, non-armed Restore), never cut",
+		"stamps":    "probe row: lastUse of each line; as tags, plus Lookup's touch",
+		"lookups":   "stats: ResetStats zeroes, Snapshot/Restore copy",
+		"hits":      "stats: ResetStats zeroes, Snapshot/Restore copy",
+		"snap":      "snapshot bookkeeping: armed snapshot, Reset disarms",
+		"epoch":     "snapshot bookkeeping: arming generation",
+		"journal":   "snapshot bookkeeping: undo log since arming",
 	})
 	audit.Fields(t, ArraySnapshot{}, map[string]string{
 		"hdrs":     "cut: one lineHdr per valid line, refilled in place",

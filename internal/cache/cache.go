@@ -14,7 +14,10 @@
 // invalid through InvalidateLine only, which keeps a one-bit-per-way
 // index exact, so every whole-array operation (flash-invalidate, the
 // valid-line walks, Reset, Snapshot, Restore) costs what the array
-// holds, not what it could hold.
+// holds, not what it could hold. It also owns the tags and LRU stamps,
+// which lets it mirror both in packed per-set rows: a probe scans eight
+// bytes per way and touches a 64-byte Line header only on the way it
+// returns.
 package cache
 
 import (
@@ -24,8 +27,8 @@ import (
 	"drftest/internal/mem"
 )
 
-// Config sizes a cache array. All three values must be powers of two
-// and SizeBytes must be at least Assoc*LineSize.
+// Config sizes a cache array. All three values must be powers of two,
+// LineSize at least one word and SizeBytes at least Assoc*LineSize.
 type Config struct {
 	SizeBytes int
 	LineSize  int
@@ -44,6 +47,11 @@ func (c Config) Validate() error {
 		if v&(v-1) != 0 {
 			return fmt.Errorf("cache: %d is not a power of two", v)
 		}
+	}
+	// A word access slices [off:off+WordSize] out of a line, and the tag
+	// row keeps validity in a line address's bit 0.
+	if c.LineSize < mem.WordSize {
+		return fmt.Errorf("cache: LineSize %d is smaller than a %d-byte word", c.LineSize, mem.WordSize)
 	}
 	if c.Sets() < 1 {
 		return fmt.Errorf("cache: size %dB too small for %d-way %dB lines", c.SizeBytes, c.Assoc, c.LineSize)
@@ -85,15 +93,27 @@ func (l *Line) WriteMasked(src []byte, mask []bool) {
 
 // Array is a set-associative cache array with true-LRU replacement.
 type Array struct {
-	cfg      Config
-	sets     [][]Line
-	useClock uint64
+	cfg Config
+	// lineShift and setMask place a line address: set s is ways
+	// [s*Assoc, (s+1)*Assoc) of lines, s = line>>lineShift&setMask.
+	lineShift uint
+	setMask   mem.Addr
+	useClock  uint64
 
-	// lines aliases the flat slab the sets are sliced from, so
-	// snapshots can address a line by one index; live has bit i set
-	// exactly when lines[i] is valid.
+	// lines is the flat slab, set-major and way-minor, so snapshots can
+	// address a line by one index; live has bit i set exactly when
+	// lines[i] is valid.
 	lines []Line
 	live  []uint64
+
+	// tags and stamps are the probe rows, parallel to lines: tags[i] is
+	// lines[i].Tag with bit 0 set (a line address is a multiple of
+	// LineSize >= 4, so the bit is free) or 0 while the way is invalid,
+	// stamps[i] is lines[i].lastUse — 0 exactly on an invalid way, since
+	// Install stamps from a clock that has already ticked. mark, clear
+	// and Lookup's touch keep both in step with the headers.
+	tags   []uint64
+	stamps []uint64
 
 	// stats
 	lookups uint64
@@ -140,11 +160,11 @@ func NewArray(cfg Config) *Array {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	// One flat allocation each for the lines and the data bytes, sliced
-	// per line: building an array costs five allocations regardless of
-	// size, instead of one per line. Full slice expressions pin each
-	// line's capacity so no write can spill into a neighbour.
-	a := &Array{cfg: cfg, sets: make([][]Line, cfg.Sets())}
+	// One flat allocation each for the lines, the data bytes, the index
+	// and the two rows together: building an array costs five
+	// allocations regardless of size, instead of one per line. Full slice
+	// expressions pin each line's capacity so no write can spill into a
+	// neighbour.
 	total := cfg.Sets() * cfg.Assoc
 	ls := cfg.LineSize
 	lines := make([]Line, total)
@@ -153,11 +173,16 @@ func NewArray(cfg Config) *Array {
 		lines[i].idx = int32(i)
 		lines[i].Data = data[i*ls : (i+1)*ls : (i+1)*ls]
 	}
-	for s := range a.sets {
-		a.sets[s] = lines[s*cfg.Assoc : (s+1)*cfg.Assoc : (s+1)*cfg.Assoc]
+	rows := make([]uint64, 2*total)
+	return &Array{
+		cfg:       cfg,
+		lineShift: uint(bits.TrailingZeros(uint(ls))),
+		setMask:   mem.Addr(cfg.Sets() - 1),
+		lines:     lines,
+		live:      make([]uint64, (total+63)/64),
+		tags:      rows[:total:total],
+		stamps:    rows[total:],
 	}
-	a.lines, a.live = lines, make([]uint64, (total+63)/64)
-	return a
 }
 
 // Config returns the array's configuration.
@@ -180,18 +205,24 @@ func (a *Array) forValid(journal bool, f func(*Line)) {
 	}
 }
 
-// mark makes the index agree with l.valid.
+// mark makes the index and the rows agree with l's header.
 func (a *Array) mark(l *Line) {
 	if w, bit := l.idx>>6, uint64(1)<<(l.idx&63); l.valid {
 		a.live[w] |= bit
+		a.tags[l.idx] = uint64(l.Tag) | 1
 	} else {
 		a.live[w] &^= bit
+		a.tags[l.idx] = 0
 	}
+	a.stamps[l.idx] = l.lastUse
 }
 
 // clear returns every valid line to the just-built state, unjournaled.
 func (a *Array) clear() {
-	a.forValid(false, func(l *Line) { l.valid, l.lastUse = false, 0 })
+	a.forValid(false, func(l *Line) {
+		l.valid, l.lastUse = false, 0
+		a.tags[l.idx], a.stamps[l.idx] = 0, 0
+	})
 	clear(a.live)
 }
 
@@ -212,66 +243,78 @@ func (a *Array) Reset() {
 	a.journal = a.journal[:0]
 }
 
-func (a *Array) setIndex(line mem.Addr) int {
-	return int(line/mem.Addr(a.cfg.LineSize)) & (a.cfg.Sets() - 1)
+// setBase returns the index in lines of way 0 of addr's set.
+func (a *Array) setBase(addr mem.Addr) int {
+	return int(addr>>a.lineShift&a.setMask) * a.cfg.Assoc
+}
+
+// find returns the index in lines of the valid way holding addr's
+// line, or -1, reading the set's tag row only.
+func (a *Array) find(addr mem.Addr) int {
+	base := a.setBase(addr)
+	want := uint64(mem.LineAddr(addr, a.cfg.LineSize)) | 1
+	for w, tag := range a.tags[base : base+a.cfg.Assoc] {
+		if tag == want {
+			return base + w
+		}
+	}
+	return -1
 }
 
 // Lookup returns the line holding addr's cache line, or nil on miss.
 // A hit refreshes LRU state.
 func (a *Array) Lookup(addr mem.Addr) *Line {
-	line := mem.LineAddr(addr, a.cfg.LineSize)
-	set := a.sets[a.setIndex(line)]
 	a.lookups++
-	for w := range set {
-		if set[w].valid && set[w].Tag == line {
-			if a.snap != nil && set[w].epoch != a.epoch {
-				a.journalLine(&set[w])
-			}
-			a.useClock++
-			set[w].lastUse = a.useClock
-			a.hits++
-			return &set[w]
-		}
+	i := a.find(addr)
+	if i < 0 {
+		return nil
 	}
-	return nil
+	l := &a.lines[i]
+	if a.snap != nil && l.epoch != a.epoch {
+		a.journalLine(l)
+	}
+	a.useClock++
+	l.lastUse, a.stamps[i] = a.useClock, a.useClock
+	a.hits++
+	return l
 }
 
 // Peek is Lookup without LRU or stats side effects. (The returned
 // line may still be mutated by the caller, so it is journaled like any
 // other escape while a snapshot is armed.)
 func (a *Array) Peek(addr mem.Addr) *Line {
-	line := mem.LineAddr(addr, a.cfg.LineSize)
-	set := a.sets[a.setIndex(line)]
-	for w := range set {
-		if set[w].valid && set[w].Tag == line {
-			if a.snap != nil && set[w].epoch != a.epoch {
-				a.journalLine(&set[w])
-			}
-			return &set[w]
-		}
+	i := a.find(addr)
+	if i < 0 {
+		return nil
 	}
-	return nil
+	l := &a.lines[i]
+	if a.snap != nil && l.epoch != a.epoch {
+		a.journalLine(l)
+	}
+	return l
 }
 
 // Victim returns the line that would be evicted to make room for addr:
 // an invalid way if one exists, otherwise the least recently used way
 // for which mayEvict returns true (nil mayEvict allows all). It returns
 // nil when every way is pinned — the caller must stall, exactly like a
-// Ruby controller waiting on a busy set.
+// Ruby controller waiting on a busy set. It reads the set's stamp row,
+// where 0 is an invalid way, and asks mayEvict (a pure predicate) only
+// about a way older than the best so far.
 func (a *Array) Victim(addr mem.Addr, mayEvict func(*Line) bool) *Line {
-	set := a.sets[a.setIndex(mem.LineAddr(addr, a.cfg.LineSize))]
+	base := a.setBase(addr)
 	var victim *Line
-	for w := range set {
-		l := &set[w]
-		if !l.valid {
-			victim = l
+	var oldest uint64
+	for w, stamp := range a.stamps[base : base+a.cfg.Assoc] {
+		if stamp == 0 {
+			victim = &a.lines[base+w]
 			break
 		}
-		if mayEvict != nil && !mayEvict(l) {
+		if victim != nil && stamp >= oldest {
 			continue
 		}
-		if victim == nil || l.lastUse < victim.lastUse {
-			victim = l
+		if l := &a.lines[base+w]; mayEvict == nil || mayEvict(l) {
+			victim, oldest = l, stamp
 		}
 	}
 	if victim != nil && a.snap != nil && victim.epoch != a.epoch {
@@ -289,11 +332,11 @@ func (a *Array) Install(way *Line, addr mem.Addr, state int) *Line {
 	}
 	way.Tag = mem.LineAddr(addr, a.cfg.LineSize)
 	way.valid = true
-	a.mark(way)
 	way.State = state
 	clear(way.Data)
 	a.useClock++
 	way.lastUse = a.useClock
+	a.mark(way)
 	return way
 }
 
@@ -395,9 +438,9 @@ func (a *Array) SnapshotInto(s *ArraySnapshot) *ArraySnapshot {
 // Restore returns the array to the state captured by s. When s is the
 // armed snapshot the undo journal is replayed in reverse — O(lines
 // touched since Snapshot), each undo record repairing its line's index
-// bit. Otherwise the valid lines are returned to the just-built state,
-// the snapshot's lines are reinstalled — O(lines held before + after) —
-// and s becomes the armed snapshot.
+// bit and row entries. Otherwise the valid lines are returned to the
+// just-built state, the snapshot's lines are reinstalled — O(lines held
+// before + after) — and s becomes the armed snapshot.
 func (a *Array) Restore(s *ArraySnapshot) {
 	if a.snap == s {
 		for i := len(a.journal) - 1; i >= 0; i-- {

@@ -16,6 +16,8 @@ func TestConfigValidation(t *testing.T) {
 		{SizeBytes: 64, LineSize: 64, Assoc: 2},    // too small for assoc
 		{SizeBytes: 1024, LineSize: 48, Assoc: 2},  // line not power of two
 		{SizeBytes: 1024, LineSize: 64, Assoc: -1}, // negative
+		{SizeBytes: 1024, LineSize: 2, Assoc: 2},   // line shorter than a word
+		{SizeBytes: 1024, LineSize: 1, Assoc: 2},
 	}
 	for _, c := range bad {
 		func() {
@@ -26,6 +28,9 @@ func TestConfigValidation(t *testing.T) {
 			}()
 			NewArray(c)
 		}()
+	}
+	if err := (Config{SizeBytes: 1024, LineSize: mem.WordSize, Assoc: 2}).Validate(); err != nil {
+		t.Errorf("a one-word line was rejected: %v", err)
 	}
 	if got := cfg64.Sets(); got != 8 {
 		t.Fatalf("Sets() = %d, want 8", got)

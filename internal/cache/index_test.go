@@ -11,10 +11,15 @@ import (
 // TestLineSize pins the line header at one cache line of the host: the
 // way index lives in the padding after valid, and the only slice is
 // Data, so the large configuration's 49 152 lines cost 64 bytes each
-// beside their payload.
+// beside their payload — and a probe that walked a 16-way set's headers
+// read sixteen host lines where the two rows (8 bytes per way each)
+// cost two.
 func TestLineSize(t *testing.T) {
 	if got := unsafe.Sizeof(Line{}); got != 64 {
 		t.Fatalf("Line is %d bytes, want 64", got)
+	}
+	if got := unsafe.Sizeof(Line{}.Tag) + unsafe.Sizeof(Line{}.lastUse); got != 16 {
+		t.Fatalf("the rows cost %d bytes per way, want 16", got)
 	}
 }
 
@@ -22,20 +27,95 @@ func TestLineSize(t *testing.T) {
 // every way that the whole-array operations used to make.
 func scanValid(a *Array) []*Line {
 	var out []*Line
-	for s := range a.sets {
-		for w := range a.sets[s] {
-			if a.sets[s][w].valid {
-				out = append(out, &a.sets[s][w])
-			}
+	for i := range a.lines {
+		if a.lines[i].valid {
+			out = append(out, &a.lines[i])
 		}
 	}
 	return out
 }
 
-// checkIndex asserts the index invariants: bit i set exactly when
-// lines[i] is valid, every invalid line in the just-built state, the
-// popcount equal to the scan's count, and the index walk visiting the
-// scan's lines in the scan's order.
+// refSet, refFind and refVictim are the probe oracle: the header walks
+// Lookup, Peek and Victim made before the rows existed, set index by
+// division included.
+func refSet(a *Array, addr mem.Addr) []Line {
+	s := int(addr/mem.Addr(a.cfg.LineSize)) % a.cfg.Sets()
+	return a.lines[s*a.cfg.Assoc : (s+1)*a.cfg.Assoc]
+}
+
+func refFind(a *Array, addr mem.Addr) *Line {
+	line := mem.LineAddr(addr, a.cfg.LineSize)
+	set := refSet(a, addr)
+	for w := range set {
+		if set[w].valid && set[w].Tag == line {
+			return &set[w]
+		}
+	}
+	return nil
+}
+
+func refVictim(a *Array, addr mem.Addr, mayEvict func(*Line) bool) *Line {
+	set := refSet(a, addr)
+	var victim *Line
+	for w := range set {
+		l := &set[w]
+		if !l.valid {
+			return l
+		}
+		if mayEvict != nil && !mayEvict(l) {
+			continue
+		}
+		if victim == nil || l.lastUse < victim.lastUse {
+			victim = l
+		}
+	}
+	return victim
+}
+
+// probe wraps an array's three probes, failing the test when one
+// returns another way than its header-walking reference.
+type probe struct {
+	t *testing.T
+	a *Array
+}
+
+func (p probe) same(op string, addr mem.Addr, got, want *Line) *Line {
+	p.t.Helper()
+	if got != want {
+		name := func(l *Line) int32 {
+			if l == nil {
+				return -1
+			}
+			return l.idx
+		}
+		p.t.Fatalf("%s(%#x) returns line %d, the header walk finds line %d", op, uint64(addr), name(got), name(want))
+	}
+	return got
+}
+
+func (p probe) Lookup(addr mem.Addr) *Line {
+	p.t.Helper()
+	want := refFind(p.a, addr)
+	return p.same("Lookup", addr, p.a.Lookup(addr), want)
+}
+
+func (p probe) Peek(addr mem.Addr) *Line {
+	p.t.Helper()
+	want := refFind(p.a, addr)
+	return p.same("Peek", addr, p.a.Peek(addr), want)
+}
+
+func (p probe) Victim(addr mem.Addr, mayEvict func(*Line) bool) *Line {
+	p.t.Helper()
+	want := refVictim(p.a, addr, mayEvict)
+	return p.same("Victim", addr, p.a.Victim(addr, mayEvict), want)
+}
+
+// checkIndex asserts the index and row invariants: bit i set exactly
+// when lines[i] is valid, each row entry what the line's header says,
+// every invalid line in the just-built state and every valid one
+// stamped, the popcount equal to the scan's count, and the index walk
+// visiting the scan's lines in the scan's order.
 func checkIndex(t *testing.T, a *Array, at string) {
 	t.Helper()
 	for i := range a.lines {
@@ -46,8 +126,16 @@ func checkIndex(t *testing.T, a *Array, at string) {
 		if bit := a.live[i>>6]>>(i&63)&1 == 1; bit != l.valid {
 			t.Fatalf("%s: line %d: index bit %v, valid %v", at, i, bit, l.valid)
 		}
-		if !l.valid && l.lastUse != 0 {
-			t.Fatalf("%s: invalid line %d keeps LRU stamp %d", at, i, l.lastUse)
+		if l.valid == (l.lastUse == 0) {
+			t.Fatalf("%s: line %d: valid %v with LRU stamp %d", at, i, l.valid, l.lastUse)
+		}
+		wantTag := uint64(0)
+		if l.valid {
+			wantTag = uint64(l.Tag) | 1
+		}
+		if a.tags[i] != wantTag || a.stamps[i] != l.lastUse {
+			t.Fatalf("%s: line %d: rows hold tag %#x stamp %d, header says %#x and %d",
+				at, i, a.tags[i], a.stamps[i], wantTag, l.lastUse)
 		}
 	}
 	want := scanValid(a)
@@ -73,9 +161,10 @@ func sameVisits(t *testing.T, got, want []*Line, at string) {
 
 // runIndexProgram interprets prog as a byte-coded sequence of array
 // operations — one opcode byte and one operand byte per step — and
-// checks the index invariants after every step, every visitor's order
-// against the full scan, and every Restore (armed, non-armed, into
-// recycled snapshots) against the full-copy oracle.
+// checks the index and row invariants after every step, every probe
+// against its header walk, every visitor's order against the full scan,
+// and every Restore (armed, non-armed, into recycled snapshots) against
+// the full-copy oracle.
 func runIndexProgram(t *testing.T, cfg Config, prog []byte) {
 	t.Helper()
 	type saved struct {
@@ -83,6 +172,7 @@ func runIndexProgram(t *testing.T, cfg Config, prog []byte) {
 		want *fullCopy
 	}
 	a := NewArray(cfg)
+	p := probe{t, a}
 	var held [3]*saved
 	// Twice the capacity in distinct lines: sets overflow and evict.
 	addrOf := func(b byte) mem.Addr {
@@ -94,22 +184,23 @@ func runIndexProgram(t *testing.T, cfg Config, prog []byte) {
 		switch op {
 		case 0, 1: // fill on a miss: Install straight over the victim (the
 			// controllers' shape), or after invalidating it by pointer
-			if a.Lookup(addr) == nil {
-				way := a.Victim(addr, nil)
+			if p.Lookup(addr) == nil {
+				way := p.Victim(addr, nil)
 				if op == 1 {
 					a.InvalidateLine(way) // a no-op on a free way
 				}
 				a.Install(way, addr, int(arg%4))
 			}
 		case 2: // pinned Victim: may find nothing to evict
-			if way := a.Victim(addr, func(l *Line) bool { return l.State != int(arg%4) }); way != nil {
+			if way := p.Victim(addr, func(l *Line) bool { return l.State != int(arg%4) }); way != nil {
 				a.Install(way, addr, int(arg%4))
 			}
 		case 3:
-			if l := a.Lookup(addr); l != nil {
+			if l := p.Lookup(addr); l != nil {
 				l.WriteMasked([]byte{arg}, nil)
 			}
 		case 4:
+			p.Peek(addr)
 			a.Invalidate(addr)
 		case 5: // flash with a keeping visitor
 			want := scanValid(a)
@@ -256,5 +347,46 @@ func BenchmarkArrayWholeOpsSparse(b *testing.B) {
 				op.run()
 			}
 		})
+	}
+}
+
+var probeSink *Line
+
+// BenchmarkArrayProbe times Peek on a full array — every set holds
+// Assoc lines, so a miss scans a whole set — over the two shapes the
+// benchmark runs most: SmallCacheConfig's 2-way L1 and LargeCacheConfig's
+// 16-way L2, whose 1 MB of line headers do not fit the host's L1/L2.
+// Addresses step by a large odd number of lines, so successive probes
+// land in unrelated sets; a hit probes a resident line, a miss the same
+// set one array-size further on.
+func BenchmarkArrayProbe(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"L1small2way", Config{SizeBytes: 256, LineSize: 64, Assoc: 2}},
+		{"L2large16way", Config{SizeBytes: 1 << 20, LineSize: 64, Assoc: 16}},
+	} {
+		a := NewArray(c.cfg)
+		n := len(a.lines)
+		for i := 0; i < n; i++ {
+			addr := mem.Addr(i * c.cfg.LineSize)
+			a.Install(a.Victim(addr, nil), addr, 1)
+		}
+		for _, miss := range []bool{false, true} {
+			name, off := c.name+"/hit", 0
+			if miss {
+				name, off = c.name+"/miss", n
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					probeSink = a.Peek(mem.Addr((i*7919&(n-1) + off) * c.cfg.LineSize))
+				}
+				if (probeSink == nil) != miss {
+					b.Fatalf("last probe: line %v, want miss %v", probeSink, miss)
+				}
+			})
+		}
 	}
 }

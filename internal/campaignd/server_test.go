@@ -437,7 +437,8 @@ func TestMetricsAndHTTPSurface(t *testing.T) {
 
 // TestSubmitRejectsInvalidSysCfg: a spec whose sysCfg no system can be
 // built from — absent, or with a cache geometry cache.NewArray would
-// panic on — or whose testCfg no tester can be built from — an address
+// panic on, or a line too short for the word the first store writes
+// into it — or whose testCfg no tester can be built from — an address
 // range too small for its variables, a negative count — is refused at
 // admission with a 400 naming the field, by Submit and by POST
 // /campaigns alike, instead of admitted to panic a worker inside
@@ -472,6 +473,7 @@ func TestSubmitRejectsInvalidSysCfg(t *testing.T) {
 		{"non-power-of-two L2", "L2", mutate(func(s *Spec) { s.SysCfg.L2.Assoc = 3 })},
 		{"L2 smaller than a set", "L2", mutate(func(s *Spec) { s.SysCfg.L2.SizeBytes = 64 })},
 		{"line size mismatch", "line size", mutate(func(s *Spec) { s.SysCfg.L2.LineSize = 128 })},
+		{"line smaller than a word", "L1: cache: LineSize 2", mutate(func(s *Spec) { s.SysCfg.L1.LineSize, s.SysCfg.L2.LineSize = 2, 2 })},
 		{"address range too small", "AddressRangeBytes", mutate(func(s *Spec) {
 			s.TestCfg.NumDataVars, s.TestCfg.AddressRangeBytes = 64, 16
 		})},

@@ -21,7 +21,9 @@ func TestStreamFieldAudit(t *testing.T) {
 		"atomics":    "state: per-sync-var A1 fold via atomicSave (pending multiset deep-copied)",
 		"data":       "state: per-data-var A2/A3 fold via varSave (intervals/writers deep-copied)",
 		"atomicFree": "pool: atomicStates a Restore displaced, refilled by the next Restore; excluded from cuts",
-		"varFree":    "pool: varStates a Restore displaced, refilled by the next Restore; excluded from cuts",
+		"varFree":    "pool: varStates a Restore displaced, refilled by the next Restore or new variable; excluded from cuts, emptied by Reset with the slab it points into",
+		"varSlab":    "pool: chunked storage of every varState (and the first capacity of its slices), excluded from cuts; Reset rewinds it",
+		"varNext":    "pool: records handed out of varSlab since the last Reset; a Restore recycles through varFree and never rewinds",
 		"a2unknown":  "state: violation bucket, slice-copied",
 		"a2overlap":  "state: violation bucket, slice-copied",
 		"a3":         "state: violation bucket, slice-copied",
@@ -61,6 +63,7 @@ func TestPipelineFieldAudit(t *testing.T) {
 		"inline":   "config: mode pinned at construction from force/GOMAXPROCS",
 		"ring":     "excluded: drained by Flush before every cut, so never part of one",
 		"mask":     "config: ring capacity mask, fixed at construction",
+		"wr":       "excluded: producer-private write index; Flush and join publish it, so it equals tail and head at every cut, rewound by Reset only",
 		"head":     "excluded: equals tail at every cut (quiescence), rewound by Reset only",
 		"tail":     "excluded: equals head at every cut (quiescence), rewound by Reset only",
 		"sleeping": "worker parking handshake, meaningless at a quiescent cut",

@@ -111,6 +111,56 @@ func TestPipelineFlushQuiesces(t *testing.T) {
 	p.Finish()
 }
 
+// TestPipelinePublishBatch pins the batched hand-off: events short of a
+// batch boundary stay private to the producer, the boundary publishes
+// them, and Flush, Finish and Reset each account for an unpublished
+// remainder — Flush folds it, Finish reports it, Reset drops nothing
+// into the next run.
+func TestPipelinePublishBatch(t *testing.T) {
+	p := newPipeline(1, false)
+	store := func(i int) { p.Observe(Op{Kind: OpStore, Var: 0, Value: uint32(i), Episode: 1, Seq: i}) }
+	folded := func(at string, want int) {
+		t.Helper()
+		if wr, tail, head := p.wr, p.tail.Load(), p.head.Load(); wr != tail || tail != head {
+			t.Fatalf("%s: wr %d, tail %d, head %d are not one index", at, wr, tail, head)
+		}
+		if v, ok := p.stream.epState(1).own(0); !ok || v != uint32(want) {
+			t.Fatalf("%s: last folded store is %d (ok=%v), want %d", at, v, ok, want)
+		}
+	}
+	p.BeginEpisode(1, 1)
+	for i := 1; i < publishBatch-1; i++ {
+		store(i)
+	}
+	if tail := p.tail.Load(); tail != 0 || p.wr != publishBatch-1 {
+		t.Fatalf("short of the boundary: tail %d, wr %d, want 0 and %d", tail, p.wr, publishBatch-1)
+	}
+	p.Flush()
+	folded("Flush of a part batch", publishBatch-2)
+
+	store(publishBatch - 1) // the boundary publishes without a Flush
+	if tail := p.tail.Load(); tail != publishBatch {
+		t.Fatalf("at the boundary: tail %d, want %d", tail, publishBatch)
+	}
+	store(publishBatch)
+	p.Restore(p.Snapshot())
+	folded("Snapshot of a part batch", publishBatch)
+
+	store(publishBatch + 1)
+	p.Finish()
+	folded("Finish of a part batch", publishBatch+1)
+
+	p.Reset(1)
+	if p.wr != 0 || p.tail.Load() != 0 || p.head.Load() != 0 {
+		t.Fatalf("Reset left wr %d, tail %d, head %d", p.wr, p.tail.Load(), p.head.Load())
+	}
+	p.BeginEpisode(1, 1)
+	store(7)
+	p.Flush()
+	folded("first event after Reset", 7)
+	p.Finish()
+}
+
 // TestPipelineReset pins run-to-run reuse: a pipeline reset between
 // traces reports exactly what a fresh pipeline reports, with the
 // worker goroutine cleanly retired and restarted.

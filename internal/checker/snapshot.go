@@ -54,9 +54,11 @@ type StreamSnapshot struct {
 	result   []Violation
 }
 
-// Reset rearms the stream for a fresh run, keeping its tables and the
-// episode free list so a campaign's per-seed loop does not rebuild
-// them. Dropped episode records are harvested into the free list.
+// Reset rearms the stream for a fresh run, keeping its tables, the
+// episode free list and the variable slab so a campaign's per-seed loop
+// does not rebuild them. Dropped episode records are harvested into the
+// free list; every variable record is back in the rewound slab, so the
+// free list that pointed into it is emptied.
 func (s *Stream) Reset(atomicDelta uint32) {
 	if atomicDelta == 0 {
 		atomicDelta = 1
@@ -67,6 +69,7 @@ func (s *Stream) Reset(atomicDelta uint32) {
 	s.liveQ, s.liveHead = s.liveQ[:0], 0
 	s.atomics.Clear()
 	s.data.Clear()
+	s.varFree, s.varNext = s.varFree[:0], 0
 	s.a2unknown = s.a2unknown[:0]
 	s.a2overlap = s.a2overlap[:0]
 	s.a3 = s.a3[:0]
@@ -181,7 +184,7 @@ func (s *Stream) Restore(snap *StreamSnapshot) {
 	s.data.Each(func(_ int, vs **varState) { s.varFree = append(s.varFree, *vs) })
 	s.data.Clear()
 	for i := range snap.data {
-		vs := reuse.Pop(&s.varFree)
+		vs := s.newVarState()
 		copyVar(vs, &snap.data[i].varState)
 		s.data.Put(snap.data[i].id, vs)
 	}

@@ -47,9 +47,15 @@ type Stream struct {
 	atomics table.Table[int, *atomicState]
 	data    table.Table[int, *varState]
 	// atomicFree and varFree hold the fold records a Restore displaced,
-	// for the next Restore to refill.
+	// for the next Restore (or, for varFree, the next new variable) to
+	// refill.
 	atomicFree []*atomicState
 	varFree    []*varState
+	// varSlab is the chunked storage every varState is carved from,
+	// varNext how many records are handed out; Reset rewinds it, so a
+	// reused stream allocates per run only what outgrew a record.
+	varSlab [][]varRec
+	varNext int
 
 	// Violation buckets, assembled in reference order by Finish: A1
 	// (per sync var ascending), A2 unknown-episode (op order), A2
@@ -139,6 +145,18 @@ type varState struct {
 	writers []writerRec
 }
 
+// varRec is a varState in the slab with the first capacity of both its
+// slices beside it: most variables never hold more than four unsealed
+// intervals or two reachable writers, so they never allocate.
+type varRec struct {
+	varState
+	ivalBuf   [4]ival
+	writerBuf [2]writerRec
+}
+
+// varChunk is the slab's growth step, in records (≈ 16 KB).
+const varChunk = 64
+
 // atomicState is the per-sync-variable fold for A1: values
 // {0..contig-1}*delta have been consumed into the contiguous prefix;
 // everything else waits in pending until the prefix reaches it.
@@ -212,9 +230,30 @@ func (s *Stream) minLiveCreate() uint64 {
 func (s *Stream) varState(v int) *varState {
 	vs := s.data.Slot(v)
 	if *vs == nil {
-		*vs = &varState{}
+		*vs = s.newVarState()
 	}
 	return *vs
+}
+
+// newVarState returns an empty record — one a Restore displaced, else
+// the slab's next — keeping whatever slice capacity it has.
+func (s *Stream) newVarState() *varState {
+	var v *varState
+	if n := len(s.varFree); n > 0 {
+		v, s.varFree = s.varFree[n-1], s.varFree[:n-1]
+	} else {
+		if s.varNext == len(s.varSlab)*varChunk {
+			s.varSlab = append(s.varSlab, make([]varRec, varChunk))
+		}
+		r := &s.varSlab[s.varNext/varChunk][s.varNext%varChunk]
+		s.varNext++
+		if r.intervals == nil {
+			r.intervals, r.writers = r.ivalBuf[:0], r.writerBuf[:0]
+		}
+		v = &r.varState
+	}
+	*v = varState{intervals: v.intervals[:0], writers: v.writers[:0]}
+	return v
 }
 
 // Observe folds one completed operation. Operations must arrive in

@@ -344,3 +344,62 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state episode cycle allocates %v allocs, want 0", n)
 	}
 }
+
+// TestStreamVarSlabSteadyStateAllocs pins the warm-up: a reused stream
+// folds a run over fresh variables — each with an interval and a
+// writer or two, the shape that used to cost a record and up to five
+// slice growths per variable — without allocating, because Reset
+// rewound the slab.
+func TestStreamVarSlabSteadyStateAllocs(t *testing.T) {
+	s := NewStream(1)
+	run := func() {
+		s.Reset(1)
+		var gseq uint64
+		for id := uint64(1); id <= 4; id++ {
+			gseq++
+			s.BeginEpisode(id, gseq)
+			for v := 0; v < 3*varChunk; v++ {
+				s.Observe(Op{Kind: OpStore, Var: v, Value: uint32(id), Episode: id, Seq: v})
+			}
+			gseq++
+			s.RetireEpisode(id, gseq)
+		}
+		if vs := s.Finish(); vs != nil {
+			t.Fatalf("clean run flagged: %v", vs)
+		}
+	}
+	run() // builds the slab, the tables and the episode records
+	// What is left is Finish's sorted sync-variable list.
+	if n := testing.AllocsPerRun(10, run); n > 1 {
+		t.Fatalf("a run on a reset stream allocates %v objects, want at most 1", n)
+	}
+	if s.varNext != 3*varChunk || len(s.varSlab) != 3 {
+		t.Fatalf("slab holds %d records in %d chunks, want %d in 3", s.varNext, len(s.varSlab), 3*varChunk)
+	}
+}
+
+// TestStreamResetAfterRestore pins the slab against its free list: a
+// Restore parks the records it displaced in varFree, and a Reset that
+// rewound the slab under them would hand each record out twice.
+func TestStreamResetAfterRestore(t *testing.T) {
+	tr := pipelineCorpus()["racy"]
+	evs := traceEvents(tr)
+	cut := 0 // an early cut: most variables are still untouched
+	for ops := 0; ops < 4; cut++ {
+		if evs[cut].kind == evOp {
+			ops++
+		}
+	}
+	p := newPipeline(tr.AtomicDelta, true)
+	feed(p, evs[:cut])
+	snap := p.Snapshot()
+	feed(p, evs[cut:])
+	want := p.Finish()
+	p.Restore(snap) // displaces the finished run's records, refills a few
+	if len(p.stream.varFree) == 0 {
+		t.Fatal("the restore left no displaced record parked")
+	}
+	p.Reset(tr.AtomicDelta)
+	feed(p, evs)
+	diffViolations(t, "reset after restore", p.Finish(), want)
+}

@@ -17,7 +17,7 @@ func TestSnapshotFieldAudit(t *testing.T) {
 		"far":     "state: sparse overflow pages; captured per touched page",
 		"pages":   "state: live-entry list, rebuilt by Restore, cleared by Reset",
 		"touched": "state: live-page count, recomputed by Reset/Restore",
-		"free":    "pool: recycled buffers; disabled once snapped (buffers may be shared)",
+		"free":    "pool: recycled buffers; once snapped only private ones (entry at the current epoch) are added, the rest may be shared",
 		"epoch":   "snapshot bookkeeping: COW write epoch",
 		"snap":    "snapshot bookkeeping: armed snapshot, Reset disarms",
 		"snapped": "snapshot bookkeeping: ever-snapshotted latch gating the free list",

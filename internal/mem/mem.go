@@ -154,17 +154,21 @@ type Store struct {
 	// touched counts allocated pages across dir and far (Footprint).
 	touched int
 
-	// free recycles page buffers released by Reset; page-creating
-	// paths draw from it (re-zeroed) before allocating, so a store
-	// reused across campaign runs reaches a no-allocation steady state.
+	// free recycles the page buffers Reset and Restore release;
+	// page-creating paths draw from it before allocating, so a store
+	// reused across campaign runs or rewound by an explorer reaches a
+	// no-allocation steady state.
 	free [][]byte
 
 	// epoch is the current write epoch; an entry whose epoch lags it is
 	// copied (COW) before its next write while a snapshot is armed.
-	// snap is the armed snapshot the write path journals into; snapped
-	// records that a snapshot was ever taken, after which Reset leaves
-	// buffers to the GC instead of the free list (they may be shared
-	// with a snapshot).
+	// Every SnapshotInto and every full reinstall advances it, so an
+	// entry at the current epoch was born or copied after the last of
+	// them and its buffer is private: no snapshot's entries or journal
+	// can hold it (see private). snap is the armed snapshot the write
+	// path journals into; snapped records that a snapshot was ever
+	// taken, after which a lagging entry's buffer may be shared with one
+	// and is left to the GC instead of the free list.
 	epoch   uint64
 	snap    *StoreSnapshot
 	snapped bool
@@ -204,14 +208,28 @@ func NewStore() *Store {
 // buffers are parked on a free list for newPage to recycle, so the
 // first-touch semantics are preserved without first-touch allocations.
 //
-// Once a snapshot has ever been taken, released buffers may be shared
-// with that snapshot, so they are left to the GC instead of the free
-// list, and any armed snapshot is disarmed (a later Restore of it
-// takes the full-reinstall path).
+// Once a snapshot has ever been taken, a released buffer that is not
+// private may be shared with that snapshot, so it is left to the GC
+// instead of the free list, and any armed snapshot is disarmed (a later
+// Restore of it takes the full-reinstall path).
 func (s *Store) Reset() {
 	s.lastPN, s.lastPE = 0, nil
+	s.dropPages()
+	s.touched = 0
+	s.snap = nil
+}
+
+// private reports whether no snapshot can hold e's buffer: none was
+// ever taken, or e is at the current epoch — born or copied after the
+// last SnapshotInto or reinstall, the only places a snapshot's entries
+// are filled or re-linked. (A journal holds only pre-copy buffers,
+// which lagged when they were journaled.)
+func (s *Store) private(e *pageEntry) bool { return !s.snapped || e.epoch == s.epoch }
+
+// dropPages empties the live page set, recycling the private buffers.
+func (s *Store) dropPages() {
 	for _, e := range s.pages {
-		if !s.snapped {
+		if s.private(e) {
 			s.free = append(s.free, e.data)
 		}
 		if e.pn >= dirCapPages {
@@ -221,21 +239,28 @@ func (s *Store) Reset() {
 		e.epoch = 0
 	}
 	s.pages = s.pages[:0]
-	s.touched = 0
-	s.snap = nil
 }
 
-// newPage returns a zeroed page buffer, recycling a Reset-freed one
-// when available.
-func (s *Store) newPage() []byte {
+// rawPage returns a page buffer of arbitrary contents, recycling a
+// released one when available.
+func (s *Store) rawPage() []byte {
 	if n := len(s.free); n > 0 {
 		p := s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		clear(p)
 		return p
 	}
 	return make([]byte, pageSize)
+}
+
+// newPage returns a zeroed page buffer.
+func (s *Store) newPage() []byte {
+	recycled := len(s.free) > 0
+	p := s.rawPage()
+	if recycled {
+		clear(p)
+	}
+	return p
 }
 
 // page resolves the page containing a for reading and returns its
@@ -342,7 +367,7 @@ func (s *Store) birth(pn Addr) *pageEntry {
 func (s *Store) cow(e *pageEntry) {
 	if s.snap != nil {
 		s.snap.journal = append(s.snap.journal, storeUndo{e: e, oldData: e.data, oldEpoch: e.epoch})
-		buf := s.newPage()
+		buf := s.rawPage() // wholly overwritten
 		copy(buf, e.data)
 		e.data = buf
 	}
@@ -541,18 +566,12 @@ func (s *Store) Restore(snap *StoreSnapshot) {
 		return
 	}
 	// Full reinstall: drop the current page set, then re-link the
-	// snapshot's entries with their saved buffers. Current buffers may
-	// be shared with some snapshot, so they go to the GC, not the free
-	// list. Entry epochs are zeroed below the new armed epoch so every
-	// future write copies before touching a snapshot-owned buffer.
-	for _, e := range s.pages {
-		if e.pn >= dirCapPages {
-			delete(s.far, e.pn)
-		}
-		e.data = nil
-		e.epoch = 0
-	}
-	s.pages = s.pages[:0]
+	// snapshot's entries with their saved buffers. A current buffer that
+	// is not private may be shared with some snapshot, so it goes to the
+	// GC, not the free list. Entry epochs are zeroed below the new armed
+	// epoch so every future write copies before touching a
+	// snapshot-owned buffer.
+	s.dropPages()
 	for _, sv := range snap.entries {
 		e := sv.e
 		e.data = sv.data

@@ -1,6 +1,9 @@
 package mem
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -233,5 +236,83 @@ func TestStoreAccessZeroAllocs(t *testing.T) {
 		_ = s.ReadWord(0x40)
 	}); n != 0 {
 		t.Fatalf("hot-path store access allocates %v allocs/op, want 0", n)
+	}
+}
+
+// TestStoreRecycledPagesPoisoned runs random write / snapshot / restore
+// / reset programs against full byte images and scribbles over every
+// buffer on the free list after each step: a buffer recycled while a
+// snapshot could still reach it shows the poison when that snapshot is
+// restored, and every held snapshot is restored and compared at the
+// end of each program.
+func TestStoreRecycledPagesPoisoned(t *testing.T) {
+	pns := []Addr{0, 1, 2, 3, 300, 301, dirCapPages + 5}
+	image := func(s *Store) []byte {
+		img := make([]byte, len(pns)*pageSize)
+		for i, pn := range pns {
+			s.ReadBytes(pn<<pageShift, img[i*pageSize:(i+1)*pageSize])
+		}
+		return img
+	}
+	type held struct {
+		snap *StoreSnapshot
+		want []byte
+	}
+	recycled := 0
+	for seed := int64(0); seed < 30; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		s := NewStore()
+		var snaps [4]*held
+		poison := func() {
+			for _, p := range s.free {
+				for i := range p {
+					p[i] = 0xA5
+				}
+			}
+		}
+		restore := func(h *held, at string) {
+			t.Helper()
+			before, armed := len(s.free), s.snap == h.snap
+			s.Restore(h.snap)
+			if !armed {
+				recycled += len(s.free) - before
+			}
+			poison()
+			if got := image(s); !bytes.Equal(got, h.want) {
+				t.Fatalf("seed %d: %s: restored bytes differ from the snapshot's", seed, at)
+			}
+		}
+		for step := 0; step < 400; step++ {
+			switch op := r.Intn(16); {
+			case op < 10:
+				a := pns[r.Intn(len(pns))]<<pageShift + Addr(r.Intn(pageSize/WordSize)*WordSize)
+				s.WriteWord(a, r.Uint32()|1)
+			case op < 13: // snapshot, into a dead one half the time
+				k := r.Intn(len(snaps))
+				var dead *StoreSnapshot
+				if snaps[k] != nil && r.Intn(2) == 0 {
+					dead = snaps[k].snap
+				}
+				snaps[k] = &held{want: image(s)}
+				snaps[k].snap = s.SnapshotInto(dead)
+			case op < 15: // armed or not, whichever it is
+				if h := snaps[r.Intn(len(snaps))]; h != nil {
+					restore(h, fmt.Sprintf("step %d", step))
+				}
+			default:
+				if r.Intn(4) == 0 {
+					s.Reset()
+					poison()
+				}
+			}
+		}
+		for k, h := range snaps {
+			if h != nil {
+				restore(h, fmt.Sprintf("final restore of snapshot %d", k))
+			}
+		}
+	}
+	if recycled == 0 {
+		t.Fatal("no full reinstall recycled a buffer: the test poisoned nothing new")
 	}
 }

@@ -14,9 +14,8 @@ func TestSnapshotFieldAudit(t *testing.T) {
 		"k":          "config: owning kernel, survives Reset/Restore",
 		"cfg":        "config: fixed at construction",
 		"store":      "state: backing store, snapshotted via its own COW Snapshot",
-		"queue":      "state: ring; Reset clears (dropping payload refs; owning system reclaims via pool Reset); Snapshot linearizes, retaining payload handles by identity",
+		"queue":      "state: ring of waiting and in-flight requests; Reset clears (dropping payload refs; owning system reclaims via pool Reset); Snapshot linearizes with the in-flight count, retaining payload handles by identity",
 		"busy":       "state: Reset clears, Snapshot/Restore copy",
-		"inflight":   "state: ring; Reset clears (dropping payload refs; owning system reclaims via pool Reset); Snapshot linearizes, retaining payload handles by identity",
 		"serviceFn":  "config: pre-bound closure, survives Reset/Restore",
 		"completeFn": "config: pre-bound closure, survives Reset/Restore",
 		"unit":       "config: schedule-exploration ordering domain, fixed at construction",

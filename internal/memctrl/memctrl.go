@@ -10,12 +10,13 @@
 // stay occupied.
 //
 // The controller sits on every miss and write-through path, so its
-// steady state is allocation- and copy-free: requests are held by value
-// in power-of-two ring queues, completion callbacks are pre-bound and carry
-// an opaque ctx instead of closing over per-request state, and line
-// payloads travel as refcounted *mem.Line handles — WriteLine takes
-// ownership of the caller's handle rather than copying its bytes, and
-// ReadLine hands the callee a pool-backed handle it then owns.
+// steady state is allocation- and copy-free: requests are written once
+// into a power-of-two ring and read in place, completion callbacks are
+// pre-bound and carry an opaque ctx instead of closing over per-request
+// state, and line payloads travel as refcounted *mem.Line handles —
+// WriteLine takes ownership of the caller's handle rather than copying
+// its bytes, and ReadLine hands the callee a pool-backed handle it then
+// owns.
 package memctrl
 
 import (
@@ -62,48 +63,57 @@ const (
 	kindAtomic
 )
 
-// ring is a growable power-of-two FIFO of requests. Push and pop are a
-// single indexed write each; the backing array doubles only when the
-// live window outgrows it, so steady state runs allocation-free at a
-// footprint bounded by the peak depth.
+// ring is a growable power-of-two FIFO of requests with a service
+// cursor between its ends: a request is written once at tail, waits in
+// [next, tail), is in flight in [head, next) and is read in place until
+// it retires at head. The backing array doubles only when the live
+// window outgrows it, so steady state runs allocation- and copy-free at
+// a footprint bounded by the peak depth.
 type ring struct {
-	slots      []request // len is a power of two (or zero)
-	head, tail uint64    // pop at head&mask, push at tail&mask
+	slots            []request // len is a power of two (or zero)
+	head, next, tail uint64    // head <= next <= tail
 }
 
-func (q *ring) len() int { return int(q.tail - q.head) }
+// queued is the number of requests waiting for service.
+func (q *ring) queued() int { return int(q.tail - q.next) }
 
-func (q *ring) push(r request) {
-	if q.len() == len(q.slots) {
+func (q *ring) at(i uint64) *request { return &q.slots[i&uint64(len(q.slots)-1)] }
+
+// push appends a zeroed slot (retire, reset and grow leave no other
+// kind) for the caller to fill field by field. The pointer dies at the
+// next push.
+func (q *ring) push() *request {
+	if int(q.tail-q.head) == len(q.slots) {
 		q.grow()
 	}
-	q.slots[q.tail&uint64(len(q.slots)-1)] = r
 	q.tail++
+	return q.at(q.tail - 1)
 }
 
-// peek returns the head request without dequeuing it (the next pop's
-// result; caller must ensure the ring is non-empty).
-func (q *ring) peek() request {
-	return q.slots[q.head&uint64(len(q.slots)-1)]
+// serve moves the oldest waiting request in flight (caller must ensure
+// one is waiting).
+func (q *ring) serve() *request {
+	q.next++
+	return q.at(q.next - 1)
 }
 
-func (q *ring) pop() request {
-	i := q.head & uint64(len(q.slots)-1)
-	r := q.slots[i]
-	q.slots[i] = request{}
+// retire drops the oldest in-flight request, clearing its slot so it
+// does not pin a payload or ctx object.
+func (q *ring) retire() {
+	*q.at(q.head) = request{}
 	q.head++
-	return r
 }
 
 func (q *ring) grow() {
 	n := len(q.slots) * 2
 	if n == 0 {
-		n = 32
+		n = 64
 	}
 	slots := make([]request, n)
 	for i, h := 0, q.head; h != q.tail; i, h = i+1, h+1 {
-		slots[i] = q.slots[h&uint64(len(q.slots)-1)]
+		slots[i] = *q.at(h)
 	}
+	q.next -= q.head
 	q.tail -= q.head
 	q.head = 0
 	q.slots = slots
@@ -113,24 +123,27 @@ func (q *ring) grow() {
 // not pin payloads or ctx objects.
 func (q *ring) reset() {
 	clear(q.slots)
-	q.head, q.tail = 0, 0
+	q.head, q.next, q.tail = 0, 0, 0
 }
 
-// save refills dst with the live window in FIFO order.
-func (q *ring) save(dst []request) []request {
+// save refills dst with the live window in FIFO order, in-flight
+// requests first, and returns how many of them are in flight.
+func (q *ring) save(dst []request) ([]request, int) {
 	dst = dst[:0]
 	for h := q.head; h != q.tail; h++ {
-		dst = append(dst, q.slots[h&uint64(len(q.slots)-1)])
+		dst = append(dst, *q.at(h))
 	}
-	return dst
+	return dst, int(q.next - q.head)
 }
 
-// load replaces the ring's contents with the given FIFO window.
-func (q *ring) load(reqs []request) {
+// load replaces the ring's contents with the given FIFO window, the
+// first inflight of it in flight.
+func (q *ring) load(reqs []request, inflight int) {
 	q.reset()
-	for _, r := range reqs {
-		q.push(r)
+	for i := range reqs {
+		*q.push() = reqs[i]
 	}
+	q.next = uint64(inflight)
 }
 
 // Controller services line reads, masked line writes and word atomics
@@ -144,22 +157,21 @@ type Controller struct {
 	// queue is a power-of-two ring: slots are reused as head laps the
 	// array, so the footprint tracks the peak queue depth instead of
 	// the total request count (an append-only head-indexed queue never
-	// shrinks while at least one request is always pending).
+	// shrinks while at least one request is always pending). It holds
+	// the waiting requests and, behind its service cursor, the ones
+	// awaiting completion, which completeFn retires FIFO: every service
+	// schedules completion exactly AccessLatency ticks out and services
+	// happen at nondecreasing ticks, so completions fire in service
+	// order.
 	queue ring
 	busy  bool
-
-	// inflight holds dequeued requests awaiting completion, drained
-	// FIFO by completeFn: every dequeue schedules completion exactly
-	// AccessLatency ticks out and dequeues happen at nondecreasing
-	// ticks, so completions fire in dequeue order.
-	inflight ring
 
 	serviceFn  func()
 	completeFn func()
 
 	// unit is the controller's schedule-exploration ordering domain:
-	// service events pop the request queue's head and completion events
-	// pop the inflight queue's head, so both must fire in schedule
+	// service events take the oldest waiting request and completion
+	// events the oldest in-flight one, so both must fire in schedule
 	// order for the event→request pairing to hold. Sharing one unit
 	// FIFO-locks them (see sim/chooser.go), which is what makes the
 	// line tags below sound: the request an event will process is
@@ -204,7 +216,6 @@ func (c *Controller) Pool() *mem.LinePool { return c.pool }
 func (c *Controller) Reset() {
 	c.queue.reset()
 	c.busy = false
-	c.inflight.reset()
 	c.reads, c.writes, c.atomics, c.peakQueue = 0, 0, 0, 0
 	c.store.Reset()
 }
@@ -214,7 +225,9 @@ func (c *Controller) Reset() {
 // must Release it (after at most retaining it into longer-lived
 // state); nothing is copied on the way.
 func (c *Controller) ReadLine(line mem.Addr, size int, done func(data *mem.Line, ctx any), ctx any) {
-	c.enqueue(request{kind: kindRead, line: line, size: size, onRead: done, ctx: ctx})
+	r := c.queue.push()
+	r.kind, r.line, r.size, r.onRead, r.ctx = kindRead, line, size, done, ctx
+	c.enqueued(r)
 }
 
 // WriteLine writes payload (data under its mask, if any) at line and
@@ -223,7 +236,9 @@ func (c *Controller) ReadLine(line mem.Addr, size int, done func(data *mem.Line,
 // the line (e.g. a write-combining buffer) retain their own reference,
 // and copy-on-write isolates the queued bytes if they then mutate it.
 func (c *Controller) WriteLine(line mem.Addr, payload *mem.Line, done func(ctx any), ctx any) {
-	c.enqueue(request{kind: kindWrite, line: line, payload: payload, onWrite: done, ctx: ctx})
+	r := c.queue.push()
+	r.kind, r.line, r.payload, r.onWrite, r.ctx = kindWrite, line, payload, done, ctx
+	c.enqueued(r)
 }
 
 // Atomic performs a fetch-add at word address addr and calls done with
@@ -232,51 +247,55 @@ func (c *Controller) WriteLine(line mem.Addr, payload *mem.Line, done func(ctx a
 // NACKs; the bool matches the shared backend callback shape so
 // adapters stay allocation-free.
 func (c *Controller) Atomic(addr mem.Addr, delta uint32, done func(old uint32, nack bool, ctx any), ctx any) {
-	c.enqueue(request{kind: kindAtomic, addr: addr, delta: delta, onAtomic: done, ctx: ctx})
+	r := c.queue.push()
+	r.kind, r.addr, r.delta, r.onAtomic, r.ctx = kindAtomic, addr, delta, done, ctx
+	c.enqueued(r)
 }
 
-func (c *Controller) enqueue(r request) {
-	c.queue.push(r)
-	if n := c.queue.len(); n > c.peakQueue {
+// enqueued follows the push and filling of r.
+func (c *Controller) enqueued(r *request) {
+	if n := c.queue.queued(); n > c.peakQueue {
 		c.peakQueue = n
 	}
 	if !c.busy {
 		c.busy = true
-		// The queue was empty, so the service event will pop r itself:
+		// The queue was empty, so the service event will take r itself:
 		// its footprint is r's line.
 		c.k.ScheduleTagged(0, sim.MakeLineTag(sim.CompMemCtrl, c.unit, uint64(r.line)), c.serviceFn)
 	}
 }
 
 func (c *Controller) service() {
-	if c.queue.len() == 0 {
+	if c.queue.queued() == 0 {
 		c.busy = false
 		return
 	}
-	r := c.queue.pop()
-	c.inflight.push(r)
-	// Completions drain inflight FIFO and the unit keeps them in
-	// schedule order, so this completion pops exactly r.
+	r := c.queue.serve()
+	// Completions retire the in-flight requests FIFO and the unit keeps
+	// them in schedule order, so this completion retires exactly r.
 	c.k.ScheduleTagged(c.cfg.AccessLatency, sim.MakeLineTag(sim.CompMemCtrl, c.unit, uint64(r.line)), c.completeFn)
 	period := c.cfg.ServicePeriod
 	if period == 0 {
 		period = 1
 	}
-	// The next service event pops whatever heads the queue when it
+	// The next service event takes whatever heads the queue when it
 	// fires. Pushes only append and no other service event is pending
 	// for this unit, so a non-empty queue pins that request now; an
 	// empty queue means the footprint is unknown (the event may idle or
-	// pop a not-yet-enqueued request), so stay conservatively untagged
+	// take a not-yet-enqueued request), so stay conservatively untagged
 	// on the line while keeping the unit's FIFO lock.
 	tag := sim.MakeUnitTag(sim.CompMemCtrl, c.unit)
-	if c.queue.len() > 0 {
-		tag = sim.MakeLineTag(sim.CompMemCtrl, c.unit, uint64(c.queue.peek().line))
+	if c.queue.queued() > 0 {
+		tag = sim.MakeLineTag(sim.CompMemCtrl, c.unit, uint64(c.queue.at(c.queue.next).line))
 	}
 	c.k.ScheduleTagged(period, tag, c.serviceFn)
 }
 
+// complete performs the oldest in-flight request, reading it in place.
+// Its callback may enqueue (and so grow the ring under r); the slot is
+// retired by index afterwards.
 func (c *Controller) complete() {
-	r := c.inflight.pop()
+	r := c.queue.at(c.queue.head)
 	switch r.kind {
 	case kindRead:
 		c.reads++
@@ -294,6 +313,7 @@ func (c *Controller) complete() {
 		old := c.store.AtomicAdd(r.addr, r.delta)
 		r.onAtomic(old, false, r.ctx)
 	}
+	c.queue.retire()
 }
 
 // Stats returns service counters: reads, writes, atomics serviced and the
@@ -312,8 +332,8 @@ func (c *Controller) Stats() (reads, writes, atomics uint64, peakQueue int) {
 // kernel events referencing serviceFn/completeFn must be snapshotted
 // alongside by the owner.
 type Snapshot struct {
-	queue    []request
-	inflight []request
+	queue    []request // FIFO, the first inflight of them in flight
+	inflight int
 	busy     bool
 
 	reads, writes, atomics uint64
@@ -331,8 +351,7 @@ func (c *Controller) SnapshotInto(s *Snapshot) *Snapshot {
 	if s == nil {
 		s = &Snapshot{}
 	}
-	s.queue = c.queue.save(s.queue)
-	s.inflight = c.inflight.save(s.inflight)
+	s.queue, s.inflight = c.queue.save(s.queue)
 	s.busy = c.busy
 	s.reads, s.writes, s.atomics, s.peakQueue = c.reads, c.writes, c.atomics, c.peakQueue
 	s.store = c.store.SnapshotInto(s.store)
@@ -345,8 +364,7 @@ func (c *Controller) SnapshotInto(s *Snapshot) *Snapshot {
 // restore its line/message pools at the same cut so the retained
 // payload and ctx identities carry the captured contents.
 func (c *Controller) Restore(s *Snapshot) {
-	c.queue.load(s.queue)
-	c.inflight.load(s.inflight)
+	c.queue.load(s.queue, s.inflight)
 	c.busy = s.busy
 	c.reads, c.writes, c.atomics, c.peakQueue = s.reads, s.writes, s.atomics, s.peakQueue
 	c.store.Restore(s.store)

@@ -172,3 +172,77 @@ func TestSteadyStateRecycles(t *testing.T) {
 		t.Fatalf("steady state allocated %d new lines", allocsAfter-allocsWarm)
 	}
 }
+
+// TestRingGrowsUnderCompletion fills the ring exactly, so the first
+// completion's callback — which runs while complete still reads its
+// request in place — pushes into a full ring and reallocates it. Every
+// request must still complete once, in order, and the peak must count
+// the requests waiting for service, not the ring's occupancy.
+func TestRingGrowsUnderCompletion(t *testing.T) {
+	k, c := newCtrl()
+	const first = 64 // the ring's first capacity
+	var got []int
+	done := func(old uint32, _ bool, ctx any) {
+		if n := ctx.(int); n == 0 {
+			c.Atomic(0x40, 1, func(old uint32, _ bool, ctx any) { got = append(got, int(old)) }, first)
+		}
+		got = append(got, int(old))
+	}
+	for i := 0; i < first; i++ {
+		c.Atomic(0x40, 1, done, i)
+	}
+	if len(c.queue.slots) != first {
+		t.Fatalf("ring holds %d slots after %d pushes, want it exactly full", len(c.queue.slots), first)
+	}
+	k.RunUntilIdle()
+	if len(c.queue.slots) != 2*first {
+		t.Fatalf("ring holds %d slots, want the completion's push to have doubled it", len(c.queue.slots))
+	}
+	for i, old := range got {
+		if old != i {
+			t.Fatalf("completion %d saw old value %d: %v", i, old, got)
+		}
+	}
+	if _, _, a, peak := c.Stats(); len(got) != first+1 || a != first+1 || peak != first {
+		t.Fatalf("%d completions, %d atomics, peak %d; want %d, %d, %d", len(got), a, peak, first+1, first+1, first)
+	}
+	if c.queue.head != c.queue.tail || c.queue.next != c.queue.tail {
+		t.Fatalf("idle ring has cursors %d/%d/%d", c.queue.head, c.queue.next, c.queue.tail)
+	}
+}
+
+// TestSnapshotMidFlight cuts the controller with requests on both
+// sides of the service cursor and replays the rest twice: the restore
+// must put each request back on its side.
+func TestSnapshotMidFlight(t *testing.T) {
+	k, c := newCtrl()
+	var got []uint32
+	done := func(old uint32, _ bool, _ any) { got = append(got, old) }
+	for i := 0; i < 40; i++ {
+		c.Atomic(0x40, 1, done, nil)
+	}
+	k.Run(110) // just past AccessLatency: a few complete, most in flight, the rest waiting
+	inflight, queued := int(c.queue.next-c.queue.head), c.queue.queued()
+	if inflight == 0 || queued == 0 || len(got) == 0 {
+		t.Fatalf("cut has %d in flight, %d queued, %d complete; want some of each", inflight, queued, len(got))
+	}
+	ks, cs := k.Snapshot(), c.Snapshot()
+	k.RunUntilIdle()
+	want := append([]uint32(nil), got...)
+
+	got = got[:len(want)-inflight-queued]
+	k.Restore(ks)
+	c.Restore(cs)
+	if int(c.queue.next-c.queue.head) != inflight || c.queue.queued() != queued {
+		t.Fatalf("restore left %d in flight, %d queued; want %d, %d", c.queue.next-c.queue.head, c.queue.queued(), inflight, queued)
+	}
+	k.RunUntilIdle()
+	if len(got) != len(want) {
+		t.Fatalf("replay completed %d requests, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("replay completion %d saw %d, want %d", i, got[i], want[i])
+		}
+	}
+}
