@@ -88,11 +88,19 @@ import (
 	"drftest/internal/viper"
 )
 
-// validateFlags rejects contradictory flag combinations up front with
-// a one-line error, before any configuration or run state is built.
-// The run modes (-explore, -campaign, -serve, -worker, -daemon) are
-// pairwise mutually exclusive.
-func validateFlags(exploreMode, campaign bool, serve, workerURL, daemonURL string) error {
+// validateFlags rejects contradictory flag combinations and values
+// out of range up front with a one-line error, before any
+// configuration or run state is built. The run modes (-explore,
+// -campaign, -serve, -worker, -daemon) are pairwise mutually
+// exclusive, and the exploration bounds are at least 1: the library
+// reads 0 as "use the default", which a flag must not do silently.
+func validateFlags(exploreMode, campaign bool, serve, workerURL, daemonURL string, exploreDepth int, exploreBudget uint64) error {
+	if exploreDepth < 1 {
+		return fmt.Errorf("-explore-depth %d: must be at least 1", exploreDepth)
+	}
+	if exploreBudget == 0 {
+		return fmt.Errorf("-explore-budget 0: must be at least 1")
+	}
 	var modes []string
 	if exploreMode {
 		modes = append(modes, "-explore")
@@ -159,7 +167,7 @@ func main() {
 	exploreBudget := flag.Uint64("explore-budget", explore.DefaultBudget, "explore: max schedules (completed + pruned) before stopping")
 	flag.Parse()
 
-	if err := validateFlags(*exploreMode, *campaign, *serve, *workerURL, *daemonURL); err != nil {
+	if err := validateFlags(*exploreMode, *campaign, *serve, *workerURL, *daemonURL, *exploreDepth, *exploreBudget); err != nil {
 		fmt.Fprintf(os.Stderr, "gputester: %v\n", err)
 		os.Exit(2)
 	}
@@ -407,8 +415,8 @@ func runExplore(cfg explore.Config, jsonOut bool, exit func(int)) {
 		res.Schedules, res.PrunedPaths, res.PrunedBranches)
 	fmt.Printf("  choice points  %d branching (depth-limited=%v, budget-exhausted=%v)\n",
 		res.ChoicePoints, res.DepthLimited, res.BudgetExhausted)
-	fmt.Printf("  cuts           %d taken (mean %.1f µs), %d restored (mean %.1f µs)\n",
-		res.ChoicePoints, res.NsPerCut/1e3, res.Restores, res.NsPerRestore/1e3)
+	fmt.Printf("  cuts           %d at %d choice points (mean %.1f µs), %d rewinds replaying %d events (mean %.1f µs)\n",
+		res.Cuts, res.ChoicePoints, res.NsPerCut/1e3, res.Restores, res.ReplayedEvents, res.NsPerRestore/1e3)
 	fmt.Printf("  frontier       choice points per DFS depth %v\n", res.FrontierDepths)
 	fmt.Printf("  sleep sets     %d of %d candidates asleep (hit rate %.3f)\n",
 		res.PrunedBranches, res.Candidates, res.SleepHitRate)

@@ -29,6 +29,7 @@ func TestStreamFieldAudit(t *testing.T) {
 		"a3":         "state: violation bucket, slice-copied",
 		"finished":   "state: copied (a mid-run cut reopens a Finish-sealed stream)",
 		"result":     "state: slice-copied alongside finished",
+		"avars":      "scratch: Finish's sorted sync-variable list, valid only within one call; excluded from cuts",
 	})
 	audit.Fields(t, epState{}, map[string]string{
 		"id":        "state: via copyEp",

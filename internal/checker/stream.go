@@ -2,6 +2,7 @@ package checker
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"drftest/internal/table"
@@ -67,6 +68,10 @@ type Stream struct {
 
 	finished bool
 	result   []Violation
+
+	// avars is Finish's scratch for the sync variables in ascending
+	// order.
+	avars []int
 }
 
 // NewStream creates an empty online checker. atomicDelta is the
@@ -467,10 +472,10 @@ func (s *Stream) Finish() []Violation {
 	var out []Violation
 
 	// A1, per sync variable ascending.
-	avars := make([]int, 0, s.atomics.Len())
-	s.atomics.Each(func(v int, _ **atomicState) { avars = append(avars, v) })
-	sort.Ints(avars)
-	for _, vid := range avars {
+	s.avars = s.avars[:0]
+	s.atomics.Each(func(v int, _ **atomicState) { s.avars = append(s.avars, v) })
+	slices.Sort(s.avars)
+	for _, vid := range s.avars {
 		a, _ := s.atomics.Get(vid)
 		if viol, bad := a.firstBreak(vid, s.delta); bad {
 			out = append(out, viol)
@@ -492,12 +497,14 @@ func (s *Stream) Finish() []Violation {
 		s.advanceSeal(vid, v, ^uint64(0))
 	})
 	out = append(out, s.a2unknown...)
-	sort.Slice(s.a2overlap, func(i, j int) bool {
-		if s.a2overlap[i].v != s.a2overlap[j].v {
-			return s.a2overlap[i].v < s.a2overlap[j].v
-		}
-		return s.a2overlap[i].lo < s.a2overlap[j].lo
-	})
+	if len(s.a2overlap) > 1 {
+		sort.Slice(s.a2overlap, func(i, j int) bool {
+			if s.a2overlap[i].v != s.a2overlap[j].v {
+				return s.a2overlap[i].v < s.a2overlap[j].v
+			}
+			return s.a2overlap[i].lo < s.a2overlap[j].lo
+		})
+	}
 	for _, ov := range s.a2overlap {
 		out = append(out, ov.viol)
 	}

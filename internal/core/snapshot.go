@@ -105,6 +105,14 @@ func (t *Tester) Report() *Report { return t.report() }
 // FailureCount returns the number of failures detected so far.
 func (t *Tester) FailureCount() int { return len(t.failures) }
 
+// Violated reports whether the run so far has failed or, with
+// StreamCheck on, the online checker finds a violation: Report's
+// verdict without building the Report. Like Report it finishes the
+// stream.
+func (t *Tester) Violated() bool {
+	return len(t.failures) > 0 || t.stream != nil && len(t.stream.Finish()) > 0
+}
+
 // copyVar copies src into dst, refilling dst's own old-value table
 // rather than sharing src's.
 func copyVar(dst, src *variable) {

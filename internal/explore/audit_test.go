@@ -13,7 +13,8 @@ import (
 // exploration — before it can land.
 func TestStateFieldAudits(t *testing.T) {
 	audit.Fields(t, node{}, map[string]string{
-		"cut":       "branch: snapshot taken inside Choose before the decision fired; restored to re-present the identical candidate set. Held by value: the depth's next decision refills its storage",
+		"cut":       "branch: snapshot taken inside Choose before the decision fired, only when cutAt is the node's own depth; restored to re-present the identical candidate set. Held by value: the depth's next decision refills its storage",
+		"cutAt":     "branch: depth of the node whose cut a rewind here restores (own, or the nearest cut-holding ancestor's), set when the decision is taken; that ancestor stays live as long as this node",
 		"cands":     "branch: viable candidates at the decision, fixed once taken (backing array reused per depth)",
 		"next":      "branch: next sibling index, advanced by resumeChoose",
 		"sleep":     "branch: sleep set as it stood at the decision (Godefroid's Z), copied into each sibling (backing array reused per depth)",
@@ -26,13 +27,17 @@ func TestStateFieldAudits(t *testing.T) {
 		"nodes":       "dfs: one node per depth ever reached; nodes[:depth] is the stack, the rest dead storage awaiting reuse",
 		"depth":       "dfs: stack height; raised by Choose, lowered by backtrack",
 		"viable":      "scratch: Choose's not-asleep filter, valid only within one call",
+		"sinceCut":    "dfs: Choose calls since the nearest cut on the current path; zeroed by a cut and by backtrack, re-counted by the replay",
 		"cutTime":     "report: host time spent taking cuts, never rewound",
-		"restoreTime": "report: host time spent restoring cuts, never rewound",
-		"script":      "dfs: current path's choice script, truncated to node.scriptLen on backtrack",
+		"rewindTime":  "report: host time spent rewinding (restore plus replay), never rewound",
+		"rewindStart": "report: start of the rewind in progress, set by backtrack",
+		"script":      "dfs: current path's choice script, truncated to node.scriptLen on backtrack and read by the replay",
 		"live":        "dfs: current path's sleep set; rebuilt from node.sleep on resume, mutated by pick",
-		"resume":      "dfs: armed by backtrack, consumed by the next Choose call",
+		"resume":      "dfs: armed by backtrack, cleared when the replay reaches the stack top's decision",
+		"pos":         "dfs: replay position in script, set by backtrack to the restored cut's scriptLen",
 		"aborted":     "dfs: set when a path is abandoned as sleep-set-redundant, cleared by scheduleDone",
 		"res":         "report: accumulates across the whole exploration, never rewound",
+		"replayBound": "config: the replayBound constant; tests override it to compare rewind policies",
 		"beforeReuse": "test hook: nil outside the poison test",
 	})
 	audit.Fields(t, run{}, map[string]string{

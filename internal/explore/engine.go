@@ -57,6 +57,12 @@ func (e *engine) dependent(aTag, bTag uint64) bool {
 	return e.geom.conflict(la, lb)
 }
 
+// replayBound is the longest replay a rewind takes: a decision holds
+// its own cut only when it is the root or more than replayBound Choose
+// calls have passed since the nearest cut on its path. One full cut
+// costs about as much host time as replaying 30 events.
+const replayBound = 16
+
 // node is one branching decision point on the DFS stack. The engine
 // keeps one node per depth for the whole exploration: a node whose
 // candidates are exhausted is dead, and the next decision at its depth
@@ -64,8 +70,13 @@ func (e *engine) dependent(aTag, bTag uint64) bool {
 type node struct {
 	// cut is the full run-context snapshot taken from inside Choose,
 	// before the decision fired: restoring it re-presents the identical
-	// candidate set.
+	// candidate set. Only nodes with cutAt equal to their own depth fill
+	// it.
 	cut harness.Checkpoint
+	// cutAt is the depth of the node whose cut a rewind to this
+	// decision restores: this node's own, or the nearest ancestor's
+	// that holds one, from where the script replays up to here.
+	cutAt int
 	// cands are the viable (not-asleep) candidates; next indexes the
 	// one the resumed Choose call takes.
 	cands []sim.Enabled
@@ -109,26 +120,37 @@ type engine struct {
 	live []sleeper
 	// viable is Choose's scratch for the not-asleep candidates.
 	viable []sim.Enabled
-	// resume marks that the next Choose call re-presents the stack
-	// top's decision (the cut was just restored) and must take its next
-	// candidate.
+	// sinceCut counts the Choose calls since the nearest cut on the
+	// current path.
+	sinceCut int
+	// resume marks a rewind in progress: a cut was just restored, and
+	// Choose calls replay the script from pos up to the stack top's
+	// decision, which then takes its next candidate.
 	resume  bool
+	pos     int
 	aborted bool
-	// cutTime and restoreTime total the host time spent in cuts and
-	// restores, for the per-cut means in the result.
-	cutTime, restoreTime time.Duration
-	res                  Result
+	// cutTime and rewindTime total the host time spent in cuts and in
+	// rewinds (restore plus replay), for the means in the result;
+	// rewindStart is when the current rewind began.
+	cutTime, rewindTime time.Duration
+	rewindStart         time.Time
+	res                 Result
+	// replayBound is the package constant outside tests, which override
+	// it to compare rewind policies.
+	replayBound int
 	// beforeReuse, when set, is handed each dead node just before the
 	// next decision at its depth refills it (the poison test's hook).
 	beforeReuse func(*node)
 }
 
 // Choose implements sim.Chooser: it is called once per fired event and
-// is where branching decision points are snapshotted.
+// is where branching decision points are opened and, where the nearest
+// cut lies more than replayBound calls back, snapshotted.
 func (e *engine) Choose(now sim.Tick, cands []sim.Enabled) int {
 	if e.resume {
-		return e.resumeChoose(cands)
+		return e.replay(cands)
 	}
+	e.sinceCut++
 
 	e.res.Candidates += uint64(len(cands))
 	viable := cands
@@ -165,9 +187,15 @@ func (e *engine) Choose(now sim.Tick, cands []sim.Enabled) int {
 		n.next = 1
 		n.sleep = append(n.sleep[:0], e.live...)
 		n.scriptLen = len(e.script)
-		start := time.Now()
-		e.run.CheckpointInto(&n.cut)
-		e.cutTime += time.Since(start)
+		if e.depth == 0 || e.sinceCut > e.replayBound {
+			start := time.Now()
+			e.run.CheckpointInto(&n.cut)
+			e.cutTime += time.Since(start)
+			e.res.Cuts++
+			n.cutAt, e.sinceCut = e.depth, 0
+		} else {
+			n.cutAt = e.nodes[e.depth-1].cutAt
+		}
 		e.res.FrontierDepths[e.depth]++
 		e.depth++
 		e.res.ChoicePoints++
@@ -176,6 +204,27 @@ func (e *engine) Choose(now sim.Tick, cands []sim.Enabled) int {
 	}
 
 	return e.pick(cands, viable[0])
+}
+
+// replay re-fires the current path from the restored cut up to the
+// stack top's decision, where the script position reaches its
+// scriptLen: each multi-candidate call takes the script's next pick,
+// each single-candidate call its only candidate. It counts only the
+// replayed events, opens no node and leaves the sleep set alone;
+// resumeChoose rebuilds that from the decision's own record.
+func (e *engine) replay(cands []sim.Enabled) int {
+	i := 0
+	if len(cands) > 1 {
+		if e.pos == e.nodes[e.depth-1].scriptLen {
+			e.rewindTime += time.Since(e.rewindStart)
+			return e.resumeChoose(cands)
+		}
+		i = index(cands, e.script[e.pos])
+		e.pos++
+	}
+	e.sinceCut++
+	e.res.ReplayedEvents++
+	return i
 }
 
 // resumeChoose continues the stack top's decision with its next
@@ -211,8 +260,13 @@ func (e *engine) pick(cands []sim.Enabled, chosen sim.Enabled) int {
 	if len(cands) > 1 {
 		e.script = append(e.script, chosen.Seq)
 	}
+	return index(cands, chosen.Seq)
+}
+
+// index returns the position of the candidate with sequence number seq.
+func index(cands []sim.Enabled, seq uint64) int {
 	for i := range cands {
-		if cands[i].Seq == chosen.Seq {
+		if cands[i].Seq == seq {
 			return i
 		}
 	}
@@ -229,8 +283,8 @@ func (e *engine) scheduleDone() (stop bool, err error) {
 	} else {
 		e.res.Schedules++
 		e.run.Tester.Finish()
-		rep := e.run.Tester.Report()
-		if len(rep.Failures) > 0 || len(rep.StreamViolations) > 0 {
+		if e.run.Tester.Violated() {
+			rep := e.run.Tester.Report()
 			v := &Violation{
 				Schedule:         append([]uint64(nil), e.script...),
 				StreamViolations: len(rep.StreamViolations),
@@ -260,17 +314,21 @@ func (e *engine) scheduleDone() (stop bool, err error) {
 }
 
 // backtrack rewinds to the deepest decision point with an unexplored
-// candidate and arms the resumed Choose. It returns false when the
-// stack is exhausted (the bounded space is fully enumerated).
+// candidate: it restores the cut that decision refers to and arms the
+// replay up to it. No ancestor's cut is refilled while a descendant
+// refers to it, because a depth is refilled only after everything below
+// it is dead. It returns false when the stack is exhausted (the bounded
+// space is fully enumerated).
 func (e *engine) backtrack() bool {
 	for ; e.depth > 0; e.depth-- {
 		n := e.nodes[e.depth-1]
 		if n.next < len(n.cands) {
-			start := time.Now()
-			e.run.Restore(&n.cut)
-			e.restoreTime += time.Since(start)
+			e.rewindStart = time.Now()
+			c := e.nodes[n.cutAt]
+			e.run.Restore(&c.cut)
 			e.res.Restores++
 			e.script = e.script[:n.scriptLen]
+			e.pos, e.sinceCut = c.scriptLen, 0
 			e.resume = true
 			return true
 		}
@@ -281,11 +339,11 @@ func (e *engine) backtrack() bool {
 // finish derives the result's cost figures once enumeration ends.
 func (e *engine) finish() *Result {
 	r := &e.res
-	if r.ChoicePoints > 0 {
-		r.NsPerCut = float64(e.cutTime.Nanoseconds()) / float64(r.ChoicePoints)
+	if r.Cuts > 0 {
+		r.NsPerCut = float64(e.cutTime.Nanoseconds()) / float64(r.Cuts)
 	}
 	if r.Restores > 0 {
-		r.NsPerRestore = float64(e.restoreTime.Nanoseconds()) / float64(r.Restores)
+		r.NsPerRestore = float64(e.rewindTime.Nanoseconds()) / float64(r.Restores)
 	}
 	if r.Candidates > 0 {
 		r.SleepHitRate = float64(r.PrunedBranches) / float64(r.Candidates)

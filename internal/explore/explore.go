@@ -5,12 +5,14 @@
 // seed, the explorer systematically enumerates the schedules a single
 // seed can take. It drives the kernel's schedule choice point
 // (sim.Chooser): whenever more than one event is co-enabled at a tick,
-// the explorer snapshots the complete run context (a
-// harness.Checkpoint, the same full cut checkpointed replay uses),
-// runs one candidate, and later rewinds the cut to run the
-// others, depth-first. Every completed schedule is asserted by the
-// streaming axiomatic checker (checker.Stream via core's StreamCheck)
-// plus the tester's own autonomous checks, so the result upgrades "no
+// the explorer runs one candidate and later rewinds to run the others,
+// depth-first. A rewind restores the nearest snapshot of the complete
+// run context (a harness.Checkpoint, the same full cut checkpointed
+// replay uses) at or above the decision and replays the path's own
+// schedule script from there, at most replayBound events. Every
+// completed schedule is asserted by the streaming axiomatic checker
+// (checker.Stream via core's StreamCheck) plus the tester's own
+// autonomous checks, so the result upgrades "no
 // violation in N random seeds" to "no violation in any explored
 // schedule of this seed up to depth D".
 //
@@ -105,12 +107,19 @@ type Result struct {
 	Schedules      uint64 `json:"schedules"`
 	PrunedPaths    uint64 `json:"prunedPaths"`
 	PrunedBranches uint64 `json:"prunedBranches"`
-	// ChoicePoints counts branching decision points snapshotted — one
-	// full cut each; Restores counts the rewinds to one of them.
-	ChoicePoints uint64 `json:"choicePoints"`
-	Restores     uint64 `json:"restores"`
-	// NsPerCut and NsPerRestore are the mean host time of one cut and
-	// one restore (wall clock, so not reproducible run to run).
+	// ChoicePoints counts branching decision points; Restores counts
+	// the rewinds to one of them. Cuts counts the full cuts taken — one
+	// at the first choice point, then one wherever the nearest cut on
+	// the path lay more than replayBound events back — and
+	// ReplayedEvents the events rewinds re-fired from a cut to reach
+	// their decision.
+	ChoicePoints   uint64 `json:"choicePoints"`
+	Restores       uint64 `json:"restores"`
+	Cuts           uint64 `json:"cuts"`
+	ReplayedEvents uint64 `json:"replayedEvents"`
+	// NsPerCut is the mean host time of one cut and NsPerRestore of one
+	// rewind, its replay included (wall clock, so not reproducible run
+	// to run).
 	NsPerCut     float64 `json:"nsPerCut"`
 	NsPerRestore float64 `json:"nsPerRestore"`
 	// FrontierDepths[d] counts the choice points opened at DFS depth d
@@ -168,27 +177,31 @@ func newRun(cfg *Config) *run {
 // Run explores the configured run's schedule space depth-first and
 // returns the exploration report. It stops at the first violating
 // schedule.
-func Run(cfg Config) (*Result, error) { return explore(cfg, nil) }
+func Run(cfg Config) (*Result, error) { return newEngine(cfg).explore() }
 
-// explore is Run with the engine's beforeReuse hook exposed.
-func explore(cfg Config, beforeReuse func(*node)) (*Result, error) {
+// newEngine builds the run under exploration with the engine attached
+// as its chooser.
+func newEngine(cfg Config) *engine {
 	if cfg.Depth <= 0 {
 		cfg.Depth = DefaultDepth
 	}
 	if cfg.Budget == 0 {
 		cfg.Budget = DefaultBudget
 	}
-	r := newRun(&cfg)
 	e := &engine{
-		cfg:  &cfg,
-		run:  r,
-		geom: newDepGeom(cfg.SysCfg),
-		res:  Result{Depth: cfg.Depth, Budget: cfg.Budget},
-
-		beforeReuse: beforeReuse,
+		cfg:         &cfg,
+		run:         newRun(&cfg),
+		geom:        newDepGeom(cfg.SysCfg),
+		res:         Result{Depth: cfg.Depth, Budget: cfg.Budget},
+		replayBound: replayBound,
 	}
-	r.K.SetChooser(e)
+	e.run.K.SetChooser(e)
+	return e
+}
 
+// explore runs the depth-first enumeration and detaches the engine.
+func (e *engine) explore() (*Result, error) {
+	r := e.run
 	r.Tester.Start()
 	for {
 		r.K.RunUntilIdle()

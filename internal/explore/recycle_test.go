@@ -3,8 +3,10 @@ package explore
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"unsafe"
@@ -160,45 +162,136 @@ var recycleCases = []recycleCase{
 		896, 1956, 678, 2643, 0, ""},
 }
 
+// engine builds the case's exploration with the given rewind bound and
+// reuse hook.
+func (tc recycleCase) engine(bound int, hook func(*node)) *engine {
+	sys := tc.sys
+	sys.Bugs = tc.bugs
+	e := newEngine(Config{SysCfg: sys, TestCfg: tc.tc, Depth: tc.depth, Budget: tc.budget, Prune: true})
+	e.replayBound, e.beforeReuse = bound, hook
+	return e
+}
+
+// check compares an exploration's outcome with the case's goldens.
+func (tc recycleCase) check(t *testing.T, res *Result) {
+	t.Helper()
+	if res.Schedules != tc.schedules || res.PrunedPaths != tc.prunedPaths ||
+		res.PrunedBranches != tc.prunedBranches || res.ChoicePoints != tc.choicePoints {
+		t.Fatalf("schedules/prunedPaths/prunedBranches/choicePoints = %d/%d/%d/%d, want %d/%d/%d/%d",
+			res.Schedules, res.PrunedPaths, res.PrunedBranches, res.ChoicePoints,
+			tc.schedules, tc.prunedPaths, tc.prunedBranches, tc.choicePoints)
+	}
+	if tc.artifactSHA == "" {
+		if res.Violation != nil {
+			t.Fatalf("clean exploration reported a violation: %+v", res.Violation)
+		}
+		return
+	}
+	if res.Artifact == nil {
+		t.Fatalf("no violating artifact: %+v", res)
+	}
+	data, err := res.Artifact.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); len(data) != tc.artifactLen || got != tc.artifactSHA {
+		t.Fatalf("artifact is %d bytes, sha256 %s; the parent commit's was %d bytes, sha256 %s",
+			len(data), got, tc.artifactLen, tc.artifactSHA)
+	}
+}
+
+// reuseModes are the two ways a dead node's storage reaches its next
+// decision: as it was left, and poisoned.
+var reuseModes = []struct {
+	name string
+	hook func(*node)
+}{{"recycled", nil}, {"poisoned", poisonNode}}
+
 // TestExploreRecycledCutsBitIdentical pins that recycling cut storage
 // per DFS depth changes nothing observable: result counts and violating
 // artifacts equal the parent commit's byte for byte, also when every
 // dead node is poisoned before its storage is reused.
 func TestExploreRecycledCutsBitIdentical(t *testing.T) {
 	for _, tc := range recycleCases {
-		for _, mode := range []struct {
-			name string
-			hook func(*node)
-		}{{"recycled", nil}, {"poisoned", poisonNode}} {
+		for _, mode := range reuseModes {
 			t.Run(tc.name+"/"+mode.name, func(t *testing.T) {
-				sys := tc.sys
-				sys.Bugs = tc.bugs
-				res, err := explore(Config{SysCfg: sys, TestCfg: tc.tc, Depth: tc.depth, Budget: tc.budget, Prune: true}, mode.hook)
+				res, err := tc.engine(replayBound, mode.hook).explore()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.Schedules != tc.schedules || res.PrunedPaths != tc.prunedPaths ||
-					res.PrunedBranches != tc.prunedBranches || res.ChoicePoints != tc.choicePoints {
-					t.Fatalf("schedules/prunedPaths/prunedBranches/choicePoints = %d/%d/%d/%d, want %d/%d/%d/%d",
-						res.Schedules, res.PrunedPaths, res.PrunedBranches, res.ChoicePoints,
-						tc.schedules, tc.prunedPaths, tc.prunedBranches, tc.choicePoints)
-				}
-				if tc.artifactSHA == "" {
-					if res.Violation != nil {
-						t.Fatalf("clean exploration reported a violation: %+v", res.Violation)
+				tc.check(t, res)
+			})
+		}
+	}
+}
+
+// replayWatch sits between the kernel and the engine and measures every
+// replay from outside: the calls a rewind spends before the engine
+// resumes its target decision.
+type replayWatch struct {
+	e                   *engine
+	run, longest, total int
+}
+
+func (w *replayWatch) Choose(now sim.Tick, cands []sim.Enabled) int {
+	replaying := w.e.resume
+	i := w.e.Choose(now, cands)
+	if replaying {
+		if w.e.resume {
+			w.run++
+			w.total++
+		} else {
+			w.longest, w.run = max(w.longest, w.run), 0
+		}
+	}
+	return i
+}
+
+// TestRewindPolicyEquivalent pins that where a rewind restores from
+// changes what it costs and nothing else. Every recycle case, recycled
+// and poisoned, runs with a cut at every choice point (bound 0), at the
+// shipped bound, and at the root only (unbounded): every Result field
+// but the wall-clock means, Cuts and ReplayedEvents is identical, every
+// artifact keeps its SHA-256, cuts fall as the bound grows, and no
+// replay is longer than the bound.
+func TestRewindPolicyEquivalent(t *testing.T) {
+	for _, tc := range recycleCases {
+		for _, mode := range reuseModes {
+			t.Run(tc.name+"/"+mode.name, func(t *testing.T) {
+				var first Result
+				var cuts uint64
+				for i, bound := range []int{0, replayBound, math.MaxInt} {
+					e := tc.engine(bound, mode.hook)
+					w := &replayWatch{e: e}
+					e.run.K.SetChooser(w)
+					res, err := e.explore()
+					if err != nil {
+						t.Fatal(err)
 					}
-					return
-				}
-				if res.Artifact == nil {
-					t.Fatalf("no violating artifact: %+v", res)
-				}
-				data, err := res.Artifact.Encode()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := fmt.Sprintf("%x", sha256.Sum256(data)); len(data) != tc.artifactLen || got != tc.artifactSHA {
-					t.Fatalf("artifact is %d bytes, sha256 %s; the parent commit's was %d bytes, sha256 %s",
-						len(data), got, tc.artifactLen, tc.artifactSHA)
+					tc.check(t, res)
+					if w.longest > bound || w.total != int(res.ReplayedEvents) {
+						t.Fatalf("bound %d: longest replay %d, %d events replayed; result says %d",
+							bound, w.longest, w.total, res.ReplayedEvents)
+					}
+					t.Logf("bound %d: %d cuts for %d choice points, %d rewinds replaying %d events (longest %d)",
+						bound, res.Cuts, res.ChoicePoints, res.Restores, res.ReplayedEvents, w.longest)
+					switch {
+					case bound == 0 && (res.Cuts != res.ChoicePoints || res.ReplayedEvents != 0),
+						bound == math.MaxInt && res.Cuts != 1,
+						i > 0 && res.Cuts > cuts:
+						t.Fatalf("bound %d: %d cuts for %d choice points (%d at the bound before), %d events replayed",
+							bound, res.Cuts, res.ChoicePoints, cuts, res.ReplayedEvents)
+					}
+					cuts = res.Cuts
+					got := *res
+					got.NsPerCut, got.NsPerRestore, got.Cuts, got.ReplayedEvents = 0, 0, 0, 0
+					if i == 0 {
+						first = got
+						continue
+					}
+					if !reflect.DeepEqual(got, first) {
+						t.Fatalf("bound %d diverged from a cut at every choice point:\n  got:  %+v\n  want: %+v", bound, got, first)
+					}
 				}
 			})
 		}
@@ -222,6 +315,45 @@ func (c *cutAt) Choose(now sim.Tick, cands []sim.Enabled) int {
 		c.mallocs = mallocs() - before
 	}
 	return 0
+}
+
+// TestExploreScheduleAllocs pins what a schedule of the reference
+// explore_dpor program (clean-wide13) costs the allocator. Every clean
+// schedule's verdict after the first (which grows Finish's scratch and
+// the cache journal) allocates nothing: Violated answers without
+// building a Report, and Stream.Finish sorts in its own scratch. The
+// whole exploration, building its run included (the benchmark's
+// allocs_per_op), stays at most 4.5 objects per schedule: 3 706 for
+// 896 schedules with the collector held off (a few dozen more under
+// the race detector), against 9 787 with a cut at every choice point
+// and a Report per verdict.
+func TestExploreScheduleAllocs(t *testing.T) {
+	tc := recycleCases[len(recycleCases)-1]
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	start := mallocs()
+	e := tc.engine(replayBound, nil)
+	e.run.Tester.Start()
+	for {
+		e.run.K.RunUntilIdle()
+		warm := !e.aborted && e.res.Schedules > 0
+		before := mallocs()
+		stop, err := e.scheduleDone()
+		if n := mallocs() - before; warm && n > 0 {
+			t.Fatalf("schedule %d: the verdict allocated %d objects", e.res.Schedules, n)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stop || !e.backtrack() {
+			break
+		}
+	}
+	total := mallocs() - start
+	tc.check(t, e.finish())
+	t.Logf("%d objects for %d schedules: %.3f per schedule", total, tc.schedules, float64(total)/float64(tc.schedules))
+	if total*2 > 9*tc.schedules {
+		t.Fatalf("%d objects for %d schedules, want at most 4.5 per schedule", total, tc.schedules)
+	}
 }
 
 func mallocs() uint64 {
