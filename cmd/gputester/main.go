@@ -88,13 +88,25 @@ import (
 	"drftest/internal/viper"
 )
 
+// countFlag is a count flag's value and the least value it admits.
+type countFlag struct {
+	name   string
+	n, min int
+}
+
 // validateFlags rejects contradictory flag combinations and values
 // out of range up front with a one-line error, before any
 // configuration or run state is built. The run modes (-explore,
 // -campaign, -serve, -worker, -daemon) are pairwise mutually
-// exclusive, and the exploration bounds are at least 1: the library
-// reads 0 as "use the default", which a flag must not do silently.
-func validateFlags(exploreMode, campaign bool, serve, workerURL, daemonURL string, exploreDepth int, exploreBudget uint64) error {
+// exclusive, and the exploration bounds and counts are at least their
+// minimum: the library reads 0 as "use the default", which a flag must
+// not do silently.
+func validateFlags(exploreMode, campaign bool, serve, workerURL, daemonURL string, exploreDepth int, exploreBudget uint64, counts []countFlag) error {
+	for _, c := range counts {
+		if c.n < c.min {
+			return fmt.Errorf("-%s %d: must be at least %d", c.name, c.n, c.min)
+		}
+	}
 	if exploreDepth < 1 {
 		return fmt.Errorf("-explore-depth %d: must be at least 1", exploreDepth)
 	}
@@ -167,7 +179,12 @@ func main() {
 	exploreBudget := flag.Uint64("explore-budget", explore.DefaultBudget, "explore: max schedules (completed + pruned) before stopping")
 	flag.Parse()
 
-	if err := validateFlags(*exploreMode, *campaign, *serve, *workerURL, *daemonURL, *exploreDepth, *exploreBudget); err != nil {
+	counts := []countFlag{
+		{"cus", *cus, 1}, {"l2slices", *slices, 1}, {"wfs", *wfs, 1}, {"lanes", *lanes, 1},
+		{"episodes", *episodes, 1}, {"actions", *actions, 2},
+		{"syncvars", *syncVars, 1}, {"datavars", *dataVars, 1},
+	}
+	if err := validateFlags(*exploreMode, *campaign, *serve, *workerURL, *daemonURL, *exploreDepth, *exploreBudget, counts); err != nil {
 		fmt.Fprintf(os.Stderr, "gputester: %v\n", err)
 		os.Exit(2)
 	}
@@ -235,6 +252,12 @@ func main() {
 	cfg.NumSyncVars = *syncVars
 	cfg.NumDataVars = *dataVars
 	cfg.RecordTrace = *axioms
+	for _, err := range []error{sysCfg.Validate(), cfg.Validate()} {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "gputester: %v\n", err)
+			exit(2)
+		}
+	}
 
 	switch {
 	case *serve != "":
@@ -340,6 +363,8 @@ func main() {
 		l2.RenderClassGrid(os.Stdout, impsb)
 	}
 	if *verbose {
+		fmt.Printf("  sampler        %d calls, %d draws, %d found no variable\n",
+			rep.Sampler.Calls, rep.Sampler.Draws, rep.Sampler.Empty)
 		fmt.Println("request latencies (ticks):")
 		for _, h := range r.Sys.Latencies().All() {
 			fmt.Printf("  %s\n", h)
@@ -665,6 +690,9 @@ func emitJSON(sysCfg viper.Config, cfg core.Config, rep *core.Report, col *cover
 		"simTicks":         rep.SimTicks,
 		"kernelEvents":     rep.EventsExecuted,
 		"falseSharedLines": rep.FalseSharedLines,
+		"samplerCalls":     rep.Sampler.Calls,
+		"samplerDraws":     rep.Sampler.Draws,
+		"samplerEmpty":     rep.Sampler.Empty,
 		"wallSeconds":      rep.WallTime.Seconds(),
 		"l1":               col.Matrix("GPU-L1"),
 		"l2":               col.Matrix(l2Name),

@@ -41,6 +41,7 @@ func TestSnapshotFieldAudit(t *testing.T) {
 		"opsIssued":       "state: captured via the snapshot's op counters",
 		"opsCompleted":    "state: captured via the snapshot's op counters",
 		"episodesRetired": "state: captured via the snapshot's op counters",
+		"sampler":         "state: generator counters, copied by value",
 	})
 	audit.Fields(t, episode{}, map[string]string{
 		"id":         "state: via copyEpisode (save and restore are the same copy)",
@@ -49,7 +50,7 @@ func TestSnapshotFieldAudit(t *testing.T) {
 		"next":       "state: copied",
 		"createSeq":  "state: copied",
 		"traceSeq":   "state: copied",
-		"claims":     "state: table CopyFrom into the destination's own (claim kinds and own-write values by variable ID)",
+		"claims":     "state: table CopyFrom into the destination's own (claim kinds by variable ID)",
 		"claimOrder": "state: deep slice copy (slab pointers by identity)",
 	})
 	audit.Fields(t, thread{}, map[string]string{
@@ -80,10 +81,13 @@ func TestSnapshotFieldAudit(t *testing.T) {
 		"seenOld":   "state: table CopyFrom in copyVar, into the destination's own table (nil on data variables)",
 		"completed": "state: via value copy",
 		"lastWIdx":  "state: via value copy (indexes the space's lastWriters, copied alongside)",
+		"pend":      "state: via value copy (the writer episode's latest own store)",
+		"pendSet":   "state: via value copy (whether pend holds an issued own store)",
 	})
 	audit.Fields(t, addressSpace{}, map[string]string{
-		"syncVars":    "config: views into the slab, survive Restore (slab restored in place)",
-		"dataVars":    "config: views into the slab",
+		"syncVars":    "config: view of the slab's first NumSyncVars entries, survives Restore (slab restored in place)",
+		"dataVars":    "config: view of the rest of the slab",
+		"words":       "derived: claim words recomputed from the slab by rebuild and by Restore (rederive), not captured",
 		"slab":        "state: every entry via copyVar",
 		"chosen":      "scratch: regenerated by rebuild, not captured",
 		"roles":       "scratch: regenerated by rebuild, not captured",
@@ -133,6 +137,7 @@ func TestSnapshotFieldAudit(t *testing.T) {
 		"opsIssued":       "cut: copied",
 		"opsCompleted":    "cut: copied",
 		"episodesRetired": "cut: copied",
+		"sampler":         "cut: copied",
 	})
 }
 

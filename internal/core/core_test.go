@@ -124,7 +124,7 @@ func TestAddressSpaceProperties(t *testing.T) {
 			return false
 		}
 		seen := map[mem.Addr]bool{}
-		for _, v := range append(append([]*variable{}, sp.syncVars...), sp.dataVars...) {
+		for _, v := range sp.slab {
 			if v.addr%mem.WordSize != 0 || uint64(v.addr) >= rangeBytes || seen[v.addr] {
 				return false
 			}
@@ -180,7 +180,8 @@ func TestEpisodeGenerationIsRaceFree(t *testing.T) {
 				live = append(live[:idx], live[idx+1:]...)
 			}
 			// Invariant check over every variable.
-			for _, v := range tester.space.dataVars {
+			for i := range tester.space.dataVars {
+				v := &tester.space.dataVars[i]
 				var writers, readers []uint64
 				var sum uint64
 				for _, ep := range live {
@@ -219,8 +220,8 @@ func TestEpisodeGenerationIsRaceFree(t *testing.T) {
 
 // held reads the claim kinds ep holds on v out of its claim table.
 func held(ep *episode, v *variable) claimKind {
-	c, _ := ep.claims.Get(v.id)
-	return c.kind
+	c, _ := ep.claims.Get(int(v.id))
+	return c
 }
 
 // TestEpisodeShape: every generated episode is acquire…actions…release

@@ -92,6 +92,35 @@ func (s *claimShadow) genDataOp(rnd *rng.PCG, eps uint64, storeFraction float64)
 	return i, opLoad
 }
 
+// held is the set of claims eps holds on variable i.
+func (s *claimShadow) held(i int, eps uint64) claimKind {
+	var k claimKind
+	if _, ok := s.readers[i][eps]; ok {
+		k |= claimRead
+	}
+	if s.writer[i] == eps {
+		k |= claimWrite
+	}
+	return k
+}
+
+// word is the claim word the shadow's claims on variable i encode to:
+// the sole claimer's ID and kinds, multiRead for several readers, or 0.
+func (s *claimShadow) word(i int) uint64 {
+	if w := s.writer[i]; w != 0 {
+		return w<<2 | uint64(s.held(i, w))
+	}
+	switch len(s.readers[i]) {
+	case 0:
+		return 0
+	case 1:
+		for r := range s.readers[i] {
+			return r<<2 | uint64(claimRead)
+		}
+	}
+	return multiRead
+}
+
 func (s *claimShadow) release(eps uint64) {
 	for i := range s.writer {
 		delete(s.readers[i], eps)
@@ -101,11 +130,12 @@ func (s *claimShadow) release(eps uint64) {
 	}
 }
 
-// recount checks every variable's claim fields and the space's two
-// counters against a full recount of the shadow.
+// recount checks every variable's claim fields, its claim word and the
+// space's two counters against a full recount of the shadow.
 func (s *claimShadow) recount(sp *addressSpace) error {
 	free, unwritten := 0, 0
-	for i, v := range sp.dataVars {
+	for i := range sp.dataVars {
+		v := &sp.dataVars[i]
 		var sum uint64
 		for r := range s.readers[i] {
 			sum += r
@@ -113,6 +143,9 @@ func (s *claimShadow) recount(sp *addressSpace) error {
 		if v.writer != s.writer[i] || int(v.readers) != len(s.readers[i]) || v.readerSum != sum {
 			return fmt.Errorf("data variable %d: writer/readers/readerSum = %d/%d/%d, recount says %d/%d/%d",
 				i, v.writer, v.readers, v.readerSum, s.writer[i], len(s.readers[i]), sum)
+		}
+		if got, want := sp.words[i], s.word(i); got != want {
+			return fmt.Errorf("data variable %d: claim word %#x, the shadow encodes to %#x", i, got, want)
 		}
 		if s.writer[i] == 0 {
 			unwritten++
@@ -134,7 +167,7 @@ func (s *claimShadow) recount(sp *addressSpace) error {
 // retirement, the product picks the same variable with the same op
 // kind as the plain sampler over a map-of-sets shadow, and leaves the
 // RNG in the same state, after every single call; and after every step
-// the claim fields and counters equal a full recount. The 16- and
+// the claim fields, claim words and counters equal a full recount. The 16- and
 // 64-variable spaces saturate (most calls face no candidate); the
 // 4 096-variable one never does.
 func TestGeneratorMatchesPlainSampler(t *testing.T) {
@@ -150,8 +183,8 @@ func TestGeneratorMatchesPlainSampler(t *testing.T) {
 			tester := New(k, viper.NewSystem(k, viper.SmallCacheConfig(), nil), cfg)
 			sp := tester.space
 			index := make(map[*variable]int, numData)
-			for i, v := range sp.dataVars {
-				index[v] = i
+			for i := range sp.dataVars {
+				index[&sp.dataVars[i]] = i
 			}
 			shadow := newClaimShadow(numData)
 			var skipped, calls int
@@ -214,5 +247,82 @@ func TestGeneratorMatchesPlainSampler(t *testing.T) {
 				t.Fatalf("vars=%d seed=%d: %d of %d generator calls faced a kind with no candidate", numData, seed, skipped, calls)
 			}
 		}
+	}
+}
+
+// FuzzClaimWords drives the claim words directly: the input decodes as
+// (episode, variable, kind, claim|release) steps over 6 episodes and 16
+// data variables, applied through claim and release under the DRF rules
+// (a claim the shadow does not admit, or a repeat of one held, is
+// skipped). After every step each word must equal the shadow's
+// encoding, both admissibility answers must match the shadow's for every
+// episode and variable, and heldBy must name what each holder holds.
+func FuzzClaimWords(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 2, 0, 0, 0, 0, 1, 0, 0, 3})
+	f.Add([]byte{0, 3, 1, 0, 3, 0, 0, 3, 2, 0, 3, 3, 1, 3, 0, 1, 3, 2})
+	f.Add([]byte{5, 15, 0, 4, 15, 0, 3, 15, 0, 4, 15, 2, 5, 15, 2, 3, 15, 1})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		const numEps, numData = 6, 16
+		sp := buildAddressSpace(rng.New(1, 1), 2, numData, 4*4*(2+numData), 64)
+		shadow := newClaimShadow(numData)
+		for len(in) >= 3 {
+			eps, i, op := uint64(in[0]%numEps)+1, int(in[1]%numData), in[2]
+			in = in[3:]
+			v := &sp.dataVars[i]
+			if op&2 != 0 {
+				if held := shadow.held(i, eps); held != 0 {
+					sp.release(v, eps, held)
+					delete(shadow.readers[i], eps)
+					if held&claimWrite != 0 {
+						shadow.writer[i] = 0
+					}
+				}
+			} else if store := op&1 != 0; store && shadow.canStore(i, eps) && shadow.writer[i] != eps {
+				sp.claim(v, eps, claimWrite)
+				shadow.writer[i] = eps
+			} else if _, reads := shadow.readers[i][eps]; !store && shadow.canLoad(i, eps) && !reads {
+				sp.claim(v, eps, claimRead)
+				shadow.readers[i][eps] = struct{}{}
+			}
+			if err := shadow.recount(sp); err != nil {
+				t.Fatal(err)
+			}
+			for j := range sp.dataVars {
+				v := &sp.dataVars[j]
+				for e := uint64(1); e <= numEps; e++ {
+					if got, want := admits(sp.words[j], e, true), shadow.canStore(j, e); got != want {
+						t.Fatalf("variable %d, episode %d: word %#x admits a store %v, the shadow says %v", j, e, sp.words[j], got, want)
+					}
+					if got, want := admits(sp.words[j], e, false), shadow.canLoad(j, e); got != want {
+						t.Fatalf("variable %d, episode %d: word %#x admits a load %v, the shadow says %v", j, e, sp.words[j], got, want)
+					}
+					if held := shadow.held(j, e); held != 0 && v.heldBy(e) != held {
+						t.Fatalf("variable %d, episode %d: heldBy says %d, the shadow %d", j, e, v.heldBy(e), held)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestSamplerCountsPinned pins the generator's traffic counters for one
+// small fixed config: they are exact, so any change to the sampler's
+// draw sequence moves them. The 48-variable space saturates, so some
+// calls find no admissible variable.
+func TestSamplerCountsPinned(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NumWavefronts = 8
+	cfg.EpisodesPerThread = 4
+	cfg.ActionsPerEpisode = 30
+	cfg.NumSyncVars = 4
+	cfg.NumDataVars = 48
+	k := sim.NewKernel()
+	rep := New(k, viper.NewSystem(k, viper.SmallCacheConfig(), nil), cfg).Run()
+	if !rep.Passed() {
+		t.Fatalf("run failed: %v", rep.Failures)
+	}
+	want := SamplerStats{Calls: 4965, Draws: 10435, Empty: 1381}
+	if rep.Sampler != want {
+		t.Fatalf("sampler counters %+v, want %+v", rep.Sampler, want)
 	}
 }

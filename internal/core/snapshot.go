@@ -36,8 +36,9 @@ import (
 // only for state that outgrew what it held last time.
 
 // spaceSave captures the address space: every slab variable (claims,
-// reference values, atomic bookkeeping), the claim counters and the
-// random address mapping.
+// reference and pending own-store values, atomic bookkeeping), the
+// claim counters and the random address mapping. The claim words are
+// derived from the slab, so Restore recomputes them instead.
 type spaceSave struct {
 	slab            []variable
 	addrs           []mem.Addr
@@ -91,6 +92,7 @@ type TesterSnapshot struct {
 	reqSlab []mem.Request
 
 	opsIssued, opsCompleted, episodesRetired uint64
+	sampler                                  SamplerStats
 }
 
 // OpsCompleted returns the number of operations completed so far — the
@@ -190,6 +192,7 @@ func (t *Tester) SnapshotInto(s *TesterSnapshot) *TesterSnapshot {
 	s.opsIssued = t.opsIssued
 	s.opsCompleted = t.opsCompleted
 	s.episodesRetired = t.episodesRetired
+	s.sampler = t.sampler
 	return s
 }
 
@@ -215,6 +218,7 @@ func (t *Tester) Restore(s *TesterSnapshot) {
 	t.space.addrs = append(t.space.addrs[:0], s.space.addrs...)
 	t.space.lastWriters = append(t.space.lastWriters[:0], s.space.lastWriters...)
 	t.space.free, t.space.unwritten, t.space.falseShared = s.space.free, s.space.unwritten, s.space.falseShared
+	t.space.rederive()
 	// Abandoned episodes go to the free list first, so the restored
 	// ones below are refills of them rather than fresh structs. The
 	// free list itself is not part of a cut: its episodes are
@@ -258,6 +262,7 @@ func (t *Tester) Restore(s *TesterSnapshot) {
 	t.opsIssued = s.opsIssued
 	t.opsCompleted = s.opsCompleted
 	t.episodesRetired = s.episodesRetired
+	t.sampler = s.sampler
 }
 
 // Fork rearms the tester and its systems for a fresh run from seed by

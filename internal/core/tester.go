@@ -65,19 +65,13 @@ type episode struct {
 	next      int
 	createSeq uint64
 	traceSeq  int
-	claims    table.Table[int, claim] // by variable ID
+	// claims holds the kinds of access the episode claimed at
+	// generation, by variable ID: what claimOp asks to tell a first claim
+	// of a kind from a repeat.
+	claims table.Table[int, claimKind]
 	// claimOrder lists claimed variables in claim order: retirement and
 	// the generator's candidate test walk it instead of the table.
 	claimOrder []*variable
-}
-
-// claim is what one episode holds on one variable: the kinds of access
-// it claimed at generation and, once a store of its own has issued, the
-// latest value it wrote.
-type claim struct {
-	value uint32
-	kind  claimKind
-	wrote bool
 }
 
 // thread is one tester lane.
@@ -141,6 +135,7 @@ type Tester struct {
 
 	// stats
 	opsIssued, opsCompleted, episodesRetired uint64
+	sampler                                  SamplerStats
 }
 
 // New builds a tester over sys. The tester registers itself as every
@@ -253,6 +248,7 @@ func (t *Tester) Reset(seed uint64) {
 	t.finishedWFs = 0
 	t.done = false
 	t.opsIssued, t.opsCompleted, t.episodesRetired = 0, 0, 0
+	t.sampler = SamplerStats{}
 }
 
 // ResetWithConfig is Reset for a run whose tester configuration also
@@ -397,8 +393,7 @@ func (t *Tester) issueOp(wf *wavefront, thr *thread, op genOp) {
 		req.Data = op.storeVal
 		// The thread's own later loads must observe this value from
 		// issue onward (program order).
-		c := thr.ep.claims.Ptr(op.v.id)
-		c.value, c.wrote = op.storeVal, true
+		op.v.pend, op.v.pendSet = op.storeVal, true
 	}
 	wf.outstanding++
 	t.opsIssued++
@@ -436,7 +431,7 @@ func (t *Tester) newEpisode() *episode {
 		claimOrder: ep.claimOrder[:0],
 	}
 	ep.id = t.nextEpisodeID
-	ep.sync = t.space.syncVars[t.rnd.Intn(len(t.space.syncVars))]
+	ep.sync = &t.space.syncVars[t.rnd.Intn(len(t.space.syncVars))]
 	t.genSeq++
 	ep.createSeq = t.genSeq
 	if t.trace != nil {
@@ -471,9 +466,9 @@ func (t *Tester) genDataOp(ep *episode) genOp {
 		return t.claimOp(ep, v, !wantStore)
 	}
 	if t.space.admitsAny(ep, false) {
-		for _, v := range t.space.dataVars {
-			if v.canLoad(ep.id) {
-				return t.claimOp(ep, v, false)
+		for i, w := range t.space.words {
+			if admits(w, ep.id, false) {
+				return t.claimOp(ep, &t.space.dataVars[i], false)
 			}
 		}
 	}
@@ -488,30 +483,36 @@ const sampleTries = 64
 // every try would be drawn and rejected, so the tries are skipped: the
 // stream advances by what they would have drawn (one Intn each, two
 // steps) and every later draw of the run is the one it always was.
+// A draw tests the drawn variable's claim word, not the variable.
 func (t *Tester) pickData(ep *episode, store bool) *variable {
+	t.sampler.Calls++
 	if !t.space.admitsAny(ep, store) {
+		t.sampler.Empty++
 		t.rnd.Skip(2 * sampleTries)
 		return nil
 	}
-	vars := t.space.dataVars
+	words := t.space.words
 	for try := 0; try < sampleTries; try++ {
-		if v := vars[t.rnd.Intn(len(vars))]; v.admits(ep.id, store) {
-			return v
+		if i := t.rnd.Intn(len(words)); admits(words[i], ep.id, store) {
+			t.sampler.Draws += uint64(try + 1)
+			return &t.space.dataVars[i]
 		}
 	}
+	t.sampler.Draws += sampleTries
+	t.sampler.Empty++
 	return nil
 }
 
 func (t *Tester) claimOp(ep *episode, v *variable, store bool) genOp {
-	want, held := claimRead, ep.claims.Slot(v.id)
+	want, held := claimRead, ep.claims.Slot(int(v.id))
 	if store {
 		want = claimWrite
 	}
-	if held.kind == 0 {
+	if *held == 0 {
 		ep.claimOrder = append(ep.claimOrder, v)
 	}
-	if held.kind&want == 0 {
-		held.kind |= want
+	if *held&want == 0 {
+		*held |= want
 		t.space.claim(v, ep.id, want)
 	}
 	if store {
@@ -579,9 +580,9 @@ func (t *Tester) HandleResponse(resp *mem.Response) {
 // checkLoad enforces the DRF value rule: a load sees the episode's own
 // latest store to the variable, or the globally retired value.
 func (t *Tester) checkLoad(ep *episode, v *variable, rec AccessRecord, resp *mem.Response) {
-	expected, own := v.value, false
-	if c := ep.claims.Ptr(v.id); c.wrote {
-		expected, own = c.value, true
+	expected, own := v.value, v.writer == ep.id && v.pendSet
+	if own {
+		expected = v.pend
 	}
 	if resp.Data == expected {
 		return
@@ -642,7 +643,7 @@ func (t *Tester) checkAtomic(v *variable, rec AccessRecord) {
 func (t *Tester) buildTraceOp(thr *thread, ep *episode, op genOp, req *mem.Request, resp *mem.Response) checker.Op {
 	ep.traceSeq++
 	top := checker.Op{
-		Var:     op.v.id,
+		Var:     int(op.v.id),
 		Sync:    op.v.sync,
 		Thread:  thr.id,
 		Episode: ep.id,
@@ -676,11 +677,10 @@ func (t *Tester) retire(thr *thread, ep *episode) {
 		t.stream.RetireEpisode(ep.id, t.genSeq)
 	}
 	for _, v := range ep.claimOrder {
-		c := ep.claims.Ptr(v.id)
-		if c.wrote {
-			v.value = c.value
+		if v.writer == ep.id && v.pendSet {
+			v.value, v.pendSet = v.pend, false
 		}
-		t.space.release(v, ep.id, c.kind)
+		t.space.release(v, ep.id, v.heldBy(ep.id))
 	}
 	t.episodesRetired++
 	// Nothing references a retired episode (its last op has completed
@@ -808,7 +808,8 @@ func (t *Tester) AuditStore(store *mem.Store) {
 			})
 		}
 	}
-	for _, v := range t.space.dataVars {
+	for i := range t.space.dataVars {
+		v := &t.space.dataVars[i]
 		if got := store.ReadWord(v.addr); got != v.value {
 			t.failures = append(t.failures, &Failure{
 				Kind: FailFinalAudit, Addr: v.addr, Expected: v.value, Got: got,
@@ -818,7 +819,8 @@ func (t *Tester) AuditStore(store *mem.Store) {
 			})
 		}
 	}
-	for _, v := range t.space.syncVars {
+	for i := range t.space.syncVars {
+		v := &t.space.syncVars[i]
 		want := uint32(v.completed) * t.cfg.AtomicDelta
 		if got := store.ReadWord(v.addr); got != want {
 			t.failures = append(t.failures, &Failure{
@@ -849,7 +851,23 @@ type Report struct {
 	EpisodesRetired  uint64
 	Transactions     uint64
 	FalseSharedLines int
-	WallTime         time.Duration
+	// Sampler counts the data-variable generator's rejection sampling.
+	Sampler  SamplerStats
+	WallTime time.Duration
+}
+
+// SamplerStats counts the generator's rejection-sampling traffic. The
+// counts are exact and deterministic for a fixed config and seed.
+type SamplerStats struct {
+	// Calls is the number of sampling calls: one per wanted kind, plus
+	// one per opposite-kind fallback.
+	Calls uint64
+	// Draws is the number of variables drawn and tested.
+	Draws uint64
+	// Empty is the number of calls that found no admissible variable:
+	// either none existed (the tries were skipped, drawing nothing) or
+	// every one of the 64 draws was rejected.
+	Empty uint64
 }
 
 // Passed reports whether the run found no bugs.
@@ -874,5 +892,6 @@ func (t *Tester) report() *Report {
 		EpisodesRetired:  t.episodesRetired,
 		Transactions:     t.log.Total(),
 		FalseSharedLines: t.space.falseShared,
+		Sampler:          t.sampler,
 	}
 }

@@ -39,15 +39,15 @@ const (
 // separation of §III.A. The narrow fields share words: a large space is
 // one slab of these, and it is rebuilt per seed.
 type variable struct {
-	id   int
 	addr mem.Addr
 
 	// Claims by live episodes enforcing the two §III.A race-freedom
 	// rules. writer==0 means unclaimed (episode IDs start at 1). Readers
 	// are a count and the wrapping sum of their episode IDs, which is the
-	// one reader's ID exactly when the count is 1 — all canStore asks.
-	// Each episode claims a variable at most once per kind (its own
-	// claims table says which), so count and sum stay exact.
+	// one reader's ID exactly when the count is 1. Each episode claims a
+	// variable at most once per kind (its own claims table says which),
+	// so count and sum stay exact. The space's claim word for the
+	// variable is derived from these three.
 	writer    uint64
 	readerSum uint64
 
@@ -57,38 +57,75 @@ type variable struct {
 	seenOld   *table.Table[uint32, AccessRecord]
 	completed uint64
 
+	id      int32
 	readers uint32
-	sync    bool
 
 	// value is the retired reference value (data variables): what any
 	// load outside the writing episode must observe.
 	value uint32
+
+	// pend is the latest value the writer episode has stored, valid
+	// while pendSet: its own later loads must observe it, and retiring
+	// makes it value. The write claim excludes every other episode, so
+	// only the writer reads or writes these two.
+	pend uint32
 
 	// lastWIdx indexes the address space's lastWriters side slice, -1
 	// when the variable was never stored. Keeping the 48-byte record
 	// out of line shrinks the slab by ~2/3: a large space has far more
 	// variables than any run ever stores to.
 	lastWIdx int32
+
+	sync    bool
+	pendSet bool
 }
 
-// canLoad reports whether episode eps may generate a load of v: no
-// *other* live episode may be storing it.
-func (v *variable) canLoad(eps uint64) bool {
-	return v.writer == 0 || v.writer == eps
-}
-
-// canStore reports whether episode eps may generate a store of v: no
-// other live episode may be loading or storing it.
-func (v *variable) canStore(eps uint64) bool {
-	return v.canLoad(eps) && (v.readers == 0 || v.readers == 1 && v.readerSum == eps)
-}
-
-// admits is canStore or canLoad by the kind of access asked for.
-func (v *variable) admits(eps uint64, store bool) bool {
-	if store {
-		return v.canStore(eps)
+// heldBy returns the claims episode eps holds on v, which it must have
+// claimed: eps holds the write claim iff it is the writer, and a read
+// claim iff it is not the writer (it claimed something) or it is the
+// writer and the one reader (a writer excludes every other reader).
+func (v *variable) heldBy(eps uint64) claimKind {
+	if v.writer != eps {
+		return claimRead
 	}
-	return v.canLoad(eps)
+	if v.readers == 1 {
+		return claimWrite | claimRead
+	}
+	return claimWrite
+}
+
+// A claim word encodes every live claim on one data variable in one
+// uint64. Only three states are reachable, because a writer excludes
+// every other claimer and two readers exclude a writer: 0 (unclaimed),
+// eps<<2 | kinds (episode eps alone holds kinds), and multiRead (two or
+// more episodes read it, none writes). multiRead is a read claim by
+// episode 0, which does not exist, so it names no episode.
+const multiRead = uint64(claimRead)
+
+// claimWord encodes v's claims.
+func claimWord(v *variable) uint64 {
+	switch {
+	case v.writer != 0:
+		return v.writer<<2 | uint64(v.heldBy(v.writer))
+	case v.readers == 1:
+		return v.readerSum<<2 | uint64(claimRead)
+	case v.readers > 1:
+		return multiRead
+	}
+	return 0
+}
+
+// admits reports whether claim word w admits an access by episode eps:
+// a store when nobody else claims the variable, a load when nobody else
+// writes it.
+func admits(w, eps uint64, store bool) bool {
+	if w>>2 == eps {
+		return true
+	}
+	if store {
+		return w == 0
+	}
+	return w&uint64(claimWrite) == 0
 }
 
 // addressSpace maps variables to random word-aligned addresses in a
@@ -97,8 +134,17 @@ func (v *variable) admits(eps uint64, store bool) bool {
 // variables — including sync next to data — land in the same cache
 // line, which is the false-sharing engine of the whole methodology.
 type addressSpace struct {
-	syncVars []*variable
-	dataVars []*variable
+	// syncVars and dataVars are the two classes' views of the slab: the
+	// first numSync sampled slots are sync variables.
+	syncVars []variable
+	dataVars []variable
+
+	// words holds one claim word per data variable, in dataVars order:
+	// the generator's one admissibility test reads a dense 8-byte word
+	// per draw instead of a slab entry. Derived from the slab — claim
+	// and release rewrite a variable's word, rebuild and rederive
+	// recompute them all.
+	words []uint64
 
 	// slab/chosen/roles/addrs are the backing storage, retained so
 	// rebuild (campaign reset path) can regenerate the mapping without
@@ -126,18 +172,31 @@ type addressSpace struct {
 	lineSize, falseShared int
 }
 
+// word returns the claim word slot of data variable v.
+func (sp *addressSpace) word(v *variable) *uint64 {
+	return &sp.words[int(v.id)-len(sp.syncVars)]
+}
+
+// rederive recomputes every claim word from the slab.
+func (sp *addressSpace) rederive() {
+	for i := range sp.dataVars {
+		sp.words[i] = claimWord(&sp.dataVars[i])
+	}
+}
+
 // claim records episode eps's first claim of kind on v.
 func (sp *addressSpace) claim(v *variable, eps uint64, kind claimKind) {
 	if v.writer == 0 && v.readers == 0 {
 		sp.free--
 	}
 	if kind == claimWrite {
-		v.writer = eps // was 0: canStore held and eps had no write claim
+		v.writer = eps // was 0: the word admitted a store and eps had no write claim
 		sp.unwritten--
 	} else {
 		v.readers++
 		v.readerSum += eps
 	}
+	*sp.word(v) = claimWord(v)
 }
 
 // release drops every claim (held) a retiring episode eps has on v.
@@ -153,6 +212,7 @@ func (sp *addressSpace) release(v *variable, eps uint64, held claimKind) {
 	if v.writer == 0 && v.readers == 0 {
 		sp.free++
 	}
+	*sp.word(v) = claimWord(v)
 }
 
 // admitsAny reports whether any data variable admits an access of the
@@ -164,7 +224,7 @@ func (sp *addressSpace) admitsAny(ep *episode, store bool) bool {
 		return true
 	}
 	for _, v := range ep.claimOrder {
-		if v.admits(ep.id, store) {
+		if admits(*sp.word(v), ep.id, store) {
 			return true
 		}
 	}
@@ -196,11 +256,12 @@ func buildAddressSpace(rnd *rng.PCG, numSync, numData int, rangeBytes uint64, li
 }
 
 // rebuild regenerates the random variable→address mapping in place with
-// fresh randomness, reusing the variable slab, the sampling bitset, and
-// the sync variables' old-value tables from a previous build when the
-// shape allows. A rebuilt space is semantically indistinguishable from
-// a fresh one: every scalar field is reassigned, and retained tables
-// are cleared (seenOld is lookup-only).
+// fresh randomness, reusing the variable slab, the claim words, the
+// sampling bitset, and the sync variables' old-value tables from a
+// previous build when the shape allows. A rebuilt space is
+// semantically indistinguishable from a fresh one: every scalar field
+// is reassigned, and retained tables are cleared (seenOld is
+// lookup-only).
 func (sp *addressSpace) rebuild(rnd *rng.PCG, numSync, numData int, rangeBytes uint64, lineSize int) {
 	total := numSync + numData
 	slots := int(rangeBytes / mem.WordSize)
@@ -239,11 +300,14 @@ func (sp *addressSpace) rebuild(rnd *rng.PCG, numSync, numData int, rangeBytes u
 	// allocation, not 100k.
 	if len(sp.slab) != total {
 		sp.slab = make([]variable, total)
-		sp.syncVars = make([]*variable, 0, numSync)
-		sp.dataVars = make([]*variable, 0, numData)
 	}
-	sp.syncVars = sp.syncVars[:0]
-	sp.dataVars = sp.dataVars[:0]
+	sp.syncVars, sp.dataVars = sp.slab[:numSync], sp.slab[numSync:]
+	if cap(sp.words) < numData {
+		sp.words = make([]uint64, numData)
+	} else {
+		sp.words = sp.words[:numData]
+		clear(sp.words)
+	}
 	sp.lastWriters = sp.lastWriters[:0]
 	sp.free, sp.unwritten = numData, numData
 	sp.lineSize, sp.falseShared = lineSize, 0
@@ -251,7 +315,7 @@ func (sp *addressSpace) rebuild(rnd *rng.PCG, numSync, numData int, rangeBytes u
 	for i, a := range sp.addrs {
 		v := &sp.slab[i]
 		seenOld := v.seenOld
-		*v = variable{id: i, sync: i < numSync, addr: a, lastWIdx: -1}
+		*v = variable{id: int32(i), sync: i < numSync, addr: a, lastWIdx: -1}
 		role := &sp.roles[a/mem.Addr(lineSize)]
 		if v.sync {
 			*role |= 1
@@ -260,9 +324,7 @@ func (sp *addressSpace) rebuild(rnd *rng.PCG, numSync, numData int, rangeBytes u
 			}
 			seenOld.Clear()
 			v.seenOld = seenOld
-			sp.syncVars = append(sp.syncVars, v)
 		} else {
-			sp.dataVars = append(sp.dataVars, v)
 			if *role == 1 {
 				sp.falseShared++ // sync variables come first: the line's first data variable
 			}
