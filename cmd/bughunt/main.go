@@ -12,38 +12,31 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
-	"drftest/internal/core"
-	"drftest/internal/coverage"
-	"drftest/internal/sim"
+	"drftest/internal/harness"
 	"drftest/internal/viper"
 )
 
-var bugSets = map[string]viper.BugSet{
-	"lostwrite":    {LostWriteRace: true},
-	"nonatomic":    {NonAtomicRMW: true},
-	"dropack":      {DropWBAckEvery: 20},
-	"staleacquire": {StaleAcquire: true},
-}
-
 func main() {
-	bug := flag.String("bug", "all", "bug to inject: lostwrite|nonatomic|dropack|staleacquire|all")
+	bug := flag.String("bug", "all", "bug to inject: "+strings.Join(viper.BugNames(), "|")+"|all")
 	seed := flag.Uint64("seed", 1, "starting seed (hunts across 16 seeds)")
 	flag.Parse()
 
-	names := []string{"lostwrite", "nonatomic", "dropack", "staleacquire"}
+	bugs := viper.Bugs
 	if *bug != "all" {
-		if _, ok := bugSets[*bug]; !ok {
-			fmt.Fprintf(os.Stderr, "unknown bug %q\n", *bug)
+		set, err := viper.ParseBug(*bug)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		names = []string{*bug}
+		bugs = []viper.Bug{{Name: *bug, Set: set}}
 	}
 
 	missed := 0
-	for _, name := range names {
-		fmt.Printf("=== injecting %s ===\n", name)
-		if !hunt(name, bugSets[name], *seed) {
+	for _, b := range bugs {
+		fmt.Printf("=== injecting %s ===\n", b.Name)
+		if !hunt(b.Set, *seed) {
 			fmt.Println("bug NOT detected within 16 seeds")
 			missed++
 		}
@@ -54,28 +47,10 @@ func main() {
 	}
 }
 
-func hunt(name string, bugs viper.BugSet, seed uint64) bool {
+func hunt(bugs viper.BugSet, seed uint64) bool {
 	for s := seed; s < seed+16; s++ {
-		k := sim.NewKernel()
-		col := coverage.NewCollector(viper.NewTCPSpec(), viper.NewTCCSpec())
-		sysCfg := viper.SmallCacheConfig()
-		sysCfg.Bugs = bugs
-		sys := viper.NewSystem(k, sysCfg, col)
-
-		cfg := core.DefaultConfig()
-		cfg.Seed = s
-		cfg.NumWavefronts = 8
-		cfg.EpisodesPerThread = 8
-		cfg.ActionsPerEpisode = 30
-		cfg.NumSyncVars = 4
-		cfg.NumDataVars = 48
-		cfg.StoreFraction = 0.6
-		if name == "dropack" {
-			cfg.DeadlockThreshold = 20_000
-			cfg.CheckPeriod = 5_000
-		}
-		tester := core.New(k, sys, cfg)
-		rep := tester.Run()
+		sys, cfg := harness.BugHuntConfigs(bugs, s)
+		rep := harness.NewGPURun(sys, cfg, false, 0).Tester.Run()
 		if rep.Passed() {
 			continue
 		}

@@ -193,7 +193,7 @@ func (g *gen) fig10() *harness.Fig10Result {
 func (g *gen) tableV() {
 	fmt.Fprintln(g.w, "TABLE V. AN EXAMPLE OF A READ-WRITE INCONSISTENCY BUG")
 	for seed := g.seed; seed < g.seed+32; seed++ {
-		rep := runBug(viper.BugSet{LostWriteRace: true}, seed, 0)
+		rep := runBug(viper.BugSet{LostWriteRace: true}, seed)
 		for _, f := range rep.Failures {
 			if f.Kind == core.FailValueMismatch && f.LastReader != nil && f.LastWriter != nil {
 				fmt.Fprint(g.w, f.TableV())
@@ -207,20 +207,10 @@ func (g *gen) tableV() {
 // caseStudy reproduces §V: each injected bug class is detected.
 func (g *gen) caseStudy() {
 	fmt.Fprintln(g.w, "Case study (§V): injected bugs and how the tester catches them")
-	cases := []struct {
-		name string
-		bugs viper.BugSet
-		ddl  uint64
-	}{
-		{"lost write on false-sharing race at L2", viper.BugSet{LostWriteRace: true}, 0},
-		{"non-atomic read-modify-write at L2", viper.BugSet{NonAtomicRMW: true}, 0},
-		{"dropped write-completion ack", viper.BugSet{DropWBAckEvery: 20}, 20_000},
-		{"skipped flash-invalidate on acquire", viper.BugSet{StaleAcquire: true}, 0},
-	}
-	for _, c := range cases {
+	for _, b := range viper.Bugs {
 		detected := ""
 		for seed := g.seed; seed < g.seed+8; seed++ {
-			rep := runBug(c.bugs, seed, c.ddl)
+			rep := runBug(b.Set, seed)
 			if len(rep.Failures) > 0 {
 				detected = fmt.Sprintf("detected at tick %d as %s (seed %d)",
 					rep.Failures[0].Tick, rep.Failures[0].Kind, seed)
@@ -230,7 +220,7 @@ func (g *gen) caseStudy() {
 		if detected == "" {
 			detected = "NOT DETECTED"
 		}
-		fmt.Fprintf(g.w, "  %-42s %s\n", c.name+":", detected)
+		fmt.Fprintf(g.w, "  %-42s %s\n", b.Doc+":", detected)
 	}
 }
 
@@ -300,40 +290,17 @@ func (g *gen) protocolWB() {
 
 	detected := 0
 	for seed := g.seed; seed < g.seed+8; seed++ {
-		bugCfg := sysCfg
-		bugCfg.Bugs = viper.BugSet{NonAtomicRMW: true}
-		bb := harness.BuildGPU(bugCfg)
-		c := core.DefaultConfig()
-		c.Seed = seed
-		c.NumWavefronts = 8
-		c.EpisodesPerThread = 8
-		c.ActionsPerEpisode = 30
-		c.NumSyncVars = 4
-		c.NumDataVars = 48
-		c.StoreFraction = 0.6
-		if r := core.New(bb.K, bb.Sys, c).Run(); !r.Passed() {
+		bugCfg, c := harness.BugHuntConfigs(viper.BugSet{NonAtomicRMW: true}, seed)
+		bugCfg.WriteBackL2 = true
+		if r := harness.NewGPURun(bugCfg, c, false, 0).Tester.Run(); !r.Passed() {
 			detected++
 		}
 	}
 	fmt.Fprintf(g.w, "  NonAtomicRMW injected into VIPER-WB: detected in %d/8 seeds\n", detected)
 }
 
-func runBug(bugs viper.BugSet, seed uint64, deadlockThreshold uint64) *core.Report {
-	k := sim.NewKernel()
-	sysCfg := viper.SmallCacheConfig()
-	sysCfg.Bugs = bugs
-	sys := viper.NewSystem(k, sysCfg, nil)
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
-	cfg.NumWavefronts = 8
-	cfg.EpisodesPerThread = 8
-	cfg.ActionsPerEpisode = 30
-	cfg.NumSyncVars = 4
-	cfg.NumDataVars = 48
-	cfg.StoreFraction = 0.6
-	if deadlockThreshold != 0 {
-		cfg.DeadlockThreshold = deadlockThreshold
-		cfg.CheckPeriod = sim.Tick(deadlockThreshold / 4)
-	}
-	return core.New(k, sys, cfg).Run()
+// runBug runs the §V case study's configuration (cmd/bughunt's) at seed.
+func runBug(bugs viper.BugSet, seed uint64) *core.Report {
+	sys, cfg := harness.BugHuntConfigs(bugs, seed)
+	return harness.NewGPURun(sys, cfg, false, 0).Tester.Run()
 }

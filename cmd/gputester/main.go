@@ -147,7 +147,7 @@ func main() {
 	syncVars := flag.Int("syncvars", 10, "synchronization (atomic) locations")
 	dataVars := flag.Int("datavars", 100_000, "regular data locations")
 	seed := flag.Uint64("seed", 1, "random seed (same seed = identical run)")
-	bug := flag.String("bug", "", "inject a protocol bug: lostwrite|nonatomic|dropack|staleacquire")
+	bug := flag.String("bug", "", "inject a protocol bug: "+strings.Join(viper.BugNames(), "|"))
 	heatmap := flag.Bool("heatmap", false, "print transition hit-frequency heat maps")
 	grid := flag.Bool("grid", false, "print transition classification grids")
 	verbose := flag.Bool("v", false, "print request latencies and the transaction log tail")
@@ -228,19 +228,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	switch *bug {
-	case "":
-	case "lostwrite":
-		sysCfg.Bugs.LostWriteRace = true
-	case "nonatomic":
-		sysCfg.Bugs.NonAtomicRMW = true
-	case "dropack":
-		sysCfg.Bugs.DropWBAckEvery = 20
-	case "staleacquire":
-		sysCfg.Bugs.StaleAcquire = true
-	default:
-		fmt.Fprintf(os.Stderr, "unknown bug %q\n", *bug)
-		os.Exit(2)
+	if *bug != "" {
+		if sysCfg.Bugs, err = viper.ParseBug(*bug); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 	}
 
 	cfg := core.DefaultConfig()
@@ -252,11 +244,9 @@ func main() {
 	cfg.NumSyncVars = *syncVars
 	cfg.NumDataVars = *dataVars
 	cfg.RecordTrace = *axioms
-	for _, err := range []error{sysCfg.Validate(), cfg.Validate()} {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gputester: %v\n", err)
-			exit(2)
-		}
+	if err := harness.ValidateRun(sysCfg, cfg, *traceDepth); err != nil {
+		fmt.Fprintf(os.Stderr, "gputester: %v\n", err)
+		exit(2)
 	}
 
 	switch {
@@ -298,7 +288,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			exit(2)
 		}
-		runCampaign(harness.CampaignConfig{
+		cc := harness.CampaignConfig{
 			SysCfg:      sysCfg,
 			TestCfg:     cfg,
 			BaseSeed:    *seed,
@@ -310,7 +300,12 @@ func main() {
 			Mode:        mode,
 			ArtifactDir: *artifactDir,
 			TraceDepth:  *traceDepth,
-		}, *protocolName, *caches, *jsonOut, *heatmap, exit)
+		}
+		if err := cc.Validate(); err != nil { // the corners past the base
+			fmt.Fprintf(os.Stderr, "gputester: %v\n", err)
+			exit(2)
+		}
+		runCampaign(cc, *protocolName, *caches, *jsonOut, *heatmap, exit)
 		return
 	}
 

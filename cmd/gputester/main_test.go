@@ -1,11 +1,72 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
 	"drftest/internal/explore"
 )
+
+// TestMain doubles as the gputester command: re-executing the test
+// binary with DRFTEST_RUN_MAIN set runs main on its arguments, so the
+// tests see its exit status and output.
+func TestMain(m *testing.M) {
+	if os.Getenv("DRFTEST_RUN_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs gputester with args in a subprocess and returns its
+// exit status and standard error.
+func runMain(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, args...)
+	cmd.Env = append(os.Environ(), "DRFTEST_RUN_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	var exit *exec.ExitError
+	if err := cmd.Run(); errors.As(err, &exit) {
+		return exit.ExitCode(), stderr.String()
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	return 0, stderr.String()
+}
+
+// TestRunAdmission: flags that build a configuration no run admits
+// (harness.ValidateRun) — more CUs than event tags can name, a variable
+// slab or trace ring no process can allocate — exit 2 with one line
+// naming the field before anything is built, in every mode that runs
+// the configuration.
+func TestRunAdmission(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		args  []string
+	}{
+		{"NumCUs", []string{"-cus", "5000"}},
+		{"NumCUs", []string{"-campaign", "-cus", "5000"}},
+		{"NumCUs", []string{"-explore", "-cus", "5000"}},
+		{"NumCUs", []string{"-daemon", "http://127.0.0.1:1", "-cus", "5000"}},
+		{"NumDataVars", []string{"-datavars", "17179869184"}},
+		{"traceDepth", []string{"-artifact-dir", t.TempDir(), "-trace-depth", "4000000000"}},
+	} {
+		code, stderr := runMain(t, tc.args...)
+		if code != 2 || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, tc.field) {
+			t.Errorf("gputester %s exited %d with %q; want 2 and one line naming %s",
+				strings.Join(tc.args, " "), code, stderr, tc.field)
+		}
+	}
+}
 
 // TestValidateFlags pins flag admission: contradictory run modes,
 // exploration bounds below 1 and counts below their minimum are

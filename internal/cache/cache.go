@@ -28,33 +28,42 @@ import (
 )
 
 // Config sizes a cache array. All three values must be powers of two,
-// LineSize at least one word and SizeBytes at least Assoc*LineSize.
+// LineSize at least one word and SizeBytes at least Assoc*LineSize and
+// at most MaxSizeBytes.
 type Config struct {
 	SizeBytes int
 	LineSize  int
 	Assoc     int
 }
 
+// MaxSizeBytes is the largest array a Config may size: the array's
+// data is allocated up front.
+const MaxSizeBytes = 1 << 30
+
 // Sets returns the number of sets implied by the configuration.
 func (c Config) Sets() int { return c.SizeBytes / (c.LineSize * c.Assoc) }
 
-// Validate reports why c cannot size an array, or nil.
+// Validate reports, naming the field, why c cannot size an array, or
+// nil.
 func (c Config) Validate() error {
-	if c.SizeBytes <= 0 || c.LineSize <= 0 || c.Assoc <= 0 {
-		return fmt.Errorf("cache: non-positive config %+v", c)
-	}
-	for _, v := range []int{c.SizeBytes, c.LineSize, c.Assoc} {
-		if v&(v-1) != 0 {
-			return fmt.Errorf("cache: %d is not a power of two", v)
+	for _, f := range []struct {
+		name string
+		n    int
+	}{{"SizeBytes", c.SizeBytes}, {"LineSize", c.LineSize}, {"Assoc", c.Assoc}} {
+		if f.n <= 0 || f.n&(f.n-1) != 0 {
+			return fmt.Errorf("cache: %s %d is not a positive power of two", f.name, f.n)
 		}
+	}
+	if c.SizeBytes > MaxSizeBytes {
+		return fmt.Errorf("cache: SizeBytes %d exceeds the admission limit of %d", c.SizeBytes, MaxSizeBytes)
 	}
 	// A word access slices [off:off+WordSize] out of a line, and the tag
 	// row keeps validity in a line address's bit 0.
 	if c.LineSize < mem.WordSize {
 		return fmt.Errorf("cache: LineSize %d is smaller than a %d-byte word", c.LineSize, mem.WordSize)
 	}
-	if c.Sets() < 1 {
-		return fmt.Errorf("cache: size %dB too small for %d-way %dB lines", c.SizeBytes, c.Assoc, c.LineSize)
+	if c.LineSize > c.SizeBytes/c.Assoc { // Sets() < 1, without the product's overflow
+		return fmt.Errorf("cache: SizeBytes %d too small for %d-way %dB lines", c.SizeBytes, c.Assoc, c.LineSize)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,6 +18,8 @@ import (
 	"drftest/internal/cache"
 	"drftest/internal/core"
 	"drftest/internal/harness"
+	"drftest/internal/sim"
+	"drftest/internal/trace"
 	"drftest/internal/viper"
 )
 
@@ -449,8 +452,10 @@ func TestMetricsAndHTTPSurface(t *testing.T) {
 // admission limit, at the base or only in a corner that multiplies it —
 // and a latency so long that tick arithmetic wraps (the jitter window
 // killed the daemon in rng.Intn, the request latency made every seed a
-// false "no forward progress"), while a spec sitting on every limit at
-// once is admitted.
+// false "no forward progress"), or a bug window that schedules past the
+// end of time, and so is a config a correct protocol cannot run without
+// a false deadlock report (harness.ValidateRun's deadlock rule), while
+// a spec sitting on every limit at once is admitted.
 func TestSubmitRejectsInvalidSysCfg(t *testing.T) {
 	srv := NewServer(Options{Logf: t.Logf})
 	ts := httptest.NewServer(srv.Handler())
@@ -487,33 +492,45 @@ func TestSubmitRejectsInvalidSysCfg(t *testing.T) {
 		{"negative variable count", "NumDataVars", mutate(func(s *Spec) { s.TestCfg.NumDataVars = -1 })},
 		{"negative wavefront count", "NumWavefronts", mutate(func(s *Spec) { s.TestCfg.NumWavefronts = -2 })},
 		{"too many data variables", "NumDataVars 1099511627776", mutate(func(s *Spec) { s.TestCfg.NumDataVars = 1 << 40 })},
-		{"too many sync variables", "NumSyncVars", mutate(func(s *Spec) { s.TestCfg.NumSyncVars = maxVariables + 1 })},
+		{"too many sync variables", "NumSyncVars", mutate(func(s *Spec) { s.TestCfg.NumSyncVars = core.MaxVariables + 1 })},
 		{"too many variables in all", "NumSyncVars + NumDataVars", mutate(func(s *Spec) {
-			s.TestCfg.NumSyncVars, s.TestCfg.NumDataVars = 1, maxVariables
+			s.TestCfg.NumSyncVars, s.TestCfg.NumDataVars = 1, core.MaxVariables
 		})},
-		{"address range too large", "AddressRangeBytes", mutate(func(s *Spec) { s.TestCfg.AddressRangeBytes = maxRangeBytes + 1 })},
-		{"too many wavefronts", "NumWavefronts", mutate(func(s *Spec) { s.TestCfg.NumWavefronts = maxThreads + 1 })},
-		{"too many lanes", "ThreadsPerWF", mutate(func(s *Spec) { s.TestCfg.ThreadsPerWF = maxThreads + 1 })},
+		{"address range too large", "AddressRangeBytes", mutate(func(s *Spec) { s.TestCfg.AddressRangeBytes = core.MaxRangeBytes + 1 })},
+		{"too many wavefronts", "NumWavefronts", mutate(func(s *Spec) { s.TestCfg.NumWavefronts = core.MaxThreads + 1 })},
+		{"too many lanes", "ThreadsPerWF", mutate(func(s *Spec) { s.TestCfg.ThreadsPerWF = core.MaxThreads + 1 })},
 		{"too many threads in all", "NumWavefronts × ThreadsPerWF", mutate(func(s *Spec) {
-			s.TestCfg.NumWavefronts, s.TestCfg.ThreadsPerWF = maxThreads, 2
+			s.TestCfg.NumWavefronts, s.TestCfg.ThreadsPerWF = core.MaxThreads, 2
 		})},
 		{"too many threads in a corner", "scale=wide", mutate(func(s *Spec) {
 			s.Mode = "swarm"
-			s.TestCfg.NumWavefronts, s.TestCfg.ThreadsPerWF = maxThreads/64, 64
+			s.TestCfg.NumWavefronts, s.TestCfg.ThreadsPerWF = core.MaxThreads/64, 64
+			// So many threads queue past the default deadlock threshold
+			// at the base already (harness.ValidateRun).
+			s.TestCfg.DeadlockThreshold = math.MaxUint64
 		})},
-		{"episodes too long", "ActionsPerEpisode", mutate(func(s *Spec) { s.TestCfg.ActionsPerEpisode = maxActions + 1 })},
-		{"log too large", "LogCapacity", mutate(func(s *Spec) { s.TestCfg.LogCapacity = maxLogEntries + 1 })},
-		{"trace ring too large", "traceDepth", mutate(func(s *Spec) { s.TraceDepth = maxLogEntries + 1 })},
-		{"too many CUs", "NumCUs", mutate(func(s *Spec) { s.SysCfg.NumCUs = maxUnits + 1 })},
-		{"too many L2 slices", "NumL2Slices", mutate(func(s *Spec) { s.SysCfg.NumL2Slices = maxUnits + 1 })},
-		{"L1 too large", "L1.SizeBytes", mutate(func(s *Spec) { s.SysCfg.L1.SizeBytes = 2 * maxCacheBytes })},
-		{"L2 too large", "L2.SizeBytes", mutate(func(s *Spec) { s.SysCfg.L2.SizeBytes = 2 * maxCacheBytes })},
+		{"episodes too long", "ActionsPerEpisode", mutate(func(s *Spec) { s.TestCfg.ActionsPerEpisode = core.MaxActions + 1 })},
+		{"log too large", "LogCapacity", mutate(func(s *Spec) { s.TestCfg.LogCapacity = trace.MaxCapacity + 1 })},
+		{"trace ring too large", "traceDepth", mutate(func(s *Spec) { s.TraceDepth = trace.MaxCapacity + 1 })},
+		{"too many CUs", "NumCUs", mutate(func(s *Spec) { s.SysCfg.NumCUs = viper.MaxUnits + 1 })},
+		{"too many L2 slices", "NumL2Slices", mutate(func(s *Spec) { s.SysCfg.NumL2Slices = viper.MaxUnits + 1 })},
+		{"L1 too large", "L1: cache: SizeBytes", mutate(func(s *Spec) { s.SysCfg.L1.SizeBytes = 2 * cache.MaxSizeBytes })},
+		{"L2 too large", "L2: cache: SizeBytes", mutate(func(s *Spec) { s.SysCfg.L2.SizeBytes = 2 * cache.MaxSizeBytes })},
 		{"request latency too long", "ReqLatency 18446744073709551615", mutate(func(s *Spec) { s.SysCfg.ReqLatency = 1<<64 - 1 })},
-		{"response latency too long", "RespLatency", mutate(func(s *Spec) { s.SysCfg.RespLatency = maxLatency + 1 })},
+		{"response latency too long", "RespLatency", mutate(func(s *Spec) { s.SysCfg.RespLatency = sim.MaxDelay + 1 })},
 		{"jitter window too wide", "RespJitter 9223372036854775807", mutate(func(s *Spec) { s.SysCfg.RespJitter = 1<<63 - 1 })},
-		{"L1 response latency too long", "L1RespLatency", mutate(func(s *Spec) { s.SysCfg.L1RespLatency = maxLatency + 1 })},
-		{"memory latency too long", "Mem.AccessLatency", mutate(func(s *Spec) { s.SysCfg.Mem.AccessLatency = maxLatency + 1 })},
-		{"memory service period too long", "Mem.ServicePeriod", mutate(func(s *Spec) { s.SysCfg.Mem.ServicePeriod = maxLatency + 1 })},
+		{"L1 response latency too long", "L1RespLatency", mutate(func(s *Spec) { s.SysCfg.L1RespLatency = sim.MaxDelay + 1 })},
+		{"memory latency too long", "Mem: memctrl: AccessLatency", mutate(func(s *Spec) { s.SysCfg.Mem.AccessLatency = sim.MaxDelay + 1 })},
+		{"memory service period too long", "Mem: memctrl: ServicePeriod", mutate(func(s *Spec) { s.SysCfg.Mem.ServicePeriod = sim.MaxDelay + 1 })},
+		{"bug window past the end of time", "Bugs.NonAtomicWindow", mutate(func(s *Spec) { s.SysCfg.Bugs.NonAtomicWindow = 1<<64 - 1 })},
+		{"links too slow for the deadlock threshold", "DeadlockThreshold", mutate(func(s *Spec) {
+			s.TestCfg.NumWavefronts = 2
+			s.SysCfg.ReqLatency, s.SysCfg.RespLatency = 1<<18, 1<<18
+		})},
+		{"memory too slow for the deadlock threshold", "Mem.ServicePeriod", mutate(func(s *Spec) {
+			s.TestCfg = core.DefaultConfig()
+			s.SysCfg.Mem.ServicePeriod = 20_000
+		})},
 	} {
 		var spec Spec
 		if err := json.Unmarshal(tc.body, &spec); err != nil {
@@ -545,18 +562,32 @@ func TestSubmitRejectsInvalidSysCfg(t *testing.T) {
 		t.Errorf("a range that exactly fits a uniform campaign's variables was refused: %v", err)
 	}
 	// Every limit at once. Admission only: nothing here may build it.
+	// Two cross-field rules make "at once" two specs (harness.ValidateRun):
+	// latencies this long put every request's worst-case wait past the
+	// default deadlock threshold, so it is raised out of reach; and a
+	// run of threads × actions past 2^32 operations could wrap a sync
+	// variable, so the thread limit and the action limit are each met
+	// with the other at its least.
 	atLimit := testSpec("uniform")
-	atLimit.SysCfg.NumCUs, atLimit.SysCfg.NumL2Slices = maxUnits, maxUnits
-	atLimit.SysCfg.L1.SizeBytes, atLimit.SysCfg.L2.SizeBytes = maxCacheBytes, maxCacheBytes
-	atLimit.TestCfg.NumSyncVars, atLimit.TestCfg.NumDataVars = 1, maxVariables-1
-	atLimit.TestCfg.AddressRangeBytes = maxRangeBytes
-	atLimit.TestCfg.NumWavefronts, atLimit.TestCfg.ThreadsPerWF = maxThreads/64, 64
-	atLimit.TestCfg.ActionsPerEpisode, atLimit.TestCfg.LogCapacity = maxActions, maxLogEntries
-	atLimit.TraceDepth = maxLogEntries
-	atLimit.SysCfg.ReqLatency, atLimit.SysCfg.RespLatency, atLimit.SysCfg.RespJitter = maxLatency, maxLatency, maxLatency
-	atLimit.SysCfg.L1RespLatency, atLimit.SysCfg.Mem.AccessLatency, atLimit.SysCfg.Mem.ServicePeriod = maxLatency, maxLatency, maxLatency
-	if _, err := atLimit.CampaignConfig(); err != nil {
-		t.Errorf("a spec on every admission limit, past none, was refused: %v", err)
+	atLimit.SysCfg.NumCUs, atLimit.SysCfg.NumL2Slices = viper.MaxUnits, viper.MaxUnits
+	atLimit.SysCfg.L1.SizeBytes, atLimit.SysCfg.L2.SizeBytes = cache.MaxSizeBytes, cache.MaxSizeBytes
+	atLimit.TestCfg.NumSyncVars, atLimit.TestCfg.NumDataVars = 1, core.MaxVariables-1
+	atLimit.TestCfg.AddressRangeBytes = core.MaxRangeBytes
+	atLimit.TestCfg.LogCapacity = trace.MaxCapacity
+	atLimit.TraceDepth = trace.MaxCapacity
+	atLimit.SysCfg.ReqLatency, atLimit.SysCfg.RespLatency, atLimit.SysCfg.RespJitter = sim.MaxDelay, sim.MaxDelay, sim.MaxDelay
+	atLimit.SysCfg.L1RespLatency, atLimit.SysCfg.Mem.AccessLatency, atLimit.SysCfg.Mem.ServicePeriod = sim.MaxDelay, sim.MaxDelay, sim.MaxDelay
+	atLimit.TestCfg.DeadlockThreshold = math.MaxUint64
+	atLimit.TestCfg.EpisodesPerThread = 1
+	threads, actions := atLimit, atLimit
+	threads.TestCfg.NumWavefronts, threads.TestCfg.ThreadsPerWF = core.MaxThreads/64, 64
+	threads.TestCfg.ActionsPerEpisode = 2
+	actions.TestCfg.NumWavefronts, actions.TestCfg.ThreadsPerWF = 1, 1
+	actions.TestCfg.ActionsPerEpisode = core.MaxActions
+	for _, spec := range []Spec{threads, actions} {
+		if _, err := spec.CampaignConfig(); err != nil {
+			t.Errorf("a spec on every admission limit, past none, was refused: %v", err)
+		}
 	}
 }
 

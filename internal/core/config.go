@@ -17,9 +17,11 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"drftest/internal/mem"
 	"drftest/internal/sim"
+	"drftest/internal/trace"
 )
 
 // Config parameterizes one GPU tester run (the knobs of Table III).
@@ -123,7 +125,9 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every unset field replaced by its
+// default: the config a tester built from c runs.
+func (c Config) WithDefaults() Config {
 	if c.ThreadsPerWF <= 0 {
 		c.ThreadsPerWF = 4
 	}
@@ -163,10 +167,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Admission limits: past them a run is not slow but impossible — New
+// dies sizing a slice. Each is far above anything the tester is run at
+// (the paper's largest: 1M variables).
+const (
+	MaxVariables  = 1 << 24 // sync + data variables: a 1 GiB slab
+	MaxRangeBytes = 1 << 32 // the range they map into: a 128 MiB occupancy bitset
+	MaxThreads    = 1 << 16 // wavefronts × lanes
+	MaxActions    = 1 << 20 // per episode, generated up front
+)
+
 // Validate reports, naming the field, why a tester cannot be built from
 // c; nil means New will not panic on it. A zero count means "default";
-// a negative one is a mistake, and so is an explicit address range with
-// fewer word slots than there are variables to map into it.
+// a negative one is a mistake, and so is a count past its admission
+// limit, a heartbeat period past sim.MaxDelay, a log past
+// trace.MaxCapacity, an explicit address range with fewer word slots
+// than there are variables to map into it, and a run whose fetch-adds
+// can wrap a sync variable.
 func (c Config) Validate() error {
 	for _, f := range []struct {
 		name string
@@ -180,10 +197,39 @@ func (c Config) Validate() error {
 			return fmt.Errorf("core: %s must not be negative, got %d", f.name, f.n)
 		}
 	}
-	d := c.withDefaults()
+	// Sums and products come after their terms, so they cannot wrap.
+	sync, data := uint64(c.NumSyncVars), uint64(c.NumDataVars)
+	wfs, lanes := uint64(c.NumWavefronts), uint64(c.ThreadsPerWF)
+	for _, f := range []struct {
+		name   string
+		n, max uint64
+	}{
+		{"NumSyncVars", sync, MaxVariables}, {"NumDataVars", data, MaxVariables},
+		{"NumSyncVars + NumDataVars", sync + data, MaxVariables},
+		{"AddressRangeBytes", c.AddressRangeBytes, MaxRangeBytes},
+		{"NumWavefronts", wfs, MaxThreads}, {"ThreadsPerWF", lanes, MaxThreads},
+		{"NumWavefronts × ThreadsPerWF", wfs * lanes, MaxThreads},
+		{"ActionsPerEpisode", uint64(c.ActionsPerEpisode), MaxActions},
+		{"CheckPeriod", uint64(c.CheckPeriod), uint64(sim.MaxDelay)},
+		{"LogCapacity", uint64(max(c.LogCapacity, 0)), trace.MaxCapacity},
+	} {
+		if f.n > f.max {
+			return fmt.Errorf("core: %s %d exceeds the admission limit of %d", f.name, f.n, f.max)
+		}
+	}
+	d := c.WithDefaults()
 	if vars := uint64(d.NumSyncVars + d.NumDataVars); d.AddressRangeBytes/mem.WordSize < vars {
 		return fmt.Errorf("core: AddressRangeBytes %d too small for %d variables of %d bytes",
 			d.AddressRangeBytes, vars, mem.WordSize)
+	}
+	// A sync variable's old values are distinct multiples of the delta
+	// only until its 32-bit value wraps, and every operation of the run
+	// may be an atomic on one variable. (Divided, not multiplied: the
+	// episode count has no limit of its own.)
+	perEpisode := uint64(d.TotalThreads() * d.ActionsPerEpisode)
+	if uint64(d.EpisodesPerThread) > math.MaxUint32/uint64(d.AtomicDelta)/perEpisode {
+		return fmt.Errorf("core: AtomicDelta %d × %d operations per episode × EpisodesPerWF %d wraps a 32-bit sync variable",
+			d.AtomicDelta, perEpisode, d.EpisodesPerThread)
 	}
 	return nil
 }

@@ -80,7 +80,7 @@ func TestEpisodesPerThreadSemantics(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	cfg := Config{}.withDefaults()
+	cfg := Config{}.WithDefaults()
 	if cfg.ThreadsPerWF == 0 || cfg.NumDataVars == 0 || cfg.AtomicDelta == 0 ||
 		cfg.DeadlockThreshold == 0 || cfg.AddressRangeBytes == 0 {
 		t.Fatalf("withDefaults left zeros: %+v", cfg)

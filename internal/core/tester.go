@@ -149,7 +149,7 @@ func New(k *sim.Kernel, sys *viper.System, cfg Config) *Tester {
 // are distributed round-robin over every CU of every GPU, and the DRF
 // checks apply globally.
 func NewMulti(k *sim.Kernel, systems []*viper.System, cfg Config) *Tester {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	t := &Tester{
 		k:       k,
 		cfg:     cfg,
@@ -261,7 +261,7 @@ func (t *Tester) Reset(seed uint64) {
 // subsequent Run is bit-identical to a freshly built Tester with this
 // config and seed. cfg.Seed is overridden by seed.
 func (t *Tester) ResetWithConfig(seed uint64, cfg Config) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	old := t.cfg
 	t.cfg = cfg
 	if cfg.NumWavefronts != old.NumWavefronts || cfg.ThreadsPerWF != old.ThreadsPerWF {

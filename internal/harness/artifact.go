@@ -223,24 +223,20 @@ func writeArtifactAs(a *Artifact, dir, name string) (string, error) {
 	return path, nil
 }
 
-// LoadArtifactBytes parses and validates an artifact from its encoded
-// form (store objects, inline wire artifacts). name labels errors.
-func LoadArtifactBytes(name string, data []byte) (*Artifact, error) {
-	return decodeArtifact(name, data)
-}
-
 // LoadArtifact reads and validates an artifact file.
 func LoadArtifact(path string) (*Artifact, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return decodeArtifact(path, data)
+	return LoadArtifactBytes(path, data)
 }
 
-// decodeArtifact parses and validates an encoded artifact; path labels
-// errors.
-func decodeArtifact(path string, data []byte) (*Artifact, error) {
+// LoadArtifactBytes parses and validates an artifact from its encoded
+// form (a file's bytes, store objects, inline wire artifacts); path
+// labels errors. A GPU artifact's run is admitted like any other
+// (ValidateRun): an artifact is input from outside the process too.
+func LoadArtifactBytes(path string, data []byte) (*Artifact, error) {
 	var a Artifact
 	if err := json.Unmarshal(data, &a); err != nil {
 		return nil, fmt.Errorf("artifact %s: %w", path, err)
@@ -255,6 +251,9 @@ func decodeArtifact(path string, data []byte) (*Artifact, error) {
 		}
 		if a.GPU.TestCfg.Seed != a.Seed {
 			return nil, fmt.Errorf("artifact %s: seed %d disagrees with embedded tester seed %d", path, a.Seed, a.GPU.TestCfg.Seed)
+		}
+		if err := ValidateRun(a.GPU.SysCfg, a.GPU.TestCfg, a.TraceCapacity); err != nil {
+			return nil, fmt.Errorf("artifact %s: %w", path, err)
 		}
 	case ArtifactCPU:
 		if a.CPU == nil {

@@ -161,6 +161,35 @@ func TestArtifactValidation(t *testing.T) {
 	if _, err := LoadArtifact(path); err == nil {
 		t.Fatal("unknown-kind artifact loaded without error")
 	}
+
+	// A GPU artifact is admitted like a submitted run (ValidateRun), so
+	// one whose configuration could never have run — a system no tester
+	// builds over, a window that wraps tick arithmetic, a slab or ring
+	// no process can allocate — is refused naming the field, instead of
+	// panicking or exhausting memory in Replay.
+	for _, tc := range []struct {
+		field  string
+		mutate func(*Artifact)
+	}{
+		{"NumCUs", func(a *Artifact) { a.GPU.SysCfg.NumCUs = 0 }},
+		{"RespJitter", func(a *Artifact) { a.GPU.SysCfg.RespJitter = 1<<63 - 1 }},
+		{"NumDataVars", func(a *Artifact) { a.GPU.TestCfg.NumDataVars = 1 << 34 }},
+		{"Bugs.NonAtomicWindow", func(a *Artifact) { a.GPU.SysCfg.Bugs.NonAtomicWindow = 1<<64 - 1 }},
+		{"traceDepth", func(a *Artifact) { a.TraceCapacity = 4_000_000_000 }},
+	} {
+		a, err := LoadArtifact("testdata/replay-gpu-seed5-tick1263.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.mutate(a)
+		data, err := a.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadArtifactBytes("malformed.json", data); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: LoadArtifact = %v; want an error naming the field", tc.field, err)
+		}
+	}
 }
 
 // TestGoldenArtifactReplay: testdata holds a replay artifact recorded

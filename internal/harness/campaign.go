@@ -115,6 +115,18 @@ type CampaignConfig struct {
 	CaptureArtifacts bool `json:"captureArtifacts,omitempty"`
 }
 
+// Validate admits the campaign through ValidateRun: its base run and,
+// past uniform mode, every corner's (ValidateCorners).
+func (c CampaignConfig) Validate() error {
+	if err := ValidateRun(c.SysCfg, c.TestCfg, c.TraceDepth); err != nil {
+		return err
+	}
+	if c.Mode == CampaignUniform {
+		return nil
+	}
+	return ValidateCorners(c.TestCfg, c.SysCfg, c.TraceDepth)
+}
+
 func (c CampaignConfig) withDefaults() CampaignConfig {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -510,16 +522,6 @@ func (w *RunContext) takeForkSnapshot(c *Corner) {
 	w.snapCorner = c
 }
 
-// cornerSysCfg is the system config corner c runs under for seed.
-func (w *RunContext) cornerSysCfg(c *Corner, seed uint64) viper.Config {
-	sc := w.cfg.SysCfg
-	sc.RespJitter = c.RespJitter
-	if c.JitterPerSeed {
-		sc.JitterSeed = seed
-	}
-	return sc
-}
-
 // wantArtifacts reports whether failing seeds must capture a replay
 // artifact (loose file, inline bytes, or both).
 func (w *RunContext) wantArtifacts() bool {
@@ -548,7 +550,7 @@ func (w *RunContext) rearm(seed uint64, c *Corner) {
 	// reconfiguring reset.
 	r.K.Reset()
 	if w.corner != c || c.JitterPerSeed {
-		sc := w.cornerSysCfg(c, seed)
+		sc := c.sysCfg(w.cfg.SysCfg, seed)
 		r.Sys.SetRespJitter(sc.RespJitter, sc.JitterSeed)
 	}
 	r.Sys.Reset()
@@ -566,7 +568,7 @@ func (w *RunContext) RunSeed(seed uint64, c *Corner) {
 	if w.run == nil {
 		tc := c.TestCfg
 		tc.Seed = seed
-		w.run = NewGPURun(w.cornerSysCfg(c, seed), tc, w.wantArtifacts(), w.cfg.TraceDepth)
+		w.run = NewGPURun(c.sysCfg(w.cfg.SysCfg, seed), tc, w.wantArtifacts(), w.cfg.TraceDepth)
 		w.corner = c
 	} else {
 		w.rearm(seed, c)

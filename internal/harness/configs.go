@@ -73,6 +73,23 @@ func GPUTesterConfigs(seed uint64, scale float64) []GPUTestConfig {
 	return out
 }
 
+// BugHuntConfigs returns the paper's §V case-study run at seed: the
+// small-cache system with bugs injected under a contended tester (8
+// wavefronts on 4 sync and 48 data variables), whose deadlock
+// threshold drops to 20 000 ticks when a dropped ack is to be caught.
+func BugHuntConfigs(bugs viper.BugSet, seed uint64) (viper.Config, core.Config) {
+	sys := viper.SmallCacheConfig()
+	sys.Bugs = bugs
+	cfg := core.DefaultConfig()
+	cfg.Seed = seed
+	cfg.NumWavefronts, cfg.EpisodesPerThread, cfg.ActionsPerEpisode = 8, 8, 30
+	cfg.NumSyncVars, cfg.NumDataVars, cfg.StoreFraction = 4, 48, 0.6
+	if bugs.DropWBAckEvery != 0 {
+		cfg.DeadlockThreshold, cfg.CheckPeriod = 20_000, 5_000
+	}
+	return sys, cfg
+}
+
 // CPUTesterConfigs returns the CPU tester sweep of Table III:
 // {2, 4, 8} CPUs × {small, large} corepair caches × four test lengths.
 func CPUTesterConfigs(seed uint64, scale float64) []CPUTestConfig {

@@ -138,6 +138,16 @@ type Corner struct {
 	JitterPerSeed bool
 }
 
+// sysCfg is the system config corner c runs under for seed, over the
+// campaign's base.
+func (c *Corner) sysCfg(base viper.Config, seed uint64) viper.Config {
+	base.RespJitter = c.RespJitter
+	if c.JitterPerSeed {
+		base.JitterSeed = seed
+	}
+	return base
+}
+
 // Name renders the corner compactly, e.g.
 // "atomics=hot,locality=base,scale=wide,jitter=off".
 func (c *Corner) Name() string {
@@ -203,15 +213,16 @@ func makeCorner(testCfg core.Config, sysCfg viper.Config, levels [numAxes]int) *
 	return c
 }
 
-// ValidateCorners reports the first corner of the lattice whose tester
-// config valid refuses, or nil: an explicit address range that fits the
+// ValidateCorners reports the first corner of the lattice that
+// ValidateRun refuses, or nil: an explicit address range that fits the
 // base can be too small for a corner with more variables, and a count
-// within bounds at the base can be out of them at four times that.
-func ValidateCorners(testCfg core.Config, sysCfg viper.Config, valid func(core.Config) error) error {
+// or a jitter window within bounds at the base can be out of them at
+// several times that.
+func ValidateCorners(testCfg core.Config, sysCfg viper.Config, traceDepth int) error {
 	var levels [numAxes]int
 	for {
 		c := makeCorner(testCfg, sysCfg, levels)
-		if err := valid(c.TestCfg); err != nil {
+		if err := ValidateRun(c.sysCfg(sysCfg, 0), c.TestCfg, traceDepth); err != nil {
 			return fmt.Errorf("corner %s: %w", c.Name(), err)
 		}
 		// Next corner: count up in base levelsPerAxis, done on wrap.

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"fmt"
+
 	"drftest/internal/core"
 	"drftest/internal/coverage"
 	"drftest/internal/sim"
@@ -30,6 +32,37 @@ func NewGPURun(sys viper.Config, test core.Config, traced bool, traceDepth int) 
 	}
 	r.Tester = core.New(r.K, r.Sys, test)
 	return r
+}
+
+// ValidateRun admits a GPU run: nil means NewGPURun(sys, test, true,
+// traceDepth) can build and run it without a false deadlock report;
+// otherwise the error names the field. Each config's Validate owns its
+// fields' limits. ValidateRun adds the trace depth's and the one rule
+// spanning both configs (DESIGN §14.1): a request's worst-case wait
+//
+//	(threads + 2) × (ReqLatency + RespLatency + RespJitter + Mem.AccessLatency + L1RespLatency)
+//	+ threads × ActionsPerEpisode × Mem.ServicePeriod
+//
+// must stay below the tester's DeadlockThreshold.
+func ValidateRun(sys viper.Config, test core.Config, traceDepth int) error {
+	if err := sys.Validate(); err != nil {
+		return fmt.Errorf("sysCfg: %w", err)
+	}
+	if err := test.Validate(); err != nil {
+		return fmt.Errorf("testCfg: %w", err)
+	}
+	if traceDepth > trace.MaxCapacity {
+		return fmt.Errorf("traceDepth %d exceeds the admission limit of %d", traceDepth, trace.MaxCapacity)
+	}
+	t := test.WithDefaults() // both Validates bound every term: nothing below wraps
+	threads := uint64(t.TotalThreads())
+	roundTrip := uint64(sys.ReqLatency + sys.RespLatency + sys.RespJitter + sys.Mem.AccessLatency + sys.L1RespLatency)
+	if wait := (threads+2)*roundTrip + threads*uint64(t.ActionsPerEpisode)*uint64(sys.Mem.ServicePeriod); wait >= t.DeadlockThreshold {
+		return fmt.Errorf("testCfg.DeadlockThreshold %d is in reach of a correct run: (%d threads + 2) × %d ticks of "+
+			"ReqLatency + RespLatency + RespJitter + Mem.AccessLatency + L1RespLatency, plus %d threads × %d ActionsPerEpisode × %d ticks of Mem.ServicePeriod, is a %d-tick wait",
+			t.DeadlockThreshold, threads, roundTrip, threads, t.ActionsPerEpisode, sys.Mem.ServicePeriod, wait)
+	}
+	return nil
 }
 
 // Checkpoint is a consistent cut of a GPURun: one snapshot of every

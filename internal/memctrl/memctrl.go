@@ -20,6 +20,8 @@
 package memctrl
 
 import (
+	"fmt"
+
 	"drftest/internal/mem"
 	"drftest/internal/sim"
 )
@@ -31,6 +33,17 @@ type Config struct {
 	// ServicePeriod is the minimum ticks between dequeues (inverse
 	// bandwidth). Zero means unlimited bandwidth.
 	ServicePeriod sim.Tick
+}
+
+// Validate reports, naming the field, a delay past sim.MaxDelay.
+func (c Config) Validate() error {
+	if c.AccessLatency > sim.MaxDelay {
+		return fmt.Errorf("memctrl: AccessLatency %d exceeds the admission limit of %d", c.AccessLatency, sim.MaxDelay)
+	}
+	if c.ServicePeriod > sim.MaxDelay {
+		return fmt.Errorf("memctrl: ServicePeriod %d exceeds the admission limit of %d", c.ServicePeriod, sim.MaxDelay)
+	}
+	return nil
 }
 
 // DefaultConfig mimics a ~100-cycle DRAM with one request per 4 cycles.

@@ -33,6 +33,13 @@ type Tick uint64
 // horizon for Run.
 const MaxTick = Tick(^uint64(0))
 
+// MaxDelay bounds every delay a configuration sets — a link, memory,
+// heartbeat or bug window — in ticks: far above any real one (DRAM is
+// 100), far below where now + delay, or a jitter window + 1, wraps and
+// an event lands in the past. Each config's Validate holds its delay
+// fields to it.
+const MaxDelay = Tick(1 << 20)
+
 // wheelSize is the wheel's horizon in ticks, a power of two: the
 // smallest above the model's longest common latency. Counted over every
 // schedule of every benchmark workload the delays are 0, 1, 3, 4, 8,

@@ -13,6 +13,11 @@ type chunk[T any] struct {
 	shared bool
 }
 
+// MaxCapacity bounds the capacity a configuration may give a Log — the
+// tester's LogCapacity, a run's trace depth: Init allocates every
+// chunk up front.
+const MaxCapacity = 1 << 24
+
 // Log is a rolling log of the last capacity entries of type T, the
 // one storage and snapshot implementation behind Ring and the tester's
 // core.EventLog. Entry number i (counting every Append from 0) lives

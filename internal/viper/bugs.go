@@ -1,5 +1,10 @@
 package viper
 
+import (
+	"fmt"
+	"strings"
+)
+
 // BugSet selects deliberately injected protocol-implementation bugs.
 // Each reproduces one of the bug classes discussed in the paper's case
 // study (§V): the implementation deviates from the transition tables in
@@ -46,7 +51,36 @@ func (b BugSet) nonAtomicWindow() uint64 {
 	return b.NonAtomicWindow
 }
 
-// Any reports whether any bug is enabled.
-func (b BugSet) Any() bool {
-	return b.LostWriteRace || b.NonAtomicRMW || b.DropWBAckEvery != 0 || b.StaleAcquire
+// Bug is one injectable bug of the paper's case study (§V).
+type Bug struct {
+	Name string // its -bug flag value
+	Doc  string // what the injected implementation gets wrong
+	Set  BugSet
+}
+
+// Bugs is the one bug-name registry, in the case study's order.
+var Bugs = []Bug{
+	{"lostwrite", "lost write on false-sharing race at L2", BugSet{LostWriteRace: true}},
+	{"nonatomic", "non-atomic read-modify-write at L2", BugSet{NonAtomicRMW: true}},
+	{"dropack", "dropped write-completion ack", BugSet{DropWBAckEvery: 20}},
+	{"staleacquire", "skipped flash-invalidate on acquire", BugSet{StaleAcquire: true}},
+}
+
+// BugNames returns the names ParseBug accepts.
+func BugNames() []string {
+	var names []string
+	for _, b := range Bugs {
+		names = append(names, b.Name)
+	}
+	return names
+}
+
+// ParseBug returns the bug set that injects the named bug.
+func ParseBug(name string) (BugSet, error) {
+	for _, b := range Bugs {
+		if b.Name == name {
+			return b.Set, nil
+		}
+	}
+	return BugSet{}, fmt.Errorf("unknown bug %q (want %s)", name, strings.Join(BugNames(), "|"))
 }

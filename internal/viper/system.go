@@ -29,11 +29,12 @@ type Config struct {
 	// ordering depends on it — but response links may jitter.
 	ReqLatency, RespLatency sim.Tick
 	// RespJitter adds up to this many ticks of per-message random
-	// latency on the TCC→TCP response links, reordering responses to
-	// different lines the way an unordered virtual network would.
-	// Responses to the same line cannot race (one transaction per line
-	// at a time), so this is safe — and it widens the timing space the
-	// tester explores. Zero disables jitter.
+	// latency on the TCC→TCP response links, reordering responses the
+	// way an unordered virtual network would — including two responses
+	// to one line: a write-through's ack can overtake a fill the L2 sent
+	// before it applied the write, which the L1 must tolerate (DESIGN
+	// §15.1). It widens the timing space the tester explores. Zero
+	// disables jitter.
 	RespJitter sim.Tick
 	// JitterSeed seeds the response-jitter randomness.
 	JitterSeed uint64
@@ -53,20 +54,44 @@ type Config struct {
 	WriteBackL2 bool
 }
 
+// MaxUnits bounds NumCUs and NumL2Slices: event tags carry a 16-bit
+// unit ID, a CU owns several units, and sim.MakeUnitTag truncates
+// silently past that.
+const MaxUnits = 1024
+
 // Validate reports, naming the field, why a system cannot be built
-// from c; nil means NewSystem will not panic on its sizing.
+// from c; nil means NewSystem will not panic on its sizing and no
+// delay it schedules can wrap tick arithmetic (sim.MaxDelay).
 func (c Config) Validate() error {
 	if c.NumCUs <= 0 {
 		return fmt.Errorf("viper: NumCUs must be positive, got %d", c.NumCUs)
 	}
-	if err := c.L1.Validate(); err != nil {
-		return fmt.Errorf("viper: L1: %w", err)
+	if c.NumL2Slices < 0 {
+		return fmt.Errorf("viper: NumL2Slices must not be negative, got %d", c.NumL2Slices)
 	}
-	if err := c.L2.Validate(); err != nil {
-		return fmt.Errorf("viper: L2: %w", err)
+	for _, f := range []struct {
+		name string
+		err  error
+	}{{"L1", c.L1.Validate()}, {"L2", c.L2.Validate()}, {"Mem", c.Mem.Validate()}} {
+		if f.err != nil {
+			return fmt.Errorf("viper: %s: %w", f.name, f.err)
+		}
 	}
 	if c.L1.LineSize != c.L2.LineSize {
 		return fmt.Errorf("viper: L1/L2 line size mismatch (%d vs %d)", c.L1.LineSize, c.L2.LineSize)
+	}
+	for _, f := range []struct {
+		name   string
+		n, max uint64
+	}{
+		{"NumCUs", uint64(c.NumCUs), MaxUnits}, {"NumL2Slices", uint64(c.NumL2Slices), MaxUnits},
+		{"ReqLatency", uint64(c.ReqLatency), uint64(sim.MaxDelay)}, {"RespLatency", uint64(c.RespLatency), uint64(sim.MaxDelay)},
+		{"RespJitter", uint64(c.RespJitter), uint64(sim.MaxDelay)}, {"L1RespLatency", uint64(c.L1RespLatency), uint64(sim.MaxDelay)},
+		{"Bugs.NonAtomicWindow", c.Bugs.NonAtomicWindow, uint64(sim.MaxDelay)},
+	} {
+		if f.n > f.max {
+			return fmt.Errorf("viper: %s %d exceeds the admission limit of %d", f.name, f.n, f.max)
+		}
 	}
 	return nil
 }

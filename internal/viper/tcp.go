@@ -49,6 +49,9 @@ type TCP struct {
 	// always observes its own (and its CU's) program-order-earlier
 	// stores even when the fill was read from memory before the
 	// write-through landed — the per-byte-mask behaviour of real VIPER.
+	// A buffer whose write-throughs are all acked lingers (count 0)
+	// until the line's outstanding fill arrives, since that fill may
+	// predate them.
 	wt table.Table[mem.Addr, wtBuf]
 
 	// stats
@@ -172,14 +175,16 @@ func (t *TCP) CoreRequest(req *mem.Request) {
 		if st == TCPStateV {
 			t.array.Lookup(req.Addr).WriteMasked(wl.Data, wl.Mask())
 		}
-		if buf := t.wt.Slot(line); buf.count == 0 {
+		if buf := t.wt.Slot(line); buf.line == nil {
 			// First in-flight store to this line: the accumulation
 			// buffer IS the message payload (shared, two references).
 			buf.line, buf.count = wl.Retain(), 1
 		} else {
-			// Merge the store into the accumulated bytes. Writable
-			// copies only if an earlier message still shares the line —
-			// in-flight payloads must not see later stores.
+			// Merge the store into the accumulated bytes — those of
+			// in-flight stores, or of a drained buffer lingering for a
+			// fill (FromTCC's ackWB). Writable copies only if an
+			// earlier message still shares the line — in-flight
+			// payloads must not see later stores.
 			bl := buf.line.Writable()
 			buf.line = bl
 			bm, wm := bl.Mask(), wl.Mask()
@@ -252,6 +257,9 @@ func (t *TCP) FromTCC(msg *tccMsg) {
 		copy(e.Data, msg.payload.Data)
 		if buf := t.wt.Ptr(line); buf != nil {
 			e.WriteMasked(buf.line.Data, buf.line.Mask())
+			if buf.count == 0 {
+				t.dropWT(line, buf)
+			}
 		}
 		for _, ld := range loads {
 			t.seq.respond(ld, t.readWord(e, ld.Addr))
@@ -277,15 +285,23 @@ func (t *TCP) FromTCC(msg *tccMsg) {
 
 	case ackWB:
 		t.machine.Fire(st, TCPTCCAckWB)
+		// A drained buffer lingers while a fill is outstanding: the
+		// response link may jitter this ack past a fill the L2 sent
+		// before it applied the store, and that fill's bytes predate
+		// it. The fill overlays the buffer and drops it (DESIGN §15.1).
 		if buf := t.wt.Ptr(line); buf != nil {
-			buf.count--
-			if buf.count == 0 {
-				buf.line.Release()
-				t.wt.Delete(line)
+			if buf.count--; buf.count == 0 && !t.loadTBEs.has(line) {
+				t.dropWT(line, buf)
 			}
 		}
 		t.seq.writeCompleted(msg.req)
 	}
+}
+
+// dropWT releases line's drained write-through buffer.
+func (t *TCP) dropWT(line mem.Addr, buf *wtBuf) {
+	buf.line.Release()
+	t.wt.Delete(line)
 }
 
 // FlashInvalidate implements the load-acquire Evict semantic: every
