@@ -47,16 +47,25 @@ func main() {
 	if *caches == "large" {
 		cacheCfg = harness.LargeCPUCache
 	}
+	cfg := cputester.DefaultConfig()
+	cfg.Seed = *seed
+	cfg.OpsPerCPU = *ops
+	cfg.NumLocations = *locations
+	depth := 0
+	if *artifactDir != "" {
+		depth = *traceDepth
+	}
+	if err := harness.ValidateCPURun(*cpus, cacheCfg, cfg, depth); err != nil {
+		fmt.Fprintf(os.Stderr, "cputester: %v\n", err)
+		stopProf()
+		os.Exit(2)
+	}
 
 	b := harness.BuildCPU(*cpus, cacheCfg)
 	var ring *trace.Ring
 	if *artifactDir != "" {
 		ring = harness.EnableTrace(b.K, *traceDepth)
 	}
-	cfg := cputester.DefaultConfig()
-	cfg.Seed = *seed
-	cfg.OpsPerCPU = *ops
-	cfg.NumLocations = *locations
 	tester := cputester.New(b.K, b.Caches, cfg)
 	rep := tester.Run()
 

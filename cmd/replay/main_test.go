@@ -9,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"drftest/internal/cache"
 	"drftest/internal/core"
+	"drftest/internal/cputester"
 	"drftest/internal/explore"
 	"drftest/internal/harness"
 	"drftest/internal/viper"
@@ -68,6 +70,48 @@ func TestReplayRefusesMalformedArtifact(t *testing.T) {
 			t.Fatal(err)
 		}
 		tc.mutate(a)
+		path, err := a.Write(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, stderr := runMain(t, path)
+		if code != 2 || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, tc.field) {
+			t.Errorf("%s: replay %s exited %d with %q; want 2 and one line naming the field",
+				tc.field, filepath.Base(path), code, stderr)
+		}
+	}
+}
+
+// TestReplayRefusesMalformedCPUArtifact: a CPU artifact is admitted
+// like a GPU one (harness.ValidateCPURun). An address range too small
+// for its locations used to hang replay placing them; a negative CPU
+// count, a zero cache config and a 3-byte line used to panic the
+// build. Each is a load error: exit 2 with one line naming the field.
+func TestReplayRefusesMalformedCPUArtifact(t *testing.T) {
+	setup := harness.CPUSetup{NumCPUs: 2, CacheCfg: harness.DefaultCPUCache, TestCfg: cputester.DefaultConfig()}
+	setup.TestCfg.OpsPerCPU = 50
+	setup.TestCfg.DeadlockThreshold, setup.TestCfg.CheckPeriod = 5, 10 // a deterministic "deadlock"
+	b := harness.BuildCPU(setup.NumCPUs, setup.CacheCfg)
+	ring := harness.EnableTrace(b.K, 64)
+	tester := cputester.New(b.K, b.Caches, setup.TestCfg)
+	rep := tester.Run()
+	base := harness.NewCPUArtifact(setup, tester, rep, b.K.Executed(), ring)
+	if len(base.Failures) == 0 {
+		t.Fatal("the base run did not fail")
+	}
+	for _, tc := range []struct {
+		field  string
+		mutate func(*harness.CPUSetup)
+	}{
+		{"AddressRangeBytes", func(s *harness.CPUSetup) { s.TestCfg.AddressRangeBytes, s.TestCfg.NumLocations = 4, 256 }},
+		{"numCPUs", func(s *harness.CPUSetup) { s.NumCPUs = -3 }},
+		{"cacheCfg", func(s *harness.CPUSetup) { s.CacheCfg = cache.Config{} }},
+		{"LineSize", func(s *harness.CPUSetup) { s.CacheCfg.LineSize = 3 }},
+	} {
+		a := *base
+		cpu := *base.CPU
+		tc.mutate(&cpu)
+		a.CPU = &cpu
 		path, err := a.Write(t.TempDir())
 		if err != nil {
 			t.Fatal(err)

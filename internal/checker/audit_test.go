@@ -13,23 +13,19 @@ import (
 // StreamCheck armed.
 func TestStreamFieldAudit(t *testing.T) {
 	audit.Fields(t, Stream{}, map[string]string{
-		"delta":      "state: copied (Reset retunes it from config)",
-		"eps":        "state: rebuilt from the snapshot's epState records (live known + unknown entries)",
-		"epFree":     "pool: recycled epStates, excluded — dropped records are harvested back on Reset/Restore",
-		"liveQ":      "state: rebuilt from the snapshot's leading nLive epState records, dead heads included",
-		"liveHead":   "state: normalized to 0 on Restore (only order and dead flags are semantic)",
-		"atomics":    "state: per-sync-var A1 fold via atomicSave (pending multiset deep-copied)",
-		"data":       "state: per-data-var A2/A3 fold via varSave (intervals/writers deep-copied)",
-		"atomicFree": "pool: atomicStates a Restore displaced, refilled by the next Restore; excluded from cuts",
-		"varFree":    "pool: varStates a Restore displaced, refilled by the next Restore or new variable; excluded from cuts, emptied by Reset with the slab it points into",
-		"varSlab":    "pool: chunked storage of every varState (and the first capacity of its slices), excluded from cuts; Reset rewinds it",
-		"varNext":    "pool: records handed out of varSlab since the last Reset; a Restore recycles through varFree and never rewinds",
-		"a2unknown":  "state: violation bucket, slice-copied",
-		"a2overlap":  "state: violation bucket, slice-copied",
-		"a3":         "state: violation bucket, slice-copied",
-		"finished":   "state: copied (a mid-run cut reopens a Finish-sealed stream)",
-		"result":     "state: slice-copied alongside finished",
-		"avars":      "scratch: Finish's sorted sync-variable list, valid only within one call; excluded from cuts",
+		"delta":     "state: copied (Reset retunes it from config)",
+		"eps":       "state: rebuilt from the snapshot's epState records (live known + unknown entries)",
+		"epFree":    "pool: recycled epStates, excluded — dropped records are harvested back on Reset/Restore",
+		"liveQ":     "state: rebuilt from the snapshot's leading nLive epState records, dead heads included",
+		"liveHead":  "state: normalized to 0 on Restore (only order and dead flags are semantic)",
+		"atomics":   "state: per-sync-var A1 fold indexed by id, copied in place (pending multiset deep-copied); entries past len are stale storage, emptied when observed into range",
+		"vars":      "state: per-data-var A2/A3 folds indexed by id in chunks kept for life, the first nvars copied in place (intervals/writers deep-copied); folds past nvars are stale storage, emptied when observed into range",
+		"nvars":     "state: data variable ids in use, copied (the cut's vars length); Reset zeroes it",
+		"a2unknown": "state: violation bucket, slice-copied",
+		"a2overlap": "state: violation bucket, slice-copied",
+		"a3":        "state: violation bucket, slice-copied",
+		"finished":  "state: copied (a mid-run cut reopens a Finish-sealed stream)",
+		"result":    "state: slice-copied alongside finished",
 	})
 	audit.Fields(t, epState{}, map[string]string{
 		"id":        "state: via copyEp",

@@ -14,21 +14,12 @@ import "drftest/internal/reuse"
 // reachable from both the eps table and the liveQ, and RetireEpisode
 // communicates death to minLiveCreate through that shared object — so
 // Restore materializes each saved episode exactly once and links it
-// into both structures.
-
-// varSave and atomicSave are one variable's fold with its id. Saving
-// and restoring a fold is the same copy in opposite directions
+// into both structures. Variable folds are index-addressed on both
+// sides, so a cut and a restore copy them into place.
+//
+// Saving and restoring a fold is the same copy in opposite directions
 // (copyEp, copyVar, copyAtomic), always refilling the destination's
 // own slices and table.
-type varSave struct {
-	id int
-	varState
-}
-
-type atomicSave struct {
-	id int
-	atomicState
-}
 
 // StreamSnapshot is a Stream cut; obtain via Stream.Snapshot (or
 // Pipeline.Snapshot, which quiesces the ring first), reinstate via
@@ -43,8 +34,10 @@ type StreamSnapshot struct {
 	eps   []epState
 	nLive int
 
-	atomics []atomicSave
-	data    []varSave
+	// atomics and vars hold the folds of the ids in use, indexed by
+	// variable id.
+	atomics []atomicState
+	vars    []varState
 
 	a2unknown []Violation
 	a2overlap []overlapViol
@@ -55,10 +48,9 @@ type StreamSnapshot struct {
 }
 
 // Reset rearms the stream for a fresh run, keeping its tables, the
-// episode free list and the variable slab so a campaign's per-seed loop
-// does not rebuild them. Dropped episode records are harvested into the
-// free list; every variable record is back in the rewound slab, so the
-// free list that pointed into it is emptied.
+// episode free list and the variable folds' storage so a campaign's
+// per-seed loop does not rebuild them. Dropped episode records are
+// harvested into the free list; no variable id is in use any more.
 func (s *Stream) Reset(atomicDelta uint32) {
 	if atomicDelta == 0 {
 		atomicDelta = 1
@@ -67,9 +59,7 @@ func (s *Stream) Reset(atomicDelta uint32) {
 	s.harvest()
 	s.eps.Clear()
 	s.liveQ, s.liveHead = s.liveQ[:0], 0
-	s.atomics.Clear()
-	s.data.Clear()
-	s.varFree, s.varNext = s.varFree[:0], 0
+	s.atomics, s.nvars = s.atomics[:0], 0
 	s.a2unknown = s.a2unknown[:0]
 	s.a2overlap = s.a2overlap[:0]
 	s.a3 = s.a3[:0]
@@ -97,10 +87,9 @@ func copyEp(dst, src *epState) {
 }
 
 func copyVar(dst, src *varState) {
-	ivals, writers := dst.intervals, dst.writers
-	*dst = *src
-	dst.intervals = append(ivals[:0], src.intervals...)
-	dst.writers = append(writers[:0], src.writers...)
+	dst.intervals = append(dst.intervals[:0], src.intervals...)
+	dst.prev, dst.hasPrev = src.prev, src.hasPrev
+	dst.writers = append(dst.writers[:0], src.writers...)
 }
 
 func copyAtomic(dst, src *atomicState) {
@@ -139,26 +128,37 @@ func (s *Stream) SnapshotInto(snap *StreamSnapshot) *StreamSnapshot {
 			copyEp(reuse.Grow(&snap.eps), *es)
 		}
 	})
-	snap.atomics = snap.atomics[:0]
-	s.atomics.Each(func(v int, a **atomicState) {
-		as := reuse.Grow(&snap.atomics)
-		as.id = v
-		copyAtomic(&as.atomicState, *a)
-	})
-	snap.data = snap.data[:0]
-	s.data.Each(func(v int, vs **varState) {
-		ds := reuse.Grow(&snap.data)
-		ds.id = v
-		copyVar(&ds.varState, *vs)
-	})
+	snap.atomics = resize(snap.atomics, len(s.atomics))
+	for v := range s.atomics {
+		copyAtomic(&snap.atomics[v], &s.atomics[v])
+	}
+	snap.vars = resize(snap.vars, s.nvars)
+	var none varState
+	for v := range snap.vars {
+		src := s.fold(v)
+		if src == nil {
+			src = &none
+		}
+		copyVar(&snap.vars[v], src)
+	}
 	return snap
 }
 
-// Restore reinstates a cut captured by Snapshot. Current episode and
-// variable records are harvested for reuse; every saved episode is
-// rebuilt once and linked into the eps table and/or the live queue
-// exactly as the save recorded (dead queue heads stay out of the table,
-// unknown records stay out of the queue).
+// resize returns x with length n, keeping its storage when it is large
+// enough; the contents are the caller's to refill.
+func resize[T any](x []T, n int) []T {
+	if n <= cap(x) {
+		return x[:n]
+	}
+	return append(x[:cap(x)], make([]T, n-cap(x))...)
+}
+
+// Restore reinstates a cut captured by Snapshot. Current episode
+// records are harvested for reuse; every saved episode is rebuilt once
+// and linked into the eps table and/or the live queue exactly as the
+// save recorded (dead queue heads stay out of the table, unknown
+// records stay out of the queue). Every saved variable fold is copied
+// into its id's place.
 func (s *Stream) Restore(snap *StreamSnapshot) {
 	s.delta = snap.delta
 	s.harvest()
@@ -174,20 +174,18 @@ func (s *Stream) Restore(snap *StreamSnapshot) {
 			s.eps.Put(es.id, es)
 		}
 	}
-	s.atomics.Each(func(_ int, a **atomicState) { s.atomicFree = append(s.atomicFree, *a) })
-	s.atomics.Clear()
-	for i := range snap.atomics {
-		a := reuse.Pop(&s.atomicFree)
-		copyAtomic(a, &snap.atomics[i].atomicState)
-		s.atomics.Put(snap.atomics[i].id, a)
+	s.atomics = resize(s.atomics, len(snap.atomics))
+	for v := range snap.atomics {
+		copyAtomic(&s.atomics[v], &snap.atomics[v])
 	}
-	s.data.Each(func(_ int, vs **varState) { s.varFree = append(s.varFree, *vs) })
-	s.data.Clear()
-	for i := range snap.data {
-		vs := s.newVarState()
-		copyVar(vs, &snap.data[i].varState)
-		s.data.Put(snap.data[i].id, vs)
+	for v := range snap.vars {
+		if dst := s.fold(v); dst != nil {
+			copyVar(dst, &snap.vars[v])
+		} else if !snap.vars[v].isEmpty() {
+			copyVar(s.rec(v), &snap.vars[v])
+		}
 	}
+	s.nvars = len(snap.vars)
 	s.a2unknown = append(s.a2unknown[:0], snap.a2unknown...)
 	s.a2overlap = append(s.a2overlap[:0], snap.a2overlap...)
 	s.a3 = append(s.a3[:0], snap.a3...)

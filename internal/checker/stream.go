@@ -45,18 +45,17 @@ type Stream struct {
 	liveQ    []*epState
 	liveHead int
 
-	atomics table.Table[int, *atomicState]
-	data    table.Table[int, *varState]
-	// atomicFree and varFree hold the fold records a Restore displaced,
-	// for the next Restore (or, for varFree, the next new variable) to
-	// refill.
-	atomicFree []*atomicState
-	varFree    []*varState
-	// varSlab is the chunked storage every varState is carved from,
-	// varNext how many records are handed out; Reset rewinds it, so a
-	// reused stream allocates per run only what outgrew a record.
-	varSlab [][]varRec
-	varNext int
+	// atomics[v] is sync variable v's A1 fold and vars[v/varChunk]
+	// [v%varChunk] data variable v's A2/A3 fold: variable ids are dense,
+	// so a fold is found by index and a cut is copied into place. Only
+	// the first len(atomics) and nvars ids are in use; a fold past them
+	// may be stale and is emptied when the range grows over it, and an
+	// empty fold checks and reports nothing. vars' chunks are allocated
+	// on first touch of their ids and kept, so a reused stream allocates
+	// per run only what outgrew a record.
+	atomics []atomicState
+	vars    [][]varRec
+	nvars   int
 
 	// Violation buckets, assembled in reference order by Finish: A1
 	// (per sync var ascending), A2 unknown-episode (op order), A2
@@ -68,10 +67,6 @@ type Stream struct {
 
 	finished bool
 	result   []Violation
-
-	// avars is Finish's scratch for the sync variables in ascending
-	// order.
-	avars []int
 }
 
 // NewStream creates an empty online checker. atomicDelta is the
@@ -232,33 +227,74 @@ func (s *Stream) minLiveCreate() uint64 {
 	return s.liveQ[s.liveHead].createSeq
 }
 
+// varState returns data variable v's fold, bringing v into the range
+// in use.
 func (s *Stream) varState(v int) *varState {
-	vs := s.data.Slot(v)
-	if *vs == nil {
-		*vs = s.newVarState()
+	vs := s.rec(v)
+	if v >= s.nvars {
+		for i := s.nvars; i < v; i++ {
+			if f := s.fold(i); f != nil {
+				f.empty()
+			}
+		}
+		vs.empty()
+		s.nvars = v + 1
 	}
-	return *vs
+	return vs
 }
 
-// newVarState returns an empty record — one a Restore displaced, else
-// the slab's next — keeping whatever slice capacity it has.
-func (s *Stream) newVarState() *varState {
-	var v *varState
-	if n := len(s.varFree); n > 0 {
-		v, s.varFree = s.varFree[n-1], s.varFree[:n-1]
-	} else {
-		if s.varNext == len(s.varSlab)*varChunk {
-			s.varSlab = append(s.varSlab, make([]varRec, varChunk))
-		}
-		r := &s.varSlab[s.varNext/varChunk][s.varNext%varChunk]
-		s.varNext++
-		if r.intervals == nil {
-			r.intervals, r.writers = r.ivalBuf[:0], r.writerBuf[:0]
-		}
-		v = &r.varState
+// rec returns data variable v's record, allocating its chunk on first
+// touch.
+func (s *Stream) rec(v int) *varState {
+	c := v / varChunk
+	for len(s.vars) <= c {
+		s.vars = append(s.vars, nil)
 	}
+	if s.vars[c] == nil {
+		recs := make([]varRec, varChunk)
+		for i := range recs {
+			recs[i].intervals, recs[i].writers = recs[i].ivalBuf[:0], recs[i].writerBuf[:0]
+		}
+		s.vars[c] = recs
+	}
+	return &s.vars[c][v%varChunk].varState
+}
+
+// fold returns data variable v's record, nil when its chunk was never
+// allocated (every fold in it is empty).
+func (s *Stream) fold(v int) *varState {
+	if c := v / varChunk; c < len(s.vars) && s.vars[c] != nil {
+		return &s.vars[c][v%varChunk].varState
+	}
+	return nil
+}
+
+// empty clears the fold, keeping its slices' capacity.
+func (v *varState) empty() {
 	*v = varState{intervals: v.intervals[:0], writers: v.writers[:0]}
-	return v
+}
+
+// isEmpty reports whether the fold holds nothing.
+func (v *varState) isEmpty() bool {
+	return len(v.intervals) == 0 && len(v.writers) == 0 && !v.hasPrev
+}
+
+// atomicState returns sync variable v's fold, bringing v into the range
+// in use.
+func (s *Stream) atomicState(v int) *atomicState {
+	if n := len(s.atomics); v >= n {
+		s.atomics = slices.Grow(s.atomics, v+1-n)[:v+1]
+		for i := n; i <= v; i++ {
+			s.atomics[i].empty()
+		}
+	}
+	return &s.atomics[v]
+}
+
+// empty clears the fold, keeping its table's storage.
+func (a *atomicState) empty() {
+	a.contig, a.npend = 0, 0
+	a.pending.Clear()
 }
 
 // Observe folds one completed operation. Operations must arrive in
@@ -275,11 +311,7 @@ func (s *Stream) Observe(op Op) {
 
 // observeAtomic: axiom A1 fold.
 func (s *Stream) observeAtomic(op Op) {
-	slot := s.atomics.Slot(op.Var)
-	if *slot == nil {
-		*slot = &atomicState{}
-	}
-	a := *slot
+	a := s.atomicState(op.Var)
 	if op.Value == uint32(a.contig)*s.delta {
 		a.contig++
 		for a.npend > 0 {
@@ -351,7 +383,7 @@ func (s *Stream) observeValue(op Op) {
 			return // already reported by A2
 		}
 		var want uint32 // zero-initialized memory
-		if v, _ := s.data.Get(op.Var); v != nil {
+		if v := s.fold(op.Var); v != nil && op.Var < s.nvars {
 			ws := v.writers
 			i := sort.Search(len(ws), func(i int) bool { return ws[i].retireSeq >= es.createSeq })
 			if i > 0 {
@@ -382,7 +414,7 @@ func (s *Stream) RetireEpisode(id, retireSeq uint64) {
 	es.dead = true
 	s.eps.Delete(id)
 	for _, varID := range es.touched {
-		v, _ := s.data.Get(varID)
+		v := s.fold(varID)
 		for i := len(v.intervals) - 1; i >= 0; i-- {
 			if v.intervals[i].ep == id {
 				v.intervals[i].hi = retireSeq
@@ -399,12 +431,10 @@ func (s *Stream) RetireEpisode(id, retireSeq uint64) {
 	// until the next BeginEpisode, so reading them below is safe.
 	minLive := s.minLiveCreate()
 	for _, varID := range es.touched {
-		v, _ := s.data.Get(varID)
-		s.advanceSeal(varID, v, minLive)
+		s.advanceSeal(varID, s.fold(varID), minLive)
 	}
 	for _, w := range es.ownWrites {
-		v, _ := s.data.Get(w.v)
-		s.pruneWriters(v, minLive)
+		s.pruneWriters(s.fold(w.v), minLive)
 	}
 }
 
@@ -472,22 +502,20 @@ func (s *Stream) Finish() []Violation {
 	var out []Violation
 
 	// A1, per sync variable ascending.
-	s.avars = s.avars[:0]
-	s.atomics.Each(func(v int, _ **atomicState) { s.avars = append(s.avars, v) })
-	slices.Sort(s.avars)
-	for _, vid := range s.avars {
-		a, _ := s.atomics.Get(vid)
-		if viol, bad := a.firstBreak(vid, s.delta); bad {
+	for vid := range s.atomics {
+		if viol, bad := s.atomics[vid].firstBreak(vid, s.delta); bad {
 			out = append(out, viol)
 		}
 	}
 
 	// A2: episodes that never retired get an unbounded lifetime, then
 	// the remaining unsealed suffixes run the final adjacent-pair
-	// sweep. Emission order across variables is restored by the sort
-	// below, so the table's iteration order here is harmless.
-	s.data.Each(func(vid int, vs **varState) {
-		v := *vs
+	// sweep.
+	for vid := 0; vid < s.nvars; vid++ {
+		v := s.fold(vid)
+		if v == nil {
+			continue
+		}
 		for i := range v.intervals {
 			if !v.intervals[i].retired {
 				v.intervals[i].hi = ^uint64(0)
@@ -495,7 +523,7 @@ func (s *Stream) Finish() []Violation {
 			}
 		}
 		s.advanceSeal(vid, v, ^uint64(0))
-	})
+	}
 	out = append(out, s.a2unknown...)
 	if len(s.a2overlap) > 1 {
 		sort.Slice(s.a2overlap, func(i, j int) bool {

@@ -265,8 +265,12 @@ func TestExclusivityDedupTyped(t *testing.T) {
 // bounded regardless of how many episodes have passed through.
 func (s *Stream) streamFootprint() int {
 	n := s.eps.Len() + (len(s.liveQ) - s.liveHead)
-	s.data.Each(func(_ int, v **varState) { n += len((*v).intervals) + len((*v).writers) })
-	s.atomics.Each(func(_ int, a **atomicState) { n += (*a).npend + (*a).pending.Len() })
+	for v := 0; v < s.nvars; v++ {
+		n += len(s.fold(v).intervals) + len(s.fold(v).writers)
+	}
+	for _, a := range s.atomics {
+		n += a.npend + a.pending.Len()
+	}
 	return n
 }
 
@@ -349,7 +353,7 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 // folds a run over fresh variables — each with an interval and a
 // writer or two, the shape that used to cost a record and up to five
 // slice growths per variable — without allocating, because Reset
-// rewound the slab.
+// keeps the folds' chunks.
 func TestStreamVarSlabSteadyStateAllocs(t *testing.T) {
 	s := NewStream(1)
 	run := func() {
@@ -368,19 +372,19 @@ func TestStreamVarSlabSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("clean run flagged: %v", vs)
 		}
 	}
-	run() // builds the slab, the tables and the episode records
-	// What is left is Finish's sorted sync-variable list.
-	if n := testing.AllocsPerRun(10, run); n > 1 {
-		t.Fatalf("a run on a reset stream allocates %v objects, want at most 1", n)
+	run() // builds the chunks, the tables and the episode records
+	if n := testing.AllocsPerRun(10, run); n != 0 {
+		t.Fatalf("a run on a reset stream allocates %v objects, want none", n)
 	}
-	if s.varNext != 3*varChunk || len(s.varSlab) != 3 {
-		t.Fatalf("slab holds %d records in %d chunks, want %d in 3", s.varNext, len(s.varSlab), 3*varChunk)
+	if s.nvars != 3*varChunk || len(s.vars) != 3 {
+		t.Fatalf("%d variables in use in %d chunks, want %d in 3", s.nvars, len(s.vars), 3*varChunk)
 	}
 }
 
-// TestStreamResetAfterRestore pins the slab against its free list: a
-// Restore parks the records it displaced in varFree, and a Reset that
-// rewound the slab under them would hand each record out twice.
+// TestStreamResetAfterRestore pins the index-addressed folds across a
+// restore that shrinks the ids in use: a Reset after it, and the run
+// that follows, must see every fold the restore left beyond the cut's
+// range as empty, never as the finished run's stale state.
 func TestStreamResetAfterRestore(t *testing.T) {
 	tr := pipelineCorpus()["racy"]
 	evs := traceEvents(tr)
@@ -395,9 +399,10 @@ func TestStreamResetAfterRestore(t *testing.T) {
 	snap := p.Snapshot()
 	feed(p, evs[cut:])
 	want := p.Finish()
-	p.Restore(snap) // displaces the finished run's records, refills a few
-	if len(p.stream.varFree) == 0 {
-		t.Fatal("the restore left no displaced record parked")
+	inUse := p.stream.nvars
+	p.Restore(snap) // leaves the finished run's folds beyond the cut's range
+	if p.stream.nvars >= inUse {
+		t.Fatalf("the restore kept %d of %d variables in use; the cut should hold fewer", p.stream.nvars, inUse)
 	}
 	p.Reset(tr.AtomicDelta)
 	feed(p, evs)

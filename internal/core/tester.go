@@ -290,6 +290,16 @@ func (t *Tester) ResetWithConfig(seed uint64, cfg Config) {
 // variables under the run's random mapping.
 func (t *Tester) FalseSharingLines() int { return t.space.falseShared }
 
+// DataValues appends every data variable's retired reference value —
+// what a load outside a writing episode must observe — to dst, in
+// variable order.
+func (t *Tester) DataValues(dst []uint32) []uint32 {
+	for i := range t.space.dataVars {
+		dst = append(dst, t.space.dataVars[i].value)
+	}
+	return dst
+}
+
 // Log exposes the rolling transaction log.
 func (t *Tester) Log() *EventLog { return t.log }
 

@@ -49,6 +49,47 @@ func DefaultConfig() Config {
 	}
 }
 
+// Admission limits: past them a run is a mistake, not a test — New
+// dies sizing its locations, a heartbeat wraps tick arithmetic, or the
+// run outlasts any use (the paper's longest is 1M loads per CPU).
+const (
+	MaxLocations  = 1 << 24
+	MaxRangeBytes = 1 << 32
+	MaxOpsPerCPU  = 1 << 30
+)
+
+// Validate reports, naming the field, why a tester cannot be built from
+// c; nil means New will place its locations and the run will end. A
+// zero count means "default"; a negative one is a mistake, and so is a
+// count past its admission limit and an address range with fewer word
+// slots than there are locations to place in it.
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		n    int
+	}{{"OpsPerCPU", c.OpsPerCPU}, {"NumLocations", c.NumLocations}} {
+		if f.n < 0 {
+			return fmt.Errorf("cputester: %s must not be negative, got %d", f.name, f.n)
+		}
+	}
+	for _, f := range []struct {
+		name   string
+		n, max uint64
+	}{
+		{"OpsPerCPU", uint64(c.OpsPerCPU), MaxOpsPerCPU}, {"NumLocations", uint64(c.NumLocations), MaxLocations},
+		{"AddressRangeBytes", c.AddressRangeBytes, MaxRangeBytes}, {"CheckPeriod", uint64(c.CheckPeriod), uint64(sim.MaxDelay)},
+	} {
+		if f.n > f.max {
+			return fmt.Errorf("cputester: %s %d exceeds the admission limit of %d", f.name, f.n, f.max)
+		}
+	}
+	if d := c.withDefaults(); d.AddressRangeBytes/mem.WordSize < uint64(d.NumLocations) {
+		return fmt.Errorf("cputester: AddressRangeBytes %d too small for %d locations of %d bytes",
+			d.AddressRangeBytes, d.NumLocations, mem.WordSize)
+	}
+	return nil
+}
+
 func (c Config) withDefaults() Config {
 	if c.OpsPerCPU <= 0 {
 		c.OpsPerCPU = 1000

@@ -52,9 +52,9 @@ const (
 	opDMAWr
 )
 
-// maxPorts bounds the CPU and GPU port counts so holder and sharer
+// MaxPorts bounds the CPU and GPU port counts so holder and sharer
 // sets fit in one bitmask word (no per-line set allocation).
-const maxPorts = 64
+const MaxPorts = 64
 
 // tbe carries one transaction from request to completion. TBEs are
 // pooled: entry points fill one from the free list, complete (or the
@@ -234,7 +234,7 @@ func (d *Directory) AttachGPU(gpu GPUPort) {
 // later with BindGPU (the viper system needs the backend to build, and
 // the directory needs the built system to probe).
 func (d *Directory) AddGPU() int {
-	if len(d.gpus) == maxPorts {
+	if len(d.gpus) == MaxPorts {
 		panic("directory: too many GPUs for the holder bitmask")
 	}
 	d.gpus = append(d.gpus, nil)
@@ -275,7 +275,7 @@ func (g GPUBackendPort) Atomic(addr mem.Addr, delta uint32, done func(uint32, bo
 
 // AttachCPU registers a CPU cache and returns its port ID.
 func (d *Directory) AttachCPU(c CPUPort) int {
-	if len(d.cpus) == maxPorts {
+	if len(d.cpus) == MaxPorts {
 		panic("directory: too many CPUs for the sharer bitmask")
 	}
 	d.cpus = append(d.cpus, c)

@@ -39,9 +39,10 @@ func TestStateFieldAudits(t *testing.T) {
 		"res":         "report: accumulates across the whole exploration, never rewound",
 		"replayBound": "config: the replayBound constant; tests override it to compare rewind policies",
 		"beforeReuse": "test hook: nil outside the poison test",
+		"widen":       "test hook: keepAll outside the differential test's mutations of dependent",
 	})
 	audit.Fields(t, run{}, map[string]string{
-		"GPURun":  "config: system, tester and trace ring under exploration (snapshotted via cuts)",
+		"GPURun":  "config: system and tester under exploration (snapshotted via cuts); untraced, so Ring is nil",
 		"testCfg": "config: effective tester config (StreamCheck forced on, the caller's StreamInline), embedded in violation artifacts; the run's own tester additionally folds inline",
 	})
 }

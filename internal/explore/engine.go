@@ -46,7 +46,7 @@ func (e *engine) dependent(aTag, bTag uint64) bool {
 	if aTag == 0 || bTag == 0 {
 		return true
 	}
-	if sim.TagUnit(aTag) == sim.TagUnit(bTag) {
+	if sim.TagUnit(aTag) == sim.TagUnit(bTag) && e.widen != dropSameUnit {
 		return true
 	}
 	la, aok := sim.TagLine(aTag)
@@ -54,8 +54,21 @@ func (e *engine) dependent(aTag, bTag uint64) bool {
 	if !aok || !bok {
 		return true
 	}
+	if e.widen == dropSetCollision {
+		return la == lb
+	}
 	return e.geom.conflict(la, lb)
 }
+
+// widening names a clause of dependent that a test drops to show the
+// differential test catches an unsound, too-wide independence relation.
+type widening uint8
+
+const (
+	keepAll widening = iota
+	dropSameUnit
+	dropSetCollision
+)
 
 // replayBound is the longest replay a rewind takes: a decision holds
 // its own cut only when it is the root or more than replayBound Choose
@@ -141,6 +154,8 @@ type engine struct {
 	// beforeReuse, when set, is handed each dead node just before the
 	// next decision at its depth refills it (the poison test's hook).
 	beforeReuse func(*node)
+	// widen is keepAll outside the differential test's mutations.
+	widen widening
 }
 
 // Choose implements sim.Chooser: it is called once per fired event and
@@ -290,8 +305,10 @@ func (e *engine) scheduleDone() (stop bool, err error) {
 				StreamViolations: len(rep.StreamViolations),
 			}
 			if len(rep.Failures) > 0 {
-				art := harness.NewGPUArtifact(e.cfg.SysCfg, e.run.testCfg, e.run.Tester, rep, e.run.Ring)
-				art.Schedule = v.Schedule
+				art, err := e.run.artifact(e.cfg, v.Schedule)
+				if err != nil {
+					return true, err
+				}
 				v.Failure = art.FirstFailure()
 				e.res.Artifact = art
 				if e.cfg.ArtifactDir != "" {

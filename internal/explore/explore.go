@@ -158,7 +158,9 @@ func (r *Result) Complete() bool {
 // tester config (StreamCheck forced on) — violation artifacts embed it
 // so replay rebuilds the identical tester. The run's own tester also
 // folds the stream inline: every cut flushes the checker pipeline, so a
-// second thread would only ever be handed work and waited for.
+// second thread would only ever be handed work and waited for. The run
+// is untraced: the trace ring only feeds a violation's artifact, which
+// a traced re-run of the violating schedule captures instead.
 type run struct {
 	*harness.GPURun
 	testCfg core.Config
@@ -169,9 +171,21 @@ func newRun(cfg *Config) *run {
 	tc.StreamCheck = true
 	inline := tc
 	inline.StreamInline = true
-	r := &run{GPURun: harness.NewGPURun(cfg.SysCfg, inline, true, cfg.TraceDepth), testCfg: tc}
+	r := &run{GPURun: harness.NewGPURun(cfg.SysCfg, inline, false, 0), testCfg: tc}
 	r.Sys.EnableCheckpointing()
 	return r
+}
+
+// artifact returns a violating schedule's artifact: harness.Replay
+// re-runs the schedule on a fresh traced run, since the explorer's own
+// run is untraced, and captures the artifact from it.
+func (r *run) artifact(cfg *Config, schedule []uint64) (*harness.Artifact, error) {
+	return harness.Replay(&harness.Artifact{
+		Kind:          harness.ArtifactGPU,
+		GPU:           &harness.GPUSetup{SysCfg: cfg.SysCfg, TestCfg: r.testCfg},
+		TraceCapacity: cfg.TraceDepth,
+		Schedule:      schedule,
+	})
 }
 
 // Run explores the configured run's schedule space depth-first and

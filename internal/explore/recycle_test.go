@@ -30,7 +30,7 @@ func (r *run) snapshot() *harness.Checkpoint {
 // scribbling through it.
 var aliased = map[string]bool{
 	"TesterSnapshot.reqSlab": true, // the tester's write-once request slab
-	"storeSave.data":         true, // a copy-on-write page, shared until written
+	"storeSave.blocks":       true, // copy-on-write blocks, shared until written
 }
 
 // isSnapshot reports whether t is one of the layers' snapshot structs,
@@ -197,6 +197,34 @@ func (tc recycleCase) check(t *testing.T, res *Result) {
 	if got := fmt.Sprintf("%x", sha256.Sum256(data)); len(data) != tc.artifactLen || got != tc.artifactSHA {
 		t.Fatalf("artifact is %d bytes, sha256 %s; the parent commit's was %d bytes, sha256 %s",
 			len(data), got, tc.artifactLen, tc.artifactSHA)
+	}
+}
+
+// TestExploreRunUntraced pins that exploring pays nothing for the
+// trace: the explorer's run has no ring and its cuts carry no ring
+// snapshot, while a violation's artifact still embeds the trace tail
+// of its traced re-run (the SHA-256 pins above are the parent's bytes).
+func TestExploreRunUntraced(t *testing.T) {
+	tc := recycleCases[0]
+	e := tc.engine(replayBound, nil)
+	if e.run.Ring != nil {
+		t.Fatal("the explorer's run is traced")
+	}
+	res, err := e.explore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.check(t, res)
+	if len(e.nodes) == 0 || res.Cuts == 0 {
+		t.Fatal("no cut was taken")
+	}
+	for d, n := range e.nodes {
+		if ring := reflect.ValueOf(n.cut).FieldByName("ring"); !ring.IsNil() {
+			t.Fatalf("the cut at depth %d holds a ring snapshot", d)
+		}
+	}
+	if art := res.Artifact; art.TraceCapacity == 0 || len(art.Trace) == 0 {
+		t.Fatalf("the violation's artifact has no trace (capacity %d, %d entries)", art.TraceCapacity, len(art.Trace))
 	}
 }
 

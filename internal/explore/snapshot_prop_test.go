@@ -30,6 +30,17 @@ func (c *snapChooser) Choose(now sim.Tick, cands []sim.Enabled) int {
 	return 0
 }
 
+// tracedRun is newRun with the trace ring on — the explorer's own run
+// is untraced — so the witness below covers the ring's cut too.
+func tracedRun(cfg *Config) *run {
+	r := newRun(cfg)
+	inline := r.testCfg
+	inline.StreamInline = true
+	r.GPURun = harness.NewGPURun(cfg.SysCfg, inline, true, 0)
+	r.Sys.EnableCheckpointing()
+	return r
+}
+
 // fingerprint runs the current schedule to completion and returns the
 // full replay artifact serialized — ops, final RNG state, failures and
 // the complete trace tail — as the bit-identity witness.
@@ -56,7 +67,7 @@ func TestSnapshotForkRewindRefork(t *testing.T) {
 	const outer, inner = 40, 90
 
 	cfg := Config{SysCfg: exploreBigSetsSys(), TestCfg: exploreWideCfg(7)}
-	r := newRun(&cfg)
+	r := tracedRun(&cfg)
 	ch := &snapChooser{r: r, at: map[int]*harness.Checkpoint{outer: nil, inner: nil}}
 	r.K.SetChooser(ch)
 

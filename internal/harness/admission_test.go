@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"drftest/internal/cache"
 	"drftest/internal/core"
+	"drftest/internal/cputester"
 	"drftest/internal/sim"
 	"drftest/internal/viper"
 )
@@ -20,6 +22,9 @@ var unboundedFields = map[string]string{
 	"testCfg.StoreFraction":      "a value outside (0, 1) selects the default",
 	"testCfg.DeadlockThreshold":  "a longer threshold only reports a deadlock later",
 	"testCfg.LogCapacity":        "a value ≤ 0 selects the default",
+	"cpuCfg.Seed":                "every value seeds the run",
+	"cpuCfg.StoreFraction":       "a value outside (0, 1) selects the default",
+	"cpuCfg.DeadlockThreshold":   "a longer threshold only reports a deadlock later",
 }
 
 // numericField is one numeric field reached by walking a config: its
@@ -79,11 +84,11 @@ func setExtremes(k reflect.Kind) []func(reflect.Value) {
 
 // TestAdmissionCoversEveryField is the standing admission property:
 // every numeric field of viper.Config (its caches, memory controller
-// and bug set included) and of core.Config, set to its type's extreme
-// on a valid tiny base, is either refused by ValidateRun with an error
-// naming the field, or listed in unboundedFields — and then a tiny run
-// of it completes. A field added without a limit or a reason fails
-// here.
+// and bug set included), of core.Config and of cputester.Config, set to
+// its type's extreme on a valid tiny base, is either refused by
+// ValidateRun (ValidateCPURun) with an error naming the field, or
+// listed in unboundedFields — and then a tiny run of it completes. A
+// field added without a limit or a reason fails here.
 func TestAdmissionCoversEveryField(t *testing.T) {
 	baseSys := viper.SmallCacheConfig()
 	baseSys.NumCUs = 2
@@ -124,6 +129,34 @@ func TestAdmissionCoversEveryField(t *testing.T) {
 			if rep := NewGPURun(sys, test, false, 0).Tester.Run(); rep.OpsCompleted != test.WithDefaults().TotalActions() {
 				t.Errorf("%s = %v: the admitted run completed %d of %d operations", f.path, x,
 					rep.OpsCompleted, test.WithDefaults().TotalActions())
+			}
+		}
+	}
+	baseCPU := cputester.Config{Seed: 1, OpsPerCPU: 50, NumLocations: 16}
+	if err := ValidateCPURun(2, DefaultCPUCache, baseCPU, 0); err != nil {
+		t.Fatalf("CPU base refused: %v", err)
+	}
+	cpuFields := numericFields("cpuCfg", reflect.TypeOf(baseCPU), nil)
+	fields = append(fields, cpuFields...)
+	for _, f := range cpuFields {
+		for _, set := range setExtremes(f.kind) {
+			test := baseCPU
+			field := reflect.ValueOf(&test).Elem().FieldByIndex(f.index)
+			set(field)
+			x := field.Interface()
+			if err := ValidateCPURun(2, DefaultCPUCache, test, 0); err != nil {
+				if !strings.Contains(err.Error(), f.names[0]) {
+					t.Errorf("%s = %v: refused without naming the field: %v", f.path, x, err)
+				}
+				continue
+			}
+			if _, ok := unboundedFields[f.path]; !ok {
+				t.Errorf("%s = %v admitted, and the field has neither a limit nor a reason in unboundedFields", f.path, x)
+				continue
+			}
+			b := BuildCPU(2, DefaultCPUCache)
+			if rep := cputester.New(b.K, b.Caches, test).Run(); rep.OpsCompleted != 2*uint64(test.OpsPerCPU) {
+				t.Errorf("%s = %v: the admitted run completed %d of %d operations", f.path, x, rep.OpsCompleted, 2*test.OpsPerCPU)
 			}
 		}
 	}
@@ -198,5 +231,36 @@ func TestDeadlockRule(t *testing.T) {
 			f := res.Failures[0]
 			t.Errorf("%s at %d, just inside the rule: seed %d reported %s", knob.name, lo, f.Seed, f.Failures[0].Message)
 		}
+	}
+}
+
+// TestValidateCPURun: the CPU configurations that used to hang replay
+// or panic a build are refused, each with an error naming the field.
+func TestValidateCPURun(t *testing.T) {
+	base := cputester.DefaultConfig()
+	tiny := base
+	tiny.NumLocations, tiny.AddressRangeBytes = 256, 4
+	for _, tc := range []struct {
+		field string
+		cpus  int
+		cache cache.Config
+		test  cputester.Config
+		depth int
+	}{
+		{"AddressRangeBytes", 2, DefaultCPUCache, tiny, 0},
+		{"numCPUs", -3, DefaultCPUCache, base, 0},
+		{"numCPUs", 0, DefaultCPUCache, base, 0},
+		{"numCPUs", 65, DefaultCPUCache, base, 0},
+		{"SizeBytes", 2, cache.Config{}, base, 0},
+		{"LineSize", 2, cache.Config{SizeBytes: 512, LineSize: 3, Assoc: 2}, base, 0},
+		{"traceDepth", 2, DefaultCPUCache, base, 4_000_000_000},
+	} {
+		err := ValidateCPURun(tc.cpus, tc.cache, tc.test, tc.depth)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s probe: ValidateCPURun = %v, want an error naming the field", tc.field, err)
+		}
+	}
+	if err := ValidateCPURun(2, DefaultCPUCache, base, 0); err != nil {
+		t.Errorf("default CPU run refused: %v", err)
 	}
 }

@@ -262,6 +262,9 @@ func LoadArtifactBytes(path string, data []byte) (*Artifact, error) {
 		if a.CPU.TestCfg.Seed != a.Seed {
 			return nil, fmt.Errorf("artifact %s: seed %d disagrees with embedded tester seed %d", path, a.Seed, a.CPU.TestCfg.Seed)
 		}
+		if err := ValidateCPURun(a.CPU.NumCPUs, a.CPU.CacheCfg, a.CPU.TestCfg, a.TraceCapacity); err != nil {
+			return nil, fmt.Errorf("artifact %s: %w", path, err)
+		}
 	default:
 		return nil, fmt.Errorf("artifact %s: unknown kind %q", path, a.Kind)
 	}

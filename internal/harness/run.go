@@ -3,8 +3,11 @@ package harness
 import (
 	"fmt"
 
+	"drftest/internal/cache"
 	"drftest/internal/core"
 	"drftest/internal/coverage"
+	"drftest/internal/cputester"
+	"drftest/internal/directory"
 	"drftest/internal/sim"
 	"drftest/internal/trace"
 	"drftest/internal/viper"
@@ -61,6 +64,25 @@ func ValidateRun(sys viper.Config, test core.Config, traceDepth int) error {
 		return fmt.Errorf("testCfg.DeadlockThreshold %d is in reach of a correct run: (%d threads + 2) × %d ticks of "+
 			"ReqLatency + RespLatency + RespJitter + Mem.AccessLatency + L1RespLatency, plus %d threads × %d ActionsPerEpisode × %d ticks of Mem.ServicePeriod, is a %d-tick wait",
 			t.DeadlockThreshold, threads, roundTrip, threads, t.ActionsPerEpisode, sys.Mem.ServicePeriod, wait)
+	}
+	return nil
+}
+
+// ValidateCPURun admits a CPU run: nil means BuildCPU(numCPUs,
+// cacheCfg) and a tester for test over it can be built and run, traced
+// at traceDepth; otherwise the error names the field.
+func ValidateCPURun(numCPUs int, cacheCfg cache.Config, test cputester.Config, traceDepth int) error {
+	if numCPUs <= 0 || numCPUs > directory.MaxPorts {
+		return fmt.Errorf("numCPUs %d must be between 1 and %d", numCPUs, directory.MaxPorts)
+	}
+	if err := cacheCfg.Validate(); err != nil {
+		return fmt.Errorf("cacheCfg: %w", err)
+	}
+	if err := test.Validate(); err != nil {
+		return fmt.Errorf("testCfg: %w", err)
+	}
+	if traceDepth > trace.MaxCapacity {
+		return fmt.Errorf("traceDepth %d exceeds the admission limit of %d", traceDepth, trace.MaxCapacity)
 	}
 	return nil
 }

@@ -17,15 +17,16 @@ func TestSnapshotFieldAudit(t *testing.T) {
 		"far":     "state: sparse overflow pages; captured per touched page",
 		"pages":   "state: live-entry list, rebuilt by Restore, cleared by Reset",
 		"touched": "state: live-page count, recomputed by Reset/Restore",
-		"free":    "pool: recycled buffers; once snapped only private ones (entry at the current epoch) are added, the rest may be shared",
+		"free":    "pool: recycled blocks; once snapped only private ones (born or copied at the current epoch) are added, the rest may be shared",
 		"epoch":   "snapshot bookkeeping: COW write epoch",
 		"snap":    "snapshot bookkeeping: armed snapshot, Reset disarms",
 		"snapped": "snapshot bookkeeping: ever-snapshotted latch gating the free list",
 	})
 	audit.Fields(t, pageEntry{}, map[string]string{
-		"data":  "state: page bytes, COW-copied on first armed write per epoch",
-		"epoch": "snapshot bookkeeping: last-copied epoch",
-		"pn":    "state: page number, fixed for the entry's lifetime",
+		"blocks": "state: the page's block table (kept across drops, slots cleared); each 256-byte block is COW-copied on its first armed write per epoch",
+		"epoch":  "snapshot bookkeeping: the epoch priv describes",
+		"priv":   "snapshot bookkeeping: blocks born or copied at epoch",
+		"pn":     "state: page number, fixed for the entry's lifetime",
 	})
 }
 

@@ -12,6 +12,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Addr is a physical byte address.
@@ -118,13 +119,18 @@ type Requestor interface {
 // the tester checks responses against. Uninitialized bytes read as
 // zero.
 //
+// A page is 4 KB of sixteen 256-byte blocks. The page is the unit of
+// allocation, lookup and snapshot; the block is the unit of
+// copy-on-write, so a rewound run's first write to a page copies
+// 256 bytes, not 4 KB.
+//
 // The store sits on every DRAM access and every tester verify, so page
 // resolution is built to do zero map hashes on the common path: a
 // single-entry last-page cache catches the run of accesses that stay
 // within one page, a two-level chunked directory covers the low
 // address range with two slice indexes, and only pages beyond the
 // directory's reach fall back to a map. All three tiers hold the same
-// page buffers, so semantics — byte-exact contents, zero-fill
+// page entries, so semantics — byte-exact contents, zero-fill
 // first-touch reads, page-granular footprint — are identical to the
 // original all-map store.
 type Store struct {
@@ -135,8 +141,8 @@ type Store struct {
 
 	// dir is the chunked page directory for page numbers <
 	// dirCapPages: dir[pn>>chunkShift][pn&(chunkPages-1)] is the
-	// entry, data==nil when absent. Chunks are allocated on first
-	// touch of their 1 MiB window, so a workload whose regions are
+	// entry, absent while it holds no blocks. Chunks are allocated on
+	// first touch of their 1 MiB window, so a workload whose regions are
 	// scattered across the range pays entries only for the windows it
 	// actually uses — a flat directory here costs a megabyte of
 	// GC-scanned pointers per Store the moment one high page is
@@ -154,39 +160,58 @@ type Store struct {
 	// touched counts allocated pages across dir and far (Footprint).
 	touched int
 
-	// free recycles the page buffers Reset and Restore release;
-	// page-creating paths draw from it before allocating, so a store
-	// reused across campaign runs or rewound by an explorer reaches a
-	// no-allocation steady state.
-	free [][]byte
+	// free recycles the blocks Reset and Restore release; block-creating
+	// paths draw from it before allocating, so a store reused across
+	// campaign runs or rewound by an explorer reaches a no-allocation
+	// steady state.
+	free []*block
 
-	// epoch is the current write epoch; an entry whose epoch lags it is
-	// copied (COW) before its next write while a snapshot is armed.
-	// Every SnapshotInto and every full reinstall advances it, so an
-	// entry at the current epoch was born or copied after the last of
-	// them and its buffer is private: no snapshot's entries or journal
-	// can hold it (see private). snap is the armed snapshot the write
-	// path journals into; snapped records that a snapshot was ever
-	// taken, after which a lagging entry's buffer may be shared with one
-	// and is left to the GC instead of the free list.
+	// epoch is the current write epoch. A block is private — no
+	// snapshot's entries or journal can hold it — when it was born or
+	// copied at the current epoch (see private), and a write to a block
+	// that is not copies it (COW) while a snapshot is armed. Every
+	// SnapshotInto and every full reinstall advances the epoch. snap is
+	// the armed snapshot the write path journals into; snapped records
+	// that a snapshot was ever taken, after which a block that is not
+	// private may be shared with one and is left to the GC instead of
+	// the free list.
 	epoch   uint64
 	snap    *StoreSnapshot
 	snapped bool
 }
 
-// pageEntry is one page slot: the buffer, the write epoch its contents
-// belong to, and its page number (so restores can fix the far map).
+// block is one copy-on-write unit of a page.
+type block [blockSize]byte
+
+// pageEntry is one page slot: the page's block table, which of its
+// blocks are private at epoch, and its page number (so restores can fix
+// the far map). A page that lags the store's epoch has no private
+// block. The table is allocated with the entry's first blocks and kept
+// when the page is dropped (its slots cleared), so an entry stays small
+// in the directory.
 type pageEntry struct {
-	data  []byte
-	epoch uint64
-	pn    Addr
+	blocks *[pageBlocks]*block
+	epoch  uint64
+	priv   uint16
+	pn     Addr
+}
+
+// pageAlloc is a block table allocated together with the page's first
+// blocks: one allocation per page touched.
+type pageAlloc struct {
+	table  [pageBlocks]*block
+	blocks [pageBlocks]block
 }
 
 const pageShift = 12
 const pageSize = 1 << pageShift
 
+const blockShift = 8
+const blockSize = 1 << blockShift
+const pageBlocks = pageSize / blockSize
+
 // chunkShift sizes a directory chunk: 256 pages = 1 MiB of address
-// space per chunk, 2 KiB of pointers when touched.
+// space per chunk.
 const chunkShift = 8
 const chunkPages = 1 << chunkShift
 
@@ -204,11 +229,11 @@ func NewStore() *Store {
 
 // Reset drops all contents: every byte reads as zero again and
 // Footprint restarts at 0, exactly as if freshly constructed. The
-// directory skeleton (top level and touched chunks) is kept, and page
-// buffers are parked on a free list for newPage to recycle, so the
+// directory skeleton (top level and touched chunks) is kept, and
+// blocks are parked on a free list for newPage to recycle, so the
 // first-touch semantics are preserved without first-touch allocations.
 //
-// Once a snapshot has ever been taken, a released buffer that is not
+// Once a snapshot has ever been taken, a released block that is not
 // private may be shared with that snapshot, so it is left to the GC
 // instead of the free list, and any armed snapshot is disarmed (a later
 // Restore of it takes the full-reinstall path).
@@ -219,89 +244,113 @@ func (s *Store) Reset() {
 	s.snap = nil
 }
 
-// private reports whether no snapshot can hold e's buffer: none was
-// ever taken, or e is at the current epoch — born or copied after the
-// last SnapshotInto or reinstall, the only places a snapshot's entries
-// are filled or re-linked. (A journal holds only pre-copy buffers,
-// which lagged when they were journaled.)
-func (s *Store) private(e *pageEntry) bool { return !s.snapped || e.epoch == s.epoch }
+// private reports whether no snapshot can hold block b of e: none was
+// ever taken, or the block was born or copied at the current epoch —
+// after the last SnapshotInto or reinstall, the only places a
+// snapshot's entries are filled or re-linked. (A journal holds only
+// pre-copy blocks, which were not private when they were journaled.)
+func (s *Store) private(e *pageEntry, b int) bool {
+	return !s.snapped || e.epoch == s.epoch && e.priv>>b&1 != 0
+}
 
-// dropPages empties the live page set, recycling the private buffers.
+// dropPages empties the live page set, recycling the private blocks.
 func (s *Store) dropPages() {
+	s.free = slices.Grow(s.free, len(s.pages)*pageBlocks)
 	for _, e := range s.pages {
-		if s.private(e) {
-			s.free = append(s.free, e.data)
+		for b, blk := range e.blocks {
+			if s.private(e, b) {
+				s.free = append(s.free, blk)
+			}
 		}
 		if e.pn >= dirCapPages {
 			delete(s.far, e.pn)
 		}
-		e.data = nil
-		e.epoch = 0
+		*e.blocks, e.epoch, e.priv = [pageBlocks]*block{}, 0, 0
 	}
 	s.pages = s.pages[:0]
 }
 
-// rawPage returns a page buffer of arbitrary contents, recycling a
-// released one when available.
-func (s *Store) rawPage() []byte {
-	if n := len(s.free); n > 0 {
-		p := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		return p
+// rawBlock returns a block of arbitrary contents, recycling a released
+// one when available. Otherwise it carves a fresh page-sized slab into
+// blocks and parks all but the one it returns on the free list.
+func (s *Store) rawBlock() *block {
+	if len(s.free) == 0 {
+		slab := new([pageBlocks]block)
+		s.free = slices.Grow(s.free, pageBlocks-1)
+		for i := 1; i < pageBlocks; i++ {
+			s.free = append(s.free, &slab[i])
+		}
+		return &slab[0]
 	}
-	return make([]byte, pageSize)
+	n := len(s.free)
+	b := s.free[n-1]
+	s.free[n-1] = nil
+	s.free = s.free[:n-1]
+	return b
 }
 
-// newPage returns a zeroed page buffer.
-func (s *Store) newPage() []byte {
-	recycled := len(s.free) > 0
-	p := s.rawPage()
-	if recycled {
-		clear(p)
+// newPage fills e with zeroed blocks: on its first page, one
+// allocation holding the table and the blocks; after that, recycled
+// blocks when a page's worth is free, else one fresh 4 KB allocation.
+func (s *Store) newPage(e *pageEntry) {
+	if e.blocks == nil {
+		p := new(pageAlloc)
+		e.blocks = &p.table
+		for i := range e.blocks {
+			e.blocks[i] = &p.blocks[i]
+		}
+		return
 	}
-	return p
+	if n := len(s.free); n >= pageBlocks {
+		copy(e.blocks[:], s.free[n-pageBlocks:])
+		clear(s.free[n-pageBlocks:])
+		s.free = s.free[:n-pageBlocks]
+		for _, b := range e.blocks {
+			clear(b[:])
+		}
+		return
+	}
+	slab := new([pageBlocks]block)
+	for i := range e.blocks {
+		e.blocks[i] = &slab[i]
+	}
 }
 
-// page resolves the page containing a for reading and returns its
-// buffer (nil when absent) plus a's offset within it. Read resolution
-// never allocates, never copies, and never touches epochs.
+// page resolves the block containing a for reading and returns it
+// (nil when the page is absent) plus a's offset within it. Read
+// resolution never allocates, never copies, and never touches epochs.
 func (s *Store) page(a Addr) ([]byte, int) {
 	pn := a >> pageShift
-	off := int(a & (pageSize - 1))
+	b, off := int(a>>blockShift)&(pageBlocks-1), int(a&(blockSize-1))
 	if s.lastPE != nil && pn == s.lastPN {
-		return s.lastPE.data, off
+		return s.lastPE.blocks[b][:], off
 	}
 	e := s.lookup(pn)
 	if e == nil {
 		return nil, off
 	}
 	s.lastPN, s.lastPE = pn, e
-	return e.data, off
+	return e.blocks[b][:], off
 }
 
-// pageW resolves the page containing a for writing, allocating it on
-// first touch and copying it out of an armed snapshot when its epoch
-// lags the store's, and returns the (now privately owned) buffer plus
-// a's offset within it.
+// pageW resolves the block containing a for writing, allocating its
+// page on first touch and copying the block out of an armed snapshot
+// when it is not private, and returns the (now privately owned) block
+// plus a's offset within it.
 func (s *Store) pageW(a Addr) ([]byte, int) {
 	pn := a >> pageShift
-	off := int(a & (pageSize - 1))
-	if s.lastPE != nil && pn == s.lastPN {
-		e := s.lastPE
-		if e.epoch != s.epoch {
-			s.cow(e)
+	b, off := int(a>>blockShift)&(pageBlocks-1), int(a&(blockSize-1))
+	e := s.lastPE
+	if e == nil || pn != s.lastPN {
+		if e = s.lookup(pn); e == nil {
+			e = s.birth(pn)
 		}
-		return e.data, off
+		s.lastPN, s.lastPE = pn, e
 	}
-	e := s.lookup(pn)
-	if e == nil {
-		e = s.birth(pn)
-	} else if e.epoch != s.epoch {
-		s.cow(e)
+	if e.epoch != s.epoch || e.priv>>b&1 == 0 {
+		s.cow(e, b)
 	}
-	s.lastPN, s.lastPE = pn, e
-	return e.data, off
+	return e.blocks[b][:], off
 }
 
 // lookup finds page pn's live entry, or nil when the page is absent.
@@ -309,7 +358,7 @@ func (s *Store) lookup(pn Addr) *pageEntry {
 	if pn < dirCapPages {
 		ci := pn >> chunkShift
 		if ci < Addr(len(s.dir)) && s.dir[ci] != nil {
-			if e := &s.dir[ci][pn&(chunkPages-1)]; e.data != nil {
+			if e := &s.dir[ci][pn&(chunkPages-1)]; e.blocks != nil && e.blocks[0] != nil {
 				return e
 			}
 		}
@@ -320,8 +369,9 @@ func (s *Store) lookup(pn Addr) *pageEntry {
 
 // birth allocates page pn: a directory slot (growing the top level by
 // doubling and allocating the chunk on first touch) or a far-map
-// entry. The new page is stamped with the current epoch and journaled
-// into the armed snapshot so Restore can drop it again.
+// entry. The new page's blocks are private at the current epoch, and
+// the birth is journaled into the armed snapshot so Restore can drop
+// it again.
 func (s *Store) birth(pn Addr) *pageEntry {
 	var e *pageEntry
 	if pn < dirCapPages {
@@ -349,9 +399,8 @@ func (s *Store) birth(pn Addr) *pageEntry {
 		e = &pageEntry{}
 		s.far[pn] = e
 	}
-	e.data = s.newPage()
-	e.epoch = s.epoch
-	e.pn = pn
+	s.newPage(e)
+	e.epoch, e.priv, e.pn = s.epoch, 1<<pageBlocks-1, pn
 	s.pages = append(s.pages, e)
 	s.touched++
 	if s.snap != nil {
@@ -360,18 +409,21 @@ func (s *Store) birth(pn Addr) *pageEntry {
 	return e
 }
 
-// cow makes e's buffer privately writable at the current epoch. While
-// a snapshot is armed, the old buffer (which the snapshot may share)
-// is journaled and replaced by a fresh copy; otherwise only the epoch
-// is brought current.
-func (s *Store) cow(e *pageEntry) {
+// cow makes block b of e privately writable at the current epoch.
+// While a snapshot is armed, the old block (which the snapshot may
+// share) is journaled and replaced by a fresh copy; otherwise only the
+// entry's epoch and private mask are brought current.
+func (s *Store) cow(e *pageEntry, b int) {
 	if s.snap != nil {
-		s.snap.journal = append(s.snap.journal, storeUndo{e: e, oldData: e.data, oldEpoch: e.epoch})
-		buf := s.rawPage() // wholly overwritten
-		copy(buf, e.data)
-		e.data = buf
+		s.snap.journal = append(s.snap.journal, storeUndo{e: e, b: b, old: e.blocks[b], oldEpoch: e.epoch, oldPriv: e.priv})
+		nb := s.rawBlock() // wholly overwritten
+		*nb = *e.blocks[b]
+		e.blocks[b] = nb
 	}
-	e.epoch = s.epoch
+	if e.epoch != s.epoch {
+		e.epoch, e.priv = s.epoch, 0
+	}
+	e.priv |= 1 << b
 }
 
 // ByteAt returns the byte at a.
@@ -390,12 +442,12 @@ func (s *Store) SetByte(a Addr, v byte) {
 }
 
 // ReadBytes fills dst starting at a. The span may straddle any number
-// of page boundaries; absent pages read as zero without being
-// allocated.
+// of block and page boundaries; absent pages read as zero without
+// being allocated.
 func (s *Store) ReadBytes(a Addr, dst []byte) {
 	for len(dst) > 0 {
 		p, off := s.page(a)
-		n := pageSize - off
+		n := blockSize - off
 		if n > len(dst) {
 			n = len(dst)
 		}
@@ -411,13 +463,13 @@ func (s *Store) ReadBytes(a Addr, dst []byte) {
 
 // WriteBytes writes src starting at a, honoring mask when non-nil
 // (mask[i] false skips byte i). Per-byte masks are how VIPER's
-// write-through merging is modelled. A page is only allocated when at
-// least one byte is actually written into it, so fully masked-off
-// spans leave the footprint unchanged.
+// write-through merging is modelled. A page is only allocated, and a
+// block only copied, when at least one byte is actually written into
+// it, so fully masked-off spans leave the footprint unchanged.
 func (s *Store) WriteBytes(a Addr, src []byte, mask []bool) {
 	for len(src) > 0 {
-		off := int(a & (pageSize - 1))
-		n := pageSize - off
+		off := int(a & (blockSize - 1))
+		n := blockSize - off
 		if n > len(src) {
 			n = len(src)
 		}
@@ -433,8 +485,8 @@ func (s *Store) WriteBytes(a Addr, src []byte, mask []bool) {
 	}
 }
 
-// writeMasked writes one within-page span under its mask, allocating
-// the page only if some byte is enabled.
+// writeMasked writes one within-block span under its mask, allocating
+// the page or copying the block only if some byte is enabled.
 func (s *Store) writeMasked(a Addr, src []byte, mask []bool) {
 	any := false
 	for _, m := range mask {
@@ -481,33 +533,37 @@ func (s *Store) AtomicAdd(a Addr, delta uint32) uint32 {
 func (s *Store) Footprint() int { return s.touched }
 
 // StoreSnapshot captures a Store's contents at one instant. Taking one
-// is O(touched pages) in pointers — no page data is copied up front;
-// instead the store's write path copies a page out the first time it
+// is O(touched pages) in pointers — no data is copied up front;
+// instead the store's write path copies a block out the first time it
 // is written after the snapshot (copy-on-write), journaling the
-// original buffer here so Restore of the most recent snapshot is
-// O(pages touched since the snapshot).
+// original block here so Restore of the most recent snapshot is
+// O(blocks written and pages born since the snapshot).
 type StoreSnapshot struct {
-	// entries records every live page at snapshot time with the buffer
-	// it then held. The buffers are shared with the store but COW
+	// entries records every live page at snapshot time with the blocks
+	// it then held. The blocks are shared with the store but COW
 	// guarantees they are never mutated afterwards.
 	entries []storeSave
 	// journal records, in order, each post-snapshot page birth and
-	// first-write copy while this snapshot is the armed one; Restore
-	// undoes it in reverse.
+	// first-write block copy while this snapshot is the armed one;
+	// Restore undoes it in reverse.
 	journal []storeUndo
 	touched int
 }
 
 type storeSave struct {
-	e    *pageEntry
-	data []byte
+	e      *pageEntry
+	blocks [pageBlocks]*block
 }
 
+// storeUndo is one journaled change: a page birth, or block b's copy,
+// with the block and the entry's epoch and private mask before it.
 type storeUndo struct {
 	e        *pageEntry
-	oldData  []byte // nil for births
-	oldEpoch uint64
 	birth    bool
+	b        int
+	old      *block
+	oldEpoch uint64
+	oldPriv  uint16
 }
 
 // Snapshot captures the store's current contents and arms
@@ -526,20 +582,20 @@ func (s *Store) SnapshotInto(snap *StoreSnapshot) *StoreSnapshot {
 	}
 	snap.entries, snap.journal, snap.touched = snap.entries[:0], snap.journal[:0], s.touched
 	for _, e := range s.pages {
-		snap.entries = append(snap.entries, storeSave{e: e, data: e.data})
+		snap.entries = append(snap.entries, storeSave{e: e, blocks: *e.blocks})
 	}
 	s.snap = snap
 	s.snapped = true
-	s.epoch++ // every live entry now lags → first write per page COWs
+	s.epoch++ // every live block now lags → first write per block COWs
 	return snap
 }
 
 // Restore returns the store to the exact contents captured by snap.
 // Restoring the most recently armed snapshot undoes its journal —
-// O(pages touched since Snapshot). Restoring an older snapshot (or
-// one from before a Reset) reinstalls its page set outright and
-// re-arms it, still O(touched pages) with no data copying. Either
-// way snap remains valid and can be restored again.
+// O(blocks written and pages born since Snapshot). Restoring an older
+// snapshot (or one from before a Reset) reinstalls its page set
+// outright and re-arms it, still O(touched pages) with no data
+// copying. Either way snap remains valid and can be restored again.
 func (s *Store) Restore(snap *StoreSnapshot) {
 	s.lastPN, s.lastPE = 0, nil
 	if s.snap == snap {
@@ -549,15 +605,13 @@ func (s *Store) Restore(snap *StoreSnapshot) {
 				if u.e.pn >= dirCapPages {
 					delete(s.far, u.e.pn)
 				}
-				s.free = append(s.free, u.e.data)
-				u.e.data = nil
-				u.e.epoch = 0
+				s.free = append(s.free, u.e.blocks[:]...)
+				*u.e.blocks, u.e.epoch, u.e.priv = [pageBlocks]*block{}, 0, 0
 			} else {
-				// The post-copy buffer is private to the store — no
-				// snapshot references it — so it can be recycled.
-				s.free = append(s.free, u.e.data)
-				u.e.data = u.oldData
-				u.e.epoch = u.oldEpoch
+				// The copy is private to the store — no snapshot
+				// references it — so it can be recycled.
+				s.free = append(s.free, u.e.blocks[u.b])
+				u.e.blocks[u.b], u.e.epoch, u.e.priv = u.old, u.oldEpoch, u.oldPriv
 			}
 		}
 		snap.journal = snap.journal[:0]
@@ -566,16 +620,15 @@ func (s *Store) Restore(snap *StoreSnapshot) {
 		return
 	}
 	// Full reinstall: drop the current page set, then re-link the
-	// snapshot's entries with their saved buffers. A current buffer that
-	// is not private may be shared with some snapshot, so it goes to the
-	// GC, not the free list. Entry epochs are zeroed below the new armed
-	// epoch so every future write copies before touching a
-	// snapshot-owned buffer.
+	// snapshot's entries with their saved blocks. A current block that
+	// is not private may be shared with some snapshot, so it goes to
+	// the GC, not the free list. Entry epochs are zeroed below the new
+	// armed epoch so every future write copies before touching a
+	// snapshot-owned block.
 	s.dropPages()
 	for _, sv := range snap.entries {
 		e := sv.e
-		e.data = sv.data
-		e.epoch = 0
+		*e.blocks, e.epoch, e.priv = sv.blocks, 0, 0
 		if e.pn >= dirCapPages {
 			if s.far == nil {
 				s.far = make(map[Addr]*pageEntry)

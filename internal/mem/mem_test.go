@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -236,6 +237,61 @@ func TestStoreAccessZeroAllocs(t *testing.T) {
 		_ = s.ReadWord(0x40)
 	}); n != 0 {
 		t.Fatalf("hot-path store access allocates %v allocs/op, want 0", n)
+	}
+}
+
+// TestStoreCopyUnit pins the copy-on-write unit: a write after a
+// snapshot, and again after restoring it, copies the one 256-byte
+// block it lands in, while the page's other blocks, and the other
+// page, stay shared with the snapshot.
+func TestStoreCopyUnit(t *testing.T) {
+	if blockSize != 256 || pageSize != 4096 {
+		t.Fatalf("blocks of %d bytes in pages of %d, want 256 in 4096", blockSize, pageSize)
+	}
+	s := NewStore()
+	for a := Addr(0); a < 2*pageSize; a += WordSize {
+		s.WriteWord(a, uint32(a))
+	}
+	snap := s.Snapshot()
+	for round := 0; round < 2; round++ {
+		s.WriteWord(0x540, 7) // page 0, block 5
+		copied := 0
+		for _, sv := range snap.entries {
+			for b := range sv.blocks {
+				if sv.e.blocks[b] != sv.blocks[b] {
+					copied++
+					if sv.e.pn != 0 || b != 5 {
+						t.Fatalf("round %d: block %d of page %d was copied", round, b, sv.e.pn)
+					}
+				}
+			}
+		}
+		if copied != 1 {
+			t.Fatalf("round %d: %d blocks copied, want 1", round, copied)
+		}
+		s.Restore(snap)
+		if s.ReadWord(0x540) != 0x540 {
+			t.Fatalf("round %d: restore lost the block's old contents", round)
+		}
+	}
+}
+
+// TestStoreFirstTouchAllocs pins that first touch allocates a page at
+// a time: writing every block of 64 fresh pages costs 64 allocations,
+// plus the few that grow the live-page list.
+func TestStoreFirstTouchAllocs(t *testing.T) {
+	const pages = 64
+	s := NewStore()
+	s.WriteWord(0, 1) // the directory chunk
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	before := m.Mallocs
+	for a := Addr(pageSize); a < (pages+1)*pageSize; a += blockSize {
+		s.WriteWord(a, 1)
+	}
+	runtime.ReadMemStats(&m)
+	if allocs := m.Mallocs - before; allocs < pages || allocs > pages+8 {
+		t.Fatalf("touching %d pages allocated %v objects, want %d plus the page list's growth", pages, allocs, pages)
 	}
 }
 

@@ -132,10 +132,13 @@ func (q *ring) grow() {
 	q.slots = slots
 }
 
-// reset empties the ring, clearing every slot so dropped requests do
-// not pin payloads or ctx objects.
+// reset empties the ring, clearing the live window's slots so dropped
+// requests do not pin payloads or ctx objects; retire, grow and reset
+// keep every other slot zero already.
 func (q *ring) reset() {
-	clear(q.slots)
+	for h := q.head; h != q.tail; h++ {
+		*q.at(h) = request{}
+	}
 	q.head, q.next, q.tail = 0, 0, 0
 }
 

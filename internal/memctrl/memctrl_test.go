@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"fmt"
 	"testing"
 
 	"drftest/internal/mem"
@@ -244,5 +245,64 @@ func TestSnapshotMidFlight(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("replay completion %d saw %d, want %d", i, got[i], want[i])
 		}
+	}
+}
+
+// grownRing returns a ring grown to capacity slots holding live live
+// requests at its end, each numbered by delta.
+func grownRing(capacity, live int) *ring {
+	q := &ring{}
+	for i := 0; i < capacity; i++ {
+		q.push().delta = uint32(i)
+	}
+	for i := 0; i < capacity-live; i++ {
+		q.serve()
+		q.retire()
+	}
+	return q
+}
+
+// TestRingRestoreTouchesLiveWindow pins what a restore of the queue
+// costs, at a small and a large capacity alike: load (and the reset
+// inside it) clears and refills the live window only. A marker planted
+// in a dead slot survives, so neither walked the slot array.
+func TestRingRestoreTouchesLiveWindow(t *testing.T) {
+	for _, capacity := range []int{64, 1 << 14} {
+		q := grownRing(capacity, 3)
+		q.serve() // one of the three in flight
+		saved, inflight := q.save(nil)
+		marker := q.at(q.head - 1)
+		marker.delta = 0xbad
+		q.load(saved, inflight)
+		if marker.delta != 0xbad {
+			t.Fatalf("capacity %d: load walked a dead slot", capacity)
+		}
+		if q.queued() != 2 || int(q.next-q.head) != 1 {
+			t.Fatalf("capacity %d: load left %d in flight, %d queued", capacity, q.next-q.head, q.queued())
+		}
+		for i, h := 0, q.head; h != q.tail; i, h = i+1, h+1 {
+			if got, want := q.at(h).delta, uint32(capacity-3+i); got != want {
+				t.Fatalf("capacity %d: slot %d holds request %d, want %d", capacity, i, got, want)
+			}
+		}
+		for h := uint64(capacity - 3); h < uint64(capacity); h++ {
+			if r := q.at(h); r.delta != 0 || r.kind != 0 {
+				t.Fatalf("capacity %d: a dropped request's slot %d was not cleared", capacity, h)
+			}
+		}
+	}
+}
+
+// BenchmarkRingRestore times a queue restore with three live requests
+// in a 64-slot and a 16 384-slot ring: the two must cost the same.
+func BenchmarkRingRestore(b *testing.B) {
+	for _, capacity := range []int{64, 1 << 14} {
+		b.Run(fmt.Sprintf("slots%d", capacity), func(b *testing.B) {
+			q := grownRing(capacity, 3)
+			saved, inflight := q.save(nil)
+			for i := 0; i < b.N; i++ {
+				q.load(saved, inflight)
+			}
+		})
 	}
 }

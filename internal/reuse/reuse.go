@@ -17,13 +17,3 @@ func Grow[T any](s *[]T) *T {
 	}
 	return &(*s)[len(*s)-1]
 }
-
-// Pop takes a recycled record off a free list, or builds an empty one.
-func Pop[T any](free *[]*T) *T {
-	if n := len(*free); n > 0 {
-		x := (*free)[n-1]
-		*free = (*free)[:n-1]
-		return x
-	}
-	return new(T)
-}

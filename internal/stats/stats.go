@@ -96,6 +96,23 @@ func (h *Histogram) Percentile(p float64) uint64 {
 	return h.max
 }
 
+// top is the index of the highest bucket a sample can be in: every
+// sample is at most max.
+func (h *Histogram) top() int { return bucketOf(h.max) }
+
+// copySamples sets h's samples to src's, reading src's buckets up to
+// its top and clearing h's between the two tops. It touches nothing
+// above the higher top, so a live histogram, whose buckets above its
+// top are zero, keeps them zero.
+func (h *Histogram) copySamples(src *Histogram) {
+	n := src.top() + 1
+	copy(h.buckets[:n], src.buckets[:n])
+	if t := h.top(); t >= n {
+		clear(h.buckets[n : t+1])
+	}
+	h.count, h.sum, h.min, h.max = src.count, src.sum, src.min, src.max
+}
+
 // Reset discards all samples, as if freshly constructed.
 func (h *Histogram) Reset() {
 	clear(h.buckets[:])
@@ -201,7 +218,9 @@ func (s *LatencySet) All() []*Histogram {
 }
 
 // LatencySetSnapshot captures the samples of all five histograms of a
-// LatencySet (names are configuration and are not restored).
+// LatencySet (names are configuration and are not captured). A
+// histogram's buckets above its top hold whatever an earlier fill left
+// there and are never read.
 type LatencySetSnapshot struct {
 	hists [5]Histogram
 }
@@ -216,7 +235,7 @@ func (s *LatencySet) SnapshotInto(snap *LatencySetSnapshot) *LatencySetSnapshot 
 		snap = &LatencySetSnapshot{}
 	}
 	for i, h := range s.All() {
-		snap.hists[i] = *h
+		snap.hists[i].copySamples(h)
 	}
 	return snap
 }
@@ -224,8 +243,6 @@ func (s *LatencySet) SnapshotInto(snap *LatencySetSnapshot) *LatencySetSnapshot 
 // Restore returns every histogram in the set to the captured samples.
 func (s *LatencySet) Restore(snap *LatencySetSnapshot) {
 	for i, h := range s.All() {
-		name := h.Name
-		*h = snap.hists[i]
-		h.Name = name
+		h.copySamples(&snap.hists[i])
 	}
 }

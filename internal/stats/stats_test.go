@@ -90,3 +90,60 @@ func TestLatencySet(t *testing.T) {
 		t.Fatal("All() wrong length")
 	}
 }
+
+// TestLatencySetSnapshotRestore checks the prefix copies against whole
+// histograms: a cut refilled over a dirtier one, restored after larger
+// samples pushed the live tops up, gives back exactly the captured
+// buckets and sums, and an empty cut empties the set.
+func TestLatencySetSnapshotRestore(t *testing.T) {
+	s := NewLatencySet("t")
+	for _, v := range []uint64{1 << 40, 3, 1 << 62} {
+		s.Load.Record(v)
+		s.Release.Record(v)
+	}
+	empty := NewLatencySet("e").Snapshot()
+	snap := s.Snapshot() // filled up to bucket 63, then refilled lower
+	s.Reset()
+	for _, v := range []uint64{0, 5, 9, 200} {
+		s.Load.Record(v)
+		s.Atomic.Record(v)
+	}
+	s.SnapshotInto(snap)
+	want := [5]Histogram{}
+	for i, h := range s.All() {
+		want[i] = *h
+	}
+	s.Load.Record(1 << 50)
+	s.Acquire.Record(1 << 33)
+	s.Restore(snap)
+	for i, h := range s.All() {
+		if *h != want[i] {
+			t.Fatalf("%s restored to %+v, want %+v", h.Name, *h, want[i])
+		}
+	}
+	s.Restore(empty)
+	for _, h := range s.All() {
+		if *h != *NewHistogram(h.Name) {
+			t.Fatalf("%s restored from an empty cut to %+v", h.Name, *h)
+		}
+	}
+}
+
+// TestLatencySetRestoreTouchesFilledBuckets pins what a restore costs:
+// only the buckets up to the higher of the two tops. A marker planted
+// in a bucket above both survives the restore, which therefore never
+// walked the histogram's 65 buckets.
+func TestLatencySetRestoreTouchesFilledBuckets(t *testing.T) {
+	s := NewLatencySet("t")
+	s.Store.Record(6)
+	snap := s.Snapshot()
+	s.Store.Record(100)
+	s.Store.buckets[60] = 0xbad
+	s.Restore(snap)
+	if s.Store.buckets[bucketOf(100)] != 0 || s.Store.count != 1 {
+		t.Fatalf("restore kept the post-cut sample: %+v", *s.Store)
+	}
+	if s.Store.buckets[60] != 0xbad {
+		t.Fatal("restore walked buckets above both tops")
+	}
+}

@@ -236,6 +236,7 @@ type l2ctrl interface {
 	Flush(st *mem.Store)
 	Stats() map[string]uint64
 	slice() int
+	lines() *cache.Array
 	attachTCP(t *TCP)
 	// reset returns the slice to its just-built state (see System.Reset
 	// for the contract; the kernel must already be reset).
@@ -276,6 +277,17 @@ func (s *System) AuditL2(store *mem.Store) []string {
 		out = append(out, l2.AuditAgainstStore(store)...)
 	}
 	return out
+}
+
+// ForEachValidLine visits every valid line of every cache: each L1 in
+// CU order, then each L2 slice, numbered in that order.
+func (s *System) ForEachValidLine(visit func(cache int, l *cache.Line)) {
+	for i, t := range s.TCPs {
+		t.array.ForEachValid(func(l *cache.Line) { visit(i, l) })
+	}
+	for i, l2 := range s.l2s {
+		l2.lines().ForEachValid(func(l *cache.Line) { visit(len(s.TCPs)+i, l) })
+	}
 }
 
 // Latencies aggregates every sequencer's per-class request latency

@@ -182,6 +182,8 @@ func (c *TCC) lineSize() int { return c.array.Config().LineSize }
 
 func (c *TCC) slice() int { return c.sliceIndex }
 
+func (c *TCC) lines() *cache.Array { return c.array }
+
 func (c *TCC) attachTCP(t *TCP) { c.tcps = append(c.tcps, t) }
 
 // Flush is a no-op for the write-through TCC: a correct controller's

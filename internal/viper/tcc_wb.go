@@ -101,6 +101,8 @@ func (c *TCCWB) lineSize() int { return c.array.Config().LineSize }
 
 func (c *TCCWB) slice() int { return c.sliceIndex }
 
+func (c *TCCWB) lines() *cache.Array { return c.array }
+
 func (c *TCCWB) attachTCP(t *TCP) { c.tcps = append(c.tcps, t) }
 
 func (c *TCCWB) state(line mem.Addr) int {
