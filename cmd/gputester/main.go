@@ -53,13 +53,15 @@
 // The three daemon modes distribute campaigns across processes
 // (internal/campaignd): -serve runs the control-plane daemon (HTTP
 // API, local worker pool, content-addressed artifact store); -worker
-// connects a worker process that long-polls the daemon for seed
-// leases; -daemon submits the campaign described by the usual campaign
-// flags to a running daemon and waits for its report. A distributed
-// campaign's outcome is byte-identical to the local -campaign path for
-// the same spec. SIGINT/SIGTERM drain the daemon gracefully: in-flight
-// batches finish (leases from dead workers requeue), final reports are
-// written, then workers are released.
+// connects a worker process that takes seed leases from the daemon —
+// each result's answer carries the next one, and an idle worker
+// long-polls; -daemon submits the campaign described by the usual
+// campaign flags to a running daemon and waits for its report. A
+// distributed campaign's outcome is byte-identical to the local
+// -campaign path for the same spec. SIGINT/SIGTERM drain the daemon
+// gracefully: each campaign's current batch finishes (leases from dead
+// workers requeue) and a batch run ahead of it is dropped, final
+// reports are written, then workers are released.
 //
 // Exit status is 0 when the protocol passes, 1 when bugs are detected.
 package main

@@ -15,7 +15,7 @@ import (
 //	GET  /campaigns/{id}       live status (?waitMs=N long-polls for completion)
 //	GET  /campaigns/{id}/result final report (409 until the campaign finishes)
 //	POST /lease                worker long-poll for a lease
-//	POST /results              worker result submission
+//	POST /results              worker result submission; answers with the next lease
 //	GET  /metrics              counter snapshot + gauges
 //	GET  /debug/pprof/...      standard pprof surface
 func (s *Server) Handler() http.Handler {
@@ -94,10 +94,8 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) summaryLocked(c *campaign) map[string]any {
 	prog := c.state.Progress()
 	outstanding := 0
-	for _, sh := range c.shards {
-		if !sh.done {
-			outstanding++
-		}
+	for _, b := range c.batches {
+		outstanding += b.pending
 	}
 	m := map[string]any{
 		"id":       c.id,
@@ -107,8 +105,8 @@ func (s *Server) summaryLocked(c *campaign) map[string]any {
 		"aborted":  c.aborted,
 		"finished": c.finished(),
 	}
-	if c.shards != nil {
-		m["inFlightBatch"] = c.shards[0].lease.Batch
+	if len(c.batches) > 0 {
+		m["inFlightBatch"] = c.batches[0].index
 		m["outstandingLeases"] = outstanding
 	}
 	return m
@@ -161,8 +159,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Schema != WireSchema {
-		writeError(w, http.StatusBadRequest,
-			errSchema(req.Schema))
+		writeError(w, http.StatusBadRequest, errSchema(req.Schema))
 		return
 	}
 	worker := req.Worker
@@ -178,11 +175,15 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &res, false) {
 		return
 	}
-	if err := s.submitResult(&res); err != nil {
+	if res.Worker == "" {
+		res.Worker = r.RemoteAddr
+	}
+	resp, err := s.submitResult(&res)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -197,9 +198,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		if !c.finished() {
 			running++
 		}
-		for _, sh := range c.shards {
-			if sh.issued && !sh.done {
-				ids[sh.worker] = struct{}{}
+		for _, b := range c.batches {
+			for _, sh := range b.shards {
+				if sh.issued && !sh.done {
+					ids[sh.worker] = struct{}{}
+				}
 			}
 		}
 	}
@@ -231,6 +234,6 @@ func (e errNoCampaign) Error() string { return "no campaign " + string(e) }
 type errSchema int
 
 func (e errSchema) Error() string {
-	return "unsupported wire schema " + strconv.Itoa(int(e)) +
-		" (daemon speaks " + strconv.Itoa(WireSchema) + ")"
+	return "campaignd: wire schema " + strconv.Itoa(int(e)) +
+		" refused: the daemon speaks schema " + strconv.Itoa(WireSchema)
 }

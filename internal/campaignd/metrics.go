@@ -7,10 +7,17 @@ import "sync/atomic"
 // gauges (active workers, campaign states) are computed at snapshot
 // time from live server state.
 type Metrics struct {
-	SeedsRun           atomic.Uint64
-	BatchesMerged      atomic.Uint64
-	CellsActivated     atomic.Uint64
-	LeasesIssued       atomic.Uint64
+	// SeedsRun counts the seeds of merged batches: a batch run ahead
+	// and then dropped (DESIGN §14.3) ran seeds no campaign reports.
+	SeedsRun       atomic.Uint64
+	BatchesMerged  atomic.Uint64
+	CellsActivated atomic.Uint64
+	LeasesIssued   atomic.Uint64
+	// LeasesChained counts the leases handed out in a result answer,
+	// LeasesAhead those issued before their batch became current; the
+	// rest of LeasesIssued answered a POST /lease poll.
+	LeasesChained      atomic.Uint64
+	LeasesAhead        atomic.Uint64
 	LeasesExpired      atomic.Uint64
 	LeasesCompleted    atomic.Uint64
 	ResultsDropped     atomic.Uint64
@@ -27,6 +34,8 @@ func (m *Metrics) snapshot() map[string]any {
 		"batchesMerged":      m.BatchesMerged.Load(),
 		"cellsActivated":     m.CellsActivated.Load(),
 		"leasesIssued":       m.LeasesIssued.Load(),
+		"leasesChained":      m.LeasesChained.Load(),
+		"leasesAhead":        m.LeasesAhead.Load(),
 		"leasesExpired":      m.LeasesExpired.Load(),
 		"leasesCompleted":    m.LeasesCompleted.Load(),
 		"resultsDropped":     m.ResultsDropped.Load(),

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"drftest/internal/coverage"
 	"drftest/internal/harness"
 	"drftest/internal/protocol"
 	"drftest/internal/viper"
@@ -35,23 +36,52 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// shard is one lease of the current batch and its lifecycle: planned →
-// issued (with a result deadline) → done (delta held for the barrier).
-// An issued shard whose deadline passes is reissued to the next polling
-// worker; whichever copy of the result arrives first wins and the other
-// is dropped — the deltas are deterministic, so both are the same.
+// shard is one lease of an in-flight batch and its lifecycle: planned
+// → issued (with a result deadline) → done (result folded into the
+// batch's delta). An issued shard whose deadline passes is reissued to
+// the next worker that asks; whichever copy of the result arrives first
+// wins and the other is dropped — the deltas are deterministic, so both
+// are the same.
 type shard struct {
 	lease    Lease
 	issued   bool
 	worker   string
 	deadline time.Time
 	done     bool
-	delta    harness.BatchDelta
+}
+
+// batch is one in-flight batch: its leases, how many still owe a
+// result, and the one delta every accepted result folds into.
+type batch struct {
+	index   int
+	shards  []shard
+	pending int
+	delta   harness.BatchDelta
+}
+
+// issuable returns the batch's lowest unissued or expired shard.
+func (b *batch) issuable(now time.Time) *shard {
+	for i := range b.shards {
+		if sh := &b.shards[i]; !sh.done && (!sh.issued || now.After(sh.deadline)) {
+			return sh
+		}
+	}
+	return nil
+}
+
+func (b *batch) anyIssued() bool {
+	for i := range b.shards {
+		if b.shards[i].issued {
+			return true
+		}
+	}
+	return false
 }
 
 // campaign is one admitted spec and its state machine. The server's
 // mutex guards all fields; the CampaignState inside is driven only
-// under it (Plan when sharding, Apply at the barrier).
+// under it (Plan and PlanAhead when sharding, Apply when a batch
+// merges).
 type campaign struct {
 	id           string
 	spec         Spec
@@ -60,16 +90,51 @@ type campaign struct {
 	l2Spec       *protocol.Spec
 	leaseTimeout time.Duration
 
-	// shards holds the in-flight batch's leases; nil between batches.
-	// Plan is idempotent, so a discarded unissued batch re-plans
-	// identically.
-	shards  []*shard
+	// batches holds the in-flight batches in batch order: batches[0] is
+	// the current one (the batch Plan returns) and batches[1], when
+	// present, the batch run ahead of it (PlanAhead). Empty between
+	// batches; Plan is idempotent, so a discarded unissued batch
+	// re-plans identically.
+	batches []*batch
 	aborted bool
 
 	// result/report are set exactly once at finish; done closes then.
 	result *harness.CampaignResult
 	report map[string]any
 	done   chan struct{}
+}
+
+// newBatch shards plan into leases of ≤ LeaseSeeds contiguous seeds
+// and appends it to the in-flight batches.
+func (c *campaign) newBatch(plan harness.BatchPlan) *batch {
+	b := &batch{index: plan.Index, delta: harness.BatchDelta{
+		L1: coverage.NewMatrix(c.l1Spec),
+		L2: coverage.NewMatrix(c.l2Spec),
+	}}
+	step := c.spec.LeaseSeeds
+	for off, idx := 0, 0; off < plan.Count; off, idx = off+step, idx+1 {
+		b.shards = append(b.shards, shard{lease: Lease{
+			Campaign: c.id,
+			Batch:    plan.Index,
+			Lease:    idx,
+			First:    plan.First + uint64(off),
+			Count:    min(step, plan.Count-off),
+			Levels:   plan.Corner.Levels,
+		}})
+	}
+	b.pending = len(b.shards)
+	c.batches = append(c.batches, b)
+	return b
+}
+
+// batch returns the in-flight batch with index i, or nil.
+func (c *campaign) batch(i int) *batch {
+	for _, b := range c.batches {
+		if b.index == i {
+			return b
+		}
+	}
+	return nil
 }
 
 // finished reports whether the campaign has a final result.
@@ -140,27 +205,29 @@ func (s *Server) Start() {
 
 // runLocalWorker drives one in-process worker through the exact lease
 // protocol remote workers use — same nextLease/submitResult pair, same
-// sparse wire encoding — so local and remote execution are one code
-// path and behave identically.
+// sparse wire encoding, same lease-in-the-answer chaining — so local
+// and remote execution are one code path and behave identically.
 func (s *Server) runLocalWorker(id string) {
 	runners := newRunnerSet()
+	resp := LeaseResponse{Status: StatusWait}
 	for {
-		resp := s.nextLease(id, 30*time.Second)
 		switch resp.Status {
 		case StatusShutdown:
 			return
 		case StatusWait:
+			resp = s.nextLease(id, 30*time.Second)
 			continue
 		}
-		res, err := runners.run(resp.Lease, resp.Spec)
+		res, err := runners.run(&resp)
 		if err != nil {
-			s.logf("campaignd: worker %s: lease %s/%d/%d: %v",
-				id, resp.Lease.Campaign, resp.Lease.Batch, resp.Lease.Lease, err)
-			continue // the lease times out and reissues
+			s.logf("campaignd: worker %s: %v", id, err)
+			resp = LeaseResponse{Status: StatusWait} // the lease times out and reissues
+			continue
 		}
 		res.Worker = id
-		if err := s.submitResult(res); err != nil {
+		if resp, err = s.submitResult(res); err != nil {
 			s.logf("campaignd: worker %s: submit: %v", id, err)
+			resp = LeaseResponse{Status: StatusWait}
 		}
 	}
 }
@@ -203,64 +270,98 @@ func (s *Server) Submit(spec Spec) (string, error) {
 	return c.id, nil
 }
 
-// shardLocked plans the campaign's next batch and shards it into
-// leases of ≤ LeaseSeeds contiguous seeds; callers hold mu. Returns
-// false once the campaign wants no more batches.
-func (s *Server) shardLocked(c *campaign) bool {
-	plan, ok := c.state.Plan()
+// batchLocked returns the campaign's in-flight batch at depth (0 the
+// current one, 1 the one run ahead), sharding it when the campaign
+// wants it: the current batch whenever none is in flight, the next one
+// when PlanAhead allows it. Callers reach depth 1 only once no lease of
+// the current batch is issuable, so a batch is run ahead only once
+// every lease of the current one is out. Nothing is sharded while
+// draining. Callers hold mu.
+func (s *Server) batchLocked(c *campaign, depth int) *batch {
+	if depth < len(c.batches) {
+		return c.batches[depth]
+	}
+	if s.draining || depth > len(c.batches) {
+		return nil
+	}
+	next := c.state.Plan
+	if depth == 1 {
+		next = c.state.PlanAhead
+	}
+	plan, ok := next()
 	if !ok {
-		return false
+		return nil
 	}
-	step := c.spec.LeaseSeeds
-	for off, idx := 0, 0; off < plan.Count; off, idx = off+step, idx+1 {
-		n := step
-		if rest := plan.Count - off; n > rest {
-			n = rest
-		}
-		c.shards = append(c.shards, &shard{lease: Lease{
-			Campaign: c.id,
-			Batch:    plan.Index,
-			Lease:    idx,
-			First:    plan.First + uint64(off),
-			Count:    n,
-			Levels:   plan.Corner.Levels,
-		}})
-	}
-	return true
+	return c.newBatch(plan)
 }
 
-// issuableLocked finds the next lease to hand a worker: campaigns in
-// admission order, within one the lowest unissued (or expired) shard.
-// Callers hold mu.
-func (s *Server) issuableLocked(now time.Time) (*shard, *campaign) {
-	for _, c := range s.order {
-		if c.finished() {
-			continue
-		}
-		if c.shards == nil {
-			if s.draining {
-				continue // no new batches while draining
-			}
-			if !s.shardLocked(c) {
+// issuableLocked finds the next lease to hand a worker: first the
+// current batches, campaigns in admission order, then the batches run
+// ahead of them, so one campaign's run-ahead never delays another's
+// current batch. Within a batch the lowest unissued (or expired) shard
+// wins. Callers hold mu.
+func (s *Server) issuableLocked(now time.Time) (*campaign, *batch, *shard) {
+	for depth := 0; depth < 2; depth++ {
+		for _, c := range s.order {
+			if c.finished() {
 				continue
 			}
-		}
-		for _, sh := range c.shards {
-			if sh.done {
+			b := s.batchLocked(c, depth)
+			if b == nil {
 				continue
 			}
-			if !sh.issued {
-				return sh, c
-			}
-			if now.After(sh.deadline) {
-				s.metrics.LeasesExpired.Add(1)
-				s.logf("campaignd: lease %s/%d/%d expired on %s; reissuing",
-					c.id, sh.lease.Batch, sh.lease.Lease, sh.worker)
-				return sh, c
+			if sh := b.issuable(now); sh != nil {
+				if sh.issued {
+					s.metrics.LeasesExpired.Add(1)
+					s.logf("campaignd: lease %s/%d/%d expired on %s; reissuing",
+						c.id, sh.lease.Batch, sh.lease.Lease, sh.worker)
+				}
+				return c, b, sh
 			}
 		}
 	}
-	return nil, nil
+	return nil, nil, nil
+}
+
+// issueLocked hands worker the next issuable lease, if there is one.
+// chainedFrom is the campaign of the result the lease answers ("" for
+// a poll): a lease of that campaign goes without its spec, since the
+// worker holds its run context. Callers hold mu.
+func (s *Server) issueLocked(worker, chainedFrom string, now time.Time) (LeaseResponse, bool) {
+	c, b, sh := s.issuableLocked(now)
+	if sh == nil {
+		return LeaseResponse{}, false
+	}
+	sh.issued, sh.worker, sh.deadline = true, worker, now.Add(c.leaseTimeout)
+	s.metrics.LeasesIssued.Add(1)
+	if b != c.batches[0] {
+		s.metrics.LeasesAhead.Add(1)
+	}
+	if chainedFrom != "" {
+		s.metrics.LeasesChained.Add(1)
+	}
+	lease := sh.lease
+	resp := LeaseResponse{Status: StatusLease, Lease: &lease}
+	if c.id != chainedFrom {
+		spec := c.spec
+		resp.Spec = &spec
+		for _, other := range s.order {
+			if !other.finished() {
+				resp.Running = append(resp.Running, other.id)
+			}
+		}
+	}
+	return resp, true
+}
+
+// idleLocked answers a worker when no lease is issuable: StatusShutdown
+// once the daemon is drained of in-flight batches, StatusWait before.
+// Callers hold mu.
+func (s *Server) idleLocked() LeaseResponse {
+	if s.draining && !s.inFlightLocked() {
+		return LeaseResponse{Status: StatusShutdown}
+	}
+	return LeaseResponse{Status: StatusWait}
 }
 
 // earliestDeadlineLocked returns the soonest outstanding-lease
@@ -272,21 +373,22 @@ func (s *Server) earliestDeadlineLocked() (time.Time, bool) {
 		if c.finished() {
 			continue
 		}
-		for _, sh := range c.shards {
-			if sh.issued && !sh.done && (d.IsZero() || sh.deadline.Before(d)) {
-				d = sh.deadline
+		for _, b := range c.batches {
+			for _, sh := range b.shards {
+				if sh.issued && !sh.done && (d.IsZero() || sh.deadline.Before(d)) {
+					d = sh.deadline
+				}
 			}
 		}
 	}
 	return d, !d.IsZero()
 }
 
-// inFlightLocked reports whether any campaign has an issued,
-// unfinished lease or an incomplete batch with issued work — the
-// condition drain waits out. Callers hold mu.
+// inFlightLocked reports whether any unfinished campaign has a batch
+// in flight — the condition drain waits out. Callers hold mu.
 func (s *Server) inFlightLocked() bool {
 	for _, c := range s.order {
-		if !c.finished() && c.shards != nil {
+		if !c.finished() && len(c.batches) > 0 {
 			return true
 		}
 	}
@@ -309,25 +411,16 @@ func (s *Server) nextLease(worker string, wait time.Duration) LeaseResponse {
 		}
 	}()
 	for {
-		if s.draining && !s.inFlightLocked() {
-			return LeaseResponse{Status: StatusShutdown}
-		}
 		now := time.Now()
-		if sh, c := s.issuableLocked(now); sh != nil {
-			sh.issued = true
-			sh.worker = worker
-			sh.deadline = now.Add(c.leaseTimeout)
-			s.metrics.LeasesIssued.Add(1)
-			spec := c.spec
-			lease := sh.lease
-			return LeaseResponse{Status: StatusLease, Lease: &lease, Spec: &spec}
+		if resp, ok := s.issueLocked(worker, "", now); ok {
+			return resp
+		}
+		if resp := s.idleLocked(); resp.Status == StatusShutdown || !now.Before(pollDeadline) {
+			return resp
 		}
 		sleepUntil := pollDeadline
 		if d, ok := s.earliestDeadlineLocked(); ok && d.Before(sleepUntil) {
 			sleepUntil = d
-		}
-		if !now.Before(pollDeadline) {
-			return LeaseResponse{Status: StatusWait}
 		}
 		if dur := time.Until(sleepUntil); dur > 0 {
 			wakeCh := s.wake
@@ -343,41 +436,53 @@ func (s *Server) nextLease(worker string, wait time.Duration) LeaseResponse {
 	}
 }
 
-// submitResult accepts one executed lease: artifacts are persisted
-// into the store (outside the lock — content addressing makes a
-// duplicate's writes no-ops), the sparse delta is decoded, and the
-// shard is completed under the lock. When the last shard of the batch
-// lands, the deltas merge through CampaignState.Apply in shard order
-// and the campaign advances (or finishes). Stale and duplicate results
-// are dropped silently; malformed ones error.
-func (s *Server) submitResult(res *LeaseResult) error {
+// submitResult accepts one executed lease and answers it with the
+// worker's next lease when one can be issued at once (StatusWait or
+// StatusShutdown otherwise, and always when the worker is leaving).
+// Artifacts are persisted into the store outside the lock — content
+// addressing makes a duplicate's writes no-ops — and the result is
+// folded into its batch's delta under it. Stale and duplicate results
+// are dropped silently; malformed ones error and leave the batch
+// untouched.
+func (s *Server) submitResult(res *LeaseResult) (LeaseResponse, error) {
 	if res.Schema != WireSchema {
-		return fmt.Errorf("campaignd: result schema %d, daemon speaks %d", res.Schema, WireSchema)
+		return LeaseResponse{}, errSchema(res.Schema)
 	}
 	s.mu.Lock()
 	c := s.campaigns[res.Campaign]
 	s.mu.Unlock()
 	if c == nil {
-		return fmt.Errorf("campaignd: result for unknown campaign %s", res.Campaign)
+		return LeaseResponse{}, fmt.Errorf("campaignd: result for unknown campaign %s", res.Campaign)
 	}
 	if s.opts.Store != nil && c.spec.Artifacts {
 		s.persistArtifacts(res)
 	}
-	delta, err := resultToDelta(res, c.l1Spec, c.l2Spec)
-	if err != nil {
-		return fmt.Errorf("campaignd: result %s/%d/%d: %w", res.Campaign, res.Batch, res.Lease, err)
-	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if c.finished() || c.shards == nil || res.Batch != c.shards[0].lease.Batch {
-		s.metrics.ResultsDropped.Add(1)
-		return nil // stale: the batch already merged (e.g. a reissued lease won)
+	if err := s.acceptLocked(c, res); err != nil {
+		return LeaseResponse{}, err
 	}
-	if res.Lease < 0 || res.Lease >= len(c.shards) {
+	if !res.Leaving {
+		if resp, ok := s.issueLocked(res.Worker, res.Campaign, time.Now()); ok {
+			return resp, nil
+		}
+	}
+	return s.idleLocked(), nil
+}
+
+// acceptLocked folds a result into its batch and merges every batch
+// that completes. Callers hold mu.
+func (s *Server) acceptLocked(c *campaign, res *LeaseResult) error {
+	b := c.batch(res.Batch)
+	if c.finished() || b == nil {
+		s.metrics.ResultsDropped.Add(1)
+		return nil // stale: the batch merged (a reissued lease won) or was dropped
+	}
+	if res.Lease < 0 || res.Lease >= len(b.shards) {
 		return fmt.Errorf("campaignd: result %s/%d: no lease %d", res.Campaign, res.Batch, res.Lease)
 	}
-	sh := c.shards[res.Lease]
+	sh := &b.shards[res.Lease]
 	if sh.done {
 		s.metrics.ResultsDropped.Add(1)
 		return nil // duplicate: deterministic deltas, either copy is identical
@@ -386,35 +491,39 @@ func (s *Server) submitResult(res *LeaseResult) error {
 		return fmt.Errorf("campaignd: result %s/%d/%d ran %d seeds, lease has %d",
 			res.Campaign, res.Batch, res.Lease, res.Seeds, sh.lease.Count)
 	}
+	if err := foldResult(&b.delta, res); err != nil {
+		return fmt.Errorf("campaignd: result %s/%d/%d: %w", res.Campaign, res.Batch, res.Lease, err)
+	}
 	sh.done = true
-	sh.delta = delta
+	b.pending--
 	s.metrics.LeasesCompleted.Add(1)
-	s.metrics.SeedsRun.Add(uint64(res.Seeds))
-
-	for _, other := range c.shards {
-		if !other.done {
-			s.wakeLocked() // a reissue candidate may now be the head lease
-			return nil
-		}
-	}
-	// Batch barrier: every shard landed. Merge in shard order (order is
-	// irrelevant to the outcome — union is commutative — but fixing it
-	// keeps the path obviously deterministic).
-	deltas := make([]harness.BatchDelta, len(c.shards))
-	for i, other := range c.shards {
-		deltas[i] = other.delta
-	}
-	prev := c.state.Progress().ActiveCells
-	c.state.Apply(deltas)
-	prog := c.state.Progress()
-	s.metrics.BatchesMerged.Add(1)
-	s.metrics.CellsActivated.Add(uint64(prog.ActiveCells - prev))
-	c.shards = nil
-	if c.state.Done() {
-		s.finishLocked(c)
-	}
+	s.mergeLocked(c)
+	// Wake the pollers: a merge may have freed the next batch, and a
+	// finished lease moves the earliest deadline they sleep until.
 	s.wakeLocked()
 	return nil
+}
+
+// mergeLocked applies every complete batch at the head of the
+// campaign's in-flight list through CampaignState.Apply, strictly in
+// batch order: a batch run ahead whose results all landed first waits
+// for the current one. When a merge ends the campaign, the batch run
+// ahead is dropped with whatever results it holds. Callers hold mu.
+func (s *Server) mergeLocked(c *campaign) {
+	for len(c.batches) > 0 && c.batches[0].pending == 0 {
+		b := c.batches[0]
+		c.batches = append(c.batches[:0], c.batches[1:]...)
+		c.state.Apply([]harness.BatchDelta{b.delta})
+		prog := c.state.Progress()
+		s.metrics.BatchesMerged.Add(1)
+		s.metrics.SeedsRun.Add(uint64(b.delta.Seeds))
+		s.metrics.CellsActivated.Add(uint64(prog.NewCellsByBatch[len(prog.NewCellsByBatch)-1]))
+		if c.state.Done() {
+			c.batches = c.batches[:0]
+			s.finishLocked(c)
+			return
+		}
+	}
 }
 
 // persistArtifacts moves inline replay artifacts into the store,
@@ -494,9 +603,10 @@ func (s *Server) Wait(ctx context.Context, id string) (*harness.CampaignResult, 
 }
 
 // Drain gracefully shuts the control plane down: no new campaigns or
-// batches are admitted, in-flight batches run to completion (their
-// leases keep reissuing on expiry, so a dead worker cannot wedge the
-// drain — ctx bounds it), never-issued batches are discarded (Plan is
+// batches are admitted, each campaign's current batch runs to
+// completion if any of its leases is out (they keep reissuing on
+// expiry, so a dead worker cannot wedge the drain — ctx bounds it),
+// batches run ahead and never-issued batches are discarded (Plan is
 // idempotent, nothing is lost), and every unfinished campaign is then
 // finalized at its merged whole-batch prefix — still a deterministic
 // truncation of the spec's canonical Plan/Apply sequence — with its
@@ -506,19 +616,16 @@ func (s *Server) Drain(ctx context.Context) {
 	s.mu.Lock()
 	s.draining = true
 	for _, c := range s.order {
-		if c.finished() || c.shards == nil {
+		if c.finished() || len(c.batches) == 0 {
 			continue
 		}
-		issued := false
-		for _, sh := range c.shards {
-			if sh.issued {
-				issued = true
-				break
-			}
+		// The campaign ends at its current batch: the batch run ahead
+		// is dropped, and a current batch with no lease out yet too.
+		keep := 0
+		if c.batches[0].anyIssued() {
+			keep = 1
 		}
-		if !issued {
-			c.shards = nil // never started; discard, not wait
-		}
+		c.batches = c.batches[:keep]
 	}
 	s.wakeLocked()
 	s.mu.Unlock()
@@ -537,7 +644,7 @@ func (s *Server) Drain(ctx context.Context) {
 			s.mu.Lock()
 			s.logf("campaignd: drain deadline; dropping in-flight batches")
 			for _, c := range s.order {
-				c.shards = nil
+				c.batches = nil
 			}
 			s.abortRemainingLocked()
 			s.mu.Unlock()

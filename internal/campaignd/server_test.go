@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -12,11 +13,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"drftest/internal/cache"
 	"drftest/internal/core"
+	"drftest/internal/coverage"
 	"drftest/internal/harness"
 	"drftest/internal/sim"
 	"drftest/internal/trace"
@@ -86,6 +89,13 @@ func localResult(t *testing.T, spec Spec, workers int) *harness.CampaignResult {
 // worker pool and returns the result after draining.
 func daemonResult(t *testing.T, spec Spec, localWorkers int, opts Options) *harness.CampaignResult {
 	t.Helper()
+	res, _ := runDaemon(t, spec, localWorkers, opts)
+	return res
+}
+
+// runDaemon is daemonResult that also returns the drained server.
+func runDaemon(t *testing.T, spec Spec, localWorkers int, opts Options) (*harness.CampaignResult, *Server) {
+	t.Helper()
 	opts.LocalWorkers = localWorkers
 	opts.Logf = t.Logf
 	srv := NewServer(opts)
@@ -101,7 +111,7 @@ func daemonResult(t *testing.T, spec Spec, localWorkers int, opts Options) *harn
 		t.Fatalf("wait: %v", err)
 	}
 	srv.Drain(ctx)
-	return res
+	return res, srv
 }
 
 // finished reports (under the server lock) whether a campaign is done.
@@ -129,6 +139,135 @@ func TestDaemonMatchesLocal(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunAheadOnlyWhereThePlanIsFixed: with 2 workers, a uniform or
+// swarm campaign issues leases of the next batch while the current one
+// drains — the slot that finds the current batch all out would idle
+// otherwise — and a directed campaign, whose next corner follows the
+// current batch's yield, never does. The outcome is the local one
+// either way.
+func TestRunAheadOnlyWhereThePlanIsFixed(t *testing.T) {
+	for _, mode := range []string{"uniform", "swarm", "directed"} {
+		spec := testSpec(mode)
+		res, srv := runDaemon(t, spec, 2, Options{})
+		if got, want := canonical(t, res), canonical(t, localResult(t, spec, 2)); got != want {
+			t.Errorf("%s: daemon diverged from local run", mode)
+		}
+		ahead := srv.metrics.LeasesAhead.Load()
+		if (ahead > 0) != (mode != "directed") {
+			t.Errorf("%s: %d leases issued ahead of their batch", mode, ahead)
+		}
+	}
+}
+
+// TestWorkerDropsFinishedCampaignContexts: a worker slot keeps a run
+// context only for campaigns the daemon still runs, so one slot that
+// serves 20 back-to-back campaigns ends up holding one context, not 20.
+func TestWorkerDropsFinishedCampaignContexts(t *testing.T) {
+	srv := NewServer(Options{Logf: t.Logf})
+	runners := newRunnerSet()
+	for i := 0; i < 20; i++ {
+		spec := testSpec("uniform")
+		spec.BaseSeed += uint64(i)
+		spec.BatchSize, spec.MaxSeeds, spec.LeaseSeeds = 2, 2, 2
+		id, err := srv.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := srv.nextLease("w", time.Second)
+		for !finished(srv, id) {
+			if resp.Status != StatusLease {
+				t.Fatalf("campaign %s: %+v", id, resp)
+			}
+			res, err := runners.run(&resp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Worker = "w"
+			if resp, err = srv.submitResult(res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := len(runners.runners); n > 1 {
+			t.Fatalf("after %d campaigns the slot holds %d contexts", i+1, n)
+		}
+	}
+	if len(runners.runners) != 1 {
+		t.Errorf("slot holds %d contexts, want the last campaign's", len(runners.runners))
+	}
+}
+
+// TestWireSchemaRefusedByName: a schema-1 worker's lease poll and
+// result are refused with an error naming both schemas, so it stops
+// instead of ignoring the leases schema 2 hands out in result answers.
+func TestWireSchemaRefusedByName(t *testing.T) {
+	srv := NewServer(Options{Logf: t.Logf})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if _, err := srv.Submit(testSpec("uniform")); err != nil {
+		t.Fatal(err)
+	}
+	for path, body := range map[string]string{
+		"/lease":   `{"schema":1,"worker":"old","waitMs":1}`,
+		"/results": `{"schema":1,"campaign":"c001","batch":0,"lease":0,"seeds":3}`,
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest ||
+			!strings.Contains(string(msg), "wire schema 1") || !strings.Contains(string(msg), "schema 2") {
+			t.Errorf("%s with schema 1: status %d, body %q; want 400 naming schemas 1 and 2", path, resp.StatusCode, msg)
+		}
+	}
+	if n := srv.metrics.LeasesIssued.Load(); n != 0 {
+		t.Errorf("%d leases issued to a schema-1 worker", n)
+	}
+}
+
+// TestMalformedResultLeavesDeltaUntouched: a result with an
+// out-of-range sparse cell is refused before any of its cells reaches
+// its batch's delta — valid L1 cells included — and the lease stays
+// open for the well-formed copy.
+func TestMalformedResultLeavesDeltaUntouched(t *testing.T) {
+	srv := NewServer(Options{Logf: t.Logf})
+	id, err := srv.Submit(testSpec("uniform"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := srv.nextLease("w", time.Second)
+	good, err := newRunnerSet().run(&resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(good.L1) == 0 {
+		t.Fatal("lease recorded no L1 coverage")
+	}
+	bad := *good
+	bad.L2 = append(append([]SparseCell(nil), good.L2...), SparseCell{S: 1 << 20, E: 0, N: 1})
+	if _, err := srv.submitResult(&bad); err == nil || !strings.Contains(err.Error(), "outside") {
+		t.Fatalf("out-of-range cell: %v", err)
+	}
+	srv.mu.Lock()
+	b := srv.campaigns[id].batches[0]
+	empty := harness.BatchDelta{
+		L1: coverage.NewMatrix(b.delta.L1.Spec), L2: coverage.NewMatrix(b.delta.L2.Spec),
+		Failures: b.delta.Failures,
+	}
+	if !reflect.DeepEqual(b.delta, empty) || b.shards[0].done || b.pending != len(b.shards) {
+		t.Errorf("a refused result changed its batch: delta %+v, shard done %v, pending %d",
+			b.delta, b.shards[0].done, b.pending)
+	}
+	srv.mu.Unlock()
+	if _, err := srv.submitResult(good); err != nil {
+		t.Fatalf("well-formed copy: %v", err)
+	}
+	if n := srv.metrics.LeasesCompleted.Load(); n != 1 {
+		t.Errorf("%d leases completed, want 1", n)
 	}
 }
 
@@ -224,10 +363,20 @@ func TestDaemonRemoteWorkersMatchLocal(t *testing.T) {
 }
 
 // TestLeaseRequeue pins the fault-tolerance path: a lease issued to a
-// worker that dies is reissued after its timeout to the next poller,
-// the campaign completes with the exact local outcome, and the late
-// duplicate submission from the "dead" worker is dropped.
+// worker that dies is reissued after its timeout to the next worker
+// that asks, the campaign completes with the exact local outcome, and
+// the late duplicate submission from the "dead" worker is dropped. It
+// runs with the live worker taking every lease from a poll, and with
+// it taking the leases its result answers hand out.
 func TestLeaseRequeue(t *testing.T) {
+	for _, chained := range []bool{false, true} {
+		t.Run(map[bool]string{false: "polled", true: "chained"}[chained], func(t *testing.T) {
+			testLeaseRequeue(t, chained)
+		})
+	}
+}
+
+func testLeaseRequeue(t *testing.T, chained bool) {
 	spec := testSpec("uniform")
 	spec.MaxSeeds = 16
 	spec.SaturateK = 0
@@ -249,15 +398,18 @@ func TestLeaseRequeue(t *testing.T) {
 	// back to it once the 100ms timeout expires.
 	runners := newRunnerSet()
 	var reissuedCopy *LeaseResult
+	var resp LeaseResponse
 	for !finished(srv, id) {
-		resp := srv.nextLease("live", 2*time.Second)
-		if resp.Status == StatusWait {
-			continue
-		}
 		if resp.Status != StatusLease {
-			t.Fatalf("poll: %+v", resp)
+			resp = srv.nextLease("live", 2*time.Second)
+			if resp.Status == StatusWait {
+				continue
+			}
+			if resp.Status != StatusLease {
+				t.Fatalf("poll: %+v", resp)
+			}
 		}
-		res, err := runners.run(resp.Lease, resp.Spec)
+		res, err := runners.run(&resp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,8 +417,13 @@ func TestLeaseRequeue(t *testing.T) {
 			cp := *res // the reissue: keep a duplicate to submit late
 			reissuedCopy = &cp
 		}
-		if err := srv.submitResult(res); err != nil {
+		res.Worker = "live"
+		res.Leaving = !chained
+		if resp, err = srv.submitResult(res); err != nil {
 			t.Fatal(err)
+		}
+		if resp.Status == StatusLease && !chained {
+			t.Fatalf("a leaving worker's result was answered with a lease: %+v", resp.Lease)
 		}
 	}
 	if reissuedCopy == nil {
@@ -274,6 +431,9 @@ func TestLeaseRequeue(t *testing.T) {
 	}
 	if srv.metrics.LeasesExpired.Load() == 0 {
 		t.Error("no lease expiry counted")
+	}
+	if n := srv.metrics.LeasesChained.Load(); (n > 0) != chained {
+		t.Errorf("%d leases chained", n)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -289,7 +449,7 @@ func TestLeaseRequeue(t *testing.T) {
 	// The dead worker's duplicate arrives after the merge: dropped, not
 	// double-counted.
 	dropped := srv.metrics.ResultsDropped.Load()
-	if err := srv.submitResult(reissuedCopy); err != nil {
+	if _, err := srv.submitResult(reissuedCopy); err != nil {
 		t.Errorf("duplicate submission errored: %v", err)
 	}
 	if got := srv.metrics.ResultsDropped.Load(); got != dropped+1 {
@@ -298,39 +458,127 @@ func TestLeaseRequeue(t *testing.T) {
 }
 
 // TestDrainStopsAtBatchBoundary pins graceful shutdown: draining
-// mid-campaign finishes the in-flight batch, finalizes the campaign at
-// a whole-batch prefix of the canonical local run, and writes the
-// final report.
+// mid-campaign finishes the current batch, drops the batch run ahead
+// of it, finalizes the campaign at a whole-batch prefix of the
+// canonical local run, and writes the final report — both with a busy
+// local pool and with every lease of the current batch and one of the
+// next out when the drain starts.
 func TestDrainStopsAtBatchBoundary(t *testing.T) {
 	spec := testSpec("swarm")
 	spec.SaturateK = 0
 	spec.MaxSeeds = 512 // far more work than the drain will allow
-	reportDir := t.TempDir()
+	full := localResult(t, spec, 2)
 
-	srv := NewServer(Options{LocalWorkers: 2, Logf: t.Logf, ReportDir: reportDir})
-	srv.Start()
-	id, err := srv.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Let some batches merge, then pull the plug.
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		srv.mu.Lock()
-		batches := srv.campaigns[id].state.Progress().Batches
-		srv.mu.Unlock()
-		if batches >= 2 {
-			break
+	t.Run("pool", func(t *testing.T) {
+		reportDir := t.TempDir()
+		srv := NewServer(Options{LocalWorkers: 2, Logf: t.Logf, ReportDir: reportDir})
+		srv.Start()
+		id, err := srv.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("no batches merged before drain deadline")
+		// Let some batches merge, then pull the plug.
+		deadline := time.Now().Add(60 * time.Second)
+		for {
+			srv.mu.Lock()
+			batches := srv.campaigns[id].state.Progress().Batches
+			srv.mu.Unlock()
+			if batches >= 2 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("no batches merged before drain deadline")
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		srv.Drain(ctx)
+		checkDrained(t, srv, id, spec, full, reportDir)
+	})
+
+	t.Run("run ahead", func(t *testing.T) {
+		reportDir := t.TempDir()
+		srv := NewServer(Options{Logf: t.Logf, ReportDir: reportDir})
+		id, err := srv.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Batches 0 and 1 merge; then every lease of batch 2 and the
+		// first of batch 3 are out when the drain starts.
+		runners := newRunnerSet()
+		var held []*LeaseResult
+		for {
+			resp := srv.nextLease("w", time.Second)
+			if resp.Status != StatusLease {
+				t.Fatalf("poll: %+v", resp)
+			}
+			res, err := runners.run(&resp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Leaving = true
+			if resp.Lease.Batch >= 2 {
+				held = append(held, res)
+				if resp.Lease.Batch == 3 {
+					break
+				}
+				continue
+			}
+			if _, err := srv.submitResult(res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if srv.metrics.LeasesAhead.Load() == 0 {
+			t.Fatal("batch 3's lease was not counted as issued ahead")
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		drained := make(chan struct{})
+		go func() {
+			srv.Drain(ctx)
+			close(drained)
+		}()
+		for {
+			srv.mu.Lock()
+			draining := srv.draining
+			srv.mu.Unlock()
+			if draining {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		// Batch 3's result first: it was dropped with its batch.
+		dropped := srv.metrics.ResultsDropped.Load()
+		for i := len(held) - 1; i >= 0; i-- {
+			res := held[i]
+			res.Leaving = false
+			resp, err := srv.submitResult(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Status == StatusLease {
+				t.Fatalf("a draining daemon answered a result with lease %+v", resp.Lease)
+			}
+		}
+		if got := srv.metrics.ResultsDropped.Load(); got != dropped+1 {
+			t.Errorf("%d results dropped, want batch 3's one", got-dropped)
+		}
+		<-drained
+		checkDrained(t, srv, id, spec, full, reportDir)
+		if res, _ := srv.Wait(ctx, id); res.Batches != 3 {
+			t.Errorf("drain ended the campaign after %d batches, want 3", res.Batches)
+		}
+	})
+}
+
+// checkDrained checks that a drained campaign is a nonzero,
+// truncated, whole-batch prefix of the canonical run full, and that its
+// final report is written and marked aborted.
+func checkDrained(t *testing.T, srv *Server, id string, spec Spec, full *harness.CampaignResult, reportDir string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	srv.Drain(ctx)
-
 	res, err := srv.Wait(ctx, id)
 	if err != nil {
 		t.Fatal(err)
@@ -341,16 +589,15 @@ func TestDrainStopsAtBatchBoundary(t *testing.T) {
 	if res.SeedsRun >= spec.MaxSeeds {
 		t.Errorf("drain did not truncate the campaign (%d seeds)", res.SeedsRun)
 	}
-
-	// The merged prefix must equal the canonical run truncated to the
-	// same batch count.
-	full := localResult(t, spec, 2)
 	for b := 0; b < res.Batches; b++ {
 		if res.NewCellsByBatch[b] != full.NewCellsByBatch[b] || res.CornerByBatch[b] != full.CornerByBatch[b] {
 			t.Errorf("batch %d diverges from canonical prefix: (%d, %s) vs (%d, %s)", b,
 				res.NewCellsByBatch[b], res.CornerByBatch[b],
 				full.NewCellsByBatch[b], full.CornerByBatch[b])
 		}
+	}
+	if !reflect.DeepEqual(res.UnionL1.Hits, prefixUnion(t, spec, res.Batches).UnionL1.Hits) {
+		t.Error("drained campaign's L1 union differs from the canonical prefix's")
 	}
 
 	data, err := os.ReadFile(filepath.Join(reportDir, id+".json"))
@@ -366,15 +613,43 @@ func TestDrainStopsAtBatchBoundary(t *testing.T) {
 	}
 }
 
-// TestMetricsAndHTTPSurface walks the HTTP API end to end with the
-// in-process pool: submit over POST, status long-poll, result report,
-// metrics counters consistent with the campaign outcome, and pprof
-// reachable.
+// prefixUnion runs the first batches of spec's campaign locally.
+func prefixUnion(t *testing.T, spec Spec, batches int) *harness.CampaignResult {
+	t.Helper()
+	spec.MaxSeeds = batches * spec.BatchSize
+	return localResult(t, spec, 1)
+}
+
+// TestMetricsAndHTTPSurface walks the HTTP API end to end with a
+// 2-slot worker over HTTP: submit over POST, status long-poll, result
+// report, metrics counters consistent with the campaign outcome and
+// with the leases seen on the wire — every issued lease answered
+// either a poll or a result — and pprof reachable.
 func TestMetricsAndHTTPSurface(t *testing.T) {
-	srv := NewServer(Options{LocalWorkers: 2, Logf: t.Logf})
-	srv.Start()
-	ts := httptest.NewServer(srv.Handler())
+	srv := NewServer(Options{Logf: t.Logf})
+	var polled, chained atomic.Int64
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		var resp LeaseResponse
+		if json.Unmarshal(rec.Body.Bytes(), &resp) == nil && resp.Status == StatusLease {
+			switch r.URL.Path {
+			case "/lease":
+				polled.Add(1)
+			case "/results":
+				chained.Add(1)
+			}
+		}
+		maps.Copy(w.Header(), rec.Header())
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
 	defer ts.Close()
+	workerDone := make(chan error, 1)
+	go func() {
+		workerDone <- RunWorker(context.Background(), ts.URL, WorkerOptions{ID: "w", Slots: 2, Logf: t.Logf})
+	}()
 	client := &Client{BaseURL: ts.URL}
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -425,6 +700,14 @@ func TestMetricsAndHTTPSurface(t *testing.T) {
 	if got := int(m["leasesCompleted"].(float64)); got < res.Batches {
 		t.Errorf("leasesCompleted %d < batches %d", got, res.Batches)
 	}
+	issued, chainedMetric := int64(m["leasesIssued"].(float64)), int64(m["leasesChained"].(float64))
+	if chainedMetric != chained.Load() || issued != polled.Load()+chained.Load() {
+		t.Errorf("leasesIssued %d, leasesChained %d; on the wire %d polled + %d chained",
+			issued, chainedMetric, polled.Load(), chained.Load())
+	}
+	if chainedMetric == 0 {
+		t.Error("no lease was handed out in a result answer")
+	}
 
 	resp, err := http.Get(ts.URL + "/debug/pprof/cmdline")
 	if err != nil {
@@ -436,6 +719,9 @@ func TestMetricsAndHTTPSurface(t *testing.T) {
 	}
 
 	srv.Drain(ctx)
+	if err := <-workerDone; err != nil {
+		t.Errorf("worker: %v", err)
+	}
 }
 
 // TestSubmitRejectsInvalidSysCfg: a spec whose sysCfg no system can be
@@ -540,7 +826,7 @@ func TestSubmitRejectsInvalidSysCfg(t *testing.T) {
 			t.Errorf("%s: Submit = %q, %v; want an error naming %q", tc.name, id, err, tc.want)
 		}
 		// A worker handed the spec by a daemon that did admit it.
-		if _, err := newRunnerSet().run(&Lease{Campaign: "c001", Count: 1}, &spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := newRunnerSet().run(&LeaseResponse{Lease: &Lease{Campaign: "c001", Count: 1}, Spec: &spec}); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: worker run = %v; want an error naming %q", tc.name, err, tc.want)
 		}
 		resp, err := http.Post(ts.URL+"/campaigns", "application/json", bytes.NewReader(tc.body))

@@ -22,7 +22,13 @@
 // compact result — the coverage delta as a sparse nonzero-cell list,
 // failures with their replay artifacts inline — so merge and I/O costs
 // amortize per lease, not per seed, and aggregate seeds/sec scales
-// with worker processes.
+// with worker processes. The daemon answers a result with the
+// worker's next lease when one can be issued at once, so a busy worker
+// pays one round trip per lease; it long-polls only when that answer
+// is "wait". Where the next batch's plan cannot depend on the current
+// batch's yield (uniform and swarm mode), the daemon issues it while
+// the current batch drains and holds its results until the current
+// batch merges, so workers do not idle at the batch barrier.
 package campaignd
 
 import (
@@ -32,13 +38,14 @@ import (
 	"drftest/internal/core"
 	"drftest/internal/coverage"
 	"drftest/internal/harness"
-	"drftest/internal/protocol"
 	"drftest/internal/viper"
 )
 
 // WireSchema versions the control-plane API payloads. Daemon and
-// workers must agree; the lease handshake carries it.
-const WireSchema = 1
+// workers must agree; every lease poll and result carries it. Schema 2
+// answers a result with the worker's next lease: a schema-1 worker
+// would ignore that lease, so the daemon refuses its bodies by name.
+const WireSchema = 2
 
 // DefaultLeaseTimeout is how long the daemon waits for a lease's
 // result before requeuing it for another worker.
@@ -173,14 +180,21 @@ type LeaseRequest struct {
 	WaitMs int64 `json:"waitMs,omitempty"`
 }
 
-// LeaseResponse answers a lease poll.
+// LeaseResponse answers a lease poll (POST /lease) and a result
+// submission (POST /results): a lease to execute, or StatusWait, or
+// StatusShutdown.
 type LeaseResponse struct {
 	Status string `json:"status"`
 	Lease  *Lease `json:"lease,omitempty"`
 	// Spec is the admitted spec of the lease's campaign, so a worker
 	// seeing the campaign for the first time can build its run context
-	// without another round trip.
+	// without another round trip. Every polled lease carries it; a
+	// lease answering a result omits it when the lease is for the
+	// campaign the result came from, whose context the worker holds.
 	Spec *Spec `json:"spec,omitempty"`
+	// Running lists the daemon's unfinished campaigns whenever Spec is
+	// set; the worker drops the run context of every campaign not in it.
+	Running []string `json:"running,omitempty"`
 }
 
 // SparseCell is one nonzero coverage cell on the wire. A whole lease's
@@ -213,6 +227,9 @@ type LeaseResult struct {
 	Ops      uint64                `json:"ops"`
 	Events   uint64                `json:"events"`
 	WallNs   int64                 `json:"wallNs"`
+	// Leaving tells the daemon the worker is shutting down: the answer
+	// then carries no lease.
+	Leaving bool `json:"leaving,omitempty"`
 }
 
 // SparseFromMatrix lists m's nonzero cells in row-major order.
@@ -228,33 +245,40 @@ func SparseFromMatrix(m *coverage.Matrix) []SparseCell {
 	return out
 }
 
-// AddSparse folds a sparse delta into dst, bounds-checking every cell
-// (wire data is untrusted).
-func AddSparse(dst *coverage.Matrix, cells []SparseCell) error {
+// checkSparse bounds-checks a sparse delta against dst's table (wire
+// data is untrusted).
+func checkSparse(dst *coverage.Matrix, cells []SparseCell) error {
 	for _, c := range cells {
 		if c.S < 0 || c.S >= len(dst.Hits) || c.E < 0 || c.E >= len(dst.Hits[c.S]) {
 			return fmt.Errorf("sparse cell [%d,%d] outside %s's %dx%d table",
 				c.S, c.E, dst.Spec.Name, len(dst.Hits), len(dst.Spec.Events))
 		}
-		dst.Hits[c.S][c.E] += c.N
 	}
 	return nil
 }
 
-// resultToDelta decodes a wire result into a merge-ready BatchDelta
-// over freshly allocated matrices shaped by the campaign's specs.
-func resultToDelta(res *LeaseResult, l1Spec, l2Spec *protocol.Spec) (harness.BatchDelta, error) {
-	d := harness.BatchDelta{
-		L1:       coverage.NewMatrix(l1Spec),
-		L2:       coverage.NewMatrix(l2Spec),
-		Failures: res.Failures,
-		Seeds:    res.Seeds,
-		Ops:      res.Ops,
-		Events:   res.Events,
-		Wall:     time.Duration(res.WallNs),
+func addSparse(dst *coverage.Matrix, cells []SparseCell) {
+	for _, c := range cells {
+		dst.Hits[c.S][c.E] += c.N
 	}
-	if err := AddSparse(d.L1, res.L1); err != nil {
-		return d, err
+}
+
+// foldResult adds a wire result into its batch's delta. Every cell of
+// both sparse lists is checked before any is added, so a malformed
+// result leaves the delta untouched.
+func foldResult(d *harness.BatchDelta, res *LeaseResult) error {
+	if err := checkSparse(d.L1, res.L1); err != nil {
+		return err
 	}
-	return d, AddSparse(d.L2, res.L2)
+	if err := checkSparse(d.L2, res.L2); err != nil {
+		return err
+	}
+	addSparse(d.L1, res.L1)
+	addSparse(d.L2, res.L2)
+	d.Failures = append(d.Failures, res.Failures...)
+	d.Seeds += res.Seeds
+	d.Ops += res.Ops
+	d.Events += res.Events
+	d.Wall += time.Duration(res.WallNs)
+	return nil
 }

@@ -1,12 +1,18 @@
 package campaignd
 
 import (
+	"reflect"
 	"testing"
 
 	"drftest/internal/coverage"
+	"drftest/internal/harness"
 	"drftest/internal/viper"
 )
 
+// TestSparseRoundTrip: a matrix's sparse encoding folds back into a
+// batch delta cell for cell, folds accumulate, and a result with an
+// out-of-range cell in either list is refused before any of its cells
+// — valid ones included — reaches the delta.
 func TestSparseRoundTrip(t *testing.T) {
 	spec := viper.NewTCPSpec()
 	m := coverage.NewMatrix(spec)
@@ -19,34 +25,44 @@ func TestSparseRoundTrip(t *testing.T) {
 	if len(cells) != 3 {
 		t.Fatalf("sparse encoding has %d cells, want 3", len(cells))
 	}
-	back := coverage.NewMatrix(spec)
-	if err := AddSparse(back, cells); err != nil {
+	d := harness.BatchDelta{L1: coverage.NewMatrix(spec), L2: coverage.NewMatrix(viper.NewTCCSpec())}
+	if err := foldResult(&d, &LeaseResult{L1: cells, Seeds: 2}); err != nil {
 		t.Fatal(err)
 	}
-	for i := range m.Hits {
-		for j := range m.Hits[i] {
-			if m.Hits[i][j] != back.Hits[i][j] {
-				t.Fatalf("cell [%d][%d]: %d vs %d", i, j, m.Hits[i][j], back.Hits[i][j])
-			}
+	if !reflect.DeepEqual(m.Hits, d.L1.Hits) || d.Seeds != 2 {
+		t.Fatalf("folded delta %v (%d seeds), want %v", d.L1.Hits, d.Seeds, m.Hits)
+	}
+
+	// Folds accumulate (union merge is addition on the wire too).
+	if err := foldResult(&d, &LeaseResult{L1: cells, Seeds: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if d.L1.Hits[0][1] != 6 || d.Seeds != 4 {
+		t.Errorf("double fold: cell %d, %d seeds; want 6, 4", d.L1.Hits[0][1], d.Seeds)
+	}
+
+	before := harness.BatchDelta{L1: d.L1.Clone(), L2: d.L2.Clone(), Seeds: d.Seeds}
+	outside := func(mm *coverage.Matrix) []SparseCell {
+		return []SparseCell{
+			{S: -1, E: 0, N: 1},
+			{S: len(mm.Hits), E: 0, N: 1},
+			{S: 0, E: -1, N: 1},
+			{S: 0, E: len(mm.Hits[0]), N: 1},
 		}
 	}
-
-	// AddSparse accumulates (union merge is addition on the wire too).
-	if err := AddSparse(back, cells); err != nil {
-		t.Fatal(err)
+	var refused []LeaseResult
+	for _, bad := range outside(d.L1) {
+		refused = append(refused, LeaseResult{L1: []SparseCell{{S: 0, E: 1, N: 1}, bad}, Seeds: 1})
 	}
-	if back.Hits[0][1] != 6 {
-		t.Errorf("double add: %d, want 6", back.Hits[0][1])
+	for _, bad := range outside(d.L2) {
+		refused = append(refused, LeaseResult{L1: cells, L2: []SparseCell{{S: 0, E: 0, N: 1}, bad}, Seeds: 1})
 	}
-
-	// Out-of-range cells are rejected, not written.
-	for _, bad := range []SparseCell{
-		{S: -1, E: 0, N: 1},
-		{S: len(m.Hits), E: 0, N: 1},
-		{S: 0, E: len(m.Hits[0]), N: 1},
-	} {
-		if err := AddSparse(back, []SparseCell{bad}); err == nil {
-			t.Errorf("cell %+v accepted", bad)
+	for _, res := range refused {
+		if err := foldResult(&d, &res); err == nil {
+			t.Errorf("result %+v accepted", res)
+		}
+		if !reflect.DeepEqual(d, before) {
+			t.Fatalf("refused result %+v changed the delta", res)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"time"
 
 	"drftest/internal/harness"
@@ -24,9 +25,10 @@ type leaseRunner struct {
 	corners *harness.CornerCache
 }
 
-// runnerSet caches one leaseRunner per campaign — a worker slot serving
-// interleaved leases from several campaigns keeps a warm context for
-// each.
+// runnerSet caches one leaseRunner per running campaign — a worker
+// slot serving interleaved leases from several campaigns keeps a warm
+// context for each, and drops a context once its campaign is no longer
+// among the daemon's running ones.
 type runnerSet struct {
 	runners map[string]*leaseRunner
 }
@@ -35,12 +37,22 @@ func newRunnerSet() *runnerSet {
 	return &runnerSet{runners: make(map[string]*leaseRunner)}
 }
 
-// run executes a lease and encodes its result for the merge barrier.
-// spec rides with every lease, so a worker joining mid-campaign builds
-// its context without extra round trips.
-func (rs *runnerSet) run(l *Lease, spec *Spec) (*LeaseResult, error) {
+// run executes the lease a daemon answer carries and encodes its
+// result for the merge. An answer with a spec lists the running
+// campaigns too: contexts of every other campaign are dropped first.
+// The spec rides with every polled lease, so a worker joining
+// mid-campaign builds its context without extra round trips.
+func (rs *runnerSet) run(resp *LeaseResponse) (*LeaseResult, error) {
+	l, spec := resp.Lease, resp.Spec
 	if l == nil {
 		return nil, errors.New("campaignd: lease response without lease")
+	}
+	if spec != nil {
+		for id := range rs.runners {
+			if !slices.Contains(resp.Running, id) {
+				delete(rs.runners, id)
+			}
+		}
 	}
 	r, ok := rs.runners[l.Campaign]
 	if !ok {
@@ -102,10 +114,11 @@ type WorkerOptions struct {
 
 // RunWorker connects a worker process to a daemon at baseURL and
 // serves leases until the daemon answers StatusShutdown or ctx ends.
-// Cancelling ctx is graceful: each slot finishes its in-flight lease
-// and posts the result before returning — seeds already run are never
-// thrown away (and if they were, the lease would expire and reissue;
-// nothing is lost either way).
+// Cancelling ctx is graceful: each slot finishes its in-flight lease —
+// and the lease an answer may have handed it as ctx ended — and posts
+// the result, marked Leaving, before returning. Seeds already run are
+// never thrown away (and if they were, the lease would expire and
+// reissue; nothing is lost either way).
 func RunWorker(ctx context.Context, baseURL string, opts WorkerOptions) error {
 	if opts.ID == "" {
 		opts.ID = fmt.Sprintf("pid-%d", os.Getpid())
@@ -143,51 +156,60 @@ func RunWorker(ctx context.Context, baseURL string, opts WorkerOptions) error {
 	return first
 }
 
-// workerSlot is one lease-serving loop: poll, execute, post, repeat.
+// workerSlot is one lease-serving loop: execute, post, and run the
+// lease the post's answer carries; long-poll only when the answer is
+// StatusWait (or the post failed).
 func workerSlot(ctx context.Context, baseURL, id string, opts WorkerOptions, logf func(string, ...any)) error {
 	runners := newRunnerSet()
 	failures := 0
+	var resp *LeaseResponse // the last result's answer; nil → poll
 	for {
-		if ctx.Err() != nil {
-			return nil // graceful: the previous lease's result is posted
-		}
-		resp, err := pollLease(ctx, baseURL, id, opts)
-		if err != nil {
+		if resp == nil {
 			if ctx.Err() != nil {
-				return nil
+				return nil // graceful: the previous lease's result is posted
 			}
-			failures++
-			if failures >= 10 {
-				return fmt.Errorf("campaignd worker %s: daemon unreachable: %w", id, err)
+			var err error
+			if resp, err = pollLease(ctx, baseURL, id, opts); err != nil {
+				if ctx.Err() != nil {
+					return nil
+				}
+				failures++
+				if failures >= 10 {
+					return fmt.Errorf("campaignd worker %s: daemon unreachable: %w", id, err)
+				}
+				logf("worker %s: poll: %v (retrying)", id, err)
+				select {
+				case <-time.After(time.Second):
+				case <-ctx.Done():
+					return nil
+				}
+				continue
 			}
-			logf("worker %s: poll: %v (retrying)", id, err)
-			select {
-			case <-time.After(time.Second):
-			case <-ctx.Done():
-				return nil
-			}
-			continue
+			failures = 0
 		}
-		failures = 0
 		switch resp.Status {
 		case StatusShutdown:
 			logf("worker %s: daemon shutting down", id)
 			return nil
 		case StatusWait:
+			resp = nil
 			continue
 		case StatusLease:
 		default:
-			return fmt.Errorf("campaignd worker %s: unknown poll status %q", id, resp.Status)
+			return fmt.Errorf("campaignd worker %s: unknown lease status %q", id, resp.Status)
 		}
-		res, err := runners.run(resp.Lease, resp.Spec)
+		res, err := runners.run(resp)
+		resp = nil
 		if err != nil {
-			logf("worker %s: lease %s/%d/%d: %v", id, resp.Lease.Campaign, resp.Lease.Batch, resp.Lease.Lease, err)
+			logf("worker %s: %v", id, err)
 			continue // the daemon reissues it on expiry
 		}
 		res.Worker = id
 		// Post even when ctx was cancelled mid-lease: the work is done,
-		// shipping it beats forcing a reissue.
-		if err := postResult(baseURL, res, opts); err != nil {
+		// shipping it beats forcing a reissue. Leaving asks the daemon
+		// to answer without a lease.
+		res.Leaving = ctx.Err() != nil
+		if resp, err = postResult(baseURL, res, opts); err != nil {
 			logf("worker %s: post result %s/%d/%d: %v", id, res.Campaign, res.Batch, res.Lease, err)
 		}
 	}
@@ -215,19 +237,24 @@ func pollLease(ctx context.Context, baseURL, id string, opts WorkerOptions) (*Le
 	return &out, nil
 }
 
-// postResult ships a lease result. It deliberately takes no ctx: a
-// graceful shutdown still posts completed work.
-func postResult(baseURL string, res *LeaseResult, opts WorkerOptions) error {
+// postResult ships a lease result and returns the daemon's answer: the
+// worker's next lease, StatusWait or StatusShutdown. It deliberately
+// takes no ctx: a graceful shutdown still posts completed work.
+func postResult(baseURL string, res *LeaseResult, opts WorkerOptions) (*LeaseResponse, error) {
 	body, err := json.Marshal(res)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	req, err := http.NewRequest(http.MethodPost, baseURL+"/results", bytes.NewReader(body))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	return doJSON(opts.HTTP, req, nil)
+	var out LeaseResponse
+	if err := doJSON(opts.HTTP, req, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
 }
 
 // doJSON executes a request and decodes a JSON response into out,

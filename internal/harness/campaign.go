@@ -258,9 +258,11 @@ type BatchDelta struct {
 // The protocol is strictly alternating: Plan returns the current
 // batch (idempotently — calling it twice plans the same batch), the
 // caller executes those seeds however it likes, and Apply merges the
-// batch's deltas at the barrier and advances. CampaignState is not
-// goroutine-safe; callers serialize access (the daemon holds its
-// campaign lock across Apply).
+// batch's deltas at the barrier and advances. PlanAhead lets an
+// executor start the next batch before that barrier where the next
+// plan cannot depend on the merge; merges stay in batch order all the
+// same. CampaignState is not goroutine-safe; callers serialize access
+// (the daemon holds its campaign lock across Apply).
 type CampaignState struct {
 	cfg    CampaignConfig
 	policy *cornerPolicy
@@ -312,16 +314,39 @@ func (s *CampaignState) Plan() (plan BatchPlan, ok bool) {
 	if s.done {
 		return BatchPlan{}, false
 	}
-	count := s.cfg.BatchSize
-	if rest := s.cfg.MaxSeeds - s.out.SeedsRun; count > rest {
-		count = rest
+	return s.planAt(s.out.Batches, s.out.SeedsRun), true
+}
+
+// PlanAhead returns the batch after the current one exactly as Plan
+// will return it once the current batch merges without ending the
+// campaign, so an executor may run it while the current batch drains.
+// ok is false when that plan could depend on the current batch's yield
+// (directed mode steers its corner by it) or when no seeds remain past
+// the current batch. Uniform and swarm corners are pure functions of
+// the batch index, and seed ranges of the batch sizes before it, so the
+// two plans agree. If the current batch ends the campaign — saturation,
+// or an Abort — the batch planned ahead never merges: the executor
+// drops it.
+func (s *CampaignState) PlanAhead() (plan BatchPlan, ok bool) {
+	if s.done || s.cfg.Mode == CampaignDirected {
+		return BatchPlan{}, false
 	}
+	cur := s.planAt(s.out.Batches, s.out.SeedsRun)
+	seeds := s.out.SeedsRun + cur.Count
+	if seeds >= s.cfg.MaxSeeds {
+		return BatchPlan{}, false
+	}
+	return s.planAt(cur.Index+1, seeds), true
+}
+
+// planAt plans batch index after seedsRun seeds have run.
+func (s *CampaignState) planAt(index, seedsRun int) BatchPlan {
 	return BatchPlan{
-		Index:  s.out.Batches,
-		First:  s.cfg.BaseSeed + uint64(s.out.SeedsRun),
-		Count:  count,
-		Corner: s.policy.corner(s.out.Batches),
-	}, true
+		Index:  index,
+		First:  s.cfg.BaseSeed + uint64(seedsRun),
+		Count:  min(s.cfg.BatchSize, s.cfg.MaxSeeds-seedsRun),
+		Corner: s.policy.corner(index),
+	}
 }
 
 // Apply merges the current batch's deltas at the batch barrier:

@@ -321,3 +321,41 @@ func TestCampaignReuseCheaperThanRebuild(t *testing.T) {
 	}
 	t.Logf("allocs/run: reset=%.0f rebuild=%.0f (%.1fx)", resetAllocs, rebuildAllocs, rebuildAllocs/resetAllocs)
 }
+
+// TestPlanAheadEqualsNextPlan pins the promise the daemon's run-ahead
+// rests on: in uniform and swarm mode the batch PlanAhead names is the
+// batch Plan returns after the current one merges — index, seed range,
+// the short last batch and the interned corner — whatever the current
+// batch yielded; directed mode, whose next corner follows the yield,
+// and the last batch plan nothing ahead.
+func TestPlanAheadEqualsNextPlan(t *testing.T) {
+	for _, mode := range []CampaignMode{CampaignUniform, CampaignSwarm, CampaignDirected} {
+		st := NewCampaignState(CampaignConfig{
+			SysCfg:    viper.SmallCacheConfig(),
+			TestCfg:   campaignTestCfg(),
+			Mode:      mode,
+			BaseSeed:  7,
+			BatchSize: 8,
+			MaxSeeds:  60, // not a multiple of the batch: the last batch is short
+		})
+		batches := 0
+		for !st.Done() {
+			ahead, ok := st.PlanAhead()
+			if mode == CampaignDirected && ok {
+				t.Fatalf("%s: PlanAhead planned batch %d", mode, ahead.Index)
+			}
+			st.Apply(nil)
+			batches++
+			next, more := st.Plan()
+			if ok != (more && mode != CampaignDirected) {
+				t.Fatalf("%s batch %d: PlanAhead ok=%v, next Plan ok=%v", mode, batches, ok, more)
+			}
+			if ok && ahead != next {
+				t.Fatalf("%s: PlanAhead %+v, next Plan %+v", mode, ahead, next)
+			}
+		}
+		if batches != 8 {
+			t.Errorf("%s: %d batches, want 8", mode, batches)
+		}
+	}
+}

@@ -40,6 +40,25 @@ func TestAckOvertakesFillWriteThrough(t *testing.T) {
 	runOvertake(t, 3, 200, false)
 }
 
+// TestAckDropsOverlayCaught is the fix's revert as an injected bug
+// (viper.BugSet.AckDropsOverlay, row 0 of the mutation kill matrix):
+// both overtake shapes fail with a value mismatch under it, where they
+// pass without it.
+func TestAckDropsOverlayCaught(t *testing.T) {
+	for _, tc := range []struct {
+		seed, jitter uint64
+		writeBack    bool
+	}{{118, 12, true}, {3, 200, false}} {
+		sys, cfg := overtakeShape(tc.seed, tc.jitter, tc.writeBack)
+		sys.Bugs.AckDropsOverlay = true
+		rep := NewGPURun(sys, cfg, false, 0).Tester.Run()
+		if rep.Passed() || rep.Failures[0].Kind != core.FailValueMismatch {
+			t.Errorf("seed %d, jitter %d, write-back %v: failures %v; want a value mismatch",
+				tc.seed, tc.jitter, tc.writeBack, rep.Failures)
+		}
+	}
+}
+
 func runOvertake(t *testing.T, seed, jitter uint64, writeBack bool) {
 	sys, cfg := overtakeShape(seed, jitter, writeBack)
 	if err := ValidateRun(sys, cfg, 0); err != nil {

@@ -29,6 +29,7 @@ func TestSnapshotFieldAudit(t *testing.T) {
 	})
 	audit.Fields(t, TCP{}, map[string]string{
 		"k": config, "id": config, "machine": config, "sliceOf": config, "seq": config, "pool": config,
+		"bugs":       config,
 		"array":      "state: cache.Array reset/snapshot/restore",
 		"toTCC":      "state: per-link reset/snapshot/restore",
 		"atomicTBEs": keyed,

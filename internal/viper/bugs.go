@@ -42,6 +42,15 @@ type BugSet struct {
 	// on load-acquire, so an episode can read data cached before its
 	// acquire — a consistency-model bug rather than a transition bug.
 	StaleAcquire bool
+
+	// AckDropsOverlay reinstates the L1 bug the tester found in this
+	// model (DESIGN §15.1): on a write-through's ack the TCP deletes the
+	// line's drained overlay buffer even while a load miss waits on the
+	// line, so a fill the ack overtook installs bytes older than the
+	// CU's own store. It is a real bug's revert, not a §V case-study
+	// bug: only a jittered response link exposes it, so it stays out of
+	// the Bugs registry (and out of -bug, figures and bughunt).
+	AckDropsOverlay bool `json:",omitempty"`
 }
 
 func (b BugSet) nonAtomicWindow() uint64 {

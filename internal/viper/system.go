@@ -405,7 +405,7 @@ func newSystem(k *sim.Kernel, cfg Config, rec protocol.Recorder, backend Backend
 		for sl := range links {
 			links[sl] = network.NewLink(k, fmt.Sprintf("tcp%d->tcc%d", cu, sl), cfg.ReqLatency)
 		}
-		tcp := newTCP(k, cu, tcpSpec, rec, onFault, cfg.L1, links, s.sliceOf, pool)
+		tcp := newTCP(k, cu, tcpSpec, rec, onFault, cfg.L1, links, s.sliceOf, cfg.Bugs, pool)
 		for _, l2 := range s.l2s {
 			l2.attachTCP(tcp)
 		}

@@ -53,12 +53,14 @@ type TCP struct {
 	// until the line's outstanding fill arrives, since that fill may
 	// predate them.
 	wt table.Table[mem.Addr, wtBuf]
+	// bugs selects injected bugs; the TCP reads AckDropsOverlay.
+	bugs BugSet
 
 	// stats
 	loads, loadHits, stores, atomics, stalls uint64
 }
 
-func newTCP(k *sim.Kernel, id int, spec *protocol.Spec, rec protocol.Recorder, onFault func(*protocol.FaultError), l1 cache.Config, toTCC []*network.Link, sliceOf func(mem.Addr) l2ctrl, pool *msgPool) *TCP {
+func newTCP(k *sim.Kernel, id int, spec *protocol.Spec, rec protocol.Recorder, onFault func(*protocol.FaultError), l1 cache.Config, toTCC []*network.Link, sliceOf func(mem.Addr) l2ctrl, bugs BugSet, pool *msgPool) *TCP {
 	m := protocol.NewMachine(spec, rec)
 	m.OnFault = onFault
 	return &TCP{
@@ -68,6 +70,7 @@ func newTCP(k *sim.Kernel, id int, spec *protocol.Spec, rec protocol.Recorder, o
 		array:   cache.NewArray(l1),
 		toTCC:   toTCC,
 		sliceOf: sliceOf,
+		bugs:    bugs,
 		pool:    pool,
 	}
 }
@@ -290,7 +293,7 @@ func (t *TCP) FromTCC(msg *tccMsg) {
 		// before it applied the store, and that fill's bytes predate
 		// it. The fill overlays the buffer and drops it (DESIGN §15.1).
 		if buf := t.wt.Ptr(line); buf != nil {
-			if buf.count--; buf.count == 0 && !t.loadTBEs.has(line) {
+			if buf.count--; buf.count == 0 && (!t.loadTBEs.has(line) || t.bugs.AckDropsOverlay) {
 				t.dropWT(line, buf)
 			}
 		}
