@@ -1,6 +1,6 @@
 package checker
 
-import "drftest/internal/reuse"
+import "slices"
 
 // This file gives the online Stream checker the same rewind/rearm
 // surface the rest of the stack has: Reset (campaign reuse),
@@ -121,11 +121,13 @@ func (s *Stream) SnapshotInto(snap *StreamSnapshot) *StreamSnapshot {
 	snap.nLive = len(live)
 	snap.eps = snap.eps[:0]
 	for _, es := range live {
-		copyEp(reuse.Grow(&snap.eps), es)
+		snap.eps = slices.Grow(snap.eps, 1)[:len(snap.eps)+1]
+		copyEp(&snap.eps[len(snap.eps)-1], es)
 	}
 	s.eps.Each(func(_ uint64, es **epState) {
 		if !(*es).known {
-			copyEp(reuse.Grow(&snap.eps), *es)
+			snap.eps = slices.Grow(snap.eps, 1)[:len(snap.eps)+1]
+			copyEp(&snap.eps[len(snap.eps)-1], *es)
 		}
 	})
 	snap.atomics = resize(snap.atomics, len(s.atomics))

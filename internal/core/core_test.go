@@ -169,7 +169,7 @@ func TestEpisodeGenerationIsRaceFree(t *testing.T) {
 		var live []*episode
 		for step := 0; step < 200; step++ {
 			if len(live) == 0 || rnd.Bool(0.6) {
-				live = append(live, tester.newEpisode())
+				live = append(live, freshEpisode(tester))
 			} else {
 				idx := rnd.Intn(len(live))
 				ep := live[idx]
@@ -234,7 +234,7 @@ func TestEpisodeShape(t *testing.T) {
 	sys := viper.NewSystem(k, viper.SmallCacheConfig(), nil)
 	tester := New(k, sys, cfg)
 	for i := 0; i < 50; i++ {
-		ep := tester.newEpisode()
+		ep := freshEpisode(tester)
 		if len(ep.ops) != 17 {
 			t.Fatalf("episode has %d ops", len(ep.ops))
 		}
@@ -381,4 +381,12 @@ func TestExtremeContentionDoesNotPanic(t *testing.T) {
 			t.Fatalf("seed %d: ops lost under contention", seed)
 		}
 	}
+}
+
+// freshEpisode generates an episode into storage of its own, as many
+// live at once as a test needs.
+func freshEpisode(t *Tester) *episode {
+	ep := new(episode)
+	t.newEpisode(ep)
+	return ep
 }

@@ -202,24 +202,24 @@ func TestGeneratorMatchesPlainSampler(t *testing.T) {
 				case len(live) > 0 && drive.Bool(0.1):
 					// A bare sampling call: no claim, only the stream moves.
 					ep, store := live[drive.Intn(len(live))], drive.Bool(0.5)
-					oracle := *tester.rnd
+					oracle := tester.rnd
 					want := shadow.pick(&oracle, ep.id, store)
 					got := tester.pickData(ep, store)
 					if (got == nil) != (want < 0) || (got != nil && index[got] != want) {
 						t.Fatalf("vars=%d seed=%d step %d: pickData chose %v, plain sampler chose %d", numData, seed, step, got, want)
 					}
-					if *tester.rnd != oracle {
+					if tester.rnd != oracle {
 						t.Fatalf("vars=%d seed=%d step %d: RNG state differs after pickData", numData, seed, step)
 					}
 				default:
-					ep := tester.newEpisode()
+					ep := freshEpisode(tester)
 					live = append(live, ep)
 					for n := drive.Intn(29); n > 0; n-- {
 						if !sp.admitsAny(ep, true) || !sp.admitsAny(ep, false) {
 							skipped++
 						}
 						calls++
-						oracle := *tester.rnd
+						oracle := tester.rnd
 						wantVar, wantKind := shadow.genDataOp(&oracle, ep.id, cfg.StoreFraction)
 						op := tester.genDataOp(ep)
 						gotVar := -1
@@ -232,7 +232,7 @@ func TestGeneratorMatchesPlainSampler(t *testing.T) {
 							t.Fatalf("vars=%d seed=%d step %d: generated %s of data variable %d, plain sampler %s of %d",
 								numData, seed, step, opNames[op.kind], gotVar, opNames[wantKind], wantVar)
 						}
-						if *tester.rnd != oracle {
+						if tester.rnd != oracle {
 							t.Fatalf("vars=%d seed=%d step %d: RNG state differs after genDataOp", numData, seed, step)
 						}
 					}

@@ -5,94 +5,34 @@ import (
 	"slices"
 
 	"drftest/internal/checker"
-	"drftest/internal/mem"
-	"drftest/internal/rng"
 	"drftest/internal/table"
 	"drftest/internal/trace"
 	"drftest/internal/viper"
 )
 
 // This file implements the tester half of the checkpoint/fork design:
-//
-//   - Fork rearms the tester for a new seed by restoring its systems
-//     from a warm snapshot instead of resetting them — the campaign
-//     fork path.
-//   - Snapshot/Restore deep-capture the tester's own run state so a
-//     checkpointed replay (cmd/replay -bisect) can rewind a run to an
-//     earlier tick and re-execute it bit-identically.
-//
-// Restore reinstates state into the SAME object graph: pre-bound
-// closures (wavefront issueFn, heartbeatFn, sequencer deliverFn) keep
-// working because the objects they captured are retained and only
-// their contents change. Pointers into the variable slab stay valid
-// for the same reason. Live episodes are the exception — nothing
-// pre-binds them (issue/retire reach them via thr.ep), so Restore
-// retires the current ones to the free list and refills recycled
-// structs from it.
-//
-// Every save below refills the storage of the snapshot it is handed
-// (SnapshotInto), and saving and restoring a variable or an episode is
-// the same copy in opposite directions, so a recycled cut allocates
-// only for state that outgrew what it held last time.
-
-// spaceSave captures the address space: every slab variable (claims,
-// reference and pending own-store values, atomic bookkeeping), the
-// claim counters and the random address mapping. The claim words are
-// derived from the slab, so Restore recomputes them instead.
-type spaceSave struct {
-	slab            []variable
-	addrs           []mem.Addr
-	lastWriters     []AccessRecord
-	free, unwritten int
-	falseShared     int
-}
-
-// threadSave captures one lane; ep is meaningful only while live.
-// Variable pointers inside it are retained by identity — they index
-// the retained slab.
-type threadSave struct {
-	ep           episode
-	live         bool
-	episodesDone int
-	curOp        genOp
-}
-
-type wfSave struct {
-	outstanding int
-	finished    bool
-}
+// Fork rearms the tester for a new seed by restoring its systems from a
+// warm snapshot (the campaign fork path), and Snapshot/Restore capture
+// the tester's own run state so a checkpointed replay (cmd/replay
+// -bisect) can rewind a run and re-execute it bit-identically. That
+// state is declared once, in the state structs the tester and its parts
+// embed; a snapshot holds the same structs, and each one's copyFrom is
+// both save and restore, refilling the destination's storage. Restore
+// writes into the SAME object graph, so pre-bound closures (wavefront
+// issueFn, heartbeatFn, sequencer deliverFn) and pointers into the
+// variable slab stay valid.
 
 // TesterSnapshot captures a tester's complete mid-run state; obtain
 // via Snapshot, reinstate via Restore.
 type TesterSnapshot struct {
-	cfg     Config
-	rnd     rng.PCG
-	space   spaceSave
-	threads []threadSave
-	wfs     []wfSave
-	log     *trace.LogSnapshot[LogEntry]
+	testerState
+	space   spaceState
+	threads []threadState
+	wfs     []wfState
 
-	failures     []*Failure
-	lastWorkTick uint64
-	genSeq       uint64
-
+	log      *trace.LogSnapshot[LogEntry]
 	traceOps []checker.Op
-	epMeta   []checker.EpisodeMeta
 	stream   *checker.StreamSnapshot
-
-	nextReqID     uint64
-	nextEpisodeID uint64
-	storeValue    uint32
-	finishedWFs   int
-	done          bool
-
-	// reqSlab is the slice header only: slab slots are write-once
-	// within a run, and a restored replay re-issues the identical
-	// requests into the identical slots.
-	reqSlab []mem.Request
-
-	opsIssued, opsCompleted, episodesRetired uint64
-	sampler                                  SamplerStats
 }
 
 // OpsCompleted returns the number of operations completed so far — the
@@ -149,50 +89,26 @@ func (t *Tester) SnapshotInto(s *TesterSnapshot) *TesterSnapshot {
 	if s == nil {
 		s = &TesterSnapshot{}
 	}
-	s.cfg, s.rnd = t.cfg, *t.rnd
-	s.space.slab = slices.Grow(s.space.slab[:0], len(t.space.slab))[:len(t.space.slab)]
-	for i := range t.space.slab {
-		copyVar(&s.space.slab[i], &t.space.slab[i])
-	}
-	s.space.addrs = append(s.space.addrs[:0], t.space.addrs...)
-	s.space.lastWriters = append(s.space.lastWriters[:0], t.space.lastWriters...)
-	s.space.free, s.space.unwritten, s.space.falseShared = t.space.free, t.space.unwritten, t.space.falseShared
+	s.testerState.copyFrom(&t.testerState)
+	s.space.copyFrom(&t.space.spaceState)
 	s.threads = slices.Grow(s.threads[:0], len(t.threads))[:len(t.threads)]
 	for i, thr := range t.threads {
-		ts := &s.threads[i]
-		ts.episodesDone, ts.curOp = thr.episodesDone, thr.curOp
-		if ts.live = thr.ep != nil; ts.live {
-			copyEpisode(&ts.ep, thr.ep)
-		}
+		s.threads[i].copyFrom(&thr.threadState)
 	}
 	s.wfs = s.wfs[:0]
 	for _, wf := range t.wfs {
-		s.wfs = append(s.wfs, wfSave{outstanding: wf.outstanding, finished: wf.finished})
+		s.wfs = append(s.wfs, wf.wfState)
 	}
 	s.log = t.log.SnapshotInto(s.log)
-	s.failures = append(s.failures[:0], t.failures...)
-	s.lastWorkTick = t.lastWorkTick
-	s.genSeq = t.genSeq
 	s.traceOps = s.traceOps[:0]
 	if t.trace != nil {
 		s.traceOps = append(s.traceOps, t.trace.Ops...)
 	}
-	s.epMeta = append(s.epMeta[:0], t.epMeta...)
 	if t.stream != nil {
 		s.stream = t.stream.SnapshotInto(s.stream)
 	} else {
 		s.stream = nil
 	}
-	s.nextReqID = t.nextReqID
-	s.nextEpisodeID = t.nextEpisodeID
-	s.storeValue = t.storeValue
-	s.finishedWFs = t.finishedWFs
-	s.done = t.done
-	s.reqSlab = t.reqSlab
-	s.opsIssued = t.opsIssued
-	s.opsCompleted = t.opsCompleted
-	s.episodesRetired = t.episodesRetired
-	s.sampler = t.sampler
 	return s
 }
 
@@ -210,59 +126,22 @@ func (t *Tester) Restore(s *TesterSnapshot) {
 	if (t.stream != nil) != (s.stream != nil) {
 		panic("core: Restore with mismatched stream-checker shape")
 	}
-	t.cfg = s.cfg
-	*t.rnd = s.rnd
-	for i := range s.space.slab {
-		copyVar(&t.space.slab[i], &s.space.slab[i])
-	}
-	t.space.addrs = append(t.space.addrs[:0], s.space.addrs...)
-	t.space.lastWriters = append(t.space.lastWriters[:0], s.space.lastWriters...)
-	t.space.free, t.space.unwritten, t.space.falseShared = s.space.free, s.space.unwritten, s.space.falseShared
+	t.copyFrom(&s.testerState)
+	t.space.copyFrom(&s.space)
 	t.space.rederive()
-	// Abandoned episodes go to the free list first, so the restored
-	// ones below are refills of them rather than fresh structs. The
-	// free list itself is not part of a cut: its episodes are
-	// interchangeable and fully reinitialized on reuse.
-	for _, thr := range t.threads {
-		if thr.ep != nil {
-			t.epFree = append(t.epFree, thr.ep)
-			thr.ep = nil
-		}
+	for i, thr := range t.threads {
+		thr.copyFrom(&s.threads[i])
 	}
-	for i := range s.threads {
-		ts, thr := &s.threads[i], t.threads[i]
-		thr.episodesDone = ts.episodesDone
-		thr.curOp = ts.curOp
-		if ts.live {
-			thr.ep = t.freeEpisode()
-			copyEpisode(thr.ep, &ts.ep)
-		}
-	}
-	for i, ws := range s.wfs {
-		t.wfs[i].outstanding = ws.outstanding
-		t.wfs[i].finished = ws.finished
+	for i, wf := range t.wfs {
+		wf.wfState = s.wfs[i]
 	}
 	t.log.Restore(s.log) // panics on a log-capacity mismatch
-	t.failures = append(t.failures[:0], s.failures...)
-	t.lastWorkTick = s.lastWorkTick
-	t.genSeq = s.genSeq
 	if t.trace != nil {
 		t.trace.Ops = append(t.trace.Ops[:0], s.traceOps...)
-		t.epMeta = append(t.epMeta[:0], s.epMeta...)
 	}
 	if t.stream != nil {
 		t.stream.Restore(s.stream)
 	}
-	t.nextReqID = s.nextReqID
-	t.nextEpisodeID = s.nextEpisodeID
-	t.storeValue = s.storeValue
-	t.finishedWFs = s.finishedWFs
-	t.done = s.done
-	t.reqSlab = s.reqSlab
-	t.opsIssued = s.opsIssued
-	t.opsCompleted = s.opsCompleted
-	t.episodesRetired = s.episodesRetired
-	t.sampler = s.sampler
 }
 
 // Fork rearms the tester and its systems for a fresh run from seed by

@@ -76,18 +76,36 @@ type episode struct {
 
 // thread is one tester lane.
 type thread struct {
-	id, wf, lane int
-	ep           *episode
+	threadState
+	id, wf int
+}
+
+// threadState is a lane's run state. The lane's episode lives in it by
+// value, its storage reused from one episode to the next; its contents
+// are meaningful only while live.
+type threadState struct {
+	ep           episode
+	live         bool
 	episodesDone int
 	curOp        genOp
 }
 
+// copyFrom makes d hold s's state, a live episode copied into d's own
+// storage (variable pointers by identity: they index the retained
+// slab). Saving a cut, restoring one and resetting (from the zero
+// state) are this one copy.
+func (d *threadState) copyFrom(s *threadState) {
+	if s.live {
+		copyEpisode(&d.ep, &s.ep)
+	}
+	d.live, d.episodesDone, d.curOp = s.live, s.episodesDone, s.curOp
+}
+
 // wavefront is a lockstep group of threads bound to one CU.
 type wavefront struct {
-	id, cu      int
-	threads     []*thread
-	outstanding int
-	finished    bool
+	wfState
+	cu      int
+	threads []*thread
 	// issueFn is the wavefront's pre-bound next-round closure, built
 	// once at construction so per-round scheduling never allocates.
 	issueFn func()
@@ -98,26 +116,42 @@ type wavefront struct {
 	issueTag uint64
 }
 
+// wfState is a wavefront's run state, copied by value.
+type wfState struct {
+	outstanding int
+	finished    bool
+}
+
 // Tester is the autonomous DRF GPU tester: it generates wavefronts of
 // DRF episodes against a VIPER system, checks every response, and
 // reports failures with Table V-style context.
 type Tester struct {
+	testerState
 	k       *sim.Kernel
-	cfg     Config
 	systems []*viper.System
 	seqs    []*viper.Sequencer
-	rnd     *rng.PCG
 
 	space   *addressSpace
 	threads []*thread
 	wfs     []*wavefront
 	log     *EventLog
+	trace   *checker.Trace
+	stream  *checker.Pipeline
+
+	// heartbeatFn is the pre-bound poller closure.
+	heartbeatFn func()
+}
+
+// testerState is the tester's own run state; the address space, the
+// lanes, the wavefronts, the log, the recorded trace and the stream
+// checker are cut beside it (TesterSnapshot).
+type testerState struct {
+	cfg Config
+	rnd rng.PCG
 
 	failures      []*Failure
 	lastWorkTick  uint64
 	genSeq        uint64
-	trace         *checker.Trace
-	stream        *checker.Pipeline
 	epMeta        []checker.EpisodeMeta // by episode ID - 1, when recording
 	nextReqID     uint64
 	nextEpisodeID uint64
@@ -126,16 +160,26 @@ type Tester struct {
 	done          bool
 
 	// reqSlab hands out requests in chunks so the issue path pays one
-	// allocation per reqSlabSize ops instead of one per op; heartbeatFn
-	// is the pre-bound poller closure; epFree recycles retired episodes
-	// (their claim tables and op slices) for the next generation.
-	reqSlab     []mem.Request
-	heartbeatFn func()
-	epFree      []*episode
+	// allocation per reqSlabSize ops instead of one per op. A cut keeps
+	// the slice header only: slab slots are write-once within a run, and
+	// a restored replay re-issues the identical requests into the
+	// identical slots.
+	reqSlab []mem.Request
 
 	// stats
 	opsIssued, opsCompleted, episodesRetired uint64
 	sampler                                  SamplerStats
+}
+
+// copyFrom makes d hold s's state: the scalars by one value copy, the
+// slices in d's own storage — except failures, which a Report may
+// alias, so a copy never writes into d's. Saving a cut, restoring one
+// and resetting (from a zero state) are this one copy.
+func (d *testerState) copyFrom(s *testerState) {
+	epMeta := d.epMeta
+	*d = *s
+	d.failures = append([]*Failure(nil), s.failures...)
+	d.epMeta = append(epMeta[:0], s.epMeta...)
 }
 
 // New builds a tester over sys. The tester registers itself as every
@@ -151,11 +195,10 @@ func New(k *sim.Kernel, sys *viper.System, cfg Config) *Tester {
 func NewMulti(k *sim.Kernel, systems []*viper.System, cfg Config) *Tester {
 	cfg = cfg.WithDefaults()
 	t := &Tester{
-		k:       k,
-		cfg:     cfg,
-		systems: systems,
-		rnd:     rng.New(cfg.Seed, testerStream),
-		log:     NewEventLog(cfg.LogCapacity),
+		testerState: testerState{cfg: cfg, rnd: *rng.New(cfg.Seed, testerStream)},
+		k:           k,
+		systems:     systems,
+		log:         NewEventLog(cfg.LogCapacity),
 	}
 	lineSize := systems[0].Cfg.L1.LineSize
 	for _, sys := range systems {
@@ -183,14 +226,19 @@ func NewMulti(k *sim.Kernel, systems []*viper.System, cfg Config) *Tester {
 // buildWavefronts (re)builds the wavefront and thread arrays for the
 // current config's shape, round-robin over the CUs.
 func (t *Tester) buildWavefronts() {
+	old := t.threads
 	t.threads = t.threads[:0]
 	t.wfs = t.wfs[:0]
 	for w := 0; w < t.cfg.NumWavefronts; w++ {
-		wf := &wavefront{id: w, cu: w % len(t.seqs)}
+		wf := &wavefront{cu: w % len(t.seqs)}
 		wf.issueFn = func() { t.issueRound(wf) }
 		wf.issueTag = sim.MakeUnitTag(sim.CompTester, t.k.NewUnit())
-		for l := 0; l < t.cfg.ThreadsPerWF; l++ {
-			thr := &thread{id: len(t.threads), wf: w, lane: l}
+		for range t.cfg.ThreadsPerWF {
+			thr := &thread{}
+			if n := len(t.threads); n < len(old) {
+				thr = old[n] // a lane of the old shape keeps its episode storage
+			}
+			thr.id, thr.wf = len(t.threads), w
 			t.threads = append(t.threads, thr)
 			wf.threads = append(wf.threads, thr)
 		}
@@ -203,32 +251,25 @@ func (t *Tester) buildWavefronts() {
 // failure state is cleared, the main RNG is reseeded, and the random
 // variable→address mapping is regenerated, so the subsequent Run is
 // bit-identical to the run of a freshly constructed Tester with
-// cfg.Seed = seed. The request slab, episode free list, wavefront
-// wiring, and pre-bound closures are retained — their contents are
-// fully reinitialized on reuse — which is what makes a campaign's
-// reset-per-seed loop allocation-light. The caller must reset the
-// kernel (and each system) first; the tester's pending events must be
-// gone before its state is recycled.
+// cfg.Seed = seed. The request slab, the lanes' episode storage,
+// wavefront wiring, and pre-bound closures are retained — their
+// contents are fully reinitialized on reuse — which is what makes a
+// campaign's reset-per-seed loop allocation-light. The caller must
+// reset the kernel (and each system) first; the tester's pending events
+// must be gone before its state is recycled.
 func (t *Tester) Reset(seed uint64) {
+	t.copyFrom(&testerState{cfg: t.cfg, rnd: *rng.New(seed, testerStream), reqSlab: t.reqSlab})
 	t.cfg.Seed = seed
-	*t.rnd = *rng.New(seed, testerStream)
 	t.log.Reset()
 	t.space.rebuild(t.rnd.Split(), t.cfg.NumSyncVars, t.cfg.NumDataVars, t.cfg.AddressRangeBytes, t.space.lineSize)
 	for _, thr := range t.threads {
-		thr.ep = nil
-		thr.episodesDone = 0
-		thr.curOp = genOp{}
+		thr.copyFrom(&threadState{})
 	}
 	for _, wf := range t.wfs {
-		wf.outstanding = 0
-		wf.finished = false
+		wf.wfState = wfState{}
 	}
-	t.failures = nil
-	t.lastWorkTick = 0
-	t.genSeq = 0
 	if t.cfg.RecordTrace {
 		t.trace = &checker.Trace{AtomicDelta: t.cfg.AtomicDelta}
-		t.epMeta = t.epMeta[:0]
 	}
 	if t.cfg.StreamCheck {
 		// Reuse the pipeline (its ring and the stream's fold tables)
@@ -242,13 +283,6 @@ func (t *Tester) Reset(seed uint64) {
 			t.stream = checker.NewPipeline(t.cfg.AtomicDelta, t.cfg.StreamInline)
 		}
 	}
-	t.nextReqID = 0
-	t.nextEpisodeID = 0
-	t.storeValue = 0
-	t.finishedWFs = 0
-	t.done = false
-	t.opsIssued, t.opsCompleted, t.episodesRetired = 0, 0, 0
-	t.sampler = SamplerStats{}
 }
 
 // ResetWithConfig is Reset for a run whose tester configuration also
@@ -347,8 +381,9 @@ func (t *Tester) issueRound(wf *wavefront) {
 		if thr.episodesDone >= t.cfg.EpisodesPerThread {
 			continue
 		}
-		if thr.ep == nil {
-			thr.ep = t.newEpisode()
+		if !thr.live {
+			t.newEpisode(&thr.ep)
+			thr.live = true
 		}
 		op := thr.ep.ops[thr.ep.next]
 		thr.ep.next++
@@ -418,22 +453,10 @@ func (t *Tester) issueOp(wf *wavefront, thr *thread, op genOp) {
 	t.seqs[wf.cu].Issue(req)
 }
 
-// freeEpisode pops a recycled episode, its contents stale, or builds
-// an empty one.
-func (t *Tester) freeEpisode() *episode {
-	if n := len(t.epFree); n > 0 {
-		ep := t.epFree[n-1]
-		t.epFree = t.epFree[:n-1]
-		return ep
-	}
-	return &episode{}
-}
-
-// newEpisode generates a fresh episode obeying the §III.A race-freedom
-// rules against every live episode.
-func (t *Tester) newEpisode() *episode {
+// newEpisode generates a fresh episode into ep's storage, obeying the
+// §III.A race-freedom rules against every live episode.
+func (t *Tester) newEpisode(ep *episode) {
 	t.nextEpisodeID++
-	ep := t.freeEpisode()
 	ep.claims.Clear()
 	*ep = episode{
 		claims:     ep.claims,
@@ -459,7 +482,6 @@ func (t *Tester) newEpisode() *episode {
 		ep.ops = append(ep.ops, t.genDataOp(ep))
 	}
 	ep.ops = append(ep.ops, genOp{kind: opRelease, v: ep.sync})
-	return ep
 }
 
 func (t *Tester) genDataOp(ep *episode) genOp {
@@ -538,7 +560,7 @@ func (t *Tester) HandleResponse(resp *mem.Response) {
 	req := resp.Req
 	thr := t.threads[req.ThreadID]
 	wf := t.wfs[thr.wf]
-	ep := thr.ep
+	ep := &thr.ep
 	op := thr.curOp
 	t.opsCompleted++
 	t.lastWorkTick = resp.Tick
@@ -693,11 +715,9 @@ func (t *Tester) retire(thr *thread, ep *episode) {
 		t.space.release(v, ep.id, v.heldBy(ep.id))
 	}
 	t.episodesRetired++
-	// Nothing references a retired episode (its last op has completed
-	// and thr.ep is cleared below), so its storage goes back to the
-	// free list for the next generation.
-	t.epFree = append(t.epFree, ep)
-	thr.ep = nil
+	// Nothing references a retired episode (its last op has completed),
+	// so its storage is the lane's next episode's.
+	thr.live = false
 	thr.episodesDone++
 }
 

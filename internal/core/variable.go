@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"drftest/internal/mem"
 	"drftest/internal/rng"
@@ -134,6 +135,8 @@ func admits(w, eps uint64, store bool) bool {
 // variables — including sync next to data — land in the same cache
 // line, which is the false-sharing engine of the whole methodology.
 type addressSpace struct {
+	spaceState
+
 	// syncVars and dataVars are the two classes' views of the slab: the
 	// first numSync sampled slots are sync variables.
 	syncVars []variable
@@ -146,15 +149,22 @@ type addressSpace struct {
 	// recompute them all.
 	words []uint64
 
-	// slab/chosen/roles/addrs are the backing storage, retained so
-	// rebuild (campaign reset path) can regenerate the mapping without
-	// reallocating a 100k-variable space per seed. roles is rebuild's
-	// scratch: per cache line, bit 0 for a sync variable in it and bit 1
-	// for a data variable.
-	slab   []variable
+	// chosen and roles are rebuild's scratch: the sampled word slots,
+	// and per cache line bit 0 for a sync variable in it and bit 1 for a
+	// data variable.
 	chosen []uint64
 	roles  []uint8
-	addrs  []mem.Addr
+
+	lineSize int
+}
+
+// spaceState is the address space's run state. The slab and the
+// address mapping are retained so rebuild (the campaign reset path) can
+// regenerate the mapping without reallocating a 100k-variable space per
+// seed.
+type spaceState struct {
+	slab  []variable
+	addrs []mem.Addr
 
 	// lastWriters holds the most recent store record per stored-to
 	// variable, indexed by variable.lastWIdx. Dense in touched
@@ -165,11 +175,24 @@ type addressSpace struct {
 	// those no live episode stores; claim and release keep both exact.
 	free, unwritten int
 
-	// lineSize is fixed at construction; falseShared, the number of
-	// cache lines holding both a sync and a data variable — a measure of
-	// how much cross-class false sharing the mapping created — is a
-	// function of the mapping and set by rebuild.
-	lineSize, falseShared int
+	// falseShared, the number of cache lines holding both a sync and a
+	// data variable — a measure of how much cross-class false sharing
+	// the mapping created — is a function of the mapping, set by rebuild.
+	falseShared int
+}
+
+// copyFrom makes d hold s's state in d's own storage, every variable
+// through copyVar. A live space's slab keeps its array (a restore
+// requires the shape to match), so the views into it stay valid; the
+// claim words are derived, and a restore recomputes them (rederive).
+func (d *spaceState) copyFrom(s *spaceState) {
+	d.slab = slices.Grow(d.slab[:0], len(s.slab))[:len(s.slab)]
+	for i := range s.slab {
+		copyVar(&d.slab[i], &s.slab[i])
+	}
+	d.addrs = append(d.addrs[:0], s.addrs...)
+	d.lastWriters = append(d.lastWriters[:0], s.lastWriters...)
+	d.free, d.unwritten, d.falseShared = s.free, s.unwritten, s.falseShared
 }
 
 // word returns the claim word slot of data variable v.

@@ -29,8 +29,8 @@ func (r *run) snapshot() *harness.Checkpoint {
 // with live state by design, so poison drops the reference instead of
 // scribbling through it.
 var aliased = map[string]bool{
-	"TesterSnapshot.reqSlab": true, // the tester's write-once request slab
-	"storeSave.blocks":       true, // copy-on-write blocks, shared until written
+	"testerState.reqSlab": true, // the tester's write-once request slab
+	"storeSave.blocks":    true, // copy-on-write blocks, shared until written
 }
 
 // isSnapshot reports whether t is one of the layers' snapshot structs,
@@ -41,14 +41,15 @@ func isSnapshot(t reflect.Type) bool {
 
 // owned reports whether t is a snapshot-side record type whose slices,
 // maps and snapshot pointers belong to the cut alone (every copy path
-// refills them), as opposed to a value copy of a live struct, whose
-// references still point into the running system.
+// refills them) — a layer's state struct, which its copyFrom refills —
+// as opposed to a value copy of a live struct, whose references still
+// point into the running system.
 func owned(t reflect.Type) bool {
 	switch t.Name() {
-	case "episode", "variable", "epState":
+	case "episode", "variable":
 		return true
 	}
-	return t.Kind() != reflect.Struct || strings.HasSuffix(t.Name(), "Save") || isSnapshot(t)
+	return t.Kind() != reflect.Struct || strings.HasSuffix(t.Name(), "Save") || strings.HasSuffix(t.Name(), "State") || isSnapshot(t)
 }
 
 // poison scribbles over everything a dead node owns: scalars become

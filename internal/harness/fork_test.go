@@ -2,6 +2,7 @@ package harness
 
 import (
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -144,24 +145,61 @@ func TestForkCampaignMatchesReset(t *testing.T) {
 // cut and running it to completion again must produce byte-identical
 // artifacts — which must also be byte-identical to an uncheckpointed
 // fresh run of the same seed (snapshot arming must not perturb the
-// simulation). Coverage must round-trip the same way.
+// simulation). Coverage must round-trip the same way. The cut is taken
+// over both L2 protocols, one and four L2 slices, and ordered and
+// jittered response links, so it rewinds TCCWB, every slice and the
+// shared jitter stream mid-flight; the write-through, one-slice,
+// unjittered row is the lostwrite failure of failingGPURun.
 func TestCheckpointRestoreBitIdentical(t *testing.T) {
-	ref := failingGPURun(t) // uncheckpointed fresh-run reference
-	_, l2Name, _ := CampaignSpecs(ref.GPU.SysCfg)
+	base := failingGPURun(t)
+	for _, wb := range []bool{false, true} {
+		for _, slices := range []int{1, 4} {
+			for _, jitter := range []sim.Tick{0, 12} {
+				sys, cfg := base.GPU.SysCfg, base.GPU.TestCfg
+				if wb || slices > 1 || jitter > 0 {
+					cfg.NumDataVars = 256 // more lines than the L2s hold, so they miss mid-flight
+				}
+				sys.WriteBackL2, sys.NumL2Slices, sys.RespJitter, sys.JitterSeed = wb, slices, jitter, 5
+				if wb {
+					sys.Bugs = viper.BugSet{} // LostWriteRace is a write-through bug
+				}
+				t.Run(fmt.Sprintf("wb=%v,slices=%d,jitter=%d", wb, slices, jitter), func(t *testing.T) {
+					checkpointRestore(t, sys, cfg)
+				})
+			}
+		}
+	}
+}
 
-	r := NewGPURun(ref.GPU.SysCfg, ref.GPU.TestCfg, true, ref.TraceCapacity)
+// checkpointRestore runs sys and cfg fresh and uncheckpointed as the
+// reference, then cuts a checkpointed run half way to the reference's
+// first failure (or its end), completes it, rewinds and completes it
+// again, and requires all three to agree.
+func checkpointRestore(t *testing.T, sys viper.Config, cfg core.Config) {
+	b := BuildGPU(sys)
+	ring := EnableTrace(b.K, 256)
+	tester := core.New(b.K, b.Sys, cfg)
+	rep := tester.Run()
+	ref := NewGPUArtifact(sys, cfg, tester, rep, ring)
+	end := rep.SimTicks
+	if !rep.Passed() {
+		end = rep.Failures[0].Tick
+	}
+	_, l2Name, _ := CampaignSpecs(sys)
+
+	r := NewGPURun(sys, cfg, true, ref.TraceCapacity)
 	r.Sys.EnableCheckpointing()
 
 	// Run the first half, freeze a full cut of every layer.
 	r.Tester.Start()
-	r.K.Run(sim.Tick(ref.FirstFailure().Tick / 2))
+	r.K.Run(sim.Tick(end / 2))
 	var cut Checkpoint
 	r.CheckpointInto(&cut)
 
 	// First completion.
 	r.K.RunUntilIdle()
 	r.Tester.Finish()
-	first := NewGPUArtifact(ref.GPU.SysCfg, ref.GPU.TestCfg, r.Tester, r.Tester.Report(), r.Ring)
+	first := NewGPUArtifact(sys, cfg, r.Tester, r.Tester.Report(), r.Ring)
 	firstL1 := r.Col.Matrix("GPU-L1").Clone()
 	firstL2 := r.Col.Matrix(l2Name).Clone()
 	if got, want := artifactJSON(t, first), artifactJSON(t, ref); got != want {
@@ -172,7 +210,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	r.Restore(&cut)
 	r.K.RunUntilIdle()
 	r.Tester.Finish()
-	second := NewGPUArtifact(ref.GPU.SysCfg, ref.GPU.TestCfg, r.Tester, r.Tester.Report(), r.Ring)
+	second := NewGPUArtifact(sys, cfg, r.Tester, r.Tester.Report(), r.Ring)
 	if got, want := artifactJSON(t, second), artifactJSON(t, first); got != want {
 		t.Fatalf("restored run diverged from its own first completion\nfirst:    %s\nrestored: %s", want, got)
 	}

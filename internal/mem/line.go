@@ -2,8 +2,7 @@ package mem
 
 import (
 	"fmt"
-
-	"drftest/internal/reuse"
+	"slices"
 )
 
 // Line is a refcounted cache-line payload handle: the unit of data
@@ -240,7 +239,8 @@ func (p *LinePool) SnapshotInto(s *LinePoolSnapshot) *LinePoolSnapshot {
 	}
 	s.lines = s.lines[:0]
 	for _, l := range p.all {
-		sv := reuse.Grow(&s.lines)
+		s.lines = slices.Grow(s.lines, 1)[:len(s.lines)+1]
+		sv := &s.lines[len(s.lines)-1]
 		sv.data = append(sv.data[:0], l.Data...)
 		sv.masked, sv.refs, sv.epoch = l.masked, l.refs, l.epoch
 		sv.mask = sv.mask[:0]

@@ -30,6 +30,9 @@ func (k reqKind) String() string {
 // tcpMsg is a request from an L1 (TCP) to the L2 (TCC).
 type tcpMsg struct {
 	kind reqKind
+	// off is a WrVicBlk's stored word, as its offset in the line; the
+	// ackWB echoes it (the request may be reused by then).
+	off  uint32
 	cu   int
 	line mem.Addr
 	// payload is the WrVicBlk write-through data: a borrowed line
@@ -74,6 +77,7 @@ const (
 // tccMsg is a response from the L2 (TCC) to an L1 (TCP).
 type tccMsg struct {
 	kind ackKind
+	off  uint32 // ackWB: the acked WrVicBlk's off
 	line mem.Addr
 	// payload is the ackFill line contents, shared by reference with
 	// the fill's other consumers (the message owns one reference; see

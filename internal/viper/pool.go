@@ -18,39 +18,24 @@ import "drftest/internal/mem"
 // refcounts and epoch stamps (mem.Line), so a premature recycle of a
 // line trips the delivery-side epoch check.
 type msgPool struct {
-	lineSize int
-	tcpMsgs  []*tcpMsg
-	tccMsgs  []*tccMsg
+	tcp objPool[tcpMsg]
+	tcc objPool[tccMsg]
 	// lines is the shared payload pool; handles flow through messages,
 	// write-combining buffers, TBEs, the memory controller and the
-	// directory, and release back here from any of them.
+	// directory, and release back here from any of them. It keeps its
+	// own always-on registry and is snapshotted alongside.
 	lines *mem.LinePool
-
-	// Mid-run checkpoint support. Pooled message structs are recycled
-	// and overwritten, so a checkpoint must save the contents of every
-	// struct that could be live — which, once tracking is on, is
-	// exactly the set allocated since enableTracking drained the free
-	// stacks. Registration happens only on the allocation fallback, so
-	// the steady-state get/put paths stay branch-one, and with
-	// tracking off (campaigns, plain runs) the registries never grow.
-	// The line pool keeps its own always-on registry and is snapshotted
-	// alongside.
-	track  bool
-	allTCP []*tcpMsg
-	allTCC []*tccMsg
 }
 
-func newMsgPool(lineSize int, lines *mem.LinePool) *msgPool {
-	return &msgPool{lineSize: lineSize, lines: lines}
-}
-
-// enableTracking turns on checkpoint registration. The message free
-// stacks are drained first (dropped to GC) so every struct live during
-// the tracked run is allocation-registered; the line pool flips to
-// snapshot-capable in place (its registry is always on).
+// enableTracking turns on checkpoint registration, so a checkpoint can
+// save the contents of every message struct that could be live. The
+// message free stacks are dropped to GC first, so every struct live
+// during the tracked run is registered; the line pool flips to
+// snapshot-capable in place (its registry is always on). With tracking
+// off (campaigns, plain runs) the registries never grow.
 func (p *msgPool) enableTracking() {
-	p.track = true
-	p.tcpMsgs, p.tccMsgs = nil, nil
+	p.tcp = objPool[tcpMsg]{track: true}
+	p.tcc = objPool[tccMsg]{track: true}
 	p.lines.EnableTracking()
 }
 
@@ -63,19 +48,7 @@ func (p *msgPool) reset() {
 	p.lines.Reset()
 }
 
-func (p *msgPool) getTCPMsg() *tcpMsg {
-	if n := len(p.tcpMsgs); n > 0 {
-		m := p.tcpMsgs[n-1]
-		p.tcpMsgs[n-1] = nil
-		p.tcpMsgs = p.tcpMsgs[:n-1]
-		return m
-	}
-	m := &tcpMsg{}
-	if p.track {
-		p.allTCP = append(p.allTCP, m)
-	}
-	return m
-}
+func (p *msgPool) getTCPMsg() *tcpMsg { return p.tcp.get() }
 
 // putTCPMsg releases m along with the payload reference it still
 // holds, if any (a WrVicBlk that handed its payload to the backend has
@@ -84,31 +57,17 @@ func (p *msgPool) putTCPMsg(m *tcpMsg) {
 	if m.payload != nil {
 		m.payload.Release()
 	}
-	*m = tcpMsg{}
-	p.tcpMsgs = append(p.tcpMsgs, m)
+	p.tcp.put(m)
 }
 
-func (p *msgPool) getTCCMsg() *tccMsg {
-	if n := len(p.tccMsgs); n > 0 {
-		m := p.tccMsgs[n-1]
-		p.tccMsgs[n-1] = nil
-		p.tccMsgs = p.tccMsgs[:n-1]
-		return m
-	}
-	m := &tccMsg{}
-	if p.track {
-		p.allTCC = append(p.allTCC, m)
-	}
-	return m
-}
+func (p *msgPool) getTCCMsg() *tccMsg { return p.tcc.get() }
 
 // putTCCMsg releases m along with its fill payload reference.
 func (p *msgPool) putTCCMsg(m *tccMsg) {
 	if m.payload != nil {
 		m.payload.Release()
 	}
-	*m = tccMsg{}
-	p.tccMsgs = append(p.tccMsgs, m)
+	p.tcc.put(m)
 }
 
 // poolSnapshot captures the contents of every tracked message struct,
@@ -118,11 +77,9 @@ func (p *msgPool) putTCCMsg(m *tccMsg) {
 // buffers, memctrl queues) are restored in place, so all the pointers
 // those structures hold stay valid after a restore.
 type poolSnapshot struct {
-	tcpContents []tcpMsg
-	tccContents []tccMsg
-	freeTCP     []*tcpMsg
-	freeTCC     []*tccMsg
-	lines       *mem.LinePoolSnapshot
+	tcp   poolCut[tcpMsg]
+	tcc   poolCut[tccMsg]
+	lines *mem.LinePoolSnapshot
 }
 
 // snapshotInto captures every registered object's contents, refilling
@@ -132,44 +89,85 @@ func (p *msgPool) snapshotInto(s *poolSnapshot) *poolSnapshot {
 	if s == nil {
 		s = &poolSnapshot{}
 	}
-	s.tcpContents = s.tcpContents[:0]
-	for _, m := range p.allTCP {
-		s.tcpContents = append(s.tcpContents, *m)
-	}
-	s.tccContents = s.tccContents[:0]
-	for _, m := range p.allTCC {
-		s.tccContents = append(s.tccContents, *m)
-	}
-	s.freeTCP = append(s.freeTCP[:0], p.tcpMsgs...)
-	s.freeTCC = append(s.freeTCC[:0], p.tccMsgs...)
+	p.tcp.save(&s.tcp)
+	p.tcc.save(&s.tcc)
 	s.lines = p.lines.SnapshotInto(s.lines)
 	return s
 }
 
 // restore writes every registered object's captured contents back and
-// rebuilds the free stacks. Objects registered after the snapshot was
-// taken did not exist then; they are zeroed and parked on the free
-// stacks (pooled objects are interchangeable — identity only matters
+// rebuilds the free stacks; the structs built since are zeroed and
+// freed (pooled objects are interchangeable — identity only matters
 // for objects the restored state actually references, which are all
 // snapshot-era).
 func (p *msgPool) restore(s *poolSnapshot) {
-	for i, m := range p.allTCP {
-		if i < len(s.tcpContents) {
-			*m = s.tcpContents[i]
-		} else {
-			*m = tcpMsg{}
-		}
-	}
-	for i, m := range p.allTCC {
-		if i < len(s.tccContents) {
-			*m = s.tccContents[i]
-		} else {
-			*m = tccMsg{}
-		}
-	}
-	p.tcpMsgs = append(p.tcpMsgs[:0], s.freeTCP...)
-	p.tcpMsgs = append(p.tcpMsgs, p.allTCP[len(s.tcpContents):]...)
-	p.tccMsgs = append(p.tccMsgs[:0], s.freeTCC...)
-	p.tccMsgs = append(p.tccMsgs, p.allTCC[len(s.tccContents):]...)
+	p.tcp.load(&s.tcp)
+	p.tcc.load(&s.tcc)
 	p.lines.Restore(s.lines)
+}
+
+// objPool recycles one kind of object through a free stack. With
+// track on it registers every object it builds, in build order: a cut
+// saves each one's contents by value and a restore writes them back
+// into the same objects, so every pointer the restored state holds
+// stays valid.
+type objPool[T any] struct {
+	free  []*T
+	all   []*T
+	track bool
+	// clean readies a dead object for reuse; nil zeroes it.
+	clean func(*T)
+}
+
+// get pops a recycled object, or builds a zero one.
+func (p *objPool[T]) get() *T {
+	if n := len(p.free); n > 0 {
+		x := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		return x
+	}
+	x := new(T)
+	if p.track {
+		p.all = append(p.all, x)
+	}
+	return x
+}
+
+// put cleans a dead object and returns it to the free stack.
+func (p *objPool[T]) put(x *T) {
+	if p.clean != nil {
+		p.clean(x)
+	} else {
+		*x = *new(T)
+	}
+	p.free = append(p.free, x)
+}
+
+// poolCut is an objPool's part of a cut: the registered objects'
+// contents, in registration order, and the free order.
+type poolCut[T any] struct {
+	vals []T
+	free []*T
+}
+
+func (p *objPool[T]) save(c *poolCut[T]) {
+	c.vals = c.vals[:0]
+	for _, x := range p.all {
+		c.vals = append(c.vals, *x)
+	}
+	c.free = append(c.free[:0], p.free...)
+}
+
+// load writes c back. The objects registered since c was saved did not
+// exist then: each is cleaned and freed. Loading the zero poolCut frees
+// every object.
+func (p *objPool[T]) load(c *poolCut[T]) {
+	for i, x := range p.all[:len(c.vals)] {
+		*x = c.vals[i]
+	}
+	p.free = append(p.free[:0], c.free...)
+	for _, x := range p.all[len(c.vals):] {
+		p.put(x)
+	}
 }

@@ -21,6 +21,7 @@ import (
 // It also tracks all outstanding requests with their issue ticks, which
 // is what the tester's forward-progress (deadlock) checker scans.
 type Sequencer struct {
+	seqState
 	k           *sim.Kernel
 	cu          int
 	tcp         *TCP
@@ -28,16 +29,8 @@ type Sequencer struct {
 	respLatency sim.Tick
 	bugs        BugSet
 
-	pendingWT    table.Table[int, int] // thread → in-flight write-throughs
-	heldReleases waitList[int, *mem.Request]
-	outstanding  table.Table[uint64, *mem.Request]
-
-	// Completed requests awaiting delivery, drained FIFO by deliverFn.
-	// The response latency is a constant, so delivery order equals
-	// completion order and one pre-bound closure serves every response —
-	// the steady-state respond path allocates nothing.
-	respQ     []pendingResp
-	respHead  int
+	// deliverFn drains respQ; scratch is the Response it hands the
+	// client, valid only during that call.
 	deliverFn func()
 	scratch   mem.Response
 
@@ -47,8 +40,38 @@ type Sequencer struct {
 	unit uint32
 
 	lat *stats.LatencySet
+}
+
+// seqState is a sequencer's run state: a cut copies it, a reset clears
+// it (the latency histograms are cut by the System). Request pointers
+// are kept by identity: they point into the tester's request slab,
+// whose slots are write-once within a run.
+type seqState struct {
+	pendingWT    table.Table[int, int] // thread → in-flight write-throughs
+	heldReleases waitList[int, *mem.Request]
+	outstanding  table.Table[uint64, *mem.Request]
+
+	// Completed requests awaiting delivery, drained FIFO by deliverFn.
+	// The response latency is a constant, so delivery order equals
+	// completion order and one pre-bound closure serves every response —
+	// the steady-state respond path allocates nothing.
+	respQ    []pendingResp
+	respHead int
 
 	issued, completed uint64
+}
+
+// copyFrom makes d hold s's state in d's own storage, the response
+// queue from its head. Saving a cut, restoring one and resetting (from
+// the zero state) are this one copy.
+func (d *seqState) copyFrom(s *seqState) {
+	d.pendingWT.CopyFrom(&s.pendingWT)
+	d.heldReleases.copyFrom(&s.heldReleases)
+	d.outstanding.CopyFrom(&s.outstanding)
+	clear(d.respQ)
+	d.respQ = append(d.respQ[:0], s.respQ[s.respHead:]...)
+	d.respHead = 0
+	d.issued, d.completed = s.issued, s.completed
 }
 
 func newSequencer(k *sim.Kernel, cu int, tcp *TCP, respLatency sim.Tick, bugs BugSet) *Sequencer {
@@ -64,24 +87,6 @@ func newSequencer(k *sim.Kernel, cu int, tcp *TCP, respLatency sim.Tick, bugs Bu
 	s.deliverFn = s.deliverNext
 	tcp.seq = s
 	return s
-}
-
-// reset returns the sequencer to its just-built state: no pending
-// write-throughs, held releases, outstanding requests or queued
-// responses, and zeroed stats. Client wiring and the pre-bound delivery
-// closure are kept. The kernel must already be reset — dropping the
-// response queue is only sound once the deliverFn events referencing it
-// are gone.
-func (s *Sequencer) reset() {
-	s.pendingWT.Clear()
-	s.heldReleases.drop(nil)
-	s.outstanding.Clear()
-	clear(s.respQ)
-	s.respQ = s.respQ[:0]
-	s.respHead = 0
-	s.issued, s.completed = 0, 0
-	s.lat.Reset()
-	s.scratch = mem.Response{}
 }
 
 // pendingResp is one completed request queued for core delivery.
@@ -215,37 +220,3 @@ func (s *Sequencer) recordLatency(req *mem.Request, lat uint64) {
 
 // Latencies exposes the sequencer's per-class latency histograms.
 func (s *Sequencer) Latencies() *stats.LatencySet { return s.lat }
-
-// seqSnapshot captures a sequencer's in-flight and stats state.
-// Request pointers are retained by identity: they reference the
-// tester's request slab, whose slots are write-once within a run.
-type seqSnapshot struct {
-	pendingWT    table.Table[int, int]
-	heldReleases waitList[int, *mem.Request]
-	outstanding  table.Table[uint64, *mem.Request]
-	respQ        []pendingResp
-	lat          *stats.LatencySetSnapshot
-	issued       uint64
-	completed    uint64
-}
-
-func (s *Sequencer) snapshotInto(snap *seqSnapshot) {
-	snap.pendingWT.CopyFrom(&s.pendingWT)
-	snap.heldReleases.copyFrom(&s.heldReleases)
-	snap.outstanding.CopyFrom(&s.outstanding)
-	snap.respQ = append(snap.respQ[:0], s.respQ[s.respHead:]...)
-	snap.lat = s.lat.SnapshotInto(snap.lat)
-	snap.issued, snap.completed = s.issued, s.completed
-}
-
-func (s *Sequencer) restore(snap *seqSnapshot) {
-	s.pendingWT.CopyFrom(&snap.pendingWT)
-	s.heldReleases.copyFrom(&snap.heldReleases)
-	s.outstanding.CopyFrom(&snap.outstanding)
-	clear(s.respQ)
-	s.respQ = append(s.respQ[:0], snap.respQ...)
-	s.respHead = 0
-	s.scratch = mem.Response{}
-	s.lat.Restore(snap.lat)
-	s.issued, s.completed = snap.issued, snap.completed
-}

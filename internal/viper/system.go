@@ -161,6 +161,11 @@ type System struct {
 	// respXBars holds the per-slice response crossbars, retained so
 	// SetRespJitter can retune them between runs.
 	respXBars []*network.Crossbar
+	// arrays (the L1s in CU order, then the L2 slices) and links (the
+	// request links CU-major, then the response ports slice-major) are
+	// the layers under the controllers, which a cut and a reset walk.
+	arrays []*cache.Array
+	links  []*network.Link
 	// pool is the shared message pool, retained for snapshots.
 	pool *msgPool
 }
@@ -189,14 +194,19 @@ func (s *System) Reset() {
 	}
 	s.faults = nil
 	*s.jrnd = *rng.New(s.Cfg.JitterSeed, jitterStream)
-	for _, seq := range s.Seqs {
-		seq.reset()
-	}
-	for _, tcp := range s.TCPs {
-		tcp.reset()
+	for i, seq := range s.Seqs {
+		seq.copyFrom(&seqState{})
+		seq.lat.Reset()
+		s.TCPs[i].copyFrom(&tcpState{})
 	}
 	for _, l2 := range s.l2s {
 		l2.reset()
+	}
+	for _, a := range s.arrays {
+		a.Reset()
+	}
+	for _, l := range s.links {
+		l.Reset()
 	}
 	if s.Mem != nil {
 		s.Mem.Reset()
@@ -238,13 +248,21 @@ type l2ctrl interface {
 	slice() int
 	lines() *cache.Array
 	attachTCP(t *TCP)
-	// reset returns the slice to its just-built state (see System.Reset
-	// for the contract; the kernel must already be reset).
+	// reset returns the slice's controller to its just-built state (see
+	// System.Reset for the contract; the kernel must already be reset).
 	reset()
-	// snapshot/restore capture and reinstate the slice's full state
-	// (see System.Snapshot for the contract).
-	snapshotInto(dst any) any
-	restore(snap any)
+	// save and load copy the controller's state into and out of its
+	// slice's record in a cut (see System.Snapshot for the contract).
+	save(s *l2State)
+	load(s *l2State)
+}
+
+// l2State is one L2 slice's record in a cut: the state of whichever
+// controller runs the slice, and a TCC's TBEs.
+type l2State struct {
+	tcc  tccState
+	tbes poolCut[tccTBE]
+	wb   wbState
 }
 
 // sliceOf routes a line address to its L2 slice.
@@ -282,11 +300,8 @@ func (s *System) AuditL2(store *mem.Store) []string {
 // ForEachValidLine visits every valid line of every cache: each L1 in
 // CU order, then each L2 slice, numbered in that order.
 func (s *System) ForEachValidLine(visit func(cache int, l *cache.Line)) {
-	for i, t := range s.TCPs {
-		t.array.ForEachValid(func(l *cache.Line) { visit(i, l) })
-	}
-	for i, l2 := range s.l2s {
-		l2.lines().ForEachValid(func(l *cache.Line) { visit(len(s.TCPs)+i, l) })
+	for i, a := range s.arrays {
+		a.ForEachValid(func(l *cache.Line) { visit(i, l) })
 	}
 }
 
@@ -372,7 +387,7 @@ func newSystem(k *sim.Kernel, cfg Config, rec protocol.Recorder, backend Backend
 
 	jrnd := rng.New(cfg.JitterSeed, jitterStream)
 	s.jrnd = jrnd
-	pool := newMsgPool(cfg.L1.LineSize, lines)
+	pool := &msgPool{lines: lines}
 	s.pool = pool
 	tccSpec := NewTCCSpec()
 	wbSpec := NewTCCWBSpec()
@@ -412,6 +427,16 @@ func newSystem(k *sim.Kernel, cfg Config, rec protocol.Recorder, backend Backend
 		seq := newSequencer(k, cu, tcp, cfg.L1RespLatency, cfg.Bugs)
 		s.TCPs = append(s.TCPs, tcp)
 		s.Seqs = append(s.Seqs, seq)
+		s.arrays = append(s.arrays, tcp.array)
+		s.links = append(s.links, links...)
+	}
+	for _, l2 := range s.l2s {
+		s.arrays = append(s.arrays, l2.lines())
+	}
+	for _, xb := range s.respXBars {
+		for cu := 0; cu < cfg.NumCUs; cu++ {
+			s.links = append(s.links, xb.To(cu))
+		}
 	}
 	return s
 }
@@ -442,9 +467,12 @@ type SystemSnapshot struct {
 	jrnd   rng.PCG
 	faults []*protocol.FaultError
 	pool   *poolSnapshot
-	seqs   []seqSnapshot
-	tcps   []tcpSnapshot
-	l2s    []any
+	seqs   []seqState
+	tcps   []tcpState
+	l2s    []l2State
+	lats   []*stats.LatencySetSnapshot
+	arrays []*cache.ArraySnapshot
+	links  []network.LinkSnapshot
 	mem    *memctrl.Snapshot
 }
 
@@ -471,29 +499,37 @@ func (s *System) Snapshot() *SystemSnapshot { return s.SnapshotInto(nil) }
 // the caller knows is dead (nil allocates): every controller's save
 // reuses the storage its last save into snap left behind.
 func (s *System) SnapshotInto(snap *SystemSnapshot) *SystemSnapshot {
-	if !s.pool.track && s.Kernel.Pending() > 0 {
+	if !s.pool.tcp.track && s.Kernel.Pending() > 0 {
 		panic("viper: System.Snapshot mid-run without EnableCheckpointing")
 	}
 	if snap == nil {
 		snap = &SystemSnapshot{
-			seqs: make([]seqSnapshot, len(s.Seqs)),
-			tcps: make([]tcpSnapshot, len(s.TCPs)),
-			l2s:  make([]any, len(s.l2s)),
+			seqs:   make([]seqState, len(s.Seqs)),
+			tcps:   make([]tcpState, len(s.TCPs)),
+			l2s:    make([]l2State, len(s.l2s)),
+			lats:   make([]*stats.LatencySetSnapshot, len(s.Seqs)),
+			arrays: make([]*cache.ArraySnapshot, len(s.arrays)),
+			links:  make([]network.LinkSnapshot, len(s.links)),
 		}
 	}
 	snap.jrnd = *s.jrnd
 	snap.faults = append(snap.faults[:0], s.faults...)
-	if s.pool.track {
+	if s.pool.tcp.track {
 		snap.pool = s.pool.snapshotInto(snap.pool)
 	}
 	for i, seq := range s.Seqs {
-		seq.snapshotInto(&snap.seqs[i])
-	}
-	for i, tcp := range s.TCPs {
-		tcp.snapshotInto(&snap.tcps[i])
+		snap.seqs[i].copyFrom(&seq.seqState)
+		snap.lats[i] = seq.lat.SnapshotInto(snap.lats[i])
+		snap.tcps[i].copyFrom(&s.TCPs[i].tcpState)
 	}
 	for i, l2 := range s.l2s {
-		snap.l2s[i] = l2.snapshotInto(snap.l2s[i])
+		l2.save(&snap.l2s[i])
+	}
+	for i, a := range s.arrays {
+		snap.arrays[i] = a.SnapshotInto(snap.arrays[i])
+	}
+	for i, l := range s.links {
+		l.SnapshotInto(&snap.links[i])
 	}
 	if s.Mem != nil {
 		snap.mem = s.Mem.SnapshotInto(snap.mem)
@@ -520,13 +556,18 @@ func (s *System) Restore(snap *SystemSnapshot) {
 		s.pool.reset()
 	}
 	for i, seq := range s.Seqs {
-		seq.restore(&snap.seqs[i])
-	}
-	for i, tcp := range s.TCPs {
-		tcp.restore(&snap.tcps[i])
+		seq.copyFrom(&snap.seqs[i])
+		seq.lat.Restore(snap.lats[i])
+		s.TCPs[i].copyFrom(&snap.tcps[i])
 	}
 	for i, l2 := range s.l2s {
-		l2.restore(snap.l2s[i])
+		l2.load(&snap.l2s[i])
+	}
+	for i, a := range s.arrays {
+		a.Restore(snap.arrays[i])
+	}
+	for i, l := range s.links {
+		l.Restore(&snap.links[i])
 	}
 	if s.Mem != nil {
 		s.Mem.Restore(snap.mem)

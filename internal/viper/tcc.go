@@ -66,6 +66,7 @@ type tccTBE struct {
 // atomics to the global ordering point, and answers directory probes
 // in heterogeneous systems.
 type TCC struct {
+	tccState
 	k          *sim.Kernel
 	sliceIndex int
 	machine    *protocol.Machine
@@ -80,19 +81,15 @@ type TCC struct {
 	// retryDelay spaces out atomic retries after an AtomicND.
 	retryDelay sim.Tick
 
-	tbes    table.Table[mem.Addr, *tccTBE]
-	tbeFree []*tccTBE
-	// allTBEs registers every TBE ever built (bounded by the peak
-	// number of concurrent transactions — TBEs are recycled). Needed
-	// by snapshots: the backend continuations capture the TBE pointer,
-	// so a restore must write contents back into the same objects.
-	allTBEs       []*tccTBE
-	stalled       waitList[mem.Addr, *tcpMsg]
-	stalledProbes waitList[mem.Addr, func()]
+	// tbePool recycles TBEs and registers every one built (bounded by
+	// the peak number of concurrent transactions). The backend
+	// continuations capture the TBE pointer, so a cut saves the TBEs'
+	// contents by value and a restore writes them back into the same
+	// objects.
+	tbePool objPool[tccTBE]
 	// sendFns holds one prebound response handler per CU for the
 	// allocation-free Link.SendMsg path, built on first use.
 	sendFns []func(any)
-	wbs     table.Table[mem.Addr, int] // in-flight memory writes per line
 
 	// Shared backend continuations, bound once at construction; the
 	// per-operation state rides in ctx (the TBE, or the WrVicBlk
@@ -101,16 +98,38 @@ type TCC struct {
 	atomicDoneFn func(old uint32, nack bool, ctx any)
 	wbAckFn      func(ctx any)
 	noopWBFn     func(ctx any)
+}
+
+// tccState is a write-through L2 slice's run state: a cut copies it, a
+// reset clears it (the cache array and the response crossbar are cut by
+// the System, the TBEs by save/load).
+type tccState struct {
+	tbes          table.Table[mem.Addr, *tccTBE]
+	stalled       waitList[mem.Addr, *tcpMsg]
+	stalledProbes waitList[mem.Addr, func()]
+	wbs           table.Table[mem.Addr, int] // in-flight memory writes per line
 
 	// stats
 	rdBlks, wrVicBlks, atomicsSeen, fills, stalls uint64
 	wbAcks, droppedMerges, droppedAcks            uint64
 }
 
+// copyFrom makes d hold s's state in d's own storage. Saving a cut,
+// restoring one and resetting (from the zero state) are this one copy.
+func (d *tccState) copyFrom(s *tccState) {
+	d.tbes.CopyFrom(&s.tbes)
+	d.stalled.copyFrom(&s.stalled)
+	d.stalledProbes.copyFrom(&s.stalledProbes)
+	d.wbs.CopyFrom(&s.wbs)
+	d.rdBlks, d.wrVicBlks, d.atomicsSeen, d.fills, d.stalls = s.rdBlks, s.wrVicBlks, s.atomicsSeen, s.fills, s.stalls
+	d.wbAcks, d.droppedMerges, d.droppedAcks = s.wbAcks, s.droppedMerges, s.droppedAcks
+}
+
 func newTCC(k *sim.Kernel, spec *protocol.Spec, rec protocol.Recorder, onFault func(*protocol.FaultError), l2 cache.Config, backend Backend, toTCP *network.Crossbar, bugs BugSet, pool *msgPool) *TCC {
 	m := protocol.NewMachine(spec, rec)
 	m.OnFault = onFault
 	c := &TCC{
+		tbePool:    objPool[tccTBE]{track: true, clean: cleanTBE},
 		k:          k,
 		machine:    m,
 		array:      cache.NewArray(l2),
@@ -139,43 +158,36 @@ func newTCC(k *sim.Kernel, spec *protocol.Spec, rec protocol.Recorder, onFault f
 // retry continuation to it for life). The caller fills the identity
 // fields.
 func (c *TCC) getTBE() *tccTBE {
-	if n := len(c.tbeFree); n > 0 {
-		t := c.tbeFree[n-1]
-		c.tbeFree[n-1] = nil
-		c.tbeFree = c.tbeFree[:n-1]
-		return t
+	t := c.tbePool.get()
+	if t.retryFn == nil {
+		t.retryFn = func() { c.issueAtomic(t) }
 	}
-	t := &tccTBE{}
-	t.retryFn = func() { c.issueAtomic(t) }
-	c.allTBEs = append(c.allTBEs, t)
 	return t
 }
 
-// putTBE releases a completed transaction's TBE. Safe only once no
-// backend callback or retry can still fire for it (the completion
-// paths in onData / onAtomicD).
-func (c *TCC) putTBE(t *tccTBE) {
-	t.req = nil
-	t.probed = false
-	c.tbeFree = append(c.tbeFree, t)
+// cleanTBE readies a dead TBE for reuse; its retryFn is bound for life.
+func cleanTBE(t *tccTBE) { t.req, t.probed = nil, false }
+
+// reset returns the controller to its just-built state, the stalled
+// messages back in the pool and every TBE on the free list. Recycling
+// them is sound only because the kernel has already been reset: no
+// backend callback or retry event referencing them can still fire.
+func (c *TCC) reset() {
+	c.stalled.drop(c.pool.putTCPMsg)
+	c.copyFrom(&tccState{})
+	c.tbePool.load(&poolCut[tccTBE]{})
 }
 
-// reset returns the controller to its just-built state: array
-// invalidated, in-flight TBEs recycled to the free list, stalled
-// messages recycled to the pool, write-through counts and stats
-// cleared. Recycling the TBEs is sound only because the kernel has
-// already been reset: no backend callback or retry event referencing
-// them can still fire.
-func (c *TCC) reset() {
-	c.array.Reset()
-	c.tbes.Each(func(_ mem.Addr, tbe **tccTBE) { c.putTBE(*tbe) })
-	c.tbes.Clear()
-	c.stalled.drop(c.pool.putTCPMsg)
-	c.stalledProbes.drop(nil)
-	c.wbs.Clear()
-	c.rdBlks, c.wrVicBlks, c.atomicsSeen, c.fills, c.stalls = 0, 0, 0, 0, 0
-	c.wbAcks, c.droppedMerges, c.droppedAcks = 0, 0, 0
-	c.toTCP.Reset()
+// save and load copy the slice's part of a cut. A TBE's saved retryFn
+// is the one bound to the object load writes it back into.
+func (c *TCC) save(s *l2State) {
+	s.tcc.copyFrom(&c.tccState)
+	c.tbePool.save(&s.tbes)
+}
+
+func (c *TCC) load(s *l2State) {
+	c.copyFrom(&s.tcc)
+	c.tbePool.load(&s.tbes)
 }
 
 func (c *TCC) lineSize() int { return c.array.Config().LineSize }
@@ -308,7 +320,7 @@ func (c *TCC) onAtomicD(tbe *tccTBE, old uint32) {
 	c.tbes.Delete(tbe.line)
 	c.sendAtomicAck(tbe.cu, tbe.line, tbe.req, old)
 	c.wake(tbe.line)
-	c.putTBE(tbe)
+	c.tbePool.put(tbe) // completed: no backend callback or retry can fire for it
 }
 
 func (c *TCC) onAtomicND(tbe *tccTBE) {
@@ -347,7 +359,7 @@ func (c *TCC) onData(tbe *tccTBE, data *mem.Line) {
 	}
 	c.sendFillLine(tbe.cu, line, data)
 	c.wake(line)
-	c.putTBE(tbe)
+	c.tbePool.put(tbe) // completed: no backend callback or retry can fire for it
 }
 
 func (c *TCC) onWBAck(msg *tcpMsg) {
@@ -369,10 +381,10 @@ func (c *TCC) onWBAck(msg *tcpMsg) {
 		c.pool.putTCPMsg(msg)
 		return
 	}
-	cu, req := msg.cu, msg.req
+	cu, req, off := msg.cu, msg.req, msg.off
 	c.pool.putTCPMsg(msg) // write performed; the backend released the payload
 	ack := c.pool.getTCCMsg()
-	ack.kind, ack.line, ack.req = ackWB, line, req
+	ack.kind, ack.line, ack.req, ack.off = ackWB, line, req, off
 	c.send(cu, ack)
 }
 
@@ -519,77 +531,4 @@ func (c *TCC) Stats() map[string]uint64 {
 		"dropped_merges": c.droppedMerges,
 		"dropped_acks":   c.droppedAcks,
 	}
-}
-
-// tccTBESave is a tccTBE's identity fields (the continuations are
-// bound for the TBE's life and never change).
-type tccTBESave struct {
-	kind   tbeKind
-	line   mem.Addr
-	cu     int
-	req    *mem.Request
-	probed bool
-}
-
-// tccSnapshot captures one write-through L2 slice.
-type tccSnapshot struct {
-	array *cache.ArraySnapshot
-	// tbeContents is parallel to allTBEs at snapshot time; TBEs built
-	// later are recycled onto the free list at restore.
-	tbeContents   []tccTBESave
-	tbes          table.Table[mem.Addr, *tccTBE]
-	tbeFree       []*tccTBE
-	stalled       waitList[mem.Addr, *tcpMsg]
-	stalledProbes waitList[mem.Addr, func()]
-	wbs           table.Table[mem.Addr, int]
-
-	rdBlks, wrVicBlks, atomicsSeen, fills, stalls uint64
-	wbAcks, droppedMerges, droppedAcks            uint64
-
-	xbar *network.CrossbarSnapshot
-}
-
-func (c *TCC) snapshotInto(dst any) any {
-	s, _ := dst.(*tccSnapshot)
-	if s == nil {
-		s = &tccSnapshot{}
-	}
-	s.array = c.array.SnapshotInto(s.array)
-	s.tbeContents = s.tbeContents[:0]
-	for _, t := range c.allTBEs {
-		s.tbeContents = append(s.tbeContents, tccTBESave{kind: t.kind, line: t.line, cu: t.cu, req: t.req, probed: t.probed})
-	}
-	s.tbes.CopyFrom(&c.tbes)
-	s.tbeFree = append(s.tbeFree[:0], c.tbeFree...)
-	s.stalled.copyFrom(&c.stalled)
-	s.stalledProbes.copyFrom(&c.stalledProbes)
-	s.wbs.CopyFrom(&c.wbs)
-	s.rdBlks, s.wrVicBlks, s.atomicsSeen = c.rdBlks, c.wrVicBlks, c.atomicsSeen
-	s.fills, s.stalls, s.wbAcks = c.fills, c.stalls, c.wbAcks
-	s.droppedMerges, s.droppedAcks = c.droppedMerges, c.droppedAcks
-	s.xbar = c.toTCP.SnapshotInto(s.xbar)
-	return s
-}
-
-func (c *TCC) restore(snap any) {
-	s := snap.(*tccSnapshot)
-	c.array.Restore(s.array)
-	for i, t := range c.allTBEs {
-		if i < len(s.tbeContents) {
-			sv := s.tbeContents[i]
-			t.kind, t.line, t.cu, t.req, t.probed = sv.kind, sv.line, sv.cu, sv.req, sv.probed
-		} else {
-			t.req, t.probed = nil, false
-		}
-	}
-	c.tbeFree = append(c.tbeFree[:0], s.tbeFree...)
-	c.tbeFree = append(c.tbeFree, c.allTBEs[len(s.tbeContents):]...)
-	c.tbes.CopyFrom(&s.tbes)
-	c.stalled.copyFrom(&s.stalled)
-	c.stalledProbes.copyFrom(&s.stalledProbes)
-	c.wbs.CopyFrom(&s.wbs)
-	c.rdBlks, c.wrVicBlks, c.atomicsSeen = s.rdBlks, s.wrVicBlks, s.atomicsSeen
-	c.fills, c.stalls, c.wbAcks = s.fills, s.stalls, s.wbAcks
-	c.droppedMerges, c.droppedAcks = s.droppedMerges, s.droppedAcks
-	c.toTCP.Restore(s.xbar)
 }

@@ -31,6 +31,7 @@ type wbTBE struct {
 // sequencer, L1 and tester are untouched — the paper's "minimal
 // extensions" claim made concrete.
 type TCCWB struct {
+	wbState
 	k          *sim.Kernel
 	sliceIndex int
 	machine    *protocol.Machine
@@ -42,12 +43,6 @@ type TCCWB struct {
 	pool       *msgPool
 	auditBuf   []byte // one line of scratch for AuditAgainstStore
 
-	tbes    table.Table[mem.Addr, wbTBE]
-	stalled waitList[mem.Addr, *tcpMsg]
-	// vicWBs counts in-flight eviction write-backs per line (probes do
-	// not exist in this GPU-only variant, so no data needs retention).
-	vicWBs table.Table[mem.Addr, int]
-
 	// sendFns holds one prebound response handler per CU for the
 	// allocation-free Link.SendMsg path, built on first use.
 	sendFns []func(any)
@@ -56,8 +51,30 @@ type TCCWB struct {
 	// completions look the TBE up by line.
 	fetchDoneFn func(data *mem.Line, ctx any)
 	vicWBAckFn  func(ctx any)
+}
+
+// wbState is a write-back L2 slice's run state: a cut copies it, a
+// reset clears it (the cache array and the response crossbar are cut by
+// the System). Pending lines keep their handle identity; the line
+// pool's cut restores their contents.
+type wbState struct {
+	tbes    table.Table[mem.Addr, wbTBE]
+	stalled waitList[mem.Addr, *tcpMsg]
+	// vicWBs counts in-flight eviction write-backs per line (probes do
+	// not exist in this GPU-only variant, so no data needs retention).
+	vicWBs table.Table[mem.Addr, int]
 
 	rdBlks, wrVicBlks, atomicsSeen, fills, stalls, evictWBs uint64
+}
+
+// copyFrom makes d hold s's state in d's own storage. Saving a cut,
+// restoring one and resetting (from the zero state) are this one copy.
+func (d *wbState) copyFrom(s *wbState) {
+	d.tbes.CopyFrom(&s.tbes)
+	d.stalled.copyFrom(&s.stalled)
+	d.vicWBs.CopyFrom(&s.vicWBs)
+	d.rdBlks, d.wrVicBlks, d.atomicsSeen = s.rdBlks, s.wrVicBlks, s.atomicsSeen
+	d.fills, d.stalls, d.evictWBs = s.fills, s.stalls, s.evictWBs
 }
 
 func newTCCWB(k *sim.Kernel, spec *protocol.Spec, rec protocol.Recorder, onFault func(*protocol.FaultError), l2 cache.Config, backend Backend, toTCP *network.Crossbar, bugs BugSet, pool *msgPool) *TCCWB {
@@ -85,17 +102,19 @@ func newTCCWB(k *sim.Kernel, spec *protocol.Spec, rec protocol.Recorder, onFault
 	return c
 }
 
-// reset returns the controller to its just-built state. The TBEs'
-// pending lines are force-reclaimed by the system's pool reset; the
-// kernel reset has already dropped the events that referenced them.
+// reset returns the controller to its just-built state, the stalled
+// messages back in the pool. The TBEs' pending lines are force-reclaimed
+// by the system's pool reset; the kernel reset has already dropped the
+// events that referenced them.
 func (c *TCCWB) reset() {
-	c.array.Reset()
-	c.tbes.Clear()
 	c.stalled.drop(c.pool.putTCPMsg)
-	c.vicWBs.Clear()
-	c.rdBlks, c.wrVicBlks, c.atomicsSeen, c.fills, c.stalls, c.evictWBs = 0, 0, 0, 0, 0, 0
-	c.toTCP.Reset()
+	c.copyFrom(&wbState{})
 }
+
+// save and load copy the slice's part of a cut.
+func (c *TCCWB) save(s *l2State) { s.wb.copyFrom(&c.wbState) }
+
+func (c *TCCWB) load(s *l2State) { c.copyFrom(&s.wb) }
 
 func (c *TCCWB) lineSize() int { return c.array.Config().LineSize }
 
@@ -172,10 +191,10 @@ func (c *TCCWB) FromTCP(msg *tcpMsg) {
 		}
 		// The L2 is the visibility point: the write is globally
 		// performed on acceptance.
-		cu, req := msg.cu, msg.req
+		cu, req, off := msg.cu, msg.req, msg.off
 		c.pool.putTCPMsg(msg) // releases the payload reference
 		ack := c.pool.getTCCMsg()
-		ack.kind, ack.line, ack.req = ackWB, line, req
+		ack.kind, ack.line, ack.req, ack.off = ackWB, line, req, off
 		c.send(cu, ack)
 
 	case msgAtomic:
@@ -324,45 +343,6 @@ func (c *TCCWB) send(cu int, msg *tccMsg) {
 		c.sendFns[cu] = fn
 	}
 	c.toTCP.To(cu).SendMsgLine(fn, msg, uint64(msg.line))
-}
-
-// wbSnapshot captures one write-back L2 slice. Pending lines keep their
-// handle identity, contents restored by the line-pool snapshot.
-type wbSnapshot struct {
-	array   *cache.ArraySnapshot
-	tbes    table.Table[mem.Addr, wbTBE]
-	stalled waitList[mem.Addr, *tcpMsg]
-	vicWBs  table.Table[mem.Addr, int]
-
-	rdBlks, wrVicBlks, atomicsSeen, fills, stalls, evictWBs uint64
-
-	xbar *network.CrossbarSnapshot
-}
-
-func (c *TCCWB) snapshotInto(dst any) any {
-	s, _ := dst.(*wbSnapshot)
-	if s == nil {
-		s = &wbSnapshot{}
-	}
-	s.array = c.array.SnapshotInto(s.array)
-	s.tbes.CopyFrom(&c.tbes)
-	s.stalled.copyFrom(&c.stalled)
-	s.vicWBs.CopyFrom(&c.vicWBs)
-	s.rdBlks, s.wrVicBlks, s.atomicsSeen = c.rdBlks, c.wrVicBlks, c.atomicsSeen
-	s.fills, s.stalls, s.evictWBs = c.fills, c.stalls, c.evictWBs
-	s.xbar = c.toTCP.SnapshotInto(s.xbar)
-	return s
-}
-
-func (c *TCCWB) restore(snap any) {
-	s := snap.(*wbSnapshot)
-	c.array.Restore(s.array)
-	c.tbes.CopyFrom(&s.tbes)
-	c.stalled.copyFrom(&s.stalled)
-	c.vicWBs.CopyFrom(&s.vicWBs)
-	c.rdBlks, c.wrVicBlks, c.atomicsSeen = s.rdBlks, s.wrVicBlks, s.atomicsSeen
-	c.fills, c.stalls, c.evictWBs = s.fills, s.stalls, s.evictWBs
-	c.toTCP.Restore(s.xbar)
 }
 
 // Stats returns the controller's activity counters.

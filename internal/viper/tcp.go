@@ -22,6 +22,7 @@ type tcpAtomic struct {
 // It is write-through and write-no-allocate; atomics bypass it to the
 // L2's ordering point, reserving the line in state A while in flight.
 type TCP struct {
+	tcpState
 	k       *sim.Kernel
 	id      int
 	machine *protocol.Machine
@@ -30,16 +31,25 @@ type TCP struct {
 	sliceOf func(mem.Addr) l2ctrl
 	seq     *Sequencer
 	pool    *msgPool
+	// sendFns holds one prebound delivery handler per L2 slice for the
+	// allocation-free Link.SendMsg path, built on first use (the
+	// slice→L2 mapping is fixed for the system's lifetime).
+	sendFns []func(any)
+	// bugs selects injected bugs; the TCP reads AckDropsOverlay.
+	bugs BugSet
+}
 
+// tcpState is an L1 controller's run state, the part a cut copies and
+// a reset clears (the cache array and the request links are cut by the
+// System). Write-through buffers keep their line handles by identity —
+// the line pool's cut restores their contents — and waiting and stalled
+// requests point into the tester's request slab.
+type tcpState struct {
 	// A line's transaction is either an atomic or a fill its coalesced
 	// load misses await, never both: an atomic stalls behind waiting
 	// loads, and loads stall in state A.
 	atomicTBEs table.Table[mem.Addr, tcpAtomic]
 	loadTBEs   waitList[mem.Addr, *mem.Request]
-	// sendFns holds one prebound delivery handler per L2 slice for the
-	// allocation-free Link.SendMsg path, built on first use (the
-	// slice→L2 mapping is fixed for the system's lifetime).
-	sendFns []func(any)
 	// stalled holds core requests whose (state, event) cell is Stall or
 	// that hit the load-TBE/atomic resource hazard; they are retried in
 	// arrival order when the line's transaction completes.
@@ -49,15 +59,27 @@ type TCP struct {
 	// always observes its own (and its CU's) program-order-earlier
 	// stores even when the fill was read from memory before the
 	// write-through landed — the per-byte-mask behaviour of real VIPER.
-	// A buffer whose write-throughs are all acked lingers (count 0)
-	// until the line's outstanding fill arrives, since that fill may
-	// predate them.
+	// An acked word stays in the buffer only while a fill that may
+	// predate it is outstanding; a buffer whose write-throughs are all
+	// acked lingers (count 0) until that fill arrives.
 	wt table.Table[mem.Addr, wtBuf]
-	// bugs selects injected bugs; the TCP reads AckDropsOverlay.
-	bugs BugSet
+	// wtWords counts this CU's in-flight write-throughs per word, so an
+	// ack can tell whether a later store still covers its word.
+	wtWords table.Table[mem.Addr, int]
 
 	// stats
 	loads, loadHits, stores, atomics, stalls uint64
+}
+
+// copyFrom makes d hold s's state in d's own storage. Saving a cut,
+// restoring one and resetting (from the zero state) are this one copy.
+func (d *tcpState) copyFrom(s *tcpState) {
+	d.atomicTBEs.CopyFrom(&s.atomicTBEs)
+	d.loadTBEs.copyFrom(&s.loadTBEs)
+	d.stalled.copyFrom(&s.stalled)
+	d.wt.CopyFrom(&s.wt)
+	d.wtWords.CopyFrom(&s.wtWords)
+	d.loads, d.loadHits, d.stores, d.atomics, d.stalls = s.loads, s.loadHits, s.stores, s.atomics, s.stalls
 }
 
 func newTCP(k *sim.Kernel, id int, spec *protocol.Spec, rec protocol.Recorder, onFault func(*protocol.FaultError), l1 cache.Config, toTCC []*network.Link, sliceOf func(mem.Addr) l2ctrl, bugs BugSet, pool *msgPool) *TCP {
@@ -72,26 +94,6 @@ func newTCP(k *sim.Kernel, id int, spec *protocol.Spec, rec protocol.Recorder, o
 		sliceOf: sliceOf,
 		bugs:    bugs,
 		pool:    pool,
-	}
-}
-
-// reset returns the controller to its just-built state: array
-// invalidated, transaction and stall state dropped, write-through
-// accumulation buffers recycled into the pool, stats zeroed. In-flight
-// TBEs and stalled requests are simply dropped — the kernel reset has
-// already dropped the events that would have completed them.
-func (t *TCP) reset() {
-	t.array.Reset()
-	t.atomicTBEs.Clear()
-	t.loadTBEs.drop(nil)
-	t.stalled.drop(nil)
-	// The buffers' line references are dropped without releasing: the
-	// owning pool's Reset force-reclaims every line, so a release here
-	// would double-park lines the in-flight messages also referenced.
-	t.wt.Clear()
-	t.loads, t.loadHits, t.stores, t.atomics, t.stalls = 0, 0, 0, 0, 0
-	for _, l := range t.toTCC {
-		l.Reset()
 	}
 }
 
@@ -199,8 +201,10 @@ func (t *TCP) CoreRequest(req *mem.Request) {
 			}
 			buf.count++
 		}
+		off := mem.LineOffset(req.Addr, t.lineSize())
+		*t.wtWords.Slot(line + mem.Addr(off))++
 		m := t.pool.getTCPMsg()
-		m.kind, m.cu, m.line, m.req = msgWrVicBlk, t.id, line, req
+		m.kind, m.cu, m.line, m.req, m.off = msgWrVicBlk, t.id, line, req, uint32(off)
 		m.setPayload(wl)
 		t.send(m)
 		t.seq.noteWriteThrough(req)
@@ -262,6 +266,8 @@ func (t *TCP) FromTCC(msg *tccMsg) {
 			e.WriteMasked(buf.line.Data, buf.line.Mask())
 			if buf.count == 0 {
 				t.dropWT(line, buf)
+			} else {
+				t.trimWT(line, buf)
 			}
 		}
 		for _, ld := range loads {
@@ -288,14 +294,22 @@ func (t *TCP) FromTCC(msg *tccMsg) {
 
 	case ackWB:
 		t.machine.Fire(st, TCPTCCAckWB)
-		// A drained buffer lingers while a fill is outstanding: the
-		// response link may jitter this ack past a fill the L2 sent
-		// before it applied the store, and that fill's bytes predate
-		// it. The fill overlays the buffer and drops it (DESIGN §15.1).
-		if buf := t.wt.Ptr(line); buf != nil {
-			if buf.count--; buf.count == 0 && (!t.loadTBEs.has(line) || t.bugs.AckDropsOverlay) {
-				t.dropWT(line, buf)
-			}
+		// The acked word leaves the buffer once no later store of this
+		// CU covers it, and a drained buffer goes — unless a fill is
+		// outstanding: the response link may jitter this ack past a
+		// fill the L2 sent before it applied the store, and that fill's
+		// bytes predate it. The fill overlays the buffer and then drops
+		// what is acked (DESIGN §15.1).
+		a, fill := line+mem.Addr(msg.off), t.loadTBEs.has(line)
+		n := t.wtWords.Ptr(a)
+		if *n--; *n == 0 {
+			t.wtWords.Delete(a)
+		}
+		buf := t.wt.Ptr(line)
+		if buf.count--; buf.count == 0 && (!fill || t.bugs.AckDropsOverlay) {
+			t.dropWT(line, buf)
+		} else if t.wtWords.Ptr(a) == nil && !fill {
+			t.dropWord(buf, a)
 		}
 		t.seq.writeCompleted(msg.req)
 	}
@@ -305,6 +319,24 @@ func (t *TCP) FromTCC(msg *tccMsg) {
 func (t *TCP) dropWT(line mem.Addr, buf *wtBuf) {
 	buf.line.Release()
 	t.wt.Delete(line)
+}
+
+// dropWord takes the word at a out of a buffer that outlives its store.
+func (t *TCP) dropWord(buf *wtBuf, a mem.Addr) {
+	buf.line = buf.line.Writable()
+	off := mem.LineOffset(a, t.lineSize())
+	clear(buf.line.Mask()[off : off+mem.WordSize])
+}
+
+// trimWT drops from line's buffer, after a fill overlaid it, the words
+// acked while that fill was outstanding: no store of this CU covers
+// them any more.
+func (t *TCP) trimWT(line mem.Addr, buf *wtBuf) {
+	for off := 0; off < t.lineSize(); off += mem.WordSize {
+		if a := line + mem.Addr(off); buf.line.Mask()[off] && t.wtWords.Ptr(a) == nil {
+			t.dropWord(buf, a)
+		}
+	}
 }
 
 // FlashInvalidate implements the load-acquire Evict semantic: every
@@ -373,46 +405,4 @@ func (t *TCP) wordWrite(req *mem.Request) *mem.Line {
 // Stats returns the controller's activity counters.
 func (t *TCP) Stats() (loads, loadHits, stores, atomics, stalls uint64) {
 	return t.loads, t.loadHits, t.stores, t.atomics, t.stalls
-}
-
-// tcpSnapshot captures one L1 controller, its keyed state in twins of
-// the live containers. Write-through buffers keep their line-handle
-// identities (contents and refcounts restored by the line-pool
-// snapshot); waiting and stalled requests reference the tester's slab.
-type tcpSnapshot struct {
-	array             *cache.ArraySnapshot
-	atomicTBEs        table.Table[mem.Addr, tcpAtomic]
-	loadTBEs, stalled waitList[mem.Addr, *mem.Request]
-	wt                table.Table[mem.Addr, wtBuf]
-
-	loads, loadHits, stores, atomics, stalls uint64
-
-	links []network.LinkSnapshot
-}
-
-func (t *TCP) snapshotInto(s *tcpSnapshot) {
-	s.array = t.array.SnapshotInto(s.array)
-	s.atomicTBEs.CopyFrom(&t.atomicTBEs)
-	s.loadTBEs.copyFrom(&t.loadTBEs)
-	s.stalled.copyFrom(&t.stalled)
-	s.wt.CopyFrom(&t.wt)
-	s.loads, s.loadHits, s.stores, s.atomics, s.stalls = t.loads, t.loadHits, t.stores, t.atomics, t.stalls
-	if s.links == nil {
-		s.links = make([]network.LinkSnapshot, len(t.toTCC))
-	}
-	for i, l := range t.toTCC {
-		l.SnapshotInto(&s.links[i])
-	}
-}
-
-func (t *TCP) restore(s *tcpSnapshot) {
-	t.array.Restore(s.array)
-	t.atomicTBEs.CopyFrom(&s.atomicTBEs)
-	t.loadTBEs.copyFrom(&s.loadTBEs)
-	t.stalled.copyFrom(&s.stalled)
-	t.wt.CopyFrom(&s.wt)
-	t.loads, t.loadHits, t.stores, t.atomics, t.stalls = s.loads, s.loadHits, s.stores, s.atomics, s.stalls
-	for i, l := range t.toTCC {
-		l.Restore(&s.links[i])
-	}
 }
