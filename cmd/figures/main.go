@@ -163,7 +163,7 @@ func (g *gen) sweep() *harness.GPUSweepResult {
 func (g *gen) apps() *harness.AppSuiteResult {
 	if g.appsRes == nil {
 		fmt.Fprintln(os.Stderr, "running application suite (26 workloads)...")
-		g.appsRes = harness.RunAppSuiteParallel(harness.AppSuiteOptions{Seed: g.seed, Scale: g.scale}, g.workers)
+		g.appsRes = harness.RunAppSuite(harness.AppSuiteOptions{Seed: g.seed, Scale: g.scale, Workers: g.workers})
 	}
 	return g.appsRes
 }

@@ -1,0 +1,25 @@
+package main
+
+import (
+	"os"
+	"testing"
+
+	"drftest/internal/golden"
+)
+
+// TestMain doubles as the figures command: re-executing the test
+// binary with golden.RunMainEnv set runs main on its arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv(golden.RunMainEnv) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestGoldenFig9: Fig. 9 from a serial suite prints the committed
+// table, byte for byte outside host time.
+func TestGoldenFig9(t *testing.T) {
+	golden.Check(t, "figures_fig9_scale0.02.txt", "figures -exp fig9 -scale 0.02 -parallel 1",
+		golden.RunMain(t, "-exp", "fig9", "-scale", "0.02", "-parallel", "1"))
+}

@@ -282,6 +282,25 @@ func (d *Directory) AttachCPU(c CPUPort) int {
 	return len(d.cpus) - 1
 }
 
+// Reset returns the directory to its just-built state and keeps its
+// wiring (ports, controller, prebound callbacks) and its storage: the
+// line tables, TBEs, stall queues and completion FIFO are emptied in
+// place, the stats zeroed, and the line pool re-parks every line. The
+// kernel must be reset first: its pending events reference the TBEs
+// and responses dropped here. The memory controller is its owner's to
+// reset.
+func (d *Directory) Reset() {
+	d.gpuHolders.Clear()
+	d.sharers.Clear()
+	d.owner.Clear()
+	d.tbes.Clear()
+	d.stalled.Clear()
+	clear(d.respQ)
+	d.respQ, d.respHead = d.respQ[:0], 0
+	d.nacks, d.probes, d.staleVics = 0, 0, 0
+	d.lines.Reset()
+}
+
 // Memory exposes the backing memory controller.
 func (d *Directory) Memory() *memctrl.Controller { return d.mem }
 
@@ -325,7 +344,17 @@ func (d *Directory) putTBE(t *tbe) {
 	d.tbeFree = append(d.tbeFree, t)
 }
 
+// pushResp queues a completion. Under steady traffic the queue never
+// empties, so before append would regrow a full array it moves the
+// live window down over the consumed prefix, once that prefix is at
+// least half the array: the array then stops growing at twice the peak
+// depth, and each entry is moved at most once per lap (amortised O(1)).
 func (d *Directory) pushResp(r pendingResp) {
+	if len(d.respQ) == cap(d.respQ) && 2*d.respHead >= len(d.respQ) {
+		n := copy(d.respQ, d.respQ[d.respHead:])
+		clear(d.respQ[n:])
+		d.respQ, d.respHead = d.respQ[:n], 0
+	}
 	d.respQ = append(d.respQ, r)
 	d.k.Schedule(d.respLatency, d.respFn)
 }
@@ -783,5 +812,8 @@ func (d *Directory) DebugDump() string {
 	d.gpuHolders.Each(func(line mem.Addr, hs *uint64) {
 		out += fmt.Sprintf("holders line=%#x mask=%#x\n", uint64(line), *hs)
 	})
+	if n := len(d.respQ) - d.respHead; n > 0 {
+		out += fmt.Sprintf("responses queued=%d\n", n)
+	}
 	return out
 }

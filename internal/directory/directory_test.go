@@ -267,6 +267,54 @@ func TestDirectorySteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestRespQueueSteadyStateAllocs pins the completion FIFO's reuse
+// under steady traffic: one response is queued every tick, so the queue
+// never empties (it holds respLatency of them), yet after warm-up
+// thousands of push/deliver pairs allocate nothing — the consumed
+// prefix is reclaimed instead of the array regrowing.
+func TestRespQueueSteadyStateAllocs(t *testing.T) {
+	k, d, _, _ := newDir(t)
+	delivered := 0
+	done := func() { delivered++ }
+	var tick func()
+	tick = func() {
+		d.pushResp(pendingResp{kind: respPlain, fn: done})
+		k.Schedule(1, tick)
+	}
+	k.Schedule(0, tick)
+	k.Run(1000) // warm the FIFO and the kernel's slab
+	if n := testing.AllocsPerRun(1, func() { k.Run(k.Now() + 10000) }); n != 0 {
+		t.Fatalf("10000 steady-state pushes and deliveries allocate %.0f objects, want 0", n)
+	}
+	if queued := len(d.respQ) - d.respHead; queued == 0 || delivered < 10000 {
+		t.Fatalf("%d responses queued and %d delivered: the queue drained, so nothing was pinned", queued, delivered)
+	}
+}
+
+// TestResetFieldAudit pins the Directory's field set: a field added
+// later must be classified here, and so cannot escape Reset (see
+// package audit).
+func TestResetFieldAudit(t *testing.T) {
+	const (
+		wiring = "wiring: fixed at construction or attach, survives Reset"
+		reset  = "state: Reset empties it in place"
+	)
+	audit.Fields(t, Directory{}, map[string]string{
+		"k": wiring, "machine": wiring, "mem": wiring + " (its owner resets the controller)",
+		"lineSize": wiring, "probeLatency": wiring, "respLatency": wiring,
+		"gpus": wiring, "cpus": wiring,
+		"respFn": wiring, "onGPUFill": wiring, "onReadData": wiring, "onWriteDone": wiring,
+		"onDirtyWB": wiring, "onAtomicOld": wiring,
+		"lines":      "pool: Reset re-parks every line",
+		"gpuHolders": reset, "sharers": reset, "owner": reset, "tbes": reset, "stalled": reset,
+		"respQ":     reset + " (clearing the slots it held)",
+		"respHead":  "state: Reset zeroes it",
+		"tbeFree":   "pool: zeroed TBEs, kept across Reset",
+		"stallFree": "pool: drained stall queues, kept across Reset",
+		"nacks":     "stats: Reset zeroes", "probes": "stats: Reset zeroes", "staleVics": "stats: Reset zeroes",
+	})
+}
+
 // TestNoMaps pins that the directory's state holds no Go map (see
 // audit.NoMaps), bar the backing store's far-page map.
 func TestNoMaps(t *testing.T) {

@@ -30,6 +30,14 @@ func New(k *sim.Kernel, dir *directory.Directory, lineSize int) *Engine {
 	return &Engine{k: k, dir: dir, lineSize: lineSize}
 }
 
+// Reset returns the engine to its just-built state: stats and the
+// in-flight count are zeroed, and transfers still in flight are dropped
+// (pooled ones are kept). The kernel must be reset first: its pending
+// events reference the dropped transfers.
+func (e *Engine) Reset() {
+	e.reads, e.writes, e.inflight = 0, 0, 0
+}
+
 // Stats returns (reads, writes) completed.
 func (e *Engine) Stats() (reads, writes uint64) { return e.reads, e.writes }
 

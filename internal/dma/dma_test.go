@@ -3,6 +3,7 @@ package dma
 import (
 	"testing"
 
+	"drftest/internal/audit"
 	"drftest/internal/coverage"
 	"drftest/internal/directory"
 	"drftest/internal/mem"
@@ -88,4 +89,25 @@ func TestCopyInSteadyStateAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(50, round); n != 0 {
 		t.Fatalf("steady-state CopyIn allocates %.1f objects, want 0", n)
 	}
+}
+
+// TestResetFieldAudit pins the Engine's field set: a field added later
+// must be classified here, and so cannot escape Reset (see package
+// audit).
+func TestResetFieldAudit(t *testing.T) {
+	audit.Fields(t, Engine{}, map[string]string{
+		"k":        "wiring: fixed at construction, survives Reset",
+		"dir":      "wiring: fixed at construction (its owner resets the directory)",
+		"lineSize": "wiring: fixed at construction, survives Reset",
+		"reads":    "stats: Reset zeroes",
+		"writes":   "stats: Reset zeroes",
+		"inflight": "state: Reset zeroes it, dropping transfers still in flight",
+		"free":     "pool: idle transfers, kept across Reset (every field a transfer reads is set before use)",
+	})
+}
+
+// TestNoMaps pins that the engine's state holds no Go map (see
+// audit.NoMaps), bar the backing store's far-page map.
+func TestNoMaps(t *testing.T) {
+	audit.NoMaps(t, Engine{}, "Store.far")
 }

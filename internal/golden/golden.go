@@ -1,0 +1,103 @@
+// Package golden compares a command's output with a committed copy
+// under the test's testdata/golden/ directory: the byte-identity
+// invariant (fixed flags ⇒ fixed output) as a test. Host time is the
+// one thing a run may not reproduce; HostTime names every field that
+// carries it, and Mask blanks them on both sides of the comparison.
+//
+// Regenerate a package's files with `go test -run Golden -update` in
+// it (the flag is defined only in test binaries that import golden).
+package golden
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite the golden files from this run's output")
+
+// HostTime lists every output field that is host time, not a result:
+// Mask replaces each pattern's match with its first submatch followed
+// by Masked.
+var HostTime = []*regexp.Regexp{
+	// Fig. 9: the wall column of each application row and the (UNION)
+	// total (app, L1 cov, L2 cov, sim events, wall). The column's
+	// padding goes too, since its width follows the value's.
+	regexp.MustCompile(`(?m)^(  \S+ +[\d.]+% +[\d.]+% +\d+ ) *\S+$`),
+}
+
+// Masked stands in for a host-time field.
+const Masked = "<host-time>"
+
+// Mask returns out with every HostTime field replaced by Masked.
+func Mask(out []byte) []byte {
+	for _, re := range HostTime {
+		out = re.ReplaceAll(out, []byte("${1}"+Masked))
+	}
+	return out
+}
+
+// Check compares got, masked, with testdata/golden/name; with -update
+// it writes the file instead. A mismatch names the command (cmd) and
+// the first differing line.
+func Check(t *testing.T, name, cmd string, got []byte) {
+	t.Helper()
+	got = Mask(got)
+	path := filepath.Join("testdata", "golden", name)
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%s: %v (regenerate with -update)", cmd, err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	i := 0
+	for i < len(g) && i < len(w) && g[i] == w[i] {
+		i++
+	}
+	line := func(lines []string) string {
+		if i < len(lines) {
+			return lines[i]
+		}
+		return "(end of output)"
+	}
+	t.Fatalf("%s: output differs from %s at line %d:\n got: %q\nwant: %q", cmd, path, i+1, line(g), line(w))
+}
+
+// RunMainEnv is the environment variable under which a command's test
+// binary runs the command's main instead of its tests (see RunMain).
+const RunMainEnv = "DRFTEST_RUN_MAIN"
+
+// RunMain re-executes the test binary as the command under test — its
+// TestMain runs main when RunMainEnv is set — with args, and returns
+// the command's standard output. A non-zero exit fails the test.
+func RunMain(t *testing.T, args ...string) []byte {
+	t.Helper()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, args...)
+	cmd.Env = append(os.Environ(), RunMainEnv+"=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("%s: %v\n%s", strings.Join(args, " "), err, stderr.Bytes())
+	}
+	return stdout.Bytes()
+}

@@ -1,0 +1,21 @@
+package golden
+
+import "testing"
+
+// TestMask: only the Fig. 9 wall fields are blanked; Fig. 6 rows,
+// which also end in a percentage column, are left alone.
+func TestMask(t *testing.T) {
+	in := "Fig. 9: application transition coverage and testing time\n" +
+		"  app                L1 cov   L2 cov   sim events         wall\n" +
+		"  Square              33.3%    37.5%        12768       3.44ms\n" +
+		"  (UNION)             72.2%    66.7%       659605      63.21ms\n" +
+		"  HACC                  22.9%      61.9%       2.5%      12.8%\n"
+	want := "Fig. 9: application transition coverage and testing time\n" +
+		"  app                L1 cov   L2 cov   sim events         wall\n" +
+		"  Square              33.3%    37.5%        12768 " + Masked + "\n" +
+		"  (UNION)             72.2%    66.7%       659605 " + Masked + "\n" +
+		"  HACC                  22.9%      61.9%       2.5%      12.8%\n"
+	if got := string(Mask([]byte(in))); got != want {
+		t.Fatalf("Mask:\n%s\nwant:\n%s", got, want)
+	}
+}

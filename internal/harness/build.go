@@ -131,6 +131,26 @@ func BuildHetero(gpuCfg viper.Config, numCPUs int, cpuCache cache.Config) *Heter
 	}
 }
 
+// Reset returns the system to its just-built state, so an application
+// run on it is bit-identical to one on a fresh BuildHetero (see DESIGN
+// §11.1). The kernel goes first, dropping every pending event; then
+// each layer empties its state in place, the GPU before the CPU caches,
+// directory, DMA engine, memory controller (whose private line pool
+// re-parks every line) and store, and the collector last.
+func (b *HeteroBuild) Reset() {
+	b.K.Reset()
+	b.GPU.Reset()
+	for _, c := range b.Caches {
+		c.Reset()
+	}
+	b.Dir.Reset()
+	b.DMA.Reset()
+	ctrl := b.Dir.Memory()
+	ctrl.Reset()
+	ctrl.Pool().Reset()
+	b.Col.Reset()
+}
+
 // --- Impossible-cell masks (the Impsb class of Fig. 7) ---
 
 // TCCImpossibleGPUOnly returns the L2 cells unreachable when no CPU

@@ -7,6 +7,7 @@ import (
 	"drftest/internal/core"
 	"drftest/internal/coverage"
 	"drftest/internal/cputester"
+	"drftest/internal/directory"
 	"drftest/internal/sim"
 	"drftest/internal/viper"
 )
@@ -95,6 +96,9 @@ type AppSuiteOptions struct {
 	MaxTicksPerApp sim.Tick
 	// Profiles defaults to the full 26-app suite.
 	Profiles []apps.Profile
+	// Workers is the worker-pool size (≤ 0 → GOMAXPROCS). Results do
+	// not depend on it.
+	Workers int
 }
 
 func (o AppSuiteOptions) withDefaults() AppSuiteOptions {
@@ -128,21 +132,59 @@ func scaleProfile(p apps.Profile, scale float64) apps.Profile {
 
 // RunAppSuite executes the application suite on the heterogeneous
 // system (GPU over the shared directory, host CPU traffic, DMA staging
-// — the paper's application-based testing setup).
-func RunAppSuite(opts AppSuiteOptions) *AppSuiteResult { return RunAppSuiteParallel(opts, 1) }
+// — the paper's application-based testing setup) over a pool of
+// opts.Workers workers. Each worker builds one system and resets it
+// between applications; application i always runs from seed
+// opts.Seed+i on a just-built-equivalent system, so the result is the
+// same at every worker count.
+func RunAppSuite(opts AppSuiteOptions) *AppSuiteResult {
+	opts = opts.withDefaults()
+	n := len(opts.Profiles)
+	results := make([]*AppRunResult, n)
+	builds := make([]*HeteroBuild, poolSize(n, opts.Workers))
+	parallelDo(n, opts.Workers, func(w, i int) {
+		b := builds[w]
+		if b == nil {
+			b = BuildHetero(viper.DefaultConfig(), opts.NumCPUs, DefaultCPUCache) // Table III application configuration
+			builds[w] = b
+		} else {
+			b.Reset()
+		}
+		results[i] = runOneApp(b, scaleProfile(opts.Profiles[i], opts.Scale), opts, opts.Seed+uint64(i))
+	})
 
-func runOneApp(prof apps.Profile, opts AppSuiteOptions, seed uint64) *AppRunResult {
-	gpuCfg := viper.DefaultConfig() // Table III application configuration
-	b := BuildHetero(gpuCfg, opts.NumCPUs, DefaultCPUCache)
+	out := &AppSuiteResult{
+		UnionL1:  coverage.NewMatrix(viper.NewTCPSpec()),
+		UnionL2:  coverage.NewMatrix(viper.NewTCCSpec()),
+		UnionDir: coverage.NewMatrix(directory.NewSpec()),
+	}
+	for _, r := range results {
+		out.Runs = append(out.Runs, r)
+		out.UnionL1.Merge(r.L1)
+		out.UnionL2.Merge(r.L2)
+		out.UnionDir.Merge(r.Dir)
+		out.TotalEvents += r.Res.Events
+		out.TotalWall += r.Res.WallTime
+		out.Faults += r.Res.Faults
+	}
+	out.UnionL1Sum = out.UnionL1.Summarize(nil)
+	out.UnionL2Sum = out.UnionL2.Summarize(TCCImpossibleHetero())
+	out.UnionDirSum = out.UnionDir.Summarize(nil)
+	return out
+}
+
+// runOneApp runs one application on b, a just-built or just-reset
+// system, and clones its coverage out of b's collector before the next
+// reset zeroes it.
+func runOneApp(b *HeteroBuild, prof apps.Profile, opts AppSuiteOptions, seed uint64) *AppRunResult {
 	res := runAppPhases(b, prof, opts, seed)
-
-	l1 := b.Col.Matrix("GPU-L1")
-	l2 := b.Col.Matrix("GPU-L2")
+	l1 := b.Col.Matrix("GPU-L1").Clone()
+	l2 := b.Col.Matrix("GPU-L2").Clone()
 	return &AppRunResult{
 		Res:   res,
 		L1:    l1,
 		L2:    l2,
-		Dir:   b.Col.Matrix("Directory"),
+		Dir:   b.Col.Matrix("Directory").Clone(),
 		L1Sum: l1.Summarize(nil),
 		L2Sum: l2.Summarize(TCCImpossibleHetero()),
 	}

@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"drftest/internal/audit"
 	"drftest/internal/mem"
 	"drftest/internal/viper"
 )
@@ -126,4 +127,20 @@ func smallGPU() viper.Config {
 	cfg := viper.SmallCacheConfig()
 	cfg.NumCUs = 2
 	return cfg
+}
+
+// TestHeteroBuildFieldAudit pins the heterogeneous system's layers: a
+// layer added to HeteroBuild must be classified here and, if it
+// carries run state, join HeteroBuild.Reset (TestAppSuiteReuseMatchesFresh
+// then checks the reset against a fresh build).
+func TestHeteroBuildFieldAudit(t *testing.T) {
+	audit.Fields(t, HeteroBuild{}, map[string]string{
+		"K":      "reset: Kernel.Reset, first",
+		"GPU":    "reset: viper.System.Reset",
+		"Caches": "reset: moesi.Cache.Reset, each",
+		"Dir":    "reset: directory.Directory.Reset; its memory controller and that controller's line pool after the DMA engine",
+		"DMA":    "reset: dma.Engine.Reset",
+		"Store":  "reset: by memctrl.Controller.Reset (the directory's controller owns it)",
+		"Col":    "reset: coverage.Collector.Reset, last",
+	})
 }

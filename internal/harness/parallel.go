@@ -13,18 +13,19 @@ import (
 )
 
 // Every run in a sweep owns an isolated kernel, RNG and coverage
-// collector, so sweeps are embarrassingly parallel: results are
-// bit-identical at every worker count (per-run determinism is
-// per-run), only wall clock changes. Wall-time totals still sum the
-// per-run times, so reported testing cost is unaffected by the worker
-// count. The serial entry points (RunGPUSweep, RunAppSuite,
-// RunCPUSweep) are these at one worker.
+// collector (the application suite's runs own them in turn, on a
+// per-worker system reset in between), so sweeps are embarrassingly
+// parallel: results are bit-identical at every worker count (per-run
+// determinism is per-run), only wall clock changes. Wall-time totals
+// still sum the per-run times, so reported testing cost is unaffected
+// by the worker count. The serial entry points (RunGPUSweep, RunCPUSweep) are these
+// at one worker; RunAppSuite takes its pool size in its options.
 
 // RunGPUSweepParallel executes the tester sweep over a worker pool
 // (workers ≤ 0 → GOMAXPROCS) and accumulates unions.
 func RunGPUSweepParallel(cfgs []GPUTestConfig, workers int) *GPUSweepResult {
 	results := make([]*GPURunResult, len(cfgs))
-	parallelDo(len(cfgs), workers, func(i int) {
+	parallelDo(len(cfgs), workers, func(_, i int) {
 		results[i] = RunGPUTest(cfgs[i])
 	})
 
@@ -46,34 +47,6 @@ func RunGPUSweepParallel(cfgs []GPUTestConfig, workers int) *GPUSweepResult {
 	return out
 }
 
-// RunAppSuiteParallel executes the application suite over a worker pool.
-func RunAppSuiteParallel(opts AppSuiteOptions, workers int) *AppSuiteResult {
-	opts = opts.withDefaults()
-	results := make([]*AppRunResult, len(opts.Profiles))
-	parallelDo(len(opts.Profiles), workers, func(i int) {
-		results[i] = runOneApp(scaleProfile(opts.Profiles[i], opts.Scale), opts, opts.Seed+uint64(i))
-	})
-
-	out := &AppSuiteResult{
-		UnionL1:  coverage.NewMatrix(viper.NewTCPSpec()),
-		UnionL2:  coverage.NewMatrix(viper.NewTCCSpec()),
-		UnionDir: coverage.NewMatrix(directory.NewSpec()),
-	}
-	for _, r := range results {
-		out.Runs = append(out.Runs, r)
-		out.UnionL1.Merge(r.L1)
-		out.UnionL2.Merge(r.L2)
-		out.UnionDir.Merge(r.Dir)
-		out.TotalEvents += r.Res.Events
-		out.TotalWall += r.Res.WallTime
-		out.Faults += r.Res.Faults
-	}
-	out.UnionL1Sum = out.UnionL1.Summarize(nil)
-	out.UnionL2Sum = out.UnionL2.Summarize(TCCImpossibleHetero())
-	out.UnionDirSum = out.UnionDir.Summarize(nil)
-	return out
-}
-
 // RunCPUSweepParallel executes the CPU tester sweep over a worker pool.
 func RunCPUSweepParallel(cfgs []CPUTestConfig, workers int) *CPUSweepResult {
 	type cpuOut struct {
@@ -81,7 +54,7 @@ func RunCPUSweepParallel(cfgs []CPUTestConfig, workers int) *CPUSweepResult {
 		cpu *coverage.Matrix
 	}
 	results := make([]cpuOut, len(cfgs))
-	parallelDo(len(cfgs), workers, func(i int) {
+	parallelDo(len(cfgs), workers, func(_, i int) {
 		b := BuildCPU(cfgs[i].NumCPUs, cfgs[i].CacheCfg)
 		rep := cputester.New(b.K, b.Caches, cfgs[i].TestCfg).Run()
 		// Materialize the CPU-L1 matrix once: it serves both the run's
@@ -108,23 +81,25 @@ func RunCPUSweepParallel(cfgs []CPUTestConfig, workers int) *CPUSweepResult {
 	return out
 }
 
-func parallelDo(n, workers int, do func(i int)) {
-	if n <= 0 {
-		return
-	}
+// poolSize is the number of workers parallelDo runs n jobs on.
+func poolSize(n, workers int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
+	return max(min(workers, n), 0)
+}
+
+// parallelDo runs do(w, i) for every job i in [0, n) on poolSize(n,
+// workers) goroutines; w in [0, poolSize) names the worker running the
+// job, so a caller can keep per-worker state indexed by it.
+func parallelDo(n, workers int, do func(w, i int)) {
 	// An atomic ticket dispenser replaces the old prefilled buffered
 	// channel: O(1) memory instead of O(n) buffered indices, and a
 	// worker claims its next index with one atomic add instead of a
 	// channel receive.
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range poolSize(n, workers) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -133,7 +108,7 @@ func parallelDo(n, workers int, do func(i int)) {
 				if i >= n {
 					return
 				}
-				do(i)
+				do(w, i)
 			}
 		}()
 	}

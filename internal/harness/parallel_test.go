@@ -1,11 +1,18 @@
 package harness
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"drftest/internal/apps"
+	"drftest/internal/moesi"
+	"drftest/internal/sim"
+	"drftest/internal/viper"
 )
 
 // runWithTimeout fails the test if fn does not return promptly — the
@@ -26,7 +33,7 @@ func runWithTimeout(t *testing.T, name string, fn func()) {
 
 func TestParallelDoZeroItems(t *testing.T) {
 	runWithTimeout(t, "parallelDo(0, …)", func() {
-		parallelDo(0, 4, func(i int) {
+		parallelDo(0, 4, func(_, i int) {
 			t.Errorf("do called with i=%d for n=0", i)
 		})
 	})
@@ -36,7 +43,10 @@ func TestParallelDoMoreWorkersThanItems(t *testing.T) {
 	runWithTimeout(t, "parallelDo(3, 16, …)", func() {
 		var mu sync.Mutex
 		seen := make(map[int]int)
-		parallelDo(3, 16, func(i int) {
+		parallelDo(3, 16, func(w, i int) {
+			if w >= 3 {
+				t.Errorf("job %d ran on worker %d of a pool of 3", i, w)
+			}
 			mu.Lock()
 			seen[i]++
 			mu.Unlock()
@@ -56,7 +66,7 @@ func TestParallelDoDefaultWorkers(t *testing.T) {
 	runWithTimeout(t, "parallelDo(8, 0, …)", func() {
 		var mu sync.Mutex
 		n := 0
-		parallelDo(8, 0, func(int) {
+		parallelDo(8, 0, func(int, int) {
 			mu.Lock()
 			n++
 			mu.Unlock()
@@ -97,46 +107,109 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelAppSuiteMatchesSerial: for the same seeds, the parallel
-// app suite must be bit-identical to the serial one — same per-run
-// event counts and identical union coverage matrices, cell for cell.
-// This pins the shared scaleProfile path: any drift between the serial
-// and parallel profile scaling shows up as an event-count mismatch.
-func TestParallelAppSuiteMatchesSerial(t *testing.T) {
-	opts := AppSuiteOptions{Seed: 3, Scale: 0.05, NumWFs: 4,
-		Profiles: []apps.Profile{*apps.ByName("Square"), *apps.ByName("CM"), *apps.ByName("FFT")}}
-	serial := RunAppSuite(opts)
-	par := RunAppSuiteParallel(opts, 3)
-	if serial.TotalEvents != par.TotalEvents || serial.Faults != par.Faults {
-		t.Fatalf("parallel app suite diverged: %d vs %d events", serial.TotalEvents, par.TotalEvents)
-	}
-	if len(serial.Runs) != len(par.Runs) {
-		t.Fatalf("run counts differ: %d vs %d", len(serial.Runs), len(par.Runs))
-	}
-	for i := range serial.Runs {
-		s, p := serial.Runs[i], par.Runs[i]
-		if s.Res.Events != p.Res.Events || s.Res.MemOps != p.Res.MemOps || s.Res.Faults != p.Res.Faults {
-			t.Fatalf("run %d diverged: events %d vs %d, memops %d vs %d",
-				i, s.Res.Events, p.Res.Events, s.Res.MemOps, p.Res.MemOps)
-		}
-		if s.L1Sum != p.L1Sum || s.L2Sum != p.L2Sum {
-			t.Fatalf("run %d coverage summaries diverged", i)
-		}
-	}
-	for name, pair := range map[string][2][][]uint64{
-		"L1":  {serial.UnionL1.Hits, par.UnionL1.Hits},
-		"L2":  {serial.UnionL2.Hits, par.UnionL2.Hits},
-		"Dir": {serial.UnionDir.Hits, par.UnionDir.Hits},
-	} {
-		for i := range pair[0] {
-			for j := range pair[0][i] {
-				if pair[0][i][j] != pair[1][i][j] {
-					t.Fatalf("%s union cell (%d,%d) differs: %d vs %d",
-						name, i, j, pair[0][i][j], pair[1][i][j])
+// TestAppSuiteReuseMatchesFresh is the oracle for HeteroBuild.Reset:
+// each application RunAppSuite runs on a worker's reused system must
+// equal the same application (same profile, same seed) on a fresh
+// BuildHetero — the same apps.RunResult bar wall time, and the same
+// L1, L2 and directory matrices. Forward and reversed profile orders
+// give every application a different predecessor; worker counts 1, 2
+// and 3 and two seeds vary which system runs what after what. Last, one
+// application is stopped mid-run, so Reset faces live TBEs, stall
+// queues, queued responses and a CPU request in flight rather than an
+// idle system; the application after it must also leave every layer's
+// counters as a fresh build does.
+func TestAppSuiteReuseMatchesFresh(t *testing.T) {
+	profs := []apps.Profile{*apps.ByName("Square"), *apps.ByName("CM"), *apps.ByName("FFT"), *apps.ByName("Histogram")}
+	reversed := slices.Clone(profs)
+	slices.Reverse(reversed)
+	for _, seed := range []uint64{3, 11} {
+		for _, order := range [][]apps.Profile{profs, reversed} {
+			opts := AppSuiteOptions{Seed: seed, Scale: 0.05, NumWFs: 4, Profiles: order}.withDefaults()
+			fresh := make([]*AppRunResult, len(order))
+			for i := range order {
+				fresh[i] = freshApp(opts, order[i], opts.Seed+uint64(i))
+			}
+			for _, workers := range []int{1, 2, 3} {
+				opts.Workers = workers
+				res := RunAppSuite(opts)
+				for i, r := range res.Runs {
+					requireAppRunEqual(t, fmt.Sprintf("seed %d, workers %d, %s after %d apps", seed, workers, order[i].Name, i), fresh[i], r)
 				}
 			}
 		}
 	}
+
+	opts := AppSuiteOptions{Seed: 3, Scale: 0.05, NumWFs: 4}.withDefaults()
+	b := BuildHetero(viper.DefaultConfig(), opts.NumCPUs, DefaultCPUCache)
+	stopMidRun(t, b, scaleProfile(profs[2], opts.Scale), opts)
+	b.Reset()
+	fb := BuildHetero(viper.DefaultConfig(), opts.NumCPUs, DefaultCPUCache)
+	next := scaleProfile(profs[1], opts.Scale)
+	requireAppRunEqual(t, "CM after a stopped FFT", runOneApp(fb, next, opts, 7), runOneApp(b, next, opts, 7))
+	if want, got := layerStats(fb), layerStats(b); !slices.Equal(want, got) {
+		t.Fatalf("CM after a stopped FFT: layer stats diverged\nfresh:  %v\nreused: %v", want, got)
+	}
+}
+
+// freshApp runs one application on a fresh system: the oracle for a
+// reused one.
+func freshApp(opts AppSuiteOptions, prof apps.Profile, seed uint64) *AppRunResult {
+	return runOneApp(BuildHetero(viper.DefaultConfig(), opts.NumCPUs, DefaultCPUCache), scaleProfile(prof, opts.Scale), opts, seed)
+}
+
+// layerStats gathers the counters of the heterogeneous layers that no
+// run result carries: directory, DMA engine, CPU caches and memory
+// controller.
+func layerStats(b *HeteroBuild) []uint64 {
+	nacks, probes, staleVics := b.Dir.Stats()
+	dmaReads, dmaWrites := b.DMA.Stats()
+	reads, writes, atomics, peak := b.Dir.Memory().Stats()
+	out := []uint64{nacks, probes, staleVics, dmaReads, dmaWrites, uint64(b.DMA.Inflight()), reads, writes, atomics, uint64(peak)}
+	for _, c := range b.Caches {
+		loads, loadHits, stores, storeHits, wbs := c.Stats()
+		out = append(out, loads, loadHits, stores, storeHits, wbs, uint64(c.OutstandingCount()))
+	}
+	return out
+}
+
+// stopMidRun runs prof on b with the kernel stopped at the first tick
+// (from half the full run's length, in steps) that cuts the run while
+// the directory holds a live TBE, a stall queue and a queued response
+// and a CPU cache has a request in flight, resetting b between
+// attempts. The stop comes from a poller, which, unlike an event, does
+// not keep the kernel busy through the DMA phases.
+func stopMidRun(t *testing.T, b *HeteroBuild, prof apps.Profile, opts AppSuiteOptions) {
+	t.Helper()
+	full := runAppPhases(b, prof, opts, 5).SimTicks
+	for at := sim.Tick(full / 2); at < sim.Tick(full); at += 97 {
+		b.Reset()
+		b.K.AddPoller(1, func() {
+			if b.K.Now() >= at {
+				b.K.Stop()
+			}
+		})
+		runAppPhases(b, prof, opts, 5)
+		dump := b.Dir.DebugDump()
+		cpuBusy := slices.ContainsFunc(b.Caches, func(c *moesi.Cache) bool { return c.OutstandingCount() > 0 })
+		if cpuBusy && strings.Contains(dump, "TBE ") && strings.Contains(dump, "stalled ") && strings.Contains(dump, "responses ") {
+			return
+		}
+	}
+	t.Fatalf("no stop tick in [%d, %d) left a live TBE, a stall queue, a queued response and a CPU request in flight", full/2, full)
+}
+
+// requireAppRunEqual fails unless two runs of one application agree on
+// everything but host time.
+func requireAppRunEqual(t *testing.T, name string, want, got *AppRunResult) {
+	t.Helper()
+	w, g := *want.Res, *got.Res
+	w.WallTime, g.WallTime = 0, 0
+	if !reflect.DeepEqual(w, g) {
+		t.Fatalf("%s: run result diverged\nfresh:  %+v\nreused: %+v", name, w, g)
+	}
+	requireMatrixEqual(t, name+" GPU-L1", want.L1, got.L1)
+	requireMatrixEqual(t, name+" GPU-L2", want.L2, got.L2)
+	requireMatrixEqual(t, name+" Directory", want.Dir, got.Dir)
 }
 
 func TestParallelCPUSweepMatchesSerial(t *testing.T) {

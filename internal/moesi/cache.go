@@ -296,6 +296,20 @@ func (c *Cache) writeWord(e *cache.Line, a mem.Addr, v uint32) {
 	binary.LittleEndian.PutUint32(e.Data[off:off+mem.WordSize], v)
 }
 
+// Reset returns the cache to its just-built state and keeps its wiring
+// (directory port, client, injected bugs) and its storage: every line is
+// invalidated, the TBE, victim, stall and in-flight tables are emptied
+// in place and the stats zeroed. The kernel must be reset first: its
+// pending events reference the requests and victims dropped here.
+func (c *Cache) Reset() {
+	c.array.Reset()
+	c.tbes.Clear()
+	c.vics.Clear()
+	c.stalled.Clear()
+	c.outstanding.Clear()
+	c.loads, c.loadHits, c.stores, c.storeHits, c.writebacks = 0, 0, 0, 0, 0
+}
+
 // ForEachOutstanding visits the cache's in-flight core requests.
 func (c *Cache) ForEachOutstanding(visit func(*mem.Request)) {
 	c.outstanding.Each(func(_ uint64, r **mem.Request) { visit(*r) })

@@ -239,6 +239,26 @@ func TestCPUSpecTextRoundTrip(t *testing.T) {
 	}
 }
 
+// TestResetFieldAudit pins the Cache's field set: a field added later
+// must be classified here, and so cannot escape Reset (see package
+// audit).
+func TestResetFieldAudit(t *testing.T) {
+	const (
+		wiring = "wiring: fixed at construction, survives Reset"
+		reset  = "state: Reset empties it in place"
+		stats  = "stats: Reset zeroes"
+	)
+	audit.Fields(t, Cache{}, map[string]string{
+		"k": wiring, "id": wiring, "machine": wiring, "dir": wiring,
+		"reqLatency": wiring, "respLatency": wiring,
+		"client": "wiring: set by SetClient, survives Reset",
+		"Bugs":   "wiring: injected bugs, survive Reset",
+		"array":  "state: Reset invalidates every line",
+		"tbes":   reset, "vics": reset, "stalled": reset, "outstanding": reset,
+		"loads": stats, "loadHits": stats, "stores": stats, "storeHits": stats, "writebacks": stats,
+	})
+}
+
 // TestNoMaps pins that a CPU cache's state and its snapshot hold no Go
 // map (see audit.NoMaps), bar the backing store's far-page map.
 func TestNoMaps(t *testing.T) {
