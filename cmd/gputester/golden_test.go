@@ -1,0 +1,107 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"regexp"
+	"testing"
+
+	"drftest/internal/golden"
+)
+
+// exploreClean is the reference exploration: the two-wavefront,
+// two-variable config enumerated to depth 6.
+var exploreClean = []string{"-explore", "-caches", "small", "-wfs", "2", "-lanes", "1",
+	"-episodes", "1", "-actions", "6", "-syncvars", "1", "-datavars", "1", "-explore-depth", "6"}
+
+// exploreBug is the same program with the non-atomic RMW injected: the
+// explorer finds the duplicate atomic within depth 10.
+var exploreBug = []string{"-explore", "-bug", "nonatomic", "-caches", "small", "-wfs", "2", "-lanes", "1",
+	"-episodes", "1", "-actions", "6", "-syncvars", "1", "-datavars", "1", "-explore-depth", "10"}
+
+// runExploreGolden runs gputester with args plus -workers and, for a bug run,
+// -artifact-dir: it returns the output with the artifact directory
+// spelled ARTIFACT_DIR and the artifact's bytes (nil for a clean run).
+func runExploreGolden(t *testing.T, args []string, workers string, bug bool) (out, artifact []byte) {
+	t.Helper()
+	args = append(append([]string(nil), args...), "-workers", workers)
+	if !bug {
+		return golden.RunMain(t, args...), nil
+	}
+	dir := t.TempDir()
+	out = golden.RunMainExit(t, 1, append(args, "-artifact-dir", dir)...)
+	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("%v: want one artifact in the artifact directory, found %v (%v)", args, files, err)
+	}
+	if artifact, err = os.ReadFile(files[0]); err != nil {
+		t.Fatal(err)
+	}
+	return bytes.ReplaceAll(out, []byte(dir), []byte("ARTIFACT_DIR")), artifact
+}
+
+// TestGoldenExplore pins gputester -explore at one worker: the text and
+// -json reports of a clean exploration and of one that finds an
+// injected bug, and the bug's replay artifact, byte for byte outside
+// the mean cut and rewind times.
+func TestGoldenExplore(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		bug  bool
+	}{
+		{"explore", exploreClean, false},
+		{"explore_nonatomic", exploreBug, true},
+	} {
+		for _, format := range []string{"txt", "json"} {
+			args := tc.args
+			if format == "json" {
+				args = append(append([]string(nil), args...), "-json")
+			}
+			out, artifact := runExploreGolden(t, args, "1", tc.bug)
+			golden.Check(t, "gputester_"+tc.name+"."+format, "gputester "+tc.name+" -"+format, out)
+			if artifact != nil && format == "txt" {
+				golden.Check(t, "gputester_"+tc.name+"_artifact.json", "gputester "+tc.name+" artifact", artifact)
+			}
+		}
+	}
+}
+
+// hostCost matches the explorer's fields that may move with the worker
+// count: the cuts line of the text report, and the cut, rewind and
+// replay counts under -json (the means are golden.HostTime already).
+var hostCost = []*regexp.Regexp{
+	regexp.MustCompile(`(?m)^(  cuts ).*$`),
+	regexp.MustCompile(`("(?:cuts|restores|replayedEvents)": )\d+`),
+}
+
+func maskHostCost(out []byte) []byte {
+	out = golden.Mask(out)
+	for _, re := range hostCost {
+		out = re.ReplaceAll(out, []byte("${1}"+golden.Masked))
+	}
+	return out
+}
+
+// TestExploreWorkersOutput: -workers 2 prints what -workers 1 prints,
+// and writes the same artifact, once the host-cost fields are masked.
+func TestExploreWorkersOutput(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		bug  bool
+	}{
+		{exploreClean, false},
+		{exploreBug, true},
+		{append(append([]string(nil), exploreBug...), "-json"), true},
+	} {
+		one, art1 := runExploreGolden(t, tc.args, "1", tc.bug)
+		two, art2 := runExploreGolden(t, tc.args, "2", tc.bug)
+		if !bytes.Equal(maskHostCost(one), maskHostCost(two)) {
+			t.Errorf("%v: -workers 2 output differs from -workers 1:\n%s\nvs\n%s", tc.args, two, one)
+		}
+		if !bytes.Equal(art1, art2) {
+			t.Errorf("%v: -workers 2 artifact differs from -workers 1", tc.args)
+		}
+	}
+}

@@ -17,7 +17,7 @@
 //	gputester -worker URL [-worker-slots N]
 //	gputester -daemon URL [campaign flags] [-lease-seeds N]
 //	gputester -explore [-explore-depth D] [-explore-budget N]
-//	          [workload flags] [-artifact-dir DIR]
+//	          [-workers 0] [workload flags] [-artifact-dir DIR]
 //
 // With -artifact-dir set the run records a bounded execution trace
 // and, on any checker failure, serializes a replay artifact (JSON)
@@ -47,8 +47,10 @@
 // schedule. Exploration is only tractable for small configs — think 2-4
 // wavefronts and a handful of variables. A violating schedule is
 // serialized into the replay artifact's `schedule` field, which `replay`
-// re-executes bit-identically. -explore is mutually exclusive with the
-// campaign and daemon modes.
+// re-executes bit-identically. -workers explorers, each with its own
+// run, split the schedule tree; the report is the same for any worker
+// count except the cut, rewind and replay counts and their mean times.
+// -explore is mutually exclusive with the campaign and daemon modes.
 //
 // The three daemon modes distribute campaigns across processes
 // (internal/campaignd): -serve runs the control-plane daemon (HTTP
@@ -164,7 +166,7 @@ func main() {
 	saturateK := flag.Int("saturate-k", 3, "campaign: stop after this many consecutive batches with no new coverage (0 = run exactly max-seeds)")
 	maxSeeds := flag.Int("max-seeds", harness.DefaultCampaignMaxSeeds, "campaign: hard cap on seeds run")
 	batch := flag.Int("batch", 16, "campaign: seeds per batch between coverage merges")
-	workers := flag.Int("workers", 0, "campaign: worker pool size (0 = GOMAXPROCS); does not affect the outcome")
+	workers := flag.Int("workers", 0, "campaign and explore: worker pool size (0 = GOMAXPROCS); does not affect the outcome")
 	campaignFork := flag.Bool("campaign-fork", false, "campaign: fork seeds from a warm system snapshot instead of resetting reused contexts")
 	serve := flag.String("serve", "", "run the campaign control-plane daemon on this address (e.g. 127.0.0.1:7077)")
 	serveWorkers := flag.Int("serve-workers", 0, "daemon: local worker pool size (0 = GOMAXPROCS, negative = remote workers only)")
@@ -278,6 +280,7 @@ func main() {
 			Depth:       *exploreDepth,
 			Budget:      *exploreBudget,
 			Prune:       true,
+			Workers:     *workers,
 			TraceDepth:  *traceDepth,
 			ArtifactDir: *artifactDir,
 		}, *jsonOut, exit)

@@ -23,6 +23,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"drftest/internal/mem"
 )
@@ -432,7 +433,12 @@ func (a *Array) SnapshotInto(s *ArraySnapshot) *ArraySnapshot {
 	if s == nil {
 		s = &ArraySnapshot{}
 	}
-	s.hdrs, s.data = s.hdrs[:0], s.data[:0]
+	n := 0
+	for _, w := range a.live {
+		n += bits.OnesCount64(w)
+	}
+	s.hdrs = slices.Grow(s.hdrs[:0], n)
+	s.data = slices.Grow(s.data[:0], n*a.cfg.LineSize)
 	s.useClock, s.lookups, s.hits = a.useClock, a.lookups, a.hits
 	a.forValid(false, func(l *Line) {
 		s.hdrs = append(s.hdrs, lineHdr{idx: l.idx, state: l.State, tag: l.Tag, lastUse: l.lastUse})

@@ -28,18 +28,32 @@ func TestStreamFieldAudit(t *testing.T) {
 		"result":    "state: slice-copied alongside finished",
 	})
 	audit.Fields(t, epState{}, map[string]string{
-		"id":        "state: via copyEp",
-		"createSeq": "state: via copyEp",
-		"known":     "state: via copyEp (unknown records live only in the eps table)",
-		"dead":      "state: via copyEp (dead records live only in the liveQ)",
-		"ownWrites": "state: deep slice copy via copyEp, into the destination's own backing array",
-		"touched":   "state: deep slice copy via copyEp, into the destination's own backing array",
+		"id":        "state: via saveEp/loadEp",
+		"createSeq": "state: via saveEp/loadEp",
+		"known":     "state: via saveEp/loadEp (unknown records live only in the eps table)",
+		"dead":      "state: via saveEp/loadEp (dead records live only in the liveQ)",
+		"ownWrites": "state: deep copy into the snapshot's ownWrites arena; loadEp refills the destination's own backing array",
+		"touched":   "state: deep copy into the snapshot's touched arena; loadEp refills the destination's own backing array",
+	})
+	audit.Fields(t, epSave{}, map[string]string{
+		"id":        "save: value copy",
+		"createSeq": "save: value copy",
+		"known":     "save: value copy",
+		"dead":      "save: value copy",
+		"ownWrites": "save: range of the snapshot's ownWrites arena",
+		"touched":   "save: range of the snapshot's touched arena",
 	})
 	audit.Fields(t, varState{}, map[string]string{
-		"intervals": "state: deep slice copy via copyVar",
-		"prev":      "state: value copy via copyVar",
-		"hasPrev":   "state: value copy via copyVar",
-		"writers":   "state: deep slice copy via copyVar",
+		"intervals": "state: deep copy into the snapshot's intervals arena via saveVar/loadVar",
+		"prev":      "state: value copy via saveVar/loadVar",
+		"hasPrev":   "state: value copy via saveVar/loadVar",
+		"writers":   "state: deep copy into the snapshot's writers arena via saveVar/loadVar",
+	})
+	audit.Fields(t, varSave{}, map[string]string{
+		"intervals": "save: range of the snapshot's intervals arena",
+		"prev":      "save: value copy",
+		"hasPrev":   "save: value copy",
+		"writers":   "save: range of the snapshot's writers arena",
 	})
 	audit.Fields(t, atomicState{}, map[string]string{
 		"contig":  "state: value copy via copyAtomic",

@@ -17,9 +17,12 @@ import "slices"
 // into both structures. Variable folds are index-addressed on both
 // sides, so a cut and a restore copy them into place.
 //
-// Saving and restoring a fold is the same copy in opposite directions
-// (copyEp, copyVar, copyAtomic), always refilling the destination's
-// own slices and table.
+// A cut stores the folds flat: each episode's own writes and touched
+// variables, and each variable's intervals and writers, are ranges of
+// four arenas shared by the whole snapshot (saveEp/loadEp,
+// saveVar/loadVar), so a fresh cut allocates a handful of slices
+// however many folds it holds. Atomic folds keep one copy routine,
+// copyAtomic, in both directions.
 
 // StreamSnapshot is a Stream cut; obtain via Stream.Snapshot (or
 // Pipeline.Snapshot, which quiesces the ring first), reinstate via
@@ -31,13 +34,19 @@ type StreamSnapshot struct {
 	// (including dead heads not yet popped, which are no longer in the
 	// eps table); entries after that are unknown-episode records, which
 	// are only in the table.
-	eps   []epState
+	eps   []epSave
 	nLive int
 
 	// atomics and vars hold the folds of the ids in use, indexed by
 	// variable id.
 	atomics []atomicState
-	vars    []varState
+	vars    []varSave
+
+	// The arenas the eps' and vars' spans index.
+	ownWrites []ownWrite
+	touched   []int
+	intervals []ival
+	writers   []writerRec
 
 	a2unknown []Violation
 	a2overlap []overlapViol
@@ -45,6 +54,66 @@ type StreamSnapshot struct {
 
 	finished bool
 	result   []Violation
+}
+
+// span is a range of one of a StreamSnapshot's arenas.
+type span struct{ off, n int32 }
+
+// spanOf is where x lands when appended to arena.
+func spanOf[T any](arena, x []T) span { return span{int32(len(arena)), int32(len(x))} }
+
+// within is sp's range of arena.
+func within[T any](arena []T, sp span) []T { return arena[sp.off : sp.off+sp.n] }
+
+// epSave is an episode fold in a StreamSnapshot.
+type epSave struct {
+	id, createSeq      uint64
+	known, dead        bool
+	ownWrites, touched span
+}
+
+// varSave is a variable fold in a StreamSnapshot.
+type varSave struct {
+	intervals span
+	prev      ival
+	hasPrev   bool
+	writers   span
+}
+
+func (v *varSave) isEmpty() bool { return v.intervals.n == 0 && v.writers.n == 0 && !v.hasPrev }
+
+// saveEp appends es to the snapshot, its slices to the arenas.
+func (snap *StreamSnapshot) saveEp(es *epState) {
+	snap.eps = append(snap.eps, epSave{
+		id: es.id, createSeq: es.createSeq, known: es.known, dead: es.dead,
+		ownWrites: spanOf(snap.ownWrites, es.ownWrites), touched: spanOf(snap.touched, es.touched),
+	})
+	snap.ownWrites = append(snap.ownWrites, es.ownWrites...)
+	snap.touched = append(snap.touched, es.touched...)
+}
+
+// loadEp refills es from a saved episode, into es's own slices.
+func (snap *StreamSnapshot) loadEp(es *epState, sv *epSave) {
+	es.id, es.createSeq, es.known, es.dead = sv.id, sv.createSeq, sv.known, sv.dead
+	es.ownWrites = append(es.ownWrites[:0], within(snap.ownWrites, sv.ownWrites)...)
+	es.touched = append(es.touched[:0], within(snap.touched, sv.touched)...)
+}
+
+// saveVar appends v to the snapshot, its slices to the arenas.
+func (snap *StreamSnapshot) saveVar(v *varState) {
+	snap.vars = append(snap.vars, varSave{
+		intervals: spanOf(snap.intervals, v.intervals), prev: v.prev, hasPrev: v.hasPrev,
+		writers: spanOf(snap.writers, v.writers),
+	})
+	snap.intervals = append(snap.intervals, v.intervals...)
+	snap.writers = append(snap.writers, v.writers...)
+}
+
+// loadVar refills v from a saved variable, into v's own slices.
+func (snap *StreamSnapshot) loadVar(v *varState, sv *varSave) {
+	v.intervals = append(v.intervals[:0], within(snap.intervals, sv.intervals)...)
+	v.prev, v.hasPrev = sv.prev, sv.hasPrev
+	v.writers = append(v.writers[:0], within(snap.writers, sv.writers)...)
 }
 
 // Reset rearms the stream for a fresh run, keeping its tables, the
@@ -79,19 +148,6 @@ func (s *Stream) harvest() {
 	})
 }
 
-func copyEp(dst, src *epState) {
-	own, touched := dst.ownWrites, dst.touched
-	*dst = *src
-	dst.ownWrites = append(own[:0], src.ownWrites...)
-	dst.touched = append(touched[:0], src.touched...)
-}
-
-func copyVar(dst, src *varState) {
-	dst.intervals = append(dst.intervals[:0], src.intervals...)
-	dst.prev, dst.hasPrev = src.prev, src.hasPrev
-	dst.writers = append(dst.writers[:0], src.writers...)
-}
-
 func copyAtomic(dst, src *atomicState) {
 	pending := dst.pending
 	*dst = *src
@@ -119,29 +175,52 @@ func (s *Stream) SnapshotInto(snap *StreamSnapshot) *StreamSnapshot {
 
 	live := s.liveQ[s.liveHead:]
 	snap.nLive = len(live)
-	snap.eps = snap.eps[:0]
+	neps, nown, ntouched := len(live), 0, 0
+	count := func(es *epState) {
+		nown += len(es.ownWrites)
+		ntouched += len(es.touched)
+	}
 	for _, es := range live {
-		snap.eps = slices.Grow(snap.eps, 1)[:len(snap.eps)+1]
-		copyEp(&snap.eps[len(snap.eps)-1], es)
+		count(es)
 	}
 	s.eps.Each(func(_ uint64, es **epState) {
 		if !(*es).known {
-			snap.eps = slices.Grow(snap.eps, 1)[:len(snap.eps)+1]
-			copyEp(&snap.eps[len(snap.eps)-1], *es)
+			neps++
+			count(*es)
+		}
+	})
+	snap.eps = slices.Grow(snap.eps[:0], neps)
+	snap.ownWrites = slices.Grow(snap.ownWrites[:0], nown)
+	snap.touched = slices.Grow(snap.touched[:0], ntouched)
+	for _, es := range live {
+		snap.saveEp(es)
+	}
+	s.eps.Each(func(_ uint64, es **epState) {
+		if !(*es).known {
+			snap.saveEp(*es)
 		}
 	})
 	snap.atomics = resize(snap.atomics, len(s.atomics))
 	for v := range s.atomics {
 		copyAtomic(&snap.atomics[v], &s.atomics[v])
 	}
-	snap.vars = resize(snap.vars, s.nvars)
 	var none varState
-	for v := range snap.vars {
+	nivals, nwriters := 0, 0
+	for v := 0; v < s.nvars; v++ {
+		if src := s.fold(v); src != nil {
+			nivals += len(src.intervals)
+			nwriters += len(src.writers)
+		}
+	}
+	snap.vars = slices.Grow(snap.vars[:0], s.nvars)
+	snap.intervals = slices.Grow(snap.intervals[:0], nivals)
+	snap.writers = slices.Grow(snap.writers[:0], nwriters)
+	for v := 0; v < s.nvars; v++ {
 		src := s.fold(v)
 		if src == nil {
 			src = &none
 		}
-		copyVar(&snap.vars[v], src)
+		snap.saveVar(src)
 	}
 	return snap
 }
@@ -168,7 +247,7 @@ func (s *Stream) Restore(snap *StreamSnapshot) {
 	s.liveQ, s.liveHead = s.liveQ[:0], 0
 	for i := range snap.eps {
 		es := s.newEpState()
-		copyEp(es, &snap.eps[i])
+		snap.loadEp(es, &snap.eps[i])
 		if i < snap.nLive {
 			s.liveQ = append(s.liveQ, es)
 		}
@@ -182,9 +261,9 @@ func (s *Stream) Restore(snap *StreamSnapshot) {
 	}
 	for v := range snap.vars {
 		if dst := s.fold(v); dst != nil {
-			copyVar(dst, &snap.vars[v])
+			snap.loadVar(dst, &snap.vars[v])
 		} else if !snap.vars[v].isEmpty() {
-			copyVar(s.rec(v), &snap.vars[v])
+			snap.loadVar(s.rec(v), &snap.vars[v])
 		}
 	}
 	s.nvars = len(snap.vars)

@@ -92,6 +92,7 @@ func (t *Tester) SnapshotInto(s *TesterSnapshot) *TesterSnapshot {
 	s.testerState.copyFrom(&t.testerState)
 	s.space.copyFrom(&t.space.spaceState)
 	s.threads = slices.Grow(s.threads[:0], len(t.threads))[:len(t.threads)]
+	s.presize(t.threads)
 	for i, thr := range t.threads {
 		s.threads[i].copyFrom(&thr.threadState)
 	}
@@ -110,6 +111,34 @@ func (t *Tester) SnapshotInto(s *TesterSnapshot) *TesterSnapshot {
 		s.stream = nil
 	}
 	return s
+}
+
+// presize gives each snapshot thread whose episode slices are too
+// short for its live source's the room they need, carved from one
+// array per slice kind: a fresh snapshot allocates two arrays, not two
+// per thread.
+func (s *TesterSnapshot) presize(threads []*thread) {
+	short := func(i int) (d, src *episode, ok bool) {
+		d, src = &s.threads[i].ep, &threads[i].ep
+		return d, src, threads[i].live && (cap(d.ops) < len(src.ops) || cap(d.claimOrder) < len(src.claimOrder))
+	}
+	nops, norder := 0, 0
+	for i := range threads {
+		if _, src, ok := short(i); ok {
+			nops += len(src.ops)
+			norder += len(src.claimOrder)
+		}
+	}
+	if nops == 0 && norder == 0 {
+		return
+	}
+	ops, order := make([]genOp, nops), make([]*variable, norder)
+	for i := range threads {
+		if d, src, ok := short(i); ok {
+			d.ops, ops = ops[:0:len(src.ops)], ops[len(src.ops):]
+			d.claimOrder, order = order[:0:len(src.claimOrder)], order[len(src.claimOrder):]
+		}
+	}
 }
 
 // Restore reinstates a state captured by Snapshot on this tester. The

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -350,7 +351,13 @@ func (c *Collector) SnapshotInto(s *CollectorSnapshot) *CollectorSnapshot {
 	if s == nil {
 		s = &CollectorSnapshot{}
 	}
-	s.hits = s.hits[:0]
+	n := 0
+	for _, m := range c.order {
+		for _, row := range m.Hits {
+			n += len(row)
+		}
+	}
+	s.hits = slices.Grow(s.hits[:0], n)
 	for _, m := range c.order {
 		for _, row := range m.Hits {
 			s.hits = append(s.hits, row...)

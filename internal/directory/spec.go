@@ -10,7 +10,11 @@
 // are uniquely activated by application-based testing (Fig. 10).
 package directory
 
-import "drftest/internal/protocol"
+import (
+	"sync"
+
+	"drftest/internal/protocol"
+)
 
 // Directory states.
 const (
@@ -48,8 +52,12 @@ var Events = []string{
 	"DMA_Rd", "DMA_Wr", "PrbAckC", "PrbAckD", "PrbAckO", "MemData", "MemWBAck",
 }
 
-// NewSpec builds the directory transition table.
-func NewSpec() *protocol.Spec {
+// NewSpec returns the directory transition table: one immutable spec
+// per process, shared by every build (callers must not modify it).
+func NewSpec() *protocol.Spec { return dirSpec() }
+
+// dirSpec is the shared table's one build.
+var dirSpec = sync.OnceValue(func() *protocol.Spec {
 	s := protocol.NewSpec("Directory", States, Events)
 
 	for _, ev := range []int{EvGPURd, EvGPUWr, EvCPURd, EvCPURdX, EvCPUUpg, EvDMARd, EvDMAWr} {
@@ -86,4 +94,4 @@ func NewSpec() *protocol.Spec {
 	s.Trans(StateB, EvMemWBAck, StateB, "memory write done")
 
 	return s
-}
+})

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"testing"
 
 	"drftest/internal/cache"
@@ -43,24 +44,21 @@ type terminal struct {
 // mutation, digesting each completed schedule's terminal state.
 func explored(t *testing.T, cfg Config, w widening) terminal {
 	t.Helper()
-	e := newEngine(cfg)
-	e.widen = w
+	x := newExplorer(cfg)
+	x.widen = w
 	out := terminal{digests: map[[32]byte]bool{}}
-	e.run.Tester.Start()
-	for {
-		e.run.K.RunUntilIdle()
-		if !e.aborted {
-			out.digests[verdictDigest(e.run)] = true
-		}
-		stop, err := e.scheduleDone()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stop || !e.backtrack() {
-			break
-		}
+	var mu sync.Mutex
+	x.onTerminal = func(r *run) {
+		d := verdictDigest(r)
+		mu.Lock()
+		out.digests[d] = true
+		mu.Unlock()
 	}
-	out.res = e.finish()
+	res, err := x.explore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.res = res
 	return out
 }
 
@@ -165,7 +163,7 @@ func TestPruneMatchesNaive(t *testing.T) {
 	caught := false
 	for _, c := range diffCases() {
 		t.Run(c.name, func(t *testing.T) {
-			cfg := Config{SysCfg: c.sys, TestCfg: c.tc, Depth: 64, Budget: 100_000}
+			cfg := Config{SysCfg: c.sys, TestCfg: c.tc, Depth: 64, Budget: 100_000, Workers: 1}
 			naive := explored(t, cfg, keepAll)
 			cfg.Prune = true
 			for _, w := range []widening{keepAll, dropSameUnit, dropSetCollision} {

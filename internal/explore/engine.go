@@ -42,11 +42,11 @@ func (g depGeom) conflict(la, lb uint64) bool {
 // belong to different ordering units, and their lines cannot conflict
 // — the conservative direction is always "dependent", which costs
 // exploration work but never soundness.
-func (e *engine) dependent(aTag, bTag uint64) bool {
+func (x *explorer) dependent(aTag, bTag uint64) bool {
 	if aTag == 0 || bTag == 0 {
 		return true
 	}
-	if sim.TagUnit(aTag) == sim.TagUnit(bTag) && e.widen != dropSameUnit {
+	if sim.TagUnit(aTag) == sim.TagUnit(bTag) && x.widen != dropSameUnit {
 		return true
 	}
 	la, aok := sim.TagLine(aTag)
@@ -54,10 +54,10 @@ func (e *engine) dependent(aTag, bTag uint64) bool {
 	if !aok || !bok {
 		return true
 	}
-	if e.widen == dropSetCollision {
+	if x.widen == dropSetCollision {
 		return la == lb
 	}
-	return e.geom.conflict(la, lb)
+	return x.geom.conflict(la, lb)
 }
 
 // widening names a clause of dependent that a test drops to show the
@@ -79,21 +79,24 @@ const replayBound = 16
 // node is one branching decision point on the DFS stack. The engine
 // keeps one node per depth for the whole exploration: a node whose
 // candidates are exhausted is dead, and the next decision at its depth
-// refills its cut, candidate slice and sleep set.
+// refills its candidate slice and sleep set.
 type node struct {
-	// cut is the full run-context snapshot taken from inside Choose,
-	// before the decision fired: restoring it re-presents the identical
-	// candidate set. Only nodes with cutAt equal to their own depth fill
-	// it.
-	cut harness.Checkpoint
-	// cutAt is the depth of the node whose cut a rewind to this
-	// decision restores: this node's own, or the nearest ancestor's
-	// that holds one, from where the script replays up to here.
-	cutAt int
+	// cut is the full run-context snapshot this decision took from
+	// inside Choose, before the decision fired, or nil when a rewind
+	// here replays from an ancestor's cut. It comes from the engine's
+	// free list and goes back to it when the node dies.
+	cut *harness.Checkpoint
+	// from is the cut a rewind to this decision restores (this node's
+	// own, the nearest cut-holding ancestor's, or the engine's root
+	// cut), and fromLen the script length at it, from where the script
+	// replays up to here.
+	from    *harness.Checkpoint
+	fromLen int
 	// cands are the viable (not-asleep) candidates; next indexes the
-	// one the resumed Choose call takes.
-	cands []sim.Enabled
-	next  int
+	// one the resumed Choose call takes, and end bounds the range this
+	// engine owns: a donation to an idle worker lowers it.
+	cands     []sim.Enabled
+	next, end int
 	// sleep is the live sleep set as it stood at this decision (the Z
 	// of Godefroid's algorithm).
 	sleep []sleeper
@@ -116,16 +119,27 @@ func asleep(set []sleeper, seq uint64) bool {
 	return false
 }
 
-// engine is the DFS explorer; it implements sim.Chooser.
+// engine is one worker's DFS explorer over its own run; it implements
+// sim.Chooser. It explores one task at a time (see parallel.go).
 type engine struct {
-	cfg  *Config
-	run  *run
-	geom depGeom
+	x   *explorer
+	run *run
 
-	// nodes[:depth] is the DFS stack; nodes past depth are dead and
+	// task is the task being explored and res its counts; base is the
+	// depth of the task's bottom node, below which backtrack never goes.
+	task *task
+	res  *Result
+	base int
+	// nodes[base:depth] is the DFS stack; nodes past depth are dead and
 	// kept for their storage.
-	nodes  []*node
-	depth  int
+	nodes []node
+	depth int
+	// root is the cut at the run's first multi-candidate decision,
+	// where every task's replay starts; rooted reports it was taken.
+	root   harness.Checkpoint
+	rooted bool
+	// free holds the cuts no live node refers to.
+	free   []*harness.Checkpoint
 	script []uint64
 	// live is the current path's sleep set: events that an
 	// already-explored sibling branch fired first and nothing dependent
@@ -142,20 +156,120 @@ type engine struct {
 	resume  bool
 	pos     int
 	aborted bool
-	// cutTime and rewindTime total the host time spent in cuts and in
-	// rewinds (restore plus replay), for the means in the result;
-	// rewindStart is when the current rewind began.
-	cutTime, rewindTime time.Duration
-	rewindStart         time.Time
-	res                 Result
-	// replayBound is the package constant outside tests, which override
-	// it to compare rewind policies.
-	replayBound int
-	// beforeReuse, when set, is handed each dead node just before the
-	// next decision at its depth refills it (the poison test's hook).
-	beforeReuse func(*node)
-	// widen is keepAll outside the differential test's mutations.
-	widen widening
+	// cost is what the engine's cuts and rewinds cost, whatever task
+	// they served; rewindStart is when the current rewind began.
+	cost        hostCost
+	rewindStart time.Time
+}
+
+// hostCost counts an engine's full cuts, its rewinds and the events
+// they replayed, and totals the host time spent in cuts and in rewinds
+// (restore plus replay), for the result's cost fields.
+type hostCost struct {
+	cuts, restores, replayed uint64
+	cutTime, rewindTime      time.Duration
+}
+
+// newEngine builds a worker's run with the engine attached as its
+// chooser.
+func (x *explorer) newEngine() *engine {
+	e := &engine{x: x, run: newRun(x.cfg)}
+	e.run.K.SetChooser(e)
+	x.mu.Lock()
+	x.engines = append(x.engines, e)
+	x.mu.Unlock()
+	return e
+}
+
+// runTask explores t depth-first until its range is exhausted or it
+// must stop (violation, budget, cancellation), then frees its stack.
+func (e *engine) runTask(t *task) {
+	e.begin(t)
+	for {
+		e.run.K.RunUntilIdle()
+		if e.scheduleDone() || !e.backtrack() {
+			break
+		}
+	}
+	for ; e.depth > e.base; e.depth-- {
+		e.release(&e.nodes[e.depth-1])
+	}
+	e.depth = 0
+}
+
+// begin arms the engine for t. The root task starts the run; any other
+// task rebuilds its bottom node from t and rewinds to it: the root cut
+// restored (taken on the way, by replay, on the engine's first task)
+// and t's script prefix replayed.
+func (e *engine) begin(t *task) {
+	e.task, e.res = t, &t.res
+	e.script = append(e.script[:0], t.prefix...)
+	e.live = e.live[:0]
+	e.aborted = false
+	if t.depth < 0 {
+		e.base, e.depth, e.resume = 0, 0, false
+		e.run.Tester.Start()
+		return
+	}
+	e.base, e.depth = t.depth, t.depth+1
+	n := e.open(t.depth)
+	n.cut, n.from, n.fromLen = nil, &e.root, 0
+	n.cands = append(n.cands[:0], t.cands...)
+	n.next, n.end = t.first, t.end
+	n.sleep = append(n.sleep[:0], t.sleep...)
+	n.scriptLen = len(t.prefix)
+	e.rewindStart = time.Now()
+	e.resume, e.pos, e.sinceCut = true, 0, 0
+	if e.rooted {
+		e.run.Restore(&e.root)
+		e.cost.restores++
+	} else {
+		e.run.Tester.Start()
+	}
+}
+
+// open returns the node storage at depth d, growing the stack as
+// needed and handing the reused node to the poison hook.
+func (e *engine) open(d int) *node {
+	for len(e.nodes) <= d {
+		e.nodes = append(e.nodes, node{})
+	}
+	n := &e.nodes[d]
+	if e.x.beforeReuse != nil {
+		e.x.beforeReuse(n)
+	}
+	return n
+}
+
+// checkpoint takes a full cut into c.
+func (e *engine) checkpoint(c *harness.Checkpoint) {
+	start := time.Now()
+	e.run.CheckpointInto(c)
+	e.cost.cutTime += time.Since(start)
+	e.cost.cuts++
+	e.sinceCut = 0
+}
+
+// acquire returns a cut from the free list, or a fresh one.
+func (e *engine) acquire() *harness.Checkpoint {
+	k := len(e.free)
+	if k == 0 {
+		return &harness.Checkpoint{}
+	}
+	c := e.free[k-1]
+	e.free = e.free[:k-1]
+	if e.x.beforeReuse != nil {
+		e.x.beforeReuse(c)
+	}
+	return c
+}
+
+// release returns a dying node's own cut to the free list.
+func (e *engine) release(n *node) {
+	if n.cut != nil {
+		e.free = append(e.free, n.cut)
+		n.cut = nil
+	}
 }
 
 // Choose implements sim.Chooser: it is called once per fired event and
@@ -169,7 +283,7 @@ func (e *engine) Choose(now sim.Tick, cands []sim.Enabled) int {
 
 	e.res.Candidates += uint64(len(cands))
 	viable := cands
-	if e.cfg.Prune && len(e.live) > 0 {
+	if e.x.cfg.Prune && len(e.live) > 0 {
 		viable = e.viable[:0]
 		for _, c := range cands {
 			if !asleep(e.live, c.Seq) {
@@ -189,27 +303,28 @@ func (e *engine) Choose(now sim.Tick, cands []sim.Enabled) int {
 		e.res.PrunedBranches += uint64(len(cands) - len(viable))
 	}
 
-	if len(viable) > 1 && e.depth < e.cfg.Depth {
-		if e.depth == len(e.nodes) {
-			e.nodes = append(e.nodes, &node{})
-			e.res.FrontierDepths = append(e.res.FrontierDepths, 0)
-		}
-		n := e.nodes[e.depth]
-		if e.beforeReuse != nil {
-			e.beforeReuse(n)
-		}
+	if len(viable) > 1 && e.depth < e.x.cfg.Depth {
+		n := e.open(e.depth)
 		n.cands = append(n.cands[:0], viable...)
-		n.next = 1
+		n.next, n.end = 1, len(viable)
 		n.sleep = append(n.sleep[:0], e.live...)
 		n.scriptLen = len(e.script)
-		if e.depth == 0 || e.sinceCut > e.replayBound {
-			start := time.Now()
-			e.run.CheckpointInto(&n.cut)
-			e.cutTime += time.Since(start)
-			e.res.Cuts++
-			n.cutAt, e.sinceCut = e.depth, 0
-		} else {
-			n.cutAt = e.nodes[e.depth-1].cutAt
+		n.cut = nil
+		switch {
+		case e.depth == 0:
+			e.checkpoint(&e.root)
+			e.rooted = true
+			n.from, n.fromLen = &e.root, 0
+		case e.sinceCut > e.x.replayBound:
+			n.cut = e.acquire()
+			e.checkpoint(n.cut)
+			n.from, n.fromLen = n.cut, n.scriptLen
+		default:
+			p := &e.nodes[e.depth-1]
+			n.from, n.fromLen = p.from, p.fromLen
+		}
+		for len(e.res.FrontierDepths) <= e.depth {
+			e.res.FrontierDepths = append(e.res.FrontierDepths, 0)
 		}
 		e.res.FrontierDepths[e.depth]++
 		e.depth++
@@ -226,19 +341,25 @@ func (e *engine) Choose(now sim.Tick, cands []sim.Enabled) int {
 // scriptLen: each multi-candidate call takes the script's next pick,
 // each single-candidate call its only candidate. It counts only the
 // replayed events, opens no node and leaves the sleep set alone;
-// resumeChoose rebuilds that from the decision's own record.
+// resumeChoose rebuilds that from the decision's own record. The first
+// multi-candidate call an engine ever replays is the run's first
+// decision, where it takes its root cut.
 func (e *engine) replay(cands []sim.Enabled) int {
 	i := 0
 	if len(cands) > 1 {
+		if !e.rooted {
+			e.checkpoint(&e.root)
+			e.rooted = true
+		}
 		if e.pos == e.nodes[e.depth-1].scriptLen {
-			e.rewindTime += time.Since(e.rewindStart)
+			e.cost.rewindTime += time.Since(e.rewindStart)
 			return e.resumeChoose(cands)
 		}
 		i = index(cands, e.script[e.pos])
 		e.pos++
 	}
 	e.sinceCut++
-	e.res.ReplayedEvents++
+	e.cost.replayed++
 	return i
 }
 
@@ -248,11 +369,11 @@ func (e *engine) replay(cands []sim.Enabled) int {
 // {s ∈ Z ∪ {cands[0..i-1]} : s independent of cands[i]}.
 func (e *engine) resumeChoose(cands []sim.Enabled) int {
 	e.resume = false
-	n := e.nodes[e.depth-1]
+	n := &e.nodes[e.depth-1]
 	chosen := n.cands[n.next]
 	n.next++
 
-	if e.cfg.Prune {
+	if e.x.cfg.Prune {
 		// The candidates were viable, so none of them is in n.sleep.
 		e.live = append(e.live[:0], n.sleep...)
 		for _, c := range n.cands[:n.next-1] {
@@ -267,7 +388,7 @@ func (e *engine) resumeChoose(cands []sim.Enabled) int {
 func (e *engine) pick(cands []sim.Enabled, chosen sim.Enabled) int {
 	kept := e.live[:0]
 	for _, s := range e.live {
-		if s.seq != chosen.Seq && !e.dependent(s.tag, chosen.Tag) {
+		if s.seq != chosen.Seq && !e.x.dependent(s.tag, chosen.Tag) {
 			kept = append(kept, s)
 		}
 	}
@@ -289,81 +410,56 @@ func index(cands []sim.Enabled, seq uint64) int {
 }
 
 // scheduleDone accounts for the schedule that just ended (completed or
-// abandoned) and reports whether exploration must stop (violation
-// found or budget exhausted).
-func (e *engine) scheduleDone() (stop bool, err error) {
+// abandoned) and reports whether the task must stop: a violation found,
+// the task's budget share spent, or the task cancelled because an
+// earlier task in serial order ended the exploration. Between
+// schedules it serves idle workers (explorer.between).
+func (e *engine) scheduleDone() (stop bool) {
+	t := e.task
 	if e.aborted {
 		// Sleep-set-redundant path: already counted, no verdict.
 		e.aborted = false
 	} else {
+		if e.x.onTerminal != nil {
+			e.x.onTerminal(e.run)
+		}
 		e.res.Schedules++
 		e.run.Tester.Finish()
 		if e.run.Tester.Violated() {
 			rep := e.run.Tester.Report()
-			v := &Violation{
+			t.violation = &Violation{
 				Schedule:         append([]uint64(nil), e.script...),
 				StreamViolations: len(rep.StreamViolations),
 			}
-			if len(rep.Failures) > 0 {
-				art, err := e.run.artifact(e.cfg, v.Schedule)
-				if err != nil {
-					return true, err
-				}
-				v.Failure = art.FirstFailure()
-				e.res.Artifact = art
-				if e.cfg.ArtifactDir != "" {
-					path, werr := art.Write(e.cfg.ArtifactDir)
-					if werr != nil {
-						return true, werr
-					}
-					v.ArtifactPath = path
-				}
-			}
-			e.res.Violation = v
-			return true, nil
+			t.failed = len(rep.Failures) > 0
+			return true
 		}
 	}
-	if e.res.Schedules+e.res.PrunedPaths >= e.cfg.Budget {
-		e.res.BudgetExhausted = true
-		return true, nil
+	if e.res.Schedules+e.res.PrunedPaths >= t.limit || t.cancelled.Load() {
+		return true
 	}
-	return false, nil
+	e.x.between(e)
+	return false
 }
 
 // backtrack rewinds to the deepest decision point with an unexplored
 // candidate: it restores the cut that decision refers to and arms the
-// replay up to it. No ancestor's cut is refilled while a descendant
-// refers to it, because a depth is refilled only after everything below
-// it is dead. It returns false when the stack is exhausted (the bounded
-// space is fully enumerated).
+// replay up to it. No ancestor's cut is released while a descendant
+// refers to it, because a node dies only after everything above it on
+// the stack. It returns false when the task's stack is exhausted.
 func (e *engine) backtrack() bool {
-	for ; e.depth > 0; e.depth-- {
-		n := e.nodes[e.depth-1]
-		if n.next < len(n.cands) {
+	for ; e.depth > e.base; e.depth-- {
+		n := &e.nodes[e.depth-1]
+		if n.next < n.end {
 			e.rewindStart = time.Now()
-			c := e.nodes[n.cutAt]
-			e.run.Restore(&c.cut)
-			e.res.Restores++
+			e.run.Restore(n.from)
+			e.cost.restores++
 			e.script = e.script[:n.scriptLen]
-			e.pos, e.sinceCut = c.scriptLen, 0
+			e.pos, e.sinceCut = n.fromLen, 0
 			e.resume = true
 			return true
 		}
+		e.release(n)
 	}
 	return false
-}
-
-// finish derives the result's cost figures once enumeration ends.
-func (e *engine) finish() *Result {
-	r := &e.res
-	if r.Cuts > 0 {
-		r.NsPerCut = float64(e.cutTime.Nanoseconds()) / float64(r.Cuts)
-	}
-	if r.Restores > 0 {
-		r.NsPerRestore = float64(e.rewindTime.Nanoseconds()) / float64(r.Restores)
-	}
-	if r.Candidates > 0 {
-		r.SleepHitRate = float64(r.PrunedBranches) / float64(r.Candidates)
-	}
-	return r
 }

@@ -14,7 +14,9 @@
 // (checker.Stream via core's StreamCheck) plus the tester's own
 // autonomous checks, so the result upgrades "no
 // violation in N random seeds" to "no violation in any explored
-// schedule of this seed up to depth D".
+// schedule of this seed up to depth D". Config.Workers workers, each
+// with its own run, split the schedule tree between them and report
+// what one worker would have (parallel.go).
 //
 // Two classic partial-order reductions keep the enumeration tractable:
 //
@@ -70,6 +72,11 @@ type Config struct {
 	Depth int
 	// Budget bounds explored schedules (<=0 → DefaultBudget).
 	Budget uint64
+	// Workers is how many workers, each with its own run, explore
+	// disjoint parts of the schedule tree (<=0 → GOMAXPROCS). The
+	// result does not depend on it, beyond the host-cost fields (see
+	// Result).
+	Workers int
 	// Prune enables the independence/sleep-set reduction. With it off
 	// the explorer enumerates naively — the comparison baseline the CI
 	// prune-ratio gate measures against.
@@ -112,7 +119,10 @@ type Result struct {
 	// at the first choice point, then one wherever the nearest cut on
 	// the path lay more than replayBound events back — and
 	// ReplayedEvents the events rewinds re-fired from a cut to reach
-	// their decision.
+	// their decision. These three and the two means below cover every
+	// worker's work, so with more than one worker they depend on the
+	// worker count and on timing; every other field is the one-worker
+	// result.
 	ChoicePoints   uint64 `json:"choicePoints"`
 	Restores       uint64 `json:"restores"`
 	Cuts           uint64 `json:"cuts"`
@@ -188,45 +198,8 @@ func (r *run) artifact(cfg *Config, schedule []uint64) (*harness.Artifact, error
 	})
 }
 
-// Run explores the configured run's schedule space depth-first and
-// returns the exploration report. It stops at the first violating
-// schedule.
-func Run(cfg Config) (*Result, error) { return newEngine(cfg).explore() }
-
-// newEngine builds the run under exploration with the engine attached
-// as its chooser.
-func newEngine(cfg Config) *engine {
-	if cfg.Depth <= 0 {
-		cfg.Depth = DefaultDepth
-	}
-	if cfg.Budget == 0 {
-		cfg.Budget = DefaultBudget
-	}
-	e := &engine{
-		cfg:         &cfg,
-		run:         newRun(&cfg),
-		geom:        newDepGeom(cfg.SysCfg),
-		res:         Result{Depth: cfg.Depth, Budget: cfg.Budget},
-		replayBound: replayBound,
-	}
-	e.run.K.SetChooser(e)
-	return e
-}
-
-// explore runs the depth-first enumeration and detaches the engine.
-func (e *engine) explore() (*Result, error) {
-	r := e.run
-	r.Tester.Start()
-	for {
-		r.K.RunUntilIdle()
-		stop, err := e.scheduleDone()
-		if err != nil {
-			return nil, err
-		}
-		if stop || !e.backtrack() {
-			break
-		}
-	}
-	r.K.SetChooser(nil)
-	return e.finish(), nil
-}
+// Run explores the configured run's schedule space depth-first on
+// Config.Workers workers and returns the exploration report: the
+// serial explorer's, whatever the worker count (see parallel.go). It
+// stops at the first violating schedule in serial order.
+func Run(cfg Config) (*Result, error) { return newExplorer(cfg).explore() }

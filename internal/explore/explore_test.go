@@ -208,8 +208,9 @@ func TestExploreBudget(t *testing.T) {
 }
 
 // TestExploreDeterministic pins that exploration itself is
-// reproducible: two explorations of the same config produce identical
-// results.
+// reproducible: two one-worker explorations of the same config produce
+// identical results, cut and restore counts included
+// (TestParallelMatchesSerial covers more workers).
 func TestExploreDeterministic(t *testing.T) {
 	cfg := Config{
 		SysCfg:  exploreBigSetsSys(),
@@ -217,6 +218,7 @@ func TestExploreDeterministic(t *testing.T) {
 		Depth:   8,
 		Budget:  100_000,
 		Prune:   true,
+		Workers: 1,
 	}
 	a, err := Run(cfg)
 	if err != nil {

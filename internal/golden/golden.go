@@ -10,6 +10,7 @@ package golden
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"os/exec"
@@ -29,6 +30,10 @@ var HostTime = []*regexp.Regexp{
 	// total (app, L1 cov, L2 cov, sim events, wall). The column's
 	// padding goes too, since its width follows the value's.
 	regexp.MustCompile(`(?m)^(  \S+ +[\d.]+% +[\d.]+% +\d+ ) *\S+$`),
+	// gputester -explore: the mean cut and rewind times of the text
+	// report's cuts line, and the same means under -json.
+	regexp.MustCompile(`(\(mean )[\d.]+`),
+	regexp.MustCompile(`("nsPer(?:Cut|Restore)": )[^,\n]+`),
 }
 
 // Masked stands in for a host-time field.
@@ -88,6 +93,13 @@ const RunMainEnv = "DRFTEST_RUN_MAIN"
 // the command's standard output. A non-zero exit fails the test.
 func RunMain(t *testing.T, args ...string) []byte {
 	t.Helper()
+	return RunMainExit(t, 0, args...)
+}
+
+// RunMainExit is RunMain for a command expected to exit with code (a
+// failing verdict's 1, say); any other exit status fails the test.
+func RunMainExit(t *testing.T, code int, args ...string) []byte {
+	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
@@ -96,8 +108,13 @@ func RunMain(t *testing.T, args ...string) []byte {
 	cmd.Env = append(os.Environ(), RunMainEnv+"=1")
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("%s: %v\n%s", strings.Join(args, " "), err, stderr.Bytes())
+	err = cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case errors.As(err, &exit) && exit.ExitCode() == code:
+	case err == nil && code == 0:
+	default:
+		t.Fatalf("%s: %v (want exit status %d)\n%s", strings.Join(args, " "), err, code, stderr.Bytes())
 	}
 	return stdout.Bytes()
 }

@@ -19,3 +19,20 @@ func TestMask(t *testing.T) {
 		t.Fatalf("Mask:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestMaskExplore: the explorer's mean cut and rewind times are blanked
+// in the text report and under -json; the exact counts beside them are
+// not.
+func TestMaskExplore(t *testing.T) {
+	in := "  cuts           9 at 15 choice points (mean 11.5 µs), 15 rewinds replaying 16 events (mean 4.6 µs)\n" +
+		"    \"nsPerCut\": 34335.666666666664,\n" +
+		"    \"nsPerRestore\": 0,\n" +
+		"    \"frontierDepths\": [\n"
+	want := "  cuts           9 at 15 choice points (mean " + Masked + " µs), 15 rewinds replaying 16 events (mean " + Masked + " µs)\n" +
+		"    \"nsPerCut\": " + Masked + ",\n" +
+		"    \"nsPerRestore\": " + Masked + ",\n" +
+		"    \"frontierDepths\": [\n"
+	if got := string(Mask([]byte(in))); got != want {
+		t.Fatalf("Mask:\n%s\nwant:\n%s", got, want)
+	}
+}

@@ -54,10 +54,12 @@ func TestLinePoolFieldAudit(t *testing.T) {
 		"allocs":   "stat: monotone counter, excluded from snapshots (alloc pins read deltas within one phase)",
 	})
 	audit.Fields(t, lineSave{}, map[string]string{
-		"data":   "save: deep copy of Line.Data",
-		"mask":   "save: deep copy of the attached mask",
-		"masked": "save: value copy",
-		"refs":   "save: value copy",
-		"epoch":  "save: value copy",
+		"off":     "save: Line.Data's offset in the snapshot's byte arena",
+		"n":       "save: len(Line.Data); the bytes are a deep copy in the arena",
+		"maskOff": "save: the attached mask's offset in the snapshot's mask arena (masked lines only)",
+		"maskLen": "save: len of the attached mask; deep copy in the arena",
+		"masked":  "save: value copy",
+		"refs":    "save: value copy",
+		"epoch":   "save: value copy",
 	})
 }

@@ -208,20 +208,26 @@ func (p *LinePool) Reset() {
 // stays on for the pool's lifetime.
 func (p *LinePool) EnableTracking() { p.track = true }
 
-// lineSave captures one registered line's full state.
+// lineSave captures one registered line's full state. Its data and
+// mask sit in the snapshot's shared arenas: bytes[off:off+n], and
+// masks[maskOff:maskOff+maskLen] when masked.
 type lineSave struct {
-	data   []byte
-	mask   []bool
-	masked bool
-	refs   int
-	epoch  uint64
+	off, n           int32
+	maskOff, maskLen int32
+	masked           bool
+	refs             int
+	epoch            uint64
 }
 
 // LinePoolSnapshot captures every registered line's contents plus the
 // free-stack order (which determines future Get results, so replay
-// bit-identity depends on it).
+// bit-identity depends on it). The lines' bytes and masks are copied
+// back to back into two arenas, so a fresh snapshot allocates a handful
+// of slices whatever the pool holds.
 type LinePoolSnapshot struct {
 	lines []lineSave
+	bytes []byte
+	masks []bool
 	free  []int32
 }
 
@@ -229,7 +235,7 @@ type LinePoolSnapshot struct {
 func (p *LinePool) Snapshot() *LinePoolSnapshot { return p.SnapshotInto(nil) }
 
 // SnapshotInto is Snapshot refilling s, a snapshot the caller knows is
-// dead (nil allocates): saved lines keep their data and mask buffers.
+// dead (nil allocates): its arenas are reused.
 func (p *LinePool) SnapshotInto(s *LinePoolSnapshot) *LinePoolSnapshot {
 	if !p.track {
 		panic("mem: LinePool.Snapshot without EnableTracking")
@@ -237,18 +243,26 @@ func (p *LinePool) SnapshotInto(s *LinePoolSnapshot) *LinePoolSnapshot {
 	if s == nil {
 		s = &LinePoolSnapshot{}
 	}
-	s.lines = s.lines[:0]
+	size, masks := 0, 0
 	for _, l := range p.all {
-		s.lines = slices.Grow(s.lines, 1)[:len(s.lines)+1]
-		sv := &s.lines[len(s.lines)-1]
-		sv.data = append(sv.data[:0], l.Data...)
-		sv.masked, sv.refs, sv.epoch = l.masked, l.refs, l.epoch
-		sv.mask = sv.mask[:0]
+		size += len(l.Data)
 		if l.masked {
-			sv.mask = append(sv.mask, l.mask...)
+			masks += len(l.mask)
 		}
 	}
-	s.free = s.free[:0]
+	s.lines = slices.Grow(s.lines[:0], len(p.all))
+	s.bytes = slices.Grow(s.bytes[:0], size)
+	s.masks = slices.Grow(s.masks[:0], masks)
+	for _, l := range p.all {
+		sv := lineSave{off: int32(len(s.bytes)), n: int32(len(l.Data)), masked: l.masked, refs: l.refs, epoch: l.epoch}
+		s.bytes = append(s.bytes, l.Data...)
+		if l.masked {
+			sv.maskOff, sv.maskLen = int32(len(s.masks)), int32(len(l.mask))
+			s.masks = append(s.masks, l.mask...)
+		}
+		s.lines = append(s.lines, sv)
+	}
+	s.free = slices.Grow(s.free[:0], len(p.free))
 	for _, l := range p.free {
 		s.free = append(s.free, int32(l.idx))
 	}
@@ -265,15 +279,15 @@ func (p *LinePool) Restore(s *LinePoolSnapshot) {
 	for i, l := range p.all {
 		if i < n {
 			sv := &s.lines[i]
-			l.Data = l.Data[:len(sv.data)]
-			copy(l.Data, sv.data)
+			l.Data = l.Data[:sv.n]
+			copy(l.Data, s.bytes[sv.off:sv.off+sv.n])
 			l.masked = sv.masked
 			if sv.masked {
-				if cap(l.mask) < len(sv.mask) {
-					l.mask = make([]bool, len(sv.mask))
+				if cap(l.mask) < int(sv.maskLen) {
+					l.mask = make([]bool, sv.maskLen)
 				}
-				l.mask = l.mask[:len(sv.mask)]
-				copy(l.mask, sv.mask)
+				l.mask = l.mask[:sv.maskLen]
+				copy(l.mask, s.masks[sv.maskOff:sv.maskOff+sv.maskLen])
 			}
 			l.refs = sv.refs
 			l.epoch = sv.epoch

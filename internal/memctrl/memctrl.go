@@ -21,6 +21,7 @@ package memctrl
 
 import (
 	"fmt"
+	"slices"
 
 	"drftest/internal/mem"
 	"drftest/internal/sim"
@@ -145,7 +146,7 @@ func (q *ring) reset() {
 // save refills dst with the live window in FIFO order, in-flight
 // requests first, and returns how many of them are in flight.
 func (q *ring) save(dst []request) ([]request, int) {
-	dst = dst[:0]
+	dst = slices.Grow(dst[:0], int(q.tail-q.head))
 	for h := q.head; h != q.tail; h++ {
 		dst = append(dst, *q.at(h))
 	}

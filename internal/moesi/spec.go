@@ -10,7 +10,11 @@
 // the directory than either alone.
 package moesi
 
-import "drftest/internal/protocol"
+import (
+	"sync"
+
+	"drftest/internal/protocol"
+)
 
 // CPU cache states.
 const (
@@ -40,8 +44,12 @@ const (
 // Events names the CPU cache events.
 var Events = []string{"Load", "Store", "DataS", "DataE", "DataM", "Repl", "PrbInv", "PrbShr", "WBAck"}
 
-// NewCPUSpec builds the CPU cache transition table.
-func NewCPUSpec() *protocol.Spec {
+// NewCPUSpec returns the CPU cache transition table: one immutable
+// spec per process, shared by every build (callers must not modify it).
+func NewCPUSpec() *protocol.Spec { return cpuSpec() }
+
+// cpuSpec is the shared table's one build.
+var cpuSpec = sync.OnceValue(func() *protocol.Spec {
 	s := protocol.NewSpec("CPU-L1", States, Events)
 
 	s.Trans(StateI, EvLoad, StateI, "miss: send CPURd")
@@ -82,4 +90,4 @@ func NewCPUSpec() *protocol.Spec {
 	s.Trans(StateI, EvWBAck, StateI, "write-back complete")
 
 	return s
-}
+})

@@ -11,7 +11,10 @@
 // coverage percentages (Figs. 8–10) for any controller.
 package protocol
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Kind classifies a (state, event) cell of a transition table.
 type Kind uint8
@@ -59,6 +62,10 @@ type Spec struct {
 	States []string
 	Events []string
 	cells  [][]Cell // [state][event]
+
+	// labels is the "State×Event" table Labels builds once.
+	labels     [][]string
+	labelsOnce sync.Once
 }
 
 // NewSpec creates an empty spec with every cell Undefined.
@@ -101,6 +108,22 @@ func (s *Spec) check(state, event int) {
 func (s *Spec) Cell(state, event int) Cell {
 	s.check(state, event)
 	return s.cells[state][event]
+}
+
+// Labels returns the [state][event] table of "State×Event" trace
+// labels, built on first use and shared by every caller afterwards:
+// callers must not modify it.
+func (s *Spec) Labels() [][]string {
+	s.labelsOnce.Do(func() {
+		s.labels = make([][]string, len(s.States))
+		for i, st := range s.States {
+			s.labels[i] = make([]string, len(s.Events))
+			for j, ev := range s.Events {
+				s.labels[i][j] = st + "×" + ev
+			}
+		}
+	})
+	return s.labels
 }
 
 // NumCells returns the table size.

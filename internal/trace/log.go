@@ -5,12 +5,14 @@ package trace
 // and its snapshots share history.
 const chunkLen = 64
 
-// chunk is chunkLen consecutive entries. Once a snapshot references a
-// chunk it is shared — immutable for good — and a log that comes
-// round to it again writes into a fresh chunk instead.
+// chunk is chunkLen consecutive entries. refs counts its holders: the
+// log slot it sits in and every snapshot that references it. While a
+// snapshot holds it the chunk is immutable, and a log that comes round
+// to it writes into another chunk instead; the last release parks it
+// on the releasing log's free list for that.
 type chunk[T any] struct {
-	e      [chunkLen]T
-	shared bool
+	e    [chunkLen]T
+	refs int32
 }
 
 // MaxCapacity bounds the capacity a configuration may give a Log — the
@@ -33,6 +35,9 @@ type Log[T any] struct {
 	// filled; it is always private. At a chunk boundary the next
 	// Append opens one.
 	cur *chunk[T]
+	// free holds released chunks, which private hands out before it
+	// allocates.
+	free []*chunk[T]
 }
 
 // Init sizes the log to hold the last capacity entries; all chunks are
@@ -46,6 +51,7 @@ func (l *Log[T]) Init(capacity int) {
 	slab := make([]chunk[T], (capacity+chunkLen-1)/chunkLen+1)
 	l.chunks = make([]*chunk[T], len(slab))
 	for i := range slab {
+		slab[i].refs = 1
 		l.chunks[i] = &slab[i]
 	}
 }
@@ -78,13 +84,28 @@ func (l *Log[T]) Append(e T) {
 }
 
 // private returns the chunk in chunk number c's slot, replacing it
-// first if it is shared.
+// first if a snapshot shares it.
 func (l *Log[T]) private(c uint64) *chunk[T] {
 	slot := c % uint64(len(l.chunks))
-	if l.chunks[slot].shared {
-		l.chunks[slot] = new(chunk[T])
+	if ch := l.chunks[slot]; ch.refs > 1 {
+		ch.refs--
+		if k := len(l.free); k > 0 {
+			l.chunks[slot] = l.free[k-1]
+			l.free = l.free[:k-1]
+		} else {
+			l.chunks[slot] = new(chunk[T])
+		}
+		l.chunks[slot].refs = 1
 	}
 	return l.chunks[slot]
+}
+
+// release drops one holder of ch, parking it on the free list when it
+// was the last.
+func (l *Log[T]) release(ch *chunk[T]) {
+	if ch.refs--; ch.refs == 0 {
+		l.free = append(l.free, ch)
+	}
 }
 
 // Last returns the most recent n entries (fewer when the log holds
@@ -123,11 +144,14 @@ func (l *Log[T]) SnapshotInto(s *LogSnapshot[T]) *LogSnapshot[T] {
 		s = &LogSnapshot[T]{}
 	}
 	s.capacity, s.total = l.capacity, l.total
+	for _, ch := range s.sealed {
+		l.release(ch)
+	}
 	s.sealed, s.open = s.sealed[:0], s.open[:0]
 	slots := uint64(len(l.chunks))
 	for c := (l.total - uint64(l.Len())) / chunkLen; c < l.total/chunkLen; c++ {
 		ch := l.chunks[c%slots]
-		ch.shared = true
+		ch.refs++
 		s.sealed = append(s.sealed, ch)
 	}
 	if off := l.total % chunkLen; off != 0 {
@@ -137,8 +161,9 @@ func (l *Log[T]) SnapshotInto(s *LogSnapshot[T]) *LogSnapshot[T] {
 }
 
 // Restore reinstates a snapshot taken from a log of the same capacity
-// — this one or another. The snapshot stays valid: its chunks are
-// adopted as shared and only its open prefix is copied.
+// — this one or another, on the same goroutine (chunk holder counts
+// are plain ints). The snapshot stays valid: its chunks are adopted as
+// shared and only its open prefix is copied.
 func (l *Log[T]) Restore(s *LogSnapshot[T]) {
 	if s.capacity != l.capacity {
 		panic("trace: Restore with mismatched log capacity")
@@ -146,7 +171,12 @@ func (l *Log[T]) Restore(s *LogSnapshot[T]) {
 	slots := uint64(len(l.chunks))
 	first := s.total/chunkLen - uint64(len(s.sealed))
 	for i, ch := range s.sealed {
-		l.chunks[(first+uint64(i))%slots] = ch
+		slot := (first + uint64(i)) % slots
+		if old := l.chunks[slot]; old != ch {
+			ch.refs++
+			l.release(old)
+			l.chunks[slot] = ch
+		}
 	}
 	if len(s.open) > 0 {
 		l.cur = l.private(s.total / chunkLen)

@@ -17,8 +17,9 @@ type Sink interface {
 // protocol.Recorder, forwards every fired transition to the wrapped
 // recorder (normally the coverage collector), and — only while the
 // sink is tracing — appends a "State×Event" entry for the machine.
-// Transition labels are precomputed per spec so the hot path does no
-// string building.
+// Transition labels come from each spec's own label table
+// (protocol.Spec.Labels), built once per spec, so neither the hot path
+// nor a build does any string building.
 type Recorder struct {
 	sink   Sink
 	next   protocol.Recorder
@@ -29,19 +30,11 @@ type Recorder struct {
 // may be nil) and can label transitions of the given specs. Machines
 // whose spec is not listed are forwarded but not traced.
 func NewRecorder(sink Sink, next protocol.Recorder, specs ...*protocol.Spec) *Recorder {
-	r := &Recorder{sink: sink, next: next, labels: make(map[string][][]string)}
+	r := &Recorder{sink: sink, next: next, labels: make(map[string][][]string, len(specs))}
 	for _, s := range specs {
-		if _, dup := r.labels[s.Name]; dup {
-			continue
+		if _, dup := r.labels[s.Name]; !dup {
+			r.labels[s.Name] = s.Labels()
 		}
-		tbl := make([][]string, len(s.States))
-		for i, st := range s.States {
-			tbl[i] = make([]string, len(s.Events))
-			for j, ev := range s.Events {
-				tbl[i][j] = st + "×" + ev
-			}
-		}
-		r.labels[s.Name] = tbl
 	}
 	return r
 }

@@ -21,10 +21,11 @@ func TestSnapshotFieldAudit(t *testing.T) {
 		"total":    "state: lifetime append count; Reset zeroes, Snapshot/Restore copy",
 		"chunks":   "state: slot table; Snapshot shares the window's sealed chunks, Restore adopts a snapshot's",
 		"cur":      "cursor: the partly filled chunk number total/chunkLen, always private; set by Append at a chunk boundary and by Restore, unused while total is on a boundary",
+		"free":     "storage: released chunks awaiting reuse by private; holds no entries that are read",
 	})
 	audit.Fields(t, chunk[Entry]{}, map[string]string{
-		"e":      "state: the entries; written only while the chunk is private",
-		"shared": "ownership: set for good by the first snapshot that references the chunk",
+		"e":    "state: the entries; written only while the chunk is private (refs 1)",
+		"refs": "ownership: holders — the log slot plus each snapshot referencing the chunk; a refilled snapshot releases its old chunks",
 	})
 	audit.Fields(t, RingSnapshot{}, map[string]string{
 		"capacity": "cut: the source log's capacity, for Restore's mismatch check",

@@ -1,6 +1,10 @@
 package viper
 
-import "drftest/internal/mem"
+import (
+	"slices"
+
+	"drftest/internal/mem"
+)
 
 // msgPool recycles the protocol-layer message structs that flow
 // between a system's TCPs and TCCs, and owns the system's shared
@@ -152,7 +156,7 @@ type poolCut[T any] struct {
 }
 
 func (p *objPool[T]) save(c *poolCut[T]) {
-	c.vals = c.vals[:0]
+	c.vals = slices.Grow(c.vals[:0], len(p.all))
 	for _, x := range p.all {
 		c.vals = append(c.vals, *x)
 	}

@@ -10,7 +10,11 @@
 // I (invalid), V (valid), IV (awaiting fill), A (atomic in flight).
 package viper
 
-import "drftest/internal/protocol"
+import (
+	"sync"
+
+	"drftest/internal/protocol"
+)
 
 // TCP (GPU L1) states.
 const (
@@ -47,8 +51,12 @@ var TCPEventDescriptions = map[string]string{
 	"Repl":         "Cache replacement request",
 }
 
-// NewTCPSpec builds the GPU L1 transition table.
-func NewTCPSpec() *protocol.Spec {
+// NewTCPSpec returns the GPU L1 transition table: one immutable spec
+// per process, shared by every build (callers must not modify it).
+func NewTCPSpec() *protocol.Spec { return tcpSpec() }
+
+// tcpSpec is the shared table's one build.
+var tcpSpec = sync.OnceValue(func() *protocol.Spec {
 	s := protocol.NewSpec("GPU-L1", TCPStates, TCPEvents)
 
 	s.Trans(TCPStateI, TCPLoad, TCPStateI, "miss: send RdBlk")
@@ -81,7 +89,7 @@ func NewTCPSpec() *protocol.Spec {
 	s.Trans(TCPStateA, TCPRepl, TCPStateA, "free entry, TBE holds transaction")
 
 	return s
-}
+})
 
 // TCC (GPU L2) states.
 const (
@@ -123,8 +131,12 @@ var TCCEventDescriptions = map[string]string{
 	"WBAck":    "Write completion ACK from memory",
 }
 
-// NewTCCSpec builds the GPU L2 transition table.
-func NewTCCSpec() *protocol.Spec {
+// NewTCCSpec returns the GPU L2 transition table: one immutable spec
+// per process, shared by every build (callers must not modify it).
+func NewTCCSpec() *protocol.Spec { return tccSpec() }
+
+// tccSpec is the shared table's one build.
+var tccSpec = sync.OnceValue(func() *protocol.Spec {
 	s := protocol.NewSpec("GPU-L2", TCCStates, TCCEvents)
 
 	s.Trans(TCCStateI, TCCRdBlk, TCCStateIV, "miss: fetch from memory")
@@ -166,4 +178,4 @@ func NewTCCSpec() *protocol.Spec {
 	s.Trans(TCCStateA, TCCWBAck, TCCStateA, "forward TCC_AckWB")
 
 	return s
-}
+})

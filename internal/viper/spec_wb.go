@@ -1,6 +1,10 @@
 package viper
 
-import "drftest/internal/protocol"
+import (
+	"sync"
+
+	"drftest/internal/protocol"
+)
 
 // VIPER-WB is the write-back L2 protocol variant (§IV: "the tester can
 // support other GPU protocols as well with minimal extensions"). The
@@ -27,10 +31,15 @@ const (
 // TCCWBStates names the write-back L2 states.
 var TCCWBStates = []string{"I", "V", "D", "IV", "A"}
 
-// NewTCCWBSpec builds the write-back L2 transition table. It reuses
-// the Table II event vocabulary; AtomicD/AtomicND (directory acks) and
-// PrbInv (remote probes) are undefined in this GPU-only variant.
-func NewTCCWBSpec() *protocol.Spec {
+// NewTCCWBSpec returns the write-back L2 transition table, one
+// immutable spec per process shared by every build (callers must not
+// modify it). It reuses the Table II event vocabulary; AtomicD/AtomicND
+// (directory acks) and PrbInv (remote probes) are undefined in this
+// GPU-only variant.
+func NewTCCWBSpec() *protocol.Spec { return tccWBSpec() }
+
+// tccWBSpec is the shared table's one build.
+var tccWBSpec = sync.OnceValue(func() *protocol.Spec {
 	s := protocol.NewSpec("GPU-L2WB", TCCWBStates, TCCEvents)
 
 	s.Trans(TCCWBStateI, TCCRdBlk, TCCWBStateIV, "miss: fetch from memory")
@@ -64,4 +73,4 @@ func NewTCCWBSpec() *protocol.Spec {
 	s.Trans(TCCWBStateA, TCCWBAck, TCCWBStateA, "eviction write-back complete (refill in flight)")
 
 	return s
-}
+})
