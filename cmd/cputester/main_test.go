@@ -7,6 +7,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"drftest/internal/golden"
 )
 
 // TestMain doubles as the cputester command: re-executing the test
@@ -67,4 +69,17 @@ func TestRunAdmission(t *testing.T) {
 	if code, stderr := runMain(t, "-cpus", "2", "-ops", "50"); code != 0 {
 		t.Errorf("a tiny valid run exited %d: %s", code, stderr)
 	}
+}
+
+// TestGoldenDefaults and TestGoldenLargeGrid: the MOESI caches and the
+// directory without a GPU print the committed reports, byte for byte
+// outside host time — the default run, and eight CPUs over large
+// caches with the directory's classification grid.
+func TestGoldenDefaults(t *testing.T) {
+	golden.Check(t, "cputester_defaults.txt", "cputester", golden.RunMain(t))
+}
+
+func TestGoldenLargeGrid(t *testing.T) {
+	golden.Check(t, "cputester_cpus8_large_grid.txt", "cputester -cpus 8 -caches large -grid",
+		golden.RunMain(t, "-cpus", "8", "-caches", "large", "-grid"))
 }

@@ -23,3 +23,11 @@ func TestGoldenFig9(t *testing.T) {
 	golden.Check(t, "figures_fig9_scale0.02.txt", "figures -exp fig9 -scale 0.02 -parallel 1",
 		golden.RunMain(t, "-exp", "fig9", "-scale", "0.02", "-parallel", "1"))
 }
+
+// TestGoldenFig6Fig10: Fig. 6 (the locality tracker's breakdowns) and
+// Fig. 10 (the directory's coverage under applications, the CPU tester
+// sweep and the GPU tester) print the committed tables.
+func TestGoldenFig6Fig10(t *testing.T) {
+	golden.Check(t, "figures_fig6_fig10_scale0.02.txt", "figures -exp fig6,fig10 -scale 0.02 -parallel 1",
+		golden.RunMain(t, "-exp", "fig6,fig10", "-scale", "0.02", "-parallel", "1"))
+}

@@ -34,6 +34,8 @@ var HostTime = []*regexp.Regexp{
 	// report's cuts line, and the same means under -json.
 	regexp.MustCompile(`(\(mean )[\d.]+`),
 	regexp.MustCompile(`("nsPer(?:Cut|Restore)": )[^,\n]+`),
+	// cputester: the wall time beside the sim ticks.
+	regexp.MustCompile(`(?m)(^  sim ticks +\d+, wall )\S+$`),
 }
 
 // Masked stands in for a host-time field.

@@ -36,3 +36,13 @@ func TestMaskExplore(t *testing.T) {
 		t.Fatalf("Mask:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestMaskCPUTester: cputester's wall time is blanked; the tick count
+// beside it is not.
+func TestMaskCPUTester(t *testing.T) {
+	in := "  sim ticks      1142595, wall 100.289127ms\n  ops completed  40000 / 40000\n"
+	want := "  sim ticks      1142595, wall " + Masked + "\n  ops completed  40000 / 40000\n"
+	if got := string(Mask([]byte(in))); got != want {
+		t.Fatalf("Mask:\n%s\nwant:\n%s", got, want)
+	}
+}
