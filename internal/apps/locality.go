@@ -78,6 +78,13 @@ func NewLocalityTracker(lineSize int) *LocalityTracker {
 	return &LocalityTracker{lineSize: lineSize}
 }
 
+// reset empties the tracker for lines of lineSize bytes and keeps its
+// table's storage.
+func (t *LocalityTracker) reset(lineSize int) {
+	t.lineSize = lineSize
+	t.lines.Clear()
+}
+
 // Access records that wavefront wf touched addr.
 func (t *LocalityTracker) Access(wf int, addr mem.Addr) {
 	t.lines.Slot(mem.LineAddr(addr, t.lineSize)).record(wf)

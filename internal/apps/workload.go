@@ -31,40 +31,57 @@ const (
 )
 
 // Workload instantiates a Profile as per-wavefront instruction streams.
+// Everything it holds — RNG, tracker, programs — is held by value, so a
+// reset workload reuses the storage of the run before.
 type Workload struct {
 	Prof     Profile
 	lineSize int
 	lanes    int
 	numWFs   int
-	rnd      *rng.PCG
-	tracker  *LocalityTracker
+	rnd      rng.PCG
+	tracker  LocalityTracker
 	nextID   uint64
+	progs    []wfProgram
 }
 
 // NewWorkload builds a workload for numWFs wavefronts of `lanes`
 // threads over lineSize-byte cache lines.
 func NewWorkload(prof Profile, seed uint64, lineSize, lanes, numWFs int) *Workload {
-	return &Workload{
-		Prof:     prof,
-		lineSize: lineSize,
-		lanes:    lanes,
-		numWFs:   numWFs,
-		rnd:      rng.New(seed, uint64(len(prof.Name))<<8|0xA9),
-		tracker:  NewLocalityTracker(lineSize),
+	w := &Workload{}
+	w.reset(prof, seed, lineSize, lanes, numWFs)
+	return w
+}
+
+// reset makes w what NewWorkload builds from the same arguments, in w's
+// own storage: the tracker's table is cleared, not regrown, and the
+// programs keep their request arrays.
+func (w *Workload) reset(prof Profile, seed uint64, lineSize, lanes, numWFs int) {
+	w.Prof, w.lineSize, w.lanes, w.numWFs, w.nextID = prof, lineSize, lanes, numWFs, 0
+	w.rnd.Seed(seed, uint64(len(prof.Name))<<8|0xA9)
+	w.tracker.reset(lineSize)
+	if cap(w.progs) < numWFs {
+		w.progs = make([]wfProgram, numWFs)
 	}
+	w.progs = w.progs[:numWFs]
 }
 
 // Tracker exposes the locality profile collected while generating.
-func (w *Workload) Tracker() *LocalityTracker { return w.tracker }
+func (w *Workload) Tracker() *LocalityTracker { return &w.tracker }
 
 // Program returns wavefront wf's instruction stream (wf is the global
-// wavefront index).
+// wavefront index). Each wavefront has one program, reset by this call:
+// call it once per wavefront, in wavefront order, as each splits its
+// RNG stream off the workload's.
 func (w *Workload) Program(wf int) gpucore.Program {
-	p := &wfProgram{w: w, wf: wf, rnd: w.rnd.Split()}
-	p.reqs = make([]mem.Request, w.lanes)
-	p.reqPtrs = make([]*mem.Request, w.lanes)
-	for i := range p.reqs {
-		p.reqPtrs[i] = &p.reqs[i]
+	p := &w.progs[wf]
+	p.w, p.wf, p.opsDone, p.streamCursor, p.interCursor = w, wf, 0, 0, 0
+	w.rnd.SplitTo(&p.rnd)
+	if len(p.reqs) != w.lanes {
+		p.reqs = make([]mem.Request, w.lanes)
+		p.reqPtrs = make([]*mem.Request, w.lanes)
+		for i := range p.reqs {
+			p.reqPtrs[i] = &p.reqs[i]
+		}
 	}
 	return p
 }
@@ -72,7 +89,7 @@ func (w *Workload) Program(wf int) gpucore.Program {
 type wfProgram struct {
 	w            *Workload
 	wf           int
-	rnd          *rng.PCG
+	rnd          rng.PCG
 	opsDone      int
 	streamCursor mem.Addr
 	interCursor  mem.Addr

@@ -59,8 +59,10 @@ type Matrix struct {
 // NewMatrix creates a zeroed matrix for spec.
 func NewMatrix(spec *protocol.Spec) *Matrix {
 	m := &Matrix{Spec: spec, Hits: make([][]uint64, len(spec.States))}
+	n := len(spec.Events)
+	cells := make([]uint64, len(m.Hits)*n)
 	for i := range m.Hits {
-		m.Hits[i] = make([]uint64, len(spec.Events))
+		m.Hits[i] = cells[i*n : (i+1)*n : (i+1)*n]
 	}
 	return m
 }

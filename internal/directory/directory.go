@@ -6,23 +6,45 @@ import (
 
 	"drftest/internal/mem"
 	"drftest/internal/memctrl"
+	"drftest/internal/network"
 	"drftest/internal/protocol"
 	"drftest/internal/sim"
 	"drftest/internal/table"
 )
 
+// The directory's ports. Each method is one message's arrival, and
+// every byte slice that crosses a port is borrowed for that one call:
+// the receiver copies what it keeps. The directory copies a probe's
+// dirty data and a write-back's or DMA write's payload into lines of
+// its own pool on arrival; a cache copies a fill into its array.
+
 // CPUPort is a CPU cache as the directory sees it.
 type CPUPort interface {
 	// Probe asks the cache to invalidate (inv) or downgrade (!inv) the
-	// line. ack carries the dirty line data (nil if clean) and fromVic
-	// when the data came from a pending write-back rather than a live
-	// copy.
-	Probe(line mem.Addr, inv bool, ack func(dirty []byte, fromVic bool))
+	// line and returns its answer: the dirty line data (nil if clean),
+	// and fromVic when the data came from a pending write-back rather
+	// than a live copy.
+	Probe(line mem.Addr, inv bool) (dirty []byte, fromVic bool)
+	// Fill answers CPURead and CPUReadX with the permission kind grants
+	// (data is nil for an upgrade: the cache keeps its bytes).
+	Fill(line mem.Addr, data []byte, kind FillKind)
+	// WriteBackDone acknowledges CPUWriteBack.
+	WriteBackDone(line mem.Addr)
 }
 
 // GPUPort is the GPU L2 as the directory sees it.
 type GPUPort interface {
-	ProbeInv(line mem.Addr, done func())
+	// ProbeInv invalidates the line and calls done(ctx) once the L2 has
+	// given up its copy, which a busy line may delay. done is the
+	// directory's prebound handler.
+	ProbeInv(line mem.Addr, done func(any), ctx any)
+}
+
+// DMAPort is a DMA engine as the directory sees it.
+type DMAPort interface {
+	// DMADone completes the DMARead or DMAWrite issued with ctx; a
+	// read's data is borrowed for the call, a write's is nil.
+	DMADone(data []byte, ctx any)
 }
 
 // FillKind tells a CPU cache what permission its fill grants.
@@ -59,88 +81,114 @@ const MaxPorts = 64
 // tbe carries one transaction from request to completion. TBEs are
 // pooled: entry points fill one from the free list, complete (or the
 // stale-vic early out) zeroes it back. Everything a stalled retry
-// needs is in here, so the stall queue holds no closures.
+// needs is in here, and a line's stalled TBEs queue through their own
+// next links, so a stall and its wake allocate nothing.
 type tbe struct {
 	op   dirOp
 	line mem.Addr
-	cpu  int
+	port int // requesting CPU or DMA port
 	gpu  int // requesting GPU for GPU ops
 
 	probesOut int
-	dirty     []byte // probe data that must reach memory
-	serve     []byte // probe data served directly (owner keeps O)
-	have      bool   // CPURdX requester believes it holds a copy
-	upgrade   bool   // CPURdX by an existing sharer: no data needed
+	dirty     *mem.Line // probe data that must reach memory
+	serve     *mem.Line // probe data served directly (owner keeps O)
+	have      bool      // CPURdX requester believes it holds a copy
+	upgrade   bool      // CPURdX by an existing sharer: no data needed
 
-	// wrLine is a GPU write-through payload: a borrowed line handle the
-	// TBE owns until the memory phase hands it to the controller.
+	// wrLine is a write's payload: a GPU write-through's handle, or the
+	// directory's copy of a CPU victim or DMA write. The TBE owns it
+	// until the memory phase hands it to the controller.
 	wrLine *mem.Line
-	wrData []byte // CPU victim / DMA write payload (borrowed bytes)
 	atAddr mem.Addr
 	delta  uint32
 
-	doneData func([]byte)
-	doneCPU  func([]byte, FillKind)
-	done     func()
-	// GPU-side completions carry the requester's opaque ctx (gctx); the
-	// fill transfers a line handle the callee then owns.
+	// GPU completions are the requester's prebound callbacks; a GPU or
+	// DMA requester's opaque ctx rides along. The fill transfers a line
+	// handle the callee then owns.
 	doneGPUData func(*mem.Line, any)
 	doneGPU     func(any)
 	doneAt      func(uint32, bool, any)
-	gctx        any
+	ctx         any
+
+	// A stalled TBE waits to re-fire ev behind next in its line's queue.
+	ev   int
+	next *tbe
 }
 
-// stalledReq is one queued retry: the event to re-fire plus the
-// already-built TBE, so a stall-and-wake cycle allocates nothing.
-type stalledReq struct {
-	ev int
-	t  *tbe
+// stallQueue is a line's FIFO of stalled TBEs.
+type stallQueue struct {
+	head, tail *tbe
+	n          int
 }
 
-// pendingResp is one queued completion delivery. All requester
-// responses leave the directory after the same constant respLatency
-// and the kernel is stable, so a reusable FIFO drained by one prebound
-// handler replaces a per-completion closure (the network.Link SendMsg
-// pattern). fn holds the typed callback; kind selects its signature.
-type pendingResp struct {
-	kind    uint8
-	nack    bool
-	cpuKind FillKind
-	old     uint32
-	fn      any
-	line    *mem.Line
-	buf     []byte
-	gctx    any
+// probe is one probe in flight: out to a cache on probeLink, back with
+// the cache's answer on ackLink. Records come from the directory's free
+// list.
+type probe struct {
+	t    *tbe
+	port int // the probed CPU or GPU
+	gpu  bool
+	inv  bool
+	line mem.Addr
+	// The answer: dirty is the directory's copy of the cache's dirty
+	// data (nil if clean), handed to the TBE on arrival.
+	dirty   *mem.Line
+	fromVic bool
+}
+
+// resp is one response in flight to a requester on respLink. Records
+// come from the directory's free list.
+type resp struct {
+	kind uint8
+	port int // CPU or DMA port
+	line mem.Addr
+	nack bool
+	fill FillKind
+	old  uint32
+	// data is a read's payload: a GPU fill's handle transfers to the
+	// L2; a CPU or DMA requester borrows it for the delivery call, after
+	// which the directory releases it.
+	data    *mem.Line
+	gpuFill func(*mem.Line, any)
+	gpuDone func(any)
+	gpuAt   func(uint32, bool, any)
+	ctx     any
 }
 
 const (
-	respPlain   uint8 = iota // fn: func()
-	respGPUWr                // fn: func(any)
-	respGPUFill              // fn: func(*mem.Line, any)
-	respAtomic               // fn: func(uint32, bool, any)
-	respData                 // fn: func([]byte)
-	respCPU                  // fn: func([]byte, FillKind)
+	respGPUFill uint8 = iota
+	respGPUWr
+	respAtomic
+	respCPUFill
+	respCPUWB
+	respDMA
 )
 
 // Directory is the blocking CPU–GPU–DMA system directory. It
 // implements the GPU L2's backend interface (FetchLine / WriteLine /
 // Atomic) structurally, so a viper system can be built directly on it.
+//
+// Every message the directory sends or receives from a cache rides a
+// zero-jitter network.Link with a prebound handler: probes out on
+// probeLink, answers back on ackLink (both probeLatency), responses out
+// on respLink (respLatency). Each message is one kernel event.
 type Directory struct {
 	k        *sim.Kernel
 	machine  *protocol.Machine
 	mem      *memctrl.Controller
 	lineSize int
-	// lines supplies payload handles for the writes the directory
-	// originates itself (CPU victim flushes, DMA writes); GPU payloads
-	// arrive as handles and pass through untouched.
+	// lines supplies the directory's own payload copies: probe answers,
+	// CPU victims and DMA writes. GPU payloads arrive as handles and
+	// pass through untouched.
 	lines *mem.LinePool
 
-	// probeLatency and respLatency model the interconnect hops.
-	probeLatency sim.Tick
-	respLatency  sim.Tick
+	probeLink *network.Link
+	ackLink   *network.Link
+	respLink  *network.Link
 
 	gpus []GPUPort
 	cpus []CPUPort
+	dmas []DMAPort
 
 	// gpuHolders is the bitmask of GPU L2s that may hold each line;
 	// multi-GPU systems probe the *other* L2s on writes and atomics
@@ -151,17 +199,19 @@ type Directory struct {
 	sharers    table.Table[mem.Addr, uint64]
 	owner      table.Table[mem.Addr, int]
 	tbes       table.Table[mem.Addr, *tbe]
-	stalled    table.Table[mem.Addr, []stalledReq]
+	stalled    table.Table[mem.Addr, stallQueue]
 
-	// Free lists: retired TBEs and drained stall queues (their backing
-	// arrays) cycle back through these instead of the heap.
+	// Free lists: retired TBEs and delivered messages cycle back through
+	// these instead of the heap.
 	tbeFree   []*tbe
-	stallFree [][]stalledReq
+	probeFree []*probe
+	respFree  []*resp
 
-	// Completion FIFO (see pendingResp).
-	respQ    []pendingResp
-	respHead int
-	respFn   func()
+	// Prebound link handlers; the message record rides as the argument.
+	onProbe     func(any)
+	onGPUProbed func(any)
+	onProbeAck  func(any)
+	onResp      func(any)
 
 	// Prebound memory-controller callbacks; the TBE rides as ctx.
 	onGPUFill   func(*mem.Line, any)
@@ -174,20 +224,30 @@ type Directory struct {
 	nacks, probes, staleVics uint64
 }
 
+// Interconnect latencies of the directory's hops.
+const (
+	probeLatency sim.Tick = 8
+	respLatency  sim.Tick = 8
+)
+
 // New builds a directory over ctrl with the given line size.
 func New(k *sim.Kernel, rec protocol.Recorder, onFault func(*protocol.FaultError), ctrl *memctrl.Controller, lineSize int) *Directory {
 	m := protocol.NewMachine(NewSpec(), rec)
 	m.OnFault = onFault
 	d := &Directory{
-		k:            k,
-		machine:      m,
-		mem:          ctrl,
-		lineSize:     lineSize,
-		lines:        mem.NewLinePool(lineSize),
-		probeLatency: 8,
-		respLatency:  8,
+		k:         k,
+		machine:   m,
+		mem:       ctrl,
+		lineSize:  lineSize,
+		lines:     mem.NewLinePool(lineSize),
+		probeLink: network.NewLink(k, "directory.probe", probeLatency),
+		ackLink:   network.NewLink(k, "directory.ack", probeLatency),
+		respLink:  network.NewLink(k, "directory.resp", respLatency),
 	}
-	d.respFn = d.deliverResp
+	d.onProbe = d.deliverProbe
+	d.onGPUProbed = func(arg any) { d.ackLink.SendMsg(d.onProbeAck, arg) }
+	d.onProbeAck = d.deliverProbeAck
+	d.onResp = d.deliverResp
 	d.onGPUFill = func(data *mem.Line, ctx any) {
 		t := ctx.(*tbe)
 		d.machine.Fire(StateB, EvMemData)
@@ -196,8 +256,7 @@ func New(k *sim.Kernel, rec protocol.Recorder, onFault func(*protocol.FaultError
 	d.onReadData = func(data *mem.Line, ctx any) {
 		t := ctx.(*tbe)
 		d.machine.Fire(StateB, EvMemData)
-		d.complete(t, data.Data)
-		data.Release()
+		d.complete(t, data)
 	}
 	d.onWriteDone = func(ctx any) {
 		t := ctx.(*tbe)
@@ -212,11 +271,13 @@ func New(k *sim.Kernel, rec protocol.Recorder, onFault func(*protocol.FaultError
 	d.onAtomicOld = func(old uint32, _ bool, ctx any) {
 		t := ctx.(*tbe)
 		d.machine.Fire(StateB, EvMemData)
-		fn, gctx := t.doneAt, t.gctx
+		fn, gctx := t.doneAt, t.ctx
 		// complete recycles the TBE and runs stalled retries; the
-		// response is queued after so event order matches the retries'.
+		// response is sent after so event order matches the retries'.
 		d.complete(t, nil)
-		d.pushResp(pendingResp{kind: respAtomic, fn: fn, old: old, gctx: gctx})
+		r := d.getResp(respAtomic)
+		r.gpuAt, r.old, r.ctx = fn, old, gctx
+		d.respLink.SendMsg(d.onResp, r)
 	}
 	return d
 }
@@ -282,21 +343,28 @@ func (d *Directory) AttachCPU(c CPUPort) int {
 	return len(d.cpus) - 1
 }
 
+// AttachDMA registers a DMA engine and returns its port ID.
+func (d *Directory) AttachDMA(e DMAPort) int {
+	d.dmas = append(d.dmas, e)
+	return len(d.dmas) - 1
+}
+
 // Reset returns the directory to its just-built state and keeps its
-// wiring (ports, controller, prebound callbacks) and its storage: the
-// line tables, TBEs, stall queues and completion FIFO are emptied in
-// place, the stats zeroed, and the line pool re-parks every line. The
-// kernel must be reset first: its pending events reference the TBEs
-// and responses dropped here. The memory controller is its owner's to
-// reset.
+// wiring (ports, links, controller, prebound callbacks) and its
+// storage: the line tables, TBEs, stall queues and links are emptied in
+// place, the stats zeroed, and the line pool re-parks every line.
+// Messages still in flight are dropped with their links' queues. The
+// kernel must be reset first: its pending events reference the TBEs and
+// messages dropped here. The memory controller is its owner's to reset.
 func (d *Directory) Reset() {
 	d.gpuHolders.Clear()
 	d.sharers.Clear()
 	d.owner.Clear()
 	d.tbes.Clear()
 	d.stalled.Clear()
-	clear(d.respQ)
-	d.respQ, d.respHead = d.respQ[:0], 0
+	d.probeLink.Reset()
+	d.ackLink.Reset()
+	d.respLink.Reset()
 	d.nacks, d.probes, d.staleVics = 0, 0, 0
 	d.lines.Reset()
 }
@@ -330,13 +398,22 @@ func (d *Directory) ownerOf(line mem.Addr) int {
 	return -1
 }
 
+// tbeChunk is how many TBEs a dry free list takes from the heap at
+// once: a system climbs to its peak of concurrent transactions, tens to
+// hundreds, in a few allocations rather than one per TBE.
+const tbeChunk = 16
+
 func (d *Directory) getTBE() *tbe {
-	if n := len(d.tbeFree); n > 0 {
-		t := d.tbeFree[n-1]
-		d.tbeFree = d.tbeFree[:n-1]
-		return t
+	if len(d.tbeFree) == 0 {
+		chunk := make([]tbe, tbeChunk)
+		for i := range chunk {
+			d.tbeFree = append(d.tbeFree, &chunk[i])
+		}
 	}
-	return &tbe{}
+	n := len(d.tbeFree)
+	t := d.tbeFree[n-1]
+	d.tbeFree = d.tbeFree[:n-1]
+	return t
 }
 
 func (d *Directory) putTBE(t *tbe) {
@@ -344,46 +421,46 @@ func (d *Directory) putTBE(t *tbe) {
 	d.tbeFree = append(d.tbeFree, t)
 }
 
-// pushResp queues a completion. Under steady traffic the queue never
-// empties, so before append would regrow a full array it moves the
-// live window down over the consumed prefix, once that prefix is at
-// least half the array: the array then stops growing at twice the peak
-// depth, and each entry is moved at most once per lap (amortised O(1)).
-func (d *Directory) pushResp(r pendingResp) {
-	if len(d.respQ) == cap(d.respQ) && 2*d.respHead >= len(d.respQ) {
-		n := copy(d.respQ, d.respQ[d.respHead:])
-		clear(d.respQ[n:])
-		d.respQ, d.respHead = d.respQ[:n], 0
+func (d *Directory) getResp(kind uint8) *resp {
+	var r *resp
+	if n := len(d.respFree); n > 0 {
+		r = d.respFree[n-1]
+		d.respFree = d.respFree[:n-1]
+	} else {
+		r = &resp{}
 	}
-	d.respQ = append(d.respQ, r)
-	d.k.Schedule(d.respLatency, d.respFn)
+	r.kind = kind
+	return r
 }
 
-// deliverResp completes the oldest queued response. FIFO matching is
-// sound because every response is scheduled exactly respLatency ticks
-// out and the kernel is stable, so deliveries fire in queue order.
-func (d *Directory) deliverResp() {
-	r := d.respQ[d.respHead]
-	d.respQ[d.respHead] = pendingResp{}
-	d.respHead++
-	if d.respHead == len(d.respQ) {
-		d.respQ = d.respQ[:0]
-		d.respHead = 0
+// deliverResp completes one response at its requester and recycles the
+// record.
+func (d *Directory) deliverResp(arg any) {
+	r := arg.(*resp)
+	var data []byte // a CPU or DMA read's payload, borrowed for the call
+	if r.data != nil {
+		data = r.data.Data
 	}
 	switch r.kind {
-	case respPlain:
-		r.fn.(func())()
-	case respGPUWr:
-		r.fn.(func(any))(r.gctx)
 	case respGPUFill:
-		r.fn.(func(*mem.Line, any))(r.line, r.gctx)
+		r.gpuFill(r.data, r.ctx)
+		r.data = nil // the handle now belongs to the L2
+	case respGPUWr:
+		r.gpuDone(r.ctx)
 	case respAtomic:
-		r.fn.(func(uint32, bool, any))(r.old, r.nack, r.gctx)
-	case respData:
-		r.fn.(func([]byte))(r.buf)
-	case respCPU:
-		r.fn.(func([]byte, FillKind))(r.buf, r.cpuKind)
+		r.gpuAt(r.old, r.nack, r.ctx)
+	case respCPUFill:
+		d.cpus[r.port].Fill(r.line, data, r.fill)
+	case respCPUWB:
+		d.cpus[r.port].WriteBackDone(r.line)
+	case respDMA:
+		d.dmas[r.port].DMADone(data, r.ctx)
 	}
+	if r.data != nil {
+		r.data.Release()
+	}
+	*r = resp{}
+	d.respFree = append(d.respFree, r)
 }
 
 // request fires ev for line; on stall it queues the TBE for a wake
@@ -395,11 +472,14 @@ func (d *Directory) request(line mem.Addr, ev int, t *tbe) {
 	switch cell.Kind {
 	case protocol.Stall:
 		q := d.stalled.Slot(line)
-		if *q == nil && len(d.stallFree) > 0 {
-			*q = d.stallFree[len(d.stallFree)-1]
-			d.stallFree = d.stallFree[:len(d.stallFree)-1]
+		t.ev = ev
+		if q.tail == nil {
+			q.head = t
+		} else {
+			q.tail.next = t
 		}
-		*q = append(*q, stalledReq{ev: ev, t: t})
+		q.tail = t
+		q.n++
 	case protocol.Defined:
 		d.start(t, st)
 	}
@@ -413,14 +493,17 @@ func (d *Directory) start(t *tbe, st int) {
 		// Upgrade validity is judged now: sharer lists go stale while a
 		// request waits, and probes can invalidate the requester's copy.
 		ss, _ := d.sharers.Get(t.line)
-		t.upgrade = t.have && ss&(1<<uint(t.cpu)) != 0
+		t.upgrade = t.have && ss&(1<<uint(t.port)) != 0
 	case opCPUVic:
 		// Write-backs that lost a race with a probe (the directory no
-		// longer believes t.cpu owns the line) are acknowledged without
+		// longer believes t.port owns the line) are acknowledged without
 		// touching memory.
-		if st != StateCM || d.ownerOf(t.line) != t.cpu {
+		if st != StateCM || d.ownerOf(t.line) != t.port {
 			d.staleVics++
-			d.pushResp(pendingResp{kind: respPlain, fn: t.done})
+			r := d.getResp(respCPUWB)
+			r.port, r.line = t.port, t.line
+			d.respLink.SendMsg(d.onResp, r)
+			t.wrLine.Release()
 			d.putTBE(t)
 			return
 		}
@@ -453,13 +536,13 @@ func (d *Directory) gpuFetch(gpu int, line mem.Addr, size int, done func(*mem.Li
 		panic(fmt.Sprintf("directory: fetch size %d != line size %d", size, d.lineSize))
 	}
 	t := d.getTBE()
-	t.op, t.line, t.gpu, t.doneGPUData, t.gctx = opGPURd, line, gpu, done, ctx
+	t.op, t.line, t.gpu, t.doneGPUData, t.ctx = opGPURd, line, gpu, done, ctx
 	d.request(line, EvGPURd, t)
 }
 
 func (d *Directory) gpuWrite(gpu int, line mem.Addr, payload *mem.Line, done func(any), ctx any) {
 	t := d.getTBE()
-	t.op, t.line, t.gpu, t.wrLine, t.doneGPU, t.gctx = opGPUWr, line, gpu, payload, done, ctx
+	t.op, t.line, t.gpu, t.wrLine, t.doneGPU, t.ctx = opGPUWr, line, gpu, payload, done, ctx
 	d.request(line, EvGPUWr, t)
 }
 
@@ -474,29 +557,31 @@ func (d *Directory) gpuAtomic(gpu int, addr mem.Addr, delta uint32, done func(ol
 		return
 	}
 	switch st {
-	case StateB:
+	case StateB, StateCS, StateCM:
 		d.nacks++
-		d.pushResp(pendingResp{kind: respAtomic, fn: done, nack: true, gctx: ctx})
-	case StateCS, StateCM:
-		d.nacks++
-		d.pushResp(pendingResp{kind: respAtomic, fn: done, nack: true, gctx: ctx})
-		t := d.getTBE()
-		t.op, t.line, t.gpu = opGPUClean, line, gpu
-		d.begin(t, st)
+		r := d.getResp(respAtomic)
+		r.gpuAt, r.nack, r.ctx = done, true, ctx
+		d.respLink.SendMsg(d.onResp, r)
+		if st != StateB {
+			t := d.getTBE()
+			t.op, t.line, t.gpu = opGPUClean, line, gpu
+			d.begin(t, st)
+		}
 	default:
 		t := d.getTBE()
 		t.op, t.line, t.gpu = opGPUAt, line, gpu
-		t.atAddr, t.delta, t.doneAt, t.gctx = addr, delta, done, ctx
+		t.atAddr, t.delta, t.doneAt, t.ctx = addr, delta, done, ctx
 		d.begin(t, st)
 	}
 }
 
 // --- CPU side ---
 
-// CPURead services a CPU load miss.
-func (d *Directory) CPURead(cpu int, line mem.Addr, done func(data []byte, kind FillKind)) {
+// CPURead services a CPU load miss; the fill arrives at the port's
+// Fill.
+func (d *Directory) CPURead(cpu int, line mem.Addr) {
 	t := d.getTBE()
-	t.op, t.line, t.cpu, t.doneCPU = opCPURd, line, cpu, done
+	t.op, t.line, t.port = opCPURd, line, cpu
 	d.request(line, EvCPURd, t)
 }
 
@@ -505,38 +590,47 @@ func (d *Directory) CPURead(cpu int, line mem.Addr, done func(data []byte, kind 
 // and the directory agree is the fill an upgrade (nil data) — see
 // start. A stale upgrade is still accepted but serviced as a full
 // exclusive fill.
-func (d *Directory) CPUReadX(cpu int, line mem.Addr, have bool, done func(data []byte, kind FillKind)) {
+func (d *Directory) CPUReadX(cpu int, line mem.Addr, have bool) {
 	ev := EvCPURdX
 	if have {
 		ev = EvCPUUpg
 	}
 	t := d.getTBE()
-	t.op, t.line, t.cpu, t.have, t.doneCPU = opCPURdX, line, cpu, have, done
+	t.op, t.line, t.port, t.have = opCPURdX, line, cpu, have
 	d.request(line, ev, t)
 }
 
 // CPUWriteBack services a dirty victim (stale victims are filtered in
-// start).
-func (d *Directory) CPUWriteBack(cpu int, line mem.Addr, data []byte, done func()) {
+// start); data is borrowed for the call. The acknowledgement arrives at
+// the port's WriteBackDone.
+func (d *Directory) CPUWriteBack(cpu int, line mem.Addr, data []byte) {
 	t := d.getTBE()
-	t.op, t.line, t.cpu, t.wrData, t.done = opCPUVic, line, cpu, data, done
+	t.op, t.line, t.port, t.wrLine = opCPUVic, line, cpu, d.copyLine(data)
 	d.request(line, EvCPUVic, t)
 }
 
 // --- DMA side ---
 
-// DMARead services a DMA engine read.
-func (d *Directory) DMARead(line mem.Addr, done func([]byte)) {
+// DMARead services a DMA engine read; the data arrives at the port's
+// DMADone with ctx.
+func (d *Directory) DMARead(dma int, line mem.Addr, ctx any) {
 	t := d.getTBE()
-	t.op, t.line, t.doneData = opDMARd, line, done
+	t.op, t.line, t.port, t.ctx = opDMARd, line, dma, ctx
 	d.request(line, EvDMARd, t)
 }
 
-// DMAWrite services a DMA engine write.
-func (d *Directory) DMAWrite(line mem.Addr, data []byte, done func()) {
+// DMAWrite services a DMA engine write; data is borrowed for the call.
+func (d *Directory) DMAWrite(dma int, line mem.Addr, data []byte, ctx any) {
 	t := d.getTBE()
-	t.op, t.line, t.wrData, t.done = opDMAWr, line, data, done
+	t.op, t.line, t.port, t.wrLine, t.ctx = opDMAWr, line, dma, d.copyLine(data), ctx
 	d.request(line, EvDMAWr, t)
+}
+
+// copyLine copies borrowed bytes into a line of the directory's pool.
+func (d *Directory) copyLine(data []byte) *mem.Line {
+	l := d.lines.Get(len(data))
+	copy(l.Data, data)
+	return l
 }
 
 // --- transaction engine ---
@@ -559,10 +653,10 @@ func (d *Directory) begin(t *tbe, st int) {
 		switch t.op {
 		case opCPURd:
 			if o := d.ownerOf(t.line); o >= 0 {
-				d.probeCPU(t, o, false)
+				d.sendProbe(t, o, false, false)
 			}
 		case opCPURdX:
-			d.probeAllCPUs(t, t.cpu)
+			d.probeAllCPUs(t, t.port)
 		case opCPUVic:
 			// The victim's data is already in hand; no probes.
 		default: // GPU and DMA ops clean out every CPU copy
@@ -582,19 +676,8 @@ func (d *Directory) probeGPUs(t *tbe, except int) {
 	if except >= 0 {
 		hs &^= 1 << uint(except)
 	}
-	line := t.line
 	for rest := hs; rest != 0; rest &= rest - 1 {
-		id := bits.TrailingZeros64(rest)
-		t.probesOut++
-		d.probes++
-		d.k.Schedule(d.probeLatency, func() {
-			d.gpus[id].ProbeInv(line, func() {
-				d.k.Schedule(d.probeLatency, func() {
-					clearBit(&d.gpuHolders, line, id)
-					d.probeAck(t, nil, false, -1, true)
-				})
-			})
-		})
+		d.sendProbe(t, bits.TrailingZeros64(rest), true, true)
 	}
 }
 
@@ -617,48 +700,82 @@ func (d *Directory) probeAllCPUs(t *tbe, except int) {
 		ids &^= 1 << uint(except)
 	}
 	for rest := ids; rest != 0; rest &= rest - 1 {
-		d.probeCPU(t, bits.TrailingZeros64(rest), true)
+		d.sendProbe(t, bits.TrailingZeros64(rest), false, true)
 	}
 }
 
-func (d *Directory) probeCPU(t *tbe, cpu int, inv bool) {
+// sendProbe sends one probe of t.line to a GPU's L2 or a CPU cache.
+func (d *Directory) sendProbe(t *tbe, port int, gpu, inv bool) {
 	t.probesOut++
 	d.probes++
-	line := t.line
-	d.k.Schedule(d.probeLatency, func() {
-		d.cpus[cpu].Probe(line, inv, func(dirty []byte, fromVic bool) {
-			d.k.Schedule(d.probeLatency, func() {
-				if inv {
-					clearBit(&d.sharers, line, cpu)
-					if d.ownerOf(line) == cpu {
-						d.owner.Delete(line)
-					}
-				} else {
-					// Downgrade probe: a clean or vic'd answer means no
-					// dirty owner remains.
-					if dirty == nil || fromVic {
-						d.owner.Delete(line)
-					}
-					if fromVic {
-						clearBit(&d.sharers, line, cpu)
-					}
-				}
-				d.probeAck(t, dirty, fromVic, cpu, inv)
-			})
-		})
-	})
+	var p *probe
+	if n := len(d.probeFree); n > 0 {
+		p = d.probeFree[n-1]
+		d.probeFree = d.probeFree[:n-1]
+	} else {
+		p = &probe{}
+	}
+	p.t, p.port, p.gpu, p.inv, p.line = t, port, gpu, inv, t.line
+	d.probeLink.SendMsg(d.onProbe, p)
 }
 
-func (d *Directory) probeAck(t *tbe, dirty []byte, fromVic bool, _ int, inv bool) {
+// deliverProbe is a probe's arrival at its cache. A CPU answers on the
+// spot; the directory copies any dirty data and sends the answer back.
+// A GPU's L2 answers through onGPUProbed once it has let go of the line.
+func (d *Directory) deliverProbe(arg any) {
+	p := arg.(*probe)
+	if p.gpu {
+		d.gpus[p.port].ProbeInv(p.line, d.onGPUProbed, p)
+		return
+	}
+	dirty, fromVic := d.cpus[p.port].Probe(p.line, p.inv)
+	if dirty != nil {
+		p.dirty = d.copyLine(dirty)
+	}
+	p.fromVic = fromVic
+	d.ackLink.SendMsg(d.onProbeAck, p)
+}
+
+// deliverProbeAck is a probe answer's arrival back at the directory:
+// the prober's holder and sharer bookkeeping, then the transaction's.
+func (d *Directory) deliverProbeAck(arg any) {
+	p := arg.(*probe)
+	t, line, port, gpu, inv, dirty, fromVic := p.t, p.line, p.port, p.gpu, p.inv, p.dirty, p.fromVic
+	*p = probe{}
+	d.probeFree = append(d.probeFree, p)
+	switch {
+	case gpu:
+		clearBit(&d.gpuHolders, line, port)
+	case inv:
+		clearBit(&d.sharers, line, port)
+		if d.ownerOf(line) == port {
+			d.owner.Delete(line)
+		}
+	default:
+		// Downgrade probe: a clean or vic'd answer means no dirty owner
+		// remains.
+		if dirty == nil || fromVic {
+			d.owner.Delete(line)
+		}
+		if fromVic {
+			clearBit(&d.sharers, line, port)
+		}
+	}
+	d.probeAck(t, dirty, fromVic, inv)
+}
+
+// probeAck counts one answer in; dirty (the directory's copy, or nil)
+// passes to the TBE.
+func (d *Directory) probeAck(t *tbe, dirty *mem.Line, fromVic, inv bool) {
 	switch {
 	case dirty != nil && t.op == opCPURd && !inv && !fromVic:
 		// The owner keeps an O copy and serves the data; memory may
 		// stay stale while an owner exists.
 		d.machine.Fire(StateB, EvPrbAckOwned)
-		t.serve = dirty
+		t.serve = replaceLine(t.serve, dirty)
 	case dirty != nil:
 		d.machine.Fire(StateB, EvPrbAckData)
-		t.dirty = dirty
+		t.dirty = replaceLine(t.dirty, dirty)
 	default:
 		d.machine.Fire(StateB, EvPrbAckClean)
 	}
@@ -668,28 +785,25 @@ func (d *Directory) probeAck(t *tbe, dirty []byte, fromVic bool, _ int, inv bool
 	}
 }
 
+// replaceLine releases old, if any, and returns l: a later answer's
+// data supersedes an earlier one's.
+func replaceLine(old, l *mem.Line) *mem.Line {
+	if old != nil {
+		old.Release()
+	}
+	return l
+}
+
 // afterProbes flushes collected dirty data to memory, then runs the
 // operation's own memory phase.
 func (d *Directory) afterProbes(t *tbe) {
 	if t.dirty != nil {
-		data := t.dirty
+		wl := t.dirty
 		t.dirty = nil
-		wl := d.lines.Get(len(data))
-		copy(wl.Data, data)
 		d.mem.WriteLine(t.line, wl, d.onDirtyWB, t)
 		return
 	}
 	d.memPhase(t)
-}
-
-// borrowWrite copies borrowed bytes into a pool line and issues the
-// masked-less write: the caller's buffer is free to be reused the
-// moment this returns, matching the old controller's copy-at-enqueue
-// contract that CPU caches and the DMA engine rely on.
-func (d *Directory) borrowWrite(line mem.Addr, data []byte, t *tbe) {
-	wl := d.lines.Get(len(data))
-	copy(wl.Data, data)
-	d.mem.WriteLine(line, wl, d.onWriteDone, t)
 }
 
 func (d *Directory) memPhase(t *tbe) {
@@ -700,7 +814,9 @@ func (d *Directory) memPhase(t *tbe) {
 		d.mem.ReadLine(t.line, d.lineSize, d.onReadData, t)
 	case opCPURd:
 		if t.serve != nil {
-			d.complete(t, t.serve)
+			serve := t.serve
+			t.serve = nil
+			d.complete(t, serve)
 			return
 		}
 		d.mem.ReadLine(t.line, d.lineSize, d.onReadData, t)
@@ -710,14 +826,12 @@ func (d *Directory) memPhase(t *tbe) {
 			return
 		}
 		d.mem.ReadLine(t.line, d.lineSize, d.onReadData, t)
-	case opGPUWr:
-		// The GPU's payload handle passes through to the controller
-		// untouched — the zero-copy write path.
+	case opGPUWr, opCPUVic, opDMAWr:
+		// The payload handle passes to the controller untouched — the
+		// zero-copy write path.
 		wl := t.wrLine
 		t.wrLine = nil
 		d.mem.WriteLine(t.line, wl, d.onWriteDone, t)
-	case opCPUVic, opDMAWr:
-		d.borrowWrite(t.line, t.wrData, t)
 	case opGPUAt:
 		d.mem.Atomic(t.atAddr, t.delta, d.onAtomicOld, t)
 	case opGPUClean:
@@ -731,72 +845,71 @@ func (d *Directory) completeGPUFill(t *tbe, data *mem.Line) {
 	line := t.line
 	d.tbes.Delete(line)
 	*d.gpuHolders.Slot(line) |= 1 << uint(t.gpu)
-	d.pushResp(pendingResp{kind: respGPUFill, fn: t.doneGPUData, line: data, gctx: t.gctx})
+	r := d.getResp(respGPUFill)
+	r.gpuFill, r.data, r.ctx = t.doneGPUData, data, t.ctx
+	d.respLink.SendMsg(d.onResp, r)
 	d.putTBE(t)
 	d.wake(line)
 }
 
-func (d *Directory) complete(t *tbe, data []byte) {
+// complete finishes a transaction. data, a read's payload, transfers
+// to the response.
+func (d *Directory) complete(t *tbe, data *mem.Line) {
 	d.tbes.Delete(t.line)
 	line := t.line
+	var r *resp
 	switch t.op {
 	case opGPUWr:
-		d.pushResp(pendingResp{kind: respGPUWr, fn: t.doneGPU, gctx: t.gctx})
-	case opDMAWr:
-		d.pushResp(pendingResp{kind: respPlain, fn: t.done})
-	case opDMARd:
-		d.respondData(t, data)
+		r = d.getResp(respGPUWr)
+		r.gpuDone, r.ctx = t.doneGPU, t.ctx
+	case opDMAWr, opDMARd:
+		r = d.getResp(respDMA)
+		r.port, r.data, r.ctx = t.port, data, t.ctx
 	case opCPURd:
 		kind := FillS
 		ss := d.sharers.Slot(line)
 		if *ss == 0 && d.ownerOf(line) < 0 {
 			kind = FillE
-			d.owner.Put(line, t.cpu)
+			d.owner.Put(line, t.port)
 		}
-		*ss |= 1 << uint(t.cpu)
-		d.respondCPU(t, data, kind)
+		*ss |= 1 << uint(t.port)
+		r = d.getResp(respCPUFill)
+		r.port, r.line, r.data, r.fill = t.port, line, data, kind
 	case opCPURdX:
-		d.sharers.Put(line, 1<<uint(t.cpu))
-		d.owner.Put(line, t.cpu)
-		d.respondCPU(t, data, FillM)
+		d.sharers.Put(line, 1<<uint(t.port))
+		d.owner.Put(line, t.port)
+		r = d.getResp(respCPUFill)
+		r.port, r.line, r.data, r.fill = t.port, line, data, FillM
 	case opCPUVic:
 		d.owner.Delete(line)
-		clearBit(&d.sharers, line, t.cpu)
-		d.pushResp(pendingResp{kind: respPlain, fn: t.done})
+		clearBit(&d.sharers, line, t.port)
+		r = d.getResp(respCPUWB)
+		r.port, r.line = t.port, line
 	case opGPUAt, opGPUClean:
 		// opGPUAt responds from its memory-phase callback (it needs the
 		// old value); opGPUClean has no requester.
+	}
+	if r != nil {
+		d.respLink.SendMsg(d.onResp, r)
 	}
 	d.putTBE(t)
 	d.wake(line)
 }
 
-func (d *Directory) respondData(t *tbe, data []byte) {
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	d.pushResp(pendingResp{kind: respData, fn: t.doneData, buf: buf})
-}
-
-func (d *Directory) respondCPU(t *tbe, data []byte, kind FillKind) {
-	var buf []byte
-	if data != nil {
-		buf = make([]byte, len(data))
-		copy(buf, data)
-	}
-	d.pushResp(pendingResp{kind: respCPU, fn: t.doneCPU, buf: buf, cpuKind: kind})
-}
-
+// wake re-fires line's stalled requests in arrival order. The queue is
+// unmapped first, so a retry that stalls again starts a new one.
 func (d *Directory) wake(line mem.Addr) {
-	queue, ok := d.stalled.Get(line)
+	q, ok := d.stalled.Get(line)
 	if !ok {
 		return
 	}
 	d.stalled.Delete(line)
-	for i, r := range queue {
-		queue[i] = stalledReq{}
-		d.request(line, r.ev, r.t)
+	for t := q.head; t != nil; {
+		next := t.next
+		t.next = nil
+		d.request(line, t.ev, t)
+		t = next
 	}
-	d.stallFree = append(d.stallFree, queue[:0])
 }
 
 // DebugDump renders the directory's live state for diagnosing hangs.
@@ -804,15 +917,15 @@ func (d *Directory) DebugDump() string {
 	out := ""
 	d.tbes.Each(func(line mem.Addr, tp **tbe) {
 		t := *tp
-		out += fmt.Sprintf("TBE line=%#x op=%d gpu=%d cpu=%d probesOut=%d\n", uint64(line), t.op, t.gpu, t.cpu, t.probesOut)
+		out += fmt.Sprintf("TBE line=%#x op=%d gpu=%d port=%d probesOut=%d\n", uint64(line), t.op, t.gpu, t.port, t.probesOut)
 	})
-	d.stalled.Each(func(line mem.Addr, q *[]stalledReq) {
-		out += fmt.Sprintf("stalled line=%#x count=%d\n", uint64(line), len(*q))
+	d.stalled.Each(func(line mem.Addr, q *stallQueue) {
+		out += fmt.Sprintf("stalled line=%#x count=%d\n", uint64(line), q.n)
 	})
 	d.gpuHolders.Each(func(line mem.Addr, hs *uint64) {
 		out += fmt.Sprintf("holders line=%#x mask=%#x\n", uint64(line), *hs)
 	})
-	if n := len(d.respQ) - d.respHead; n > 0 {
+	if n := d.respLink.Queued(); n > 0 {
 		out += fmt.Sprintf("responses queued=%d\n", n)
 	}
 	return out

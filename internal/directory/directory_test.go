@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,28 +13,49 @@ import (
 	"drftest/internal/sim"
 )
 
-// fakeCPU is a scriptable CPUPort.
+// fakeCPU is a scriptable CPUPort that records what reaches it.
 type fakeCPU struct {
 	probes []bool // inv flags, in order
 	ack    func(inv bool) (dirty []byte, fromVic bool)
+	fills  []fill
+	wbAcks int
 }
 
-func (f *fakeCPU) Probe(line mem.Addr, inv bool, ack func([]byte, bool)) {
+// fill is one Fill's arrival, its borrowed data copied out.
+type fill struct {
+	kind FillKind
+	data []byte
+}
+
+func (f *fakeCPU) Probe(line mem.Addr, inv bool) ([]byte, bool) {
 	f.probes = append(f.probes, inv)
 	if f.ack != nil {
-		d, v := f.ack(inv)
-		ack(d, v)
-		return
+		return f.ack(inv)
 	}
-	ack(nil, false)
+	return nil, false
+}
+
+func (f *fakeCPU) Fill(line mem.Addr, data []byte, kind FillKind) {
+	f.fills = append(f.fills, fill{kind: kind, data: slices.Clone(data)})
+}
+
+func (f *fakeCPU) WriteBackDone(line mem.Addr) { f.wbAcks++ }
+
+// last returns the most recent fill.
+func (f *fakeCPU) last(t *testing.T) fill {
+	t.Helper()
+	if len(f.fills) == 0 {
+		t.Fatal("no fill arrived")
+	}
+	return f.fills[len(f.fills)-1]
 }
 
 // fakeGPU is a scriptable GPUPort.
 type fakeGPU struct{ probes int }
 
-func (f *fakeGPU) ProbeInv(line mem.Addr, done func()) {
+func (f *fakeGPU) ProbeInv(line mem.Addr, done func(any), ctx any) {
 	f.probes++
-	done()
+	done(ctx)
 }
 
 func newDir(t *testing.T) (*sim.Kernel, *Directory, *mem.Store, *coverage.Collector) {
@@ -77,16 +99,16 @@ func TestCPUReadProbesGPU(t *testing.T) {
 	k, d, _, _ := newDir(t)
 	gpu := &fakeGPU{}
 	d.AttachGPU(gpu)
-	cpu := d.AttachCPU(&fakeCPU{})
+	fc := &fakeCPU{}
+	cpu := d.AttachCPU(fc)
 	d.FetchLine(0x80, 64, func(l *mem.Line, _ any) { l.Release() }, nil)
 	k.RunUntilIdle()
-	var kind FillKind
-	d.CPURead(cpu, 0x80, func(_ []byte, fk FillKind) { kind = fk })
+	d.CPURead(cpu, 0x80)
 	k.RunUntilIdle()
 	if gpu.probes != 1 {
 		t.Fatalf("GPU probed %d times, want 1", gpu.probes)
 	}
-	if kind != FillE {
+	if kind := fc.last(t).kind; kind != FillE {
 		t.Fatalf("sole CPU reader got %v, want FillE", kind)
 	}
 	if d.state(0x80) != StateCM {
@@ -96,16 +118,16 @@ func TestCPUReadProbesGPU(t *testing.T) {
 
 func TestStaleWriteBackIgnored(t *testing.T) {
 	k, d, store, col := newDir(t)
-	cpu := d.AttachCPU(&fakeCPU{})
+	fc := &fakeCPU{}
+	cpu := d.AttachCPU(fc)
 	store.WriteWord(0x100, 1)
 	// Write-back for a line the directory thinks is uncached: the
 	// victim raced a probe; memory must not be clobbered.
 	stale := make([]byte, 64)
 	stale[0] = 0xFF
-	done := false
-	d.CPUWriteBack(cpu, 0x100, stale, func() { done = true })
+	d.CPUWriteBack(cpu, 0x100, stale)
 	k.RunUntilIdle()
-	if !done {
+	if fc.wbAcks != 1 {
 		t.Fatal("stale vic never acknowledged")
 	}
 	if store.ReadWord(0x100) != 1 {
@@ -146,7 +168,7 @@ func TestAtomicCleansCPUCopies(t *testing.T) {
 		return nil, false
 	}}
 	cpu := d.AttachCPU(fc)
-	d.CPUReadX(cpu, 0x180, false, func([]byte, FillKind) {})
+	d.CPUReadX(cpu, 0x180, false)
 	k.RunUntilIdle()
 	if d.state(0x180) != StateCM {
 		t.Fatal("CPU should own the line")
@@ -195,24 +217,25 @@ func TestBlockingSerializesSameLine(t *testing.T) {
 
 func TestUpgradeVsFullFill(t *testing.T) {
 	k, d, _, col := newDir(t)
-	cpu := d.AttachCPU(&fakeCPU{})
-	d.CPURead(cpu, 0x240, func([]byte, FillKind) {})
+	fc := &fakeCPU{}
+	cpu := d.AttachCPU(fc)
+	d.CPURead(cpu, 0x240)
 	k.RunUntilIdle()
 	// Upgrade: requester still holds the line → nil data fill.
-	var data []byte = []byte{1}
-	d.CPUReadX(cpu, 0x240, true, func(b []byte, _ FillKind) { data = b })
+	d.CPUReadX(cpu, 0x240, true)
 	k.RunUntilIdle()
-	if data != nil {
+	if len(fc.fills) != 2 || fc.last(t).data != nil {
 		t.Fatal("upgrade should carry no data")
 	}
 	if col.Matrix("Directory").Hits[StateCM][EvCPUUpg] == 0 {
 		t.Fatal("[CM,CPU_Upg] not recorded")
 	}
 	// Stale upgrade: have=true but directory no longer lists the cpu.
-	d2cpu := d.AttachCPU(&fakeCPU{})
-	d.CPUReadX(d2cpu, 0x240, true, func(b []byte, _ FillKind) { data = b })
+	fc2 := &fakeCPU{}
+	d2cpu := d.AttachCPU(fc2)
+	d.CPUReadX(d2cpu, 0x240, true)
 	k.RunUntilIdle()
-	if data == nil {
+	if fc2.last(t).data == nil {
 		t.Fatal("stale upgrade must be serviced as a full fill")
 	}
 }
@@ -235,10 +258,10 @@ func TestDirectorySpecTextRoundTrip(t *testing.T) {
 }
 
 // TestDirectorySteadyStateAllocs pins the closure-free transaction
-// engine: once the TBE pool, stall queues and response FIFO are warm,
-// a round of GPU fetches, write-throughs and atomics over a fixed
-// working set allocates nothing. (CPU/DMA read responses are excluded:
-// they hand out a fresh copy of borrowed bytes by contract.)
+// engine: once the TBE pool, stall queues, message free lists and links
+// are warm, a round of GPU fetches, write-throughs and atomics over a
+// fixed working set allocates nothing. (The CPU side's round trip is
+// pinned with real caches in moesi's TestCPURoundTripZeroAllocs.)
 func TestDirectorySteadyStateAllocs(t *testing.T) {
 	k, d, _, _ := newDir(t)
 	pool := mem.NewLinePool(64)
@@ -267,30 +290,6 @@ func TestDirectorySteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestRespQueueSteadyStateAllocs pins the completion FIFO's reuse
-// under steady traffic: one response is queued every tick, so the queue
-// never empties (it holds respLatency of them), yet after warm-up
-// thousands of push/deliver pairs allocate nothing — the consumed
-// prefix is reclaimed instead of the array regrowing.
-func TestRespQueueSteadyStateAllocs(t *testing.T) {
-	k, d, _, _ := newDir(t)
-	delivered := 0
-	done := func() { delivered++ }
-	var tick func()
-	tick = func() {
-		d.pushResp(pendingResp{kind: respPlain, fn: done})
-		k.Schedule(1, tick)
-	}
-	k.Schedule(0, tick)
-	k.Run(1000) // warm the FIFO and the kernel's slab
-	if n := testing.AllocsPerRun(1, func() { k.Run(k.Now() + 10000) }); n != 0 {
-		t.Fatalf("10000 steady-state pushes and deliveries allocate %.0f objects, want 0", n)
-	}
-	if queued := len(d.respQ) - d.respHead; queued == 0 || delivered < 10000 {
-		t.Fatalf("%d responses queued and %d delivered: the queue drained, so nothing was pinned", queued, delivered)
-	}
-}
-
 // TestResetFieldAudit pins the Directory's field set: a field added
 // later must be classified here, and so cannot escape Reset (see
 // package audit).
@@ -301,16 +300,18 @@ func TestResetFieldAudit(t *testing.T) {
 	)
 	audit.Fields(t, Directory{}, map[string]string{
 		"k": wiring, "machine": wiring, "mem": wiring + " (its owner resets the controller)",
-		"lineSize": wiring, "probeLatency": wiring, "respLatency": wiring,
-		"gpus": wiring, "cpus": wiring,
-		"respFn": wiring, "onGPUFill": wiring, "onReadData": wiring, "onWriteDone": wiring,
+		"lineSize": wiring, "gpus": wiring, "cpus": wiring, "dmas": wiring,
+		"onProbe": wiring, "onGPUProbed": wiring, "onProbeAck": wiring, "onResp": wiring,
+		"onGPUFill": wiring, "onReadData": wiring, "onWriteDone": wiring,
 		"onDirtyWB": wiring, "onAtomicOld": wiring,
+		"probeLink":  "link: Reset drops its queued probes",
+		"ackLink":    "link: Reset drops its queued probe answers",
+		"respLink":   "link: Reset drops its queued responses",
 		"lines":      "pool: Reset re-parks every line",
 		"gpuHolders": reset, "sharers": reset, "owner": reset, "tbes": reset, "stalled": reset,
-		"respQ":     reset + " (clearing the slots it held)",
-		"respHead":  "state: Reset zeroes it",
 		"tbeFree":   "pool: zeroed TBEs, kept across Reset",
-		"stallFree": "pool: drained stall queues, kept across Reset",
+		"probeFree": "pool: delivered probe records, kept across Reset (records in flight at Reset are dropped)",
+		"respFree":  "pool: delivered response records, kept across Reset (records in flight at Reset are dropped)",
 		"nacks":     "stats: Reset zeroes", "probes": "stats: Reset zeroes", "staleVics": "stats: Reset zeroes",
 	})
 }

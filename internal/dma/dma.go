@@ -18,6 +18,7 @@ import (
 type Engine struct {
 	k        *sim.Kernel
 	dir      *directory.Directory
+	port     int // the engine's directory port
 	lineSize int
 
 	reads, writes uint64
@@ -27,7 +28,9 @@ type Engine struct {
 
 // New builds a DMA engine over dir.
 func New(k *sim.Kernel, dir *directory.Directory, lineSize int) *Engine {
-	return &Engine{k: k, dir: dir, lineSize: lineSize}
+	e := &Engine{k: k, dir: dir, lineSize: lineSize}
+	e.port = dir.AttachDMA(e)
+	return e
 }
 
 // Reset returns the engine to its just-built state: stats and the
@@ -56,11 +59,11 @@ func (e *Engine) CopyOut(base mem.Addr, lines int, interval sim.Tick, done func(
 	e.run(base, lines, interval, false, done)
 }
 
-// transfer is one CopyIn/CopyOut in flight: pooled, with its callbacks
+// transfer is one CopyIn/CopyOut in flight: pooled, with its step
 // prebound and (for writes) one pattern buffer reused line to line, so
-// a transfer allocates nothing per line. Buffer reuse is safe because
-// the next write is only issued after the previous one completed, long
-// after the directory copied the borrowed bytes into its own line.
+// a transfer allocates nothing per line. It is its line ops' ctx at the
+// directory. Buffer reuse is safe because the directory copies the
+// borrowed bytes on arrival.
 type transfer struct {
 	e        *Engine
 	line     mem.Addr
@@ -70,9 +73,7 @@ type transfer struct {
 	done     func()
 	buf      []byte
 
-	stepFn   func()
-	wrDoneFn func()
-	rdDoneFn func([]byte)
+	stepFn func()
 }
 
 func (e *Engine) getXfer() *transfer {
@@ -83,8 +84,6 @@ func (e *Engine) getXfer() *transfer {
 	}
 	t := &transfer{e: e}
 	t.stepFn = t.step
-	t.wrDoneFn = t.wrDone
-	t.rdDoneFn = t.rdDone
 	return t
 }
 
@@ -116,19 +115,21 @@ func (t *transfer) issue() {
 		for i := range t.buf {
 			t.buf[i] = byte(uint64(t.line)>>6 + uint64(i))
 		}
-		e.dir.DMAWrite(t.line, t.buf, t.wrDoneFn)
+		e.dir.DMAWrite(e.port, t.line, t.buf, t)
 		return
 	}
-	e.dir.DMARead(t.line, t.rdDoneFn)
+	e.dir.DMARead(e.port, t.line, t)
 }
 
-func (t *transfer) wrDone() {
-	t.e.writes++
-	t.finish()
-}
-
-func (t *transfer) rdDone([]byte) {
-	t.e.reads++
+// DMADone implements directory.DMAPort: one line op of the transfer
+// ctx completed.
+func (e *Engine) DMADone(_ []byte, ctx any) {
+	t := ctx.(*transfer)
+	if t.write {
+		e.writes++
+	} else {
+		e.reads++
+	}
 	t.finish()
 }
 

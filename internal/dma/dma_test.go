@@ -75,12 +75,15 @@ func TestZeroLinesCompletesImmediately(t *testing.T) {
 // TestCopyInSteadyStateAllocs pins the pooled-transfer engine: once a
 // transfer object and its pattern buffer exist, repeated CopyIns over
 // the same buffer allocate nothing — the per-line closures and pattern
-// buffers the old engine built are gone. (CopyOut is excluded: each
-// read response carries a fresh copy of the line by contract.)
+// buffers the old engine built are gone — and neither do the CopyOuts
+// that read the buffer back, whose data the engine borrows from the
+// directory's response.
 func TestCopyInSteadyStateAllocs(t *testing.T) {
 	k, e, _, _ := newRig()
 	round := func() {
 		e.CopyIn(0x1000, 8, 10, nil)
+		k.RunUntilIdle()
+		e.CopyOut(0x1000, 8, 10, nil)
 		k.RunUntilIdle()
 	}
 	for i := 0; i < 3; i++ {
@@ -98,6 +101,7 @@ func TestResetFieldAudit(t *testing.T) {
 	audit.Fields(t, Engine{}, map[string]string{
 		"k":        "wiring: fixed at construction, survives Reset",
 		"dir":      "wiring: fixed at construction (its owner resets the directory)",
+		"port":     "wiring: the engine's directory port, attached at construction",
 		"lineSize": "wiring: fixed at construction, survives Reset",
 		"reads":    "stats: Reset zeroes",
 		"writes":   "stats: Reset zeroes",

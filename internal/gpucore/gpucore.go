@@ -77,7 +77,11 @@ type Core struct {
 	k   *sim.Kernel
 	cfg Config
 	seq *viper.Sequencer
-	wfs []*wfCtx
+	// wfs[:live] are the core's wavefronts; contexts past live are kept
+	// from earlier runs, prebound continuations and all, for
+	// AddWavefront to reuse after a Reset.
+	wfs  []*wfCtx
+	live int
 
 	// onWFDone is called once per wavefront completion.
 	onWFDone func()
@@ -100,17 +104,32 @@ func New(k *sim.Kernel, cfg Config, seq *viper.Sequencer, onWFDone func()) *Core
 // every request the program emits must carry it in WFID... the core
 // assigns it here.
 func (c *Core) AddWavefront(prog Program) int {
-	wf := &wfCtx{id: len(c.wfs), prog: prog}
-	wf.fetchFn = func() { c.fetch(wf) }
-	wf.stageFn = func() { c.stepALU(wf) }
-	wf.issueFn = func() { c.issueLanes(wf) }
-	c.wfs = append(c.wfs, wf)
+	if c.live == len(c.wfs) {
+		wf := &wfCtx{id: c.live}
+		wf.fetchFn = func() { c.fetch(wf) }
+		wf.stageFn = func() { c.stepALU(wf) }
+		wf.issueFn = func() { c.issueLanes(wf) }
+		c.wfs = append(c.wfs, wf)
+	}
+	wf := c.wfs[c.live]
+	*wf = wfCtx{id: c.live, prog: prog, fetchFn: wf.fetchFn, stageFn: wf.stageFn, issueFn: wf.issueFn}
+	c.live++
 	return wf.id
+}
+
+// Reset returns the core to its just-built state — no wavefronts, zero
+// stats, and the core its sequencer's client again — and keeps the
+// wavefront contexts for AddWavefront to reuse. The kernel must be
+// reset (or idle) first: its pending events reference the contexts.
+func (c *Core) Reset() {
+	c.live = 0
+	c.instructions, c.memOps, c.aluOps = 0, 0, 0
+	c.seq.SetClient(c)
 }
 
 // Start begins executing every wavefront.
 func (c *Core) Start() {
-	for _, wf := range c.wfs {
+	for _, wf := range c.wfs[:c.live] {
 		c.k.Schedule(0, wf.fetchFn)
 	}
 }

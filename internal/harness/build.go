@@ -5,6 +5,7 @@
 package harness
 
 import (
+	"drftest/internal/apps"
 	"drftest/internal/cache"
 	"drftest/internal/coverage"
 	"drftest/internal/directory"
@@ -97,6 +98,11 @@ type HeteroBuild struct {
 	DMA    *dma.Engine
 	Store  *mem.Store
 	Col    *coverage.Collector
+
+	// The application run's own state, recycled from one application
+	// to the next: built by the first run, reset by every later one.
+	runner apps.Runner
+	host   hostDriver
 }
 
 // BuildHetero assembles the heterogeneous system of §IV.C.

@@ -194,12 +194,12 @@ func runOneApp(b *HeteroBuild, prof apps.Profile, opts AppSuiteOptions, seed uin
 // systems: DMA stages the input while the system is quiescent, the
 // kernel runs with the host polling, then DMA copies the result out.
 func runAppPhases(b *HeteroBuild, prof apps.Profile, opts AppSuiteOptions, seed uint64) *apps.RunResult {
-	host := newHostDriver(b, seed^0x505, 400, prof.MemOpsPerLane/2)
+	host := b.resetHost(seed^0x505, 400, prof.MemOpsPerLane/2)
 	b.DMA.CopyIn(apps.SharedRegionBase, 32, 50, nil)
 	b.K.RunUntilIdle()
 
 	host.start()
-	res := apps.Run(b.K, b.GPU, prof, seed, opts.NumWFs, opts.Lanes, opts.MaxTicksPerApp)
+	res := b.runner.Run(b.K, b.GPU, prof, seed, opts.NumWFs, opts.Lanes, opts.MaxTicksPerApp)
 	host.stop()
 	b.K.RunUntilIdle()
 

@@ -142,5 +142,15 @@ func TestHeteroBuildFieldAudit(t *testing.T) {
 		"DMA":    "reset: dma.Engine.Reset",
 		"Store":  "reset: by memctrl.Controller.Reset (the directory's controller owns it)",
 		"Col":    "reset: coverage.Collector.Reset, last",
+		"runner": "recycled: apps.Runner.Run resets cores, programs and tracker at the next application's start; Reset leaves it",
+		"host":   "recycled: HeteroBuild.resetHost resets threads and RNG at the next application's start; Reset leaves it",
 	})
+}
+
+// TestHostDriverNoMaps pins that the host driver, recycled across a
+// worker's applications, holds no Go map (see audit.NoMaps): its
+// threads' pending flags and op budgets are a slice, bar the backing
+// store's far-page map behind the caches.
+func TestHostDriverNoMaps(t *testing.T) {
+	audit.NoMaps(t, hostDriver{}, "Store.far")
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"drftest/internal/apps"
 	"drftest/internal/mem"
+	"drftest/internal/moesi"
 	"drftest/internal/rng"
 	"drftest/internal/sim"
 )
@@ -19,69 +20,85 @@ const (
 // It is deliberately light — real GPU applications keep the CPU mostly
 // idle — but it is what makes the GPU L2 see probe-invalidations and
 // the directory see CPU events during application-based testing.
+//
+// A HeteroBuild keeps one driver and resets it for every application:
+// the threads, their request slots and their prebound continuations
+// are built once.
 type hostDriver struct {
-	b       *HeteroBuild
-	rnd     *rng.PCG
+	k       *sim.Kernel
+	rnd     rng.PCG
 	period  sim.Tick
 	nextID  uint64
 	running bool
-	pending map[int]bool
-	// opsLeft bounds each host thread so the simulation drains even if
-	// the kernel outlives the host's polling loop.
-	opsLeft map[int]int
 	// sharedProb is the probability a host op polls the kernel's
 	// shared buffer instead of the private control block.
 	sharedProb float64
+	threads    []hostThread
 }
 
-func newHostDriver(b *HeteroBuild, seed uint64, period sim.Tick, opsPerCPU int) *hostDriver {
-	h := &hostDriver{
-		b:          b,
-		rnd:        rng.New(seed, 0x405),
-		period:     period,
-		pending:    make(map[int]bool),
-		opsLeft:    make(map[int]int),
-		sharedProb: 0.05,
-	}
-	for i := range b.Caches {
-		h.opsLeft[i] = opsPerCPU
+// hostThread is one host thread, driving one CPU cache with at most
+// one request outstanding.
+type hostThread struct {
+	h       *hostDriver
+	cpu     int
+	cache   *moesi.Cache
+	pending bool
+	// opsLeft bounds the thread so the simulation drains even if the
+	// kernel outlives the host's polling loop.
+	opsLeft int
+	// req is the thread's request slot, reissued only after its
+	// response (pending).
+	req     mem.Request
+	issueFn func()
+}
+
+// resetHost readies b's host driver for one run: reseeded from seed,
+// every thread idle with opsPerCPU operations to go and the client of
+// its CPU cache.
+func (b *HeteroBuild) resetHost(seed uint64, period sim.Tick, opsPerCPU int) *hostDriver {
+	h := &b.host
+	h.k = b.K
+	h.rnd.Seed(seed, 0x405)
+	h.period, h.nextID, h.running, h.sharedProb = period, 0, false, 0.05
+	if len(h.threads) != len(b.Caches) {
+		h.threads = make([]hostThread, len(b.Caches))
+		for i := range h.threads {
+			th := &h.threads[i]
+			th.issueFn = func() { h.issue(th) }
+		}
 	}
 	for i, c := range b.Caches {
-		cpu := i
-		c.SetClient(hostClient{h: h, cpu: cpu})
+		th := &h.threads[i]
+		th.h, th.cpu, th.cache, th.pending, th.opsLeft = h, i, c, false, opsPerCPU
+		c.SetClient(th)
 	}
 	return h
 }
 
-type hostClient struct {
-	h   *hostDriver
-	cpu int
-}
-
-func (c hostClient) HandleResponse(resp *mem.Response) {
-	h := c.h
-	h.pending[c.cpu] = false
-	if h.running {
-		h.b.K.Schedule(h.period, func() { h.issue(c.cpu) })
+// HandleResponse implements mem.Requestor: the thread polls again a
+// period after each response.
+func (th *hostThread) HandleResponse(*mem.Response) {
+	th.pending = false
+	if h := th.h; h.running {
+		h.k.Schedule(h.period, th.issueFn)
 	}
 }
 
 func (h *hostDriver) start() {
 	h.running = true
-	for cpu := range h.b.Caches {
-		cpu := cpu
-		h.b.K.Schedule(sim.Tick(cpu)*7, func() { h.issue(cpu) })
+	for i := range h.threads {
+		h.k.Schedule(sim.Tick(i)*7, h.threads[i].issueFn)
 	}
 }
 
 func (h *hostDriver) stop() { h.running = false }
 
-func (h *hostDriver) issue(cpu int) {
-	if !h.running || h.pending[cpu] || h.b.K.Stopped() || h.opsLeft[cpu] <= 0 {
+func (h *hostDriver) issue(th *hostThread) {
+	if !h.running || th.pending || h.k.Stopped() || th.opsLeft <= 0 {
 		return
 	}
-	h.opsLeft[cpu]--
-	h.pending[cpu] = true
+	th.opsLeft--
+	th.pending = true
 	h.nextID++
 	// Real application hosts mostly spin on their own control block
 	// (reads and writes); the kernel's shared buffer they only *poll*
@@ -93,15 +110,15 @@ func (h *hostDriver) issue(cpu int) {
 	if shared {
 		addr = apps.SharedRegionBase + mem.Addr(h.rnd.Intn(64*16)*mem.WordSize)
 	} else {
-		addr = hostControlBase + mem.Addr(cpu)*hostControlStride +
+		addr = hostControlBase + mem.Addr(th.cpu)*hostControlStride +
 			mem.Addr(h.rnd.Intn(4*16)*mem.WordSize)
 	}
-	req := &mem.Request{ID: 1<<40 | h.nextID, Addr: addr, ThreadID: cpu}
+	th.req = mem.Request{ID: 1<<40 | h.nextID, Addr: addr, ThreadID: th.cpu}
 	if !shared && h.rnd.Bool(0.3) {
-		req.Op = mem.OpStore
-		req.Data = uint32(h.nextID)
+		th.req.Op = mem.OpStore
+		th.req.Data = uint32(h.nextID)
 	} else {
-		req.Op = mem.OpLoad
+		th.req.Op = mem.OpLoad
 	}
-	h.b.Caches[cpu].Issue(req)
+	th.cache.Issue(&th.req)
 }

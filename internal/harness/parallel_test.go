@@ -3,6 +3,8 @@ package harness
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"sync"
@@ -116,8 +118,12 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 // and 3 and two seeds vary which system runs what after what. Last, one
 // application is stopped mid-run, so Reset faces live TBEs, stall
 // queues, queued responses and a CPU request in flight rather than an
-// idle system; the application after it must also leave every layer's
-// counters as a fresh build does.
+// idle system, and the recycled application state — cores with live
+// wavefronts, programs mid-stream, a filled locality tracker and the
+// host driver mid-op — is left for the next application to reset; that
+// application must match a fresh build field for field, locality
+// breakdowns included, and leave every layer's counters as a fresh
+// build does.
 func TestAppSuiteReuseMatchesFresh(t *testing.T) {
 	profs := []apps.Profile{*apps.ByName("Square"), *apps.ByName("CM"), *apps.ByName("FFT"), *apps.ByName("Histogram")}
 	reversed := slices.Clone(profs)
@@ -151,6 +157,40 @@ func TestAppSuiteReuseMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestAppSuiteAllocs pins what the application suite costs the
+// allocator: at Scale 0.05 on one worker, at most 0.14 objects per
+// memory op (about 3 080 for 23 488 ops, 0.131; 0.77 while the CPU side
+// sent closures and every application rebuilt its cores, programs,
+// tracker and host driver). What remains is one BuildHetero and its
+// pools' warm-up, and each application's coverage clones. The first
+// suite in a process also builds the shared specs and label tables, so
+// the pin takes the median of three. The race detector's own
+// allocations are out of scope.
+func TestAppSuiteAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts include the race detector's")
+	}
+	opts := AppSuiteOptions{Seed: 1, Scale: 0.05, Workers: 1}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var perOp []float64
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := RunAppSuite(opts)
+		runtime.ReadMemStats(&after)
+		var memOps uint64
+		for _, r := range res.Runs {
+			memOps += r.Res.MemOps
+		}
+		perOp = append(perOp, float64(after.Mallocs-before.Mallocs)/float64(memOps))
+	}
+	slices.Sort(perOp)
+	t.Logf("objects per memory op %.3f", perOp)
+	if perOp[1] > 0.14 {
+		t.Fatalf("median %.3f objects per memory op, want at most 0.14", perOp[1])
+	}
+}
+
 // freshApp runs one application on a fresh system: the oracle for a
 // reused one.
 func freshApp(opts AppSuiteOptions, prof apps.Profile, seed uint64) *AppRunResult {
@@ -174,10 +214,12 @@ func layerStats(b *HeteroBuild) []uint64 {
 
 // stopMidRun runs prof on b with the kernel stopped at the first tick
 // (from half the full run's length, in steps) that cuts the run while
-// the directory holds a live TBE, a stall queue and a queued response
-// and a CPU cache has a request in flight, resetting b between
-// attempts. The stop comes from a poller, which, unlike an event, does
-// not keep the kernel busy through the DMA phases.
+// the directory holds a live TBE, a stall queue and a queued response,
+// a CPU cache has a host thread's request in flight, and the
+// application is mid-run — wavefronts left, memory ops issued, lines
+// tracked — resetting b between attempts. The stop comes from a poller,
+// which, unlike an event, does not keep the kernel busy through the DMA
+// phases.
 func stopMidRun(t *testing.T, b *HeteroBuild, prof apps.Profile, opts AppSuiteOptions) {
 	t.Helper()
 	full := runAppPhases(b, prof, opts, 5).SimTicks
@@ -188,14 +230,16 @@ func stopMidRun(t *testing.T, b *HeteroBuild, prof apps.Profile, opts AppSuiteOp
 				b.K.Stop()
 			}
 		})
-		runAppPhases(b, prof, opts, 5)
+		res := runAppPhases(b, prof, opts, 5)
 		dump := b.Dir.DebugDump()
 		cpuBusy := slices.ContainsFunc(b.Caches, func(c *moesi.Cache) bool { return c.OutstandingCount() > 0 })
-		if cpuBusy && strings.Contains(dump, "TBE ") && strings.Contains(dump, "stalled ") && strings.Contains(dump, "responses ") {
+		hostBusy := slices.ContainsFunc(b.host.threads, func(th hostThread) bool { return th.pending })
+		appBusy := !res.Completed && res.MemOps > 0 && res.LinesTouched > 0
+		if cpuBusy && hostBusy && appBusy && strings.Contains(dump, "TBE ") && strings.Contains(dump, "stalled ") && strings.Contains(dump, "responses ") {
 			return
 		}
 	}
-	t.Fatalf("no stop tick in [%d, %d) left a live TBE, a stall queue, a queued response and a CPU request in flight", full/2, full)
+	t.Fatalf("no stop tick in [%d, %d) left a live TBE, a stall queue, a queued response, a host request in flight and the application mid-run", full/2, full)
 }
 
 // requireAppRunEqual fails unless two runs of one application agree on

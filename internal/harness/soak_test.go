@@ -69,7 +69,7 @@ func TestSoakHeterogeneous(t *testing.T) {
 		cfg.AddressRangeBytes = 0x8000
 		tester := core.New(b.K, b.GPU, cfg)
 
-		host := newHostDriver(b, seed, 200, 2000)
+		host := b.resetHost(seed, 200, 2000)
 		// Host polling only its own control block: no overlap with the
 		// tester's address range.
 		host.sharedProb = 0

@@ -7,6 +7,7 @@ import (
 	"drftest/internal/cache"
 	"drftest/internal/directory"
 	"drftest/internal/mem"
+	"drftest/internal/network"
 	"drftest/internal/protocol"
 	"drftest/internal/sim"
 	"drftest/internal/table"
@@ -24,15 +25,24 @@ type Bugs struct {
 
 // Cache is one CPU core's private write-back cache. It implements the
 // directory's CPUPort and accepts core requests like a sequencer.
+//
+// Every message the cache sends rides a zero-jitter network.Link with a
+// prebound handler: requests and write-backs to the directory on
+// reqLink (reqLatency), responses to the core on respLink
+// (respLatency). Each message is one kernel event.
 type Cache struct {
-	k           *sim.Kernel
-	id          int
-	machine     *protocol.Machine
-	array       *cache.Array
-	dir         *directory.Directory
-	reqLatency  sim.Tick
-	respLatency sim.Tick
-	client      mem.Requestor
+	k       *sim.Kernel
+	id      int
+	machine *protocol.Machine
+	array   *cache.Array
+	dir     *directory.Directory
+	client  mem.Requestor
+
+	reqLink  *network.Link
+	respLink *network.Link
+	// lines holds each dirty victim's data until the directory
+	// acknowledges the write-back.
+	lines *mem.LinePool
 
 	// Bugs injects protocol-implementation bugs; set before traffic.
 	Bugs Bugs
@@ -42,25 +52,57 @@ type Cache struct {
 	// acknowledges the write-back; probes that race with the victim are
 	// answered from there (fromVic).
 	tbes        table.Table[mem.Addr, *mem.Request]
-	vics        table.Table[mem.Addr, []byte]
+	vics        table.Table[mem.Addr, *mem.Line]
 	stalled     table.Table[mem.Addr, []*mem.Request]
 	outstanding table.Table[uint64, *mem.Request]
 
+	// msgFree recycles delivered messages; onReq and onResp are the
+	// links' prebound handlers.
+	msgFree []*msg
+	onReq   func(any)
+	onResp  func(any)
+
 	loads, loadHits, stores, storeHits, writebacks uint64
 }
+
+// Interconnect latencies of the cache's hops.
+const (
+	reqLatency  sim.Tick = 4
+	respLatency sim.Tick = 1
+)
+
+// msg is one message in flight from the cache: a request or write-back
+// to the directory, or a response to the core.
+type msg struct {
+	kind msgKind
+	line mem.Addr
+	vic  *mem.Line // a write-back's data, held in vics until its ack
+	resp mem.Response
+}
+
+type msgKind uint8
+
+const (
+	msgRead msgKind = iota
+	msgReadX
+	msgVic
+)
 
 // NewCache builds a CPU cache and attaches it to dir.
 func NewCache(k *sim.Kernel, spec *protocol.Spec, rec protocol.Recorder, onFault func(*protocol.FaultError), cfg cache.Config, dir *directory.Directory) *Cache {
 	m := protocol.NewMachine(spec, rec)
 	m.OnFault = onFault
 	c := &Cache{
-		k:           k,
-		machine:     m,
-		array:       cache.NewArray(cfg),
-		dir:         dir,
-		reqLatency:  4,
-		respLatency: 1,
+		k:        k,
+		machine:  m,
+		array:    cache.NewArray(cfg),
+		dir:      dir,
+		reqLink:  network.NewLink(k, "moesi.req", reqLatency),
+		respLink: network.NewLink(k, "moesi.resp", respLatency),
+		lines:    mem.NewLinePool(cfg.LineSize),
 	}
+	c.onReq = c.deliverReq
+	c.onResp = c.deliverResp
 	c.id = dir.AttachCPU(c)
 	return c
 }
@@ -78,6 +120,43 @@ func (c *Cache) state(line mem.Addr) int {
 		return e.State
 	}
 	return StateI
+}
+
+func (c *Cache) getMsg() *msg {
+	if n := len(c.msgFree); n > 0 {
+		m := c.msgFree[n-1]
+		c.msgFree = c.msgFree[:n-1]
+		return m
+	}
+	return &msg{}
+}
+
+func (c *Cache) putMsg(m *msg) {
+	*m = msg{}
+	c.msgFree = append(c.msgFree, m)
+}
+
+// send sends a request or write-back to the directory.
+func (c *Cache) send(kind msgKind, line mem.Addr, vic *mem.Line) {
+	m := c.getMsg()
+	m.kind, m.line, m.vic = kind, line, vic
+	c.reqLink.SendMsg(c.onReq, m)
+}
+
+// deliverReq is a request's arrival at the directory. An exclusive
+// request reports whether the cache still holds the line as of now.
+func (c *Cache) deliverReq(arg any) {
+	m := arg.(*msg)
+	kind, line, vic := m.kind, m.line, m.vic
+	c.putMsg(m)
+	switch kind {
+	case msgRead:
+		c.dir.CPURead(c.id, line)
+	case msgReadX:
+		c.dir.CPUReadX(c.id, line, c.state(line) != StateI)
+	case msgVic:
+		c.dir.CPUWriteBack(c.id, line, vic.Data)
+	}
 }
 
 // Issue accepts one core request (load or store).
@@ -114,11 +193,7 @@ func (c *Cache) process(req *mem.Request) {
 			return
 		}
 		c.tbes.Put(line, req)
-		c.k.Schedule(c.reqLatency, func() {
-			c.dir.CPURead(c.id, line, func(data []byte, kind directory.FillKind) {
-				c.onFill(line, data, kind)
-			})
-		})
+		c.send(msgRead, line, nil)
 
 	case mem.OpStore:
 		c.stores++
@@ -132,12 +207,7 @@ func (c *Cache) process(req *mem.Request) {
 			c.respond(req, req.Data)
 		default: // I, S, O: need write permission from the directory
 			c.tbes.Put(line, req)
-			c.k.Schedule(c.reqLatency, func() {
-				have := c.state(line) != StateI
-				c.dir.CPUReadX(c.id, line, have, func(data []byte, kind directory.FillKind) {
-					c.onFill(line, data, kind)
-				})
-			})
+			c.send(msgReadX, line, nil)
 		}
 
 	default:
@@ -145,7 +215,9 @@ func (c *Cache) process(req *mem.Request) {
 	}
 }
 
-func (c *Cache) onFill(line mem.Addr, data []byte, kind directory.FillKind) {
+// Fill implements directory.CPUPort: the directory's answer to a read
+// or exclusive read.
+func (c *Cache) Fill(line mem.Addr, data []byte, kind directory.FillKind) {
 	st := c.state(line)
 	var e *cache.Line
 	switch kind {
@@ -204,22 +276,36 @@ func (c *Cache) install(line mem.Addr, state int, data []byte) *cache.Line {
 	return e
 }
 
+// writeBack parks the victim's data in vics and sends it to the
+// directory. A line is refilled only after its write-back's ack (the
+// ack leaves the blocking directory before the refill's data, on the
+// same ordered link), so a line never has two write-backs pending.
 func (c *Cache) writeBack(victim *cache.Line) {
 	c.writebacks++
 	line := victim.Tag
-	buf := make([]byte, len(victim.Data))
-	copy(buf, victim.Data)
-	c.vics.Put(line, buf)
-	c.k.Schedule(c.reqLatency, func() {
-		c.dir.CPUWriteBack(c.id, line, buf, func() {
-			c.machine.Fire(c.state(line), EvWBAck)
-			c.vics.Delete(line)
-		})
-	})
+	if c.vics.Ptr(line) != nil {
+		panic(fmt.Sprintf("moesi: cache %d wrote back %#x again before the first write-back's ack", c.id, uint64(line)))
+	}
+	vic := c.lines.Get(len(victim.Data))
+	copy(vic.Data, victim.Data)
+	c.vics.Put(line, vic)
+	c.send(msgVic, line, vic)
 }
 
-// Probe implements directory.CPUPort.
-func (c *Cache) Probe(line mem.Addr, inv bool, ack func(dirty []byte, fromVic bool)) {
+// WriteBackDone implements directory.CPUPort: the directory's ack of a
+// write-back frees the victim's data.
+func (c *Cache) WriteBackDone(line mem.Addr) {
+	c.machine.Fire(c.state(line), EvWBAck)
+	if vic, ok := c.vics.Get(line); ok {
+		vic.Release()
+		c.vics.Delete(line)
+	}
+}
+
+// Probe implements directory.CPUPort. The dirty data it returns is the
+// cache's own storage, which the directory copies before the call
+// returns.
+func (c *Cache) Probe(line mem.Addr, inv bool) (dirty []byte, fromVic bool) {
 	if vic, pending := c.vics.Get(line); pending {
 		// The line's dirty data is travelling in a write-back; answer
 		// the probe from the victim buffer so it is not lost.
@@ -228,47 +314,47 @@ func (c *Cache) Probe(line mem.Addr, inv bool, ack func(dirty []byte, fromVic bo
 		} else {
 			c.machine.Fire(StateI, EvPrbShr)
 		}
-		ack(vic, true)
-		return
+		return vic.Data, true
 	}
 	st := c.state(line)
 	if inv {
 		c.machine.Fire(st, EvPrbInv)
-		var dirty []byte
 		if st == StateM || st == StateO {
-			e := c.array.Peek(line)
-			dirty = make([]byte, len(e.Data))
-			copy(dirty, e.Data)
+			dirty = c.array.Peek(line).Data
 		}
 		if c.Bugs.DropProbeData {
 			// BUG: the dirty data evaporates with the invalidation.
 			dirty = nil
 		}
 		c.array.Invalidate(line)
-		ack(dirty, false)
-		return
+		return dirty, false
 	}
 	c.machine.Fire(st, EvPrbShr)
 	switch st {
 	case StateM, StateO:
 		e := c.array.Peek(line)
-		dirty := make([]byte, len(e.Data))
-		copy(dirty, e.Data)
 		e.State = StateO
-		ack(dirty, false)
+		return e.Data, false
 	case StateE:
 		c.array.Peek(line).State = StateS
-		ack(nil, false)
-	default:
-		ack(nil, false)
 	}
+	return nil, false
 }
 
 func (c *Cache) respond(req *mem.Request, data uint32) {
-	c.k.Schedule(c.respLatency, func() {
-		c.outstanding.Delete(req.ID)
-		c.client.HandleResponse(&mem.Response{Req: req, Data: data, Tick: uint64(c.k.Now())})
-	})
+	m := c.getMsg()
+	m.resp = mem.Response{Req: req, Data: data}
+	c.respLink.SendMsg(c.onResp, m)
+}
+
+// deliverResp is a response's arrival at the core; the Response is
+// valid for the HandleResponse call only (see mem.Requestor).
+func (c *Cache) deliverResp(arg any) {
+	m := arg.(*msg)
+	c.outstanding.Delete(m.resp.Req.ID)
+	m.resp.Tick = uint64(c.k.Now())
+	c.client.HandleResponse(&m.resp)
+	c.putMsg(m)
 }
 
 func (c *Cache) wake(line mem.Addr) {
@@ -297,12 +383,16 @@ func (c *Cache) writeWord(e *cache.Line, a mem.Addr, v uint32) {
 }
 
 // Reset returns the cache to its just-built state and keeps its wiring
-// (directory port, client, injected bugs) and its storage: every line is
-// invalidated, the TBE, victim, stall and in-flight tables are emptied
-// in place and the stats zeroed. The kernel must be reset first: its
-// pending events reference the requests and victims dropped here.
+// (directory port, links, client, injected bugs) and its storage: every
+// line is invalidated, the links and the TBE, victim, stall and
+// in-flight tables are emptied in place, the victim pool re-parks every
+// line and the stats are zeroed. The kernel must be reset first: its
+// pending events reference the requests and messages dropped here.
 func (c *Cache) Reset() {
 	c.array.Reset()
+	c.reqLink.Reset()
+	c.respLink.Reset()
+	c.lines.Reset()
 	c.tbes.Clear()
 	c.vics.Clear()
 	c.stalled.Clear()
@@ -321,57 +411,4 @@ func (c *Cache) OutstandingCount() int { return c.outstanding.Len() }
 // Stats returns load/store hit counters and write-backs.
 func (c *Cache) Stats() (loads, loadHits, stores, storeHits, writebacks uint64) {
 	return c.loads, c.loadHits, c.stores, c.storeHits, c.writebacks
-}
-
-// CacheSnapshot captures one CPU cache's state: array contents, TBEs,
-// victim buffers, stall queues, in-flight requests, and stats.
-//
-// Request pointers are retained by identity (tester slab slots are
-// write-once within a run). Victim data buffers are deep-copied, which
-// is sound even with a write-back in flight: the buffer is never
-// written after creation, so a content-equal replacement serves probes
-// identically while the original travels in the scheduled event.
-type CacheSnapshot struct {
-	array       *cache.ArraySnapshot
-	tbes        table.Table[mem.Addr, *mem.Request]
-	vics        table.Table[mem.Addr, []byte]
-	stalled     table.Table[mem.Addr, []*mem.Request]
-	outstanding table.Table[uint64, *mem.Request]
-
-	loads, loadHits, stores, storeHits, writebacks uint64
-}
-
-// copyLists makes dst a copy of src that shares no list with it.
-func copyLists[V any](dst, src *table.Table[mem.Addr, []V]) {
-	dst.CopyFrom(src)
-	dst.Each(func(_ mem.Addr, q *[]V) { *q = append([]V(nil), *q...) })
-}
-
-// Snapshot captures the cache's complete state. Pair with a kernel
-// snapshot taken at the same instant for a consistent cut.
-func (c *Cache) Snapshot() *CacheSnapshot {
-	s := &CacheSnapshot{
-		array: c.array.Snapshot(),
-		loads: c.loads, loadHits: c.loadHits,
-		stores: c.stores, storeHits: c.storeHits,
-		writebacks: c.writebacks,
-	}
-	s.tbes.CopyFrom(&c.tbes)
-	copyLists(&s.vics, &c.vics)
-	copyLists(&s.stalled, &c.stalled)
-	s.outstanding.CopyFrom(&c.outstanding)
-	return s
-}
-
-// Restore reinstates a state captured by Snapshot on this cache. The
-// kernel must be restored to the matching cut first.
-func (c *Cache) Restore(s *CacheSnapshot) {
-	c.array.Restore(s.array)
-	c.tbes.CopyFrom(&s.tbes)
-	copyLists(&c.vics, &s.vics)
-	copyLists(&c.stalled, &s.stalled)
-	c.outstanding.CopyFrom(&s.outstanding)
-	c.loads, c.loadHits = s.loads, s.loadHits
-	c.stores, c.storeHits = s.stores, s.storeHits
-	c.writebacks = s.writebacks
 }

@@ -250,18 +250,71 @@ func TestResetFieldAudit(t *testing.T) {
 	)
 	audit.Fields(t, Cache{}, map[string]string{
 		"k": wiring, "id": wiring, "machine": wiring, "dir": wiring,
-		"reqLatency": wiring, "respLatency": wiring,
-		"client": "wiring: set by SetClient, survives Reset",
-		"Bugs":   "wiring: injected bugs, survive Reset",
-		"array":  "state: Reset invalidates every line",
-		"tbes":   reset, "vics": reset, "stalled": reset, "outstanding": reset,
+		"onReq": wiring, "onResp": wiring,
+		"reqLink":  "link: Reset drops its queued requests and write-backs",
+		"respLink": "link: Reset drops its queued responses",
+		"lines":    "pool: Reset re-parks every victim line",
+		"msgFree":  "pool: delivered messages, kept across Reset (messages in flight at Reset are dropped)",
+		"client":   "wiring: set by SetClient, survives Reset",
+		"Bugs":     "wiring: injected bugs, survive Reset",
+		"array":    "state: Reset invalidates every line",
+		"tbes":     reset, "vics": reset, "stalled": reset, "outstanding": reset,
 		"loads": stats, "loadHits": stats, "stores": stats, "storeHits": stats, "writebacks": stats,
 	})
 }
 
-// TestNoMaps pins that a CPU cache's state and its snapshot hold no Go
-// map (see audit.NoMaps), bar the backing store's far-page map.
+// TestNoMaps pins that a CPU cache's state holds no Go map (see
+// audit.NoMaps), bar the backing store's far-page map.
 func TestNoMaps(t *testing.T) {
 	audit.NoMaps(t, Cache{}, "Store.far")
-	audit.NoMaps(t, CacheSnapshot{})
+}
+
+// countClient counts responses without keeping them.
+type countClient struct{ n int }
+
+func (c *countClient) HandleResponse(*mem.Response) { c.n++ }
+
+// TestCPURoundTripZeroAllocs pins the CPU side's message plane at zero
+// allocations in steady state, in the style of sim's
+// TestEventLoopZeroAllocs. Each round is a load miss through the
+// directory and the memory controller back as a fill and a response; a
+// store whose exclusive request probes the first cache's copy and
+// collects its ack; and two loads that evict the now-dirty line, whose
+// write-back returns the line to memory so the next round starts over.
+func TestCPURoundTripZeroAllocs(t *testing.T) {
+	r := newRig(t, 2)
+	cl := &countClient{}
+	for _, c := range r.caches {
+		c.SetClient(cl)
+	}
+	// A, B and C share set 0 of the 2-way, 4-set caches.
+	const a, b, c mem.Addr = 0x000, 0x100, 0x200
+	var reqs [4]mem.Request
+	issue := func(i, cpu int, op mem.Op, addr mem.Addr) {
+		reqs[i] = mem.Request{ID: uint64(i + 1), Op: op, Addr: addr, Data: 7}
+		r.caches[cpu].Issue(&reqs[i])
+		r.run()
+	}
+	round := func() {
+		issue(0, 0, mem.OpLoad, a)
+		issue(1, 1, mem.OpStore, a)
+		issue(2, 1, mem.OpLoad, b)
+		issue(3, 1, mem.OpLoad, c)
+	}
+	for i := 0; i < 8; i++ {
+		round() // warm the links, free lists, pools and tables
+	}
+	_, probes0, _ := r.dir.Stats()
+	_, _, _, _, wbs0 := r.caches[1].Stats()
+	reads0, _, _, _ := r.dir.Memory().Stats()
+	if n := testing.AllocsPerRun(50, round); n != 0 {
+		t.Fatalf("steady-state CPU round trip allocates %.1f objects, want 0", n)
+	}
+	_, probes, _ := r.dir.Stats()
+	_, _, _, _, wbs := r.caches[1].Stats()
+	reads, _, _, _ := r.dir.Memory().Stats()
+	if probes == probes0 || wbs == wbs0 || reads == reads0 || cl.n == 0 {
+		t.Fatalf("rounds sent %d probes, %d write-backs, %d memory reads and %d responses: the round trip was not exercised",
+			probes-probes0, wbs-wbs0, reads-reads0, cl.n)
+	}
 }

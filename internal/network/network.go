@@ -80,6 +80,10 @@ func (l *Link) SetJitter(jitter sim.Tick) {
 // Sent returns the number of messages sent on the link.
 func (l *Link) Sent() uint64 { return l.sent }
 
+// Queued returns the number of typed messages sent and not yet
+// delivered.
+func (l *Link) Queued() int { return len(l.msgQ) - l.msgHead }
+
 // ResetStats zeroes the link's traffic counter. The jitter RNG is
 // shared with (and reseeded by) the owning system, so it is not
 // touched here.
@@ -116,6 +120,16 @@ func (l *Link) sendMsgTagged(tag uint64, fn func(any), arg any) {
 	d := l.latency
 	if l.jitter > 0 {
 		d += sim.Tick(l.rnd.Intn(int(l.jitter) + 1))
+	}
+	// Under steady traffic the queue never empties, so before append
+	// would regrow a full array, move the live window down over the
+	// delivered prefix once that prefix is at least half the array: the
+	// array stops growing at twice the peak depth, and each entry moves
+	// at most once per lap.
+	if len(l.msgQ) == cap(l.msgQ) && 2*l.msgHead >= len(l.msgQ) {
+		n := copy(l.msgQ, l.msgQ[l.msgHead:])
+		clear(l.msgQ[n:])
+		l.msgQ, l.msgHead = l.msgQ[:n], 0
 	}
 	// Queue the message behind everything due no later than it is:
 	// only messages sent within the last jitter window can be due

@@ -160,3 +160,32 @@ func TestCrossbar(t *testing.T) {
 		t.Fatalf("TotalSent=%d", c.TotalSent())
 	}
 }
+
+// TestLinkQueueSteadyStateAllocs pins the typed queue's reuse under
+// traffic that never lets it drain: one message is sent every tick on a
+// link eight ticks long, so eight are always queued, yet after warm-up
+// ten thousand sends and deliveries allocate nothing — the delivered
+// prefix is reclaimed instead of the array regrowing.
+func TestLinkQueueSteadyStateAllocs(t *testing.T) {
+	k := sim.NewKernel()
+	l := NewLink(k, "steady", 8)
+	delivered := 0
+	fn := func(any) { delivered++ }
+	var arg any = new(int)
+	var tick func()
+	tick = func() {
+		l.SendMsg(fn, arg)
+		k.Schedule(1, tick)
+	}
+	k.Schedule(0, tick)
+	k.Run(1000) // warm the queue and the kernel's slab
+	if n := testing.AllocsPerRun(1, func() { k.Run(k.Now() + 10000) }); n != 0 {
+		t.Fatalf("10000 steady-state sends and deliveries allocate %.0f objects, want 0", n)
+	}
+	if l.Queued() == 0 || delivered < 10000 {
+		t.Fatalf("%d messages queued and %d delivered: the queue drained, so nothing was pinned", l.Queued(), delivered)
+	}
+	if c := cap(l.msgQ); c > 64 {
+		t.Fatalf("queue array grew to %d slots for a depth of 8", c)
+	}
+}

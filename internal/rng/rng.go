@@ -21,11 +21,18 @@ const pcgMult = 6364136223846793005
 
 // New returns a generator seeded with seed on stream seq.
 func New(seed, seq uint64) *PCG {
-	p := &PCG{inc: seq<<1 | 1}
+	p := &PCG{}
+	p.Seed(seed, seq)
+	return p
+}
+
+// Seed reseeds p in place, leaving it exactly as New(seed, seq) returns
+// it: a generator held by value is recycled without an allocation.
+func (p *PCG) Seed(seed, seq uint64) {
+	*p = PCG{inc: seq<<1 | 1}
 	p.Uint32()
 	p.state += seed
 	p.Uint32()
-	return p
 }
 
 // State returns the generator's internal state and stream increment.
@@ -37,7 +44,15 @@ func (p *PCG) State() (state, inc uint64) { return p.state, p.inc }
 // is a pure function of p's current state, so splitting is itself
 // deterministic.
 func (p *PCG) Split() *PCG {
-	return New(p.Uint64(), p.Uint64())
+	q := &PCG{}
+	p.SplitTo(q)
+	return q
+}
+
+// SplitTo is Split into q, a generator the caller holds by value.
+func (p *PCG) SplitTo(q *PCG) {
+	seed := p.Uint64()
+	q.Seed(seed, p.Uint64())
 }
 
 // Uint32 returns the next 32 random bits.

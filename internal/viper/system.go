@@ -241,7 +241,7 @@ func (s *System) SetRespJitter(jitter sim.Tick, seed uint64) {
 // (write-back).
 type l2ctrl interface {
 	FromTCP(msg *tcpMsg)
-	ProbeInv(line mem.Addr, done func())
+	ProbeInv(line mem.Addr, done func(any), ctx any)
 	AuditAgainstStore(st *mem.Store) []string
 	Flush(st *mem.Store)
 	Stats() map[string]uint64
@@ -275,8 +275,8 @@ func (s *System) sliceOf(line mem.Addr) l2ctrl {
 }
 
 // ProbeInv implements the directory's GPUPort over all slices.
-func (s *System) ProbeInv(line mem.Addr, done func()) {
-	s.sliceOf(line).ProbeInv(line, done)
+func (s *System) ProbeInv(line mem.Addr, done func(any), ctx any) {
+	s.sliceOf(line).ProbeInv(line, done, ctx)
 }
 
 // AuditL2 compares every slice's cached lines against the backing

@@ -106,7 +106,7 @@ type TCC struct {
 type tccState struct {
 	tbes          table.Table[mem.Addr, *tccTBE]
 	stalled       waitList[mem.Addr, *tcpMsg]
-	stalledProbes waitList[mem.Addr, func()]
+	stalledProbes waitList[mem.Addr, stalledProbe]
 	wbs           table.Table[mem.Addr, int] // in-flight memory writes per line
 
 	// stats
@@ -388,15 +388,21 @@ func (c *TCC) onWBAck(msg *tcpMsg) {
 	c.send(cu, ack)
 }
 
+// stalledProbe is a directory probe waiting out a busy line.
+type stalledProbe struct {
+	done func(any)
+	ctx  any
+}
+
 // ProbeInv is called by the directory to invalidate a line (PrbInv in
-// Table II); done runs once the TCC has given up its copy.
-func (c *TCC) ProbeInv(line mem.Addr, done func()) {
+// Table II); done(ctx) runs once the TCC has given up its copy.
+func (c *TCC) ProbeInv(line mem.Addr, done func(any), ctx any) {
 	st := c.state(line)
 	cell := c.machine.Fire(st, TCCPrbInv)
 	switch cell.Kind {
 	case protocol.Stall:
 		c.stalls++
-		c.stalledProbes.push(line, func() { c.ProbeInv(line, done) })
+		c.stalledProbes.push(line, stalledProbe{done: done, ctx: ctx})
 		return
 	case protocol.Undefined:
 		return
@@ -407,7 +413,7 @@ func (c *TCC) ProbeInv(line mem.Addr, done func()) {
 	case TCCStateIV:
 		(*c.tbes.Ptr(line)).probed = true
 	}
-	done()
+	done(ctx)
 }
 
 // buggyLocalAtomic is the NonAtomicRMW fast path: read now, answer now,
@@ -443,7 +449,7 @@ func (c *TCC) wake(line mem.Addr) {
 	c.stalled.recycle(queue)
 	probes := c.stalledProbes.take(line)
 	for _, p := range probes {
-		p()
+		c.ProbeInv(line, p.done, p.ctx)
 	}
 	c.stalledProbes.recycle(probes)
 }

@@ -281,7 +281,7 @@ func (c *TCCWB) install(line mem.Addr) *cache.Line {
 }
 
 // ProbeInv must never be called: the write-back variant is GPU-only.
-func (c *TCCWB) ProbeInv(line mem.Addr, done func()) {
+func (c *TCCWB) ProbeInv(line mem.Addr, done func(any), ctx any) {
 	panic("viper: VIPER-WB is a GPU-only protocol; it cannot be probed by a directory")
 }
 
