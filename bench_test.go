@@ -107,7 +107,7 @@ func BenchmarkFig6_Locality(b *testing.B) {
 // grids.
 func BenchmarkFig7_ClassGrids(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sweep := harness.RunGPUSweep(harness.GPUTesterConfigs(uint64(i)+1, benchScale)[:4])
+		sweep := harness.RunGPUSweep(harness.GPUTesterConfigs(uint64(i)+1, benchScale)[:4], 1)
 		appsRes := harness.RunAppSuite(harness.AppSuiteOptions{
 			Seed: uint64(i) + 1, Scale: benchScale, NumWFs: 8,
 			Profiles: []apps.Profile{*apps.ByName("FFT"), *apps.ByName("Interac")},
@@ -121,7 +121,7 @@ func BenchmarkFig7_ClassGrids(b *testing.B) {
 func BenchmarkFig8_TesterSweep(b *testing.B) {
 	var sweep *harness.GPUSweepResult
 	for i := 0; i < b.N; i++ {
-		sweep = harness.RunGPUSweep(harness.GPUTesterConfigs(uint64(i)+1, benchScale)[:8])
+		sweep = harness.RunGPUSweep(harness.GPUTesterConfigs(uint64(i)+1, benchScale)[:8], 1)
 		if sweep.Failures != 0 {
 			b.Fatal("tester failures")
 		}
@@ -156,7 +156,7 @@ func BenchmarkFig10_Directory(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		seed := uint64(i) + 1
 		_, gpuDir := harness.RunGPUTesterOnDirectory(harness.GPUTesterConfigs(seed, benchScale)[0])
-		cpuRes := harness.RunCPUSweep(harness.CPUTesterConfigs(seed, 0.01)[:6])
+		cpuRes := harness.RunCPUSweep(harness.CPUTesterConfigs(seed, 0.01)[:6], 1)
 		u := gpuDir.Clone()
 		u.Merge(cpuRes.UnionDir)
 		appsRes := harness.RunAppSuite(harness.AppSuiteOptions{

@@ -155,7 +155,7 @@ type gen struct {
 func (g *gen) sweep() *harness.GPUSweepResult {
 	if g.sweepRes == nil {
 		fmt.Fprintln(os.Stderr, "running GPU tester sweep (24 configurations)...")
-		g.sweepRes = harness.RunGPUSweepParallel(harness.GPUTesterConfigs(g.seed, g.scale), g.workers)
+		g.sweepRes = harness.RunGPUSweep(harness.GPUTesterConfigs(g.seed, g.scale), g.workers)
 	}
 	return g.sweepRes
 }
@@ -175,7 +175,7 @@ func (g *gen) fig10() *harness.Fig10Result {
 		_, gpuDir := harness.RunGPUTesterOnDirectory(cfgs[0])
 		_, gpuDir2 := harness.RunGPUTesterOnDirectory(cfgs[9])
 		gpuDir.Merge(gpuDir2)
-		cpuRes := harness.RunCPUSweepParallel(harness.CPUTesterConfigs(g.seed+7, g.scale*0.2), g.workers)
+		cpuRes := harness.RunCPUSweep(harness.CPUTesterConfigs(g.seed+7, g.scale*0.2), g.workers)
 		union := gpuDir.Clone()
 		union.Merge(cpuRes.UnionDir)
 		g.fig10Res = &harness.Fig10Result{

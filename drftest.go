@@ -191,6 +191,6 @@ func NewKernel() *sim.Kernel { return sim.NewKernel() }
 
 // NewSystem builds a GPU-only VIPER system with coverage collection.
 func NewSystem(k *sim.Kernel, cfg SystemConfig) (*viper.System, *coverage.Collector) {
-	col := coverage.NewCollector(viper.NewTCPSpec(), viper.NewTCCSpec())
+	col := coverage.NewCollector(viper.NewTCPSpec(), viper.NewTCCSpec(), viper.NewTCCWBSpec())
 	return viper.NewSystem(k, cfg, col), col
 }

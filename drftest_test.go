@@ -121,3 +121,21 @@ func TestPublicWriteBackProtocol(t *testing.T) {
 		t.Fatalf("VIPER-WB façade run failed: %v", res.Report.Failures[0])
 	}
 }
+
+// TestNewSystemWriteBack: the public system constructor registers the
+// write-back L2's table too, so a VIPER-WB system builds and counts its
+// L2 transitions instead of panicking on an unregistered machine.
+func TestNewSystemWriteBack(t *testing.T) {
+	k := drftest.NewKernel()
+	sysCfg := drftest.SmallCaches()
+	sysCfg.WriteBackL2 = true
+	sys, col := drftest.NewSystem(k, sysCfg)
+	cfg := drftest.DefaultTesterConfig()
+	cfg.EpisodesPerThread, cfg.ActionsPerEpisode = 2, 10
+	if rep := drftest.NewTester(k, sys, cfg).Run(); !rep.Passed() {
+		t.Fatalf("write-back run failed: %v", rep.Failures[0])
+	}
+	if col.Matrix("GPU-L2WB").Total() == 0 {
+		t.Fatal("write-back L2 transitions were not counted")
+	}
+}

@@ -3,10 +3,11 @@
 // transition table a workload activates, how often, and what fraction
 // of the reachable cells that is.
 //
-// It implements protocol.Recorder, classifies cells into the paper's
-// four categories (Undefined / Inactive / Active / Impossible, Fig. 7),
-// merges runs into unions (Figs. 8–10), and renders the hit-frequency
-// heat maps of Fig. 5 as text.
+// Its Collector holds the hit tables protocol machines count into. The
+// package classifies cells into the paper's four categories (Undefined
+// / Inactive / Active / Impossible, Fig. 7), merges runs into unions
+// (Figs. 8–10), and renders the hit-frequency heat maps of Fig. 5 as
+// text.
 package coverage
 
 import (
@@ -77,8 +78,8 @@ func (m *Matrix) Clone() *Matrix {
 }
 
 // Zero clears the hit counts in place. The Hits tables themselves are
-// retained — machines granted direct counters via protocol.CounterSource
-// hold references into them, so reallocating here would silently detach
+// retained — machines bound to a collector (Collector.Counters) hold
+// references into them, so reallocating here would silently detach
 // every live machine from the collector.
 func (m *Matrix) Zero() {
 	for i := range m.Hits {
@@ -271,72 +272,71 @@ func (m *Matrix) InactiveCells(impossible CellSet) []string {
 	return out
 }
 
-// Collector implements protocol.Recorder over any number of machines.
+// Collector holds the hit matrices of any number of machines.
 // Machines that share a spec name (e.g. every CU's "GPU-L1") aggregate
 // into one matrix, matching how the paper reports per-level coverage.
 type Collector struct {
-	matrices map[string]*Matrix
-	order    []*Matrix // registration order; what reset and cuts walk
+	matrices []*Matrix // registration order; what reset and cuts walk
 }
 
 // NewCollector registers the given specs ahead of time so empty
 // matrices exist even for machines the workload never touches.
 func NewCollector(specs ...*protocol.Spec) *Collector {
-	c := &Collector{matrices: make(map[string]*Matrix)}
+	c := &Collector{}
 	for _, s := range specs {
-		c.register(s)
+		if c.Matrix(s.Name) == nil {
+			c.matrices = append(c.matrices, NewMatrix(s))
+		}
 	}
 	return c
 }
 
-func (c *Collector) register(spec *protocol.Spec) *Matrix {
-	if m, ok := c.matrices[spec.Name]; ok {
-		return m
+// Counters returns the hit table a machine of spec counts into —
+// protocol.NewMachine's hits argument. Machines sharing a spec name
+// receive the same table. A nil collector returns nil (not counted); a
+// spec the collector never registered panics, so a harness that forgot
+// one fails at build time instead of reporting wrong coverage.
+func (c *Collector) Counters(spec *protocol.Spec) [][]uint64 {
+	if c == nil {
+		return nil
 	}
-	m := NewMatrix(spec)
-	c.matrices[spec.Name] = m
-	c.order = append(c.order, m)
-	return m
+	m := c.Matrix(spec.Name)
+	if m == nil {
+		panic(fmt.Sprintf("coverage: machine %q bound to a collector that never registered it", spec.Name))
+	}
+	return m.Hits
 }
 
-// Record implements protocol.Recorder. Recording for an unregistered
-// machine panics: it means the harness forgot a spec, which would
-// silently corrupt coverage numbers.
+// Record counts one transition of the named machine by name, for
+// callers that hold no bound machine. Recording for an unregistered
+// machine panics, like binding one.
 func (c *Collector) Record(machine string, state, event int, _ protocol.Kind) {
-	m, ok := c.matrices[machine]
-	if !ok {
+	m := c.Matrix(machine)
+	if m == nil {
 		panic(fmt.Sprintf("coverage: record for unregistered machine %q", machine))
 	}
 	m.Hits[state][event]++
 }
 
-// Counters implements protocol.CounterSource: a machine whose spec is
-// registered gets direct access to its aggregate hit matrix, turning
-// per-transition recording into a slice-index increment with no map
-// lookup. Machines sharing a spec name still aggregate into one
-// matrix, because they receive the same Hits table. Unregistered
-// specs decline the fast path (nil, nil), so such machines fall back
-// to Record and keep its loud unregistered-machine panic.
-func (c *Collector) Counters(spec *protocol.Spec) ([][]uint64, protocol.Recorder) {
-	if m, ok := c.matrices[spec.Name]; ok {
-		return m.Hits, nil
-	}
-	return nil, nil
-}
-
-// Reset zeroes every registered matrix in place, so machines holding
-// direct counter references (protocol.CounterSource) keep recording
-// into the same tables afterwards. It is the campaign engine's per-run
-// coverage-delta primitive: reset before a run, and the matrices hold
-// exactly that run's hits.
+// Reset zeroes every registered matrix in place, so machines bound to
+// the collector keep recording into the same tables afterwards. It is
+// the campaign engine's per-run coverage-delta primitive: reset before
+// a run, and the matrices hold exactly that run's hits.
 func (c *Collector) Reset() {
-	for _, m := range c.order {
+	for _, m := range c.matrices {
 		m.Zero()
 	}
 }
 
 // Matrix returns the named machine's matrix, or nil.
-func (c *Collector) Matrix(machine string) *Matrix { return c.matrices[machine] }
+func (c *Collector) Matrix(machine string) *Matrix {
+	for _, m := range c.matrices {
+		if m.Spec.Name == machine {
+			return m
+		}
+	}
+	return nil
+}
 
 // CollectorSnapshot captures every registered matrix's hit counts,
 // row after row in registration order.
@@ -354,13 +354,13 @@ func (c *Collector) SnapshotInto(s *CollectorSnapshot) *CollectorSnapshot {
 		s = &CollectorSnapshot{}
 	}
 	n := 0
-	for _, m := range c.order {
+	for _, m := range c.matrices {
 		for _, row := range m.Hits {
 			n += len(row)
 		}
 	}
 	s.hits = slices.Grow(s.hits[:0], n)
-	for _, m := range c.order {
+	for _, m := range c.matrices {
 		for _, row := range m.Hits {
 			s.hits = append(s.hits, row...)
 		}
@@ -369,13 +369,13 @@ func (c *Collector) SnapshotInto(s *CollectorSnapshot) *CollectorSnapshot {
 }
 
 // Restore writes a snapshot's counts back into the existing Hits
-// tables in place — like Reset, never reallocating, so machines
-// holding direct counter references (protocol.CounterSource) keep
-// recording into the same tables afterwards. The snapshot must come
-// from a collector with the same registered machines.
+// tables in place — like Reset, never reallocating, so machines bound
+// to the collector keep recording into the same tables afterwards. The
+// snapshot must come from a collector with the same registered
+// machines.
 func (c *Collector) Restore(s *CollectorSnapshot) {
 	rest := s.hits
-	for _, m := range c.order {
+	for _, m := range c.matrices {
 		for _, row := range m.Hits {
 			if len(rest) < len(row) {
 				panic(fmt.Sprintf("coverage: restore snapshot ends inside machine %q", m.Spec.Name))
@@ -390,8 +390,8 @@ func (c *Collector) Restore(s *CollectorSnapshot) {
 
 // Machines lists registered machines in registration order.
 func (c *Collector) Machines() []string {
-	names := make([]string, len(c.order))
-	for i, m := range c.order {
+	names := make([]string, len(c.matrices))
+	for i, m := range c.matrices {
 		names[i] = m.Spec.Name
 	}
 	return names

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"drftest/internal/protocol"
+	"drftest/internal/sim"
 )
 
 func demoSpec() *protocol.Spec {
@@ -20,8 +21,9 @@ func demoSpec() *protocol.Spec {
 func TestCollectorAggregatesByName(t *testing.T) {
 	spec := demoSpec()
 	c := NewCollector(spec)
-	m1 := protocol.NewMachine(spec, c)
-	m2 := protocol.NewMachine(spec, c)
+	k := sim.NewKernel()
+	m1 := protocol.NewMachine(spec, c.Counters(spec), k)
+	m2 := protocol.NewMachine(spec, c.Counters(spec), k)
 	m1.Fire(0, 0)
 	m2.Fire(0, 0)
 	if got := c.Matrix("demo").Hits[0][0]; got != 2 {
@@ -32,26 +34,28 @@ func TestCollectorAggregatesByName(t *testing.T) {
 	}
 }
 
-// TestCollectorCountersFastPath pins the CounterSource contract: a
-// registered spec gets the matrix's own Hits table (so machine-side
-// increments are immediately visible in reports) and no tee;
-// unregistered specs are declined so the Record panic still guards
-// forgotten registrations.
+// TestCollectorCountersFastPath pins the table a bound machine counts
+// into: a registered spec gets its matrix's own Hits table, so
+// machine-side increments are immediately visible in reports, and an
+// unregistered spec panics at bind.
 func TestCollectorCountersFastPath(t *testing.T) {
 	spec := demoSpec()
 	c := NewCollector(spec)
-	hits, tee := c.Counters(spec)
-	if hits == nil || tee != nil {
-		t.Fatalf("Counters = (%v, %v), want (hits, nil)", hits, tee)
-	}
+	hits := c.Counters(spec)
 	hits[1][2] = 41
 	hits[1][2]++
 	if got := c.Matrix("demo").Hits[1][2]; got != 42 {
 		t.Fatalf("matrix does not see direct increments: %d", got)
 	}
-	if h, _ := c.Counters(protocol.NewSpec("ghost", []string{"I"}, []string{"E"})); h != nil {
-		t.Fatal("unregistered spec was granted counters")
+	if (*Collector)(nil).Counters(spec) != nil {
+		t.Fatal("a nil collector granted a table")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unregistered spec was granted counters")
+		}
+	}()
+	c.Counters(protocol.NewSpec("ghost", []string{"I"}, []string{"E"}))
 }
 
 func TestCollectorUnknownMachinePanics(t *testing.T) {

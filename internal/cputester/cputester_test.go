@@ -9,19 +9,18 @@ import (
 	"drftest/internal/mem"
 	"drftest/internal/memctrl"
 	"drftest/internal/moesi"
-	"drftest/internal/protocol"
 	"drftest/internal/sim"
 )
 
 // buildCPUSystem assembles numCPUs moesi caches over a directory and
 // memory controller.
-func buildCPUSystem(k *sim.Kernel, numCPUs int, cacheCfg cache.Config, rec protocol.Recorder) ([]*moesi.Cache, *directory.Directory) {
+func buildCPUSystem(k *sim.Kernel, numCPUs int, cacheCfg cache.Config, col *coverage.Collector) ([]*moesi.Cache, *directory.Directory) {
 	ctrl := memctrl.New(k, memctrl.DefaultConfig(), mem.NewStore(), nil)
-	dir := directory.New(k, rec, nil, ctrl, cacheCfg.LineSize)
+	dir := directory.New(k, col, nil, ctrl, cacheCfg.LineSize)
 	spec := moesi.NewCPUSpec()
 	caches := make([]*moesi.Cache, numCPUs)
 	for i := range caches {
-		caches[i] = moesi.NewCache(k, spec, rec, nil, cacheCfg, dir)
+		caches[i] = moesi.NewCache(k, spec, col, nil, cacheCfg, dir)
 	}
 	return caches, dir
 }

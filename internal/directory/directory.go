@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"drftest/internal/coverage"
 	"drftest/internal/mem"
 	"drftest/internal/memctrl"
 	"drftest/internal/network"
@@ -164,9 +165,9 @@ const (
 	respDMA
 )
 
-// Directory is the blocking CPU–GPU–DMA system directory. It
-// implements the GPU L2's backend interface (FetchLine / WriteLine /
-// Atomic) structurally, so a viper system can be built directly on it.
+// Directory is the blocking CPU–GPU–DMA system directory. Each GPU
+// reserves a slot (AddGPU), builds its L2 on that slot's backend
+// (GPUBackend) and binds its probe port (BindGPU).
 //
 // Every message the directory sends or receives from a cache rides a
 // zero-jitter network.Link with a prebound handler: probes out on
@@ -231,8 +232,9 @@ const (
 )
 
 // New builds a directory over ctrl with the given line size.
-func New(k *sim.Kernel, rec protocol.Recorder, onFault func(*protocol.FaultError), ctrl *memctrl.Controller, lineSize int) *Directory {
-	m := protocol.NewMachine(NewSpec(), rec)
+func New(k *sim.Kernel, col *coverage.Collector, onFault func(*protocol.FaultError), ctrl *memctrl.Controller, lineSize int) *Directory {
+	spec := NewSpec()
+	m := protocol.NewMachine(spec, col.Counters(spec), k)
 	m.OnFault = onFault
 	d := &Directory{
 		k:         k,
@@ -280,15 +282,6 @@ func New(k *sim.Kernel, rec protocol.Recorder, onFault func(*protocol.FaultError
 		d.respLink.SendMsg(d.onResp, r)
 	}
 	return d
-}
-
-// AttachGPU registers a GPU (slot 0) for probes — the common
-// single-GPU case. Multi-GPU systems use AddGPU/BindGPU/GPUBackend.
-func (d *Directory) AttachGPU(gpu GPUPort) {
-	if len(d.gpus) == 0 {
-		d.AddGPU()
-	}
-	d.BindGPU(0, gpu)
 }
 
 // AddGPU reserves a GPU slot and returns its ID; the port is bound
@@ -512,24 +505,6 @@ func (d *Directory) start(t *tbe, st int) {
 }
 
 // --- GPU side ---
-
-// FetchLine, WriteLine and Atomic keep the single-GPU convenience
-// surface (GPU slot 0); multi-GPU systems go through GPUBackend.
-
-// FetchLine services a GPU L2 miss.
-func (d *Directory) FetchLine(line mem.Addr, size int, done func(*mem.Line, any), ctx any) {
-	d.gpuFetch(0, line, size, done, ctx)
-}
-
-// WriteLine services a GPU write-through.
-func (d *Directory) WriteLine(line mem.Addr, payload *mem.Line, done func(any), ctx any) {
-	d.gpuWrite(0, line, payload, done, ctx)
-}
-
-// Atomic services a GPU atomic.
-func (d *Directory) Atomic(addr mem.Addr, delta uint32, done func(old uint32, nack bool, ctx any), ctx any) {
-	d.gpuAtomic(0, addr, delta, done, ctx)
-}
 
 func (d *Directory) gpuFetch(gpu int, line mem.Addr, size int, done func(*mem.Line, any), ctx any) {
 	if size != d.lineSize {

@@ -58,13 +58,17 @@ func (f *fakeGPU) ProbeInv(line mem.Addr, done func(any), ctx any) {
 	done(ctx)
 }
 
+// newDir builds a directory with one GPU, a fakeGPU in slot 0; tests
+// drive that GPU's requests through d.GPUBackend(0).
 func newDir(t *testing.T) (*sim.Kernel, *Directory, *mem.Store, *coverage.Collector) {
 	t.Helper()
 	k := sim.NewKernel()
 	col := coverage.NewCollector(NewSpec())
 	store := mem.NewStore()
 	ctrl := memctrl.New(k, memctrl.DefaultConfig(), store, nil)
-	return k, New(k, col, nil, ctrl, 64), store, col
+	d := New(k, col, nil, ctrl, 64)
+	d.BindGPU(d.AddGPU(), &fakeGPU{})
+	return k, d, store, col
 }
 
 func TestSpecCounts(t *testing.T) {
@@ -82,7 +86,7 @@ func TestGPUFetchSetsGState(t *testing.T) {
 	k, d, store, _ := newDir(t)
 	store.WriteWord(0x40, 7)
 	var got []byte
-	d.FetchLine(0x40, 64, func(data *mem.Line, _ any) {
+	d.GPUBackend(0).FetchLine(0x40, 64, func(data *mem.Line, _ any) {
 		got = append([]byte(nil), data.Data...)
 		data.Release()
 	}, nil)
@@ -98,10 +102,10 @@ func TestGPUFetchSetsGState(t *testing.T) {
 func TestCPUReadProbesGPU(t *testing.T) {
 	k, d, _, _ := newDir(t)
 	gpu := &fakeGPU{}
-	d.AttachGPU(gpu)
+	d.BindGPU(0, gpu)
 	fc := &fakeCPU{}
 	cpu := d.AttachCPU(fc)
-	d.FetchLine(0x80, 64, func(l *mem.Line, _ any) { l.Release() }, nil)
+	d.GPUBackend(0).FetchLine(0x80, 64, func(l *mem.Line, _ any) { l.Release() }, nil)
 	k.RunUntilIdle()
 	d.CPURead(cpu, 0x80)
 	k.RunUntilIdle()
@@ -145,9 +149,9 @@ func TestAtomicNackInB(t *testing.T) {
 	k, d, _, col := newDir(t)
 	// Start a long transaction on the line, then fire an atomic at it
 	// mid-flight: the atomic must NACK, not stall.
-	d.FetchLine(0x140, 64, func(l *mem.Line, _ any) { l.Release() }, nil)
+	d.GPUBackend(0).FetchLine(0x140, 64, func(l *mem.Line, _ any) { l.Release() }, nil)
 	nacked := false
-	d.Atomic(0x140, 1, func(_ uint32, nack bool, _ any) { nacked = nack }, nil)
+	d.GPUBackend(0).Atomic(0x140, 1, func(_ uint32, nack bool, _ any) { nacked = nack }, nil)
 	k.RunUntilIdle()
 	if !nacked {
 		t.Fatal("atomic on a busy line was not NACKed")
@@ -177,7 +181,7 @@ func TestAtomicCleansCPUCopies(t *testing.T) {
 	var old uint32
 	var fire func()
 	fire = func() {
-		d.Atomic(0x180, 1, func(o uint32, nack bool, _ any) {
+		d.GPUBackend(0).Atomic(0x180, 1, func(o uint32, nack bool, _ any) {
 			if nack {
 				k.Schedule(20, fire)
 				return
@@ -204,11 +208,11 @@ func TestAtomicCleansCPUCopies(t *testing.T) {
 func TestBlockingSerializesSameLine(t *testing.T) {
 	k, d, _, _ := newDir(t)
 	order := []int{}
-	d.FetchLine(0x200, 64, func(l *mem.Line, _ any) { order = append(order, 1); l.Release() }, nil)
-	d.FetchLine(0x200, 64, func(l *mem.Line, _ any) { order = append(order, 2); l.Release() }, nil)
+	d.GPUBackend(0).FetchLine(0x200, 64, func(l *mem.Line, _ any) { order = append(order, 1); l.Release() }, nil)
+	d.GPUBackend(0).FetchLine(0x200, 64, func(l *mem.Line, _ any) { order = append(order, 2); l.Release() }, nil)
 	payload := d.lines.Get(64)
 	clear(payload.Data)
-	d.WriteLine(0x200, payload, func(any) { order = append(order, 3) }, nil)
+	d.GPUBackend(0).WriteLine(0x200, payload, func(any) { order = append(order, 3) }, nil)
 	k.RunUntilIdle()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("blocked ops completed out of order: %v", order)
@@ -268,17 +272,17 @@ func TestDirectorySteadyStateAllocs(t *testing.T) {
 	lines := []mem.Addr{0x000, 0x040, 0x080, 0x0c0, 0x100, 0x140, 0x180, 0x1c0}
 	round := func() {
 		for _, ln := range lines {
-			d.FetchLine(ln, 64, func(l *mem.Line, _ any) { l.Release() }, nil)
+			d.GPUBackend(0).FetchLine(ln, 64, func(l *mem.Line, _ any) { l.Release() }, nil)
 		}
 		k.RunUntilIdle()
 		for _, ln := range lines {
 			wl := pool.Get(64)
 			wl.Data[0] = byte(ln)
-			d.WriteLine(ln, wl, func(any) {}, nil)
+			d.GPUBackend(0).WriteLine(ln, wl, func(any) {}, nil)
 		}
 		k.RunUntilIdle()
 		for _, ln := range lines {
-			d.Atomic(ln, 1, func(uint32, bool, any) {}, nil)
+			d.GPUBackend(0).Atomic(ln, 1, func(uint32, bool, any) {}, nil)
 		}
 		k.RunUntilIdle()
 	}

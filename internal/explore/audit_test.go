@@ -88,6 +88,6 @@ func TestStateFieldAudits(t *testing.T) {
 // audit.NoMaps): sleep sets are slices, and a node's cut is a
 // harness.Checkpoint, audited there.
 func TestNoMaps(t *testing.T) {
-	audit.NoMaps(t, engine{}, "Store.far", "Collector.matrices")
+	audit.NoMaps(t, engine{}, "Store.far")
 	audit.NoMaps(t, node{})
 }

@@ -19,14 +19,6 @@ import (
 	"drftest/internal/viper"
 )
 
-// traced wraps the coverage collector in a trace.Recorder bound to k,
-// so every protocol transition is mirrored into the kernel's execution
-// trace whenever one is attached (see EnableTrace). With no tracer the
-// wrapper only costs a nil-check per transition.
-func traced(k *sim.Kernel, col *coverage.Collector, specs ...*protocol.Spec) protocol.Recorder {
-	return trace.NewRecorder(k, col, specs...)
-}
-
 // EnableTrace attaches a bounded execution trace to k and returns the
 // ring. Capacity <= 0 uses DefaultTraceCapacity.
 func EnableTrace(k *sim.Kernel, capacity int) *trace.Ring {
@@ -50,8 +42,7 @@ type GPUBuild struct {
 func BuildGPU(cfg viper.Config) *GPUBuild {
 	k := sim.NewKernel()
 	col := coverage.NewCollector(viper.NewTCPSpec(), viper.NewTCCSpec(), viper.NewTCCWBSpec())
-	rec := traced(k, col, viper.NewTCPSpec(), viper.NewTCCSpec(), viper.NewTCCWBSpec())
-	sys := viper.NewSystem(k, cfg, rec)
+	sys := viper.NewSystem(k, cfg, col)
 	return &GPUBuild{K: k, Sys: sys, Col: col}
 }
 
@@ -76,14 +67,13 @@ type CPUBuild struct {
 func BuildCPU(numCPUs int, cacheCfg cache.Config) *CPUBuild {
 	k := sim.NewKernel()
 	col := coverage.NewCollector(moesi.NewCPUSpec(), directory.NewSpec())
-	rec := traced(k, col, moesi.NewCPUSpec(), directory.NewSpec())
 	store := mem.NewStore()
 	ctrl := memctrl.New(k, memctrl.DefaultConfig(), store, nil)
-	dir := directory.New(k, rec, nil, ctrl, cacheCfg.LineSize)
+	dir := directory.New(k, col, nil, ctrl, cacheCfg.LineSize)
 	spec := moesi.NewCPUSpec()
 	caches := make([]*moesi.Cache, numCPUs)
 	for i := range caches {
-		caches[i] = moesi.NewCache(k, spec, rec, nil, cacheCfg, dir)
+		caches[i] = moesi.NewCache(k, spec, col, nil, cacheCfg, dir)
 	}
 	return &CPUBuild{K: k, Caches: caches, Dir: dir, Store: store, Col: col}
 }
@@ -115,20 +105,17 @@ func BuildHetero(gpuCfg viper.Config, numCPUs int, cpuCache cache.Config) *Heter
 		viper.NewTCPSpec(), viper.NewTCCSpec(),
 		moesi.NewCPUSpec(), directory.NewSpec(),
 	)
-	rec := traced(k, col,
-		viper.NewTCPSpec(), viper.NewTCCSpec(),
-		moesi.NewCPUSpec(), directory.NewSpec(),
-	)
 	store := mem.NewStore()
 	ctrl := memctrl.New(k, gpuCfg.Mem, store, nil)
-	dir := directory.New(k, rec, nil, ctrl, gpuCfg.L1.LineSize)
-	gpu := viper.NewSystemWithBackend(k, gpuCfg, rec, dir)
-	dir.AttachGPU(gpu)
+	dir := directory.New(k, col, nil, ctrl, gpuCfg.L1.LineSize)
+	id := dir.AddGPU()
+	gpu := viper.NewSystemWithBackend(k, gpuCfg, col, dir.GPUBackend(id))
+	dir.BindGPU(id, gpu)
 
 	spec := moesi.NewCPUSpec()
 	caches := make([]*moesi.Cache, numCPUs)
 	for i := range caches {
-		caches[i] = moesi.NewCache(k, spec, rec, nil, cpuCache, dir)
+		caches[i] = moesi.NewCache(k, spec, col, nil, cpuCache, dir)
 	}
 	return &HeteroBuild{
 		K: k, GPU: gpu, Caches: caches, Dir: dir,

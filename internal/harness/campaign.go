@@ -24,7 +24,7 @@
 //     activated cells are counted and attributed, the corner policy
 //     observes the yield, and the K-zero-batch stopping rule advances.
 //   - Scalable merging: the run path touches only worker-local
-//     matrices (the collector's direct counter tables); union merging
+//     matrices (the tables its machines count into); union merging
 //     happens at batch boundaries, outside the workers, so there is no
 //     shared-map or lock contention while seeds execute. Executors
 //     hand whole-batch deltas to Apply, so merge cost amortizes per
@@ -48,8 +48,6 @@ package harness
 import (
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"drftest/internal/core"
@@ -687,25 +685,11 @@ func RunGPUCampaign(cfg CampaignConfig) *CampaignResult {
 		if !ok {
 			break
 		}
-		// Workers claim seeds within the batch from an atomic ticket
-		// counter; the barrier below is the merge point. Which worker
-		// runs which seed is racy, but nothing observable depends on it.
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for _, w := range workers {
-			wg.Add(1)
-			go func(w *RunContext) {
-				defer wg.Done()
-				for {
-					i := next.Add(1) - 1
-					if i >= int64(plan.Count) {
-						return
-					}
-					w.RunSeed(plan.First+uint64(i), plan.Corner)
-				}
-			}(w)
-		}
-		wg.Wait()
+		// Which worker runs which seed is racy, but nothing observable
+		// depends on it: the barrier below is the merge point.
+		parallelDo(plan.Count, len(workers), func(w, i int) {
+			workers[w].RunSeed(plan.First+uint64(i), plan.Corner)
+		})
 
 		for i, w := range workers {
 			deltas[i] = w.Delta()

@@ -52,7 +52,9 @@ func GPUTesterConfigs(seed uint64, scale float64) []GPUTestConfig {
 					tc.Seed = seed + uint64(id)
 					tc.NumWavefronts = 2 * cc.cfg.NumCUs
 					tc.ThreadsPerWF = 4
-					tc.ActionsPerEpisode = shrink(actions)
+					// An episode's acquire and release count as actions;
+					// keep at least one data action between them.
+					tc.ActionsPerEpisode = max(shrink(actions), 3)
 					tc.EpisodesPerThread = shrink(episodes)
 					tc.NumSyncVars = syncVars
 					// The paper uses 1M regular locations; scaled down

@@ -56,9 +56,6 @@ type GPUSweepResult struct {
 	Failures    int
 }
 
-// RunGPUSweep executes the full tester sweep and accumulates unions.
-func RunGPUSweep(cfgs []GPUTestConfig) *GPUSweepResult { return RunGPUSweepParallel(cfgs, 1) }
-
 // AppRunResult is one application run with its coverage.
 type AppRunResult struct {
 	Res   *apps.RunResult
@@ -227,9 +224,6 @@ type CPUSweepResult struct {
 	TotalWall   time.Duration
 	Failures    int
 }
-
-// RunCPUSweep executes the Table III CPU tester sweep.
-func RunCPUSweep(cfgs []CPUTestConfig) *CPUSweepResult { return RunCPUSweepParallel(cfgs, 1) }
 
 // RunGPUTesterOnDirectory runs the GPU tester over the heterogeneous
 // directory (no CPUs attached) to collect its directory coverage for

@@ -27,7 +27,7 @@ func TestTableIIIConfigCounts(t *testing.T) {
 
 func TestGPUSweepSmallScale(t *testing.T) {
 	cfgs := GPUTesterConfigs(7, 0.1)
-	res := RunGPUSweep(cfgs[:6]) // small+large cache variants
+	res := RunGPUSweep(cfgs[:6], 1) // small+large cache variants
 	if res.Failures != 0 {
 		for _, r := range res.Runs {
 			for _, f := range r.Report.Failures {
@@ -70,7 +70,7 @@ func TestAppSuiteSmallScale(t *testing.T) {
 // (Figs. 7-9) at reduced scale: the tester union must cover at least
 // as many L1/L2 transitions as the app union, using far less work.
 func TestTesterBeatsAppsOnGPUCoverage(t *testing.T) {
-	sweep := RunGPUSweep(GPUTesterConfigs(11, 0.15)[:8])
+	sweep := RunGPUSweep(GPUTesterConfigs(11, 0.15)[:8], 1)
 	if sweep.Failures != 0 {
 		t.Fatal("tester failures")
 	}
@@ -99,6 +99,28 @@ func TestTesterBeatsAppsOnGPUCoverage(t *testing.T) {
 	t.Logf("apps inactive L2 cells: %v", appRes.UnionL2.InactiveCells(TCCImpossibleGPUOnly()))
 }
 
+// TestSmallScaleGPUTesterReachesDirectoryData pins the floor under the
+// sweep's episode length: at the smallest scale the figures run (0.02)
+// an episode still holds a data action between its acquire and
+// release, so the GPU tester on the directory (Fig. 10(c)) fetches and
+// writes lines, not only atomics.
+func TestSmallScaleGPUTesterReachesDirectoryData(t *testing.T) {
+	cfg := GPUTesterConfigs(1, 0.02)[0]
+	rep, dir := RunGPUTesterOnDirectory(cfg)
+	if !rep.Passed() {
+		t.Fatalf("GPU tester on the directory failed: %v", rep.Failures)
+	}
+	for _, ev := range []int{directory.EvGPURd, directory.EvGPUWr} {
+		var hits uint64
+		for st := range dir.Hits {
+			hits += dir.Hits[st][ev]
+		}
+		if hits == 0 {
+			t.Errorf("%s never fired at scale 0.02 (ActionsPerEpisode %d)", directory.Events[ev], cfg.TestCfg.ActionsPerEpisode)
+		}
+	}
+}
+
 // TestFig10Shape reproduces the §IV.C conclusion: GPU+CPU tester union
 // beats apps on the directory, while apps uniquely reach DMA cells.
 func TestFig10Shape(t *testing.T) {
@@ -106,7 +128,7 @@ func TestFig10Shape(t *testing.T) {
 	_, gpuDir := RunGPUTesterOnDirectory(gpuCfgs[0])
 	_, gpuDir2 := RunGPUTesterOnDirectory(gpuCfgs[9])
 	gpuDir.Merge(gpuDir2)
-	cpuRes := RunCPUSweep(CPUTesterConfigs(23, 0.02)[:6])
+	cpuRes := RunCPUSweep(CPUTesterConfigs(23, 0.02)[:6], 1)
 	if cpuRes.Failures != 0 {
 		t.Fatal("CPU tester failures")
 	}

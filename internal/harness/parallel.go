@@ -18,12 +18,12 @@ import (
 // parallel: results are bit-identical at every worker count (per-run
 // determinism is per-run), only wall clock changes. Wall-time totals
 // still sum the per-run times, so reported testing cost is unaffected
-// by the worker count. The serial entry points (RunGPUSweep, RunCPUSweep) are these
-// at one worker; RunAppSuite takes its pool size in its options.
+// by the worker count. Every pool — the sweeps', the application
+// suite's and a campaign batch's — is parallelDo.
 
-// RunGPUSweepParallel executes the tester sweep over a worker pool
+// RunGPUSweep executes the tester sweep over a pool of workers
 // (workers ≤ 0 → GOMAXPROCS) and accumulates unions.
-func RunGPUSweepParallel(cfgs []GPUTestConfig, workers int) *GPUSweepResult {
+func RunGPUSweep(cfgs []GPUTestConfig, workers int) *GPUSweepResult {
 	results := make([]*GPURunResult, len(cfgs))
 	parallelDo(len(cfgs), workers, func(_, i int) {
 		results[i] = RunGPUTest(cfgs[i])
@@ -47,8 +47,9 @@ func RunGPUSweepParallel(cfgs []GPUTestConfig, workers int) *GPUSweepResult {
 	return out
 }
 
-// RunCPUSweepParallel executes the CPU tester sweep over a worker pool.
-func RunCPUSweepParallel(cfgs []CPUTestConfig, workers int) *CPUSweepResult {
+// RunCPUSweep executes the Table III CPU tester sweep over a pool of
+// workers (workers ≤ 0 → GOMAXPROCS).
+func RunCPUSweep(cfgs []CPUTestConfig, workers int) *CPUSweepResult {
 	type cpuOut struct {
 		r   *CPURunResult
 		cpu *coverage.Matrix

@@ -84,8 +84,8 @@ func TestParallelDoDefaultWorkers(t *testing.T) {
 // only wall clock changes).
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	cfgs := GPUTesterConfigs(5, 0.05)[:6]
-	serial := RunGPUSweep(cfgs)
-	par := RunGPUSweepParallel(cfgs, 4)
+	serial := RunGPUSweep(cfgs, 1)
+	par := RunGPUSweep(cfgs, 4)
 	if serial.Failures != 0 || par.Failures != 0 {
 		t.Fatal("unexpected failures")
 	}
@@ -258,8 +258,8 @@ func requireAppRunEqual(t *testing.T, name string, want, got *AppRunResult) {
 
 func TestParallelCPUSweepMatchesSerial(t *testing.T) {
 	cfgs := CPUTesterConfigs(9, 0.01)[:4]
-	serial := RunCPUSweep(cfgs)
-	par := RunCPUSweepParallel(cfgs, 4)
+	serial := RunCPUSweep(cfgs, 1)
+	par := RunCPUSweep(cfgs, 4)
 	if serial.Failures != 0 || par.Failures != 0 {
 		t.Fatal("unexpected failures")
 	}

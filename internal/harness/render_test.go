@@ -22,7 +22,7 @@ func TestRenderersProduceFigures(t *testing.T) {
 	RenderFig4(&b)
 	RenderFig5(&b, 1, 0.05)
 
-	sweep := RunGPUSweep(GPUTesterConfigs(1, 0.05)[:2])
+	sweep := RunGPUSweep(GPUTesterConfigs(1, 0.05)[:2], 1)
 	appsRes := RunAppSuite(AppSuiteOptions{Seed: 1, Scale: 0.05, NumWFs: 4,
 		Profiles: []apps.Profile{*apps.ByName("Square"), *apps.ByName("CM")}})
 	RenderFig6(&b, appsRes)
@@ -31,7 +31,7 @@ func TestRenderersProduceFigures(t *testing.T) {
 	RenderFig9(&b, appsRes)
 
 	_, gpuDir := RunGPUTesterOnDirectory(GPUTesterConfigs(1, 0.05)[0])
-	cpuRes := RunCPUSweep(CPUTesterConfigs(1, 0.01)[:2])
+	cpuRes := RunCPUSweep(CPUTesterConfigs(1, 0.01)[:2], 1)
 	union := gpuDir.Clone()
 	union.Merge(cpuRes.UnionDir)
 	RenderFig10(&b, &Fig10Result{

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"drftest/internal/cache"
+	"drftest/internal/coverage"
 	"drftest/internal/directory"
 	"drftest/internal/mem"
 	"drftest/internal/network"
@@ -89,8 +90,8 @@ const (
 )
 
 // NewCache builds a CPU cache and attaches it to dir.
-func NewCache(k *sim.Kernel, spec *protocol.Spec, rec protocol.Recorder, onFault func(*protocol.FaultError), cfg cache.Config, dir *directory.Directory) *Cache {
-	m := protocol.NewMachine(spec, rec)
+func NewCache(k *sim.Kernel, spec *protocol.Spec, col *coverage.Collector, onFault func(*protocol.FaultError), cfg cache.Config, dir *directory.Directory) *Cache {
+	m := protocol.NewMachine(spec, col.Counters(spec), k)
 	m.OnFault = onFault
 	c := &Cache{
 		k:        k,

@@ -89,16 +89,6 @@ func (l *Link) Queued() int { return len(l.msgQ) - l.msgHead }
 // touched here.
 func (l *Link) ResetStats() { l.sent = 0 }
 
-// Send delivers deliver() at the far end after the link's latency.
-func (l *Link) Send(deliver func()) {
-	l.sent++
-	d := l.latency
-	if l.jitter > 0 {
-		d += sim.Tick(l.rnd.Intn(int(l.jitter) + 1))
-	}
-	l.k.ScheduleTagged(d, sim.MakeUnitTag(sim.CompLink, l.unit), deliver)
-}
-
 // SendMsg delivers fn(arg) at the far end after the link's latency.
 // fn should be a prebound per-destination handler: the message then
 // rides the link's reusable queue and nothing is allocated per send.

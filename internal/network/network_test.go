@@ -12,7 +12,7 @@ func TestLinkLatency(t *testing.T) {
 	l := NewLink(k, "test", 7)
 	var arrived sim.Tick
 	k.Schedule(3, func() {
-		l.Send(func() { arrived = k.Now() })
+		l.SendMsg(func(any) { arrived = k.Now() }, nil)
 	})
 	k.RunUntilIdle()
 	if arrived != 10 {
@@ -27,9 +27,9 @@ func TestLinkPreservesOrder(t *testing.T) {
 	k := sim.NewKernel()
 	l := NewLink(k, "fifo", 5)
 	var order []int
+	record := func(a any) { order = append(order, a.(int)) }
 	for i := 0; i < 20; i++ {
-		i := i
-		l.Send(func() { order = append(order, i) })
+		l.SendMsg(record, i)
 	}
 	k.RunUntilIdle()
 	for i, v := range order {
@@ -39,12 +39,15 @@ func TestLinkPreservesOrder(t *testing.T) {
 	}
 }
 
+// TestJitterLinkBounds checks the line-tagged send's jitter window;
+// TestSendMsgJitterBounds checks the untagged one's.
 func TestJitterLinkBounds(t *testing.T) {
 	k := sim.NewKernel()
 	l := NewJitterLink(k, "jit", 10, 5, rng.New(1, 1))
 	var arrivals []sim.Tick
+	fn := func(any) { arrivals = append(arrivals, k.Now()) }
 	for i := 0; i < 200; i++ {
-		l.Send(func() { arrivals = append(arrivals, k.Now()) })
+		l.SendMsgLine(fn, nil, uint64(i%4)*64)
 	}
 	k.RunUntilIdle()
 	sawJitter := false
@@ -70,11 +73,10 @@ func TestSendMsgFIFOAndInterleaving(t *testing.T) {
 	for i := range vals {
 		vals[i] = i
 		if i%3 == 0 {
-			// Interleave the closure path: both ride the same
-			// constant-latency link, so arrival order must stay
-			// send order across the two paths.
-			v := &vals[i]
-			l.Send(func() { record(v) })
+			// Interleave the line-tagged send: both ride the same
+			// constant-latency link and queue, so arrival order must
+			// stay send order across the two.
+			l.SendMsgLine(record, &vals[i], uint64(i)*64)
 			continue
 		}
 		l.SendMsg(record, &vals[i])
@@ -145,10 +147,10 @@ func TestCrossbar(t *testing.T) {
 	k := sim.NewKernel()
 	c := NewCrossbar(k, "xbar", 4, 2)
 	got := make([]int, 4)
+	count := func(a any) { got[a.(int)]++ }
 	for i := 0; i < 4; i++ {
-		i := i
-		c.To(i).Send(func() { got[i]++ })
-		c.To(i).Send(func() { got[i]++ })
+		c.To(i).SendMsg(count, i)
+		c.To(i).SendMsg(count, i)
 	}
 	k.RunUntilIdle()
 	for i, n := range got {

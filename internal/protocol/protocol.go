@@ -14,6 +14,8 @@ package protocol
 import (
 	"fmt"
 	"sync"
+
+	"drftest/internal/sim"
 )
 
 // Kind classifies a (state, event) cell of a transition table.
@@ -142,30 +144,6 @@ func (s *Spec) CountKind(k Kind) int {
 	return n
 }
 
-// Recorder receives every fired transition. The coverage package
-// implements it; a nil recorder is allowed everywhere.
-type Recorder interface {
-	// Record notes that machine saw event in state; kind is the cell's
-	// declared kind (Undefined firings are recorded before faulting so
-	// the failure itself is visible in the matrix).
-	Record(machine string, state, event int, kind Kind)
-}
-
-// CounterSource is the fast-path extension of Recorder. A recorder
-// that implements it can hand a machine direct access to the
-// [state][event] hit-count table it would otherwise maintain through
-// Record. NewMachine queries it once at bind time; when Counters
-// returns a non-nil table, the machine increments
-// hits[state][event] itself on every Fire — no per-transition name
-// lookup — and forwards to tee (which may be nil) for any remaining
-// side effects, such as tracing. Returning (nil, nil) declines the
-// fast path for that spec and the machine falls back to calling
-// Record, preserving whatever behavior (including panics on unknown
-// machines) the recorder implements there.
-type CounterSource interface {
-	Counters(spec *Spec) (hits [][]uint64, tee Recorder)
-}
-
 // FaultError reports an undefined transition: the protocol
 // implementation let an event reach a state that cannot accept it.
 type FaultError struct {
@@ -178,49 +156,41 @@ func (e *FaultError) Error() string {
 	return fmt.Sprintf("protocol fault: machine %s received %s in state %s (%s)", e.Machine, e.Event, e.State, e.Detail)
 }
 
-// Machine binds a Spec to a Recorder and a fault sink. Controllers call
-// Fire for every message they process.
+// Machine binds a Spec to the hit table its transitions are counted
+// in and to the kernel whose trace they are mirrored into. Controllers
+// call Fire for every message they process.
 type Machine struct {
 	Spec *Spec
-	rec  Recorder
-	// hits, when non-nil, is the CounterSource fast path: Fire bumps
-	// hits[state][event] directly and forwards to tee (if non-nil)
-	// instead of calling rec.Record.
+	// hits is the [state][event] table Fire counts into: the coverage
+	// collector's matrix for Spec, shared by every machine of that
+	// spec, or nil when the machine is not counted.
 	hits [][]uint64
-	tee  Recorder
+	k    *sim.Kernel
 	// OnFault is invoked for undefined transitions. If nil, Fire
 	// panics, which is the right default for a simulator: an undefined
 	// transition means the model itself is broken.
 	OnFault func(*FaultError)
 }
 
-// NewMachine binds spec to recorder rec (which may be nil). If rec is
-// a CounterSource that grants direct counters for spec, the machine
-// records through them; otherwise every Fire goes through rec.Record.
-// With no recorder and no counters, recording is a no-op.
-func NewMachine(spec *Spec, rec Recorder) *Machine {
-	m := &Machine{Spec: spec, rec: rec}
-	if cs, ok := rec.(CounterSource); ok {
-		if hits, tee := cs.Counters(spec); hits != nil {
-			m.hits, m.tee = hits, tee
-			m.rec = nil
-		}
-	}
-	return m
+// NewMachine binds spec to hits, its [state][event] hit table (nil: not
+// counted), and to k, whose trace receives a "State×Event" entry for
+// every transition while k is tracing.
+func NewMachine(spec *Spec, hits [][]uint64, k *sim.Kernel) *Machine {
+	return &Machine{Spec: spec, hits: hits, k: k}
 }
 
 // Fire looks up (state, event), records it, and returns the cell.
-// Undefined cells invoke the fault sink and return with Kind==Undefined
-// so the caller can abandon the message.
+// Undefined cells are recorded before faulting, so the failure itself
+// is visible in the matrix and the trace; they invoke the fault sink
+// and return with Kind==Undefined so the caller can abandon the
+// message.
 func (m *Machine) Fire(state, event int) Cell {
 	c := m.Spec.Cell(state, event)
 	if m.hits != nil {
 		m.hits[state][event]++
-		if m.tee != nil {
-			m.tee.Record(m.Spec.Name, state, event, c.Kind)
-		}
-	} else if m.rec != nil {
-		m.rec.Record(m.Spec.Name, state, event, c.Kind)
+	}
+	if m.k.Tracing() {
+		m.k.Trace(m.Spec.Name, m.Spec.Labels()[state][event], 0)
 	}
 	if c.Kind == Undefined {
 		f := &FaultError{

@@ -3,6 +3,8 @@ package protocol
 import (
 	"strings"
 	"testing"
+
+	"drftest/internal/sim"
 )
 
 func demoSpec() *Spec {
@@ -48,92 +50,27 @@ func TestSpecOutOfRangePanics(t *testing.T) {
 	}
 }
 
-type recordingSink struct {
-	fired [][3]interface{}
-}
-
-func (r *recordingSink) Record(m string, s, e int, k Kind) {
-	r.fired = append(r.fired, [3]interface{}{m, [2]int{s, e}, k})
-}
-
-func TestMachineFireRecords(t *testing.T) {
-	rec := &recordingSink{}
-	m := NewMachine(demoSpec(), rec)
-	cell := m.Fire(0, 0)
-	if cell.Kind != Defined || cell.Next != 1 {
-		t.Fatalf("Fire returned %+v", cell)
-	}
-	if len(rec.fired) != 1 {
-		t.Fatal("transition not recorded")
-	}
-}
-
-// counterSink grants the fast path for every spec and remembers what
-// its tee saw.
-type counterSink struct {
-	hits [][]uint64
-	tee  *recordingSink
-}
-
-func (c *counterSink) Record(string, int, int, Kind) {
-	panic("fast-path machine must not call Record")
-}
-
-func (c *counterSink) Counters(spec *Spec) ([][]uint64, Recorder) {
-	if c.hits == nil {
-		c.hits = make([][]uint64, len(spec.States))
-		for i := range c.hits {
-			c.hits[i] = make([]uint64, len(spec.Events))
-		}
-	}
-	return c.hits, c.tee
-}
-
-func TestMachineCounterFastPath(t *testing.T) {
-	src := &counterSink{tee: &recordingSink{}}
-	m := NewMachine(demoSpec(), src)
-	m.Fire(0, 0)
-	m.Fire(0, 0)
-	m.Fire(1, 1)
-	if src.hits[0][0] != 2 || src.hits[1][1] != 1 {
-		t.Fatalf("direct counters = %v", src.hits)
-	}
-	if len(src.tee.fired) != 3 {
-		t.Fatalf("tee saw %d records, want 3", len(src.tee.fired))
-	}
-}
-
-// decliningSource is a CounterSource that refuses the fast path, so
-// the machine must stay on Record.
-type decliningSource struct{ recordingSink }
-
-func (d *decliningSource) Counters(*Spec) ([][]uint64, Recorder) { return nil, nil }
-
-func TestMachineDeclinedCountersFallBack(t *testing.T) {
-	src := &decliningSource{}
-	m := NewMachine(demoSpec(), src)
-	m.Fire(0, 0)
-	if len(src.fired) != 1 {
-		t.Fatal("declined fast path did not fall back to Record")
-	}
-}
-
 // TestMachineNoRecorderNoOp pins the nil-safety contract: a machine
-// with no recorder (and hence no counters) records nothing and must
-// not panic on defined transitions.
+// bound to no hit table on a kernel with no tracer holds no recording
+// state and fires defined and undefined transitions without panicking.
 func TestMachineNoRecorderNoOp(t *testing.T) {
-	m := NewMachine(demoSpec(), nil)
+	m := NewMachine(demoSpec(), nil, sim.NewKernel())
 	if cell := m.Fire(0, 0); cell.Kind != Defined {
 		t.Fatalf("Fire returned %+v", cell)
 	}
-	if m.hits != nil || m.rec != nil {
-		t.Fatal("recorder-less machine holds recording state")
+	faults := 0
+	m.OnFault = func(*FaultError) { faults++ }
+	if cell := m.Fire(0, 2); cell.Kind != Undefined || faults != 1 {
+		t.Fatalf("undefined Fire returned %+v with %d faults", cell, faults)
+	}
+	if m.hits != nil {
+		t.Fatal("uncounted machine holds a hit table")
 	}
 }
 
 func TestMachineUndefinedFaults(t *testing.T) {
 	var fault *FaultError
-	m := NewMachine(demoSpec(), nil)
+	m := NewMachine(demoSpec(), nil, sim.NewKernel())
 	m.OnFault = func(f *FaultError) { fault = f }
 	cell := m.Fire(0, 2)
 	if cell.Kind != Undefined {
@@ -148,7 +85,7 @@ func TestMachineUndefinedFaults(t *testing.T) {
 }
 
 func TestMachineUndefinedPanicsWithoutSink(t *testing.T) {
-	m := NewMachine(demoSpec(), nil)
+	m := NewMachine(demoSpec(), nil, sim.NewKernel())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("undefined transition without sink did not panic")

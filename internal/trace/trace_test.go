@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"drftest/internal/logtest"
-	"drftest/internal/protocol"
 )
 
 func TestDisabledRing(t *testing.T) {
@@ -222,109 +221,4 @@ func FuzzRing(f *testing.F) {
 			logtest.Run(t, capacity, newRingLog(t), prog)
 		}
 	})
-}
-
-// fakeSink collects Trace calls for recorder tests.
-type fakeSink struct {
-	on      bool
-	entries []Entry
-}
-
-func (s *fakeSink) Tracing() bool { return s.on }
-func (s *fakeSink) Trace(component, label string, addr uint64) {
-	s.entries = append(s.entries, Entry{Component: component, Label: label, Addr: addr})
-}
-
-type countRecorder struct{ n int }
-
-func (c *countRecorder) Record(string, int, int, protocol.Kind) { c.n++ }
-
-func TestRecorderLabelsAndForwards(t *testing.T) {
-	spec := protocol.NewSpec("M", []string{"I", "V"}, []string{"Load", "Evict"})
-	spec.Trans(0, 0, 1, "fill")
-	next := &countRecorder{}
-	sink := &fakeSink{on: true}
-	rec := NewRecorder(sink, next, spec)
-
-	m := protocol.NewMachine(spec, rec)
-	m.Fire(0, 0)
-	if next.n != 1 {
-		t.Fatalf("wrapped recorder saw %d records, want 1", next.n)
-	}
-	if len(sink.entries) != 1 || sink.entries[0].Label != "I×Load" || sink.entries[0].Component != "M" {
-		t.Fatalf("trace entries = %+v", sink.entries)
-	}
-
-	// Unknown machines forward but do not trace; a quiet sink records
-	// nothing.
-	rec.Record("other", 0, 0, protocol.Defined)
-	if next.n != 2 || len(sink.entries) != 1 {
-		t.Fatalf("unknown machine handling wrong: next=%d entries=%d", next.n, len(sink.entries))
-	}
-	sink.on = false
-	m.Fire(0, 0)
-	if next.n != 3 || len(sink.entries) != 1 {
-		t.Fatal("recorder traced while sink was off")
-	}
-}
-
-// grantingSource fakes an inner recorder that grants the counter fast
-// path (like the coverage collector does).
-type grantingSource struct {
-	hits [][]uint64
-}
-
-func (g *grantingSource) Record(string, int, int, protocol.Kind) {
-	panic("fast path must bypass Record")
-}
-
-func (g *grantingSource) Counters(spec *protocol.Spec) ([][]uint64, protocol.Recorder) {
-	g.hits = make([][]uint64, len(spec.States))
-	for i := range g.hits {
-		g.hits[i] = make([]uint64, len(spec.Events))
-	}
-	return g.hits, nil
-}
-
-// TestRecorderCountersDelegation: when the wrapped recorder grants
-// direct counters, the trace recorder passes them through and keeps
-// only the tracing half as the tee — counting and tracing both still
-// happen, with no Record call in between.
-func TestRecorderCountersDelegation(t *testing.T) {
-	spec := protocol.NewSpec("M", []string{"I", "V"}, []string{"Load", "Evict"})
-	spec.Trans(0, 0, 1, "fill")
-	inner := &grantingSource{}
-	sink := &fakeSink{on: true}
-	rec := NewRecorder(sink, inner, spec)
-
-	m := protocol.NewMachine(spec, rec)
-	m.Fire(0, 0)
-	if inner.hits[0][0] != 1 {
-		t.Fatalf("direct counters = %v", inner.hits)
-	}
-	if len(sink.entries) != 1 || sink.entries[0].Label != "I×Load" {
-		t.Fatalf("trace entries = %+v", sink.entries)
-	}
-	sink.on = false
-	m.Fire(0, 0)
-	if inner.hits[0][0] != 2 || len(sink.entries) != 1 {
-		t.Fatal("counting or quiet-sink behavior broken on the fast path")
-	}
-}
-
-// TestRecorderCountersDeclines: a plain Recorder next (no
-// CounterSource) keeps everything on the Record slow path.
-func TestRecorderCountersDeclines(t *testing.T) {
-	spec := protocol.NewSpec("M", []string{"I"}, []string{"Load"})
-	spec.Trans(0, 0, 0, "hit")
-	next := &countRecorder{}
-	rec := NewRecorder(&fakeSink{}, next, spec)
-	if hits, tee := rec.Counters(spec); hits != nil || tee != nil {
-		t.Fatal("recorder granted counters its inner recorder cannot back")
-	}
-	m := protocol.NewMachine(spec, rec)
-	m.Fire(0, 0)
-	if next.n != 1 {
-		t.Fatal("slow path lost the record")
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"drftest/internal/cache"
+	"drftest/internal/coverage"
 	"drftest/internal/mem"
 	"drftest/internal/memctrl"
 	"drftest/internal/network"
@@ -347,13 +348,14 @@ func (b MemBackend) Atomic(addr mem.Addr, delta uint32, done func(uint32, bool, 
 }
 
 // NewSystem builds a GPU system over its own memory controller and
-// backing store. The controller shares the system's line pool, so read
+// backing store; its controllers count their transitions into col
+// (nil: not counted) and trace them through k. The controller shares the system's line pool, so read
 // fills and write payloads cross the memory boundary without copying
 // and one pool snapshot covers every in-flight payload.
-func NewSystem(k *sim.Kernel, cfg Config, rec protocol.Recorder) *System {
+func NewSystem(k *sim.Kernel, cfg Config, col *coverage.Collector) *System {
 	lines := mem.NewLinePool(cfg.L1.LineSize)
 	ctrl := memctrl.New(k, cfg.Mem, mem.NewStore(), lines)
-	s := newSystem(k, cfg, rec, MemBackend{Ctrl: ctrl}, lines)
+	s := newSystem(k, cfg, col, MemBackend{Ctrl: ctrl}, lines)
 	s.Mem = ctrl
 	return s
 }
@@ -363,11 +365,11 @@ func NewSystem(k *sim.Kernel, cfg Config, rec protocol.Recorder) *System {
 // system still owns its line pool; payload handles handed to (or
 // received from) the backend carry their owning pool, so they cross
 // the boundary safely.
-func NewSystemWithBackend(k *sim.Kernel, cfg Config, rec protocol.Recorder, backend Backend) *System {
-	return newSystem(k, cfg, rec, backend, mem.NewLinePool(cfg.L1.LineSize))
+func NewSystemWithBackend(k *sim.Kernel, cfg Config, col *coverage.Collector, backend Backend) *System {
+	return newSystem(k, cfg, col, backend, mem.NewLinePool(cfg.L1.LineSize))
 }
 
-func newSystem(k *sim.Kernel, cfg Config, rec protocol.Recorder, backend Backend, lines *mem.LinePool) *System {
+func newSystem(k *sim.Kernel, cfg Config, col *coverage.Collector, backend Backend, lines *mem.LinePool) *System {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -394,17 +396,17 @@ func newSystem(k *sim.Kernel, cfg Config, rec protocol.Recorder, backend Backend
 	for sl := 0; sl < cfg.NumL2Slices; sl++ {
 		// Response crossbars are always built jitter-capable: a jittered
 		// link with a zero window is behaviorally identical to an ordered
-		// one (Send/SendMsg only consult the stream when jitter > 0), and
-		// it lets SetRespJitter retune the window between reset runs of a
+		// one (its sends only consult the stream when jitter > 0), and it
+		// lets SetRespJitter retune the window between reset runs of a
 		// reused system.
 		respXBar := network.NewJitterCrossbar(k, fmt.Sprintf("tcc%d->tcp", sl), cfg.NumCUs, cfg.RespLatency, cfg.RespJitter, jrnd)
 		s.respXBars = append(s.respXBars, respXBar)
 		if cfg.WriteBackL2 {
-			wb := newTCCWB(k, wbSpec, rec, onFault, cfg.L2, backend, respXBar, cfg.Bugs, pool)
+			wb := newTCCWB(k, wbSpec, col, onFault, cfg.L2, backend, respXBar, cfg.Bugs, pool)
 			wb.sliceIndex = sl
 			s.l2s = append(s.l2s, wb)
 		} else {
-			tcc := newTCC(k, tccSpec, rec, onFault, cfg.L2, backend, respXBar, cfg.Bugs, pool)
+			tcc := newTCC(k, tccSpec, col, onFault, cfg.L2, backend, respXBar, cfg.Bugs, pool)
 			tcc.sliceIndex = sl
 			s.TCCs = append(s.TCCs, tcc)
 			s.l2s = append(s.l2s, tcc)
@@ -420,7 +422,7 @@ func newSystem(k *sim.Kernel, cfg Config, rec protocol.Recorder, backend Backend
 		for sl := range links {
 			links[sl] = network.NewLink(k, fmt.Sprintf("tcp%d->tcc%d", cu, sl), cfg.ReqLatency)
 		}
-		tcp := newTCP(k, cu, tcpSpec, rec, onFault, cfg.L1, links, s.sliceOf, cfg.Bugs, pool)
+		tcp := newTCP(k, cu, tcpSpec, col, onFault, cfg.L1, links, s.sliceOf, cfg.Bugs, pool)
 		for _, l2 := range s.l2s {
 			l2.attachTCP(tcp)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"drftest/internal/cache"
+	"drftest/internal/coverage"
 	"drftest/internal/mem"
 	"drftest/internal/network"
 	"drftest/internal/protocol"
@@ -125,8 +126,8 @@ func (d *tccState) copyFrom(s *tccState) {
 	d.wbAcks, d.droppedMerges, d.droppedAcks = s.wbAcks, s.droppedMerges, s.droppedAcks
 }
 
-func newTCC(k *sim.Kernel, spec *protocol.Spec, rec protocol.Recorder, onFault func(*protocol.FaultError), l2 cache.Config, backend Backend, toTCP *network.Crossbar, bugs BugSet, pool *msgPool) *TCC {
-	m := protocol.NewMachine(spec, rec)
+func newTCC(k *sim.Kernel, spec *protocol.Spec, col *coverage.Collector, onFault func(*protocol.FaultError), l2 cache.Config, backend Backend, toTCP *network.Crossbar, bugs BugSet, pool *msgPool) *TCC {
+	m := protocol.NewMachine(spec, col.Counters(spec), k)
 	m.OnFault = onFault
 	c := &TCC{
 		tbePool:    objPool[tccTBE]{track: true, clean: cleanTBE},

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"drftest/internal/cache"
+	"drftest/internal/coverage"
 	"drftest/internal/mem"
 	"drftest/internal/network"
 	"drftest/internal/protocol"
@@ -77,8 +78,8 @@ func (d *wbState) copyFrom(s *wbState) {
 	d.fills, d.stalls, d.evictWBs = s.fills, s.stalls, s.evictWBs
 }
 
-func newTCCWB(k *sim.Kernel, spec *protocol.Spec, rec protocol.Recorder, onFault func(*protocol.FaultError), l2 cache.Config, backend Backend, toTCP *network.Crossbar, bugs BugSet, pool *msgPool) *TCCWB {
-	m := protocol.NewMachine(spec, rec)
+func newTCCWB(k *sim.Kernel, spec *protocol.Spec, col *coverage.Collector, onFault func(*protocol.FaultError), l2 cache.Config, backend Backend, toTCP *network.Crossbar, bugs BugSet, pool *msgPool) *TCCWB {
+	m := protocol.NewMachine(spec, col.Counters(spec), k)
 	m.OnFault = onFault
 	c := &TCCWB{
 		k:        k,

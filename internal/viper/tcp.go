@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"drftest/internal/cache"
+	"drftest/internal/coverage"
 	"drftest/internal/mem"
 	"drftest/internal/network"
 	"drftest/internal/protocol"
@@ -82,8 +83,8 @@ func (d *tcpState) copyFrom(s *tcpState) {
 	d.loads, d.loadHits, d.stores, d.atomics, d.stalls = s.loads, s.loadHits, s.stores, s.atomics, s.stalls
 }
 
-func newTCP(k *sim.Kernel, id int, spec *protocol.Spec, rec protocol.Recorder, onFault func(*protocol.FaultError), l1 cache.Config, toTCC []*network.Link, sliceOf func(mem.Addr) l2ctrl, bugs BugSet, pool *msgPool) *TCP {
-	m := protocol.NewMachine(spec, rec)
+func newTCP(k *sim.Kernel, id int, spec *protocol.Spec, col *coverage.Collector, onFault func(*protocol.FaultError), l1 cache.Config, toTCC []*network.Link, sliceOf func(mem.Addr) l2ctrl, bugs BugSet, pool *msgPool) *TCP {
+	m := protocol.NewMachine(spec, col.Counters(spec), k)
 	m.OnFault = onFault
 	return &TCP{
 		k:       k,
