@@ -31,3 +31,13 @@ func TestGoldenFig6Fig10(t *testing.T) {
 	golden.Check(t, "figures_fig6_fig10_scale0.02.txt", "figures -exp fig6,fig10 -scale 0.02 -parallel 1",
 		golden.RunMain(t, "-exp", "fig6,fig10", "-scale", "0.02", "-parallel", "1"))
 }
+
+// TestGoldenProtocols: the write-back protocol's coverage and bug
+// detection, the two protocols' projected run times, the two-GPU
+// system (which drives the write-through L2's probe path) and the
+// transition tables print the committed tables.
+func TestGoldenProtocols(t *testing.T) {
+	golden.Check(t, "figures_protocolwb_protocolperf_multigpu_specs_scale0.02.txt",
+		"figures -exp protocolwb,protocolperf,multigpu,specs -scale 0.02 -parallel 1",
+		golden.RunMain(t, "-exp", "protocolwb,protocolperf,multigpu,specs", "-scale", "0.02", "-parallel", "1"))
+}

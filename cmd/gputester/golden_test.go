@@ -20,17 +20,23 @@ var exploreClean = []string{"-explore", "-caches", "small", "-wfs", "2", "-lanes
 var exploreBug = []string{"-explore", "-bug", "nonatomic", "-caches", "small", "-wfs", "2", "-lanes", "1",
 	"-episodes", "1", "-actions", "6", "-syncvars", "1", "-datavars", "1", "-explore-depth", "10"}
 
-// runExploreGolden runs gputester with args plus -workers and, for a bug run,
-// -artifact-dir: it returns the output with the artifact directory
-// spelled ARTIFACT_DIR and the artifact's bytes (nil for a clean run).
+// runExploreGolden runs gputester with args plus -workers (see
+// runGolden).
 func runExploreGolden(t *testing.T, args []string, workers string, bug bool) (out, artifact []byte) {
 	t.Helper()
-	args = append(append([]string(nil), args...), "-workers", workers)
+	return runGolden(t, append(append([]string(nil), args...), "-workers", workers), bug)
+}
+
+// runGolden runs gputester with args and, for a bug run, -artifact-dir:
+// it returns the output with the artifact directory spelled
+// ARTIFACT_DIR and the artifact's bytes (nil for a clean run).
+func runGolden(t *testing.T, args []string, bug bool) (out, artifact []byte) {
+	t.Helper()
 	if !bug {
 		return golden.RunMain(t, args...), nil
 	}
 	dir := t.TempDir()
-	out = golden.RunMainExit(t, 1, append(args, "-artifact-dir", dir)...)
+	out = golden.RunMainExit(t, 1, append(append([]string(nil), args...), "-artifact-dir", dir)...)
 	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil || len(files) != 1 {
 		t.Fatalf("%v: want one artifact in the artifact directory, found %v (%v)", args, files, err)
@@ -39,6 +45,49 @@ func runExploreGolden(t *testing.T, args []string, workers string, bug bool) (ou
 		t.Fatal(err)
 	}
 	return bytes.ReplaceAll(out, []byte(dir), []byte("ARTIFACT_DIR")), artifact
+}
+
+// TestGoldenRuns pins single runs and a campaign of both L2 protocols:
+// write-through and write-back at the small and large cache configs, a
+// banked write-back L2 with the coverage grid and heatmap, an injected
+// write-back atomicity bug with its replay artifact, and a swarm
+// campaign over write-back (its first batch draws the wide-jitter
+// corner), byte for byte outside host time.
+func TestGoldenRuns(t *testing.T) {
+	campaign := []string{"-campaign", "-protocol", "wb", "-campaign-mode", "swarm", "-workers", "1",
+		"-caches", "small", "-wfs", "8", "-episodes", "4", "-actions", "30", "-syncvars", "4",
+		"-datavars", "256", "-batch", "8", "-max-seeds", "32"}
+	type run struct {
+		name    string
+		args    []string
+		formats []string
+		bug     bool
+	}
+	both := []string{"txt", "json"}
+	var runs []run
+	for _, p := range []string{"wt", "wb"} {
+		for _, c := range []string{"small", "large"} {
+			runs = append(runs, run{p + "_" + c, []string{"-protocol", p, "-caches", c}, both, false})
+		}
+	}
+	runs = append(runs,
+		run{"wb_slices2_grid_heatmap", []string{"-protocol", "wb", "-l2slices", "2", "-grid", "-heatmap"}, []string{"txt"}, false},
+		run{"wb_nonatomic", []string{"-protocol", "wb", "-bug", "nonatomic"}, []string{"txt"}, true},
+		run{"campaign_wb_swarm", campaign, both, false},
+	)
+	for _, tc := range runs {
+		for _, format := range tc.formats {
+			args := tc.args
+			if format == "json" {
+				args = append(append([]string(nil), args...), "-json")
+			}
+			out, artifact := runGolden(t, args, tc.bug)
+			golden.Check(t, "gputester_"+tc.name+"."+format, "gputester "+tc.name+" -"+format, out)
+			if artifact != nil {
+				golden.Check(t, "gputester_"+tc.name+"_artifact.json", "gputester "+tc.name+" artifact", artifact)
+			}
+		}
+	}
 }
 
 // TestGoldenExplore pins gputester -explore at one worker: the text and

@@ -36,6 +36,11 @@ var HostTime = []*regexp.Regexp{
 	regexp.MustCompile(`("nsPer(?:Cut|Restore)": )[^,\n]+`),
 	// cputester: the wall time beside the sim ticks.
 	regexp.MustCompile(`(?m)(^  sim ticks +\d+, wall )\S+$`),
+	// gputester: a single run's wall time line, a campaign's rate and
+	// wall beside its seed count, and both under -json.
+	regexp.MustCompile(`(?m)(^  wall time +)\S+$`),
+	regexp.MustCompile(`(\()[\d.]+ seeds/sec, wall [^)]*`),
+	regexp.MustCompile(`("(?:wallSeconds|seedsPerSec)": )[^,\n]+`),
 }
 
 // Masked stands in for a host-time field.

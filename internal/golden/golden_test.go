@@ -46,3 +46,22 @@ func TestMaskCPUTester(t *testing.T) {
 		t.Fatalf("Mask:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestMaskGPUTester: a single run's wall time and a campaign's rate and
+// wall are blanked, in the text report and under -json; the counts
+// beside them are not.
+func TestMaskGPUTester(t *testing.T) {
+	in := "  sim ticks      366841 (kernel events 391128)\n" +
+		"  wall time      144.529985ms\n" +
+		"  seeds run      32 in 4 batches (237.8 seeds/sec, wall 135ms)\n" +
+		"  \"seedsPerSec\": 246.18181808949998,\n" +
+		"  \"wallSeconds\": 0.129985229\n"
+	want := "  sim ticks      366841 (kernel events 391128)\n" +
+		"  wall time      " + Masked + "\n" +
+		"  seeds run      32 in 4 batches (" + Masked + ")\n" +
+		"  \"seedsPerSec\": " + Masked + ",\n" +
+		"  \"wallSeconds\": " + Masked + "\n"
+	if got := string(Mask([]byte(in))); got != want {
+		t.Fatalf("Mask:\n%s\nwant:\n%s", got, want)
+	}
+}
