@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"testing"
 
 	"drftest/internal/core"
@@ -16,28 +17,35 @@ import (
 // links. A warm seed costs 35 objects — 30 of them the request slab's
 // 256-request chunks, the rest its report — and up to twice that while
 // the pools still meet new peaks; with a stall-queue slice per wake
-// and a closure per jittered response it cost 335 and 4 226.
+// and a closure per jittered response it cost 335 and 4 226. The
+// write-back L2 (WriteBackL2) runs the same rows; with a closure per L2
+// atomic and a boxed line address per fetch it cost ≈ 560.
 func TestContendedSeedSteadyStateAllocs(t *testing.T) {
 	const maxContendedSeedAllocs = 120
 	tc := core.DefaultConfig()
 	tc.NumWavefronts, tc.EpisodesPerThread, tc.ActionsPerEpisode = 8, 8, 30
 	tc.NumSyncVars, tc.NumDataVars, tc.StoreFraction = 4, 64, 0.6
-	cfg := CampaignConfig{SysCfg: viper.SmallCacheConfig(), TestCfg: tc, Workers: 1, Mode: CampaignSwarm}
-	corners := NewCornerCache(tc, cfg.SysCfg)
-	for _, levels := range []CornerLevels{{}, {axisJitter: 2}} {
-		c := corners.Corner(levels)
-		rc := NewRunContext(cfg)
-		seed := uint64(1)
-		next := func() { rc.RunSeed(seed, c); seed++ }
-		next()
-		next()
-		allocs := testing.AllocsPerRun(4, next)
-		t.Logf("%s: %.0f allocations per seed", c.Name(), allocs)
-		if allocs > maxContendedSeedAllocs {
-			t.Errorf("%s: a warm reset-path seed allocates %.0f objects, want ≤ %d", c.Name(), allocs, maxContendedSeedAllocs)
-		}
-		if d := rc.Delta(); len(d.Failures) != 0 || d.Ops != uint64(d.Seeds)*tc.TotalActions() {
-			t.Fatalf("%s: seeds failed or lost ops: %+v", c.Name(), d)
+	for _, wb := range []bool{false, true} {
+		sys := viper.SmallCacheConfig()
+		sys.WriteBackL2 = wb
+		cfg := CampaignConfig{SysCfg: sys, TestCfg: tc, Workers: 1, Mode: CampaignSwarm}
+		corners := NewCornerCache(tc, cfg.SysCfg)
+		for _, levels := range []CornerLevels{{}, {axisJitter: 2}} {
+			c := corners.Corner(levels)
+			name := fmt.Sprintf("wb=%v %s", wb, c.Name())
+			rc := NewRunContext(cfg)
+			seed := uint64(1)
+			next := func() { rc.RunSeed(seed, c); seed++ }
+			next()
+			next()
+			allocs := testing.AllocsPerRun(4, next)
+			t.Logf("%s: %.0f allocations per seed", name, allocs)
+			if allocs > maxContendedSeedAllocs {
+				t.Errorf("%s: a warm reset-path seed allocates %.0f objects, want ≤ %d", name, allocs, maxContendedSeedAllocs)
+			}
+			if d := rc.Delta(); len(d.Failures) != 0 || d.Ops != uint64(d.Seeds)*tc.TotalActions() {
+				t.Fatalf("%s: seeds failed or lost ops: %+v", name, d)
+			}
 		}
 	}
 }

@@ -147,9 +147,9 @@ func TestForkCampaignMatchesReset(t *testing.T) {
 // fresh run of the same seed (snapshot arming must not perturb the
 // simulation). Coverage must round-trip the same way. The cut is taken
 // over both L2 protocols, one and four L2 slices, and ordered and
-// jittered response links, so it rewinds TCCWB, every slice and the
-// shared jitter stream mid-flight; the write-through, one-slice,
-// unjittered row is the lostwrite failure of failingGPURun.
+// jittered response links, so it rewinds the write-back L2, every
+// slice and the shared jitter stream mid-flight; the write-through,
+// one-slice, unjittered row is the lostwrite failure of failingGPURun.
 func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	base := failingGPURun(t)
 	for _, wb := range []bool{false, true} {

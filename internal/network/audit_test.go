@@ -8,9 +8,9 @@ import (
 
 // TestSnapshotFieldAudit pins the field sets of the snapshotted
 // structs so a new field cannot silently escape
-// Snapshot/Restore/Reset/ResetStats (see package audit). The audit
-// exists because Link once grew run state (msgQ) that ResetStats —
-// correctly — does not touch: every field needs an explicit home.
+// Snapshot/Restore/Reset (see package audit). The audit exists
+// because Link once grew run state (msgQ) that a stats-only reset —
+// correctly — did not touch: every field needs an explicit home.
 func TestSnapshotFieldAudit(t *testing.T) {
 	audit.Fields(t, Link{}, map[string]string{
 		"k":         "config: owning kernel, survives Reset/Restore",
@@ -22,7 +22,7 @@ func TestSnapshotFieldAudit(t *testing.T) {
 		"msgHead":   "state: Reset/Restore zero it (queue normalized)",
 		"deliverFn": "config: pre-bound drain closure, survives Reset/Restore",
 		"unit":      "config: schedule-exploration ordering domain, fixed at construction",
-		"sent":      "stats: ResetStats/Reset zero, Snapshot/Restore copy",
+		"sent":      "stats: Reset zeroes, Snapshot/Restore copy",
 	})
 	audit.Fields(t, pendingMsg{}, map[string]string{
 		"fn":  "state: copied by Link.Snapshot; pooled handler, identity-stable",
@@ -32,8 +32,5 @@ func TestSnapshotFieldAudit(t *testing.T) {
 	audit.Fields(t, LinkSnapshot{}, map[string]string{
 		"msgs": "cut: the queue from its head, refilled in place",
 		"sent": "cut: copied",
-	})
-	audit.Fields(t, Crossbar{}, map[string]string{
-		"links": "config: fixed port list; Reset/ResetStats/Snapshot/Restore fan out per port",
 	})
 }

@@ -84,11 +84,6 @@ func (l *Link) Sent() uint64 { return l.sent }
 // delivered.
 func (l *Link) Queued() int { return len(l.msgQ) - l.msgHead }
 
-// ResetStats zeroes the link's traffic counter. The jitter RNG is
-// shared with (and reseeded by) the owning system, so it is not
-// touched here.
-func (l *Link) ResetStats() { l.sent = 0 }
-
 // SendMsg delivers fn(arg) at the far end after the link's latency.
 // fn should be a prebound per-destination handler: the message then
 // rides the link's reusable queue and nothing is allocated per send.
@@ -197,90 +192,4 @@ func (l *Link) Restore(s *LinkSnapshot) {
 	l.msgQ = append(l.msgQ[:0], s.msgs...)
 	l.msgHead = 0
 	l.sent = s.sent
-}
-
-// Crossbar bundles the per-destination links of a shared structure
-// (e.g. the L2's response paths back to every L1) and tracks aggregate
-// traffic.
-type Crossbar struct {
-	links []*Link
-}
-
-// NewCrossbar builds n identical ordered links named prefix.i.
-func NewCrossbar(k *sim.Kernel, prefix string, n int, latency sim.Tick) *Crossbar {
-	c := &Crossbar{links: make([]*Link, n)}
-	for i := range c.links {
-		c.links[i] = NewLink(k, prefix, latency)
-	}
-	return c
-}
-
-// NewJitterCrossbar builds n jittered links sharing one random stream
-// (an unordered virtual network).
-func NewJitterCrossbar(k *sim.Kernel, prefix string, n int, latency, jitter sim.Tick, rnd *rng.PCG) *Crossbar {
-	c := &Crossbar{links: make([]*Link, n)}
-	for i := range c.links {
-		c.links[i] = NewJitterLink(k, prefix, latency, jitter, rnd)
-	}
-	return c
-}
-
-// To returns the link to destination i.
-func (c *Crossbar) To(i int) *Link { return c.links[i] }
-
-// SetJitter changes every port's jitter window (see Link.SetJitter).
-func (c *Crossbar) SetJitter(jitter sim.Tick) {
-	for _, l := range c.links {
-		l.SetJitter(jitter)
-	}
-}
-
-// ResetStats zeroes every port's traffic counter.
-func (c *Crossbar) ResetStats() {
-	for _, l := range c.links {
-		l.ResetStats()
-	}
-}
-
-// Reset fully resets every port (see Link.Reset).
-func (c *Crossbar) Reset() {
-	for _, l := range c.links {
-		l.Reset()
-	}
-}
-
-// CrossbarSnapshot captures every port of a crossbar.
-type CrossbarSnapshot struct {
-	links []LinkSnapshot
-}
-
-// Snapshot captures every port's state.
-func (c *Crossbar) Snapshot() *CrossbarSnapshot { return c.SnapshotInto(nil) }
-
-// SnapshotInto is Snapshot refilling s, a snapshot of this crossbar
-// the caller knows is dead (nil allocates).
-func (c *Crossbar) SnapshotInto(s *CrossbarSnapshot) *CrossbarSnapshot {
-	if s == nil {
-		s = &CrossbarSnapshot{links: make([]LinkSnapshot, len(c.links))}
-	}
-	for i, l := range c.links {
-		l.SnapshotInto(&s.links[i])
-	}
-	return s
-}
-
-// Restore returns every port to the captured state.
-func (c *Crossbar) Restore(s *CrossbarSnapshot) {
-	for i, l := range c.links {
-		l.Restore(&s.links[i])
-	}
-}
-
-// TotalSent sums traffic across all ports.
-func (c *Crossbar) TotalSent() uint64 {
-	var n uint64
-	for _, l := range c.links {
-		n += l.Sent()
-	}
-	return n
 }

@@ -143,26 +143,6 @@ func TestLinkResetDropsQueuedMessages(t *testing.T) {
 	}
 }
 
-func TestCrossbar(t *testing.T) {
-	k := sim.NewKernel()
-	c := NewCrossbar(k, "xbar", 4, 2)
-	got := make([]int, 4)
-	count := func(a any) { got[a.(int)]++ }
-	for i := 0; i < 4; i++ {
-		c.To(i).SendMsg(count, i)
-		c.To(i).SendMsg(count, i)
-	}
-	k.RunUntilIdle()
-	for i, n := range got {
-		if n != 2 {
-			t.Fatalf("port %d received %d messages", i, n)
-		}
-	}
-	if c.TotalSent() != 8 {
-		t.Fatalf("TotalSent=%d", c.TotalSent())
-	}
-}
-
 // TestLinkQueueSteadyStateAllocs pins the typed queue's reuse under
 // traffic that never lets it drain: one message is sent every tick on a
 // link eight ticks long, so eight are always queued, yet after warm-up

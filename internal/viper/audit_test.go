@@ -13,7 +13,7 @@ import (
 // struct, which one copyFrom saves, restores and resets; what that copy
 // does with each field is pinned behaviorally by the harness
 // bit-identity tests. One controller field is outside every copy path
-// on purpose: TCC/TCCWB.auditBuf is scratch — written and read within
+// on purpose: TCC.auditBuf is scratch — written and read within
 // one AuditAgainstStore call, dead between calls (TestAuditL2Allocs
 // pins what it buys).
 func TestSnapshotFieldAudit(t *testing.T) {
@@ -37,9 +37,17 @@ func TestSnapshotFieldAudit(t *testing.T) {
 	audit.Fields(t, tcpState{}, states("atomicTBEs", "loadTBEs", "stalled", "wt", "wtWords",
 		"loads", "loadHits", "stores", "atomics", "stalls"))
 	audit.Fields(t, tccState{}, states("tbes", "stalled", "stalledProbes", "wbs",
-		"rdBlks", "wrVicBlks", "atomicsSeen", "fills", "stalls", "wbAcks", "droppedMerges", "droppedAcks"))
-	audit.Fields(t, wbState{}, states("tbes", "stalled", "vicWBs",
-		"rdBlks", "wrVicBlks", "atomicsSeen", "fills", "stalls", "evictWBs"))
+		"rdBlks", "wrVicBlks", "atomicsSeen", "fills", "stalls", "wbAcks", "droppedMerges", "droppedAcks", "evictWBs"))
+	audit.Fields(t, l2State{}, map[string]string{
+		"tcc":  "cut: the slice's tccState, through copyFrom",
+		"tbes": "cut: the TBE pool's contents and free order",
+	})
+	audit.Fields(t, tccTBE{}, map[string]string{
+		"kind": "state: copied with the TBE", "line": "state: copied with the TBE", "cu": "state: copied with the TBE",
+		"req": "state: copied with the TBE", "probed": "state: copied with the TBE",
+		"pending": "state: copied with the TBE; the line pool's cut restores the line",
+		"retryFn": "config: prebound to its TBE for life",
+	})
 	audit.Fields(t, seqState{}, states("pendingWT", "heldReleases", "outstanding", "respQ", "respHead",
 		"issued", "completed"))
 	audit.Fields(t, TCP{}, map[string]string{
@@ -53,22 +61,13 @@ func TestSnapshotFieldAudit(t *testing.T) {
 		"tccState": copied,
 		"k":        config, "sliceIndex": config, "machine": config, "backend": config, "tcps": config,
 		"bugs": config, "pool": config, "retryDelay": config,
+		"wb": config, "stIV": config, "stA": config, "dirty": config, "auditWhat": config,
 		"array":       cutBySys,
-		"toTCP":       config + "; the ports are cut via System.links",
+		"toTCP":       config + "; the links are cut via System.links",
 		"auditBuf":    "scratch: dead between AuditAgainstStore calls",
 		"tbePool":     "pool: every TBE built; save copies their contents and the free order, load and reset write them back",
 		"sendFns":     prebound,
 		"fetchDoneFn": prebound, "atomicDoneFn": prebound, "wbAckFn": prebound, "noopWBFn": prebound,
-	})
-	audit.Fields(t, TCCWB{}, map[string]string{
-		"wbState": copied,
-		"k":       config, "sliceIndex": config, "machine": config, "backend": config, "tcps": config,
-		"bugs": config, "pool": config,
-		"array":       cutBySys,
-		"toTCP":       config + "; the ports are cut via System.links",
-		"auditBuf":    "scratch: dead between AuditAgainstStore calls",
-		"sendFns":     prebound,
-		"fetchDoneFn": prebound, "vicWBAckFn": prebound,
 	})
 	audit.Fields(t, Sequencer{}, map[string]string{
 		"seqState": copied,
@@ -78,20 +77,17 @@ func TestSnapshotFieldAudit(t *testing.T) {
 		"lat":       cutBySys,
 	})
 	audit.Fields(t, System{}, map[string]string{
-		"Kernel":    "config: owning kernel, snapshotted separately",
-		"Cfg":       "config: fixed at construction",
-		"Seqs":      "state: seqState and latency histograms per sequencer",
-		"TCPs":      "state: tcpState per L1",
-		"TCC":       "state: first l2s entry, cut via l2s",
-		"TCCs":      "state: aliases l2s entries, cut via l2s",
-		"l2s":       "state: one l2State per slice, through save/load",
-		"Mem":       "state: memory-controller snapshot (COW store included)",
-		"faults":    "state: Snapshot/Restore copy the slice",
-		"jrnd":      "state: jitter PCG copied by value",
-		"respXBars": "config: retuned by SetRespJitter; the ports are cut via links",
-		"arrays":    "state: every cache array, cut and reset in this order",
-		"links":     "state: every link, cut and reset in this order",
-		"pool":      "pool: registries captured only when tracking (EnableCheckpointing)",
+		"Kernel": "config: owning kernel, snapshotted separately",
+		"Cfg":    "config: fixed at construction",
+		"Seqs":   "state: seqState and latency histograms per sequencer",
+		"TCPs":   "state: tcpState per L1",
+		"TCCs":   "state: one l2State per slice, through save/load",
+		"Mem":    "state: memory-controller snapshot (COW store included)",
+		"faults": "state: Snapshot/Restore copy the slice",
+		"jrnd":   "state: jitter PCG copied by value",
+		"arrays": "state: every cache array, cut and reset in this order",
+		"links":  "state: every link, cut and reset in this order",
+		"pool":   "pool: registries captured only when tracking (EnableCheckpointing)",
 	})
 }
 
@@ -99,7 +95,7 @@ func TestSnapshotFieldAudit(t *testing.T) {
 // hold no Go map (see audit.NoMaps); the backing store's page map
 // beyond the page directory's reach is the one exception.
 func TestNoMaps(t *testing.T) {
-	for _, v := range []any{TCP{}, TCC{}, TCCWB{}, Sequencer{}, msgPool{}, System{}, SystemSnapshot{}} {
+	for _, v := range []any{TCP{}, TCC{}, Sequencer{}, msgPool{}, System{}, SystemSnapshot{}} {
 		audit.NoMaps(t, v, "Store.far")
 	}
 }

@@ -102,7 +102,7 @@ func TestCoalescedLoads(t *testing.T) {
 	if r.resp(t, a).Data != 11 || r.resp(t, b).Data != 22 {
 		t.Fatal("coalesced loads returned wrong values")
 	}
-	if got := r.sys.TCC.Stats()["rdblk"]; got != 1 {
+	if got := r.sys.TCCs[0].Stats()["rdblk"]; got != 1 {
 		t.Fatalf("expected 1 RdBlk for coalesced loads, TCC saw %d", got)
 	}
 }

@@ -145,23 +145,17 @@ type System struct {
 	Cfg    Config
 	Seqs   []*Sequencer
 	TCPs   []*TCP
-	// TCCs holds the (possibly banked) shared L2 slices of the
-	// write-through protocol; TCC is the first slice. For the VIPER-WB
-	// variant both are nil and l2s holds TCCWB controllers.
-	TCC  *TCC
+	// TCCs holds the (possibly banked) shared L2's slices, one
+	// controller each, in slice order.
 	TCCs []*TCC
-	l2s  []l2ctrl
 	// Mem is non-nil only for systems built directly over a memory
 	// controller.
 	Mem *memctrl.Controller
 
 	faults []*protocol.FaultError
-	// jrnd is the response-jitter stream shared by every jittered
-	// response crossbar, retained so Reset can reseed it.
+	// jrnd is the response-jitter stream shared by every response link,
+	// retained so Reset can reseed it.
 	jrnd *rng.PCG
-	// respXBars holds the per-slice response crossbars, retained so
-	// SetRespJitter can retune them between runs.
-	respXBars []*network.Crossbar
 	// arrays (the L1s in CU order, then the L2 slices) and links (the
 	// request links CU-major, then the response ports slice-major) are
 	// the layers under the controllers, which a cut and a reset walk.
@@ -200,8 +194,8 @@ func (s *System) Reset() {
 		seq.lat.Reset()
 		s.TCPs[i].copyFrom(&tcpState{})
 	}
-	for _, l2 := range s.l2s {
-		l2.reset()
+	for _, c := range s.TCCs {
+		c.reset()
 	}
 	for _, a := range s.arrays {
 		a.Reset()
@@ -221,7 +215,7 @@ func (s *System) Reset() {
 // SetRespJitter retunes the response-network jitter window and its
 // seed between runs of a reused system: it updates the config so the
 // next Reset reseeds the jitter stream from seed, and widens (or
-// zeroes) every response crossbar's window. Only valid immediately
+// zeroes) every response link's window. Only valid immediately
 // before Reset — in-flight messages must be gone first — so callers
 // sequence Kernel.Reset, SetRespJitter, System.Reset. After that
 // sequence a run is bit-identical to one on a freshly built system
@@ -232,47 +226,20 @@ func (s *System) SetRespJitter(jitter sim.Tick, seed uint64) {
 	}
 	s.Cfg.RespJitter = jitter
 	s.Cfg.JitterSeed = seed
-	for _, xb := range s.respXBars {
-		xb.SetJitter(jitter)
+	for _, c := range s.TCCs {
+		for _, l := range c.toTCP {
+			l.SetJitter(jitter)
+		}
 	}
-}
-
-// l2ctrl is the controller surface TCPs and the System need from an
-// L2 slice, satisfied by both TCC (write-through) and TCCWB
-// (write-back).
-type l2ctrl interface {
-	FromTCP(msg *tcpMsg)
-	ProbeInv(line mem.Addr, done func(any), ctx any)
-	AuditAgainstStore(st *mem.Store) []string
-	Flush(st *mem.Store)
-	Stats() map[string]uint64
-	slice() int
-	lines() *cache.Array
-	attachTCP(t *TCP)
-	// reset returns the slice's controller to its just-built state (see
-	// System.Reset for the contract; the kernel must already be reset).
-	reset()
-	// save and load copy the controller's state into and out of its
-	// slice's record in a cut (see System.Snapshot for the contract).
-	save(s *l2State)
-	load(s *l2State)
-}
-
-// l2State is one L2 slice's record in a cut: the state of whichever
-// controller runs the slice, and a TCC's TBEs.
-type l2State struct {
-	tcc  tccState
-	tbes poolCut[tccTBE]
-	wb   wbState
 }
 
 // sliceOf routes a line address to its L2 slice.
-func (s *System) sliceOf(line mem.Addr) l2ctrl {
-	if len(s.l2s) == 1 {
-		return s.l2s[0]
+func (s *System) sliceOf(line mem.Addr) *TCC {
+	if len(s.TCCs) == 1 {
+		return s.TCCs[0]
 	}
-	idx := int(line/mem.Addr(s.Cfg.L2.LineSize)) % len(s.l2s)
-	return s.l2s[idx]
+	idx := int(line/mem.Addr(s.Cfg.L2.LineSize)) % len(s.TCCs)
+	return s.TCCs[idx]
 }
 
 // ProbeInv implements the directory's GPUPort over all slices.
@@ -287,13 +254,13 @@ func (s *System) ProbeInv(line mem.Addr, done func(any), ctx any) {
 // the LostWriteRace signature — still surfaces.
 func (s *System) AuditL2(store *mem.Store) []string {
 	if s.Cfg.WriteBackL2 {
-		for _, l2 := range s.l2s {
-			l2.Flush(store)
+		for _, c := range s.TCCs {
+			c.Flush(store)
 		}
 	}
 	var out []string
-	for _, l2 := range s.l2s {
-		out = append(out, l2.AuditAgainstStore(store)...)
+	for _, c := range s.TCCs {
+		out = append(out, c.AuditAgainstStore(store)...)
 	}
 	return out
 }
@@ -319,8 +286,8 @@ func (s *System) Latencies() *stats.LatencySet {
 // L2Stats aggregates the activity counters of every L2 slice.
 func (s *System) L2Stats() map[string]uint64 {
 	out := map[string]uint64{}
-	for _, l2 := range s.l2s {
-		for k, v := range l2.Stats() {
+	for _, c := range s.TCCs {
+		for k, v := range c.Stats() {
 			out[k] += v
 		}
 	}
@@ -391,29 +358,19 @@ func newSystem(k *sim.Kernel, cfg Config, col *coverage.Collector, backend Backe
 	s.jrnd = jrnd
 	pool := &msgPool{lines: lines}
 	s.pool = pool
-	tccSpec := NewTCCSpec()
-	wbSpec := NewTCCWBSpec()
 	for sl := 0; sl < cfg.NumL2Slices; sl++ {
-		// Response crossbars are always built jitter-capable: a jittered
-		// link with a zero window is behaviorally identical to an ordered
-		// one (its sends only consult the stream when jitter > 0), and it
-		// lets SetRespJitter retune the window between reset runs of a
-		// reused system.
-		respXBar := network.NewJitterCrossbar(k, fmt.Sprintf("tcc%d->tcp", sl), cfg.NumCUs, cfg.RespLatency, cfg.RespJitter, jrnd)
-		s.respXBars = append(s.respXBars, respXBar)
-		if cfg.WriteBackL2 {
-			wb := newTCCWB(k, wbSpec, col, onFault, cfg.L2, backend, respXBar, cfg.Bugs, pool)
-			wb.sliceIndex = sl
-			s.l2s = append(s.l2s, wb)
-		} else {
-			tcc := newTCC(k, tccSpec, col, onFault, cfg.L2, backend, respXBar, cfg.Bugs, pool)
-			tcc.sliceIndex = sl
-			s.TCCs = append(s.TCCs, tcc)
-			s.l2s = append(s.l2s, tcc)
+		// Response links are always built jitter-capable: a jittered link
+		// with a zero window is behaviorally identical to an ordered one
+		// (its sends only consult the stream when jitter > 0), and it lets
+		// SetRespJitter retune the window between reset runs of a reused
+		// system.
+		toTCP := make([]*network.Link, cfg.NumCUs)
+		for cu := range toTCP {
+			toTCP[cu] = network.NewJitterLink(k, fmt.Sprintf("tcc%d->tcp%d", sl, cu), cfg.RespLatency, cfg.RespJitter, jrnd)
 		}
-	}
-	if !cfg.WriteBackL2 {
-		s.TCC = s.TCCs[0]
+		tcc := newTCC(k, cfg.WriteBackL2, col, onFault, cfg.L2, backend, toTCP, cfg.Bugs, pool)
+		tcc.sliceIndex = sl
+		s.TCCs = append(s.TCCs, tcc)
 	}
 
 	tcpSpec := NewTCPSpec()
@@ -423,8 +380,8 @@ func newSystem(k *sim.Kernel, cfg Config, col *coverage.Collector, backend Backe
 			links[sl] = network.NewLink(k, fmt.Sprintf("tcp%d->tcc%d", cu, sl), cfg.ReqLatency)
 		}
 		tcp := newTCP(k, cu, tcpSpec, col, onFault, cfg.L1, links, s.sliceOf, cfg.Bugs, pool)
-		for _, l2 := range s.l2s {
-			l2.attachTCP(tcp)
+		for _, c := range s.TCCs {
+			c.tcps = append(c.tcps, tcp)
 		}
 		seq := newSequencer(k, cu, tcp, cfg.L1RespLatency, cfg.Bugs)
 		s.TCPs = append(s.TCPs, tcp)
@@ -432,13 +389,9 @@ func newSystem(k *sim.Kernel, cfg Config, col *coverage.Collector, backend Backe
 		s.arrays = append(s.arrays, tcp.array)
 		s.links = append(s.links, links...)
 	}
-	for _, l2 := range s.l2s {
-		s.arrays = append(s.arrays, l2.lines())
-	}
-	for _, xb := range s.respXBars {
-		for cu := 0; cu < cfg.NumCUs; cu++ {
-			s.links = append(s.links, xb.To(cu))
-		}
+	for _, c := range s.TCCs {
+		s.arrays = append(s.arrays, c.array)
+		s.links = append(s.links, c.toTCP...)
 	}
 	return s
 }
@@ -508,7 +461,7 @@ func (s *System) SnapshotInto(snap *SystemSnapshot) *SystemSnapshot {
 		snap = &SystemSnapshot{
 			seqs:   make([]seqState, len(s.Seqs)),
 			tcps:   make([]tcpState, len(s.TCPs)),
-			l2s:    make([]l2State, len(s.l2s)),
+			l2s:    make([]l2State, len(s.TCCs)),
 			lats:   make([]*stats.LatencySetSnapshot, len(s.Seqs)),
 			arrays: make([]*cache.ArraySnapshot, len(s.arrays)),
 			links:  make([]network.LinkSnapshot, len(s.links)),
@@ -524,8 +477,8 @@ func (s *System) SnapshotInto(snap *SystemSnapshot) *SystemSnapshot {
 		snap.lats[i] = seq.lat.SnapshotInto(snap.lats[i])
 		snap.tcps[i].copyFrom(&s.TCPs[i].tcpState)
 	}
-	for i, l2 := range s.l2s {
-		l2.save(&snap.l2s[i])
+	for i, c := range s.TCCs {
+		c.save(&snap.l2s[i])
 	}
 	for i, a := range s.arrays {
 		snap.arrays[i] = a.SnapshotInto(snap.arrays[i])
@@ -562,8 +515,8 @@ func (s *System) Restore(snap *SystemSnapshot) {
 		seq.lat.Restore(snap.lats[i])
 		s.TCPs[i].copyFrom(&snap.tcps[i])
 	}
-	for i, l2 := range s.l2s {
-		l2.load(&snap.l2s[i])
+	for i, c := range s.TCCs {
+		c.load(&snap.l2s[i])
 	}
 	for i, a := range s.arrays {
 		a.Restore(snap.arrays[i])

@@ -51,21 +51,33 @@ const (
 type tccTBE struct {
 	kind tbeKind
 	line mem.Addr
-	cu   int
-	req  *mem.Request
+	// cu is the requester: the CU a fill answers or an atomic acks, or
+	// -1 for a write-back L2's write-allocate fill, which answers no one.
+	cu  int
+	req *mem.Request
 	// probed marks a fill whose line was probe-invalidated mid-flight:
 	// the arriving data still answers the waiting loads (their values
 	// predate the probing writer, which is legal under DRF) but must
 	// not be installed.
 	probed bool
+	// pending is a write-allocate's write-through payload, merged over
+	// the arriving data; the TBE owns its reference.
+	pending *mem.Line
 
 	retryFn func()
 }
 
-// TCC is the GPU's shared L2 cache controller (VIPER's "TCC"). It
-// serves fills to the TCPs, merges and forwards write-throughs, routes
-// atomics to the global ordering point, and answers directory probes
-// in heterogeneous systems.
+// TCC is the GPU's shared L2 cache controller (VIPER's "TCC"), one per
+// L2 slice, in either of the two VIPER variants. It serves fills to the
+// TCPs, merges write-throughs and routes atomics, answering directory
+// probes in heterogeneous systems. The variant is data: its transition
+// table, the numbers of its transient and dirty states, and wb, which
+// decides the two write policies that differ — a write-through L2
+// forwards each write to the backend and acks it once performed there,
+// and sends atomics to the backend's ordering point; a write-back L2
+// (Config.WriteBackL2) is the visibility point, so it acks a write on
+// acceptance, runs atomics on its own copy of the line, and writes
+// dirty lines back on eviction.
 type TCC struct {
 	tccState
 	k          *sim.Kernel
@@ -74,10 +86,18 @@ type TCC struct {
 	array      *cache.Array
 	backend    Backend
 	tcps       []*TCP
-	toTCP      *network.Crossbar
+	toTCP      []*network.Link // one response link per CU
 	bugs       BugSet
 	pool       *msgPool
 	auditBuf   []byte // one line of scratch for AuditAgainstStore
+
+	wb bool
+	// stIV and stA are the variant's fill and atomic transient states;
+	// dirty is its dirty state, -1 when lines never hold data newer than
+	// memory (write-through). I and V are numbered alike in both tables.
+	stIV, stA, dirty int
+	// auditWhat names a line in AuditAgainstStore's reports.
+	auditWhat string
 
 	// retryDelay spaces out atomic retries after an AtomicND.
 	retryDelay sim.Tick
@@ -101,18 +121,20 @@ type TCC struct {
 	noopWBFn     func(ctx any)
 }
 
-// tccState is a write-through L2 slice's run state: a cut copies it, a
-// reset clears it (the cache array and the response crossbar are cut by
-// the System, the TBEs by save/load).
+// tccState is an L2 slice's run state: a cut copies it, a reset clears
+// it (the cache array and the response links are cut by the System,
+// the TBEs by save/load).
 type tccState struct {
 	tbes          table.Table[mem.Addr, *tccTBE]
 	stalled       waitList[mem.Addr, *tcpMsg]
 	stalledProbes waitList[mem.Addr, stalledProbe]
-	wbs           table.Table[mem.Addr, int] // in-flight memory writes per line
+	// wbs counts in-flight memory writes per line: write-throughs, or a
+	// write-back L2's eviction write-backs.
+	wbs table.Table[mem.Addr, int]
 
 	// stats
 	rdBlks, wrVicBlks, atomicsSeen, fills, stalls uint64
-	wbAcks, droppedMerges, droppedAcks            uint64
+	wbAcks, droppedMerges, droppedAcks, evictWBs  uint64
 }
 
 // copyFrom makes d hold s's state in d's own storage. Saving a cut,
@@ -123,24 +145,38 @@ func (d *tccState) copyFrom(s *tccState) {
 	d.stalledProbes.copyFrom(&s.stalledProbes)
 	d.wbs.CopyFrom(&s.wbs)
 	d.rdBlks, d.wrVicBlks, d.atomicsSeen, d.fills, d.stalls = s.rdBlks, s.wrVicBlks, s.atomicsSeen, s.fills, s.stalls
-	d.wbAcks, d.droppedMerges, d.droppedAcks = s.wbAcks, s.droppedMerges, s.droppedAcks
+	d.wbAcks, d.droppedMerges, d.droppedAcks, d.evictWBs = s.wbAcks, s.droppedMerges, s.droppedAcks, s.evictWBs
 }
 
-func newTCC(k *sim.Kernel, spec *protocol.Spec, col *coverage.Collector, onFault func(*protocol.FaultError), l2 cache.Config, backend Backend, toTCP *network.Crossbar, bugs BugSet, pool *msgPool) *TCC {
-	m := protocol.NewMachine(spec, col.Counters(spec), k)
-	m.OnFault = onFault
+// l2State is one L2 slice's record in a cut.
+type l2State struct {
+	tcc  tccState
+	tbes poolCut[tccTBE]
+}
+
+func newTCC(k *sim.Kernel, wb bool, col *coverage.Collector, onFault func(*protocol.FaultError), l2 cache.Config, backend Backend, toTCP []*network.Link, bugs BugSet, pool *msgPool) *TCC {
+	spec := NewTCCSpec()
 	c := &TCC{
 		tbePool:    objPool[tccTBE]{track: true, clean: cleanTBE},
 		k:          k,
-		machine:    m,
 		array:      cache.NewArray(l2),
 		backend:    backend,
 		toTCP:      toTCP,
 		bugs:       bugs,
 		pool:       pool,
 		auditBuf:   make([]byte, l2.LineSize),
+		stIV:       TCCStateIV,
+		stA:        TCCStateA,
+		dirty:      -1,
+		auditWhat:  "L2 line",
 		retryDelay: 20,
 	}
+	if wb {
+		spec = NewTCCWBSpec()
+		c.wb, c.stIV, c.stA, c.dirty, c.auditWhat = true, TCCWBStateIV, TCCWBStateA, TCCWBStateD, "L2WB clean line"
+	}
+	c.machine = protocol.NewMachine(spec, col.Counters(spec), k)
+	c.machine.OnFault = onFault
 	c.fetchDoneFn = func(data *mem.Line, ctx any) { c.onData(ctx.(*tccTBE), data) }
 	c.atomicDoneFn = func(old uint32, nack bool, ctx any) {
 		tbe := ctx.(*tccTBE)
@@ -155,19 +191,21 @@ func newTCC(k *sim.Kernel, spec *protocol.Spec, col *coverage.Collector, onFault
 	return c
 }
 
-// getTBE takes a TBE from the free list (or builds one, binding its
-// retry continuation to it for life). The caller fills the identity
-// fields.
-func (c *TCC) getTBE() *tccTBE {
+// newTBE takes a TBE from the free list (or builds one, binding its
+// retry continuation to it for life) and enters it for line.
+func (c *TCC) newTBE(kind tbeKind, line mem.Addr, cu int, req *mem.Request) *tccTBE {
 	t := c.tbePool.get()
 	if t.retryFn == nil {
 		t.retryFn = func() { c.issueAtomic(t) }
 	}
+	t.kind, t.line, t.cu, t.req = kind, line, cu, req
+	c.tbes.Put(line, t)
 	return t
 }
 
 // cleanTBE readies a dead TBE for reuse; its retryFn is bound for life.
-func cleanTBE(t *tccTBE) { t.req, t.probed = nil, false }
+// A pending line is already released, or force-reclaimed by a reset.
+func cleanTBE(t *tccTBE) { t.req, t.probed, t.pending = nil, false, nil }
 
 // reset returns the controller to its just-built state, the stalled
 // messages back in the pool and every TBE on the free list. Recycling
@@ -193,28 +231,17 @@ func (c *TCC) load(s *l2State) {
 
 func (c *TCC) lineSize() int { return c.array.Config().LineSize }
 
-func (c *TCC) slice() int { return c.sliceIndex }
-
-func (c *TCC) lines() *cache.Array { return c.array }
-
-func (c *TCC) attachTCP(t *TCP) { c.tcps = append(c.tcps, t) }
-
-// Flush is a no-op for the write-through TCC: a correct controller's
-// lines already match memory, and a divergent one must stay divergent
-// so the audit can see it.
-func (c *TCC) Flush(*mem.Store) {}
-
 // state derives the protocol state of a line from the TBE table and
 // the cache array.
 func (c *TCC) state(line mem.Addr) int {
 	if tbe, ok := c.tbes.Get(line); ok {
 		if tbe.kind == tbeAtomic {
-			return TCCStateA
+			return c.stA
 		}
-		return TCCStateIV
+		return c.stIV
 	}
 	if e := c.array.Peek(line); e != nil {
-		return TCCStateV
+		return e.State
 	}
 	return TCCStateI
 }
@@ -223,6 +250,7 @@ func (c *TCC) state(line mem.Addr) int {
 func (c *TCC) FromTCP(msg *tcpMsg) {
 	line := msg.line
 	st := c.state(line)
+	cached := st == TCCStateV || st == c.dirty
 
 	var ev int
 	switch msg.kind {
@@ -237,7 +265,7 @@ func (c *TCC) FromTCP(msg *tcpMsg) {
 	// The NonAtomicRMW bug's fast path hijacks cached atomics before
 	// the table is consulted with its real semantics; the transition is
 	// still recorded (the implementation *believes* it took it).
-	if msg.kind == msgAtomic && c.bugs.NonAtomicRMW && st == TCCStateV {
+	if !c.wb && msg.kind == msgAtomic && c.bugs.NonAtomicRMW && st == TCCStateV {
 		c.machine.Fire(st, ev)
 		c.buggyLocalAtomic(msg)
 		c.pool.putTCPMsg(msg)
@@ -257,35 +285,47 @@ func (c *TCC) FromTCP(msg *tcpMsg) {
 
 	// Release points: RdBlk and Atomic messages are dead once this
 	// dispatch returns (the TBE holds the core request, not the
-	// message); a WrVicBlk stays live until its write-through ack
+	// message); a write-through L2's WrVicBlk stays live until its ack
 	// (onWBAck) because it is the backend write's ctx, though its
 	// payload reference is handed to the backend at issue.
 	switch msg.kind {
 	case msgRdBlk:
 		c.rdBlks++
-		if st == TCCStateV {
+		if cached {
 			e := c.array.Lookup(line)
 			c.sendFillBytes(msg.cu, line, e.Data)
-			c.pool.putTCPMsg(msg)
-			return
+		} else {
+			c.fetch(c.newTBE(tbeFill, line, msg.cu, msg.req))
 		}
-		tbe := c.getTBE()
-		tbe.kind, tbe.line, tbe.cu, tbe.req = tbeFill, line, msg.cu, msg.req
-		c.tbes.Put(line, tbe)
-		c.backend.FetchLine(line, c.lineSize(), c.fetchDoneFn, tbe)
 		c.pool.putTCPMsg(msg)
 
 	case msgWrVicBlk:
 		c.wrVicBlks++
 		msg.checkPayload()
-		if st == TCCStateV {
-			if c.bugs.LostWriteRace && c.wbs.Ptr(line) != nil {
+		if cached {
+			if !c.wb && c.bugs.LostWriteRace && c.wbs.Ptr(line) != nil {
 				// BUG: the racing write-through skips the merge into
 				// the cached copy, leaving the L2 line stale.
 				c.droppedMerges++
 			} else {
-				c.array.Lookup(line).WriteMasked(msg.payload.Data, msg.payload.Mask())
+				e := c.array.Lookup(line)
+				e.WriteMasked(msg.payload.Data, msg.payload.Mask())
+				if c.wb {
+					e.State = c.dirty
+				}
 			}
+		} else if c.wb {
+			// Write-allocate: the TBE takes the payload reference and
+			// merges it over the fetched line.
+			tbe := c.newTBE(tbeFill, line, -1, nil)
+			tbe.pending, msg.payload = msg.payload, nil
+			c.fetch(tbe)
+		}
+		if c.wb {
+			// The L2 is the visibility point: the write is globally
+			// performed on acceptance.
+			c.ackWrite(msg)
+			return
 		}
 		*c.wbs.Slot(line)++
 		// The message's payload reference transfers to the backend
@@ -297,16 +337,24 @@ func (c *TCC) FromTCP(msg *tcpMsg) {
 
 	case msgAtomic:
 		c.atomicsSeen++
-		if st == TCCStateV {
-			// Read-invalidate: the global copy is about to change.
-			c.array.Invalidate(line)
+		switch {
+		case !c.wb:
+			if cached {
+				// Read-invalidate: the global copy is about to change.
+				c.array.Invalidate(line)
+			}
+			c.issueAtomic(c.newTBE(tbeAtomic, line, msg.cu, msg.req))
+		case cached:
+			c.performAtomic(line, c.array.Lookup(line), msg.req, msg.cu)
+		default:
+			c.fetch(c.newTBE(tbeAtomic, line, msg.cu, msg.req))
 		}
-		tbe := c.getTBE()
-		tbe.kind, tbe.line, tbe.cu, tbe.req = tbeAtomic, line, msg.cu, msg.req
-		c.tbes.Put(line, tbe)
-		c.issueAtomic(tbe)
 		c.pool.putTCPMsg(msg)
 	}
+}
+
+func (c *TCC) fetch(tbe *tccTBE) {
+	c.backend.FetchLine(tbe.line, c.lineSize(), c.fetchDoneFn, tbe)
 }
 
 func (c *TCC) issueAtomic(tbe *tccTBE) {
@@ -332,10 +380,32 @@ func (c *TCC) onAtomicND(tbe *tccTBE) {
 	c.k.Schedule(c.retryDelay, tbe.retryFn)
 }
 
-// onData receives a fill from the backend; the TCC owns the data
-// handle and transfers it onward to the fill response (installing a
-// copy in the array first — cache storage mutates under later merges,
-// so the array cannot alias an in-flight payload).
+// performAtomic executes a fetch-add on a write-back L2's cached line,
+// leaving it dirty. With the NonAtomicRMW bug injected, the write lands
+// after a window during which another atomic can read the same old
+// value.
+func (c *TCC) performAtomic(line mem.Addr, e *cache.Line, req *mem.Request, cu int) {
+	off := mem.LineOffset(req.Addr, c.lineSize())
+	old := binary.LittleEndian.Uint32(e.Data[off : off+mem.WordSize])
+	c.sendAtomicAck(cu, line, req, old)
+	if c.bugs.NonAtomicRMW {
+		c.k.Schedule(sim.Tick(c.bugs.nonAtomicWindow()), func() {
+			if c.array.Peek(line) == e {
+				binary.LittleEndian.PutUint32(e.Data[off:off+mem.WordSize], old+req.Operand)
+				e.State = c.dirty
+			}
+		})
+		return
+	}
+	binary.LittleEndian.PutUint32(e.Data[off:off+mem.WordSize], old+req.Operand)
+	e.State = c.dirty
+}
+
+// onData receives a fill from the backend. It installs a copy in the
+// array (cache storage mutates under later merges, so the array cannot
+// alias an in-flight payload) and transfers the data handle onward to
+// the fill response, or, for a write-back L2's atomic, runs the atomic
+// on the installed line.
 func (c *TCC) onData(tbe *tccTBE, data *mem.Line) {
 	line := tbe.line
 	st := c.state(line)
@@ -343,26 +413,57 @@ func (c *TCC) onData(tbe *tccTBE, data *mem.Line) {
 		data.Release()
 		return
 	}
-	if cur, _ := c.tbes.Get(line); cur != tbe || tbe.kind != tbeFill {
-		panic(fmt.Sprintf("viper: TCC data for %#x without fill TBE", uint64(line)))
+	if cur, _ := c.tbes.Get(line); cur != tbe {
+		panic(fmt.Sprintf("viper: TCC data for %#x without its TBE", uint64(line)))
 	}
 	c.tbes.Delete(line)
 	c.fills++
+	var e *cache.Line
 	if !tbe.probed {
 		// tbe.probed: the line was probed away mid-fill — serve the
 		// data, cache nothing.
-		victim := c.array.Victim(line, nil)
-		if victim != nil && victim.Valid() {
-			c.machine.Fire(TCCStateV, TCCL2Repl)
-		}
-		e := c.array.Install(victim, line, TCCStateV)
+		e = c.install(line)
 		copy(e.Data, data.Data)
+		if p := tbe.pending; p != nil {
+			e.WriteMasked(p.Data, p.Mask())
+			p.Release()
+			e.State = c.dirty
+		}
 	}
-	c.sendFillLine(tbe.cu, line, data)
+	switch {
+	case tbe.kind == tbeAtomic:
+		data.Release()
+		c.performAtomic(line, e, tbe.req, tbe.cu)
+	case tbe.cu >= 0:
+		c.sendFillLine(tbe.cu, line, data)
+	default:
+		data.Release()
+	}
 	c.wake(line)
 	c.tbePool.put(tbe) // completed: no backend callback or retry can fire for it
 }
 
+// install claims a way for line, writing a dirty victim back to memory
+// with a WrVicBlk of no requester as the write's ctx.
+func (c *TCC) install(line mem.Addr) *cache.Line {
+	victim := c.array.Victim(line, nil)
+	if victim != nil && victim.Valid() {
+		c.machine.Fire(victim.State, TCCL2Repl)
+		if victim.State == c.dirty {
+			c.evictWBs++
+			wl := c.pool.lines.Get(len(victim.Data))
+			copy(wl.Data, victim.Data)
+			m := c.pool.getTCPMsg()
+			m.kind, m.cu, m.line = msgWrVicBlk, -1, victim.Tag
+			*c.wbs.Slot(victim.Tag)++
+			c.backend.WriteLine(victim.Tag, wl, c.wbAckFn, m)
+		}
+	}
+	return c.array.Install(victim, line, TCCStateV)
+}
+
+// onWBAck completes a memory write: a write-through, acked to its CU,
+// or an eviction's write-back, which no one waits for.
 func (c *TCC) onWBAck(msg *tcpMsg) {
 	line := msg.line
 	st := c.state(line)
@@ -374,6 +475,10 @@ func (c *TCC) onWBAck(msg *tcpMsg) {
 	if *n--; *n == 0 {
 		c.wbs.Delete(line)
 	}
+	if msg.cu < 0 {
+		c.pool.putTCPMsg(msg)
+		return
+	}
 	c.wbAcks++
 	if c.bugs.DropWBAckEvery != 0 && c.wbAcks%c.bugs.DropWBAckEvery == 0 {
 		// BUG: the completion ack evaporates; the issuing thread's
@@ -382,8 +487,14 @@ func (c *TCC) onWBAck(msg *tcpMsg) {
 		c.pool.putTCPMsg(msg)
 		return
 	}
-	cu, req, off := msg.cu, msg.req, msg.off
-	c.pool.putTCPMsg(msg) // write performed; the backend released the payload
+	c.ackWrite(msg)
+}
+
+// ackWrite sends a WrVicBlk's TCC_AckWB, releasing the message (and
+// any payload reference it still holds) first.
+func (c *TCC) ackWrite(msg *tcpMsg) {
+	cu, line, req, off := msg.cu, msg.line, msg.req, msg.off
+	c.pool.putTCPMsg(msg)
 	ack := c.pool.getTCCMsg()
 	ack.kind, ack.line, ack.req, ack.off = ackWB, line, req, off
 	c.send(cu, ack)
@@ -396,7 +507,8 @@ type stalledProbe struct {
 }
 
 // ProbeInv is called by the directory to invalidate a line (PrbInv in
-// Table II); done(ctx) runs once the TCC has given up its copy.
+// Table II); done(ctx) runs once the TCC has given up its copy. The
+// write-back table leaves the row undefined: that variant is GPU-only.
 func (c *TCC) ProbeInv(line mem.Addr, done func(any), ctx any) {
 	st := c.state(line)
 	cell := c.machine.Fire(st, TCCPrbInv)
@@ -465,8 +577,8 @@ func (c *TCC) sendFillLine(cu int, line mem.Addr, l *mem.Line) {
 }
 
 // sendFillBytes sends an ackFill for bytes the TCC does not own (the
-// cache array's storage, which mutates under later write-through
-// merges) — the one remaining copy on the V-hit fill path.
+// cache array's storage, which mutates under later merges) — the one
+// remaining copy on the hit fill path.
 func (c *TCC) sendFillBytes(cu int, line mem.Addr, data []byte) {
 	l := c.pool.lines.Get(len(data))
 	copy(l.Data, data)
@@ -495,30 +607,39 @@ func (c *TCC) send(cu int, msg *tccMsg) {
 		}
 		c.sendFns[cu] = fn
 	}
-	c.toTCP.To(cu).SendMsgLine(fn, msg, uint64(msg.line))
+	c.toTCP[cu].SendMsgLine(fn, msg, uint64(msg.line))
 }
 
-// AuditAgainstStore compares every valid L2 line against the backing
-// store and returns a description of each divergence. With all
-// write-throughs drained, a correct TCC is byte-identical to memory;
-// a stale line is exactly what the LostWriteRace bug leaves behind.
+// Flush functionally writes every dirty line to the store (end-of-run
+// audit support; the simulation is already idle). A write-through L2
+// holds no dirty line.
+func (c *TCC) Flush(st *mem.Store) {
+	c.array.ForEachValid(func(l *cache.Line) {
+		if l.State == c.dirty {
+			st.WriteBytes(l.Tag, l.Data, nil)
+			l.State = TCCStateV
+		}
+	})
+}
+
+// AuditAgainstStore compares every valid clean L2 line against the
+// backing store and returns a description of each divergence. With all
+// write-throughs drained, a correct write-through TCC is byte-identical
+// to memory; a stale line is exactly what the LostWriteRace bug leaves
+// behind. Dirty lines are legitimately newer: Flush first for a full
+// audit.
 func (c *TCC) AuditAgainstStore(st *mem.Store) []string {
-	return auditLines(c.array, st, c.auditBuf, "L2 line", -1)
-}
-
-// auditLines describes each valid line of arr, bar those in state
-// dirty, whose bytes differ from the store's, read through buf.
-func auditLines(arr *cache.Array, st *mem.Store, buf []byte, what string, dirty int) []string {
 	var out []string
-	arr.ForEachValid(func(l *cache.Line) {
-		if l.State == dirty {
+	buf := c.auditBuf
+	c.array.ForEachValid(func(l *cache.Line) {
+		if l.State == c.dirty {
 			return
 		}
 		st.ReadBytes(l.Tag, buf)
 		for i := range buf {
 			if l.Data[i] != buf[i] {
 				out = append(out, fmt.Sprintf("%s %#x byte %d holds %d, memory holds %d",
-					what, uint64(l.Tag), i, l.Data[i], buf[i]))
+					c.auditWhat, uint64(l.Tag), i, l.Data[i], buf[i]))
 				return
 			}
 		}
@@ -537,5 +658,6 @@ func (c *TCC) Stats() map[string]uint64 {
 		"wbacks":         c.wbAcks,
 		"dropped_merges": c.droppedMerges,
 		"dropped_acks":   c.droppedAcks,
+		"evictwbs":       c.evictWBs,
 	}
 }

@@ -29,7 +29,7 @@ type TCP struct {
 	machine *protocol.Machine
 	array   *cache.Array
 	toTCC   []*network.Link // one ordered link per L2 slice
-	sliceOf func(mem.Addr) l2ctrl
+	sliceOf func(mem.Addr) *TCC
 	seq     *Sequencer
 	pool    *msgPool
 	// sendFns holds one prebound delivery handler per L2 slice for the
@@ -83,7 +83,7 @@ func (d *tcpState) copyFrom(s *tcpState) {
 	d.loads, d.loadHits, d.stores, d.atomics, d.stalls = s.loads, s.loadHits, s.stores, s.atomics, s.stalls
 }
 
-func newTCP(k *sim.Kernel, id int, spec *protocol.Spec, col *coverage.Collector, onFault func(*protocol.FaultError), l1 cache.Config, toTCC []*network.Link, sliceOf func(mem.Addr) l2ctrl, bugs BugSet, pool *msgPool) *TCP {
+func newTCP(k *sim.Kernel, id int, spec *protocol.Spec, col *coverage.Collector, onFault func(*protocol.FaultError), l1 cache.Config, toTCC []*network.Link, sliceOf func(mem.Addr) *TCC, bugs BugSet, pool *msgPool) *TCP {
 	m := protocol.NewMachine(spec, col.Counters(spec), k)
 	m.OnFault = onFault
 	return &TCP{
@@ -368,7 +368,7 @@ func (t *TCP) send(msg *tcpMsg) {
 	l2 := t.sliceOf(msg.line)
 	si := 0
 	if len(t.toTCC) > 1 {
-		si = l2.slice()
+		si = l2.sliceIndex
 	}
 	if t.sendFns == nil {
 		t.sendFns = make([]func(any), len(t.toTCC))

@@ -286,7 +286,7 @@ func TestL2AuditCleanAfterDrain(t *testing.T) {
 		r.issue((i+1)%2, mem.OpLoad, mem.Addr(0x1000+i*4), 0, i%4)
 	}
 	r.run()
-	if m := r.sys.TCC.AuditAgainstStore(r.sys.Mem.Store()); len(m) != 0 {
+	if m := r.sys.TCCs[0].AuditAgainstStore(r.sys.Mem.Store()); len(m) != 0 {
 		t.Fatalf("L2 diverged from memory: %v", m)
 	}
 }
@@ -346,7 +346,7 @@ func TestBuggyTCCFailsAudit(t *testing.T) {
 	r.issue(1, mem.OpStore, 0x2004, 2, 1)
 	r.issue(0, mem.OpStore, 0x2008, 3, 0)
 	r.run()
-	if m := r.sys.TCC.AuditAgainstStore(r.sys.Mem.Store()); len(m) == 0 {
+	if m := r.sys.TCCs[0].AuditAgainstStore(r.sys.Mem.Store()); len(m) == 0 {
 		t.Skip("race window not hit under this timing")
 	}
 }
