@@ -253,13 +253,9 @@ func (s *System) ProbeInv(line mem.Addr, done func(any), ctx any) {
 // memory); for write-through nothing is flushed, so a stale L2 line —
 // the LostWriteRace signature — still surfaces.
 func (s *System) AuditL2(store *mem.Store) []string {
-	if s.Cfg.WriteBackL2 {
-		for _, c := range s.TCCs {
-			c.Flush(store)
-		}
-	}
 	var out []string
 	for _, c := range s.TCCs {
+		c.Flush(store)
 		out = append(out, c.AuditAgainstStore(store)...)
 	}
 	return out

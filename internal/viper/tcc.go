@@ -614,6 +614,9 @@ func (c *TCC) send(cu int, msg *tccMsg) {
 // audit support; the simulation is already idle). A write-through L2
 // holds no dirty line.
 func (c *TCC) Flush(st *mem.Store) {
+	if c.dirty < 0 {
+		return
+	}
 	c.array.ForEachValid(func(l *cache.Line) {
 		if l.State == c.dirty {
 			st.WriteBytes(l.Tag, l.Data, nil)
