@@ -90,6 +90,58 @@ func TestGoldenRuns(t *testing.T) {
 	}
 }
 
+// TestGoldenCampaigns pins write-through campaigns: the uniform, swarm
+// and directed modes at a small shape, each at -workers 1 against its
+// golden and at -workers 4 against the -workers 1 output; the fork
+// strategy over the large configuration's 16-way arrays; and an
+// injected lost write at the case study's shape (one seed, so one
+// artifact), with its replay artifact.
+func TestGoldenCampaigns(t *testing.T) {
+	small := []string{"-caches", "small", "-wfs", "8", "-episodes", "4", "-actions", "30", "-syncvars", "4",
+		"-datavars", "256", "-batch", "8", "-max-seeds", "32"}
+	type run struct {
+		name    string
+		args    []string
+		workers []string
+		bug     bool
+	}
+	var runs []run
+	for _, mode := range []string{"uniform", "swarm", "directed"} {
+		runs = append(runs, run{"campaign_wt_" + mode,
+			append([]string{"-campaign", "-campaign-mode", mode}, small...), []string{"1", "4"}, false})
+	}
+	runs = append(runs,
+		run{"campaign_wt_fork_large", []string{"-campaign", "-campaign-fork", "-caches", "large", "-wfs", "8",
+			"-episodes", "4", "-actions", "30", "-syncvars", "4", "-datavars", "256", "-batch", "8", "-max-seeds", "32"},
+			[]string{"1"}, false},
+		run{"campaign_wt_lostwrite", []string{"-campaign", "-bug", "lostwrite", "-caches", "small", "-wfs", "8",
+			"-episodes", "8", "-actions", "30", "-syncvars", "4", "-datavars", "48", "-batch", "1", "-max-seeds", "1",
+			"-trace-depth", "256"}, []string{"1"}, true},
+	)
+	for _, tc := range runs {
+		for _, format := range []string{"txt", "json"} {
+			args := tc.args
+			if format == "json" {
+				args = append(append([]string(nil), args...), "-json")
+			}
+			var first []byte
+			for _, w := range tc.workers {
+				out, artifact := runGolden(t, append(append([]string(nil), args...), "-workers", w), tc.bug)
+				if first == nil {
+					first = out
+					golden.Check(t, "gputester_"+tc.name+"."+format, "gputester "+tc.name+" -"+format, out)
+				} else if !bytes.Equal(golden.Mask(out), golden.Mask(first)) {
+					t.Errorf("gputester %s -%s: -workers %s output differs from -workers %s:\n%s\nvs\n%s",
+						tc.name, format, w, tc.workers[0], out, first)
+				}
+				if artifact != nil && format == "txt" {
+					golden.Check(t, "gputester_"+tc.name+"_artifact.json", "gputester "+tc.name+" artifact", artifact)
+				}
+			}
+		}
+	}
+}
+
 // TestGoldenExplore pins gputester -explore at one worker: the text and
 // -json reports of a clean exploration and of one that finds an
 // injected bug, and the bug's replay artifact, byte for byte outside
