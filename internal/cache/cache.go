@@ -17,7 +17,9 @@
 // holds, not what it could hold. It also owns the tags and LRU stamps,
 // which lets it mirror both in packed per-set rows: a probe scans eight
 // bytes per way and touches a 64-byte Line header only on the way it
-// returns.
+// returns. The headers and their bytes are laid out one way plane at a
+// time, each built the first time a line of it is handed out, so
+// building an array costs its rows, not its capacity.
 package cache
 
 import (
@@ -37,8 +39,9 @@ type Config struct {
 	Assoc     int
 }
 
-// MaxSizeBytes is the largest array a Config may size: the array's
-// data is allocated up front.
+// MaxSizeBytes is the largest array a Config may size: NewArray
+// allocates its probe rows, 16 bytes per way, up front, and a run may
+// reach every way plane.
 const MaxSizeBytes = 1 << 30
 
 // Sets returns the number of sets implied by the configuration.
@@ -76,7 +79,7 @@ func (c Config) Validate() error {
 type Line struct {
 	Tag   mem.Addr // line-aligned address
 	valid bool
-	idx   int32 // index in Array.lines, set once by NewArray
+	idx   int32 // line index in the array, set once when its plane is built
 	State int
 	Data  []byte
 
@@ -104,22 +107,27 @@ func (l *Line) WriteMasked(src []byte, mask []bool) {
 // Array is a set-associative cache array with true-LRU replacement.
 type Array struct {
 	cfg Config
-	// lineShift and setMask place a line address: set s is ways
-	// [s*Assoc, (s+1)*Assoc) of lines, s = line>>lineShift&setMask.
+	// lineShift and setMask place a line address: set s is line
+	// indices [s*Assoc, (s+1)*Assoc), s = line>>lineShift&setMask.
+	// Line index i is way i&wayMask of set i>>wayShift.
 	lineShift uint
 	setMask   mem.Addr
+	wayShift  uint
+	wayMask   int
 	useClock  uint64
 
-	// lines is the flat slab, set-major and way-minor, so snapshots can
-	// address a line by one index; live has bit i set exactly when
-	// lines[i] is valid.
-	lines []Line
-	live  []uint64
+	// planes holds the lines one way at a time: planes[w][s] is line
+	// s*Assoc+w, and planes[w] is nil until line brings it in. Lines are
+	// addressed by index, set-major and way-minor, so snapshots name a
+	// line by one number; live has bit i set exactly when line i is
+	// valid, which needs its plane.
+	planes [][]Line
+	live   []uint64
 
-	// tags and stamps are the probe rows, parallel to lines: tags[i] is
-	// lines[i].Tag with bit 0 set (a line address is a multiple of
+	// tags and stamps are the probe rows, indexed by line: tags[i] is
+	// line i's Tag with bit 0 set (a line address is a multiple of
 	// LineSize >= 4, so the bit is free) or 0 while the way is invalid,
-	// stamps[i] is lines[i].lastUse — 0 exactly on an invalid way, since
+	// stamps[i] is its lastUse — 0 exactly on an invalid way, since
 	// Install stamps from a clock that has already ticked. mark, clear
 	// and Lookup's touch keep both in step with the headers.
 	tags   []uint64
@@ -170,25 +178,18 @@ func NewArray(cfg Config) *Array {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	// One flat allocation each for the lines, the data bytes, the index
-	// and the two rows together: building an array costs five
-	// allocations regardless of size, instead of one per line. Full slice
-	// expressions pin each line's capacity so no write can spill into a
-	// neighbour.
+	// The two rows share one allocation; with the index, the empty plane
+	// table and the Array itself, building costs four allocations and
+	// 16 bytes per way. The lines come one plane at a time (line).
 	total := cfg.Sets() * cfg.Assoc
-	ls := cfg.LineSize
-	lines := make([]Line, total)
-	data := make([]byte, total*ls)
-	for i := range lines {
-		lines[i].idx = int32(i)
-		lines[i].Data = data[i*ls : (i+1)*ls : (i+1)*ls]
-	}
 	rows := make([]uint64, 2*total)
 	return &Array{
 		cfg:       cfg,
-		lineShift: uint(bits.TrailingZeros(uint(ls))),
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
 		setMask:   mem.Addr(cfg.Sets() - 1),
-		lines:     lines,
+		wayShift:  uint(bits.TrailingZeros(uint(cfg.Assoc))),
+		wayMask:   cfg.Assoc - 1,
+		planes:    make([][]Line, cfg.Assoc),
 		live:      make([]uint64, (total+63)/64),
 		tags:      rows[:total:total],
 		stamps:    rows[total:],
@@ -198,6 +199,34 @@ func NewArray(cfg Config) *Array {
 // Config returns the array's configuration.
 func (a *Array) Config() Config { return a.cfg }
 
+// line returns line i, building its way plane the first time one of
+// the plane's lines is asked for. Victim takes the lowest invalid way,
+// so planes come in from way 0 up and a way no set has reached costs
+// nothing; Reset keeps the planes built.
+func (a *Array) line(i int) *Line {
+	p := a.planes[i&a.wayMask]
+	if p == nil {
+		p = a.buildPlane(i & a.wayMask)
+	}
+	return &p[i>>a.wayShift]
+}
+
+// buildPlane lays out way w of every set: one allocation for the
+// headers and one for their bytes, each line's Data pinned to its own
+// LineSize by a full slice expression so no write spills into a
+// neighbour.
+func (a *Array) buildPlane(w int) []Line {
+	sets, ls := a.cfg.Sets(), a.cfg.LineSize
+	p := make([]Line, sets)
+	data := make([]byte, sets*ls)
+	for s := range p {
+		p[s].idx = int32(s<<a.wayShift | w)
+		p[s].Data = data[s*ls : (s+1)*ls : (s+1)*ls]
+	}
+	a.planes[w] = p
+	return p
+}
+
 // forValid calls f on every valid line in ascending line index — the
 // slab's set-major, way-minor order — journaling each first when asked
 // and a snapshot is armed. f may invalidate the line it is handed and
@@ -206,7 +235,7 @@ func (a *Array) forValid(journal bool, f func(*Line)) {
 	journal = journal && a.snap != nil
 	for w := range a.live {
 		for word := a.live[w]; word != 0; word &= word - 1 {
-			l := &a.lines[w<<6|bits.TrailingZeros64(word)]
+			l := a.line(w<<6 | bits.TrailingZeros64(word))
 			if journal && l.epoch != a.epoch {
 				a.journalLine(l)
 			}
@@ -238,7 +267,9 @@ func (a *Array) clear() {
 
 // Reset invalidates every valid line and zeroes the LRU clock and
 // stats, returning the array to its just-built state without
-// reallocating, at a cost proportional to the lines it holds. Stale
+// reallocating, at a cost proportional to the lines it holds. The way
+// planes already built stay, so a recycled array refills without
+// allocating. Stale
 // line data need not be cleared: invalid lines are never read (Valid
 // gates every lookup, and Victim prefers an invalid way regardless of
 // tag), and Install zeroes it when a way is claimed.
@@ -253,13 +284,13 @@ func (a *Array) Reset() {
 	a.journal = a.journal[:0]
 }
 
-// setBase returns the index in lines of way 0 of addr's set.
+// setBase returns the line index of way 0 of addr's set.
 func (a *Array) setBase(addr mem.Addr) int {
 	return int(addr>>a.lineShift&a.setMask) * a.cfg.Assoc
 }
 
-// find returns the index in lines of the valid way holding addr's
-// line, or -1, reading the set's tag row only.
+// find returns the line index of the valid way holding addr's line,
+// or -1, reading the set's tag row only.
 func (a *Array) find(addr mem.Addr) int {
 	base := a.setBase(addr)
 	want := uint64(mem.LineAddr(addr, a.cfg.LineSize)) | 1
@@ -279,7 +310,7 @@ func (a *Array) Lookup(addr mem.Addr) *Line {
 	if i < 0 {
 		return nil
 	}
-	l := &a.lines[i]
+	l := a.line(i)
 	if a.snap != nil && l.epoch != a.epoch {
 		a.journalLine(l)
 	}
@@ -297,7 +328,7 @@ func (a *Array) Peek(addr mem.Addr) *Line {
 	if i < 0 {
 		return nil
 	}
-	l := &a.lines[i]
+	l := a.line(i)
 	if a.snap != nil && l.epoch != a.epoch {
 		a.journalLine(l)
 	}
@@ -317,13 +348,13 @@ func (a *Array) Victim(addr mem.Addr, mayEvict func(*Line) bool) *Line {
 	var oldest uint64
 	for w, stamp := range a.stamps[base : base+a.cfg.Assoc] {
 		if stamp == 0 {
-			victim = &a.lines[base+w]
+			victim = a.line(base + w)
 			break
 		}
 		if victim != nil && stamp >= oldest {
 			continue
 		}
-		if l := &a.lines[base+w]; mayEvict == nil || mayEvict(l) {
+		if l := a.line(base + w); mayEvict == nil || mayEvict(l) {
 			victim, oldest = l, stamp
 		}
 	}
@@ -470,7 +501,7 @@ func (a *Array) Restore(s *ArraySnapshot) {
 		a.clear()
 		ls := a.cfg.LineSize
 		for j, h := range s.hdrs {
-			l := &a.lines[h.idx]
+			l := a.line(int(h.idx))
 			l.Tag, l.valid, l.State, l.lastUse = h.tag, true, h.state, h.lastUse
 			a.mark(l)
 			copy(l.Data, s.data[j*ls:])

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -168,6 +169,41 @@ func TestNoAliasing(t *testing.T) {
 			if got := a.Peek(tag); got == nil || got.Tag != tag {
 				t.Fatalf("line %#x lost or aliased", uint64(tag))
 			}
+		}
+	}
+}
+
+// TestNewArrayZeroAllocatedPlanes pins what building an array costs:
+// its probe rows and index, 16 bytes per way, and no way plane until a
+// line of it is handed out. The large configuration's 1 MB 16-way L2
+// took 2 306 KB in six allocations while NewArray laid out every line
+// up front, and takes 258 KB in four now.
+func TestNewArrayZeroAllocatedPlanes(t *testing.T) {
+	cfg := Config{SizeBytes: 1 << 20, LineSize: 64, Assoc: 16}
+	for w, p := range NewArray(cfg).planes {
+		if p != nil {
+			t.Fatalf("a just-built array holds a plane for way %d", w)
+		}
+	}
+	var a *Array
+	allocs := testing.AllocsPerRun(5, func() { a = NewArray(cfg) })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 5
+	for i := 0; i < runs; i++ {
+		a = NewArray(cfg)
+	}
+	runtime.ReadMemStats(&after)
+	kb := (after.TotalAlloc - before.TotalAlloc) / runs >> 10
+	t.Logf("NewArray(%+v): %.0f objects, %d KB", cfg, allocs, kb)
+	if allocs > 4 || kb > 300 {
+		t.Fatalf("NewArray(%+v) allocated %.0f objects and %d KB, want at most 4 and 300 KB", cfg, allocs, kb)
+	}
+	// The first fill builds way 0's plane alone.
+	a.Install(a.Victim(0, nil), 0, 1)
+	for w, p := range a.planes {
+		if (p != nil) != (w == 0) {
+			t.Fatalf("after one fill, way %d's plane built is %v", w, p != nil)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -23,13 +24,27 @@ func TestLineSize(t *testing.T) {
 	}
 }
 
+// ways returns the array's capacity in lines.
+func ways(a *Array) int { return len(a.tags) }
+
+// built returns line i when its way plane exists and nil otherwise. It
+// builds nothing, so the oracles look at an array without changing
+// which planes it holds; a line with no plane is in the just-built
+// state.
+func built(a *Array, i int) *Line {
+	if p := a.planes[i&a.wayMask]; p != nil {
+		return &p[i>>a.wayShift]
+	}
+	return nil
+}
+
 // scanValid is the index oracle: the set-major, way-minor walk over
 // every way that the whole-array operations used to make.
 func scanValid(a *Array) []*Line {
 	var out []*Line
-	for i := range a.lines {
-		if a.lines[i].valid {
-			out = append(out, &a.lines[i])
+	for i := 0; i < ways(a); i++ {
+		if l := built(a, i); l != nil && l.valid {
+			out = append(out, l)
 		}
 	}
 	return out
@@ -37,93 +52,121 @@ func scanValid(a *Array) []*Line {
 
 // refSet, refFind and refVictim are the probe oracle: the header walks
 // Lookup, Peek and Victim made before the rows existed, set index by
-// division included.
-func refSet(a *Array, addr mem.Addr) []Line {
-	s := int(addr/mem.Addr(a.cfg.LineSize)) % a.cfg.Sets()
-	return a.lines[s*a.cfg.Assoc : (s+1)*a.cfg.Assoc]
+// division included. They answer a line index, -1 for none, because
+// the way Victim hands out may lie in a plane not built yet.
+func refSet(a *Array, addr mem.Addr) int {
+	return int(addr/mem.Addr(a.cfg.LineSize)) % a.cfg.Sets() * a.cfg.Assoc
 }
 
-func refFind(a *Array, addr mem.Addr) *Line {
+func refFind(a *Array, addr mem.Addr) int {
 	line := mem.LineAddr(addr, a.cfg.LineSize)
-	set := refSet(a, addr)
-	for w := range set {
-		if set[w].valid && set[w].Tag == line {
-			return &set[w]
+	base := refSet(a, addr)
+	for i := base; i < base+a.cfg.Assoc; i++ {
+		if l := built(a, i); l != nil && l.valid && l.Tag == line {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
-func refVictim(a *Array, addr mem.Addr, mayEvict func(*Line) bool) *Line {
-	set := refSet(a, addr)
-	var victim *Line
-	for w := range set {
-		l := &set[w]
-		if !l.valid {
-			return l
+func refVictim(a *Array, addr mem.Addr, mayEvict func(*Line) bool) int {
+	base := refSet(a, addr)
+	victim := -1
+	for i := base; i < base+a.cfg.Assoc; i++ {
+		l := built(a, i)
+		if l == nil || !l.valid {
+			return i
 		}
 		if mayEvict != nil && !mayEvict(l) {
 			continue
 		}
-		if victim == nil || l.lastUse < victim.lastUse {
-			victim = l
+		if victim < 0 || l.lastUse < built(a, victim).lastUse {
+			victim = i
 		}
 	}
 	return victim
 }
 
 // probe wraps an array's three probes, failing the test when one
-// returns another way than its header-walking reference.
+// returns another way than its header-walking reference, and its
+// Restore. top is the highest way the array has handed out — by
+// Victim or by a Restore's reinstall — or -1 before the first.
 type probe struct {
-	t *testing.T
-	a *Array
+	t   *testing.T
+	a   *Array
+	top int
 }
 
-func (p probe) same(op string, addr mem.Addr, got, want *Line) *Line {
+func newProbe(t *testing.T, a *Array) *probe { return &probe{t: t, a: a, top: -1} }
+
+func (p *probe) same(op string, addr mem.Addr, got *Line, want int) *Line {
 	p.t.Helper()
-	if got != want {
-		name := func(l *Line) int32 {
-			if l == nil {
-				return -1
-			}
-			return l.idx
-		}
-		p.t.Fatalf("%s(%#x) returns line %d, the header walk finds line %d", op, uint64(addr), name(got), name(want))
+	at := -1
+	if got != nil {
+		at = int(got.idx)
+	}
+	if at != want || got != nil && built(p.a, at) != got {
+		p.t.Fatalf("%s(%#x) returns line %d, the header walk finds line %d", op, uint64(addr), at, want)
 	}
 	return got
 }
 
-func (p probe) Lookup(addr mem.Addr) *Line {
+func (p *probe) Lookup(addr mem.Addr) *Line {
 	p.t.Helper()
 	want := refFind(p.a, addr)
 	return p.same("Lookup", addr, p.a.Lookup(addr), want)
 }
 
-func (p probe) Peek(addr mem.Addr) *Line {
+func (p *probe) Peek(addr mem.Addr) *Line {
 	p.t.Helper()
 	want := refFind(p.a, addr)
 	return p.same("Peek", addr, p.a.Peek(addr), want)
 }
 
-func (p probe) Victim(addr mem.Addr, mayEvict func(*Line) bool) *Line {
+func (p *probe) Victim(addr mem.Addr, mayEvict func(*Line) bool) *Line {
 	p.t.Helper()
 	want := refVictim(p.a, addr, mayEvict)
-	return p.same("Victim", addr, p.a.Victim(addr, mayEvict), want)
+	l := p.same("Victim", addr, p.a.Victim(addr, mayEvict), want)
+	if l != nil {
+		p.top = max(p.top, int(l.idx)&p.a.wayMask)
+	}
+	return l
 }
 
-// checkIndex asserts the index and row invariants: bit i set exactly
-// when lines[i] is valid, each row entry what the line's header says,
+func (p *probe) Restore(s *ArraySnapshot) {
+	p.a.Restore(s)
+	for _, h := range s.hdrs {
+		p.top = max(p.top, int(h.idx)&p.a.wayMask)
+	}
+}
+
+// checkIndex asserts the index, row and plane invariants: no plane
+// above top, the highest way handed out; a line without a plane
+// invalid, its index bit and row entries zero; on a built line, bit i
+// set exactly when it is valid, each row entry what its header says,
 // every invalid line in the just-built state and every valid one
-// stamped, the popcount equal to the scan's count, and the index walk
+// stamped; the popcount equal to the scan's count, and the index walk
 // visiting the scan's lines in the scan's order.
-func checkIndex(t *testing.T, a *Array, at string) {
+func checkIndex(t *testing.T, a *Array, top int, at string) {
 	t.Helper()
-	for i := range a.lines {
-		l := &a.lines[i]
+	for w, p := range a.planes {
+		if p != nil && w > top {
+			t.Fatalf("%s: way %d has a plane, but no way above %d was handed out", at, w, top)
+		}
+	}
+	for i := 0; i < ways(a); i++ {
+		bit := a.live[i>>6]>>(i&63)&1 == 1
+		l := built(a, i)
+		if l == nil {
+			if bit || a.tags[i] != 0 || a.stamps[i] != 0 {
+				t.Fatalf("%s: line %d has no plane, yet index bit %v and rows %#x/%d", at, i, bit, a.tags[i], a.stamps[i])
+			}
+			continue
+		}
 		if int(l.idx) != i {
 			t.Fatalf("%s: line %d carries index %d", at, i, l.idx)
 		}
-		if bit := a.live[i>>6]>>(i&63)&1 == 1; bit != l.valid {
+		if bit != l.valid {
 			t.Fatalf("%s: line %d: index bit %v, valid %v", at, i, bit, l.valid)
 		}
 		if l.valid == (l.lastUse == 0) {
@@ -160,11 +203,12 @@ func sameVisits(t *testing.T, got, want []*Line, at string) {
 }
 
 // runIndexProgram interprets prog as a byte-coded sequence of array
-// operations — one opcode byte and one operand byte per step — and
-// checks the index and row invariants after every step, every probe
-// against its header walk, every visitor's order against the full scan,
-// and every Restore (armed, non-armed, into recycled snapshots) against
-// the full-copy oracle.
+// operations — one opcode byte and one operand byte per step — on a
+// just-built array, which holds no plane, and checks the index, row
+// and plane invariants after every step, every probe against its
+// header walk, every visitor's order against the full scan, and every
+// Restore (armed, non-armed, into recycled snapshots, into a fresh
+// array) against the full-copy oracle.
 func runIndexProgram(t *testing.T, cfg Config, prog []byte) {
 	t.Helper()
 	type saved struct {
@@ -172,14 +216,16 @@ func runIndexProgram(t *testing.T, cfg Config, prog []byte) {
 		want *fullCopy
 	}
 	a := NewArray(cfg)
-	p := probe{t, a}
+	p := newProbe(t, a)
+	checkIndex(t, a, p.top, "just built")
 	var held [3]*saved
-	// Twice the capacity in distinct lines: sets overflow and evict.
+	// Up to twice the capacity in distinct lines: sets overflow and
+	// evict.
 	addrOf := func(b byte) mem.Addr {
-		return mem.Addr(int(b) * 37 % (2 * len(a.lines)) * cfg.LineSize)
+		return mem.Addr(int(b) * 37 % (2 * ways(a)) * cfg.LineSize)
 	}
 	for pc := 0; pc+1 < len(prog); pc += 2 {
-		op, arg := prog[pc]%10, prog[pc+1]
+		op, arg := prog[pc]%11, prog[pc+1]
 		addr := addrOf(arg)
 		switch op {
 		case 0, 1: // fill on a miss: Install straight over the victim (the
@@ -243,21 +289,34 @@ func runIndexProgram(t *testing.T, cfg Config, prog []byte) {
 			}
 		case 9:
 			if s := held[int(arg)%len(held)]; s != nil {
-				a.Restore(s.snap)
+				p.Restore(s.snap)
 				if d := s.want.diff(a); d != "" {
 					t.Fatalf("pc %d: restore: %s", pc, d)
 				}
 			}
+		case 10: // a just-built array reinstalls the cut, building only
+			// the planes the cut's lines lie in
+			if s := held[int(arg)%len(held)]; s != nil {
+				q := newProbe(t, NewArray(cfg))
+				q.Restore(s.snap)
+				if d := s.want.diff(q.a); d != "" {
+					t.Fatalf("pc %d: restore into a fresh array: %s", pc, d)
+				}
+				checkIndex(t, q.a, q.top, "restore into a fresh array")
+			}
 		}
-		checkIndex(t, a, "after step "+string(rune('0'+op)))
+		checkIndex(t, a, p.top, fmt.Sprintf("after step %d (op %d)", pc/2, op))
 	}
 }
 
-// indexConfigs are a small array whose index is part of one word and a
-// 16-way one spanning two.
+// indexConfigs are a small array whose index is part of one word, a
+// 16-way one spanning two whose sets overflow at once, and a 16-way one
+// whose 256 distinct lines fill its 256 ways exactly, so a set builds
+// its high ways' planes only once all 16 of its lines are held.
 var indexConfigs = []Config{
 	{SizeBytes: 512, LineSize: 16, Assoc: 2},
 	{SizeBytes: 2048, LineSize: 16, Assoc: 16},
+	{SizeBytes: 4096, LineSize: 16, Assoc: 16},
 }
 
 // TestArrayIndexModel runs random byte-coded programs against the
@@ -276,6 +335,7 @@ func TestArrayIndexModel(t *testing.T) {
 func FuzzArrayIndex(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 8, 0, 5, 4, 9, 0})
 	f.Add([]byte{0, 7, 8, 1, 4, 7, 8, 2, 9, 1, 7, 0, 9, 2})
+	f.Add([]byte{0, 1, 0, 2, 8, 0, 7, 0, 10, 0, 0, 3, 9, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		for _, cfg := range indexConfigs {
 			runIndexProgram(t, cfg, prog)
@@ -368,7 +428,7 @@ func BenchmarkArrayProbe(b *testing.B) {
 		{"L2large16way", Config{SizeBytes: 1 << 20, LineSize: 64, Assoc: 16}},
 	} {
 		a := NewArray(c.cfg)
-		n := len(a.lines)
+		n := ways(a)
 		for i := 0; i < n; i++ {
 			addr := mem.Addr(i * c.cfg.LineSize)
 			a.Install(a.Victim(addr, nil), addr, 1)
