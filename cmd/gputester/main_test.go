@@ -45,9 +45,10 @@ func runMain(t *testing.T, args ...string) (int, string) {
 
 // TestRunAdmission: flags that build a configuration no run admits
 // (harness.ValidateRun) — more CUs than event tags can name, a variable
-// slab or trace ring no process can allocate — exit 2 with one line
-// naming the field before anything is built, in every mode that runs
-// the configuration.
+// slab or trace ring no process can allocate, a write-through-only bug
+// under the write-back L2 — exit 2 with one line naming the field, or
+// the bug and the protocol, before anything is built, in every mode
+// that runs the configuration.
 func TestRunAdmission(t *testing.T) {
 	for _, tc := range []struct {
 		field string
@@ -58,6 +59,11 @@ func TestRunAdmission(t *testing.T) {
 		{"NumCUs", []string{"-explore", "-cus", "5000"}},
 		{"NumCUs", []string{"-daemon", "http://127.0.0.1:1", "-cus", "5000"}},
 		{"NumDataVars", []string{"-datavars", "17179869184"}},
+		{"bug lostwrite is write-through only", []string{"-protocol", "wb", "-bug", "lostwrite"}},
+		{"bug lostwrite is write-through only", []string{"-campaign", "-protocol", "wb", "-bug", "lostwrite"}},
+		{"bug dropack is write-through only", []string{"-protocol", "wb", "-bug", "dropack"}},
+		{"bug dropack is write-through only", []string{"-campaign", "-protocol", "wb", "-bug", "dropack"}},
+		{"bug dropack is write-through only", []string{"-explore", "-protocol", "wb", "-bug", "dropack"}},
 		{"traceDepth", []string{"-artifact-dir", t.TempDir(), "-trace-depth", "4000000000"}},
 	} {
 		code, stderr := runMain(t, tc.args...)

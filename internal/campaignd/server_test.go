@@ -739,7 +739,9 @@ func TestMetricsAndHTTPSurface(t *testing.T) {
 // and a latency so long that tick arithmetic wraps (the jitter window
 // killed the daemon in rng.Intn, the request latency made every seed a
 // false "no forward progress"), or a bug window that schedules past the
-// end of time, and so is a config a correct protocol cannot run without
+// end of time, or a write-through-only bug under the write-back L2
+// (which would never fire, so the campaign would report PASS), and so
+// is a config a correct protocol cannot run without
 // a false deadlock report (harness.ValidateRun's deadlock rule), while
 // a spec sitting on every limit at once is admitted.
 func TestSubmitRejectsInvalidSysCfg(t *testing.T) {
@@ -809,6 +811,12 @@ func TestSubmitRejectsInvalidSysCfg(t *testing.T) {
 		{"memory latency too long", "Mem: memctrl: AccessLatency", mutate(func(s *Spec) { s.SysCfg.Mem.AccessLatency = sim.MaxDelay + 1 })},
 		{"memory service period too long", "Mem: memctrl: ServicePeriod", mutate(func(s *Spec) { s.SysCfg.Mem.ServicePeriod = sim.MaxDelay + 1 })},
 		{"bug window past the end of time", "Bugs.NonAtomicWindow", mutate(func(s *Spec) { s.SysCfg.Bugs.NonAtomicWindow = 1<<64 - 1 })},
+		{"lost write under the write-back L2", "bug lostwrite is write-through only: the write-back L2 (WriteBackL2, protocol wb)", mutate(func(s *Spec) {
+			s.SysCfg.WriteBackL2, s.SysCfg.Bugs.LostWriteRace = true, true
+		})},
+		{"dropped ack under the write-back L2", "bug dropack is write-through only: the write-back L2 (WriteBackL2, protocol wb)", mutate(func(s *Spec) {
+			s.SysCfg.WriteBackL2, s.SysCfg.Bugs.DropWBAckEvery = true, 20
+		})},
 		{"links too slow for the deadlock threshold", "DeadlockThreshold", mutate(func(s *Spec) {
 			s.TestCfg.NumWavefronts = 2
 			s.SysCfg.ReqLatency, s.SysCfg.RespLatency = 1<<18, 1<<18

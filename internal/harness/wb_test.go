@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 
 	"drftest/internal/checker"
@@ -118,4 +119,42 @@ func coverageUnionWB(t *testing.T, runs int) *covMatrix {
 		union.Merge(b.Col.Matrix("GPU-L2WB"))
 	}
 	return union
+}
+
+// TestBugsRefusedOrDetected: every registry bug under each L2 variant
+// is either refused at admission — a write-through-only bug under the
+// write-back L2, which would never fire and let the run report PASS —
+// with an error naming the bug and the protocol, or detected within 8
+// seeds at the case study's shape.
+func TestBugsRefusedOrDetected(t *testing.T) {
+	for _, b := range viper.Bugs {
+		for _, wb := range []bool{false, true} {
+			sys, cfg := BugHuntConfigs(b.Set, 1)
+			sys.WriteBackL2 = wb
+			err := ValidateRun(sys, cfg, 0)
+			if refuse := wb && !b.WriteBack; refuse {
+				if err == nil || !strings.Contains(err.Error(), b.Name) || !strings.Contains(err.Error(), "WriteBackL2") {
+					t.Errorf("%s under WriteBackL2=%v: ValidateRun = %v, want a refusal naming the bug and WriteBackL2", b.Name, wb, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("%s under WriteBackL2=%v: refused: %v", b.Name, wb, err)
+				continue
+			}
+			seed := uint64(1)
+			for ; seed <= 8; seed++ {
+				sys, cfg := BugHuntConfigs(b.Set, seed)
+				sys.WriteBackL2 = wb
+				if !NewGPURun(sys, cfg, false, 0).Tester.Run().Passed() {
+					break
+				}
+			}
+			if seed > 8 {
+				t.Errorf("%s under WriteBackL2=%v: admitted, but no seed of 8 detects it", b.Name, wb)
+			} else {
+				t.Logf("%s under WriteBackL2=%v: detected at seed %d", b.Name, wb, seed)
+			}
+		}
+	}
 }

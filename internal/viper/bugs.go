@@ -60,19 +60,36 @@ func (b BugSet) nonAtomicWindow() uint64 {
 	return b.NonAtomicWindow
 }
 
+// shares reports whether b and o inject a bug in common.
+func (b BugSet) shares(o BugSet) bool {
+	return b.LostWriteRace && o.LostWriteRace || b.NonAtomicRMW && o.NonAtomicRMW ||
+		b.DropWBAckEvery != 0 && o.DropWBAckEvery != 0 || b.StaleAcquire && o.StaleAcquire ||
+		b.AckDropsOverlay && o.AckDropsOverlay
+}
+
 // Bug is one injectable bug of the paper's case study (§V).
 type Bug struct {
 	Name string // its -bug flag value
 	Doc  string // what the injected implementation gets wrong
 	Set  BugSet
+	// WriteBack says whether the write-back L2 (Config.WriteBackL2) hosts
+	// the bug; every bug is hosted under write-through. A bug the
+	// write-back L2 has no path for would never fire there, so a run
+	// would report PASS as if the tester had missed it: Config.Validate
+	// refuses the pair instead.
+	WriteBack bool
 }
 
 // Bugs is the one bug-name registry, in the case study's order.
+// lostwrite merges a write behind an outstanding write-through and
+// dropack drops a write-through's completion ack from memory; the
+// write-back L2 sends no write-through to memory and acks a write on
+// acceptance, so neither has a form there.
 var Bugs = []Bug{
-	{"lostwrite", "lost write on false-sharing race at L2", BugSet{LostWriteRace: true}},
-	{"nonatomic", "non-atomic read-modify-write at L2", BugSet{NonAtomicRMW: true}},
-	{"dropack", "dropped write-completion ack", BugSet{DropWBAckEvery: 20}},
-	{"staleacquire", "skipped flash-invalidate on acquire", BugSet{StaleAcquire: true}},
+	{"lostwrite", "lost write on false-sharing race at L2", BugSet{LostWriteRace: true}, false},
+	{"nonatomic", "non-atomic read-modify-write at L2", BugSet{NonAtomicRMW: true}, true},
+	{"dropack", "dropped write-completion ack", BugSet{DropWBAckEvery: 20}, false},
+	{"staleacquire", "skipped flash-invalidate on acquire", BugSet{StaleAcquire: true}, true},
 }
 
 // BugNames returns the names ParseBug accepts.

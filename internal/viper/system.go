@@ -61,8 +61,9 @@ type Config struct {
 const MaxUnits = 1024
 
 // Validate reports, naming the field, why a system cannot be built
-// from c; nil means NewSystem will not panic on its sizing and no
-// delay it schedules can wrap tick arithmetic (sim.MaxDelay).
+// from c; nil means NewSystem will not panic on its sizing, no delay it
+// schedules can wrap tick arithmetic (sim.MaxDelay), and every injected
+// bug has a form in the chosen L2 (Bug.WriteBack).
 func (c Config) Validate() error {
 	if c.NumCUs <= 0 {
 		return fmt.Errorf("viper: NumCUs must be positive, got %d", c.NumCUs)
@@ -92,6 +93,13 @@ func (c Config) Validate() error {
 	} {
 		if f.n > f.max {
 			return fmt.Errorf("viper: %s %d exceeds the admission limit of %d", f.name, f.n, f.max)
+		}
+	}
+	if c.WriteBackL2 {
+		for _, b := range Bugs {
+			if !b.WriteBack && b.Set.shares(c.Bugs) {
+				return fmt.Errorf("viper: bug %s is write-through only: the write-back L2 (WriteBackL2, protocol wb) has no path for it", b.Name)
+			}
 		}
 	}
 	return nil
