@@ -117,7 +117,7 @@ type Array struct {
 	useClock  uint64
 
 	// planes holds the lines one way at a time: planes[w][s] is line
-	// s*Assoc+w, and planes[w] is nil until line brings it in. Lines are
+	// s*Assoc+w, and planes[w] is nil until claim brings it in. Lines are
 	// addressed by index, set-major and way-minor, so snapshots name a
 	// line by one number; live has bit i set exactly when line i is
 	// valid, which needs its plane.
@@ -180,7 +180,7 @@ func NewArray(cfg Config) *Array {
 	}
 	// The two rows share one allocation; with the index, the empty plane
 	// table and the Array itself, building costs four allocations and
-	// 16 bytes per way. The lines come one plane at a time (line).
+	// 16 bytes per way. The lines come one plane at a time (claim).
 	total := cfg.Sets() * cfg.Assoc
 	rows := make([]uint64, 2*total)
 	return &Array{
@@ -199,23 +199,28 @@ func NewArray(cfg Config) *Array {
 // Config returns the array's configuration.
 func (a *Array) Config() Config { return a.cfg }
 
-// line returns line i, building its way plane the first time one of
-// the plane's lines is asked for. Victim takes the lowest invalid way,
-// so planes come in from way 0 up and a way no set has reached costs
-// nothing; Reset keeps the planes built.
-func (a *Array) line(i int) *Line {
-	p := a.planes[i&a.wayMask]
-	if p == nil {
-		p = a.buildPlane(i & a.wayMask)
+// line returns line i, whose way plane exists: the line is valid, or
+// Victim or Restore has claimed it. It stays small enough to inline
+// into the probes.
+func (a *Array) line(i int) *Line { return &a.planes[i&a.wayMask][i>>a.wayShift] }
+
+// claim returns line i for Victim to hand out or Restore to reinstall,
+// building its way plane first if no line of the plane has been
+// claimed yet. Victim takes the lowest invalid way, so planes come in
+// from way 0 up and a way no set has reached costs nothing; Reset and
+// Restore keep the planes built.
+func (a *Array) claim(i int) *Line {
+	if w := i & a.wayMask; a.planes[w] == nil {
+		a.buildPlane(w)
 	}
-	return &p[i>>a.wayShift]
+	return a.line(i)
 }
 
 // buildPlane lays out way w of every set: one allocation for the
 // headers and one for their bytes, each line's Data pinned to its own
 // LineSize by a full slice expression so no write spills into a
 // neighbour.
-func (a *Array) buildPlane(w int) []Line {
+func (a *Array) buildPlane(w int) {
 	sets, ls := a.cfg.Sets(), a.cfg.LineSize
 	p := make([]Line, sets)
 	data := make([]byte, sets*ls)
@@ -224,11 +229,10 @@ func (a *Array) buildPlane(w int) []Line {
 		p[s].Data = data[s*ls : (s+1)*ls : (s+1)*ls]
 	}
 	a.planes[w] = p
-	return p
 }
 
 // forValid calls f on every valid line in ascending line index — the
-// slab's set-major, way-minor order — journaling each first when asked
+// set-major, way-minor order — journaling each first when asked
 // and a snapshot is armed. f may invalidate the line it is handed and
 // must leave the validity of every other line alone.
 func (a *Array) forValid(journal bool, f func(*Line)) {
@@ -269,10 +273,9 @@ func (a *Array) clear() {
 // stats, returning the array to its just-built state without
 // reallocating, at a cost proportional to the lines it holds. The way
 // planes already built stay, so a recycled array refills without
-// allocating. Stale
-// line data need not be cleared: invalid lines are never read (Valid
-// gates every lookup, and Victim prefers an invalid way regardless of
-// tag), and Install zeroes it when a way is claimed.
+// allocating. Stale line data need not be cleared: invalid lines are
+// never read (Valid gates every lookup, and Victim prefers an invalid
+// way regardless of tag), and Install zeroes it when a way is claimed.
 // Reset also disarms any armed snapshot rather than journaling every
 // line; restoring that snapshot later still works via the
 // reinstall path.
@@ -348,7 +351,7 @@ func (a *Array) Victim(addr mem.Addr, mayEvict func(*Line) bool) *Line {
 	var oldest uint64
 	for w, stamp := range a.stamps[base : base+a.cfg.Assoc] {
 		if stamp == 0 {
-			victim = a.line(base + w)
+			victim = a.claim(base + w)
 			break
 		}
 		if victim != nil && stamp >= oldest {
@@ -501,7 +504,7 @@ func (a *Array) Restore(s *ArraySnapshot) {
 		a.clear()
 		ls := a.cfg.LineSize
 		for j, h := range s.hdrs {
-			l := a.line(int(h.idx))
+			l := a.claim(int(h.idx))
 			l.Tag, l.valid, l.State, l.lastUse = h.tag, true, h.state, h.lastUse
 			a.mark(l)
 			copy(l.Data, s.data[j*ls:])
