@@ -165,8 +165,9 @@ func TestArtifactValidation(t *testing.T) {
 	// A GPU artifact is admitted like a submitted run (ValidateRun), so
 	// one whose configuration could never have run — a system no tester
 	// builds over, a window that wraps tick arithmetic, a slab or ring
-	// no process can allocate — is refused naming the field, instead of
-	// panicking or exhausting memory in Replay.
+	// no process can allocate, a bug its L2 cannot host — is refused
+	// naming the field or the bug, instead of panicking, exhausting
+	// memory or reporting a false PASS in Replay.
 	for _, tc := range []struct {
 		field  string
 		mutate func(*Artifact)
@@ -175,6 +176,9 @@ func TestArtifactValidation(t *testing.T) {
 		{"RespJitter", func(a *Artifact) { a.GPU.SysCfg.RespJitter = 1<<63 - 1 }},
 		{"NumDataVars", func(a *Artifact) { a.GPU.TestCfg.NumDataVars = 1 << 34 }},
 		{"Bugs.NonAtomicWindow", func(a *Artifact) { a.GPU.SysCfg.Bugs.NonAtomicWindow = 1<<64 - 1 }},
+		{"bug lostwrite is write-through only", func(a *Artifact) {
+			a.GPU.SysCfg.WriteBackL2, a.GPU.SysCfg.Bugs.LostWriteRace = true, true
+		}},
 		{"traceDepth", func(a *Artifact) { a.TraceCapacity = 4_000_000_000 }},
 	} {
 		a, err := LoadArtifact("testdata/replay-gpu-seed5-tick1263.json")
