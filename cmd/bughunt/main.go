@@ -50,7 +50,7 @@ func main() {
 func hunt(bugs viper.BugSet, seed uint64) bool {
 	for s := seed; s < seed+16; s++ {
 		sys, cfg := harness.BugHuntConfigs(bugs, s)
-		rep := harness.NewGPURun(sys, cfg, false, 0).Tester.Run()
+		rep := harness.NewGPURun(sys, cfg).Tester.Run()
 		if rep.Passed() {
 			continue
 		}

@@ -8,9 +8,10 @@
 //	          [-locations 512] [-seed 1] [-grid]
 //	          [-artifact-dir DIR] [-trace-depth 4096]
 //
-// With -artifact-dir set the run records a bounded execution trace
-// and, on any checker failure, serializes a replay artifact (JSON)
-// into the directory for `replay` to re-execute.
+// With -artifact-dir set, any checker failure serializes a replay
+// artifact (JSON) into the directory for `replay` to re-execute. The
+// run itself is untraced: the artifact is a checked replay of it, whose
+// re-run records the -trace-depth trace.
 package main
 
 import (
@@ -20,7 +21,6 @@ import (
 
 	"drftest/internal/cputester"
 	"drftest/internal/harness"
-	"drftest/internal/trace"
 )
 
 func main() {
@@ -62,22 +62,20 @@ func main() {
 	}
 
 	b := harness.BuildCPU(*cpus, cacheCfg)
-	var ring *trace.Ring
-	if *artifactDir != "" {
-		ring = harness.EnableTrace(b.K, *traceDepth)
-	}
 	tester := cputester.New(b.K, b.Caches, cfg)
 	rep := tester.Run()
 
 	artifactPath := ""
 	if *artifactDir != "" && !rep.Passed() {
 		setup := harness.CPUSetup{NumCPUs: *cpus, CacheCfg: cacheCfg, TestCfg: cfg}
-		art := harness.NewCPUArtifact(setup, tester, rep, b.K.Executed(), ring)
-		path, err := art.Write(*artifactDir)
+		untraced := harness.NewCPUArtifact(setup, tester, rep, b.K.Executed(), nil)
+		untraced.TraceCapacity = *traceDepth
+		art, err := harness.Replay(untraced)
+		if err == nil {
+			artifactPath, err = art.Write(*artifactDir)
+		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "writing replay artifact: %v\n", err)
-		} else {
-			artifactPath = path
+			fmt.Fprintf(os.Stderr, "cputester: no replay artifact: %v\n", err)
 		}
 	}
 

@@ -292,7 +292,7 @@ func (g *gen) protocolWB() {
 	for seed := g.seed; seed < g.seed+8; seed++ {
 		bugCfg, c := harness.BugHuntConfigs(viper.BugSet{NonAtomicRMW: true}, seed)
 		bugCfg.WriteBackL2 = true
-		if r := harness.NewGPURun(bugCfg, c, false, 0).Tester.Run(); !r.Passed() {
+		if r := harness.NewGPURun(bugCfg, c).Tester.Run(); !r.Passed() {
 			detected++
 		}
 	}
@@ -302,5 +302,5 @@ func (g *gen) protocolWB() {
 // runBug runs the §V case study's configuration (cmd/bughunt's) at seed.
 func runBug(bugs viper.BugSet, seed uint64) *core.Report {
 	sys, cfg := harness.BugHuntConfigs(bugs, seed)
-	return harness.NewGPURun(sys, cfg, false, 0).Tester.Run()
+	return harness.NewGPURun(sys, cfg).Tester.Run()
 }

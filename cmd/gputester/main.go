@@ -19,11 +19,13 @@
 //	gputester -explore [-explore-depth D] [-explore-budget N]
 //	          [-workers 0] [workload flags] [-artifact-dir DIR]
 //
-// With -artifact-dir set the run records a bounded execution trace
-// and, on any checker failure, serializes a replay artifact (JSON)
-// into the directory; `replay <artifact>` re-executes it and asserts
-// the failure reproduces bit-identically. The same flags apply to
-// campaigns: every failing seed writes its own artifact.
+// With -artifact-dir set, any checker failure serializes a replay
+// artifact (JSON) into the directory; `replay <artifact>` re-executes
+// it and asserts the failure reproduces bit-identically. The run itself
+// is untraced: the artifact is captured by that same replay, whose
+// re-run records the -trace-depth trace, and is written only once it
+// has reproduced the run. The same flags apply to campaigns, where
+// every failing seed writes its own artifact, and to -explore.
 //
 // With -campaign the tester runs a coverage-saturation campaign
 // instead of a single seed: seeds -seed, -seed+1, ... execute on a
@@ -314,17 +316,19 @@ func main() {
 		return
 	}
 
-	r := harness.NewGPURun(sysCfg, cfg, *artifactDir != "", *traceDepth)
+	r := harness.NewGPURun(sysCfg, cfg)
 	rep := r.Tester.Run()
 
 	artifactPath := ""
 	if *artifactDir != "" && !rep.Passed() {
-		art := harness.NewGPUArtifact(sysCfg, cfg, r.Tester, rep, r.Ring)
-		path, err := art.Write(*artifactDir)
+		untraced := harness.NewGPUArtifact(sysCfg, cfg, r.Tester, rep, nil)
+		untraced.TraceCapacity = *traceDepth
+		art, err := replay(untraced)
+		if err == nil {
+			artifactPath, err = art.Write(*artifactDir)
+		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "writing replay artifact: %v\n", err)
-		} else {
-			artifactPath = path
+			fmt.Fprintf(os.Stderr, "gputester: no replay artifact: %v\n", err)
 		}
 	}
 
@@ -400,6 +404,10 @@ func main() {
 	}
 	fmt.Println("PASS: no coherence violations detected")
 }
+
+// replay makes the single run's artifact (harness.Replay); a test
+// swaps it to hand the run a divergent capture.
+var replay = harness.Replay
 
 // runExplore runs bounded exhaustive schedule exploration of one seed
 // and reports the result. Exit status 1 means a violating schedule was

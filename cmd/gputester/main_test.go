@@ -9,17 +9,59 @@ import (
 	"testing"
 
 	"drftest/internal/explore"
+	"drftest/internal/harness"
 )
 
 // TestMain doubles as the gputester command: re-executing the test
 // binary with DRFTEST_RUN_MAIN set runs main on its arguments, so the
-// tests see its exit status and output.
+// tests see its exit status and output. Set to divergentCapture, it
+// runs main with a capture that sees the run's first failure a tick
+// late.
 func TestMain(m *testing.M) {
-	if os.Getenv("DRFTEST_RUN_MAIN") != "" {
-		main()
-		os.Exit(0)
+	switch os.Getenv("DRFTEST_RUN_MAIN") {
+	case "":
+		os.Exit(m.Run())
+	case divergentCapture:
+		replay = func(a *harness.Artifact) (*harness.Artifact, error) {
+			a.Failures[0].Tick++
+			return harness.Replay(a)
+		}
 	}
-	os.Exit(m.Run())
+	main()
+	os.Exit(0)
+}
+
+// divergentCapture is the DRFTEST_RUN_MAIN value under which the
+// single run's capture diverges from the run.
+const divergentCapture = "divergent-capture"
+
+// TestCaptureRefusesDivergentRun: when the single run's capture does
+// not reproduce the run, gputester says why on stderr, writes no
+// artifact, and still exits 1 for the bug the run found.
+func TestCaptureRefusesDivergentRun(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cmd := exec.Command(exe, "-bug", "lostwrite", "-caches", "small", "-seed", "1", "-wfs", "8", "-episodes", "8",
+		"-actions", "30", "-syncvars", "4", "-datavars", "48", "-artifact-dir", dir)
+	cmd.Env = append(os.Environ(), "DRFTEST_RUN_MAIN="+divergentCapture)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	var exit *exec.ExitError
+	if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("exit %v, want status 1\n%s", err, stderr.Bytes())
+	}
+	if !strings.Contains(stderr.String(), "failure diverged") {
+		t.Errorf("stderr %q does not name the divergence", stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "FAIL:") || strings.Contains(stdout.String(), "replay artifact written") {
+		t.Errorf("want the FAIL report and no artifact line:\n%s", stdout.Bytes())
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Errorf("divergent capture wrote %d file(s)", len(files))
+	}
 }
 
 // runMain runs gputester with args in a subprocess and returns its

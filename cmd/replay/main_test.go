@@ -92,10 +92,9 @@ func TestReplayRefusesMalformedCPUArtifact(t *testing.T) {
 	setup.TestCfg.OpsPerCPU = 50
 	setup.TestCfg.DeadlockThreshold, setup.TestCfg.CheckPeriod = 5, 10 // a deterministic "deadlock"
 	b := harness.BuildCPU(setup.NumCPUs, setup.CacheCfg)
-	ring := harness.EnableTrace(b.K, 64)
 	tester := cputester.New(b.K, b.Caches, setup.TestCfg)
 	rep := tester.Run()
-	base := harness.NewCPUArtifact(setup, tester, rep, b.K.Executed(), ring)
+	base := harness.NewCPUArtifact(setup, tester, rep, b.K.Executed(), nil)
 	if len(base.Failures) == 0 {
 		t.Fatal("the base run did not fail")
 	}

@@ -53,7 +53,7 @@ func TestStateFieldAudits(t *testing.T) {
 		"limit":     "start: upper bound on the paths the task may need, the budget less earlier tasks' paths known at donation",
 		"res":       "report: the task's exploration counts (host cost is the engine's), written by its worker only, merged by result",
 		"violation": "report: the task's first violating schedule",
-		"failed":    "report: the violation has tester failures, so result builds its artifact",
+		"artifact":  "report: the violation's untraced artifact when the tester failed; result replays it into the traced one",
 		"next":      "order: following task in serial order, written under explorer.mu",
 		"done":      "order: the task's worker finished it; under explorer.mu",
 		"cancelled": "order: an earlier task ended the exploration; set under explorer.mu, polled by the worker",

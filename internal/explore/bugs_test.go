@@ -67,11 +67,7 @@ func TestExploreFindsInjectedBugs(t *testing.T) {
 				t.Fatalf("artifact schedule length %d != violation schedule length %d",
 					len(art.Schedule), len(res.Violation.Schedule))
 			}
-			replayed, err := harness.Replay(art)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := harness.CheckReproduced(art, replayed); err != nil {
+			if _, err := harness.Replay(art); err != nil {
 				t.Fatalf("schedule artifact did not reproduce: %v", err)
 			}
 		})

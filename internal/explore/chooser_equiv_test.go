@@ -7,6 +7,7 @@ import (
 	"drftest/internal/core"
 	"drftest/internal/harness"
 	"drftest/internal/sim"
+	"drftest/internal/trace"
 	"drftest/internal/viper"
 )
 
@@ -16,7 +17,8 @@ import (
 func runArtifact(t *testing.T, sys viper.Config, tc core.Config, ch sim.Chooser) []byte {
 	t.Helper()
 	b := harness.BuildGPU(sys)
-	ring := harness.EnableTrace(b.K, harness.DefaultTraceCapacity)
+	ring := trace.NewRing(harness.DefaultTraceCapacity)
+	b.K.SetTracer(ring)
 	tester := core.New(b.K, b.Sys, tc)
 	if ch != nil {
 		b.K.SetChooser(ch)

@@ -431,7 +431,14 @@ func (e *engine) scheduleDone() (stop bool) {
 				Schedule:         append([]uint64(nil), e.script...),
 				StreamViolations: len(rep.StreamViolations),
 			}
-			t.failed = len(rep.Failures) > 0
+			if len(rep.Failures) > 0 {
+				// The run is untraced: explorer.attach replays this
+				// artifact to make the traced one.
+				t.artifact = harness.NewGPUArtifact(e.x.cfg.SysCfg, e.run.testCfg, e.run.Tester, rep, nil)
+				t.artifact.TraceCapacity = e.x.cfg.TraceDepth
+				t.artifact.Schedule = t.violation.Schedule
+				t.violation.Failure = t.artifact.FirstFailure()
+			}
 			return true
 		}
 	}

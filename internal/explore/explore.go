@@ -82,7 +82,8 @@ type Config struct {
 	// prune-ratio gate measures against.
 	Prune bool
 
-	// TraceDepth is the replay trace-ring depth (<=0 → harness default).
+	// TraceDepth is the depth of the trace the violation's replay
+	// records (<=0 → harness default); the exploration is untraced.
 	TraceDepth int
 	// ArtifactDir, when set, receives the replay artifact of the first
 	// violating schedule (with its `schedule` field populated).
@@ -169,8 +170,8 @@ func (r *Result) Complete() bool {
 // so replay rebuilds the identical tester. The run's own tester also
 // folds the stream inline: every cut flushes the checker pipeline, so a
 // second thread would only ever be handed work and waited for. The run
-// is untraced: the trace ring only feeds a violation's artifact, which
-// a traced re-run of the violating schedule captures instead.
+// is untraced, like every producer's: a violation's artifact is a
+// checked replay of its schedule (explorer.attach).
 type run struct {
 	*harness.GPURun
 	testCfg core.Config
@@ -181,21 +182,9 @@ func newRun(cfg *Config) *run {
 	tc.StreamCheck = true
 	inline := tc
 	inline.StreamInline = true
-	r := &run{GPURun: harness.NewGPURun(cfg.SysCfg, inline, false, 0), testCfg: tc}
+	r := &run{GPURun: harness.NewGPURun(cfg.SysCfg, inline), testCfg: tc}
 	r.Sys.EnableCheckpointing()
 	return r
-}
-
-// artifact returns a violating schedule's artifact: harness.Replay
-// re-runs the schedule on a fresh traced run, since the explorer's own
-// run is untraced, and captures the artifact from it.
-func (r *run) artifact(cfg *Config, schedule []uint64) (*harness.Artifact, error) {
-	return harness.Replay(&harness.Artifact{
-		Kind:          harness.ArtifactGPU,
-		GPU:           &harness.GPUSetup{SysCfg: cfg.SysCfg, TestCfg: r.testCfg},
-		TraceCapacity: cfg.TraceDepth,
-		Schedule:      schedule,
-	})
 }
 
 // Run explores the configured run's schedule space depth-first on

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"drftest/internal/harness"
 	"drftest/internal/sim"
 )
 
@@ -36,11 +37,12 @@ type task struct {
 	// earlier tasks known when it was created.
 	limit uint64
 	// res counts what the task explored; violation is its first
-	// violating schedule, and failed that the tester (not only the
-	// stream checker) reported it.
+	// violating schedule, and artifact that schedule's untraced
+	// artifact when the tester (not only the stream checker) reported
+	// it.
 	res       Result
 	violation *Violation
-	failed    bool
+	artifact  *harness.Artifact
 	// next is the following task in serial order. done and cancelled
 	// are guarded by explorer.mu; cancelled is also read, atomically,
 	// by the task's worker between schedules.
@@ -279,8 +281,8 @@ func (x *explorer) result() (*Result, error) {
 		if t.violation != nil && paths+t.paths() <= cfg.Budget {
 			res.add(&t.res)
 			res.Violation = t.violation
-			if t.failed {
-				if err := x.attach(res); err != nil {
+			if t.artifact != nil {
+				if err := x.attach(res, t.artifact); err != nil {
 					return nil, err
 				}
 			}
@@ -347,22 +349,21 @@ func (x *explorer) rerun(t *task, k uint64) *task {
 	return again
 }
 
-// attach builds the violating schedule's artifact by a traced re-run
-// and writes it to the artifact directory when one is configured.
-func (x *explorer) attach(res *Result) error {
-	v := res.Violation
-	art, err := x.main.run.artifact(x.cfg, v.Schedule)
+// attach makes the violating schedule's artifact by a checked replay
+// of the engine's untraced one and writes it to the artifact directory
+// when one is configured.
+func (x *explorer) attach(res *Result, untraced *harness.Artifact) error {
+	art, err := harness.Replay(untraced)
 	if err != nil {
 		return err
 	}
-	v.Failure = art.FirstFailure()
 	res.Artifact = art
 	if x.cfg.ArtifactDir != "" {
 		path, err := art.Write(x.cfg.ArtifactDir)
 		if err != nil {
 			return err
 		}
-		v.ArtifactPath = path
+		res.Violation.ArtifactPath = path
 	}
 	return nil
 }

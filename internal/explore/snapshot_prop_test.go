@@ -6,6 +6,7 @@ import (
 
 	"drftest/internal/harness"
 	"drftest/internal/sim"
+	"drftest/internal/trace"
 	"drftest/internal/viper"
 )
 
@@ -36,7 +37,9 @@ func tracedRun(cfg *Config) *run {
 	r := newRun(cfg)
 	inline := r.testCfg
 	inline.StreamInline = true
-	r.GPURun = harness.NewGPURun(cfg.SysCfg, inline, true, 0)
+	r.GPURun = harness.NewGPURun(cfg.SysCfg, inline)
+	r.Ring = trace.NewRing(harness.DefaultTraceCapacity)
+	r.K.SetTracer(r.Ring)
 	r.Sys.EnableCheckpointing()
 	return r
 }

@@ -126,7 +126,7 @@ func TestAdmissionCoversEveryField(t *testing.T) {
 				t.Errorf("%s = %v admitted, and the field has neither a limit nor a reason in unboundedFields", f.path, x)
 				continue
 			}
-			if rep := NewGPURun(sys, test, false, 0).Tester.Run(); rep.OpsCompleted != test.WithDefaults().TotalActions() {
+			if rep := NewGPURun(sys, test).Tester.Run(); rep.OpsCompleted != test.WithDefaults().TotalActions() {
 				t.Errorf("%s = %v: the admitted run completed %d of %d operations", f.path, x,
 					rep.OpsCompleted, test.WithDefaults().TotalActions())
 			}

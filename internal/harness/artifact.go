@@ -120,7 +120,7 @@ func (a *Artifact) FirstFailure() ArtifactFailure {
 }
 
 // NewGPUArtifact captures a finished (failing) GPU tester run. The
-// ring may be nil when the run was not traced.
+// ring is nil on a producer's untraced run.
 func NewGPUArtifact(sysCfg viper.Config, testCfg core.Config, tester *core.Tester, rep *core.Report, ring *trace.Ring) *Artifact {
 	state, inc := tester.RNGState()
 	return &Artifact{
@@ -271,22 +271,25 @@ func LoadArtifactBytes(path string, data []byte) (*Artifact, error) {
 	return &a, nil
 }
 
-// Replay re-executes the artifact's run from its embedded
-// configuration and returns a freshly captured artifact of the re-run,
-// traced at the original's depth.
+// Replay re-executes a's run on a fresh build traced at a.TraceCapacity
+// (through a ScriptChooser when a pins a Schedule) and returns the
+// re-captured artifact once CheckReproduced passes. It is the only way
+// an artifact is made: a producer runs untraced and hands Replay its
+// failure's untraced artifact (nil ring, TraceCapacity the requested
+// depth), so every artifact written or shipped is a checked replay.
 func Replay(a *Artifact) (*Artifact, error) {
+	var replayed *Artifact
 	switch a.Kind {
 	case ArtifactGPU:
-		r := NewGPURun(a.GPU.SysCfg, a.GPU.TestCfg, true, a.TraceCapacity)
+		r := NewGPURun(a.GPU.SysCfg, a.GPU.TestCfg)
+		r.Ring = traceReplay(r.K, a)
 		var sc *sim.ScriptChooser
 		if len(a.Schedule) > 0 {
 			sc = sim.NewScriptChooser(a.Schedule)
 			r.K.SetChooser(sc)
 		}
 		rep := r.Tester.Run()
-		replayed := NewGPUArtifact(a.GPU.SysCfg, a.GPU.TestCfg, r.Tester, rep, r.Ring)
 		if sc != nil {
-			replayed.Schedule = a.Schedule
 			if err := sc.Err(); err != nil {
 				return nil, fmt.Errorf("replay: %w", err)
 			}
@@ -294,16 +297,20 @@ func Replay(a *Artifact) (*Artifact, error) {
 				return nil, fmt.Errorf("replay: schedule diverged: consumed %d of %d recorded choices", sc.Consumed(), len(a.Schedule))
 			}
 		}
-		return replayed, nil
+		replayed = NewGPUArtifact(a.GPU.SysCfg, a.GPU.TestCfg, r.Tester, rep, r.Ring)
+		replayed.Schedule = a.Schedule
 	case ArtifactCPU:
 		b := BuildCPU(a.CPU.NumCPUs, a.CPU.CacheCfg)
-		ring := EnableTrace(b.K, a.TraceCapacity)
+		ring := traceReplay(b.K, a)
 		tester := cputester.New(b.K, b.Caches, a.CPU.TestCfg)
-		rep := tester.Run()
-		return NewCPUArtifact(*a.CPU, tester, rep, b.K.Executed(), ring), nil
+		replayed = NewCPUArtifact(*a.CPU, tester, tester.Run(), b.K.Executed(), ring)
 	default:
 		return nil, fmt.Errorf("replay: unknown artifact kind %q", a.Kind)
 	}
+	if err := CheckReproduced(a, replayed); err != nil {
+		return nil, err
+	}
+	return replayed, nil
 }
 
 // CheckReproduced verifies that replayed reproduces orig bit-

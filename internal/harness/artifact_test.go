@@ -2,11 +2,13 @@ package harness
 
 import (
 	"errors"
+	"os"
 	"strings"
 	"testing"
 
 	"drftest/internal/core"
 	"drftest/internal/cputester"
+	"drftest/internal/trace"
 	"drftest/internal/viper"
 )
 
@@ -28,7 +30,8 @@ func failingGPURun(t *testing.T) *Artifact {
 		cfg.StoreFraction = 0.6
 
 		b := BuildGPU(sysCfg)
-		ring := EnableTrace(b.K, 256)
+		ring := trace.NewRing(256)
+		b.K.SetTracer(ring)
 		tester := core.New(b.K, b.Sys, cfg)
 		rep := tester.Run()
 		if rep.Passed() {
@@ -68,11 +71,7 @@ func TestGPUArtifactReplayReproduces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := Replay(loaded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckReproduced(loaded, replayed); err != nil {
+	if _, err := Replay(loaded); err != nil {
 		t.Fatalf("replay did not reproduce the failure: %v", err)
 	}
 }
@@ -85,11 +84,7 @@ func TestGPUArtifactDetectsDivergence(t *testing.T) {
 	setup := *art.GPU
 	setup.TestCfg.Seed++
 	mutated.GPU = &setup
-	replayed, err := Replay(&mutated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckReproduced(art, replayed); err == nil {
+	if _, err := Replay(&mutated); err == nil {
 		t.Fatal("perturbed replay reported as bit-identical reproduction")
 	}
 }
@@ -98,21 +93,7 @@ func TestGPUArtifactDetectsDivergence(t *testing.T) {
 // threshold to force a deterministic forward-progress failure on the
 // CPU tester, then round-trips it through an artifact and replay.
 func TestCPUArtifactReplayReproduces(t *testing.T) {
-	setup := CPUSetup{NumCPUs: 2, CacheCfg: DefaultCPUCache}
-	setup.TestCfg = cputester.DefaultConfig()
-	setup.TestCfg.Seed = 7
-	setup.TestCfg.OpsPerCPU = 200
-	setup.TestCfg.DeadlockThreshold = 5 // DRAM takes ~100 ticks: guaranteed "deadlock"
-	setup.TestCfg.CheckPeriod = 10
-
-	b := BuildCPU(setup.NumCPUs, setup.CacheCfg)
-	ring := EnableTrace(b.K, 128)
-	tester := cputester.New(b.K, b.Caches, setup.TestCfg)
-	rep := tester.Run()
-	if rep.Passed() {
-		t.Fatal("tiny deadlock threshold did not force a failure")
-	}
-	art := NewCPUArtifact(setup, tester, rep, b.K.Executed(), ring)
+	art := forcedDeadlockCPURun(t, 128)
 	if art.FirstFailure().Kind != "deadlock" {
 		t.Fatalf("forced failure kind = %s, want deadlock", art.FirstFailure().Kind)
 	}
@@ -125,17 +106,114 @@ func TestCPUArtifactReplayReproduces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := Replay(loaded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckReproduced(loaded, replayed); err != nil {
+	if _, err := Replay(loaded); err != nil {
 		t.Fatalf("CPU replay did not reproduce the failure: %v", err)
 	}
 	// Bisection is GPU-only, and says so in a way callers can fall back on.
 	if _, err := BisectArtifact(loaded, 0); !errors.Is(err, ErrBisectUnsupported) {
 		t.Fatalf("BisectArtifact on a CPU artifact: %v, want ErrBisectUnsupported", err)
 	}
+}
+
+// forcedDeadlockCPURun runs a CPU tester whose tiny deadlock threshold
+// forces a deterministic forward-progress failure and returns the
+// run's artifact, traced at traceDepth (0: untraced).
+func forcedDeadlockCPURun(t *testing.T, traceDepth int) *Artifact {
+	t.Helper()
+	setup := CPUSetup{NumCPUs: 2, CacheCfg: DefaultCPUCache}
+	setup.TestCfg = cputester.DefaultConfig()
+	setup.TestCfg.Seed = 7
+	setup.TestCfg.OpsPerCPU = 200
+	setup.TestCfg.DeadlockThreshold = 5 // DRAM takes ~100 ticks: guaranteed "deadlock"
+	setup.TestCfg.CheckPeriod = 10
+
+	b := BuildCPU(setup.NumCPUs, setup.CacheCfg)
+	var ring *trace.Ring
+	if traceDepth > 0 {
+		ring = trace.NewRing(traceDepth)
+		b.K.SetTracer(ring)
+	}
+	tester := cputester.New(b.K, b.Caches, setup.TestCfg)
+	rep := tester.Run()
+	if rep.Passed() {
+		t.Fatal("tiny deadlock threshold did not force a failure")
+	}
+	return NewCPUArtifact(setup, tester, rep, b.K.Executed(), ring)
+}
+
+// TestCaptureRefusesDivergentRun: an artifact is a checked replay of
+// its producer's run, so a capture whose replay does not reproduce the
+// run is refused. Each row alters one observable of an untraced
+// artifact — a GPU run's first failure tick, a forced CPU deadlock's
+// kernel event count, an explored schedule's final RNG state — and
+// Replay's error names what diverged. A campaign seed whose capture
+// diverges keeps its failure and records the error in ArtifactErr,
+// with neither inline bytes nor a file.
+func TestCaptureRefusesDivergentRun(t *testing.T) {
+	sys, tc := BugHuntConfigs(viper.BugSet{LostWriteRace: true}, 1)
+	gpu := func(t *testing.T) *Artifact {
+		r := NewGPURun(sys, tc)
+		rep := r.Tester.Run()
+		if rep.Passed() {
+			t.Fatal("the lost write went undetected")
+		}
+		return NewGPUArtifact(sys, tc, r.Tester, rep, nil)
+	}
+	scheduled := func(t *testing.T) *Artifact {
+		a, err := LoadArtifact("../../cmd/gputester/testdata/golden/gputester_explore_nonatomic_artifact.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a.Schedule) == 0 {
+			t.Fatal("the explored artifact pins no schedule")
+		}
+		a.Trace = nil
+		return a
+	}
+	for _, row := range []struct {
+		name     string
+		untraced func(*testing.T) *Artifact
+		alter    func(*Artifact)
+		want     string
+	}{
+		{"gpu", gpu, func(a *Artifact) { a.Failures[0].Tick++ }, "failure diverged"},
+		{"cpu", func(t *testing.T) *Artifact { return forcedDeadlockCPURun(t, 0) },
+			func(a *Artifact) { a.Ops.KernelEvents++ }, "op counts diverged"},
+		{"scheduled", scheduled, func(a *Artifact) { a.RNG.State++ }, "RNG state diverged"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			a := row.untraced(t)
+			if _, err := Replay(a); err != nil {
+				t.Fatalf("the unaltered capture did not reproduce: %v", err)
+			}
+			row.alter(a)
+			if _, err := Replay(a); err == nil || !strings.Contains(err.Error(), row.want) {
+				t.Fatalf("Replay of the altered artifact = %v; want an error naming %q", err, row.want)
+			}
+		})
+	}
+
+	t.Run("RunSeed", func(t *testing.T) {
+		defer func(orig func(*Artifact) (*Artifact, error)) { replay = orig }(replay)
+		replay = func(a *Artifact) (*Artifact, error) {
+			a.Failures[0].Tick++
+			return Replay(a)
+		}
+		dir := t.TempDir()
+		rc := NewRunContext(CampaignConfig{SysCfg: sys, TestCfg: tc, Workers: 1, ArtifactDir: dir, CaptureArtifacts: true})
+		rc.RunSeed(tc.Seed, NewCornerCache(tc, sys).Corner(CornerLevels{}))
+		fs := rc.Delta().Failures
+		if len(fs) != 1 {
+			t.Fatalf("want the seed's one failure record, got %d", len(fs))
+		}
+		if sf := fs[0]; !strings.Contains(sf.ArtifactErr, "failure diverged") || sf.Artifact != nil || sf.ArtifactPath != "" {
+			t.Fatalf("divergent capture: error %q, %d inline bytes, path %q; want the error alone",
+				sf.ArtifactErr, len(sf.Artifact), sf.ArtifactPath)
+		}
+		if files, _ := os.ReadDir(dir); len(files) != 0 {
+			t.Fatalf("divergent capture wrote %d file(s)", len(files))
+		}
+	})
 }
 
 // TestArtifactValidation: malformed artifacts are rejected on load.
@@ -207,11 +285,7 @@ func TestGoldenArtifactReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := Replay(loaded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckReproduced(loaded, replayed); err != nil {
+	if _, err := Replay(loaded); err != nil {
 		t.Fatalf("PR 1 golden artifact no longer reproduces: %v", err)
 	}
 }

@@ -70,10 +70,6 @@ type BisectResult struct {
 	// the single-tick probes from it to FirstFailingTick.
 	CoarseTick uint64 `json:"coarseTick"`
 	FineSteps  int    `json:"fineSteps"`
-
-	// Replayed is the artifact re-captured by the checkpointed replay
-	// pass, for reproduction checking against the original.
-	Replayed *Artifact `json:"-"`
 }
 
 // ErrBisectUnsupported marks an artifact checkpointed replay cannot
@@ -94,7 +90,8 @@ func newBisectRun(a *Artifact) (*GPURun, error) {
 		// under default order instead, or extend the cut first.
 		return nil, fmt.Errorf("%w: a checkpoint cannot rewind a pinned schedule", ErrBisectUnsupported)
 	}
-	r := NewGPURun(a.GPU.SysCfg, a.GPU.TestCfg, true, a.TraceCapacity)
+	r := NewGPURun(a.GPU.SysCfg, a.GPU.TestCfg)
+	r.Ring = traceReplay(r.K, a)
 	r.Sys.EnableCheckpointing()
 	return r, nil
 }
@@ -109,10 +106,10 @@ func checkpoint(r *GPURun) *gpuCheckpoint {
 	return cp
 }
 
-// BisectPass holds the product of the checkpointed replay pass: the
-// recorded checkpoints, the predicate inputs, and the verified
-// re-captured artifact. Probe (the coarse + fine search) can be run
-// from it any number of times without re-paying the replay.
+// BisectPass holds the product of the verified checkpointed replay
+// pass: the recorded checkpoints and the predicate inputs. Probe (the
+// coarse + fine search) can be run from it any number of times without
+// re-paying the replay.
 type BisectPass struct {
 	r        *GPURun
 	reported ArtifactFailure
@@ -120,7 +117,6 @@ type BisectPass struct {
 	cps      []*gpuCheckpoint
 	deadlock bool
 	finalOps uint64
-	replayed *Artifact
 }
 
 // BisectArtifact finds the artifact's first failing tick by
@@ -178,8 +174,7 @@ func NewBisectPass(a *Artifact, every sim.Tick) (*BisectPass, error) {
 	}
 	r.K.RunUntilIdle()
 	r.Tester.Finish()
-	rep := r.Tester.Report()
-	replayed := NewGPUArtifact(a.GPU.SysCfg, a.GPU.TestCfg, r.Tester, rep, r.Ring)
+	replayed := NewGPUArtifact(a.GPU.SysCfg, a.GPU.TestCfg, r.Tester, r.Tester.Report(), r.Ring)
 	if err := CheckReproduced(a, replayed); err != nil {
 		return nil, fmt.Errorf("bisect: checkpointed replay did not reproduce the artifact: %w", err)
 	}
@@ -191,7 +186,6 @@ func NewBisectPass(a *Artifact, every sim.Tick) (*BisectPass, error) {
 		cps:      cps,
 		deadlock: reported.Kind == core.FailDeadlock.String(),
 		finalOps: r.Tester.OpsCompleted(),
-		replayed: replayed,
 	}, nil
 }
 
@@ -228,7 +222,6 @@ func (p *BisectPass) Probe() (*BisectResult, error) {
 		Deadlock:        p.deadlock,
 		Checkpoints:     len(cps),
 		CheckpointEvery: uint64(p.every),
-		Replayed:        p.replayed,
 	}
 	if hi == 0 {
 		// Failing from the very first checkpoint (tick 0): nothing to

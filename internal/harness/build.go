@@ -19,9 +19,12 @@ import (
 	"drftest/internal/viper"
 )
 
-// EnableTrace attaches a bounded execution trace to k and returns the
-// ring. Capacity <= 0 uses DefaultTraceCapacity.
-func EnableTrace(k *sim.Kernel, capacity int) *trace.Ring {
+// traceReplay attaches to k, the kernel of a fresh build re-running a,
+// a trace ring of a.TraceCapacity entries (<= 0 → DefaultTraceCapacity)
+// and returns it. Replay and newBisectRun build the only traced runs
+// there are, through it: every other run is untraced.
+func traceReplay(k *sim.Kernel, a *Artifact) *trace.Ring {
+	capacity := a.TraceCapacity
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}

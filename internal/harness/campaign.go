@@ -100,9 +100,9 @@ type CampaignConfig struct {
 	Mode CampaignMode `json:"mode,omitempty"`
 	// ArtifactDir, when non-empty, writes one replay artifact per
 	// failing seed into the directory (named by seed, the PR 1
-	// reproduce-every-failure guarantee extended to campaigns);
-	// TraceDepth sizes the embedded execution trace (≤0 →
-	// DefaultTraceCapacity).
+	// reproduce-every-failure guarantee extended to campaigns): a
+	// checked Replay of the seed, whose re-run records a trace
+	// TraceDepth entries deep (≤0 → DefaultTraceCapacity).
 	ArtifactDir string `json:"artifactDir,omitempty"`
 	TraceDepth  int    `json:"traceDepth,omitempty"`
 	// CaptureArtifacts embeds each failing seed's replay artifact,
@@ -144,7 +144,8 @@ type SeedFailure struct {
 	Failures []*core.Failure `json:"failures"`
 	// ArtifactPath is the replay artifact written for this seed
 	// (CampaignConfig.ArtifactDir set, or the daemon's store path);
-	// ArtifactErr records a write failure instead. Both empty when
+	// ArtifactErr says why there is none instead (a replay that did
+	// not reproduce the seed, a failed write). Both empty when
 	// artifacts were not requested.
 	ArtifactPath string `json:"artifactPath,omitempty"`
 	ArtifactErr  string `json:"artifactError,omitempty"`
@@ -472,20 +473,19 @@ func (s *CampaignState) Result() *CampaignResult {
 	return s.out
 }
 
-// RunContext owns one long-lived reusable run context: a GPURun built
-// on the first seed and rearmed for every later one, and the
-// worker-local coverage/failure accumulators. All
-// fields are touched only by the goroutine running seeds during a
-// batch, and only by the merger between batches. It is the execution
-// half the lease layer hands seeds to — the in-process pool below and
-// the daemon's local and remote workers all run seeds through it.
+// RunContext owns one long-lived reusable run context: an untraced
+// GPURun built on the first seed and rearmed for every later one, and
+// the worker-local coverage/failure accumulators. All fields are
+// touched only by the goroutine running seeds during a batch, and only
+// by the merger between batches. It is the execution half the lease
+// layer hands seeds to — the in-process pool below and the daemon's
+// local and remote workers all run seeds through it.
 type RunContext struct {
 	cfg    CampaignConfig
 	l2Name string
 
-	// run is traced when artifacts are requested; its ring is reset per
-	// seed so a failing run's trace is bit-identical to the trace a
-	// fresh single-seed replay records.
+	// run is untraced: a failing seed's artifact comes from a replay
+	// of it on a fresh traced build (capture).
 	run *GPURun
 	// corner is the interned corner the reusable context is currently
 	// configured for; a pointer mismatch with the batch's corner routes
@@ -545,21 +545,14 @@ func (w *RunContext) takeForkSnapshot(c *Corner) {
 	w.snapCorner = c
 }
 
-// wantArtifacts reports whether failing seeds must capture a replay
-// artifact (loose file, inline bytes, or both).
-func (w *RunContext) wantArtifacts() bool {
-	return w.cfg.ArtifactDir != "" || w.cfg.CaptureArtifacts
-}
-
 // rearm readies the built context for seed under corner c. The
-// collector and trace ring reset in place either way; the system comes
-// back by journal-undo from the warm snapshot when the seed is fork
-// eligible (inside Tester.Fork, skipping System.Reset's full
-// cache-invalidation scans) and by the reset path otherwise.
+// collector resets in place either way; the system comes back by
+// journal-undo from the warm snapshot when the seed is fork eligible
+// (inside Tester.Fork, skipping System.Reset's full cache-invalidation
+// scans) and by the reset path otherwise.
 func (w *RunContext) rearm(seed uint64, c *Corner) {
 	r := w.run
 	r.Col.Reset()
-	r.Ring.Reset()
 	if w.forkEligible(c) {
 		r.Tester.Fork(seed, []*viper.SystemSnapshot{w.snap})
 		return
@@ -591,7 +584,7 @@ func (w *RunContext) RunSeed(seed uint64, c *Corner) {
 	if w.run == nil {
 		tc := c.TestCfg
 		tc.Seed = seed
-		w.run = NewGPURun(c.sysCfg(w.cfg.SysCfg, seed), tc, w.wantArtifacts(), w.cfg.TraceDepth)
+		w.run = NewGPURun(c.sysCfg(w.cfg.SysCfg, seed), tc)
 		w.corner = c
 	} else {
 		w.rearm(seed, c)
@@ -603,24 +596,10 @@ func (w *RunContext) RunSeed(seed uint64, c *Corner) {
 	w.dL2.Merge(r.Col.Matrix(w.l2Name))
 	if len(rep.Failures) > 0 {
 		sf := SeedFailure{Seed: seed, Failures: rep.Failures}
-		if w.wantArtifacts() {
+		if w.cfg.ArtifactDir != "" || w.cfg.CaptureArtifacts {
 			tc := c.TestCfg
 			tc.Seed = seed
-			art := NewGPUArtifact(r.Sys.Cfg, tc, r.Tester, rep, r.Ring)
-			if w.cfg.CaptureArtifacts {
-				if data, err := art.Encode(); err != nil {
-					sf.ArtifactErr = err.Error()
-				} else {
-					sf.Artifact = data
-				}
-			}
-			if w.cfg.ArtifactDir != "" {
-				if path, err := art.Write(w.cfg.ArtifactDir); err != nil {
-					sf.ArtifactErr = err.Error()
-				} else {
-					sf.ArtifactPath = path
-				}
-			}
+			w.capture(&sf, NewGPUArtifact(r.Sys.Cfg, tc, r.Tester, rep, nil))
 		}
 		w.failures = append(w.failures, sf)
 	}
@@ -629,6 +608,25 @@ func (w *RunContext) RunSeed(seed uint64, c *Corner) {
 	w.events += rep.EventsExecuted
 	w.wall += rep.WallTime
 }
+
+// capture replays a failing seed's untraced artifact, one more run on
+// a fresh traced build, into inline bytes, a loose file or both.
+func (w *RunContext) capture(sf *SeedFailure, untraced *Artifact) {
+	untraced.TraceCapacity = w.cfg.TraceDepth
+	art, err := replay(untraced)
+	if err == nil && w.cfg.CaptureArtifacts {
+		sf.Artifact, err = art.Encode()
+	}
+	if err == nil && w.cfg.ArtifactDir != "" {
+		sf.ArtifactPath, err = art.Write(w.cfg.ArtifactDir)
+	}
+	if err != nil {
+		sf.ArtifactErr = err.Error()
+	}
+}
+
+// replay is Replay; a test swaps it to hand capture a divergent run.
+var replay = Replay
 
 // Delta returns the context's accumulated coverage/failure delta. The
 // matrices are *references* into the context — merge them (Apply, or a

@@ -359,3 +359,42 @@ func TestPlanAheadEqualsNextPlan(t *testing.T) {
 		}
 	}
 }
+
+// TestCampaignRunUntraced pins that a campaign's run context stays
+// untraced when artifacts are requested, on the reset path and the
+// fork path alike: no seed pays for a trace ring, and a failing seed's
+// artifact still carries a trace, TraceDepth entries deep, recorded by
+// its capture's replay.
+func TestCampaignRunUntraced(t *testing.T) {
+	sys, tc := BugHuntConfigs(viper.BugSet{LostWriteRace: true}, 1)
+	base := NewCornerCache(tc, sys).Corner(CornerLevels{})
+	for _, fork := range []bool{false, true} {
+		cfg := CampaignConfig{SysCfg: sys, TestCfg: tc, Workers: 1, Fork: fork,
+			ArtifactDir: t.TempDir(), CaptureArtifacts: true, TraceDepth: 256}
+		rc := NewRunContext(cfg)
+		const seeds = 4
+		for seed := uint64(1); seed <= seeds; seed++ {
+			rc.RunSeed(seed, base)
+			if rc.run.Ring != nil || rc.run.K.Tracer() != nil {
+				t.Fatalf("fork=%v seed %d: the campaign's run is traced", fork, seed)
+			}
+		}
+		d := rc.Delta()
+		if len(d.Failures) == 0 {
+			t.Fatalf("fork=%v: none of %d seeds failed", fork, seeds)
+		}
+		for _, sf := range d.Failures {
+			if sf.ArtifactErr != "" || sf.ArtifactPath == "" {
+				t.Fatalf("fork=%v seed %d: no artifact written (error %q)", fork, sf.Seed, sf.ArtifactErr)
+			}
+			art, err := LoadArtifactBytes("inline", sf.Artifact)
+			if err != nil {
+				t.Fatalf("fork=%v seed %d: %v", fork, sf.Seed, err)
+			}
+			if art.TraceCapacity != cfg.TraceDepth || len(art.Trace) == 0 {
+				t.Fatalf("fork=%v seed %d: artifact trace capacity %d with %d entries, want %d and a non-empty tail",
+					fork, sf.Seed, art.TraceCapacity, len(art.Trace), cfg.TraceDepth)
+			}
+		}
+	}
+}

@@ -19,20 +19,22 @@ import (
 // the pools still meet new peaks; with a stall-queue slice per wake
 // and a closure per jittered response it cost 335 and 4 226. The
 // write-back L2 (WriteBackL2) runs the same rows; with a closure per L2
-// atomic and a boxed line address per fetch it cost ≈ 560.
+// atomic and a boxed line address per fetch it cost ≈ 560. So does a
+// context with CaptureArtifacts set: its seeds run untraced, and a
+// clean one captures nothing.
 func TestContendedSeedSteadyStateAllocs(t *testing.T) {
 	const maxContendedSeedAllocs = 120
 	tc := core.DefaultConfig()
 	tc.NumWavefronts, tc.EpisodesPerThread, tc.ActionsPerEpisode = 8, 8, 30
 	tc.NumSyncVars, tc.NumDataVars, tc.StoreFraction = 4, 64, 0.6
-	for _, wb := range []bool{false, true} {
+	for _, row := range []struct{ wb, capture bool }{{false, false}, {true, false}, {false, true}} {
 		sys := viper.SmallCacheConfig()
-		sys.WriteBackL2 = wb
-		cfg := CampaignConfig{SysCfg: sys, TestCfg: tc, Workers: 1, Mode: CampaignSwarm}
+		sys.WriteBackL2 = row.wb
+		cfg := CampaignConfig{SysCfg: sys, TestCfg: tc, Workers: 1, Mode: CampaignSwarm, CaptureArtifacts: row.capture}
 		corners := NewCornerCache(tc, cfg.SysCfg)
 		for _, levels := range []CornerLevels{{}, {axisJitter: 2}} {
 			c := corners.Corner(levels)
-			name := fmt.Sprintf("wb=%v %s", wb, c.Name())
+			name := fmt.Sprintf("wb=%v capture=%v %s", row.wb, row.capture, c.Name())
 			rc := NewRunContext(cfg)
 			seed := uint64(1)
 			next := func() { rc.RunSeed(seed, c); seed++ }

@@ -9,6 +9,7 @@ import (
 	"drftest/internal/audit"
 	"drftest/internal/core"
 	"drftest/internal/sim"
+	"drftest/internal/trace"
 	"drftest/internal/viper"
 )
 
@@ -177,7 +178,8 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 // again, and requires all three to agree.
 func checkpointRestore(t *testing.T, sys viper.Config, cfg core.Config) {
 	b := BuildGPU(sys)
-	ring := EnableTrace(b.K, 256)
+	ring := trace.NewRing(256)
+	b.K.SetTracer(ring)
 	tester := core.New(b.K, b.Sys, cfg)
 	rep := tester.Run()
 	ref := NewGPUArtifact(sys, cfg, tester, rep, ring)
@@ -187,7 +189,8 @@ func checkpointRestore(t *testing.T, sys viper.Config, cfg core.Config) {
 	}
 	_, l2Name, _ := CampaignSpecs(sys)
 
-	r := NewGPURun(sys, cfg, true, ref.TraceCapacity)
+	r := NewGPURun(sys, cfg)
+	r.Ring = traceReplay(r.K, ref)
 	r.Sys.EnableCheckpointing()
 
 	// Run the first half, freeze a full cut of every layer.

@@ -51,7 +51,7 @@ func TestAckDropsOverlayCaught(t *testing.T) {
 	}{{118, 12, true}, {3, 200, false}} {
 		sys, cfg := overtakeShape(tc.seed, tc.jitter, tc.writeBack)
 		sys.Bugs.AckDropsOverlay = true
-		rep := NewGPURun(sys, cfg, false, 0).Tester.Run()
+		rep := NewGPURun(sys, cfg).Tester.Run()
 		if rep.Passed() || rep.Failures[0].Kind != core.FailValueMismatch {
 			t.Errorf("seed %d, jitter %d, write-back %v: failures %v; want a value mismatch",
 				tc.seed, tc.jitter, tc.writeBack, rep.Failures)
@@ -64,7 +64,7 @@ func runOvertake(t *testing.T, seed, jitter uint64, writeBack bool) {
 	if err := ValidateRun(sys, cfg, 0); err != nil {
 		t.Fatal(err)
 	}
-	rep := NewGPURun(sys, cfg, false, 0).Tester.Run()
+	rep := NewGPURun(sys, cfg).Tester.Run()
 	if !rep.Passed() {
 		t.Fatalf("false alarm on a correct protocol: %s", rep.Failures[0].TableV())
 	}

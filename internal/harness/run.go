@@ -13,35 +13,32 @@ import (
 	"drftest/internal/viper"
 )
 
-// GPURun is one GPU run context: a built system, the tester driving it
-// and, when failures must be replayable, the execution-trace ring.
-// Campaign contexts, replay, checkpointed bisection, the schedule
+// GPURun is one GPU run context: a built system and the tester
+// driving it. Campaign contexts, checkpointed bisection, the schedule
 // explorer and gputester's single run all run seeds through it.
 type GPURun struct {
 	*GPUBuild
 	Tester *core.Tester
-	// Ring is nil on an untraced run; every use below is nil-safe.
+	// Ring is nil except on a replay's run (traceReplay); every use
+	// below is nil-safe.
 	Ring *trace.Ring
 }
 
-// NewGPURun builds a system for sys with a tester for test over it,
-// traced at traceDepth (<= 0 → DefaultTraceCapacity) when traced is
-// set. A caller that will checkpoint mid-run calls
+// NewGPURun builds a system for sys with an untraced tester for test
+// over it. A caller that will checkpoint mid-run calls
 // Sys.EnableCheckpointing before starting the tester.
-func NewGPURun(sys viper.Config, test core.Config, traced bool, traceDepth int) *GPURun {
+func NewGPURun(sys viper.Config, test core.Config) *GPURun {
 	r := &GPURun{GPUBuild: BuildGPU(sys)}
-	if traced {
-		r.Ring = EnableTrace(r.K, traceDepth)
-	}
 	r.Tester = core.New(r.K, r.Sys, test)
 	return r
 }
 
-// ValidateRun admits a GPU run: nil means NewGPURun(sys, test, true,
-// traceDepth) can build and run it without a false deadlock report;
-// otherwise the error names the field. Each config's Validate owns its
-// fields' limits. ValidateRun adds the trace depth's and the one rule
-// spanning both configs (DESIGN §14.1): a request's worst-case wait
+// ValidateRun admits a GPU run: nil means NewGPURun(sys, test) can
+// build and run it, and Replay re-run it traced at traceDepth, without
+// a false deadlock report; otherwise the error names the field. Each
+// config's Validate owns its fields' limits. ValidateRun adds the trace
+// depth's and the one rule spanning both configs (DESIGN §14.1): a
+// request's worst-case wait
 //
 //	(threads + 2) × (ReqLatency + RespLatency + RespJitter + Mem.AccessLatency + L1RespLatency)
 //	+ threads × ActionsPerEpisode × Mem.ServicePeriod

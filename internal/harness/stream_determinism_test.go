@@ -157,7 +157,7 @@ func TestCheckpointRestoreWithStreamCheck(t *testing.T) {
 		t.Fatal("injected lostwrite bug not detected within 16 seeds")
 	}
 
-	r := NewGPURun(sysCfg, cfg, false, 0)
+	r := NewGPURun(sysCfg, cfg)
 	r.Sys.EnableCheckpointing()
 
 	r.Tester.Start()

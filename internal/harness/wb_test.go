@@ -146,7 +146,7 @@ func TestBugsRefusedOrDetected(t *testing.T) {
 			for ; seed <= 8; seed++ {
 				sys, cfg := BugHuntConfigs(b.Set, seed)
 				sys.WriteBackL2 = wb
-				if !NewGPURun(sys, cfg, false, 0).Tester.Run().Passed() {
+				if !NewGPURun(sys, cfg).Tester.Run().Passed() {
 					break
 				}
 			}
