@@ -546,7 +546,7 @@ func runCampaign(cc harness.CampaignConfig, protocolName, caches string, jsonOut
 				fmt.Printf("seed %d replay artifact: %s (re-run with: replay %s)\n", sf.Seed, sf.ArtifactPath, sf.ArtifactPath)
 			}
 			if sf.ArtifactErr != "" {
-				fmt.Printf("seed %d artifact write failed: %s\n", sf.Seed, sf.ArtifactErr)
+				fmt.Printf("seed %d has no replay artifact: %s\n", sf.Seed, sf.ArtifactErr)
 			}
 		}
 		exit(1)

@@ -69,8 +69,8 @@ type Spec struct {
 	// Fork makes workers fork seeds from a warm system snapshot
 	// (harness.CampaignConfig.Fork).
 	Fork bool `json:"fork,omitempty"`
-	// TraceDepth sizes the execution-trace ring behind failure
-	// artifacts (≤0 → harness.DefaultTraceCapacity).
+	// TraceDepth sizes the execution trace a failure artifact's replay
+	// records (≤0 → harness.DefaultTraceCapacity).
 	TraceDepth int `json:"traceDepth,omitempty"`
 	// LeaseSeeds shards each batch into leases of at most this many
 	// seeds (≤0 → max(1, BatchSize/4)). Smaller leases spread a batch

@@ -24,7 +24,7 @@ type GPURun struct {
 	Ring *trace.Ring
 }
 
-// NewGPURun builds a system for sys with an untraced tester for test
+// NewGPURun builds an untraced system for sys with a tester for test
 // over it. A caller that will checkpoint mid-run calls
 // Sys.EnableCheckpointing before starting the tester.
 func NewGPURun(sys viper.Config, test core.Config) *GPURun {
