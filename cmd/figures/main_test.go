@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"strings"
 	"testing"
 
 	"drftest/internal/golden"
@@ -40,4 +41,19 @@ func TestGoldenProtocols(t *testing.T) {
 	golden.Check(t, "figures_protocolwb_protocolperf_multigpu_specs_scale0.02.txt",
 		"figures -exp protocolwb,protocolperf,multigpu,specs -scale 0.02 -parallel 1",
 		golden.RunMain(t, "-exp", "protocolwb,protocolperf,multigpu,specs", "-scale", "0.02", "-parallel", "1"))
+}
+
+// TestGoldenExperiments: the paper's tables, Figs. 4, 5, 7 and 8, the
+// case study and the speed comparison print the committed output, byte
+// for byte outside host time. Figs. 5 and 7 and the speed summary run
+// the application suite, so these pin the directory, moesi and DMA
+// paths along with the GPU tester's.
+func TestGoldenExperiments(t *testing.T) {
+	for _, exp := range []string{"tableI,tableII,tableIII,tableIV,tableV", "fig4", "fig5", "fig7", "fig8", "casestudy", "speed"} {
+		name := "figures_" + strings.ReplaceAll(exp, ",", "_") + "_scale0.02.txt"
+		t.Run(exp, func(t *testing.T) {
+			golden.Check(t, name, "figures -exp "+exp+" -scale 0.02 -parallel 1",
+				golden.RunMain(t, "-exp", exp, "-scale", "0.02", "-parallel", "1"))
+		})
+	}
 }

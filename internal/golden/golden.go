@@ -30,6 +30,15 @@ var HostTime = []*regexp.Regexp{
 	// total (app, L1 cov, L2 cov, sim events, wall). The column's
 	// padding goes too, since its width follows the value's.
 	regexp.MustCompile(`(?m)^(  \S+ +[\d.]+% +[\d.]+% +\d+ ) *\S+$`),
+	// Fig. 8: the wall column of each tester run's row (run, caches,
+	// L1 cov, L2 cov, sim events, wall); its (UNION) row is Fig. 9's.
+	regexp.MustCompile(`(?m)^(  Test \d+ +\S+ +[\d.]+% +[\d.]+% +\d+ ) *\S+$`),
+	// figures -exp speed: the two sides' wall times (with their
+	// padding, as in Fig. 9), the wall-clock speedup and the full
+	// sweep's total.
+	regexp.MustCompile(`(?m)(^  \S+ \([^)]*\) *: +\d+ sim events ) *\S+`),
+	regexp.MustCompile(`(?m)(^  speedup to similar coverage \(wall clock\): )\S+$`),
+	regexp.MustCompile(`(?m)(^  full-sweep tester cost .*: \d+ events, )\S+$`),
 	// gputester -explore: the mean cut and rewind times of the text
 	// report's cuts line, and the same means under -json.
 	regexp.MustCompile(`(\(mean )[\d.]+`),

@@ -65,3 +65,31 @@ func TestMaskGPUTester(t *testing.T) {
 		t.Fatalf("Mask:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestMaskFig8Speed: Fig. 8's wall column and the speed summary's host
+// times (both sides' walls, the wall-clock speedup, the full sweep's
+// total) are blanked; the coverage, event counts and the event-count
+// speedup beside them are not.
+func TestMaskFig8Speed(t *testing.T) {
+	in := "  run       caches    L1 cov   L2 cov   sim events         wall\n" +
+		"  Test 11   large      72.2%    89.5%         2024       2.18ms\n" +
+		"  Test 3    small      77.8%   100.0%         2039        790µs\n" +
+		"  (UNION)             100.0%   100.0%        57796       29.6ms\n" +
+		"  apps (all 26)     :       659605 sim events       68.33ms wall  L1 72.2%  L2 73.7%\n" +
+		"  tester (1 runs)  :         2024 sim events         920µs wall  L1 72.2%  L2 89.5%\n" +
+		"  speedup to similar coverage (sim events): 325.9x\n" +
+		"  speedup to similar coverage (wall clock): 74.2x\n" +
+		"  full-sweep tester cost (all 24 runs, union L1 100.0% / L2 100.0%): 57796 events, 34.57ms\n"
+	want := "  run       caches    L1 cov   L2 cov   sim events         wall\n" +
+		"  Test 11   large      72.2%    89.5%         2024 " + Masked + "\n" +
+		"  Test 3    small      77.8%   100.0%         2039 " + Masked + "\n" +
+		"  (UNION)             100.0%   100.0%        57796 " + Masked + "\n" +
+		"  apps (all 26)     :       659605 sim events " + Masked + " wall  L1 72.2%  L2 73.7%\n" +
+		"  tester (1 runs)  :         2024 sim events " + Masked + " wall  L1 72.2%  L2 89.5%\n" +
+		"  speedup to similar coverage (sim events): 325.9x\n" +
+		"  speedup to similar coverage (wall clock): " + Masked + "\n" +
+		"  full-sweep tester cost (all 24 runs, union L1 100.0% / L2 100.0%): 57796 events, " + Masked + "\n"
+	if got := string(Mask([]byte(in))); got != want {
+		t.Fatalf("Mask:\n%s\nwant:\n%s", got, want)
+	}
+}
