@@ -46,12 +46,15 @@ func TestLinePoolFieldAudit(t *testing.T) {
 		"idx":    "config: registry slot, fixed at allocation",
 	})
 	audit.Fields(t, LinePool{}, map[string]string{
-		"lineSize": "config: fixed at construction",
-		"free":     "state: free-stack order via the snapshot's free indices (Get-order replay depends on it)",
-		"all":      "config: birth-order registry; Restore writes into the SAME Line objects, extras are parked",
-		"track":    "config: armed by EnableTracking, survives Reset/Restore",
-		"gets":     "stat: monotone counter, excluded from snapshots (Stats is diagnostic only)",
-		"allocs":   "stat: monotone counter, excluded from snapshots (alloc pins read deltas within one phase)",
+		"lineSize":  "config: fixed at construction",
+		"lineChunk": "scratch: unused tail of the chunk new Line headers are carved from, excluded — a cut restores lines by identity, and a carved line is zeroed, as a fresh one was",
+		"dataChunk": "scratch: unused tail of the chunk new payloads are carved from, excluded like lineChunk",
+		"maskChunk": "scratch: unused tail of the chunk new masks are carved from, excluded like lineChunk",
+		"free":      "state: free-stack order via the snapshot's free indices (Get-order replay depends on it)",
+		"all":       "config: birth-order registry; Restore writes into the SAME Line objects, extras are parked",
+		"track":     "config: armed by EnableTracking, survives Reset/Restore",
+		"gets":      "stat: monotone counter, excluded from snapshots (Stats is diagnostic only)",
+		"allocs":    "stat: monotone counter, excluded from snapshots (alloc pins read deltas within one phase)",
 	})
 	audit.Fields(t, lineSave{}, map[string]string{
 		"off":     "save: Line.Data's offset in the snapshot's byte arena",

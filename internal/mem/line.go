@@ -110,13 +110,18 @@ func (l *Line) Writable() *Line {
 // ensureMask attaches (or re-activates) the mask buffer without
 // zeroing; callers that need a clean mask use GetMasked.
 func (l *Line) ensureMask() []bool {
-	n := len(l.Data)
-	if cap(l.mask) < n {
-		l.mask = make([]bool, n)
-	}
-	l.mask = l.mask[:n]
+	l.sizeMask(len(l.Data))
 	l.masked = true
 	return l.mask
+}
+
+// sizeMask gives the mask buffer length n, carving a new one when it is
+// too short.
+func (l *Line) sizeMask(n int) {
+	if cap(l.mask) < n {
+		l.mask = carve(&l.pool.maskChunk, n, l.pool.lineSize)
+	}
+	l.mask = l.mask[:n]
 }
 
 // LinePool recycles Line handles. One pool serves a whole simulated
@@ -132,6 +137,12 @@ func (l *Line) ensureMask() []bool {
 type LinePool struct {
 	lineSize int
 	free     []*Line
+
+	// The unused tails of the chunks new lines are carved from: the
+	// pool grows by the chunk, not by the line.
+	lineChunk []Line
+	dataChunk []byte
+	maskChunk []bool
 
 	// all registers every line ever allocated, in birth order: Reset
 	// force-reclaims through it (holders drop references without
@@ -167,13 +178,32 @@ func (p *LinePool) Get(n int) *Line {
 		}
 	}
 	p.allocs++
-	c := n
-	if c < p.lineSize {
-		c = p.lineSize
+	if len(p.lineChunk) == 0 {
+		p.lineChunk = make([]Line, chunkLines)
 	}
-	l := &Line{Data: make([]byte, n, c), refs: 1, pool: p, idx: len(p.all)}
+	l := &p.lineChunk[0]
+	p.lineChunk = p.lineChunk[1:]
+	*l = Line{Data: carve(&p.dataChunk, n, p.lineSize), refs: 1, pool: p, idx: len(p.all)}
 	p.all = append(p.all, l)
 	return l
+}
+
+// chunkLines is how many lines a pool carves from one chunk.
+const chunkLines = 64
+
+// carve returns a zeroed buffer of n elements and capacity at least
+// lineSize, cut from chunk's unused tail (refilled chunkLines lines at a
+// time) when it fits a line and made alone when it does not.
+func carve[T any](chunk *[]T, n, lineSize int) []T {
+	if n > lineSize {
+		return make([]T, n)
+	}
+	if len(*chunk) < lineSize {
+		*chunk = make([]T, chunkLines*lineSize)
+	}
+	b := (*chunk)[:n:lineSize]
+	*chunk = (*chunk)[lineSize:]
+	return b
 }
 
 // GetMasked returns a line with n payload bytes and a zeroed per-byte
@@ -283,10 +313,7 @@ func (p *LinePool) Restore(s *LinePoolSnapshot) {
 			copy(l.Data, s.bytes[sv.off:sv.off+sv.n])
 			l.masked = sv.masked
 			if sv.masked {
-				if cap(l.mask) < int(sv.maskLen) {
-					l.mask = make([]bool, sv.maskLen)
-				}
-				l.mask = l.mask[:sv.maskLen]
+				l.sizeMask(int(sv.maskLen))
 				copy(l.mask, s.masks[sv.maskOff:sv.maskOff+sv.maskLen])
 			}
 			l.refs = sv.refs

@@ -200,3 +200,110 @@ func TestGetSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state Get/Release allocates %.1f/op", n)
 	}
 }
+
+// TestChunkCarvedSnapshotRestore: lines carved from the pool's chunks —
+// several chunks' worth, half of them masked — restore into the same
+// objects with their own contents, and a line's payload and mask stay
+// within their own slice of the chunk: filling one never writes into a
+// neighbour.
+func TestChunkCarvedSnapshotRestore(t *testing.T) {
+	const size = 16
+	p := NewLinePool(size)
+	p.EnableTracking()
+	n := 2*chunkLines + 3
+	lines := make([]*Line, n)
+	for i := range lines {
+		if i%2 == 0 {
+			lines[i] = p.GetMasked(size)
+			lines[i].Mask()[i%size] = true
+		} else {
+			lines[i] = p.Get(size)
+		}
+		if cap(lines[i].Data) != size {
+			t.Fatalf("line %d: payload capacity %d, want %d", i, cap(lines[i].Data), size)
+		}
+		for j := range lines[i].Data {
+			lines[i].Data[j] = byte(i)
+		}
+	}
+	for i := 0; i < n; i += 3 {
+		lines[i].Release()
+	}
+	s := p.Snapshot()
+
+	// Diverge: fill every line whole (payload and a full mask), recycle
+	// the rest, and carve new lines past the snapshot.
+	for i, l := range lines {
+		if l.Refs() == 0 {
+			continue
+		}
+		for j := range l.Data {
+			l.Data[j] = 0xff
+		}
+		for j := range l.ensureMask() {
+			l.mask[j] = true
+		}
+		if i%3 == 1 {
+			l.Release()
+		}
+	}
+	for i := 0; i < chunkLines+1; i++ {
+		p.GetMasked(size).Data[0] = 0xee
+	}
+
+	p.Restore(s)
+	for i, l := range lines {
+		want := 1
+		if i%3 == 0 {
+			want = 0
+		}
+		if l.Refs() != want {
+			t.Fatalf("line %d: refs %d after restore, want %d", i, l.Refs(), want)
+		}
+		for j, b := range l.Data {
+			if b != byte(i) {
+				t.Fatalf("line %d byte %d = %#x after restore, want %#x", i, j, b, byte(i))
+			}
+		}
+		if masked := i%2 == 0 && want == 1; (l.Mask() != nil) != masked {
+			t.Fatalf("line %d: masked %v after restore, want %v", i, l.Mask() != nil, masked)
+		}
+		for j, m := range l.Mask() {
+			if m != (j == i%size) {
+				t.Fatalf("line %d mask byte %d = %v after restore", i, j, m)
+			}
+		}
+	}
+	// The lines carved after the snapshot come back zeroed, below the
+	// snapshot's free order.
+	for i := 0; i < chunkLines+1+(n+2)/3; i++ {
+		l := p.Get(size)
+		if i < (n+2)/3 {
+			if l != lines[3*((n+2)/3-1-i)] {
+				t.Fatalf("Get %d after restore did not replay the snapshot's free order", i)
+			}
+			continue
+		}
+		for _, b := range l.Data {
+			if b != 0 {
+				t.Fatalf("a line carved after the snapshot came back holding %#x", b)
+			}
+		}
+	}
+}
+
+// TestCarveAllocs: the pool grows by the chunk, not by the line.
+// Carving four chunks of masked lines took three objects a line when
+// each line, payload and mask was its own allocation.
+func TestCarveAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(5, func() {
+		p := NewLinePool(64)
+		for i := 0; i < 4*chunkLines; i++ {
+			p.GetMasked(64)
+		}
+	})
+	t.Logf("%.0f objects for %d masked lines", allocs, 4*chunkLines)
+	if allocs > 32 {
+		t.Fatalf("carving %d masked lines allocated %.0f objects, want ≤ 32", 4*chunkLines, allocs)
+	}
+}

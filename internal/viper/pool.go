@@ -110,18 +110,24 @@ func (p *msgPool) restore(s *poolSnapshot) {
 	p.lines.Restore(s.lines)
 }
 
-// objPool recycles one kind of object through a free stack. With
-// track on it registers every object it builds, in build order: a cut
-// saves each one's contents by value and a restore writes them back
-// into the same objects, so every pointer the restored state holds
-// stays valid.
+// objPool recycles one kind of object through a free stack, and builds
+// new ones by carving a chunk of them at a time. With track on it
+// registers every object it builds, in build order: a cut saves each
+// one's contents by value and a restore writes them back into the same
+// objects, so every pointer the restored state holds stays valid.
 type objPool[T any] struct {
 	free  []*T
 	all   []*T
 	track bool
 	// clean readies a dead object for reuse; nil zeroes it.
 	clean func(*T)
+	// chunk is the unbuilt tail of the chunk new objects are carved
+	// from.
+	chunk []T
 }
+
+// objChunk is how many objects a pool carves from one chunk.
+const objChunk = 64
 
 // get pops a recycled object, or builds a zero one.
 func (p *objPool[T]) get() *T {
@@ -131,7 +137,11 @@ func (p *objPool[T]) get() *T {
 		p.free = p.free[:n-1]
 		return x
 	}
-	x := new(T)
+	if len(p.chunk) == 0 {
+		p.chunk = make([]T, objChunk)
+	}
+	x := &p.chunk[0]
+	p.chunk = p.chunk[1:]
 	if p.track {
 		p.all = append(p.all, x)
 	}
