@@ -16,6 +16,7 @@ func TestStreamFieldAudit(t *testing.T) {
 		"delta":     "state: copied (Reset retunes it from config)",
 		"eps":       "state: rebuilt from the snapshot's epState records (live known + unknown entries)",
 		"epFree":    "pool: recycled epStates, excluded — dropped records are harvested back on Reset/Restore",
+		"spill":     "scratch: free spill arrays, excluded — a cut copies list values, never an array, and a restore refills lists from the pools",
 		"liveQ":     "state: rebuilt from the snapshot's leading nLive epState records, dead heads included",
 		"liveHead":  "state: normalized to 0 on Restore (only order and dead flags are semantic)",
 		"atomics":   "state: per-sync-var A1 fold indexed by id, copied in place (pending multiset deep-copied); entries past len are stale storage, emptied when observed into range",
@@ -32,8 +33,8 @@ func TestStreamFieldAudit(t *testing.T) {
 		"createSeq": "state: via saveEp/loadEp",
 		"known":     "state: via saveEp/loadEp (unknown records live only in the eps table)",
 		"dead":      "state: via saveEp/loadEp (dead records live only in the liveQ)",
-		"ownWrites": "state: deep copy into the snapshot's ownWrites arena; loadEp refills the destination's own backing array",
-		"touched":   "state: deep copy into the snapshot's touched arena; loadEp refills the destination's own backing array",
+		"ownWrites": "state: deep copy into the snapshot's ownWrites arena; loadEp refills it in a spill array of the destination stream's pool",
+		"touched":   "state: deep copy into the snapshot's touched arena; loadEp refills it in a spill array of the destination stream's pool",
 	})
 	audit.Fields(t, epSave{}, map[string]string{
 		"id":        "save: value copy",
@@ -48,6 +49,14 @@ func TestStreamFieldAudit(t *testing.T) {
 		"prev":      "state: value copy via saveVar/loadVar",
 		"hasPrev":   "state: value copy via saveVar/loadVar",
 		"writers":   "state: deep copy into the snapshot's writers arena via saveVar/loadVar",
+		"ivalBuf":   "storage: intervals' inline array, holding them until they spill; its contents are intervals'",
+		"writerBuf": "storage: writers' inline array, holding them until they spill; its contents are writers'",
+	})
+	audit.Fields(t, spills{}, map[string]string{
+		"intervals": "scratch: free interval arrays, never part of a cut",
+		"writers":   "scratch: free writer arrays, never part of a cut",
+		"touched":   "scratch: free touched-variable arrays, never part of a cut",
+		"ownWrites": "scratch: free own-write arrays, never part of a cut",
 	})
 	audit.Fields(t, varSave{}, map[string]string{
 		"intervals": "save: range of the snapshot's intervals arena",

@@ -92,11 +92,14 @@ func (snap *StreamSnapshot) saveEp(es *epState) {
 	snap.touched = append(snap.touched, es.touched...)
 }
 
-// loadEp refills es from a saved episode, into es's own slices.
-func (snap *StreamSnapshot) loadEp(es *epState, sv *epSave) {
+// loadEp refills es from a saved episode, its lists into arrays of the
+// stream's spill pools.
+func (s *Stream) loadEp(snap *StreamSnapshot, es *epState, sv *epSave) {
 	es.id, es.createSeq, es.known, es.dead = sv.id, sv.createSeq, sv.known, sv.dead
-	es.ownWrites = append(es.ownWrites[:0], within(snap.ownWrites, sv.ownWrites)...)
-	es.touched = append(es.touched[:0], within(snap.touched, sv.touched)...)
+	es.ownWrites = s.spill.ownWrites.resize(es.ownWrites, nil, int(sv.ownWrites.n))
+	copy(es.ownWrites, within(snap.ownWrites, sv.ownWrites))
+	es.touched = s.spill.touched.resize(es.touched, nil, int(sv.touched.n))
+	copy(es.touched, within(snap.touched, sv.touched))
 }
 
 // saveVar appends v to the snapshot, its slices to the arenas.
@@ -109,11 +112,14 @@ func (snap *StreamSnapshot) saveVar(v *varState) {
 	snap.writers = append(snap.writers, v.writers...)
 }
 
-// loadVar refills v from a saved variable, into v's own slices.
-func (snap *StreamSnapshot) loadVar(v *varState, sv *varSave) {
-	v.intervals = append(v.intervals[:0], within(snap.intervals, sv.intervals)...)
+// loadVar refills v from a saved variable, its lists into its inline
+// buffers or arrays of the stream's spill pools.
+func (s *Stream) loadVar(snap *StreamSnapshot, v *varState, sv *varSave) {
+	s.setIntervals(v, int(sv.intervals.n))
+	copy(v.intervals, within(snap.intervals, sv.intervals))
 	v.prev, v.hasPrev = sv.prev, sv.hasPrev
-	v.writers = append(v.writers[:0], within(snap.writers, sv.writers)...)
+	s.setWriters(v, int(sv.writers.n))
+	copy(v.writers, within(snap.writers, sv.writers))
 }
 
 // Reset rearms the stream for a fresh run, keeping its tables, the
@@ -135,15 +141,17 @@ func (s *Stream) Reset(atomicDelta uint32) {
 	s.finished, s.result = false, nil
 }
 
-// harvest moves every reachable epState onto the free list: the live
-// queue tail (live episodes plus dead not-yet-popped heads) and the
-// table's unknown-episode records. Live known episodes appear in both
+// harvest recycles every reachable epState: the live queue tail (live
+// episodes plus dead not-yet-popped heads) and the table's
+// unknown-episode records. Live known episodes appear in both
 // structures but are harvested once, from the queue.
 func (s *Stream) harvest() {
-	s.epFree = append(s.epFree, s.liveQ[s.liveHead:]...)
+	for _, es := range s.liveQ[s.liveHead:] {
+		s.recycle(es)
+	}
 	s.eps.Each(func(_ uint64, es **epState) {
 		if !(*es).known {
-			s.epFree = append(s.epFree, *es)
+			s.recycle(*es)
 		}
 	})
 }
@@ -247,7 +255,7 @@ func (s *Stream) Restore(snap *StreamSnapshot) {
 	s.liveQ, s.liveHead = s.liveQ[:0], 0
 	for i := range snap.eps {
 		es := s.newEpState()
-		snap.loadEp(es, &snap.eps[i])
+		s.loadEp(snap, es, &snap.eps[i])
 		if i < snap.nLive {
 			s.liveQ = append(s.liveQ, es)
 		}
@@ -261,9 +269,9 @@ func (s *Stream) Restore(snap *StreamSnapshot) {
 	}
 	for v := range snap.vars {
 		if dst := s.fold(v); dst != nil {
-			snap.loadVar(dst, &snap.vars[v])
+			s.loadVar(snap, dst, &snap.vars[v])
 		} else if !snap.vars[v].isEmpty() {
-			snap.loadVar(s.rec(v), &snap.vars[v])
+			s.loadVar(snap, s.rec(v), &snap.vars[v])
 		}
 	}
 	s.nvars = len(snap.vars)

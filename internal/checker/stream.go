@@ -39,6 +39,9 @@ type Stream struct {
 
 	eps    table.Table[uint64, *epState]
 	epFree []*epState
+	// spill recycles the arrays the folds' lists outgrow their inline
+	// buffers into; it is scratch, never part of a cut.
+	spill spills
 	// liveQ lists live episodes in creation order; liveHead is the
 	// first possibly-live entry, so the minimum live CreateSeq is
 	// found by popping dead heads.
@@ -52,9 +55,9 @@ type Stream struct {
 	// may be stale and is emptied when the range grows over it, and an
 	// empty fold checks and reports nothing. vars' chunks are allocated
 	// on first touch of their ids and kept, so a reused stream allocates
-	// per run only what outgrew a record.
+	// per run only the spill arrays of its peak.
 	atomics []atomicState
-	vars    [][]varRec
+	vars    [][]varState
 	nvars   int
 
 	// Violation buckets, assembled in reference order by Finish: A1
@@ -88,6 +91,8 @@ type ownWrite struct {
 // epState is the per-live-episode fold: identity, creation order, the
 // episode's own writes (for A3 own-read resolution and for the
 // retired-writer record), and the variables it holds A2 intervals on.
+// Its lists have no inline buffer: they live in spill arrays, given
+// back when the episode is recycled.
 type epState struct {
 	id        uint64
 	createSeq uint64
@@ -106,14 +111,14 @@ func (e *epState) own(v int) (uint32, bool) {
 	return 0, false
 }
 
-func (e *epState) setOwn(v int, val uint32) {
+func (e *epState) setOwn(p *spillPool[ownWrite], v int, val uint32) {
 	for i := range e.ownWrites {
 		if e.ownWrites[i].v == v {
 			e.ownWrites[i].val = val
 			return
 		}
 	}
-	e.ownWrites = append(e.ownWrites, ownWrite{v, val})
+	e.ownWrites = p.push(e.ownWrites, nil, ownWrite{v, val})
 }
 
 // ival is one episode's [create, retire] lifetime on one variable,
@@ -132,7 +137,12 @@ type writerRec struct {
 	val       uint32
 }
 
-// varState is the per-data-variable fold for A2 and A3.
+// varState is the per-data-variable fold for A2 and A3. Its lists
+// start in the inline buffers beside them: most variables never hold
+// more than four unsealed intervals or four reachable writers (a
+// variable keeps three or more while a writer retired since the oldest
+// live episode began), and one that does spills into a pooled array
+// until it shrinks back.
 type varState struct {
 	// intervals is the unsealed suffix, sorted by lo.
 	intervals []ival
@@ -143,15 +153,9 @@ type varState struct {
 	// writers holds retired-writer values in retirement order, pruned
 	// to those still reachable by a live or future reader.
 	writers []writerRec
-}
 
-// varRec is a varState in the slab with the first capacity of both its
-// slices beside it: most variables never hold more than four unsealed
-// intervals or two reachable writers, so they never allocate.
-type varRec struct {
-	varState
 	ivalBuf   [4]ival
-	writerBuf [2]writerRec
+	writerBuf [4]writerRec
 }
 
 // varChunk is the slab's growth step, in records (≈ 16 KB).
@@ -189,10 +193,18 @@ func (s *Stream) newEpState() *epState {
 	if n := len(s.epFree); n > 0 {
 		es := s.epFree[n-1]
 		s.epFree = s.epFree[:n-1]
-		*es = epState{ownWrites: es.ownWrites[:0], touched: es.touched[:0]}
+		*es = epState{}
 		return es
 	}
 	return &epState{}
+}
+
+// recycle frees es, giving its lists' arrays back. The arrays stay
+// intact until the next fold takes an episode list.
+func (s *Stream) recycle(es *epState) {
+	es.touched = s.spill.touched.resize(es.touched, nil, 0)
+	es.ownWrites = s.spill.ownWrites.resize(es.ownWrites, nil, 0)
+	s.epFree = append(s.epFree, es)
 }
 
 // epState returns the state for id, creating an unknown-episode
@@ -212,7 +224,7 @@ func (s *Stream) epState(id uint64) *epState {
 // ^uint64(0) when none are live.
 func (s *Stream) minLiveCreate() uint64 {
 	for s.liveHead < len(s.liveQ) && s.liveQ[s.liveHead].dead {
-		s.epFree = append(s.epFree, s.liveQ[s.liveHead])
+		s.recycle(s.liveQ[s.liveHead])
 		s.liveQ[s.liveHead] = nil
 		s.liveHead++
 	}
@@ -234,10 +246,10 @@ func (s *Stream) varState(v int) *varState {
 	if v >= s.nvars {
 		for i := s.nvars; i < v; i++ {
 			if f := s.fold(i); f != nil {
-				f.empty()
+				s.empty(f)
 			}
 		}
-		vs.empty()
+		s.empty(vs)
 		s.nvars = v + 1
 	}
 	return vs
@@ -251,27 +263,35 @@ func (s *Stream) rec(v int) *varState {
 		s.vars = append(s.vars, nil)
 	}
 	if s.vars[c] == nil {
-		recs := make([]varRec, varChunk)
-		for i := range recs {
-			recs[i].intervals, recs[i].writers = recs[i].ivalBuf[:0], recs[i].writerBuf[:0]
-		}
-		s.vars[c] = recs
+		s.vars[c] = make([]varState, varChunk)
 	}
-	return &s.vars[c][v%varChunk].varState
+	return &s.vars[c][v%varChunk]
 }
 
 // fold returns data variable v's record, nil when its chunk was never
 // allocated (every fold in it is empty).
 func (s *Stream) fold(v int) *varState {
 	if c := v / varChunk; c < len(s.vars) && s.vars[c] != nil {
-		return &s.vars[c][v%varChunk].varState
+		return &s.vars[c][v%varChunk]
 	}
 	return nil
 }
 
-// empty clears the fold, keeping its slices' capacity.
-func (v *varState) empty() {
-	*v = varState{intervals: v.intervals[:0], writers: v.writers[:0]}
+// setIntervals and setWriters resize v's lists to n elements through
+// the spill pools, keeping the first ones.
+func (s *Stream) setIntervals(v *varState, n int) {
+	v.intervals = s.spill.intervals.resize(v.intervals, v.ivalBuf[:0], n)
+}
+
+func (s *Stream) setWriters(v *varState, n int) {
+	v.writers = s.spill.writers.resize(v.writers, v.writerBuf[:0], n)
+}
+
+// empty clears the fold, giving its spill arrays back.
+func (s *Stream) empty(v *varState) {
+	s.setIntervals(v, 0)
+	s.setWriters(v, 0)
+	v.prev, v.hasPrev = ival{}, false
 }
 
 // isEmpty reports whether the fold holds nothing.
@@ -353,20 +373,20 @@ func (s *Stream) observeInterval(op Op) {
 			return
 		}
 	}
-	v.intervals = append(v.intervals, ival{ep: op.Episode, lo: es.createSeq, writes: op.Kind == OpStore})
+	v.intervals = s.spill.intervals.push(v.intervals, v.ivalBuf[:0], ival{ep: op.Episode, lo: es.createSeq, writes: op.Kind == OpStore})
 	// First accesses arrive nearly sorted by creation; restore order
 	// from the back.
 	for i := len(v.intervals) - 1; i > 0 && v.intervals[i].lo < v.intervals[i-1].lo; i-- {
 		v.intervals[i], v.intervals[i-1] = v.intervals[i-1], v.intervals[i]
 	}
-	es.touched = append(es.touched, op.Var)
+	es.touched = s.spill.touched.push(es.touched, nil, op.Var)
 }
 
 // observeValue: axiom A3 fold and check.
 func (s *Stream) observeValue(op Op) {
 	switch op.Kind {
 	case OpStore:
-		s.epState(op.Episode).setOwn(op.Var, op.Value)
+		s.epState(op.Episode).setOwn(&s.spill.ownWrites, op.Var, op.Value)
 	case OpLoad:
 		es := s.epState(op.Episode)
 		if own, ok := es.own(op.Var); ok {
@@ -425,15 +445,17 @@ func (s *Stream) RetireEpisode(id, retireSeq uint64) {
 	}
 	for _, w := range es.ownWrites {
 		v := s.varState(w.v)
-		v.writers = append(v.writers, writerRec{retireSeq, w.val})
+		v.writers = s.spill.writers.push(v.writers, v.writerBuf[:0], writerRec{retireSeq, w.val})
 	}
-	// es may be recycled by minLiveCreate; its slices stay intact
-	// until the next BeginEpisode, so reading them below is safe.
+	// minLiveCreate may recycle es; its lists' arrays stay intact until
+	// the next fold takes an episode list, so reading them below is
+	// safe.
+	touched, ownWrites := es.touched, es.ownWrites
 	minLive := s.minLiveCreate()
-	for _, varID := range es.touched {
+	for _, varID := range touched {
 		s.advanceSeal(varID, s.fold(varID), minLive)
 	}
-	for _, w := range es.ownWrites {
+	for _, w := range ownWrites {
 		s.pruneWriters(s.fold(w.v), minLive)
 	}
 }
@@ -458,8 +480,7 @@ func (s *Stream) advanceSeal(varID int, v *varState, minLive uint64) {
 		sealed++
 	}
 	if sealed > 0 {
-		n := copy(v.intervals, v.intervals[sealed:])
-		v.intervals = v.intervals[:n]
+		s.setIntervals(v, copy(v.intervals, v.intervals[sealed:]))
 	}
 }
 
@@ -486,8 +507,7 @@ func (s *Stream) pruneWriters(v *varState, minLive uint64) {
 		drop++
 	}
 	if drop > 0 {
-		n := copy(v.writers, v.writers[drop:])
-		v.writers = v.writers[:n]
+		s.setWriters(v, copy(v.writers, v.writers[drop:]))
 	}
 }
 

@@ -408,3 +408,113 @@ func TestStreamResetAfterRestore(t *testing.T) {
 	feed(p, evs)
 	diffViolations(t, "reset after restore", p.Finish(), want)
 }
+
+// feedStream folds evs into s.
+func feedStream(s *Stream, evs []streamEvent) {
+	for _, e := range evs {
+		switch e.kind {
+		case evOp:
+			s.Observe(e.op)
+		case evBegin:
+			s.BeginEpisode(e.id, e.seq)
+		case evRetire:
+			s.RetireEpisode(e.id, e.seq)
+		}
+	}
+}
+
+// spillScenario is a fold in two halves. In the first, a long-lived
+// episode keeps six overlapping writers of variable a from sealing or
+// pruning, so a's intervals and writers both spill. In the second, the
+// long-lived episode retires, a reader-writer of a seals and prunes it
+// back to inline, and six overlapping writers of variable b spill into
+// the arrays a gave back.
+func spillScenario(a, b int) (prefix, suffix []streamEvent) {
+	const c = 9 // the long-lived episodes' own variable
+	begin := func(evs []streamEvent, id, seq uint64) []streamEvent {
+		return append(evs, streamEvent{kind: evBegin, id: id, seq: seq})
+	}
+	retire := func(evs []streamEvent, id, seq uint64) []streamEvent {
+		return append(evs, streamEvent{kind: evRetire, id: id, seq: seq})
+	}
+	op := func(evs []streamEvent, kind OpKind, v int, val uint32, id uint64) []streamEvent {
+		return append(evs, streamEvent{kind: evOp, op: Op{Kind: kind, Var: v, Value: val, Episode: id}})
+	}
+	overlapping := func(evs []streamEvent, v int, long, first, seq uint64) []streamEvent {
+		evs = begin(evs, long, seq)
+		evs = op(evs, OpStore, c, uint32(long), long)
+		for i := uint64(0); i < 6; i++ {
+			evs = begin(evs, first+i, seq+1+i)
+			evs = op(evs, OpStore, v, uint32(first+i), first+i)
+		}
+		for i := uint64(0); i < 6; i++ {
+			evs = retire(evs, first+i, seq+10+i)
+		}
+		return evs
+	}
+	prefix = overlapping(nil, a, 1, 2, 1)
+	suffix = retire(nil, 1, 100)
+	suffix = begin(suffix, 20, 101)
+	suffix = op(suffix, OpLoad, a, 7, 20)
+	suffix = op(suffix, OpStore, a, 20, 20)
+	suffix = retire(suffix, 20, 102)
+	suffix = overlapping(suffix, b, 29, 30, 200)
+	return prefix, retire(suffix, 29, 300)
+}
+
+// TestStreamCutNeverSharesSpillArrays: a cut taken while a variable's
+// intervals and writers are spilled holds their values, not their
+// arrays. After the cut the variable gives the arrays back and another
+// variable spills into them; a restore of the cut must still fold the
+// rest of the run to exactly the violations of folding it without the
+// cut, on the same stream and on a fresh one.
+func TestStreamCutNeverSharesSpillArrays(t *testing.T) {
+	const a, b = 0, 1
+	prefix, suffix := spillScenario(a, b)
+	uncut := NewStream(1)
+	feedStream(uncut, prefix)
+	feedStream(uncut, suffix)
+	want := uncut.Finish()
+	if len(want) == 0 {
+		t.Fatal("the scenario's overlapping writers raised no violation")
+	}
+	tr := &Trace{AtomicDelta: 1}
+	for _, e := range append(prefix, suffix...) {
+		switch e.kind {
+		case evOp:
+			tr.Ops = append(tr.Ops, e.op)
+		case evBegin:
+			tr.Episodes = append(tr.Episodes, EpisodeMeta{ID: e.id, CreateSeq: e.seq})
+		case evRetire:
+			for i := range tr.Episodes {
+				if tr.Episodes[i].ID == e.id {
+					tr.Episodes[i].RetireSeq = e.seq
+				}
+			}
+		}
+	}
+	diffViolations(t, "uncut", want, VerifyPostHoc(tr))
+
+	s := NewStream(1)
+	feedStream(s, prefix)
+	fa := s.fold(a)
+	if len(fa.intervals) != 6 || len(fa.writers) != 6 {
+		t.Fatalf("variable a holds %d intervals and %d writers at the cut, want 6 and 6", len(fa.intervals), len(fa.writers))
+	}
+	ivals, writers := &fa.intervals[0], &fa.writers[0]
+	snap := s.Snapshot()
+	feedStream(s, suffix)
+	if fb := s.fold(b); &fb.intervals[0] != ivals || &fb.writers[0] != writers {
+		t.Fatal("variable b did not spill into the arrays variable a gave back")
+	}
+	diffViolations(t, "without a restore", s.Finish(), want)
+
+	s.Restore(snap)
+	feedStream(s, suffix)
+	diffViolations(t, "restored", s.Finish(), want)
+
+	fresh := NewStream(1)
+	fresh.Restore(snap)
+	feedStream(fresh, suffix)
+	diffViolations(t, "restored on a fresh stream", fresh.Finish(), want)
+}
