@@ -475,7 +475,10 @@ func (t *Tester) newEpisode(ep *episode) {
 	}
 	n := t.cfg.ActionsPerEpisode
 	if cap(ep.ops) < n {
+		// A lane's first episode sizes its storage for every later one.
 		ep.ops = make([]genOp, 0, n)
+		ep.claimOrder = make([]*variable, 0, n)
+		ep.claims.Grow(n)
 	}
 	ep.ops = append(ep.ops, genOp{kind: opAcquire, v: ep.sync})
 	for i := 0; i < n-2; i++ {

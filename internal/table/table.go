@@ -105,6 +105,18 @@ func (t *Table[K, V]) Slot(k K) *V {
 	}
 }
 
+// Grow sizes the slot array for n keys, so that inserting up to n keys
+// does not rehash.
+func (t *Table[K, V]) Grow(n int) {
+	slots := minSlots
+	for slots*3 < n*4 {
+		slots *= 2
+	}
+	if slots > len(t.slots) {
+		t.rehash(slots)
+	}
+}
+
 // Put sets k's value.
 func (t *Table[K, V]) Put(k K, v V) { *t.Slot(k) = v }
 

@@ -283,3 +283,28 @@ func BenchmarkChurn(b *testing.B) {
 		}
 	})
 }
+
+// TestGrow: a table grown for n keys holds n keys in the slot array
+// Grow made, keeps the keys it held, and is not shrunk by a smaller
+// Grow.
+func TestGrow(t *testing.T) {
+	for _, n := range []int{1, 6, 7, 200, 384, 385} {
+		var tab Table[int, int]
+		tab.Put(-1, 7)
+		tab.Grow(n)
+		slots := len(tab.slots)
+		for k := 0; k < n-1; k++ {
+			tab.Put(k, k)
+		}
+		if len(tab.slots) != slots {
+			t.Fatalf("Grow(%d): %d keys regrew the table from %d to %d slots", n, n, slots, len(tab.slots))
+		}
+		if v, ok := tab.Get(-1); !ok || v != 7 {
+			t.Fatalf("Grow(%d) lost a key", n)
+		}
+		tab.Grow(1)
+		if len(tab.slots) != slots {
+			t.Fatalf("Grow(1) resized a %d-slot table to %d", slots, len(tab.slots))
+		}
+	}
+}
