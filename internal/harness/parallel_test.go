@@ -158,14 +158,15 @@ func TestAppSuiteReuseMatchesFresh(t *testing.T) {
 }
 
 // TestAppSuiteAllocs pins what the application suite costs the
-// allocator: at Scale 0.05 on one worker, at most 0.14 objects per
-// memory op (about 3 080 for 23 488 ops, 0.131; 0.77 while the CPU side
-// sent closures and every application rebuilt its cores, programs,
-// tracker and host driver). What remains is one BuildHetero and its
-// pools' warm-up, and each application's coverage clones. The first
-// suite in a process also builds the shared specs and label tables, so
-// the pin takes the median of three. The race detector's own
-// allocations are out of scope.
+// allocator: at Scale 0.05 on one worker, at most 0.105 objects per
+// memory op, the measured 0.091 plus 15 % (about 2 140 for 23 488 ops;
+// 0.134 while the line and message pools grew by the object, 0.77
+// while the CPU side sent closures and every application rebuilt its
+// cores, programs, tracker and host driver). What remains is one
+// BuildHetero and its pools' chunks, and each application's coverage
+// clones. The first suite in a process also builds the shared specs
+// and label tables, so the pin takes the median of three. The race
+// detector's own allocations are out of scope.
 func TestAppSuiteAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts include the race detector's")
@@ -186,8 +187,8 @@ func TestAppSuiteAllocs(t *testing.T) {
 	}
 	slices.Sort(perOp)
 	t.Logf("objects per memory op %.3f", perOp)
-	if perOp[1] > 0.14 {
-		t.Fatalf("median %.3f objects per memory op, want at most 0.14", perOp[1])
+	if perOp[1] > 0.105 {
+		t.Fatalf("median %.3f objects per memory op, want at most 0.105", perOp[1])
 	}
 }
 
