@@ -29,12 +29,14 @@ func TestStreamFieldAudit(t *testing.T) {
 		"result":    "state: slice-copied alongside finished",
 	})
 	audit.Fields(t, epState{}, map[string]string{
-		"id":        "state: via saveEp/loadEp",
-		"createSeq": "state: via saveEp/loadEp",
-		"known":     "state: via saveEp/loadEp (unknown records live only in the eps table)",
-		"dead":      "state: via saveEp/loadEp (dead records live only in the liveQ)",
-		"ownWrites": "state: deep copy into the snapshot's ownWrites arena; loadEp refills it in a spill array of the destination stream's pool",
-		"touched":   "state: deep copy into the snapshot's touched arena; loadEp refills it in a spill array of the destination stream's pool",
+		"id":         "state: via saveEp/loadEp",
+		"createSeq":  "state: via saveEp/loadEp",
+		"known":      "state: via saveEp/loadEp (unknown records live only in the eps table)",
+		"dead":       "state: via saveEp/loadEp (dead records live only in the liveQ)",
+		"ownWrites":  "state: deep copy into the snapshot's ownWrites arena; loadEp refills it in the destination's inline buffer or a spill array of its stream's pool",
+		"touched":    "state: deep copy into the snapshot's touched arena; loadEp refills it in the destination's inline buffer or a spill array of its stream's pool",
+		"ownBuf":     "storage: ownWrites' inline array, holding them until they spill; its contents are ownWrites'",
+		"touchedBuf": "storage: touched's inline array, holding it until it spills; its contents are touched's",
 	})
 	audit.Fields(t, epSave{}, map[string]string{
 		"id":        "save: value copy",

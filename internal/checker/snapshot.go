@@ -92,13 +92,13 @@ func (snap *StreamSnapshot) saveEp(es *epState) {
 	snap.touched = append(snap.touched, es.touched...)
 }
 
-// loadEp refills es from a saved episode, its lists into arrays of the
-// stream's spill pools.
+// loadEp refills es from a saved episode, its lists into its inline
+// buffers or arrays of the stream's spill pools.
 func (s *Stream) loadEp(snap *StreamSnapshot, es *epState, sv *epSave) {
 	es.id, es.createSeq, es.known, es.dead = sv.id, sv.createSeq, sv.known, sv.dead
-	es.ownWrites = s.spill.ownWrites.resize(es.ownWrites, nil, int(sv.ownWrites.n))
+	s.spill.ownWrites.resize(&es.ownWrites, es.ownBuf[:0], int(sv.ownWrites.n))
 	copy(es.ownWrites, within(snap.ownWrites, sv.ownWrites))
-	es.touched = s.spill.touched.resize(es.touched, nil, int(sv.touched.n))
+	s.spill.touched.resize(&es.touched, es.touchedBuf[:0], int(sv.touched.n))
 	copy(es.touched, within(snap.touched, sv.touched))
 }
 

@@ -10,47 +10,45 @@ import "math/bits"
 // copies list values, never an array, so the free lists are scratch.
 type spillPool[T any] struct{ free [][][]T }
 
-// minSpill is the smallest spill array; inline buffers are smaller.
-const minSpill = 8
-
-// resize returns list at length n with its first min(len(list), n)
-// elements: in inline's array when n fits there, otherwise in a spill
-// array of at least n, list's own when it is one and large enough. A
-// spill array the list leaves goes back to the pool.
-func (p *spillPool[T]) resize(list, inline []T, n int) []T {
-	spilled := cap(list) > cap(inline)
-	if n <= cap(inline) {
-		if spilled {
-			copy(inline[:n], list)
-			p.put(list)
-		}
-		return inline[:n]
-	}
-	if spilled && n <= cap(list) {
-		return list[:n]
-	}
-	class := bits.Len(uint(max(n, minSpill) - 1))
-	var out []T
-	if k := len(p.free); class < k && len(p.free[class]) > 0 {
-		free := p.free[class]
-		out, p.free[class] = free[len(free)-1], free[:len(free)-1]
+// resize sets *list to length n with its first min(len, n) elements:
+// in inline's array when n fits there, otherwise in a spill array of at
+// least n and twice inline's capacity, its own when it is one and large
+// enough. A spill array the list leaves goes back to the pool. A list
+// that stays in its array only changes length, so the common case
+// writes no pointer (and meets no write barrier).
+func (p *spillPool[T]) resize(list *[]T, inline []T, n int) {
+	if n <= cap(*list) && (n > cap(inline)) == (cap(*list) > cap(inline)) {
+		*list = (*list)[:n]
 	} else {
-		out = make([]T, 0, 1<<class)
+		p.move(list, inline, n)
 	}
-	out = out[:n]
-	copy(out, list)
-	if spilled {
-		p.put(list)
-	}
-	return out
 }
 
-// push appends x to list, spilling through p when list is full.
-func (p *spillPool[T]) push(list, inline []T, x T) []T {
-	if len(list) == cap(list) {
-		list = p.resize(list, inline, len(list)+1)[:len(list)]
+// move is resize for a list that changes arrays.
+func (p *spillPool[T]) move(list *[]T, inline []T, n int) {
+	var out []T
+	if n <= cap(inline) {
+		out = inline[:n]
+	} else if class := bits.Len(uint(max(n, 2*cap(inline)) - 1)); class < len(p.free) && len(p.free[class]) > 0 {
+		free := p.free[class]
+		out, p.free[class] = free[len(free)-1][:n], free[:len(free)-1]
+	} else {
+		out = make([]T, n, 1<<class)
 	}
-	return append(list, x)
+	copy(out, *list)
+	if cap(*list) > cap(inline) {
+		p.put(*list)
+	}
+	*list = out
+}
+
+// push appends x to *list, spilling through p when the list is full.
+func (p *spillPool[T]) push(list *[]T, inline []T, x T) {
+	if n := len(*list); n == cap(*list) {
+		p.move(list, inline, n+1)
+		*list = (*list)[:n]
+	}
+	*list = append(*list, x)
 }
 
 // put frees a spill array.

@@ -91,8 +91,8 @@ type ownWrite struct {
 // epState is the per-live-episode fold: identity, creation order, the
 // episode's own writes (for A3 own-read resolution and for the
 // retired-writer record), and the variables it holds A2 intervals on.
-// Its lists have no inline buffer: they live in spill arrays, given
-// back when the episode is recycled.
+// Its lists start in the inline buffers beside them; a longer episode's
+// spill into pooled arrays, given back when the episode is recycled.
 type epState struct {
 	id        uint64
 	createSeq uint64
@@ -100,6 +100,9 @@ type epState struct {
 	dead      bool
 	ownWrites []ownWrite
 	touched   []int
+
+	ownBuf     [8]ownWrite
+	touchedBuf [8]int
 }
 
 func (e *epState) own(v int) (uint32, bool) {
@@ -118,7 +121,7 @@ func (e *epState) setOwn(p *spillPool[ownWrite], v int, val uint32) {
 			return
 		}
 	}
-	e.ownWrites = p.push(e.ownWrites, nil, ownWrite{v, val})
+	p.push(&e.ownWrites, e.ownBuf[:0], ownWrite{v, val})
 }
 
 // ival is one episode's [create, retire] lifetime on one variable,
@@ -193,17 +196,18 @@ func (s *Stream) newEpState() *epState {
 	if n := len(s.epFree); n > 0 {
 		es := s.epFree[n-1]
 		s.epFree = s.epFree[:n-1]
-		*es = epState{}
+		// recycle emptied its lists.
+		es.id, es.createSeq, es.known, es.dead = 0, 0, false, false
 		return es
 	}
 	return &epState{}
 }
 
-// recycle frees es, giving its lists' arrays back. The arrays stay
-// intact until the next fold takes an episode list.
+// recycle frees es, giving its spill arrays back. Its lists' contents
+// stay intact until es or a spill array is taken again.
 func (s *Stream) recycle(es *epState) {
-	es.touched = s.spill.touched.resize(es.touched, nil, 0)
-	es.ownWrites = s.spill.ownWrites.resize(es.ownWrites, nil, 0)
+	s.spill.touched.resize(&es.touched, es.touchedBuf[:0], 0)
+	s.spill.ownWrites.resize(&es.ownWrites, es.ownBuf[:0], 0)
 	s.epFree = append(s.epFree, es)
 }
 
@@ -280,11 +284,11 @@ func (s *Stream) fold(v int) *varState {
 // setIntervals and setWriters resize v's lists to n elements through
 // the spill pools, keeping the first ones.
 func (s *Stream) setIntervals(v *varState, n int) {
-	v.intervals = s.spill.intervals.resize(v.intervals, v.ivalBuf[:0], n)
+	s.spill.intervals.resize(&v.intervals, v.ivalBuf[:0], n)
 }
 
 func (s *Stream) setWriters(v *varState, n int) {
-	v.writers = s.spill.writers.resize(v.writers, v.writerBuf[:0], n)
+	s.spill.writers.resize(&v.writers, v.writerBuf[:0], n)
 }
 
 // empty clears the fold, giving its spill arrays back.
@@ -373,13 +377,13 @@ func (s *Stream) observeInterval(op Op) {
 			return
 		}
 	}
-	v.intervals = s.spill.intervals.push(v.intervals, v.ivalBuf[:0], ival{ep: op.Episode, lo: es.createSeq, writes: op.Kind == OpStore})
+	s.spill.intervals.push(&v.intervals, v.ivalBuf[:0], ival{ep: op.Episode, lo: es.createSeq, writes: op.Kind == OpStore})
 	// First accesses arrive nearly sorted by creation; restore order
 	// from the back.
 	for i := len(v.intervals) - 1; i > 0 && v.intervals[i].lo < v.intervals[i-1].lo; i-- {
 		v.intervals[i], v.intervals[i-1] = v.intervals[i-1], v.intervals[i]
 	}
-	es.touched = s.spill.touched.push(es.touched, nil, op.Var)
+	s.spill.touched.push(&es.touched, es.touchedBuf[:0], op.Var)
 }
 
 // observeValue: axiom A3 fold and check.
@@ -445,11 +449,10 @@ func (s *Stream) RetireEpisode(id, retireSeq uint64) {
 	}
 	for _, w := range es.ownWrites {
 		v := s.varState(w.v)
-		v.writers = s.spill.writers.push(v.writers, v.writerBuf[:0], writerRec{retireSeq, w.val})
+		s.spill.writers.push(&v.writers, v.writerBuf[:0], writerRec{retireSeq, w.val})
 	}
-	// minLiveCreate may recycle es; its lists' arrays stay intact until
-	// the next fold takes an episode list, so reading them below is
-	// safe.
+	// minLiveCreate may recycle es; its lists stay intact until es or
+	// an episode spill array is taken again, which nothing below does.
 	touched, ownWrites := es.touched, es.ownWrites
 	minLive := s.minLiveCreate()
 	for _, varID := range touched {

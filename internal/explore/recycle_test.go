@@ -358,11 +358,12 @@ func (c *cutAt) Choose(now sim.Tick, cands []sim.Enabled) int {
 // building a Report, and Stream.Finish sorts in its own scratch. The
 // whole one-worker exploration, building its run included (the
 // benchmark's allocs_per_op), stays at most 2 objects per schedule:
-// 1 343 for 896 schedules with the collector held off (about 330 more
+// 1 240 for 896 schedules with the collector held off (about 330 more
 // under the race detector, or when the process builds its protocol
-// specs here), against 2 880 with a cut storage slot per depth and a
-// slice per saved line, fold and episode, and 9 787 with a cut at
-// every choice point and a Report per verdict.
+// specs here), against 1 335 while the line and message pools grew by
+// the object, 2 880 with a cut storage slot per depth and a slice per
+// saved line, fold and episode, and 9 787 with a cut at every choice
+// point and a Report per verdict.
 func TestExploreScheduleAllocs(t *testing.T) {
 	tc := recycleCases[len(recycleCases)-1]
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -402,8 +403,9 @@ func TestExploreScheduleAllocs(t *testing.T) {
 // schedule, both runs' builds included — no more than one worker cost
 // before cuts came from a free list and snapshots stored their state
 // flat. Steal timing moves the count by a few percent, so the pin is
-// on the median of three explorations (about 2 650, 2.96 per
-// schedule). The race detector's own allocations are out of scope.
+// on the median of three explorations (about 2 120, 2.37 per
+// schedule; 2 300 while the line and message pools grew by the
+// object). The race detector's own allocations are out of scope.
 func TestExploreTwoWorkerAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts include the race detector's")

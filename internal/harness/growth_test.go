@@ -49,7 +49,7 @@ func freshRunAllocs(t *testing.T, cfg core.Config) (objects, memops uint64) {
 // grown by append, each added memop cost 0.055 objects and a fresh run
 // 0.224 per memop. With pools carved by the chunk, spill arrays
 // recycled and each lane's episode storage sized once, they cost 0.005
-// and 0.039; the request slab's 1/256 per memop is the growth left.
+// and 0.041; the request slab's 1/256 per memop is the growth left.
 func TestLargeStreamRunAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts include the race detector's")

@@ -158,8 +158,8 @@ func TestAppSuiteReuseMatchesFresh(t *testing.T) {
 }
 
 // TestAppSuiteAllocs pins what the application suite costs the
-// allocator: at Scale 0.05 on one worker, at most 0.105 objects per
-// memory op, the measured 0.091 plus 15 % (about 2 140 for 23 488 ops;
+// allocator: at Scale 0.05 on one worker, at most 0.107 objects per
+// memory op, the measured 0.093 plus 15 % (about 2 180 for 23 488 ops;
 // 0.134 while the line and message pools grew by the object, 0.77
 // while the CPU side sent closures and every application rebuilt its
 // cores, programs, tracker and host driver). What remains is one
@@ -187,8 +187,8 @@ func TestAppSuiteAllocs(t *testing.T) {
 	}
 	slices.Sort(perOp)
 	t.Logf("objects per memory op %.3f", perOp)
-	if perOp[1] > 0.105 {
-		t.Fatalf("median %.3f objects per memory op, want at most 0.105", perOp[1])
+	if perOp[1] > 0.107 {
+		t.Fatalf("median %.3f objects per memory op, want at most 0.107", perOp[1])
 	}
 }
 

@@ -189,7 +189,7 @@ func (p *LinePool) Get(n int) *Line {
 }
 
 // chunkLines is how many lines a pool carves from one chunk.
-const chunkLines = 64
+const chunkLines = 16
 
 // carve returns a zeroed buffer of n elements and capacity at least
 // lineSize, cut from chunk's unused tail (refilled chunkLines lines at a

@@ -293,8 +293,9 @@ func TestChunkCarvedSnapshotRestore(t *testing.T) {
 }
 
 // TestCarveAllocs: the pool grows by the chunk, not by the line.
-// Carving four chunks of masked lines took three objects a line when
-// each line, payload and mask was its own allocation.
+// Carving four chunks of masked lines takes 20 objects (the registry's
+// growth among them); it took three a line when each line, payload and
+// mask was its own allocation.
 func TestCarveAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() {
 		p := NewLinePool(64)

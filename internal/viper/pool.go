@@ -127,7 +127,7 @@ type objPool[T any] struct {
 }
 
 // objChunk is how many objects a pool carves from one chunk.
-const objChunk = 64
+const objChunk = 16
 
 // get pops a recycled object, or builds a zero one.
 func (p *objPool[T]) get() *T {
