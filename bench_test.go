@@ -7,13 +7,10 @@ package drftest_test
 
 import (
 	"io"
-	"runtime"
-	"sync"
 	"testing"
 
 	"drftest"
 	"drftest/internal/apps"
-	"drftest/internal/checker"
 	"drftest/internal/core"
 	"drftest/internal/harness"
 	"drftest/internal/sim"
@@ -420,231 +417,4 @@ func BenchmarkProtocolPerf_WTvsWB(b *testing.B) {
 	b.ReportMetric(float64(wt), "WT-simticks")
 	b.ReportMetric(float64(wb), "WB-simticks")
 	b.ReportMetric(float64(wt)/float64(wb), "WB-speedup")
-}
-
-// BenchmarkCampaignReuse / BenchmarkCampaignRebuild measure the
-// campaign engine's seed throughput with reusable run contexts (reset
-// per seed) against the rebuild baseline (the same seeds, each on a
-// fresh harness.NewRunContext, so a fresh system per seed). The
-// configuration is paper-scale on the address-space axis — tens of
-// thousands of variables, as in Table III — which is exactly where
-// per-seed reconstruction hurts: the variable slab, reference memory
-// and cache arrays dwarf the work of one short run.
-func BenchmarkCampaignReuse(b *testing.B)   { benchCampaign(b, false) }
-func BenchmarkCampaignRebuild(b *testing.B) { benchCampaign(b, true) }
-
-func benchCampaign(b *testing.B, rebuild bool) {
-	b.Helper()
-	testCfg := core.DefaultConfig()
-	testCfg.NumWavefronts = 8
-	testCfg.EpisodesPerThread = 1
-	testCfg.ActionsPerEpisode = 8
-	testCfg.NumSyncVars = 16
-	testCfg.NumDataVars = 100_000
-	seeds := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := harness.CampaignConfig{
-			SysCfg:    viper.SmallCacheConfig(),
-			TestCfg:   testCfg,
-			BaseSeed:  uint64(i)*1000 + 1,
-			BatchSize: 8,
-			MaxSeeds:  32,
-		}
-		run := harness.RunGPUCampaign
-		if rebuild {
-			run = rebuildCampaign
-		}
-		res := run(cfg)
-		if len(res.Failures) != 0 {
-			b.Fatalf("campaign failed: seed %d: %v", res.Failures[0].Seed, res.Failures[0].Failures[0])
-		}
-		seeds += res.SeedsRun
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(seeds)/b.Elapsed().Seconds(), "seeds/sec")
-}
-
-// rebuildCampaign is RunGPUCampaign with nothing reused: the same
-// Plan/Apply state machine and the same GOMAXPROCS-wide parallelism,
-// but every seed runs on a fresh run context.
-func rebuildCampaign(cfg harness.CampaignConfig) *harness.CampaignResult {
-	st := harness.NewCampaignState(cfg)
-	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for plan, ok := st.Plan(); ok; plan, ok = st.Plan() {
-		deltas := make([]harness.BatchDelta, plan.Count)
-		var wg sync.WaitGroup
-		for i := range deltas {
-			wg.Add(1)
-			slots <- struct{}{}
-			go func() {
-				defer wg.Done()
-				w := harness.NewRunContext(cfg)
-				w.RunSeed(plan.First+uint64(i), plan.Corner)
-				deltas[i] = w.Delta()
-				<-slots
-			}()
-		}
-		wg.Wait()
-		st.Apply(deltas)
-	}
-	return st.Result()
-}
-
-// BenchmarkCampaignModeUniform / Swarm / Directed compare the three
-// campaign sampling policies on identical budgets: how many union
-// cells each has active when it saturates (cells-at-saturation) and
-// how many seeds it needed to activate the last of them
-// (seeds-to-saturation). Uniform plateaus below the swarm modes — the
-// base configuration provably cannot reach the replacement and A-row
-// stall cells the configuration corners buy — and directed's feedback
-// reaches full coverage in fewer seeds than blind swarm sampling.
-// These two metrics are the PR gate recorded in BENCH_PR6.json.
-func BenchmarkCampaignModeUniform(b *testing.B)  { benchCampaignMode(b, harness.CampaignUniform) }
-func BenchmarkCampaignModeSwarm(b *testing.B)    { benchCampaignMode(b, harness.CampaignSwarm) }
-func BenchmarkCampaignModeDirected(b *testing.B) { benchCampaignMode(b, harness.CampaignDirected) }
-
-func benchCampaignMode(b *testing.B, mode harness.CampaignMode) {
-	b.Helper()
-	testCfg := core.DefaultConfig()
-	testCfg.NumWavefronts = 8
-	testCfg.EpisodesPerThread = 8
-	testCfg.ActionsPerEpisode = 30
-	testCfg.NumSyncVars = 4
-	testCfg.NumDataVars = 64
-	testCfg.StoreFraction = 0.6
-	var last *harness.CampaignResult
-	seeds := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		last = harness.RunGPUCampaign(harness.CampaignConfig{
-			SysCfg:    viper.SmallCacheConfig(),
-			TestCfg:   testCfg,
-			BaseSeed:  1,
-			BatchSize: 8,
-			SaturateK: 8,
-			MaxSeeds:  512,
-			Mode:      mode,
-		})
-		if len(last.Failures) != 0 {
-			b.Fatalf("campaign failed: seed %d: %v", last.Failures[0].Seed, last.Failures[0].Failures[0])
-		}
-		seeds += last.SeedsRun
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(seeds)/b.Elapsed().Seconds(), "seeds/sec")
-	b.ReportMetric(float64(last.CellsAtSaturation), "cells-at-saturation")
-	b.ReportMetric(float64(last.SeedsToSaturation), "seeds-to-saturation")
-}
-
-// BenchmarkAxiomaticChecker measures the offline verifier's throughput
-// over a recorded correct execution.
-func BenchmarkAxiomaticChecker(b *testing.B) {
-	bld := harness.BuildGPU(viper.SmallCacheConfig())
-	cfg := core.DefaultConfig()
-	cfg.Seed = 1
-	cfg.NumWavefronts = 16
-	cfg.EpisodesPerThread = 10
-	cfg.ActionsPerEpisode = 50
-	cfg.NumDataVars = 1024
-	cfg.RecordTrace = true
-	rep := core.New(bld.K, bld.Sys, cfg).Run()
-	if !rep.Passed() {
-		b.Fatal("correct run failed")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if vs := checker.Verify(rep.Trace); len(vs) != 0 {
-			b.Fatalf("checker flagged a correct trace: %v", vs[0])
-		}
-	}
-	b.ReportMetric(float64(len(rep.Trace.Ops)), "trace-ops")
-}
-
-// BenchmarkCampaignForkLargeCache / ResetLargeCache measure the
-// warm-fork path against the per-seed reset path on large cache arrays
-// (the paper's 256KB/1MB "large" configuration) under short runs.
-// Reset no longer scans capacity — the arrays index their valid lines —
-// so what separates the two is a fork's journal undo against a reset's
-// clearing of the lines the seed installed: the ratio sits near 1.1x.
-// CI requires the median fork rate to be at least 0.9x the median
-// reset rate (never slower), from five reads of each.
-func BenchmarkCampaignForkLargeCache(b *testing.B)  { benchForkCampaign(b, true) }
-func BenchmarkCampaignResetLargeCache(b *testing.B) { benchForkCampaign(b, false) }
-
-func benchForkCampaign(b *testing.B, fork bool) {
-	b.Helper()
-	testCfg := core.DefaultConfig()
-	testCfg.NumWavefronts = 2
-	testCfg.EpisodesPerThread = 1
-	testCfg.ActionsPerEpisode = 4
-	testCfg.NumSyncVars = 2
-	testCfg.NumDataVars = 256
-	seeds := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := harness.RunGPUCampaign(harness.CampaignConfig{
-			SysCfg:    viper.LargeCacheConfig(),
-			TestCfg:   testCfg,
-			BaseSeed:  uint64(i)*1000 + 1,
-			Workers:   2,
-			BatchSize: 32,
-			MaxSeeds:  128,
-			Fork:      fork,
-		})
-		if len(res.Failures) != 0 {
-			b.Fatalf("campaign failed: seed %d: %v", res.Failures[0].Seed, res.Failures[0].Failures[0])
-		}
-		seeds += res.SeedsRun
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(seeds)/b.Elapsed().Seconds(), "seeds/sec")
-}
-
-// goldenArtifact loads the repo's reference failing artifact (the one
-// TestGoldenArtifactReplay pins), the common subject for the replay
-// benchmarks.
-func goldenArtifact(b *testing.B) *harness.Artifact {
-	b.Helper()
-	a, err := harness.LoadArtifact("internal/harness/testdata/replay-gpu-seed5-tick1263.json")
-	if err != nil {
-		b.Fatal(err)
-	}
-	return a
-}
-
-// BenchmarkReplayFull measures a complete artifact reproduction — the
-// baseline a bisection probe is gated against.
-func BenchmarkReplayFull(b *testing.B) {
-	art := goldenArtifact(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.Replay(art); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkReplayBisectProbe measures the repeatable phase of a
-// bisection — restore the bracketing checkpoint, single-step to the
-// flip — against checkpoints recorded once outside the timer. This is
-// the cost of re-asking "where does it first fail?" (or of bisecting
-// a different predicate) once a run has been checkpointed; the CI
-// floor requires it <= 0.5x BenchmarkReplayFull.
-func BenchmarkReplayBisectProbe(b *testing.B) {
-	art := goldenArtifact(b)
-	pass, err := harness.NewBisectPass(art, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := pass.Probe()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.FirstFailingTick == 0 || res.FirstFailingTick > res.ReportedTick {
-			b.Fatalf("bisected tick %d outside (0, %d]", res.FirstFailingTick, res.ReportedTick)
-		}
-	}
 }

@@ -44,17 +44,9 @@ type Workload struct {
 	progs    []wfProgram
 }
 
-// NewWorkload builds a workload for numWFs wavefronts of `lanes`
-// threads over lineSize-byte cache lines.
-func NewWorkload(prof Profile, seed uint64, lineSize, lanes, numWFs int) *Workload {
-	w := &Workload{}
-	w.reset(prof, seed, lineSize, lanes, numWFs)
-	return w
-}
-
-// reset makes w what NewWorkload builds from the same arguments, in w's
-// own storage: the tracker's table is cleared, not regrown, and the
-// programs keep their request arrays.
+// reset readies w for numWFs wavefronts of `lanes` threads over
+// lineSize-byte cache lines, in w's own storage: the tracker's table is
+// cleared, not regrown, and the programs keep their request arrays.
 func (w *Workload) reset(prof Profile, seed uint64, lineSize, lanes, numWFs int) {
 	w.Prof, w.lineSize, w.lanes, w.numWFs, w.nextID = prof, lineSize, lanes, numWFs, 0
 	w.rnd.Seed(seed, uint64(len(prof.Name))<<8|0xA9)

@@ -3,7 +3,7 @@ package coverage
 import "encoding/json"
 
 // matrixJSON is the wire form of a Matrix: enough for dashboards and
-// CI gates to consume coverage without re-deriving the table shape.
+// scripts to consume coverage without re-deriving the table shape.
 type matrixJSON struct {
 	Machine   string     `json:"machine"`
 	States    []string   `json:"states"`

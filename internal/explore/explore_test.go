@@ -145,8 +145,7 @@ func TestExploreCleanReference(t *testing.T) {
 // TestExplorePruneRatio pins the partial-order reduction's value: on
 // the reference wide config, DPOR-style pruning must explore at most
 // half the schedules naive enumeration does, and both must agree the
-// protocol is clean. This is the invariant the CI benchmark gate
-// enforces (scripts/bench.sh).
+// protocol is clean.
 func TestExplorePruneRatio(t *testing.T) {
 	base := Config{
 		SysCfg:  exploreBigSetsSys(),

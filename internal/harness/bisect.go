@@ -17,12 +17,9 @@
 //     flip and single-steps the kernel at most K ticks to the exact
 //     first failing tick.
 //
-// The probe phase (restore + fine scan) costs a fraction of a full
-// replay — the CI floor pins it at ≤ 0.5× — and re-running it against
-// other predicates reuses the same checkpoint pass. On top of the
-// bisected tick, Minimize cuts the artifact's trace down to the
-// suffix from that tick on, producing a minimized artifact that still
-// reproduces (CheckReproduced compares suffixes for minimized
+// On top of the bisected tick, Minimize cuts the artifact's trace down
+// to the suffix from that tick on, producing a minimized artifact that
+// still reproduces (CheckReproduced compares suffixes for minimized
 // artifacts).
 package harness
 
@@ -106,19 +103,6 @@ func checkpoint(r *GPURun) *gpuCheckpoint {
 	return cp
 }
 
-// BisectPass holds the product of the verified checkpointed replay
-// pass: the recorded checkpoints and the predicate inputs. Probe (the
-// coarse + fine search) can be run from it any number of times without
-// re-paying the replay.
-type BisectPass struct {
-	r        *GPURun
-	reported ArtifactFailure
-	every    sim.Tick
-	cps      []*gpuCheckpoint
-	deadlock bool
-	finalOps uint64
-}
-
 // BisectArtifact finds the artifact's first failing tick by
 // checkpointed replay (see the file comment for the three phases).
 // every is the checkpoint cadence in ticks; <= 0 picks an adaptive
@@ -127,16 +111,6 @@ type BisectPass struct {
 // checkpointed replay must itself reproduce the artifact's failure;
 // a divergence is an error.
 func BisectArtifact(a *Artifact, every sim.Tick) (*BisectResult, error) {
-	p, err := NewBisectPass(a, every)
-	if err != nil {
-		return nil, err
-	}
-	return p.Probe()
-}
-
-// NewBisectPass runs the checkpointed replay pass (phase 1) and
-// verifies the artifact reproduced under it.
-func NewBisectPass(a *Artifact, every sim.Tick) (*BisectPass, error) {
 	if len(a.Failures) == 0 {
 		return nil, fmt.Errorf("bisect: artifact has no failure")
 	}
@@ -179,33 +153,17 @@ func NewBisectPass(a *Artifact, every sim.Tick) (*BisectPass, error) {
 		return nil, fmt.Errorf("bisect: checkpointed replay did not reproduce the artifact: %w", err)
 	}
 
-	return &BisectPass{
-		r:        r,
-		reported: reported,
-		every:    every,
-		cps:      cps,
-		deadlock: reported.Kind == core.FailDeadlock.String(),
-		finalOps: r.Tester.OpsCompleted(),
-	}, nil
-}
-
-// Probe runs the coarse and fine phases (2 and 3) over the recorded
-// checkpoints: this is the cheap, repeatable part of a bisection — it
-// restores one checkpoint and single-steps at most a cadence's worth
-// of ticks, never re-simulating the prefix. The CI floor pins its
-// cost at ≤ 0.5× a full replay.
-func (p *BisectPass) Probe() (*BisectResult, error) {
-	r, cps := p.r, p.cps
-
 	// The bisection predicate must be monotone in tick. Failure count
 	// is (failures only accumulate); for deadlocks the detection
 	// heartbeat fires long after the root event, so the predicate is
 	// instead "completed-op progress has reached its final stuck
 	// value" — completed ops are monotone too, and the flip tick is
 	// where forward progress actually ceased.
+	deadlock := reported.Kind == core.FailDeadlock.String()
+	finalOps := r.Tester.OpsCompleted()
 	pred := func(fails int, ops uint64) bool {
-		if p.deadlock {
-			return ops >= p.finalOps
+		if deadlock {
+			return ops >= finalOps
 		}
 		return fails > 0
 	}
@@ -218,10 +176,10 @@ func (p *BisectPass) Probe() (*BisectResult, error) {
 	}
 
 	res := &BisectResult{
-		ReportedTick:    p.reported.Tick,
-		Deadlock:        p.deadlock,
+		ReportedTick:    reported.Tick,
+		Deadlock:        deadlock,
 		Checkpoints:     len(cps),
-		CheckpointEvery: uint64(p.every),
+		CheckpointEvery: uint64(every),
 	}
 	if hi == 0 {
 		// Failing from the very first checkpoint (tick 0): nothing to

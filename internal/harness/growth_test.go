@@ -2,8 +2,11 @@ package harness
 
 import (
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
+	"drftest/internal/apps"
 	"drftest/internal/core"
 	"drftest/internal/viper"
 )
@@ -66,5 +69,64 @@ func TestLargeStreamRunAllocs(t *testing.T) {
 	}
 	if fresh > maxFresh {
 		t.Errorf("a fresh run allocated %.4f objects per memop, want ≤ %.2f", fresh, maxFresh)
+	}
+}
+
+// medianAllocs runs f three times and returns the median objects and
+// bytes one run allocates. The first run in a process also builds the
+// shared specs and label tables, which the median leaves out.
+func medianAllocs(f func()) (objects, bytes uint64) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var objs, bs []uint64
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		objs = append(objs, after.Mallocs-before.Mallocs)
+		bs = append(bs, after.TotalAlloc-before.TotalAlloc)
+	}
+	slices.Sort(objs)
+	slices.Sort(bs)
+	return objs[1], bs[1]
+}
+
+// TestDataPlaneAllocs pins what one run of the root package's
+// BenchmarkSpeed_TesterPerMemOp and BenchmarkSpeed_AppPerMemOp
+// allocates, build included, at their exact configs (the first Table
+// III tester config and the MatMul application, both at scale 0.1,
+// seed 1). Before messages moved onto pools and prebound links, the
+// tester cost 4 764 objects and 3 290 365 B per run and MatMul 14 095
+// objects. They read 1 300 objects and 1 485 352 B, and 1 031–1 037
+// objects, now; each ceiling is the reading plus 15 %.
+func TestDataPlaneAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts include the race detector's")
+	}
+	tester := GPUTesterConfigs(1, 0.1)[0]
+	tObjs, tBytes := medianAllocs(func() {
+		if r := RunGPUTest(tester); !r.Report.Passed() {
+			t.Fatalf("tester failed: %v", r.Report.Failures[0])
+		}
+	})
+	appObjs, _ := medianAllocs(func() {
+		res := RunAppSuite(AppSuiteOptions{
+			Seed: 1, Scale: 0.1, NumWFs: 8,
+			Profiles: []apps.Profile{*apps.ByName("MatMul")},
+		})
+		if res.Faults != 0 {
+			t.Fatal("protocol faults")
+		}
+	})
+	t.Logf("tester %d objects, %d B per run; MatMul %d objects per run", tObjs, tBytes, appObjs)
+	const maxTesterObjs, maxTesterBytes, maxAppObjs = 1495, 1_708_000, 1190
+	if tObjs > maxTesterObjs {
+		t.Errorf("tester run allocated %d objects, want ≤ %d", tObjs, maxTesterObjs)
+	}
+	if tBytes > maxTesterBytes {
+		t.Errorf("tester run allocated %d B, want ≤ %d", tBytes, maxTesterBytes)
+	}
+	if appObjs > maxAppObjs {
+		t.Errorf("MatMul run allocated %d objects, want ≤ %d", appObjs, maxAppObjs)
 	}
 }

@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 	"reflect"
-	"runtime"
-	"runtime/debug"
 	"slices"
 	"strings"
 	"sync"
@@ -172,23 +170,17 @@ func TestAppSuiteAllocs(t *testing.T) {
 		t.Skip("allocation counts include the race detector's")
 	}
 	opts := AppSuiteOptions{Seed: 1, Scale: 0.05, Workers: 1}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var perOp []float64
-	for i := 0; i < 3; i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		res := RunAppSuite(opts)
-		runtime.ReadMemStats(&after)
-		var memOps uint64
-		for _, r := range res.Runs {
+	var memOps uint64
+	objects, _ := medianAllocs(func() {
+		memOps = 0
+		for _, r := range RunAppSuite(opts).Runs {
 			memOps += r.Res.MemOps
 		}
-		perOp = append(perOp, float64(after.Mallocs-before.Mallocs)/float64(memOps))
-	}
-	slices.Sort(perOp)
+	})
+	perOp := float64(objects) / float64(memOps)
 	t.Logf("objects per memory op %.3f", perOp)
-	if perOp[1] > 0.107 {
-		t.Fatalf("median %.3f objects per memory op, want at most 0.107", perOp[1])
+	if perOp > 0.107 {
+		t.Fatalf("median %.3f objects per memory op, want at most 0.107", perOp)
 	}
 }
 
