@@ -16,6 +16,7 @@ func TestStreamFieldAudit(t *testing.T) {
 		"delta":     "state: copied (Reset retunes it from config)",
 		"eps":       "state: rebuilt from the snapshot's epState records (live known + unknown entries)",
 		"epFree":    "pool: recycled epStates, excluded — dropped records are harvested back on Reset/Restore",
+		"epChunk":   "scratch: uncarved tail of the chunk new epStates are carved from, excluded — a cut saves episode values, never a record, and a restore refills records from epFree or the chunk",
 		"spill":     "scratch: free spill arrays, excluded — a cut copies list values, never an array, and a restore refills lists from the pools",
 		"liveQ":     "state: rebuilt from the snapshot's leading nLive epState records, dead heads included",
 		"liveHead":  "state: normalized to 0 on Restore (only order and dead flags are semantic)",
@@ -59,6 +60,14 @@ func TestStreamFieldAudit(t *testing.T) {
 		"writers":   "scratch: free writer arrays, never part of a cut",
 		"touched":   "scratch: free touched-variable arrays, never part of a cut",
 		"ownWrites": "scratch: free own-write arrays, never part of a cut",
+	})
+	audit.Fields(t, spillPool[ival]{}, map[string]string{
+		"classes": "scratch: per-capacity free arrays and chunks, never part of a cut",
+	})
+	audit.Fields(t, spillClass[ival]{}, map[string]string{
+		"free":   "scratch: free arrays of the class, never part of a cut — a cut copies list values, never an array",
+		"chunk":  "scratch: uncarved tail of the chunk new arrays of the class are carved from, never part of a cut",
+		"carved": "scratch: arrays carved so far, sizing free so that giving one back never grows it",
 	})
 	audit.Fields(t, varSave{}, map[string]string{
 		"intervals": "save: range of the snapshot's intervals arena",

@@ -115,10 +115,10 @@ func (snap *StreamSnapshot) saveVar(v *varState) {
 // loadVar refills v from a saved variable, its lists into its inline
 // buffers or arrays of the stream's spill pools.
 func (s *Stream) loadVar(snap *StreamSnapshot, v *varState, sv *varSave) {
-	s.setIntervals(v, int(sv.intervals.n))
+	s.spill.intervals.resize(&v.intervals, v.ivalBuf[:0], int(sv.intervals.n))
 	copy(v.intervals, within(snap.intervals, sv.intervals))
 	v.prev, v.hasPrev = sv.prev, sv.hasPrev
-	s.setWriters(v, int(sv.writers.n))
+	s.spill.writers.resize(&v.writers, v.writerBuf[:0], int(sv.writers.n))
 	copy(v.writers, within(snap.writers, sv.writers))
 }
 

@@ -37,8 +37,9 @@ import (
 type Stream struct {
 	delta uint32
 
-	eps    table.Table[uint64, *epState]
-	epFree []*epState
+	eps     table.Table[uint64, *epState]
+	epFree  []*epState
+	epChunk []epState // the uncarved tail of newEpState's chunk; scratch
 	// spill recycles the arrays the folds' lists outgrow their inline
 	// buffers into; it is scratch, never part of a cut.
 	spill spills
@@ -161,8 +162,8 @@ type varState struct {
 	writerBuf [4]writerRec
 }
 
-// varChunk is the slab's growth step, in records (≈ 16 KB).
-const varChunk = 64
+// varChunk is the slab's growth step, in records (≈ 70 KB).
+const varChunk = 256
 
 // atomicState is the per-sync-variable fold for A1: values
 // {0..contig-1}*delta have been consumed into the contiguous prefix;
@@ -200,14 +201,22 @@ func (s *Stream) newEpState() *epState {
 		es.id, es.createSeq, es.known, es.dead = 0, 0, false, false
 		return es
 	}
-	return &epState{}
+	if len(s.epChunk) == 0 {
+		s.epChunk = make([]epState, epChunk)
+	}
+	es := &s.epChunk[0]
+	s.epChunk = s.epChunk[1:]
+	return es
 }
+
+// epChunk is how many episode records a stream carves from one chunk.
+const epChunk = 16
 
 // recycle frees es, giving its spill arrays back. Its lists' contents
 // stay intact until es or a spill array is taken again.
 func (s *Stream) recycle(es *epState) {
-	s.spill.touched.resize(&es.touched, es.touchedBuf[:0], 0)
-	s.spill.ownWrites.resize(&es.ownWrites, es.ownBuf[:0], 0)
+	s.spill.touched.shrink(&es.touched, es.touchedBuf[:0], 0)
+	s.spill.ownWrites.shrink(&es.ownWrites, es.ownBuf[:0], 0)
 	s.epFree = append(s.epFree, es)
 }
 
@@ -281,20 +290,10 @@ func (s *Stream) fold(v int) *varState {
 	return nil
 }
 
-// setIntervals and setWriters resize v's lists to n elements through
-// the spill pools, keeping the first ones.
-func (s *Stream) setIntervals(v *varState, n int) {
-	s.spill.intervals.resize(&v.intervals, v.ivalBuf[:0], n)
-}
-
-func (s *Stream) setWriters(v *varState, n int) {
-	s.spill.writers.resize(&v.writers, v.writerBuf[:0], n)
-}
-
 // empty clears the fold, giving its spill arrays back.
 func (s *Stream) empty(v *varState) {
-	s.setIntervals(v, 0)
-	s.setWriters(v, 0)
+	s.spill.intervals.shrink(&v.intervals, v.ivalBuf[:0], 0)
+	s.spill.writers.shrink(&v.writers, v.writerBuf[:0], 0)
 	v.prev, v.hasPrev = ival{}, false
 }
 
@@ -326,11 +325,15 @@ func (a *atomicState) empty() {
 func (s *Stream) Observe(op Op) {
 	if op.Kind == OpAtomic {
 		s.observeAtomic(op)
+		if op.Sync {
+			return
+		}
 	}
+	es := s.epState(op.Episode)
 	if !op.Sync {
-		s.observeInterval(op)
+		s.observeInterval(es, op)
 	}
-	s.observeValue(op)
+	s.observeValue(es, op)
 }
 
 // observeAtomic: axiom A1 fold.
@@ -358,8 +361,7 @@ func (s *Stream) observeAtomic(op Op) {
 
 // observeInterval: axiom A2 fold — create or upgrade the episode's
 // lifetime interval on the variable.
-func (s *Stream) observeInterval(op Op) {
-	es := s.epState(op.Episode)
+func (s *Stream) observeInterval(es *epState, op Op) {
 	if !es.known {
 		s.a2unknown = append(s.a2unknown,
 			Violation{"A2-exclusivity", fmt.Sprintf("op references unknown episode %d", op.Episode)})
@@ -387,12 +389,11 @@ func (s *Stream) observeInterval(op Op) {
 }
 
 // observeValue: axiom A3 fold and check.
-func (s *Stream) observeValue(op Op) {
+func (s *Stream) observeValue(es *epState, op Op) {
 	switch op.Kind {
 	case OpStore:
-		s.epState(op.Episode).setOwn(&s.spill.ownWrites, op.Var, op.Value)
+		es.setOwn(&s.spill.ownWrites, op.Var, op.Value)
 	case OpLoad:
-		es := s.epState(op.Episode)
 		if own, ok := es.own(op.Var); ok {
 			if op.Value != own {
 				s.a3 = append(s.a3, Violation{
@@ -483,7 +484,7 @@ func (s *Stream) advanceSeal(varID int, v *varState, minLive uint64) {
 		sealed++
 	}
 	if sealed > 0 {
-		s.setIntervals(v, copy(v.intervals, v.intervals[sealed:]))
+		s.spill.intervals.shrink(&v.intervals, v.ivalBuf[:0], copy(v.intervals, v.intervals[sealed:]))
 	}
 }
 
@@ -510,7 +511,7 @@ func (s *Stream) pruneWriters(v *varState, minLive uint64) {
 		drop++
 	}
 	if drop > 0 {
-		s.setWriters(v, copy(v.writers, v.writers[drop:]))
+		s.spill.writers.shrink(&v.writers, v.writerBuf[:0], copy(v.writers, v.writers[drop:]))
 	}
 }
 

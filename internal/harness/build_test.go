@@ -15,17 +15,20 @@ import (
 // kernel. The build of the explorer's reference system (2 CUs,
 // 4 KB/16 KB caches) took 297 objects when each build made its own
 // specs and labels, 117 while each machine also took a trace tee and
-// each build a label map, and takes 109 now (112 under the race
-// detector).
+// each build a label map, and takes 109 now.
 //
 // The large row prices the paper's large configuration (eight 256 KB
 // 16-way L1s, a 1 MB 16-way L2) in bytes too: a cache array builds its
 // way planes on first use, so a build holds the arrays' probe rows and
 // index, not their 7 MB of lines. It allocated 6 957 KB in 293 objects
 // while NewArray laid out every line up front, and allocates 817 KB in
-// 283 now (294 under the race detector); the bound is a quarter of the
-// former.
+// 283 now; the bound is a quarter of the former. Under the race
+// detector the counts include the detector's own, which put the large
+// row at 294–304 objects, so the test skips there.
 func TestBuildGPUAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts include the race detector's")
+	}
 	if viper.NewTCPSpec() != viper.NewTCPSpec() || viper.NewTCCSpec() != viper.NewTCCSpec() || viper.NewTCCWBSpec() != viper.NewTCCWBSpec() {
 		t.Fatal("a spec constructor built a second table")
 	}

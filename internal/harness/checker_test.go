@@ -105,3 +105,41 @@ func TestCheckersAgreeOnBugs(t *testing.T) {
 		}
 	}
 }
+
+// TestBugFiringCounts: the NonAtomicRMW and StaleAcquire hooks count
+// their firings, the L2 atomics answered unserialized and the acquires
+// delivered without a flash-invalidate. At BugHuntConfigs' shape each
+// counter fires under its bug, stays 0 with no bug, and a reset clears
+// it.
+func TestBugFiringCounts(t *testing.T) {
+	counts := func(sys *viper.System) (atomics, invalidates uint64) {
+		for _, s := range sys.Seqs {
+			invalidates += s.SkippedInvalidates()
+		}
+		return sys.L2Stats()["unserialized_atomics"], invalidates
+	}
+	for _, c := range []struct {
+		name                 string
+		bugs                 viper.BugSet
+		atomics, invalidates bool
+	}{
+		{"none", viper.BugSet{}, false, false},
+		{"NonAtomicRMW", viper.BugSet{NonAtomicRMW: true}, true, false},
+		{"StaleAcquire", viper.BugSet{StaleAcquire: true}, false, true},
+	} {
+		sysCfg, cfg := BugHuntConfigs(c.bugs, 1)
+		b := BuildGPU(sysCfg)
+		core.New(b.K, b.Sys, cfg).Run()
+		atomics, invalidates := counts(b.Sys)
+		t.Logf("%s: %d unserialized atomics, %d skipped invalidates", c.name, atomics, invalidates)
+		if (atomics > 0) != c.atomics || (invalidates > 0) != c.invalidates {
+			t.Errorf("%s: %d unserialized atomics and %d skipped invalidates, want fired %v and %v",
+				c.name, atomics, invalidates, c.atomics, c.invalidates)
+		}
+		b.K.Reset()
+		b.Sys.Reset()
+		if atomics, invalidates := counts(b.Sys); atomics != 0 || invalidates != 0 {
+			t.Errorf("%s: a reset left %d unserialized atomics and %d skipped invalidates", c.name, atomics, invalidates)
+		}
+	}
+}

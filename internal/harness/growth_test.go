@@ -53,11 +53,13 @@ func freshRunAllocs(t *testing.T, cfg core.Config) (objects, memops uint64) {
 // 0.224 per memop. With pools carved by the chunk, spill arrays
 // recycled and each lane's episode storage sized once, they cost 0.005
 // and 0.041; the request slab's 1/256 per memop is the growth left.
+// With the checker's spill arrays and episode records carved by the
+// chunk too (TestStreamLiveWindowAllocs), a fresh run costs 0.0225.
 func TestLargeStreamRunAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts include the race detector's")
 	}
-	const maxGrowth, maxFresh = 0.008, 0.08
+	const maxGrowth, maxFresh = 0.008, 0.026
 	a1, n1 := freshRunAllocs(t, largeStreamShape(7))
 	a2, n2 := freshRunAllocs(t, largeStreamShape(14))
 	growth := (float64(a2) - float64(a1)) / float64(n2-n1)
@@ -68,7 +70,40 @@ func TestLargeStreamRunAllocs(t *testing.T) {
 		t.Errorf("doubling the episodes added %.4f objects per added memop, want ≤ %.3f", growth, maxGrowth)
 	}
 	if fresh > maxFresh {
-		t.Errorf("a fresh run allocated %.4f objects per memop, want ≤ %.2f", fresh, maxFresh)
+		t.Errorf("a fresh run allocated %.4f objects per memop, want ≤ %.3f", fresh, maxFresh)
+	}
+}
+
+// TestStreamLiveWindowAllocs pins what the online checker costs a fresh
+// run at the benchmark's tester_large_stream shape: the objects a run
+// with StreamCheck on allocates beyond the same run with it off. With
+// an array per spill, a record per episode and free lists grown one
+// append at a time, the checker's warm-up took 1 761–1 765 objects at
+// 7 episodes per lane and 1 832–1 836 at 14. With spill arrays carved
+// from a chunk per capacity, episode records carved 16 at a time and
+// variable folds carved 256 at a time, it takes 140–153 at either
+// length; the ceiling is the reading plus 15 %, and doubling the
+// episodes may add at most 16.
+func TestStreamLiveWindowAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts include the race detector's")
+	}
+	const maxFresh, maxGrowth = 170, 16
+	checker := func(episodes int) int64 {
+		on := largeStreamShape(episodes)
+		off := on
+		off.StreamCheck = false
+		a, _ := freshRunAllocs(t, on)
+		b, _ := freshRunAllocs(t, off)
+		return int64(a) - int64(b)
+	}
+	c7, c14 := checker(7), checker(14)
+	t.Logf("the checker allocated %d objects at 7 episodes per lane, %d at 14", c7, c14)
+	if c7 > maxFresh {
+		t.Errorf("the checker allocated %d objects in a fresh run, want ≤ %d", c7, maxFresh)
+	}
+	if c14-c7 > maxGrowth {
+		t.Errorf("doubling the episodes added %d checker objects, want ≤ %d", c14-c7, maxGrowth)
 	}
 }
 

@@ -37,7 +37,7 @@ func TestSnapshotFieldAudit(t *testing.T) {
 	audit.Fields(t, tcpState{}, states("atomicTBEs", "loadTBEs", "stalled", "wt", "wtWords",
 		"loads", "loadHits", "stores", "atomics", "stalls"))
 	audit.Fields(t, tccState{}, states("tbes", "stalled", "stalledProbes", "wbs",
-		"rdBlks", "wrVicBlks", "atomicsSeen", "fills", "stalls", "wbAcks", "droppedMerges", "droppedAcks", "evictWBs"))
+		"rdBlks", "wrVicBlks", "atomicsSeen", "fills", "stalls", "wbAcks", "droppedMerges", "droppedAcks", "evictWBs", "unserializedAtomics"))
 	audit.Fields(t, l2State{}, map[string]string{
 		"tcc":  "cut: the slice's tccState, through copyFrom",
 		"tbes": "cut: the TBE pool's contents and free order",
@@ -49,7 +49,7 @@ func TestSnapshotFieldAudit(t *testing.T) {
 		"retryFn": "config: prebound to its TBE for life",
 	})
 	audit.Fields(t, seqState{}, states("pendingWT", "heldReleases", "outstanding", "respQ", "respHead",
-		"issued", "completed"))
+		"issued", "completed", "skippedInvalidates"))
 	audit.Fields(t, TCP{}, map[string]string{
 		"tcpState": copied,
 		"k":        config, "id": config, "machine": config, "sliceOf": config, "seq": config, "pool": config,

@@ -59,6 +59,9 @@ type seqState struct {
 	respHead int
 
 	issued, completed uint64
+	// skippedInvalidates counts the acquires whose flash-invalidate the
+	// StaleAcquire bug skipped.
+	skippedInvalidates uint64
 }
 
 // copyFrom makes d hold s's state in d's own storage, the response
@@ -72,6 +75,7 @@ func (d *seqState) copyFrom(s *seqState) {
 	d.respQ = append(d.respQ[:0], s.respQ[s.respHead:]...)
 	d.respHead = 0
 	d.issued, d.completed = s.issued, s.completed
+	d.skippedInvalidates = s.skippedInvalidates
 }
 
 func newSequencer(k *sim.Kernel, cu int, tcp *TCP, respLatency sim.Tick, bugs BugSet) *Sequencer {
@@ -156,8 +160,12 @@ func (s *Sequencer) deliverNext() {
 		s.respHead = 0
 	}
 	req := p.req
-	if req.Acquire && !s.bugs.StaleAcquire {
-		s.tcp.FlashInvalidate()
+	if req.Acquire {
+		if s.bugs.StaleAcquire {
+			s.skippedInvalidates++
+		} else {
+			s.tcp.FlashInvalidate()
+		}
 	}
 	s.outstanding.Delete(req.ID)
 	s.completed++
@@ -202,6 +210,10 @@ func (s *Sequencer) OutstandingCount() int { return s.outstanding.Len() }
 
 // Stats returns (issued, completed) request counts.
 func (s *Sequencer) Stats() (issued, completed uint64) { return s.issued, s.completed }
+
+// SkippedInvalidates returns how many acquires the StaleAcquire bug
+// delivered without flash-invalidating the L1.
+func (s *Sequencer) SkippedInvalidates() uint64 { return s.skippedInvalidates }
 
 func (s *Sequencer) recordLatency(req *mem.Request, lat uint64) {
 	switch {

@@ -132,9 +132,11 @@ type tccState struct {
 	// write-back L2's eviction write-backs.
 	wbs table.Table[mem.Addr, int]
 
-	// stats
+	// stats; droppedMerges and unserializedAtomics count the
+	// LostWriteRace and NonAtomicRMW bugs' firings.
 	rdBlks, wrVicBlks, atomicsSeen, fills, stalls uint64
 	wbAcks, droppedMerges, droppedAcks, evictWBs  uint64
+	unserializedAtomics                           uint64
 }
 
 // copyFrom makes d hold s's state in d's own storage. Saving a cut,
@@ -146,6 +148,7 @@ func (d *tccState) copyFrom(s *tccState) {
 	d.wbs.CopyFrom(&s.wbs)
 	d.rdBlks, d.wrVicBlks, d.atomicsSeen, d.fills, d.stalls = s.rdBlks, s.wrVicBlks, s.atomicsSeen, s.fills, s.stalls
 	d.wbAcks, d.droppedMerges, d.droppedAcks, d.evictWBs = s.wbAcks, s.droppedMerges, s.droppedAcks, s.evictWBs
+	d.unserializedAtomics = s.unserializedAtomics
 }
 
 // l2State is one L2 slice's record in a cut.
@@ -532,6 +535,7 @@ func (c *TCC) ProbeInv(line mem.Addr, done func(any), ctx any) {
 // buggyLocalAtomic is the NonAtomicRMW fast path: read now, answer now,
 // write later, never serialize.
 func (c *TCC) buggyLocalAtomic(msg *tcpMsg) {
+	c.unserializedAtomics++
 	line := msg.line
 	e := c.array.Lookup(line)
 	off := mem.LineOffset(msg.req.Addr, c.lineSize())
@@ -653,14 +657,15 @@ func (c *TCC) AuditAgainstStore(st *mem.Store) []string {
 // Stats returns the controller's activity counters.
 func (c *TCC) Stats() map[string]uint64 {
 	return map[string]uint64{
-		"rdblk":          c.rdBlks,
-		"wrvicblk":       c.wrVicBlks,
-		"atomics":        c.atomicsSeen,
-		"fills":          c.fills,
-		"stalls":         c.stalls,
-		"wbacks":         c.wbAcks,
-		"dropped_merges": c.droppedMerges,
-		"dropped_acks":   c.droppedAcks,
-		"evictwbs":       c.evictWBs,
+		"rdblk":                c.rdBlks,
+		"wrvicblk":             c.wrVicBlks,
+		"atomics":              c.atomicsSeen,
+		"fills":                c.fills,
+		"stalls":               c.stalls,
+		"wbacks":               c.wbAcks,
+		"dropped_merges":       c.droppedMerges,
+		"dropped_acks":         c.droppedAcks,
+		"evictwbs":             c.evictWBs,
+		"unserialized_atomics": c.unserializedAtomics,
 	}
 }
