@@ -125,7 +125,7 @@ func (g *gen) protocolPerf() {
 }
 
 // dumpSpecs prints every protocol table in the SLICC-like textual
-// form (round-trippable through protocol.ParseSpec).
+// form.
 func dumpSpecs(w io.Writer) {
 	for _, spec := range []*protocol.Spec{
 		viper.NewTCPSpec(), viper.NewTCCSpec(), viper.NewTCCWBSpec(),

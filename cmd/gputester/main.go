@@ -84,8 +84,6 @@ import (
 	"syscall"
 	"time"
 
-	"drftest/internal/checker"
-
 	"drftest/internal/campaignd"
 	"drftest/internal/core"
 	"drftest/internal/coverage"
@@ -158,7 +156,7 @@ func main() {
 	grid := flag.Bool("grid", false, "print transition classification grids")
 	verbose := flag.Bool("v", false, "print request latencies and the transaction log tail")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report on stdout")
-	axioms := flag.Bool("axiomcheck", false, "record the full trace and re-verify it with the independent axiomatic checker")
+	axioms := flag.Bool("axiomcheck", false, "check every operation online against the SC-for-DRF episode axioms with the streaming axiomatic checker")
 	artifactDir := flag.String("artifact-dir", "", "write a failure-replay artifact (JSON) into this directory on any detected bug")
 	traceDepth := flag.Int("trace-depth", harness.DefaultTraceCapacity, "execution-trace ring capacity used with -artifact-dir")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile (pprof) to this file")
@@ -249,7 +247,7 @@ func main() {
 	cfg.ActionsPerEpisode = *actions
 	cfg.NumSyncVars = *syncVars
 	cfg.NumDataVars = *dataVars
-	cfg.RecordTrace = *axioms
+	cfg.StreamCheck = *axioms
 	if err := harness.ValidateRun(sysCfg, cfg, *traceDepth); err != nil {
 		fmt.Fprintf(os.Stderr, "gputester: %v\n", err)
 		exit(2)
@@ -378,11 +376,11 @@ func main() {
 	}
 
 	axiomViolations := 0
-	if *axioms && rep.Trace != nil {
-		vs := checker.Verify(rep.Trace)
+	if *axioms {
+		vs := rep.StreamViolations
 		axiomViolations = len(vs)
-		fmt.Printf("  axiomatic re-verification: %d ops, %d episodes, %d violation(s)\n",
-			len(rep.Trace.Ops), len(rep.Trace.Episodes), len(vs))
+		fmt.Printf("  axiomatic check: %d ops, %d episodes retired, %d violation(s)\n",
+			rep.OpsCompleted, rep.EpisodesRetired, len(vs))
 		for i, v := range vs {
 			if i == 4 {
 				fmt.Printf("    ... %d more\n", len(vs)-4)

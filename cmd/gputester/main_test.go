@@ -3,13 +3,17 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
 
+	"drftest/internal/checker"
+	"drftest/internal/core"
 	"drftest/internal/explore"
 	"drftest/internal/harness"
+	"drftest/internal/viper"
 )
 
 // TestMain doubles as the gputester command: re-executing the test
@@ -68,21 +72,64 @@ func TestCaptureRefusesDivergentRun(t *testing.T) {
 // exit status and standard error.
 func runMain(t *testing.T, args ...string) (int, string) {
 	t.Helper()
+	code, _, stderr := runMainOutput(t, args...)
+	return code, stderr
+}
+
+// runMainOutput is runMain returning standard output too.
+func runMainOutput(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cmd := exec.Command(exe, args...)
 	cmd.Env = append(os.Environ(), "DRFTEST_RUN_MAIN=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
 	var exit *exec.ExitError
 	if err := cmd.Run(); errors.As(err, &exit) {
-		return exit.ExitCode(), stderr.String()
+		return exit.ExitCode(), out.String(), errOut.String()
 	} else if err != nil {
 		t.Fatal(err)
 	}
-	return 0, stderr.String()
+	return 0, out.String(), errOut.String()
+}
+
+// TestAxiomCheck: -axiomcheck checks the run with the online axiomatic
+// checker. A clean run prints no violation and exits 0; a bug run
+// prints as many violations as checker.Verify finds in the same seed's
+// recorded trace, and exits 1.
+func TestAxiomCheck(t *testing.T) {
+	shape := []string{"-caches", "small", "-seed", "1", "-wfs", "8", "-episodes", "8",
+		"-actions", "30", "-syncvars", "4", "-datavars", "48"}
+	for _, bug := range []string{"", "nonatomic", "lostwrite"} {
+		args := append([]string{"-axiomcheck"}, shape...)
+		sysCfg := viper.SmallCacheConfig()
+		sysCfg.NumCUs, sysCfg.NumL2Slices = 8, 1
+		want := 0
+		if bug != "" {
+			args = append(args, "-bug", bug)
+			var err error
+			if sysCfg.Bugs, err = viper.ParseBug(bug); err != nil {
+				t.Fatal(err)
+			}
+			cfg := core.DefaultConfig()
+			cfg.Seed, cfg.NumWavefronts, cfg.EpisodesPerThread = 1, 8, 8
+			cfg.ActionsPerEpisode, cfg.NumSyncVars, cfg.NumDataVars = 30, 4, 48
+			cfg.RecordTrace = true
+			if want = len(checker.Verify(harness.NewGPURun(sysCfg, cfg).Tester.Run().Trace)); want == 0 {
+				t.Fatalf("-bug %s: the recorded trace holds no violation to compare", bug)
+			}
+		}
+		code, stdout, stderr := runMainOutput(t, args...)
+		if wantCode := min(want, 1); code != wantCode {
+			t.Errorf("-bug %q: exit %d, want %d\n%s", bug, code, wantCode, stderr)
+		}
+		if line := fmt.Sprintf(", %d violation(s)\n", want); !strings.Contains(stdout, "axiomatic check: ") || !strings.Contains(stdout, line) {
+			t.Errorf("-bug %q: no axiomatic check line ending %q in\n%s", bug, line, stdout)
+		}
+	}
 }
 
 // TestRunAdmission: flags that build a configuration no run admits

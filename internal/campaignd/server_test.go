@@ -931,4 +931,16 @@ func TestSubmitDecodesStrictly(t *testing.T) {
 			t.Errorf("spec with unknown key %q: status %d, body %q; want 400 naming the key", key, code, msg)
 		}
 	}
+
+	// core.Config's retired StreamInline key is refused by name too:
+	// the online checker picks its own mode.
+	var m map[string]any
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["testCfg"].(map[string]any)["StreamInline"] = true
+	bad, _ := json.Marshal(m)
+	if code, msg := post(bad); code != http.StatusBadRequest || !strings.Contains(msg, "StreamInline") {
+		t.Errorf("spec whose testCfg sets StreamInline: status %d, body %q; want 400 naming the key", code, msg)
+	}
 }

@@ -10,10 +10,13 @@ import (
 // fold state against Reset/Snapshot/Restore (see package audit): the
 // stream is now part of the tester's checkpoint cut, so a field that
 // escapes these paths breaks replay-bisection bit-identity with
-// StreamCheck armed.
+// StreamCheck armed. The ring is deliberately NOT cut state: the first
+// cut drains and drops it, so the folds alone are the cut — a ring
+// field must stay meaningless at a quiescent point.
 func TestStreamFieldAudit(t *testing.T) {
 	audit.Fields(t, Stream{}, map[string]string{
 		"delta":     "state: copied (Reset retunes it from config)",
+		"ring":      "scratch: the worker's handoff, excluded — SnapshotInto and Restore drain it and drop it first, so a cut holds only folds",
 		"eps":       "state: rebuilt from the snapshot's epState records (live known + unknown entries)",
 		"epFree":    "pool: recycled epStates, excluded — dropped records are harvested back on Reset/Restore",
 		"epChunk":   "scratch: uncarved tail of the chunk new epStates are carved from, excluded — a cut saves episode values, never a record, and a restore refills records from epFree or the chunk",
@@ -75,33 +78,21 @@ func TestStreamFieldAudit(t *testing.T) {
 		"hasPrev":   "save: value copy",
 		"writers":   "save: range of the snapshot's writers arena",
 	})
+	audit.Fields(t, ring{}, map[string]string{
+		"slots":    "scratch: drained before every cut, so never part of one; allocated by the first start",
+		"wr":       "scratch: producer-private write index; join publishes it, so it equals tail and head whenever the worker is retired; Reset rewinds it",
+		"head":     "scratch: equals tail whenever the worker is retired; Reset rewinds it",
+		"tail":     "scratch: equals head whenever the worker is retired; Reset rewinds it",
+		"sleeping": "scratch: worker parking handshake, meaningless once the worker is retired",
+		"notify":   "scratch: worker wake-up channel of capacity 1, made at construction",
+		"stop":     "scratch: worker lifecycle channel, remade by each start",
+		"done":     "scratch: worker lifecycle channel, remade by each start",
+		"running":  "scratch: worker lifecycle flag; Finish, Reset and Close retire the worker, the next event revives it",
+	})
 	audit.Fields(t, atomicState{}, map[string]string{
 		"contig":  "state: value copy via copyAtomic",
 		"pending": "state: table CopyFrom via copyAtomic, into the destination's own table",
 		"npend":   "state: value copy via copyAtomic",
-	})
-}
-
-// TestPipelineFieldAudit pins the Pipeline's field set. The ring and
-// its indices are deliberately NOT snapshot state: Snapshot/Restore
-// flush the ring first, so the Stream alone is the cut — a field
-// added here must either stay derivable from quiescence or be folded
-// into that doctrine explicitly.
-func TestPipelineFieldAudit(t *testing.T) {
-	audit.Fields(t, Pipeline{}, map[string]string{
-		"stream":   "state: the cut itself, via Stream.Snapshot/Restore after Flush",
-		"force":    "config: fixed at construction (tester rebuilds the pipeline when the knob changes)",
-		"inline":   "config: mode pinned at construction from force/GOMAXPROCS",
-		"ring":     "excluded: drained by Flush before every cut, so never part of one",
-		"mask":     "config: ring capacity mask, fixed at construction",
-		"wr":       "excluded: producer-private write index; Flush and join publish it, so it equals tail and head at every cut, rewound by Reset only",
-		"head":     "excluded: equals tail at every cut (quiescence), rewound by Reset only",
-		"tail":     "excluded: equals head at every cut (quiescence), rewound by Reset only",
-		"sleeping": "worker parking handshake, meaningless at a quiescent cut",
-		"notify":   "worker parking channel, config-like (rebuilt never; capacity 1)",
-		"stop":     "worker lifecycle channel, remade by each start()",
-		"done":     "worker lifecycle channel, remade by each start()",
-		"running":  "worker lifecycle flag; Finish/Reset retire the worker, push revives it",
 	})
 }
 
@@ -111,5 +102,4 @@ func TestPipelineFieldAudit(t *testing.T) {
 func TestNoMaps(t *testing.T) {
 	audit.NoMaps(t, Stream{})
 	audit.NoMaps(t, StreamSnapshot{})
-	audit.NoMaps(t, Pipeline{})
 }

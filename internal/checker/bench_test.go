@@ -65,7 +65,7 @@ func BenchmarkChecker(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s := NewStream(1)
-			feedStream(s, evs)
+			feed(s, evs)
 			if vs := s.Finish(); vs != nil {
 				b.Fatalf("clean fold flagged: %v", vs)
 			}

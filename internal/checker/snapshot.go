@@ -24,9 +24,8 @@ import "slices"
 // however many folds it holds. Atomic folds keep one copy routine,
 // copyAtomic, in both directions.
 
-// StreamSnapshot is a Stream cut; obtain via Stream.Snapshot (or
-// Pipeline.Snapshot, which quiesces the ring first), reinstate via
-// Restore.
+// StreamSnapshot is a Stream cut; obtain via Stream.Snapshot,
+// reinstate via Restore.
 type StreamSnapshot struct {
 	delta uint32
 
@@ -122,11 +121,13 @@ func (s *Stream) loadVar(snap *StreamSnapshot, v *varState, sv *varSave) {
 	copy(v.writers, within(snap.writers, sv.writers))
 }
 
-// Reset rearms the stream for a fresh run, keeping its tables, the
-// episode free list and the variable folds' storage so a campaign's
-// per-seed loop does not rebuild them. Dropped episode records are
+// Reset rearms the stream for a fresh run, keeping its ring, its
+// tables, the episode free list and the variable folds' storage so a
+// campaign's per-seed loop does not rebuild them. The worker is
+// retired and the ring emptied first. Dropped episode records are
 // harvested into the free list; no variable id is in use any more.
 func (s *Stream) Reset(atomicDelta uint32) {
+	s.rewind()
 	if atomicDelta == 0 {
 		atomicDelta = 1
 	}
@@ -163,14 +164,15 @@ func copyAtomic(dst, src *atomicState) {
 	dst.pending = pending
 }
 
-// Snapshot deep-captures the fold state. The caller must hold the
-// stream quiescent (no concurrent folding) — Pipeline.Snapshot
-// arranges this by flushing the ring first.
+// Snapshot deep-captures the fold state. The ring is never part of a
+// cut: the first cut drains it and drops it (foldInline), so the folds
+// alone are the cut.
 func (s *Stream) Snapshot() *StreamSnapshot { return s.SnapshotInto(nil) }
 
 // SnapshotInto is Snapshot refilling snap, a snapshot of this stream
 // the caller knows is dead (nil allocates).
 func (s *Stream) SnapshotInto(snap *StreamSnapshot) *StreamSnapshot {
+	s.foldInline()
 	if snap == nil {
 		snap = &StreamSnapshot{}
 	}
@@ -247,8 +249,10 @@ func resize[T any](x []T, n int) []T {
 // and linked into the eps table and/or the live queue exactly as the
 // save recorded (dead queue heads stay out of the table, unknown
 // records stay out of the queue). Every saved variable fold is copied
-// into its id's place.
+// into its id's place. Like a cut, a restore leaves the stream
+// folding on the caller.
 func (s *Stream) Restore(snap *StreamSnapshot) {
+	s.foldInline()
 	s.delta = snap.delta
 	s.harvest()
 	s.eps.Clear()

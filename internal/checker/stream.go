@@ -34,8 +34,17 @@ import (
 //   - A3 needs only each live episode's own writes and, per
 //     variable, the retired-writer values still reachable by some
 //     live or future reader; older writers are superseded and pruned.
+//
+// A stream built by NewStream folds on the caller. One built by
+// NewOnlineStream may instead fold on its own goroutine, fed through a
+// ring (ring.go), until its first cut. The public methods publish or
+// fold; either way the violations are the same.
 type Stream struct {
 	delta uint32
+
+	// ring feeds the worker goroutine; nil when the stream folds on
+	// the caller.
+	ring *ring
 
 	eps     table.Table[uint64, *epState]
 	epFree  []*epState
@@ -73,9 +82,9 @@ type Stream struct {
 	result   []Violation
 }
 
-// NewStream creates an empty online checker. atomicDelta is the
-// constant every fetch-add adds (0 means 1, matching the trace
-// default).
+// NewStream creates an empty checker that folds on the caller.
+// atomicDelta is the constant every fetch-add adds (0 means 1,
+// matching the trace default).
 func NewStream(atomicDelta uint32) *Stream {
 	if atomicDelta == 0 {
 		atomicDelta = 1
@@ -184,6 +193,34 @@ type overlapViol struct {
 // BeginEpisode registers a created episode. Calls must arrive in
 // increasing createSeq order (the tester's creations do).
 func (s *Stream) BeginEpisode(id, createSeq uint64) {
+	if s.ring != nil {
+		s.push(streamEvent{kind: evBegin, id: id, seq: createSeq})
+		return
+	}
+	s.beginEpisode(id, createSeq)
+}
+
+// Observe folds one completed operation. Operations must arrive in
+// global completion order.
+func (s *Stream) Observe(op Op) {
+	if s.ring != nil {
+		s.push(streamEvent{kind: evOp, op: op})
+		return
+	}
+	s.observe(op)
+}
+
+// RetireEpisode folds an episode's retirement. Calls must arrive in
+// increasing retireSeq order, after all of the episode's operations.
+func (s *Stream) RetireEpisode(id, retireSeq uint64) {
+	if s.ring != nil {
+		s.push(streamEvent{kind: evRetire, id: id, seq: retireSeq})
+		return
+	}
+	s.retireEpisode(id, retireSeq)
+}
+
+func (s *Stream) beginEpisode(id, createSeq uint64) {
 	es := s.newEpState()
 	es.id, es.createSeq, es.known = id, createSeq, true
 	s.eps.Put(id, es)
@@ -320,9 +357,7 @@ func (a *atomicState) empty() {
 	a.pending.Clear()
 }
 
-// Observe folds one completed operation. Operations must arrive in
-// global completion order.
-func (s *Stream) Observe(op Op) {
+func (s *Stream) observe(op Op) {
 	if op.Kind == OpAtomic {
 		s.observeAtomic(op)
 		if op.Sync {
@@ -425,13 +460,11 @@ func (s *Stream) observeValue(es *epState, op Op) {
 	}
 }
 
-// RetireEpisode folds an episode's retirement: its intervals get
-// their upper bound, its final writes become retired-writer values,
-// and any interval now safely ordered before every live episode is
-// sealed (checked against its neighbor and dropped). Calls must
-// arrive in increasing retireSeq order, after all of the episode's
-// operations have been observed.
-func (s *Stream) RetireEpisode(id, retireSeq uint64) {
+// retireEpisode: an episode's intervals get their upper bound, its
+// final writes become retired-writer values, and any interval now
+// safely ordered before every live episode is sealed (checked against
+// its neighbor and dropped).
+func (s *Stream) retireEpisode(id, retireSeq uint64) {
 	es, _ := s.eps.Get(id)
 	if es == nil || !es.known || es.dead {
 		return
@@ -515,9 +548,11 @@ func (s *Stream) pruneWriters(v *varState, minLive uint64) {
 	}
 }
 
-// Finish closes the stream and returns every violation, in the same
-// order the post-hoc checker reports them. It is idempotent.
+// Finish retires the worker, closes the stream and returns every
+// violation, in the same order the post-hoc checker reports them. It
+// is idempotent.
 func (s *Stream) Finish() []Violation {
+	s.join()
 	if s.finished {
 		return s.result
 	}

@@ -394,33 +394,19 @@ func TestStreamResetAfterRestore(t *testing.T) {
 			ops++
 		}
 	}
-	p := newPipeline(tr.AtomicDelta, true)
+	p := NewStream(tr.AtomicDelta)
 	feed(p, evs[:cut])
 	snap := p.Snapshot()
 	feed(p, evs[cut:])
 	want := p.Finish()
-	inUse := p.stream.nvars
+	inUse := p.nvars
 	p.Restore(snap) // leaves the finished run's folds beyond the cut's range
-	if p.stream.nvars >= inUse {
-		t.Fatalf("the restore kept %d of %d variables in use; the cut should hold fewer", p.stream.nvars, inUse)
+	if p.nvars >= inUse {
+		t.Fatalf("the restore kept %d of %d variables in use; the cut should hold fewer", p.nvars, inUse)
 	}
 	p.Reset(tr.AtomicDelta)
 	feed(p, evs)
 	diffViolations(t, "reset after restore", p.Finish(), want)
-}
-
-// feedStream folds evs into s.
-func feedStream(s *Stream, evs []streamEvent) {
-	for _, e := range evs {
-		switch e.kind {
-		case evOp:
-			s.Observe(e.op)
-		case evBegin:
-			s.BeginEpisode(e.id, e.seq)
-		case evRetire:
-			s.RetireEpisode(e.id, e.seq)
-		}
-	}
 }
 
 // spillScenario is a fold in two halves. In the first, a long-lived
@@ -472,8 +458,8 @@ func TestStreamCutNeverSharesSpillArrays(t *testing.T) {
 	const a, b = 0, 1
 	prefix, suffix := spillScenario(a, b)
 	uncut := NewStream(1)
-	feedStream(uncut, prefix)
-	feedStream(uncut, suffix)
+	feed(uncut, prefix)
+	feed(uncut, suffix)
 	want := uncut.Finish()
 	if len(want) == 0 {
 		t.Fatal("the scenario's overlapping writers raised no violation")
@@ -496,25 +482,25 @@ func TestStreamCutNeverSharesSpillArrays(t *testing.T) {
 	diffViolations(t, "uncut", want, VerifyPostHoc(tr))
 
 	s := NewStream(1)
-	feedStream(s, prefix)
+	feed(s, prefix)
 	fa := s.fold(a)
 	if len(fa.intervals) != 6 || len(fa.writers) != 6 {
 		t.Fatalf("variable a holds %d intervals and %d writers at the cut, want 6 and 6", len(fa.intervals), len(fa.writers))
 	}
 	ivals, writers := &fa.intervals[0], &fa.writers[0]
 	snap := s.Snapshot()
-	feedStream(s, suffix)
+	feed(s, suffix)
 	if fb := s.fold(b); &fb.intervals[0] != ivals || &fb.writers[0] != writers {
 		t.Fatal("variable b did not spill into the arrays variable a gave back")
 	}
 	diffViolations(t, "without a restore", s.Finish(), want)
 
 	s.Restore(snap)
-	feedStream(s, suffix)
+	feed(s, suffix)
 	diffViolations(t, "restored", s.Finish(), want)
 
 	fresh := NewStream(1)
 	fresh.Restore(snap)
-	feedStream(fresh, suffix)
+	feed(fresh, suffix)
 	diffViolations(t, "restored on a fresh stream", fresh.Finish(), want)
 }

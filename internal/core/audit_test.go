@@ -45,7 +45,7 @@ func TestSnapshotFieldAudit(t *testing.T) {
 		"wfs":         "state: wfState per wavefront in TesterSnapshot.wfs",
 		"log":         "state: rolling-log cut via trace.Log.SnapshotInto/Restore",
 		"trace":       "state: ops slice captured when recording (TesterSnapshot.traceOps)",
-		"stream":      "state: checker cut via Pipeline.Snapshot/Restore (ring flushed first, so the Stream alone is the cut)",
+		"stream":      "state: checker cut via Stream.SnapshotInto/Restore (the first cut drains and drops the stream's ring, so its folds alone are the cut)",
 		"heartbeatFn": "config: pre-bound poller closure, survives Reset/Restore",
 	})
 	audit.Fields(t, addressSpace{}, map[string]string{

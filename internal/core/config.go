@@ -91,19 +91,13 @@ type Config struct {
 	// per-variable state of a checker.Stream as the run progresses, and
 	// Report.StreamViolations carries its findings. Unlike RecordTrace
 	// it never materializes the execution, so it can ride along on
-	// arbitrarily long runs. The folding happens off the critical path,
-	// in a dedicated checker goroutine fed through a fixed-capacity
-	// SPSC ring (checker.Pipeline); reports are byte-identical to
-	// inline folding.
+	// arbitrarily long runs. With GOMAXPROCS above 1 the folding
+	// happens off the critical path, in a checker goroutine fed
+	// through a fixed-capacity SPSC ring (checker.NewOnlineStream),
+	// until the tester's first cut (Snapshot or Restore), after which
+	// it folds on the simulation thread; reports are byte-identical
+	// either way.
 	StreamCheck bool
-
-	// StreamInline forces the online checker to fold events inline on
-	// the simulation thread instead of in the pipeline's checker
-	// goroutine. The pipeline falls back to inline folding on its own
-	// when GOMAXPROCS is 1; this knob pins that mode anywhere — the
-	// two must produce byte-identical reports, and determinism triage
-	// wants either side of the comparison on demand.
-	StreamInline bool
 }
 
 // DefaultConfig returns a moderate tester configuration suitable for a

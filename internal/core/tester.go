@@ -136,7 +136,7 @@ type Tester struct {
 	wfs     []*wavefront
 	log     *EventLog
 	trace   *checker.Trace
-	stream  *checker.Pipeline
+	stream  *checker.Stream
 
 	// heartbeatFn is the pre-bound poller closure.
 	heartbeatFn func()
@@ -212,7 +212,7 @@ func NewMulti(k *sim.Kernel, systems []*viper.System, cfg Config) *Tester {
 		t.trace = &checker.Trace{AtomicDelta: cfg.AtomicDelta}
 	}
 	if cfg.StreamCheck {
-		t.stream = checker.NewPipeline(cfg.AtomicDelta, cfg.StreamInline)
+		t.stream = checker.NewOnlineStream(cfg.AtomicDelta)
 	}
 
 	t.buildWavefronts()
@@ -272,15 +272,11 @@ func (t *Tester) Reset(seed uint64) {
 		t.trace = &checker.Trace{AtomicDelta: t.cfg.AtomicDelta}
 	}
 	if t.cfg.StreamCheck {
-		// Reuse the pipeline (its ring and the stream's fold tables)
-		// across runs; rebuild only when the inline knob changed.
-		if t.stream != nil && t.stream.ForcedInline() == t.cfg.StreamInline {
+		// Reuse the stream (its ring and fold tables) across runs.
+		if t.stream != nil {
 			t.stream.Reset(t.cfg.AtomicDelta)
 		} else {
-			if t.stream != nil {
-				t.stream.Close()
-			}
-			t.stream = checker.NewPipeline(t.cfg.AtomicDelta, t.cfg.StreamInline)
+			t.stream = checker.NewOnlineStream(t.cfg.AtomicDelta)
 		}
 	}
 }

@@ -2,14 +2,12 @@ package directory
 
 import (
 	"slices"
-	"strings"
 	"testing"
 
 	"drftest/internal/audit"
 	"drftest/internal/coverage"
 	"drftest/internal/mem"
 	"drftest/internal/memctrl"
-	"drftest/internal/protocol"
 	"drftest/internal/sim"
 )
 
@@ -241,23 +239,6 @@ func TestUpgradeVsFullFill(t *testing.T) {
 	k.RunUntilIdle()
 	if fc2.last(t).data == nil {
 		t.Fatal("stale upgrade must be serviced as a full fill")
-	}
-}
-
-// TestDirectorySpecTextRoundTrip: the directory table survives the
-// SLICC-like textual form.
-func TestDirectorySpecTextRoundTrip(t *testing.T) {
-	orig := NewSpec()
-	var b strings.Builder
-	if err := orig.Format(&b); err != nil {
-		t.Fatal(err)
-	}
-	re, err := protocol.ParseSpec(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !orig.Equal(re) {
-		t.Fatalf("round trip changed the table: %v", orig.Diff(re))
 	}
 }
 

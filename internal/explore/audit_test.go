@@ -80,7 +80,7 @@ func TestStateFieldAudits(t *testing.T) {
 	})
 	audit.Fields(t, run{}, map[string]string{
 		"GPURun":  "config: system and tester under exploration (snapshotted via cuts); untraced, so Ring is nil",
-		"testCfg": "config: effective tester config (StreamCheck forced on, the caller's StreamInline), embedded in violation artifacts; the run's own tester additionally folds inline",
+		"testCfg": "config: effective tester config (StreamCheck forced on), embedded in violation artifacts and the run's own tester's config",
 	})
 }
 

@@ -167,11 +167,12 @@ func (r *Result) Complete() bool {
 
 // run owns the system under exploration. testCfg is the effective
 // tester config (StreamCheck forced on) — violation artifacts embed it
-// so replay rebuilds the identical tester. The run's own tester also
-// folds the stream inline: every cut flushes the checker pipeline, so a
-// second thread would only ever be handed work and waited for. The run
-// is untraced, like every producer's: a violation's artifact is a
-// checked replay of its schedule (explorer.attach).
+// so replay rebuilds the identical tester. The tester's online checker
+// folds on the simulation thread from the first cut on (see
+// checker.NewOnlineStream), so the cut at every choice point never
+// waits on a checker thread. The run is untraced, like every
+// producer's: a violation's artifact is a checked replay of its
+// schedule (explorer.attach).
 type run struct {
 	*harness.GPURun
 	testCfg core.Config
@@ -180,9 +181,7 @@ type run struct {
 func newRun(cfg *Config) *run {
 	tc := cfg.TestCfg
 	tc.StreamCheck = true
-	inline := tc
-	inline.StreamInline = true
-	r := &run{GPURun: harness.NewGPURun(cfg.SysCfg, inline), testCfg: tc}
+	r := &run{GPURun: harness.NewGPURun(cfg.SysCfg, tc), testCfg: tc}
 	r.Sys.EnableCheckpointing()
 	return r
 }

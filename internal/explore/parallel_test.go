@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // parallelCase is one exploration TestParallelMatchesSerial splits.
@@ -113,5 +115,37 @@ func TestParallelMatchesSerial(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestExploreLeavesNoGoroutine: explorations on two workers leave no
+// goroutine behind — neither a worker of their own nor an online
+// checker's. The explorer's runs are cut before their first event, so
+// their checkers fold on the caller from the start; a violation's
+// checked replay folds through its ring and retires the worker at
+// Finish. GOMAXPROCS is at least 2 so the checkers get rings even on
+// one CPU.
+func TestExploreLeavesNoGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	before := runtime.NumGoroutine()
+	for _, c := range parallelCases() {
+		if c.name != "clean-wt" && c.name != "lostwrite" {
+			continue
+		}
+		cfg := c.cfg
+		cfg.Workers = 2
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (res.Violation != nil) != (c.name == "lostwrite") {
+			t.Fatalf("%s: violation %+v", c.name, res.Violation)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the explorations, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -35,12 +35,8 @@ func (c *snapChooser) Choose(now sim.Tick, cands []sim.Enabled) int {
 // is untraced — so the witness below covers the ring's cut too.
 func tracedRun(cfg *Config) *run {
 	r := newRun(cfg)
-	inline := r.testCfg
-	inline.StreamInline = true
-	r.GPURun = harness.NewGPURun(cfg.SysCfg, inline)
 	r.Ring = trace.NewRing(harness.DefaultTraceCapacity)
 	r.K.SetTracer(r.Ring)
-	r.Sys.EnableCheckpointing()
 	return r
 }
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"strings"
@@ -73,6 +74,30 @@ func TestGPUArtifactReplayReproduces(t *testing.T) {
 	}
 	if _, err := Replay(loaded); err != nil {
 		t.Fatalf("replay did not reproduce the failure: %v", err)
+	}
+}
+
+// TestArtifactWithRetiredStreamInlineKeyReplays: artifacts written
+// while core.Config had a StreamInline key carry it in their testCfg.
+// The key is gone (the online checker picks its own mode), but such an
+// artifact still loads — LoadArtifactBytes is not strict — and
+// reproduces.
+func TestArtifactWithRetiredStreamInlineKeyReplays(t *testing.T) {
+	data, err := failingGPURun(t).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at = `"StreamCheck": `
+	if n := bytes.Count(data, []byte(at)); n != 1 {
+		t.Fatalf("%d %s keys in the encoded artifact, want 1", n, at)
+	}
+	old := bytes.Replace(data, []byte(at), []byte(`"StreamInline": true, `+at), 1)
+	loaded, err := LoadArtifactBytes("old.json", old)
+	if err != nil {
+		t.Fatalf("an artifact with the retired key no longer loads: %v", err)
+	}
+	if _, err := Replay(loaded); err != nil {
+		t.Fatalf("an artifact with the retired key no longer reproduces: %v", err)
 	}
 }
 

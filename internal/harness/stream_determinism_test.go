@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"testing"
 
 	"drftest/internal/core"
@@ -23,9 +24,17 @@ func streamModeRun(t *testing.T, sysCfg viper.Config, cfg core.Config) *core.Rep
 	return core.New(b.K, b.Sys, cfg).Run()
 }
 
+// withProcs runs f at GOMAXPROCS n, restoring the setting afterwards.
+func withProcs(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
 // TestStreamCheckerModeByteIdentical pins the fixed-seed report across
 // the three checker modes: StreamCheck off, folding inline on the
-// simulation thread, and folding off-thread through the pipeline ring.
+// simulation thread (GOMAXPROCS 1), and folding off-thread through the
+// stream's ring (GOMAXPROCS at least 2, so a single-CPU runner
+// exercises the ring too).
 // The two checking modes must agree byte-for-byte (violations
 // included), and neither may perturb the simulation relative to
 // checking off.
@@ -52,16 +61,13 @@ func TestStreamCheckerModeByteIdentical(t *testing.T) {
 			base.Seed = 7
 
 			off := base
-
-			inline := base
-			inline.StreamCheck, inline.StreamInline = true, true
-
-			threaded := base
-			threaded.StreamCheck = true // pipeline mode (auto)
+			on := base
+			on.StreamCheck = true
 
 			repOff := streamModeRun(t, tc.sysCfg(), off)
-			repInline := streamModeRun(t, tc.sysCfg(), inline)
-			repThreaded := streamModeRun(t, tc.sysCfg(), threaded)
+			var repInline, repThreaded *core.Report
+			withProcs(1, func() { repInline = streamModeRun(t, tc.sysCfg(), on) })
+			withProcs(max(2, runtime.GOMAXPROCS(0)), func() { repThreaded = streamModeRun(t, tc.sysCfg(), on) })
 
 			if got, want := reportJSON(t, repThreaded), reportJSON(t, repInline); got != want {
 				t.Fatalf("off-thread checker report differs from inline\ninline:    %s\noff-thread: %s", want, got)

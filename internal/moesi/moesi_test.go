@@ -1,7 +1,6 @@
 package moesi
 
 import (
-	"strings"
 	"testing"
 
 	"drftest/internal/audit"
@@ -10,7 +9,6 @@ import (
 	"drftest/internal/directory"
 	"drftest/internal/mem"
 	"drftest/internal/memctrl"
-	"drftest/internal/protocol"
 	"drftest/internal/sim"
 )
 
@@ -219,23 +217,6 @@ func TestOwnedStateServesWithoutMemoryWrite(t *testing.T) {
 	r.run()
 	if got := r.data(t, ld); got != 12 {
 		t.Fatalf("reader saw %d after O upgrade, want 12", got)
-	}
-}
-
-// TestCPUSpecTextRoundTrip: the CPU table survives the SLICC-like
-// textual form.
-func TestCPUSpecTextRoundTrip(t *testing.T) {
-	orig := NewCPUSpec()
-	var b strings.Builder
-	if err := orig.Format(&b); err != nil {
-		t.Fatal(err)
-	}
-	re, err := protocol.ParseSpec(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !orig.Equal(re) {
-		t.Fatalf("round trip changed the table: %v", orig.Diff(re))
 	}
 }
 

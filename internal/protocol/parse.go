@@ -1,21 +1,19 @@
 package protocol
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
-// This file gives transition tables a textual form, the counterpart to
-// Ruby's SLICC: protocol tables can be written, reviewed and versioned
-// as text and loaded at runtime, instead of living only in Go code.
-// The dynamic semantics (actions) still live in controllers; the table
-// is the contract the coverage machinery, renderers and documentation
-// all share.
+// This file gives transition tables a textual form, in the manner of
+// Ruby's SLICC: protocol tables can be reviewed and versioned as text
+// (figures -exp specs prints every table this way). The dynamic
+// semantics (actions) still live in controllers; the table is the
+// contract the coverage machinery, renderers and documentation all
+// share.
 //
-// Grammar (line-oriented; '#' starts a comment):
+// Grammar (line-oriented):
 //
 //	protocol <name>
 //	states   <S0> <S1> ...
@@ -25,105 +23,7 @@ import (
 //
 // Unlisted (state, event) pairs are Undefined, as in SLICC.
 
-// ParseSpec reads a Spec from its textual form.
-func ParseSpec(r io.Reader) (*Spec, error) {
-	sc := bufio.NewScanner(r)
-	var spec *Spec
-	var name string
-	var states, events []string
-	stateIdx := map[string]int{}
-	eventIdx := map[string]int{}
-	lineNo := 0
-
-	ensureSpec := func() error {
-		if spec != nil {
-			return nil
-		}
-		if name == "" || len(states) == 0 || len(events) == 0 {
-			return fmt.Errorf("line %d: transitions before protocol/states/events headers", lineNo)
-		}
-		spec = NewSpec(name, states, events)
-		return nil
-	}
-
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		switch fields[0] {
-		case "protocol":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("line %d: protocol wants exactly one name", lineNo)
-			}
-			name = fields[1]
-		case "states":
-			states = fields[1:]
-			for i, s := range states {
-				if _, dup := stateIdx[s]; dup {
-					return nil, fmt.Errorf("line %d: duplicate state %q", lineNo, s)
-				}
-				stateIdx[s] = i
-			}
-		case "events":
-			events = fields[1:]
-			for i, e := range events {
-				if _, dup := eventIdx[e]; dup {
-					return nil, fmt.Errorf("line %d: duplicate event %q", lineNo, e)
-				}
-				eventIdx[e] = i
-			}
-		default:
-			if err := ensureSpec(); err != nil {
-				return nil, err
-			}
-			if len(fields) < 3 {
-				return nil, fmt.Errorf("line %d: want '<state> <event> -> <next> [label]' or '<state> <event> stall'", lineNo)
-			}
-			st, ok := stateIdx[fields[0]]
-			if !ok {
-				return nil, fmt.Errorf("line %d: unknown state %q", lineNo, fields[0])
-			}
-			ev, ok := eventIdx[fields[1]]
-			if !ok {
-				return nil, fmt.Errorf("line %d: unknown event %q", lineNo, fields[1])
-			}
-			if spec.Cell(st, ev).Kind != Undefined {
-				return nil, fmt.Errorf("line %d: cell (%s, %s) defined twice", lineNo, fields[0], fields[1])
-			}
-			if fields[2] == "stall" {
-				if len(fields) != 3 {
-					return nil, fmt.Errorf("line %d: stall takes no arguments", lineNo)
-				}
-				spec.StallOn(st, ev)
-				continue
-			}
-			if fields[2] != "->" || len(fields) < 4 {
-				return nil, fmt.Errorf("line %d: want '-> <next>'", lineNo)
-			}
-			next, ok := stateIdx[fields[3]]
-			if !ok {
-				return nil, fmt.Errorf("line %d: unknown next state %q", lineNo, fields[3])
-			}
-			spec.Trans(st, ev, next, strings.Join(fields[4:], " "))
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if err := ensureSpec(); err != nil {
-		return nil, err
-	}
-	return spec, nil
-}
-
-// Format writes the spec in the textual form ParseSpec reads
-// (round-trippable).
+// Format writes the spec in its textual form.
 func (s *Spec) Format(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "protocol %s\nstates %s\nevents %s\n",
 		s.Name, strings.Join(s.States, " "), strings.Join(s.Events, " ")); err != nil {
@@ -149,68 +49,4 @@ func (s *Spec) Format(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Equal reports whether two specs declare identical tables (names,
-// state/event vocabularies, and every cell's kind, next state and
-// label).
-func (s *Spec) Equal(o *Spec) bool {
-	if s.Name != o.Name || len(s.States) != len(o.States) || len(s.Events) != len(o.Events) {
-		return false
-	}
-	for i := range s.States {
-		if s.States[i] != o.States[i] {
-			return false
-		}
-	}
-	for i := range s.Events {
-		if s.Events[i] != o.Events[i] {
-			return false
-		}
-	}
-	for st := range s.States {
-		for ev := range s.Events {
-			a, b := s.cells[st][ev], o.cells[st][ev]
-			if a != b {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Diff lists human-readable differences between two tables, for
-// protocol-evolution reviews.
-func (s *Spec) Diff(o *Spec) []string {
-	var out []string
-	if s.Name != o.Name {
-		out = append(out, fmt.Sprintf("name: %s vs %s", s.Name, o.Name))
-	}
-	if strings.Join(s.States, ",") != strings.Join(o.States, ",") ||
-		strings.Join(s.Events, ",") != strings.Join(o.Events, ",") {
-		out = append(out, "state/event vocabularies differ")
-		return out
-	}
-	for st := range s.States {
-		for ev := range s.Events {
-			a, b := s.cells[st][ev], o.cells[st][ev]
-			if a != b {
-				out = append(out, fmt.Sprintf("[%s, %s]: %s vs %s",
-					s.States[st], s.Events[ev], cellString(s, a), cellString(o, b)))
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func cellString(s *Spec, c Cell) string {
-	switch c.Kind {
-	case Undefined:
-		return "Undef"
-	case Stall:
-		return "Stall"
-	default:
-		return "-> " + s.States[c.Next]
-	}
 }

@@ -350,22 +350,3 @@ func TestBuggyTCCFailsAudit(t *testing.T) {
 		t.Skip("race window not hit under this timing")
 	}
 }
-
-// TestSpecsRoundTripThroughText: every protocol table survives the
-// SLICC-like textual form unchanged — the tables truly are data.
-func TestSpecsRoundTripThroughText(t *testing.T) {
-	for _, mk := range []func() *protocol.Spec{NewTCPSpec, NewTCCSpec, NewTCCWBSpec} {
-		orig := mk()
-		var b strings.Builder
-		if err := orig.Format(&b); err != nil {
-			t.Fatal(err)
-		}
-		re, err := protocol.ParseSpec(strings.NewReader(b.String()))
-		if err != nil {
-			t.Fatalf("%s: reparse failed: %v", orig.Name, err)
-		}
-		if !orig.Equal(re) {
-			t.Fatalf("%s: text round trip changed the table: %v", orig.Name, orig.Diff(re))
-		}
-	}
-}
