@@ -104,8 +104,11 @@ type countFlag struct {
 // -campaign, -serve, -worker, -daemon) are pairwise mutually
 // exclusive, and the exploration bounds and counts are at least their
 // minimum: the library reads 0 as "use the default", which a flag must
-// not do silently.
-func validateFlags(exploreMode, campaign bool, serve, workerURL, daemonURL string, exploreDepth int, exploreBudget uint64, counts []countFlag) error {
+// not do silently. -axiomcheck is refused where no report would carry
+// its findings: campaign reports, local or daemon-run, have no place
+// for them (the explorer checks every schedule online anyway and
+// reports what the checker finds).
+func validateFlags(exploreMode, campaign, axioms bool, serve, workerURL, daemonURL string, exploreDepth int, exploreBudget uint64, counts []countFlag) error {
 	for _, c := range counts {
 		if c.n < c.min {
 			return fmt.Errorf("-%s %d: must be at least %d", c.name, c.n, c.min)
@@ -136,6 +139,9 @@ func validateFlags(exploreMode, campaign bool, serve, workerURL, daemonURL strin
 	if len(modes) > 1 {
 		return fmt.Errorf("%s are mutually exclusive run modes; pick one", strings.Join(modes, " and "))
 	}
+	if axioms && len(modes) == 1 && modes[0] != "-explore" {
+		return fmt.Errorf("-axiomcheck with %s: campaign reports drop the online checker's findings; use it on a single run", modes[0])
+	}
 	return nil
 }
 
@@ -156,7 +162,7 @@ func main() {
 	grid := flag.Bool("grid", false, "print transition classification grids")
 	verbose := flag.Bool("v", false, "print request latencies and the transaction log tail")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report on stdout")
-	axioms := flag.Bool("axiomcheck", false, "check every operation online against the SC-for-DRF episode axioms with the streaming axiomatic checker")
+	axioms := flag.Bool("axiomcheck", false, "check every operation of a single run online against the SC-for-DRF episode axioms with the streaming axiomatic checker (-explore always does)")
 	artifactDir := flag.String("artifact-dir", "", "write a failure-replay artifact (JSON) into this directory on any detected bug")
 	traceDepth := flag.Int("trace-depth", harness.DefaultTraceCapacity, "execution-trace ring capacity used with -artifact-dir")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile (pprof) to this file")
@@ -188,7 +194,7 @@ func main() {
 		{"episodes", *episodes, 1}, {"actions", *actions, 2},
 		{"syncvars", *syncVars, 1}, {"datavars", *dataVars, 1},
 	}
-	if err := validateFlags(*exploreMode, *campaign, *serve, *workerURL, *daemonURL, *exploreDepth, *exploreBudget, counts); err != nil {
+	if err := validateFlags(*exploreMode, *campaign, *axioms, *serve, *workerURL, *daemonURL, *exploreDepth, *exploreBudget, counts); err != nil {
 		fmt.Fprintf(os.Stderr, "gputester: %v\n", err)
 		os.Exit(2)
 	}
@@ -331,7 +337,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		emitJSON(sysCfg, cfg, rep, r.Col, artifactPath)
+		emitJSON(sysCfg, cfg, rep, r.Col, artifactPath, *bug, r.Sys.BugFirings())
 		if !rep.Passed() {
 			exit(1)
 		}
@@ -344,6 +350,9 @@ func main() {
 		rep.OpsIssued, rep.EpisodesRetired, rep.FalseSharedLines)
 	fmt.Printf("  sim ticks      %d (kernel events %d)\n", rep.SimTicks, rep.EventsExecuted)
 	fmt.Printf("  wall time      %s\n", rep.WallTime)
+	if *bug != "" {
+		fmt.Printf("  bug %s: fired %d times\n", *bug, r.Sys.BugFirings())
+	}
 
 	_, l2Name, impsb := harness.CampaignSpecs(sysCfg)
 	l1 := r.Col.Matrix("GPU-L1")
@@ -675,8 +684,10 @@ func runDaemonSubmit(url string, spec campaignd.Spec, jsonOut bool) int {
 	return 0
 }
 
-// emitJSON writes a machine-readable run report for CI consumption.
-func emitJSON(sysCfg viper.Config, cfg core.Config, rep *core.Report, col *coverage.Collector, artifactPath string) {
+// emitJSON writes a machine-readable run report for CI consumption. A
+// run with an injected bug also reports its name and how many times it
+// fired.
+func emitJSON(sysCfg viper.Config, cfg core.Config, rep *core.Report, col *coverage.Collector, artifactPath, bug string, fired uint64) {
 	_, l2Name, _ := harness.CampaignSpecs(sysCfg)
 	failures := make([]map[string]any, 0, len(rep.Failures))
 	for _, f := range rep.Failures {
@@ -706,6 +717,9 @@ func emitJSON(sysCfg viper.Config, cfg core.Config, rep *core.Report, col *cover
 	}
 	if artifactPath != "" {
 		out["artifact"] = artifactPath
+	}
+	if bug != "" {
+		out["bug"], out["bugFired"] = bug, fired
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")

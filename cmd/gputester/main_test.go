@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -132,6 +133,41 @@ func TestAxiomCheck(t *testing.T) {
 	}
 }
 
+// TestBugFiredLine: a single run with -bug reports how many times the
+// injected bug fired, as a text line and under -json; a run without
+// one reports neither.
+func TestBugFiredLine(t *testing.T) {
+	shape := []string{"-caches", "small", "-seed", "1", "-wfs", "8", "-episodes", "8",
+		"-actions", "30", "-syncvars", "4", "-datavars", "48"}
+	for _, bug := range []string{"", "lostwrite", "nonatomic", "dropack", "staleacquire"} {
+		args := shape
+		if bug != "" {
+			args = append([]string{"-bug", bug}, shape...)
+		}
+		_, text, _ := runMainOutput(t, args...)
+		_, js, _ := runMainOutput(t, append([]string{"-json"}, args...)...)
+		var rep struct {
+			Bug      *string
+			BugFired *uint64
+		}
+		if err := json.Unmarshal([]byte(js), &rep); err != nil {
+			t.Fatalf("-bug %q: %v\n%s", bug, err, js)
+		}
+		if bug == "" {
+			if strings.Contains(text, "fired") || rep.Bug != nil || rep.BugFired != nil {
+				t.Errorf("a run without -bug reports a firing count:\n%s\n%s", text, js)
+			}
+			continue
+		}
+		if rep.Bug == nil || *rep.Bug != bug || rep.BugFired == nil || *rep.BugFired == 0 {
+			t.Fatalf("-bug %s -json: bug %v fired %v, want %q fired at least once", bug, rep.Bug, rep.BugFired, bug)
+		}
+		if line := fmt.Sprintf("  bug %s: fired %d times\n", bug, *rep.BugFired); !strings.Contains(text, line) {
+			t.Errorf("-bug %s: no line %q in\n%s", bug, line, text)
+		}
+	}
+}
+
 // TestRunAdmission: flags that build a configuration no run admits
 // (harness.ValidateRun) — more CUs than event tags can name, a variable
 // slab or trace ring no process can allocate, a write-through-only bug
@@ -164,14 +200,15 @@ func TestRunAdmission(t *testing.T) {
 }
 
 // TestValidateFlags pins flag admission: contradictory run modes,
-// exploration bounds below 1 and counts below their minimum are
-// refused with an error naming the flag (main exits 2 on it), and
-// every valid combination passes.
+// -axiomcheck on a campaign mode, exploration bounds below 1 and counts
+// below their minimum are refused with an error naming the flag (main
+// exits 2 on it), and every valid combination passes.
 func TestValidateFlags(t *testing.T) {
 	const d, b = explore.DefaultDepth, explore.DefaultBudget
 	for _, tc := range []struct {
 		name                  string
 		explore, campaign     bool
+		axioms                bool
 		serve, worker, daemon string
 		depth                 int
 		budget                uint64
@@ -188,6 +225,16 @@ func TestValidateFlags(t *testing.T) {
 			want: "-serve and -worker are mutually exclusive"},
 		{name: "campaign and daemon", campaign: true, daemon: "http://127.0.0.1:1", depth: d, budget: b,
 			want: "-campaign and -daemon are mutually exclusive"},
+		{name: "axiomcheck single run", axioms: true, depth: d, budget: b},
+		{name: "axiomcheck explore", axioms: true, explore: true, depth: d, budget: b},
+		{name: "axiomcheck campaign", axioms: true, campaign: true, depth: d, budget: b,
+			want: "-axiomcheck with -campaign"},
+		{name: "axiomcheck serve", axioms: true, serve: "127.0.0.1:0", depth: d, budget: b,
+			want: "-axiomcheck with -serve"},
+		{name: "axiomcheck worker", axioms: true, worker: "http://127.0.0.1:1", depth: d, budget: b,
+			want: "-axiomcheck with -worker"},
+		{name: "axiomcheck daemon", axioms: true, daemon: "http://127.0.0.1:1", depth: d, budget: b,
+			want: "-axiomcheck with -daemon"},
 		{name: "explore depth 0", explore: true, depth: 0, budget: b, want: "-explore-depth 0"},
 		{name: "explore depth -4", explore: true, depth: -4, budget: b, want: "-explore-depth -4"},
 		{name: "explore budget 0", explore: true, depth: d, budget: 0, want: "-explore-budget 0"},
@@ -205,7 +252,7 @@ func TestValidateFlags(t *testing.T) {
 		{name: "actions 1", depth: d, budget: b, counts: []countFlag{{"actions", 1, 2}}, want: "-actions 1: must be at least 2"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateFlags(tc.explore, tc.campaign, tc.serve, tc.worker, tc.daemon, tc.depth, tc.budget, tc.counts)
+			err := validateFlags(tc.explore, tc.campaign, tc.axioms, tc.serve, tc.worker, tc.daemon, tc.depth, tc.budget, tc.counts)
 			switch {
 			case tc.want == "" && err != nil:
 				t.Fatalf("refused a valid combination: %v", err)

@@ -27,10 +27,12 @@ func TestSnapshotFieldAudit(t *testing.T) {
 		return m
 	}
 	audit.Fields(t, testerState{}, states("cfg", "rnd", "failures", "lastWorkTick", "genSeq", "epMeta",
-		"nextReqID", "nextEpisodeID", "storeValue", "finishedWFs", "done", "reqSlab",
+		"nextReqID", "nextEpisodeID", "storeValue", "finishedWFs", "done",
 		"opsIssued", "opsCompleted", "episodesRetired", "sampler"))
 	audit.Fields(t, spaceState{}, states("slab", "addrs", "lastWriters", "free", "unwritten", "falseShared"))
-	audit.Fields(t, threadState{}, states("ep", "live", "episodesDone", "curOp"))
+	lane := states("ep", "live", "episodesDone", "curOp")
+	lane["req"] = "state: copied by copyFrom — the lane's one request, by value, so a restore refills what the memory system's pointer to an in-flight request reads"
+	audit.Fields(t, threadState{}, lane)
 	audit.Fields(t, wfState{}, map[string]string{
 		"outstanding": "state: wfState is copied by value",
 		"finished":    "state: wfState is copied by value",
@@ -55,6 +57,7 @@ func TestSnapshotFieldAudit(t *testing.T) {
 		"words":      "derived: claim words recomputed from the slab by rebuild and by Restore (rederive), not captured",
 		"chosen":     "scratch: regenerated by rebuild, not captured",
 		"roles":      "scratch: regenerated by rebuild, not captured",
+		"seenOld":    "pool: the sync variables' old-value tables by sync index, cleared and handed out by rebuild; a cut copies their contents through the slab (copyVar), into the same tables on restore",
 		"lineSize":   config,
 	})
 	audit.Fields(t, thread{}, map[string]string{

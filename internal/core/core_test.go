@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -134,6 +135,50 @@ func TestAddressSpaceProperties(t *testing.T) {
 	}, &quick.Config{MaxCount: 100})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSeenOldTablesSurviveCornerSwitches pins that a sync variable's
+// old-value table keeps its grown capacity when a campaign corner
+// changes the variable counts (which reallocates the slab, or turns
+// sync slots into data slots): a second pass through the same corners
+// and seeds grows no table.
+func TestSeenOldTablesSurviveCornerSwitches(t *testing.T) {
+	base := DefaultConfig()
+	base.NumWavefronts, base.EpisodesPerThread, base.ActionsPerEpisode = 8, 8, 30
+	base.StoreFraction = 0.6
+	corners := []struct{ sync, data int }{{4, 64}, {16, 64}, {1, 64}, {4, 8}, {16, 256}, {1, 256}}
+	k := sim.NewKernel()
+	sys := viper.NewSystem(k, viper.SmallCacheConfig(), nil)
+	tester := New(k, sys, base)
+	slots := func(v *variable) int { return reflect.ValueOf(v.seenOld).Elem().FieldByName("slots").Len() }
+	grown := 0
+	for pass := 1; pass <= 2; pass++ {
+		for i, c := range corners {
+			cfg := base
+			cfg.NumSyncVars, cfg.NumDataVars = c.sync, c.data
+			k.Reset()
+			sys.Reset()
+			tester.ResetWithConfig(uint64(i+1), cfg)
+			before := make([]int, len(tester.space.syncVars))
+			for j := range tester.space.syncVars {
+				before[j] = slots(&tester.space.syncVars[j])
+			}
+			if rep := tester.Run(); !rep.Passed() {
+				t.Fatalf("corner %v failed: %v", c, rep.Failures)
+			}
+			for j := range tester.space.syncVars {
+				if n := slots(&tester.space.syncVars[j]); n != before[j] {
+					grown++
+					if pass == 2 {
+						t.Errorf("corner %v: sync variable %d's table grew from %d to %d slots on the second pass", c, j, before[j], n)
+					}
+				}
+			}
+		}
+	}
+	if grown == 0 {
+		t.Fatal("no table grew on the first pass either: the corners test nothing")
 	}
 }
 

@@ -82,12 +82,18 @@ type thread struct {
 
 // threadState is a lane's run state. The lane's episode lives in it by
 // value, its storage reused from one episode to the next; its contents
-// are meaningful only while live.
+// are meaningful only while live. So does the lane's one request: a
+// lane has at most one op between issue and response (curOp), and the
+// memory system holds a request only until its response is delivered,
+// so every op of the lane is issued from req. A cut copies it, so the
+// memory system's pointer to an in-flight request finds its cut
+// contents again after a restore.
 type threadState struct {
 	ep           episode
 	live         bool
 	episodesDone int
 	curOp        genOp
+	req          mem.Request
 }
 
 // copyFrom makes d hold s's state, a live episode copied into d's own
@@ -98,7 +104,7 @@ func (d *threadState) copyFrom(s *threadState) {
 	if s.live {
 		copyEpisode(&d.ep, &s.ep)
 	}
-	d.live, d.episodesDone, d.curOp = s.live, s.episodesDone, s.curOp
+	d.live, d.episodesDone, d.curOp, d.req = s.live, s.episodesDone, s.curOp, s.req
 }
 
 // wavefront is a lockstep group of threads bound to one CU.
@@ -158,13 +164,6 @@ type testerState struct {
 	storeValue    uint32
 	finishedWFs   int
 	done          bool
-
-	// reqSlab hands out requests in chunks so the issue path pays one
-	// allocation per reqSlabSize ops instead of one per op. A cut keeps
-	// the slice header only: slab slots are write-once within a run, and
-	// a restored replay re-issues the identical requests into the
-	// identical slots.
-	reqSlab []mem.Request
 
 	// stats
 	opsIssued, opsCompleted, episodesRetired uint64
@@ -251,14 +250,14 @@ func (t *Tester) buildWavefronts() {
 // failure state is cleared, the main RNG is reseeded, and the random
 // variable→address mapping is regenerated, so the subsequent Run is
 // bit-identical to the run of a freshly constructed Tester with
-// cfg.Seed = seed. The request slab, the lanes' episode storage,
-// wavefront wiring, and pre-bound closures are retained — their
-// contents are fully reinitialized on reuse — which is what makes a
-// campaign's reset-per-seed loop allocation-light. The caller must
+// cfg.Seed = seed. The lanes' episode storage, wavefront wiring, and
+// pre-bound closures are retained — their contents are fully
+// reinitialized on reuse — which is what makes a campaign's
+// reset-per-seed loop allocation-light. The caller must
 // reset the kernel (and each system) first; the tester's pending events
 // must be gone before its state is recycled.
 func (t *Tester) Reset(seed uint64) {
-	t.copyFrom(&testerState{cfg: t.cfg, rnd: *rng.New(seed, testerStream), reqSlab: t.reqSlab})
+	t.copyFrom(&testerState{cfg: t.cfg, rnd: *rng.New(seed, testerStream)})
 	t.cfg.Seed = seed
 	t.log.Reset()
 	t.space.rebuild(t.rnd.Split(), t.cfg.NumSyncVars, t.cfg.NumDataVars, t.cfg.AddressRangeBytes, t.space.lineSize)
@@ -396,18 +395,9 @@ func (t *Tester) issueRound(wf *wavefront) {
 	}
 }
 
-// reqSlabSize is the request-arena chunk length. Chunks stay reachable
-// while any of their requests is in flight, so larger chunks trade a
-// little retention for fewer allocations.
-const reqSlabSize = 256
-
 func (t *Tester) issueOp(wf *wavefront, thr *thread, op genOp) {
 	t.nextReqID++
-	if len(t.reqSlab) == 0 {
-		t.reqSlab = make([]mem.Request, reqSlabSize)
-	}
-	req := &t.reqSlab[0]
-	t.reqSlab = t.reqSlab[1:]
+	req := &thr.req
 	*req = mem.Request{
 		ID:        t.nextReqID,
 		Addr:      op.v.addr,

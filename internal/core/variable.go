@@ -155,6 +155,13 @@ type addressSpace struct {
 	chosen []uint64
 	roles  []uint8
 
+	// seenOld holds the old-value tables of every sync variable a
+	// rebuild has made, by sync index: sync variable i's table is
+	// seenOld[i] whatever the shape, so a corner that changes the
+	// variable counts keeps the tables, and their grown capacity, of
+	// the corners before it.
+	seenOld []*table.Table[uint32, AccessRecord]
+
 	lineSize int
 }
 
@@ -279,11 +286,11 @@ func buildAddressSpace(rnd *rng.PCG, numSync, numData int, rangeBytes uint64, li
 }
 
 // rebuild regenerates the random variable→address mapping in place with
-// fresh randomness, reusing the variable slab, the claim words, the
-// sampling bitset, and the sync variables' old-value tables from a
-// previous build when the shape allows. A rebuilt space is
-// semantically indistinguishable from a fresh one: every scalar field
-// is reassigned, and retained tables are cleared (seenOld is
+// fresh randomness, reusing the variable slab, the claim words and the
+// sampling bitset from a previous build when the shape allows, and the
+// sync variables' old-value tables whatever the shape. A rebuilt space
+// is semantically indistinguishable from a fresh one: every scalar
+// field is reassigned, and retained tables are cleared (seenOld is
 // lookup-only).
 func (sp *addressSpace) rebuild(rnd *rng.PCG, numSync, numData int, rangeBytes uint64, lineSize int) {
 	total := numSync + numData
@@ -335,18 +342,17 @@ func (sp *addressSpace) rebuild(rnd *rng.PCG, numSync, numData int, rangeBytes u
 	sp.free, sp.unwritten = numData, numData
 	sp.lineSize, sp.falseShared = lineSize, 0
 	sp.roles = append(sp.roles[:0], make([]uint8, rangeBytes/uint64(lineSize)+1)...)
+	for len(sp.seenOld) < numSync {
+		sp.seenOld = append(sp.seenOld, new(table.Table[uint32, AccessRecord]))
+	}
 	for i, a := range sp.addrs {
 		v := &sp.slab[i]
-		seenOld := v.seenOld
 		*v = variable{id: int32(i), sync: i < numSync, addr: a, lastWIdx: -1}
 		role := &sp.roles[a/mem.Addr(lineSize)]
 		if v.sync {
 			*role |= 1
-			if seenOld == nil {
-				seenOld = new(table.Table[uint32, AccessRecord])
-			}
-			seenOld.Clear()
-			v.seenOld = seenOld
+			v.seenOld = sp.seenOld[i]
+			v.seenOld.Clear()
 		} else {
 			if *role == 1 {
 				sp.falseShared++ // sync variables come first: the line's first data variable

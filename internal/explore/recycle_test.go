@@ -30,9 +30,8 @@ func (r *run) snapshot() *harness.Checkpoint {
 // with live state by design, so poison drops the reference instead of
 // scribbling through it.
 var aliased = map[string]bool{
-	"testerState.reqSlab": true, // the tester's write-once request slab
-	"storeSave.blocks":    true, // copy-on-write blocks, shared until written
-	"LogSnapshot.sealed":  true, // rolling-log chunks, shared with the log by refcount
+	"storeSave.blocks":   true, // copy-on-write blocks, shared until written
+	"LogSnapshot.sealed": true, // rolling-log chunks, shared with the log by refcount
 }
 
 // isSnapshot reports whether t is one of the layers' snapshot structs,

@@ -108,9 +108,10 @@ func TestCheckersAgreeOnBugs(t *testing.T) {
 
 // TestBugFiringCounts: the NonAtomicRMW and StaleAcquire hooks count
 // their firings, the L2 atomics answered unserialized and the acquires
-// delivered without a flash-invalidate. At BugHuntConfigs' shape each
-// counter fires under its bug, stays 0 with no bug, and a reset clears
-// it.
+// delivered without a flash-invalidate. At BugHuntConfigs' shape, under
+// either L2 for the bugs the write-back L2 hosts, each counter fires
+// under its bug, stays 0 with no bug, System.BugFirings is their sum,
+// and a reset clears it.
 func TestBugFiringCounts(t *testing.T) {
 	counts := func(sys *viper.System) (atomics, invalidates uint64) {
 		for _, s := range sys.Seqs {
@@ -121,13 +122,18 @@ func TestBugFiringCounts(t *testing.T) {
 	for _, c := range []struct {
 		name                 string
 		bugs                 viper.BugSet
+		wb                   bool
 		atomics, invalidates bool
 	}{
-		{"none", viper.BugSet{}, false, false},
-		{"NonAtomicRMW", viper.BugSet{NonAtomicRMW: true}, true, false},
-		{"StaleAcquire", viper.BugSet{StaleAcquire: true}, false, true},
+		{"none", viper.BugSet{}, false, false, false},
+		{"NonAtomicRMW", viper.BugSet{NonAtomicRMW: true}, false, true, false},
+		{"StaleAcquire", viper.BugSet{StaleAcquire: true}, false, false, true},
+		{"none/wb", viper.BugSet{}, true, false, false},
+		{"NonAtomicRMW/wb", viper.BugSet{NonAtomicRMW: true}, true, true, false},
+		{"StaleAcquire/wb", viper.BugSet{StaleAcquire: true}, true, false, true},
 	} {
 		sysCfg, cfg := BugHuntConfigs(c.bugs, 1)
+		sysCfg.WriteBackL2 = c.wb
 		b := BuildGPU(sysCfg)
 		core.New(b.K, b.Sys, cfg).Run()
 		atomics, invalidates := counts(b.Sys)
@@ -135,6 +141,9 @@ func TestBugFiringCounts(t *testing.T) {
 		if (atomics > 0) != c.atomics || (invalidates > 0) != c.invalidates {
 			t.Errorf("%s: %d unserialized atomics and %d skipped invalidates, want fired %v and %v",
 				c.name, atomics, invalidates, c.atomics, c.invalidates)
+		}
+		if n := b.Sys.BugFirings(); n != atomics+invalidates {
+			t.Errorf("%s: BugFirings %d, want the counters' sum %d", c.name, n, atomics+invalidates)
 		}
 		b.K.Reset()
 		b.Sys.Reset()

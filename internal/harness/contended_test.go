@@ -14,8 +14,8 @@ import (
 // data variables — 32 live episodes claiming far more than 64
 // variables, so nearly every message stalls somewhere), under the base
 // corner and under the wide-jitter one, whose responses ride jittered
-// links. A warm seed costs 35 objects — 30 of them the request slab's
-// 256-request chunks, the rest its report — and up to twice that while
+// links. A warm seed costs 4–9 objects, its report (35 while the
+// tester carved its requests from 256-request chunks), and more while
 // the pools still meet new peaks; with a stall-queue slice per wake
 // and a closure per jittered response it cost 335 and 4 226. The
 // write-back L2 (WriteBackL2) runs the same rows; with a closure per L2

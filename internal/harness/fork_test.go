@@ -165,7 +165,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 					sys.Bugs = viper.BugSet{} // LostWriteRace is a write-through bug
 				}
 				t.Run(fmt.Sprintf("wb=%v,slices=%d,jitter=%d", wb, slices, jitter), func(t *testing.T) {
-					checkpointRestore(t, sys, cfg)
+					checkpointRestore(t, sys, cfg, nil)
 				})
 			}
 		}
@@ -175,8 +175,9 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 // checkpointRestore runs sys and cfg fresh and uncheckpointed as the
 // reference, then cuts a checkpointed run half way to the reference's
 // first failure (or its end), completes it, rewinds and completes it
-// again, and requires all three to agree.
-func checkpointRestore(t *testing.T, sys viper.Config, cfg core.Config) {
+// again, and requires all three to agree. A non-nil wrap is applied to
+// the checkpointed run before it starts.
+func checkpointRestore(t *testing.T, sys viper.Config, cfg core.Config, wrap func(*GPURun)) {
 	b := BuildGPU(sys)
 	ring := trace.NewRing(256)
 	b.K.SetTracer(ring)
@@ -192,6 +193,9 @@ func checkpointRestore(t *testing.T, sys viper.Config, cfg core.Config) {
 	r := NewGPURun(sys, cfg)
 	r.Ring = traceReplay(r.K, ref)
 	r.Sys.EnableCheckpointing()
+	if wrap != nil {
+		wrap(r)
+	}
 
 	// Run the first half, freeze a full cut of every layer.
 	r.Tester.Start()

@@ -52,9 +52,11 @@ func freshRunAllocs(t *testing.T, cfg core.Config) (objects, memops uint64) {
 // grown by append, each added memop cost 0.055 objects and a fresh run
 // 0.224 per memop. With pools carved by the chunk, spill arrays
 // recycled and each lane's episode storage sized once, they cost 0.005
-// and 0.041; the request slab's 1/256 per memop is the growth left.
+// and 0.041, 1/256 of it a request slab's chunk per 256 memops.
 // With the checker's spill arrays and episode records carved by the
-// chunk too (TestStreamLiveWindowAllocs), a fresh run costs 0.0225.
+// chunk too (TestStreamLiveWindowAllocs), a fresh run costs 0.0225;
+// with one request per lane instead of the slab, 0.0186, and an added
+// memop 0.0007.
 func TestLargeStreamRunAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts include the race detector's")

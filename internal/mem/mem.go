@@ -110,6 +110,13 @@ type Response struct {
 // The *Response is only valid for the duration of the HandleResponse
 // call: producers may reuse the backing struct for the next delivery.
 // Implementations must copy any fields they need to retain.
+//
+// The *Request it answers works the other way round: the memory system
+// holds it from issue until its response is delivered and reads nothing
+// of it afterwards, so once HandleResponse returns the issuer may
+// reuse it for its next request (the GPU tester, the application
+// workloads and the CPU tester each issue a lane's or a core's requests
+// from one struct).
 type Requestor interface {
 	HandleResponse(resp *Response)
 }

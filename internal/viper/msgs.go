@@ -30,11 +30,14 @@ func (k reqKind) String() string {
 // tcpMsg is a request from an L1 (TCP) to the L2 (TCC).
 type tcpMsg struct {
 	kind reqKind
-	// off is a WrVicBlk's stored word, as its offset in the line; the
-	// ackWB echoes it (the request may be reused by then).
-	off  uint32
-	cu   int
-	line mem.Addr
+	// off is a WrVicBlk's stored word, as its offset in the line, and
+	// thread the thread that stored it; the ackWB echoes both. The
+	// store's request is answered when the L1 accepts it, so the issuer
+	// may have reused it by the time the ack arrives.
+	off    uint32
+	thread int32
+	cu     int
+	line   mem.Addr
 	// payload is the WrVicBlk write-through data: a borrowed line
 	// handle (data + per-byte mask of the written bytes). The message
 	// owns one reference, taken at send time and transferred onward
@@ -44,9 +47,9 @@ type tcpMsg struct {
 	// re-checks it so a refcount bug that recycles the line mid-flight
 	// trips immediately instead of corrupting silently.
 	payloadEpoch uint64
-	// req is the core request that triggered the message; WrVicBlk and
-	// Atomic completion acks are routed back against it. For RdBlk it
-	// is the first coalesced load (used in logs only).
+	// req is the core request that triggered the message: an Atomic's
+	// ack answers it, and for RdBlk it is the first coalesced load
+	// (used in logs only). A WrVicBlk carries none (see off).
 	req *mem.Request
 }
 
@@ -76,9 +79,10 @@ const (
 
 // tccMsg is a response from the L2 (TCC) to an L1 (TCP).
 type tccMsg struct {
-	kind ackKind
-	off  uint32 // ackWB: the acked WrVicBlk's off
-	line mem.Addr
+	kind   ackKind
+	off    uint32 // ackWB: the acked WrVicBlk's off
+	thread int32  // ackWB: the acked WrVicBlk's thread
+	line   mem.Addr
 	// payload is the ackFill line contents, shared by reference with
 	// the fill's other consumers (the message owns one reference; see
 	// tcpMsg.payload for the epoch handshake).

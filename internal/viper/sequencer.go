@@ -44,8 +44,9 @@ type Sequencer struct {
 
 // seqState is a sequencer's run state: a cut copies it, a reset clears
 // it (the latency histograms are cut by the System). Request pointers
-// are kept by identity: they point into the tester's request slab,
-// whose slots are write-once within a run.
+// are kept by identity: each points at its issuer's request, which the
+// issuer's own cut restores in place (a tester lane's request is
+// copied with the lane).
 type seqState struct {
 	pendingWT    table.Table[int, int] // thread → in-flight write-throughs
 	heldReleases waitList[int, *mem.Request]
@@ -107,7 +108,9 @@ func (s *Sequencer) SetClient(c mem.Requestor) { s.client = c }
 func (s *Sequencer) CU() int { return s.cu }
 
 // Issue accepts one core request. Requests complete asynchronously via
-// the client's HandleResponse.
+// the client's HandleResponse. The memory system holds req from Issue
+// until its response is delivered and reads nothing of it after: once
+// HandleResponse returns, the client may reuse it for its next request.
 func (s *Sequencer) Issue(req *mem.Request) {
 	if s.client == nil {
 		panic("viper: Issue before SetClient")
@@ -174,16 +177,15 @@ func (s *Sequencer) deliverNext() {
 	s.client.HandleResponse(&s.scratch)
 }
 
-// noteWriteThrough records that req's thread gained one in-flight
+// noteWriteThrough records that thread tid gained one in-flight
 // write-through.
-func (s *Sequencer) noteWriteThrough(req *mem.Request) {
-	*s.pendingWT.Slot(req.ThreadID)++
+func (s *Sequencer) noteWriteThrough(tid int) {
+	*s.pendingWT.Slot(tid)++
 }
 
-// writeCompleted records a write-through acknowledgement and, when the
-// thread fully drains, launches any held store-release.
-func (s *Sequencer) writeCompleted(req *mem.Request) {
-	tid := req.ThreadID
+// writeCompleted records a write-through acknowledgement for thread tid
+// and, when the thread fully drains, launches any held store-release.
+func (s *Sequencer) writeCompleted(tid int) {
 	n := s.pendingWT.Ptr(tid)
 	if n == nil {
 		panic(fmt.Sprintf("viper: write completion underflow for thread %d", tid))

@@ -298,6 +298,23 @@ func (s *System) L2Stats() map[string]uint64 {
 	return out
 }
 
+// BugFirings returns how many times the run's injected bugs fired: the
+// sum of the counters each bug hook bumps inside its own branch — lost
+// merges (LostWriteRace), dropped acks (DropWBAckEvery), unserialized
+// atomics (NonAtomicRMW) and skipped flash-invalidates (StaleAcquire).
+// With one bug injected it is that bug's count; a correct protocol
+// reads 0.
+func (s *System) BugFirings() uint64 {
+	var n uint64
+	for _, c := range s.TCCs {
+		n += c.droppedMerges + c.droppedAcks + c.unserializedAtomics
+	}
+	for _, seq := range s.Seqs {
+		n += seq.skippedInvalidates
+	}
+	return n
+}
+
 // MemBackend adapts a memory controller to the TCC's Backend interface
 // (GPU-only systems; it never NACKs atomics). The callback shapes
 // match exactly, so every method is a pure pass-through.

@@ -133,7 +133,8 @@ type tccState struct {
 	wbs table.Table[mem.Addr, int]
 
 	// stats; droppedMerges and unserializedAtomics count the
-	// LostWriteRace and NonAtomicRMW bugs' firings.
+	// LostWriteRace and NonAtomicRMW bugs' firings (the latter under
+	// either L2).
 	rdBlks, wrVicBlks, atomicsSeen, fills, stalls uint64
 	wbAcks, droppedMerges, droppedAcks, evictWBs  uint64
 	unserializedAtomics                           uint64
@@ -386,21 +387,24 @@ func (c *TCC) onAtomicND(tbe *tccTBE) {
 // performAtomic executes a fetch-add on a write-back L2's cached line,
 // leaving it dirty. With the NonAtomicRMW bug injected, the write lands
 // after a window during which another atomic can read the same old
-// value.
+// value; the sum is taken before the ack, since the issuer may reuse
+// the request once it is answered.
 func (c *TCC) performAtomic(line mem.Addr, e *cache.Line, req *mem.Request, cu int) {
 	off := mem.LineOffset(req.Addr, c.lineSize())
 	old := binary.LittleEndian.Uint32(e.Data[off : off+mem.WordSize])
+	newVal := old + req.Operand
 	c.sendAtomicAck(cu, line, req, old)
 	if c.bugs.NonAtomicRMW {
+		c.unserializedAtomics++
 		c.k.Schedule(sim.Tick(c.bugs.nonAtomicWindow()), func() {
 			if c.array.Peek(line) == e {
-				binary.LittleEndian.PutUint32(e.Data[off:off+mem.WordSize], old+req.Operand)
+				binary.LittleEndian.PutUint32(e.Data[off:off+mem.WordSize], newVal)
 				e.State = c.dirty
 			}
 		})
 		return
 	}
-	binary.LittleEndian.PutUint32(e.Data[off:off+mem.WordSize], old+req.Operand)
+	binary.LittleEndian.PutUint32(e.Data[off:off+mem.WordSize], newVal)
 	e.State = c.dirty
 }
 
@@ -496,10 +500,10 @@ func (c *TCC) onWBAck(msg *tcpMsg) {
 // ackWrite sends a WrVicBlk's TCC_AckWB, releasing the message (and
 // any payload reference it still holds) first.
 func (c *TCC) ackWrite(msg *tcpMsg) {
-	cu, line, req, off := msg.cu, msg.line, msg.req, msg.off
+	cu, line, off, thread := msg.cu, msg.line, msg.off, msg.thread
 	c.pool.putTCPMsg(msg)
 	ack := c.pool.getTCCMsg()
-	ack.kind, ack.line, ack.req, ack.off = ackWB, line, req, off
+	ack.kind, ack.line, ack.off, ack.thread = ackWB, line, off, thread
 	c.send(cu, ack)
 }
 

@@ -43,8 +43,9 @@ type TCP struct {
 // tcpState is an L1 controller's run state, the part a cut copies and
 // a reset clears (the cache array and the request links are cut by the
 // System). Write-through buffers keep their line handles by identity —
-// the line pool's cut restores their contents — and waiting and stalled
-// requests point into the tester's request slab.
+// the line pool's cut restores their contents — and so do waiting and
+// stalled requests: each points at its issuer's request, restored in
+// place by the issuer's own cut.
 type tcpState struct {
 	// A line's transaction is either an atomic or a fill its coalesced
 	// load misses await, never both: an atomic stalls behind waiting
@@ -205,10 +206,10 @@ func (t *TCP) CoreRequest(req *mem.Request) {
 		off := mem.LineOffset(req.Addr, t.lineSize())
 		*t.wtWords.Slot(line + mem.Addr(off))++
 		m := t.pool.getTCPMsg()
-		m.kind, m.cu, m.line, m.req, m.off = msgWrVicBlk, t.id, line, req, uint32(off)
+		m.kind, m.cu, m.line, m.off, m.thread = msgWrVicBlk, t.id, line, uint32(off), int32(req.ThreadID)
 		m.setPayload(wl)
 		t.send(m)
-		t.seq.noteWriteThrough(req)
+		t.seq.noteWriteThrough(req.ThreadID)
 		// Plain stores complete at L1 acceptance; global visibility is
 		// deferred to the TCC_AckWB — the relaxed-model window the
 		// tester exists to stress.
@@ -312,7 +313,7 @@ func (t *TCP) FromTCC(msg *tccMsg) {
 		} else if t.wtWords.Ptr(a) == nil && !fill {
 			t.dropWord(buf, a)
 		}
-		t.seq.writeCompleted(msg.req)
+		t.seq.writeCompleted(int(msg.thread))
 	}
 }
 
